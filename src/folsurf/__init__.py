@@ -79,7 +79,6 @@ from .scenario_io import (
     serialize_document,
 )
 from .surface import (
-    BlowupStep,
     DivisorClass,
     SurfaceModel,
     canonical_class,

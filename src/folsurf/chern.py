@@ -84,8 +84,11 @@ def chern_numbers(
     A scenario whose canonical class is not pseudo-effective has all three
     equal to zero by definition.  Membership of a singularity in the negative
     part is derived: it lies on N iff one of its incident curves is in the
-    support of N.
+    support of N.  Non-reduced scenarios raise :class:`DomainError`.
     """
+    if not f.is_reduced:
+        ids = [s.id for s in f.singularities if not s.is_reduced]
+        raise DomainError(f"Chern numbers need a reduced foliation; not reduced: {ids}")
     if not f.metadata.k_pseudo_effective:
         return ChernNumbers(Fraction(0), Fraction(0), Fraction(0))
     dec = decomposition if decomposition is not None else zariski_decompose(f)

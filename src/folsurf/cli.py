@@ -16,6 +16,7 @@ from .errors import ParseError
 from .fixtures import load_bundled_files
 from .scenario_io import (
     ScenarioDocument,
+    check_line,
     fmt_rational,
     parse_scenario,
     run_pipeline,
@@ -40,9 +41,7 @@ def _cmd_check(args) -> int:
         print("no surface scenario to validate")
         return EXIT_OK if report.ok else EXIT_CHECK_FAILED
     for c in report.validation.checks:
-        tag = "skip" if c.passed is None else ("pass" if c.passed else "FAIL")
-        detail = f"  ({c.detail})" if c.detail else ""
-        print(f"[{tag}] {c.name}{detail}")
+        print(check_line(c))
     for w in report.validation.warnings:
         print(f"warning: {w}")
     return EXIT_OK if report.validation.passed else EXIT_CHECK_FAILED
@@ -106,8 +105,7 @@ def _cmd_fibration(args) -> int:
         f"chi = {fmt_rational(chi)}"
     )
     for c in report.fibration_checks:
-        tag = "skip" if c.passed is None else ("pass" if c.passed else "FAIL")
-        print(f"[{tag}] {c.name}  ({c.detail})")
+        print(check_line(c))
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 

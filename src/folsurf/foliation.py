@@ -112,6 +112,11 @@ class CheckResult:
     def failed(self) -> bool:
         return self.passed is False
 
+    @property
+    def status(self) -> str:
+        """'skip', 'pass' or 'fail'."""
+        return "skip" if self.passed is None else ("pass" if self.passed else "fail")
+
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -6,6 +6,9 @@ appears anywhere in the format.  Parsing is total: any malformed element
 raises :class:`ParseError` annotated with the JSON path of the offender.
 Reports are deterministic; identical input bytes produce identical report
 bytes.
+
+The format is defined once, by the record table (``DOCUMENT`` and the
+records it nests) that :func:`decode` and :func:`encode` walk.
 """
 
 from __future__ import annotations
@@ -13,10 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from types import MappingProxyType
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
 
 from .chern import ChernNumbers, Verdict, chern_numbers, decide, noether_bounds, slope
-from .errors import DomainError, InconsistentScenario, ParseError
+from .errors import DomainError, InconsistentScenario, ParseError, ShapeError
 from .fibration import (
     FiberModel,
     FiberNode,
@@ -39,7 +44,7 @@ from .local_invariants import (
     SaddleNode,
     SingularityRecord,
 )
-from .surface import DivisorClass, SurfaceModel, h0_line_bundle, intersect
+from .surface import P2, DivisorClass, SurfaceModel, h0_line_bundle, intersect
 from .zariski import (
     FChain,
     ZariskiDecomposition,
@@ -55,73 +60,308 @@ def fmt_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: Any, path: str) -> Fraction:
-    if isinstance(text, int) and not isinstance(text, bool):
+class _Reject(Exception):
+    """A malformed element.  The walkers add the key or index leading to it as
+    it propagates, so a JSON path is only formatted for a failing document."""
+
+    def __init__(self, reason: str, *where):
+        super().__init__(reason)
+        self.reason = reason
+        self.where = list(reversed(where))  # innermost segment first
+
+
+def _rational(text: Any) -> Fraction:
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
-        raise ParseError(f"expected a rational string, got {text!r}", path)
-    parts = text.split("/")
+        raise _Reject(f"expected a rational string, got {text!r}")
+    num, slash, den = text.partition("/")
     try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
-            if den == 0:
-                raise ParseError("rational with denominator 0", path)
-            return Fraction(num, den)
+        num, den = int(num), int(den) if slash else 1
     except ValueError:
-        pass
-    raise ParseError(f"malformed rational {text!r}", path)
+        raise _Reject(f"malformed rational {text!r}") from None
+    if den == 0:
+        raise _Reject("rational with denominator 0")
+    return Fraction(num, den)
 
 
-def _require_keys(
-    obj: Mapping[str, Any], path: str, required: Sequence[str], optional: Sequence[str]
-) -> None:
-    if not isinstance(obj, dict):
-        raise ParseError("expected an object", path)
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ParseError(f"unknown key {key!r}", f"{path}.{key}")
-    for key in required:
-        if key not in obj:
-            raise ParseError(f"missing required key {key!r}", path)
+def parse_rational(text: Any, path: str) -> Fraction:
+    try:
+        return _rational(text)
+    except _Reject as exc:
+        raise ParseError(exc.reason, path) from None
 
 
-def _expect_int(value: Any, path: str, minimum: Optional[int] = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"expected an integer, got {value!r}", path)
-    if minimum is not None and value < minimum:
-        raise ParseError(f"expected an integer >= {minimum}, got {value}", path)
+class Codec(NamedTuple):
+    """Converts one JSON value to its domain value and back."""
+
+    decode: Callable[[Any], Any]
+    encode: Callable[[Any], Any]
+
+
+def _same(value: Any) -> Any:
     return value
 
 
-def _expect_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ParseError(f"expected a boolean, got {value!r}", path)
-    return value
+def _typed(kind: type, expected: str, minimum: Optional[int] = None) -> Codec:
+    def decode(raw):
+        if type(raw) is not kind:
+            raise _Reject(f"expected {expected}, got {raw!r}")
+        if minimum is not None and raw < minimum:
+            raise _Reject(f"expected {expected} >= {minimum}, got {raw}")
+        return raw
+
+    return Codec(decode, _same)
 
 
-def _expect_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError(f"expected a string, got {value!r}", path)
-    return value
+def integer(minimum: Optional[int] = None) -> Codec:
+    return _typed(int, "an integer", minimum)
 
 
-EXPECT_KEYS = (
-    "c1_sq",
-    "c2",
-    "chi",
-    "vol",
-    "slope",
-    "p_g",
-    "verdict",
-    "singularity_count",
-    "negative_part",
-    "modular",
-    "noether_equality",
-    "fired_rules",
-    "genus_bound",
+def list_of(item: Codec) -> Codec:
+    def decode(raw):
+        if not isinstance(raw, list):
+            raise _Reject("expected a list")
+        out = []
+        try:
+            for value in raw:
+                out.append(item.decode(value))
+        except _Reject as exc:
+            exc.where.append(len(out))  # the index of the failing element
+            raise
+        return out
+
+    return Codec(decode, lambda values: [item.encode(v) for v in values])
+
+
+def map_of(item: Codec) -> Codec:
+    """A JSON object with free keys, such as curve name -> coefficient."""
+
+    def decode(raw):
+        if not isinstance(raw, dict):
+            raise _Reject("expected an object")
+        out = {}
+        try:
+            for key, value in raw.items():
+                out[key] = item.decode(value)
+        except _Reject as exc:
+            exc.where.append(key)
+            raise
+        return out
+
+    return Codec(decode, lambda values: {k: item.encode(v) for k, v in values.items()})
+
+
+def record(spec: "Record") -> Codec:
+    return Codec(partial(_decode, spec), partial(encode, spec))
+
+
+RATIONAL = Codec(_rational, fmt_rational)
+BOOL = _typed(bool, "a boolean")
+STRING = _typed(str, "a string")
+# A divisor class decodes to its coefficient tuple: only the enclosing
+# document knows the surface, whose rank the scenario builder checks.
+_COEFFICIENTS = list_of(RATIONAL)
+CLASS = Codec(
+    lambda raw: tuple(_COEFFICIENTS.decode(raw)),
+    lambda cls: _COEFFICIENTS.encode(cls.coefficients),
 )
+
+REQUIRED = object()  # default of a key that must be present
+ABSENT = object()  # default of a key whose absence leaves its attribute unset
+
+
+@dataclass(frozen=True)
+class Field:
+    """One key of a JSON object: the domain attribute (and builder keyword)
+    it maps to, which defaults to the key, its codec and its default.  A value
+    equal to the default is not serialized unless ``emit_default`` is set."""
+
+    key: str
+    codec: Codec
+    default: Any = REQUIRED
+    attr: str = ""
+    emit_default: bool = False
+
+
+@dataclass(frozen=True)
+class Record:
+    """One JSON object: its fields, the builder of a domain value from the
+    decoded attributes, and the reader of a domain value's attributes."""
+
+    build: Callable[..., Any]
+    fields: Tuple[Field, ...]
+    attrs: Callable[[Any], Mapping[str, Any]] = vars
+    keys: FrozenSet[str] = field(init=False, repr=False)
+    plan: Tuple[tuple, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "keys", frozenset(f.key for f in self.fields))
+        # unpacked once, so that the walkers' per-element loops do no attribute
+        # lookups; the last entry is the value serializing leaves out
+        plan = tuple(
+            (f.key, f.attr or f.key, *f.codec, f.default, ABSENT if f.emit_default else f.default)
+            for f in self.fields
+        )
+        object.__setattr__(self, "plan", plan)
+
+
+def _decode(spec: Record, obj: Any) -> Any:
+    if not isinstance(obj, dict):
+        raise _Reject("expected an object")
+    if not spec.keys.issuperset(obj):
+        key = next(k for k in obj if k not in spec.keys)
+        raise _Reject(f"unknown key {key!r}", key)
+    values = {}
+    try:
+        for key, attr, decode_value, _, default, _ in spec.plan:
+            raw = obj.get(key, ABSENT)
+            if raw is not ABSENT:
+                try:
+                    values[attr] = decode_value(raw)
+                except _Reject as exc:
+                    exc.where.append(key)
+                    raise
+            elif default is REQUIRED:
+                raise _Reject(f"missing required key {key!r}")
+            elif default is not ABSENT:
+                values[attr] = default
+        return spec.build(**values)
+    except (DomainError, InconsistentScenario) as exc:
+        raise _Reject(str(exc)) from None
+
+
+def decode(spec: Record, obj: Any, path: str = "$") -> Any:
+    """Decode the JSON object ``obj`` against ``spec``; malformed input
+    raises :class:`ParseError` at its JSON path below ``path``."""
+    try:
+        return _decode(spec, obj)
+    except _Reject as exc:
+        where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in reversed(exc.where))
+        raise ParseError(exc.reason, path + where) from None
+
+
+def encode(spec: Record, value: Any) -> Dict[str, Any]:
+    """The JSON object of a domain value under ``spec``."""
+    attrs = spec.attrs(value)
+    out: Dict[str, Any] = {}
+    for key, attr, _, encode_value, _, omitted in spec.plan:
+        v = attrs.get(attr, ABSENT)
+        if v is not ABSENT and v != omitted:
+            out[key] = encode_value(v)
+    return out
+
+
+# Unions and checks that are not field by field.
+
+
+def _decode_eigenvalue(raw: Any) -> EigenvalueClass:
+    if raw == "nonrational":
+        return _NONRATIONAL
+    value = _rational(raw)
+    if value == 0:
+        raise _Reject("eigenvalue must be nonzero")
+    return EigenvalueClass.rational(value)
+
+
+_NONRATIONAL = EigenvalueClass.nonrational()  # immutable: one instance serves all
+EIGENVALUE = Codec(
+    _decode_eigenvalue, lambda ev: "nonrational" if ev.value is None else fmt_rational(ev.value)
+)
+NON_DEGENERATE = Record(NonDegenerate, (Field("eigenvalue", EIGENVALUE),))
+SADDLE_NODE = Record(
+    SaddleNode,
+    (
+        Field("saddle_node", integer(2), attr="multiplicity"),
+        Field("bb", RATIONAL, default=None, attr="bb_index"),
+    ),
+)
+_KINDS = {spec.build: spec for spec in (NON_DEGENERATE, SADDLE_NODE)}
+
+
+def _decode_kind(raw: Any):
+    if isinstance(raw, dict):
+        for spec in _KINDS.values():
+            if spec.fields[0].key in raw:
+                return _decode(spec, raw)
+    keys = " or ".join(repr(spec.fields[0].key) for spec in _KINDS.values())
+    raise _Reject(f"kind must declare {keys}")
+
+
+KIND = Codec(_decode_kind, lambda kind: encode(_KINDS[type(kind)], kind))
+
+
+def _decode_epsilon(raw: Any) -> int:
+    if type(raw) is not int or raw not in (0, 1):
+        raise _Reject("epsilon must be 0 or 1")
+    return raw
+
+
+# The base is "P2" or {"hirzebruch": e}; it decodes to e, or to None on the plane.
+_HIRZEBRUCH = Record(dict, (Field("hirzebruch", integer(0), attr="e"),), attrs=dict)
+
+
+def _decode_base(raw: Any) -> Optional[int]:
+    if raw == P2:
+        return None
+    if isinstance(raw, dict):
+        return _decode(_HIRZEBRUCH, raw)["e"]
+    raise _Reject(f"unknown base surface {raw!r}")
+
+
+BASE = Codec(_decode_base, lambda e: P2 if e is None else encode(_HIRZEBRUCH, {"e": e}))
+KODAIRA = Codec(lambda raw: None if STRING.decode(raw) == "unknown" else raw, _same)
+
+
+def _build_surface(hirzebruch_e: Optional[int], blowups: int) -> SurfaceModel:
+    e = hirzebruch_e
+    return SurfaceModel.p2(blowups) if e is None else SurfaceModel.hirzebruch(e, blowups)
+
+
+def _surface_attrs(s: SurfaceModel) -> Dict[str, Any]:
+    return {"hirzebruch_e": None if s.base == P2 else s.hirzebruch_e, "blowups": s.blowups}
+
+
+def _build_fibration(genus, k_f_sq, e_f, chi_f, singular_fibers) -> FibrationModel:
+    fibers = []
+    for k, attrs in enumerate(singular_fibers):
+        try:
+            fibers.append(FiberModel(genus_of_fibration=genus, **attrs))
+        except DomainError as exc:
+            raise _Reject(str(exc), "fibers", k) from None
+    return FibrationModel(genus, k_f_sq, e_f, chi_f, tuple(fibers))
+
+
+def _lattice_class(surface: SurfaceModel, coefficients, *where) -> DivisorClass:
+    try:
+        return DivisorClass(surface, coefficients)
+    except ShapeError as exc:  # the class length does not match the surface rank
+        raise _Reject(str(exc), *where) from None
+
+
+def _build_scenario(name, surface, k_foliation, curves, singularities, metadata):
+    for key, value in (("k_foliation", k_foliation), ("metadata", metadata)):
+        if value is None:
+            raise _Reject(f"missing required key {key!r} for a surface scenario")
+    k_foliation = _lattice_class(surface, k_foliation, "k_foliation")
+    records = []
+    curve_names = set()
+    for k, attrs in enumerate(curves):
+        if attrs["name"] in curve_names:
+            raise _Reject(f"duplicate curve name {attrs['name']!r}", "curves", k)
+        curve_names.add(attrs["name"])
+        cls = _lattice_class(surface, attrs.pop("cls"), "curves", k, "class")
+        records.append(CurveRecord(cls=cls, **attrs))
+    sing_ids = set()
+    for k, sing in enumerate(singularities):
+        if sing.id in sing_ids:
+            raise _Reject(f"duplicate singularity id {sing.id!r}", "singularities", k)
+        sing_ids.add(sing.id)
+        for cn in sing.incident_curves:
+            if cn not in curve_names:
+                reason = f"singularity references undeclared curve {cn!r}"
+                raise _Reject(reason, "singularities", k, "on_curves")
+    return FoliatedScenario(name, surface, k_foliation, records, singularities, metadata)
 
 
 @dataclass(frozen=True)
@@ -132,265 +372,115 @@ class ScenarioDocument:
     expect: Dict[str, Any] = field(default_factory=dict)
 
 
-def _parse_surface(obj: Any, path: str) -> SurfaceModel:
-    _require_keys(obj, path, ["base"], ["blowups"])
-    base = obj["base"]
-    blowups = _expect_int(obj.get("blowups", 0), f"{path}.blowups", minimum=0)
-    if base == "P2":
-        return SurfaceModel.p2(blowups)
-    if isinstance(base, dict):
-        _require_keys(base, f"{path}.base", ["hirzebruch"], [])
-        e = _expect_int(base["hirzebruch"], f"{path}.base.hirzebruch", minimum=0)
-        return SurfaceModel.hirzebruch(e, blowups)
-    raise ParseError(f"unknown base surface {base!r}", f"{path}.base")
+def _build_document(name, surface, k_foliation, curves, singularities, metadata, fibration, expect):
+    scenario = None
+    if surface is not None:
+        scenario = _build_scenario(name, surface, k_foliation, curves, singularities, metadata)
+    elif fibration is None:
+        raise _Reject("a document needs a surface scenario or a fibration")
+    return ScenarioDocument(name, scenario, fibration, expect)
 
 
-def _parse_class(obj: Any, surface: SurfaceModel, path: str) -> DivisorClass:
-    if not isinstance(obj, list):
-        raise ParseError("expected a coefficient list", path)
-    coeffs = [parse_rational(v, f"{path}[{k}]") for k, v in enumerate(obj)]
-    if len(coeffs) != surface.rank:
-        raise ParseError(
-            f"class has {len(coeffs)} coefficients, surface rank is {surface.rank}",
-            path,
-        )
-    return DivisorClass(surface, tuple(coeffs))
+def _document_attrs(doc: ScenarioDocument) -> Dict[str, Any]:
+    attrs = {} if doc.scenario is None else dict(vars(doc.scenario))
+    attrs.update(name=doc.name, fibration=doc.fibration, expect=doc.expect)
+    return attrs
 
 
-def _parse_kind(obj: Any, path: str):
-    if not isinstance(obj, dict):
-        raise ParseError("expected a singularity kind object", path)
-    if "eigenvalue" in obj:
-        _require_keys(obj, path, ["eigenvalue"], [])
-        raw = obj["eigenvalue"]
-        if raw == "nonrational":
-            return NonDegenerate(EigenvalueClass.nonrational())
-        value = parse_rational(raw, f"{path}.eigenvalue")
-        if value == 0:
-            raise ParseError("eigenvalue must be nonzero", f"{path}.eigenvalue")
-        return NonDegenerate(EigenvalueClass.rational(value))
-    if "saddle_node" in obj:
-        _require_keys(obj, path, ["saddle_node"], ["bb"])
-        m = _expect_int(obj["saddle_node"], f"{path}.saddle_node", minimum=2)
-        bb = None
-        if "bb" in obj:
-            bb = parse_rational(obj["bb"], f"{path}.bb")
-        return SaddleNode(m, bb)
-    raise ParseError("kind must declare 'eigenvalue' or 'saddle_node'", path)
+# The record table: every key, default and codec of the format.
 
-
-def _parse_metadata(obj: Any, path: str) -> ScenarioMetadata:
-    _require_keys(
-        obj,
-        path,
-        ["algebraically_integral", "k_pseudo_effective", "relatively_minimal"],
-        ["p_g", "kodaira"],
+SURFACE = Record(
+    _build_surface,
+    (
+        Field("base", BASE, attr="hirzebruch_e"),
+        Field("blowups", integer(0), default=0, emit_default=True),
+    ),
+    attrs=_surface_attrs,
+)
+CURVE = Record(
+    dict,
+    (
+        Field("name", STRING),
+        Field("class", CLASS, attr="cls"),
+        Field("f_invariant", BOOL),
+        Field("arithmetic_genus_hint", integer(0), default=None),
+    ),
+)
+SINGULARITY = Record(
+    SingularityRecord,
+    (
+        Field("id", STRING),
+        Field("kind", KIND),
+        Field("vanishing_order", integer(1), default=1),
+        Field("on_curves", list_of(STRING), default=(), attr="incident_curves"),
+        Field("epsilon", Codec(_decode_epsilon, _same), default=None),
+    ),
+)
+METADATA = Record(
+    ScenarioMetadata,
+    (
+        Field("k_pseudo_effective", BOOL),
+        Field("relatively_minimal", BOOL),
+        Field("algebraically_integral", STRING),
+        Field("kodaira", KODAIRA, default=None),
+        Field("p_g", integer(0), default=None),
+    ),
+)
+FIBER_NODE = Record(
+    FiberNode, (Field("a", integer(1)), Field("b", integer(1)), Field("in_negative_part", BOOL))
+)
+FIBER = Record(
+    dict,
+    (
+        Field("pa_reduced", integer()),
+        Field("f_red_sq", integer()),
+        Field("alpha", integer(), default=0, emit_default=True),
+        Field("nodes", list_of(record(FIBER_NODE))),
+    ),
+)
+FIBRATION = Record(
+    _build_fibration,
+    (
+        Field("genus", integer(1)),
+        Field("k_f_sq", RATIONAL),
+        Field("e_f", RATIONAL),
+        Field("chi_f", RATIONAL),
+        Field("fibers", list_of(record(FIBER)), attr="singular_fibers"),
+    ),
+)
+MODULAR = Record(dict, tuple(Field(k, RATIONAL) for k in ("kappa", "delta", "chi")), attrs=dict)
+EXPECT = Record(
+    dict,
+    tuple(Field(k, RATIONAL, default=ABSENT) for k in ("c1_sq", "c2", "chi", "vol", "slope"))
+    + tuple(
+        Field(k, integer(), default=ABSENT) for k in ("p_g", "singularity_count", "genus_bound")
     )
-    kodaira = obj.get("kodaira")
-    if kodaira is not None:
-        kodaira = _expect_str(kodaira, f"{path}.kodaira")
-        if kodaira == "unknown":
-            kodaira = None
-    p_g = obj.get("p_g")
-    if p_g is not None:
-        p_g = _expect_int(p_g, f"{path}.p_g", minimum=0)
-    try:
-        return ScenarioMetadata(
-            k_pseudo_effective=_expect_bool(
-                obj["k_pseudo_effective"], f"{path}.k_pseudo_effective"
-            ),
-            relatively_minimal=_expect_bool(
-                obj["relatively_minimal"], f"{path}.relatively_minimal"
-            ),
-            algebraically_integral=_expect_str(
-                obj["algebraically_integral"], f"{path}.algebraically_integral"
-            ),
-            kodaira=kodaira,
-            p_g=p_g,
-        )
-    except DomainError as exc:
-        raise ParseError(str(exc), path)
-
-
-def _parse_fibration(obj: Any, path: str) -> FibrationModel:
-    _require_keys(obj, path, ["genus", "k_f_sq", "e_f", "chi_f", "fibers"], [])
-    genus = _expect_int(obj["genus"], f"{path}.genus", minimum=1)
-    fibers = []
-    if not isinstance(obj["fibers"], list):
-        raise ParseError("expected a fiber list", f"{path}.fibers")
-    for k, raw in enumerate(obj["fibers"]):
-        fpath = f"{path}.fibers[{k}]"
-        _require_keys(raw, fpath, ["pa_reduced", "f_red_sq", "nodes"], ["alpha"])
-        nodes = []
-        if not isinstance(raw["nodes"], list):
-            raise ParseError("expected a node list", f"{fpath}.nodes")
-        for j, nraw in enumerate(raw["nodes"]):
-            npath = f"{fpath}.nodes[{j}]"
-            _require_keys(nraw, npath, ["a", "b", "in_negative_part"], [])
-            nodes.append(
-                FiberNode(
-                    a=_expect_int(nraw["a"], f"{npath}.a", minimum=1),
-                    b=_expect_int(nraw["b"], f"{npath}.b", minimum=1),
-                    in_negative_part=_expect_bool(
-                        nraw["in_negative_part"], f"{npath}.in_negative_part"
-                    ),
-                )
-            )
-        try:
-            fibers.append(
-                FiberModel(
-                    genus_of_fibration=genus,
-                    pa_reduced=_expect_int(raw["pa_reduced"], f"{fpath}.pa_reduced"),
-                    f_red_sq=_expect_int(raw["f_red_sq"], f"{fpath}.f_red_sq"),
-                    nodes=tuple(nodes),
-                    alpha=_expect_int(raw.get("alpha", 0), f"{fpath}.alpha"),
-                )
-            )
-        except DomainError as exc:
-            raise ParseError(str(exc), fpath)
-    try:
-        return FibrationModel(
-            genus=genus,
-            k_f_sq=parse_rational(obj["k_f_sq"], f"{path}.k_f_sq"),
-            e_f=parse_rational(obj["e_f"], f"{path}.e_f"),
-            chi_f=parse_rational(obj["chi_f"], f"{path}.chi_f"),
-            singular_fibers=tuple(fibers),
-        )
-    except (DomainError, InconsistentScenario) as exc:
-        raise ParseError(str(exc), path)
-
-
-def _parse_expect(obj: Any, path: str) -> Dict[str, Any]:
-    _require_keys(obj, path, [], EXPECT_KEYS)
-    out: Dict[str, Any] = {}
-    for key in obj:
-        value = obj[key]
-        kpath = f"{path}.{key}"
-        if key in ("c1_sq", "c2", "chi", "vol", "slope"):
-            out[key] = parse_rational(value, kpath)
-        elif key in ("p_g", "singularity_count", "genus_bound"):
-            out[key] = _expect_int(value, kpath)
-        elif key in ("verdict", "noether_equality"):
-            out[key] = _expect_str(value, kpath)
-        elif key == "negative_part":
-            if not isinstance(value, dict):
-                raise ParseError("expected a curve->coefficient map", kpath)
-            out[key] = {
-                str(curve): parse_rational(v, f"{kpath}.{curve}")
-                for curve, v in value.items()
-            }
-        elif key == "modular":
-            _require_keys(value, kpath, ["kappa", "delta", "chi"], [])
-            out[key] = {
-                k2: parse_rational(value[k2], f"{kpath}.{k2}")
-                for k2 in ("kappa", "delta", "chi")
-            }
-        elif key == "fired_rules":
-            if not isinstance(value, list) or not all(
-                isinstance(v, str) for v in value
-            ):
-                raise ParseError("expected a list of rule ids", kpath)
-            out[key] = list(value)
-    return out
+    + tuple(Field(k, STRING, default=ABSENT) for k in ("verdict", "noether_equality"))
+    + (
+        Field("negative_part", map_of(RATIONAL), default=ABSENT),
+        Field("modular", record(MODULAR), default=ABSENT),
+        Field("fired_rules", list_of(STRING), default=ABSENT),
+    ),
+    attrs=dict,
+)
+DOCUMENT = Record(
+    _build_document,
+    (
+        Field("name", STRING),
+        Field("surface", record(SURFACE), default=None),
+        Field("k_foliation", CLASS, default=None),
+        Field("curves", list_of(record(CURVE)), default=(), emit_default=True),
+        Field("singularities", list_of(record(SINGULARITY)), default=(), emit_default=True),
+        Field("metadata", record(METADATA), default=None),
+        Field("fibration", record(FIBRATION), default=None),
+        Field("expect", record(EXPECT), default=MappingProxyType({})),
+    ),
+    attrs=_document_attrs,
+)
 
 
 def parse_document_dict(data: Any, path: str = "$") -> ScenarioDocument:
-    _require_keys(
-        data,
-        path,
-        ["name"],
-        ["surface", "k_foliation", "curves", "singularities", "metadata", "fibration", "expect"],
-    )
-    name = _expect_str(data["name"], f"{path}.name")
-    scenario = None
-    if "surface" in data:
-        for key in ("k_foliation", "metadata"):
-            if key not in data:
-                raise ParseError(f"missing required key {key!r} for a surface scenario", path)
-        surface = _parse_surface(data["surface"], f"{path}.surface")
-        k_foliation = _parse_class(data["k_foliation"], surface, f"{path}.k_foliation")
-        curves: List[CurveRecord] = []
-        curve_names = set()
-        for k, raw in enumerate(data.get("curves", [])):
-            cpath = f"{path}.curves[{k}]"
-            _require_keys(
-                raw, cpath, ["name", "class", "f_invariant"], ["arithmetic_genus_hint"]
-            )
-            cname = _expect_str(raw["name"], f"{cpath}.name")
-            if cname in curve_names:
-                raise ParseError(f"duplicate curve name {cname!r}", cpath)
-            curve_names.add(cname)
-            hint = raw.get("arithmetic_genus_hint")
-            if hint is not None:
-                hint = _expect_int(hint, f"{cpath}.arithmetic_genus_hint", minimum=0)
-            curves.append(
-                CurveRecord(
-                    name=cname,
-                    cls=_parse_class(raw["class"], surface, f"{cpath}.class"),
-                    f_invariant=_expect_bool(raw["f_invariant"], f"{cpath}.f_invariant"),
-                    arithmetic_genus_hint=hint,
-                )
-            )
-        sings: List[SingularityRecord] = []
-        sing_ids = set()
-        for k, raw in enumerate(data.get("singularities", [])):
-            spath = f"{path}.singularities[{k}]"
-            _require_keys(
-                raw, spath, ["id", "kind"], ["vanishing_order", "on_curves", "epsilon"]
-            )
-            sid = _expect_str(raw["id"], f"{spath}.id")
-            if sid in sing_ids:
-                raise ParseError(f"duplicate singularity id {sid!r}", spath)
-            sing_ids.add(sid)
-            on_curves = raw.get("on_curves", [])
-            if not isinstance(on_curves, list):
-                raise ParseError("expected a curve-name list", f"{spath}.on_curves")
-            for cn in on_curves:
-                if cn not in curve_names:
-                    raise ParseError(
-                        f"singularity references undeclared curve {cn!r}",
-                        f"{spath}.on_curves",
-                    )
-            epsilon = raw.get("epsilon")
-            if epsilon is not None and epsilon not in (0, 1):
-                raise ParseError("epsilon must be 0 or 1", f"{spath}.epsilon")
-            try:
-                sings.append(
-                    SingularityRecord(
-                        id=sid,
-                        kind=_parse_kind(raw["kind"], f"{spath}.kind"),
-                        vanishing_order=_expect_int(
-                            raw.get("vanishing_order", 1),
-                            f"{spath}.vanishing_order",
-                            minimum=1,
-                        ),
-                        incident_curves=tuple(str(c) for c in on_curves),
-                        epsilon=epsilon,
-                    )
-                )
-            except DomainError as exc:
-                raise ParseError(str(exc), spath)
-        metadata = _parse_metadata(data["metadata"], f"{path}.metadata")
-        try:
-            scenario = FoliatedScenario(
-                name=name,
-                surface=surface,
-                k_foliation=k_foliation,
-                curves=tuple(curves),
-                singularities=tuple(sings),
-                metadata=metadata,
-            )
-        except DomainError as exc:
-            raise ParseError(str(exc), path)
-    fibration = None
-    if "fibration" in data:
-        fibration = _parse_fibration(data["fibration"], f"{path}.fibration")
-    if scenario is None and fibration is None:
-        raise ParseError("a document needs a surface scenario or a fibration", path)
-    expect = _parse_expect(data.get("expect", {}), f"{path}.expect")
-    return ScenarioDocument(
-        name=name, scenario=scenario, fibration=fibration, expect=expect
-    )
+    return decode(DOCUMENT, data, path)
 
 
 def parse_scenario(data) -> ScenarioDocument:
@@ -409,88 +499,21 @@ def parse_scenario(data) -> ScenarioDocument:
 
 def document_to_dict(doc: ScenarioDocument) -> Dict[str, Any]:
     """Canonical dictionary form of a document (used for serialization)."""
-    out: Dict[str, Any] = {"name": doc.name}
-    s = doc.scenario
-    if s is not None:
-        base = "P2" if s.surface.base == "P2" else {"hirzebruch": s.surface.hirzebruch_e}
-        out["surface"] = {"base": base, "blowups": len(s.surface.blowups)}
-        out["k_foliation"] = [fmt_rational(c) for c in s.k_foliation.coefficients]
-        out["curves"] = []
-        for c in s.curves:
-            entry: Dict[str, Any] = {
-                "name": c.name,
-                "class": [fmt_rational(v) for v in c.cls.coefficients],
-                "f_invariant": c.f_invariant,
-            }
-            if c.arithmetic_genus_hint is not None:
-                entry["arithmetic_genus_hint"] = c.arithmetic_genus_hint
-            out["curves"].append(entry)
-        out["singularities"] = []
-        for sing in s.singularities:
-            if isinstance(sing.kind, NonDegenerate):
-                ev = sing.kind.eigenvalue
-                kind: Dict[str, Any] = {
-                    "eigenvalue": "nonrational" if ev.value is None else fmt_rational(ev.value)
-                }
-            else:
-                kind = {"saddle_node": sing.kind.multiplicity}
-                if sing.kind.bb_index is not None:
-                    kind["bb"] = fmt_rational(sing.kind.bb_index)
-            entry = {"id": sing.id, "kind": kind}
-            if sing.vanishing_order != 1:
-                entry["vanishing_order"] = sing.vanishing_order
-            if sing.incident_curves:
-                entry["on_curves"] = list(sing.incident_curves)
-            if sing.epsilon is not None:
-                entry["epsilon"] = sing.epsilon
-            out["singularities"].append(entry)
-        meta: Dict[str, Any] = {
-            "k_pseudo_effective": s.metadata.k_pseudo_effective,
-            "relatively_minimal": s.metadata.relatively_minimal,
-            "algebraically_integral": s.metadata.algebraically_integral,
-        }
-        if s.metadata.kodaira is not None:
-            meta["kodaira"] = s.metadata.kodaira
-        if s.metadata.p_g is not None:
-            meta["p_g"] = s.metadata.p_g
-        out["metadata"] = meta
-    if doc.fibration is not None:
-        fb = doc.fibration
-        out["fibration"] = {
-            "genus": fb.genus,
-            "k_f_sq": fmt_rational(fb.k_f_sq),
-            "e_f": fmt_rational(fb.e_f),
-            "chi_f": fmt_rational(fb.chi_f),
-            "fibers": [
-                {
-                    "pa_reduced": fm.pa_reduced,
-                    "f_red_sq": fm.f_red_sq,
-                    "alpha": fm.alpha,
-                    "nodes": [
-                        {"a": n.a, "b": n.b, "in_negative_part": n.in_negative_part}
-                        for n in fm.nodes
-                    ],
-                }
-                for fm in fb.singular_fibers
-            ],
-        }
-    if doc.expect:
-        exp: Dict[str, Any] = {}
-        for key, value in doc.expect.items():
-            if isinstance(value, Fraction):
-                exp[key] = fmt_rational(value)
-            elif key == "negative_part":
-                exp[key] = {k: fmt_rational(v) for k, v in value.items()}
-            elif key == "modular":
-                exp[key] = {k: fmt_rational(v) for k, v in value.items()}
-            else:
-                exp[key] = value
-        out["expect"] = exp
-    return out
+    return encode(DOCUMENT, doc)
 
 
 def serialize_document(doc: ScenarioDocument) -> str:
     return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+
+
+def _check_json(c: CheckResult) -> Dict[str, Any]:
+    return {"name": c.name, "status": c.status, "detail": c.detail}
+
+
+def check_line(c: CheckResult) -> str:
+    """The text form of one check, ``[tag] name  (detail)``; a failure is FAIL."""
+    detail = f"  ({c.detail})" if c.detail else ""
+    return f"[{'FAIL' if c.failed else c.status}] {c.name}{detail}"
 
 
 @dataclass
@@ -533,14 +556,7 @@ class InvariantReport:
         if self.validation is not None:
             out["validation"] = {
                 "passed": self.validation.passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "status": "skip" if c.passed is None else ("pass" if c.passed else "fail"),
-                        "detail": c.detail,
-                    }
-                    for c in self.validation.checks
-                ],
+                "checks": [_check_json(c) for c in self.validation.checks],
             }
         if self.decomposition is not None:
             out["zariski"] = {
@@ -590,14 +606,7 @@ class InvariantReport:
                 "chi": q(self.modular[2]),
             }
         if self.fibration_checks:
-            out["fibration_checks"] = [
-                {
-                    "name": c.name,
-                    "status": "skip" if c.passed is None else ("pass" if c.passed else "fail"),
-                    "detail": c.detail,
-                }
-                for c in self.fibration_checks
-            ]
+            out["fibration_checks"] = [_check_json(c) for c in self.fibration_checks]
         out["expectation_failures"] = list(self.expectation_failures)
         out["warnings"] = list(self.warnings)
         return out
@@ -614,10 +623,7 @@ class InvariantReport:
             lines.append(
                 f"validation: {'PASS' if self.validation.passed else 'FAIL'}"
             )
-            for c in self.validation.checks:
-                tag = "skip" if c.passed is None else ("pass" if c.passed else "FAIL")
-                detail = f"  ({c.detail})" if c.detail else ""
-                lines.append(f"  [{tag}] {c.name}{detail}")
+            lines.extend(f"  {check_line(c)}" for c in self.validation.checks)
         if self.inconsistency is not None:
             lines.append(f"inconsistent: {self.inconsistency}")
         if self.decomposition is not None:
@@ -664,10 +670,7 @@ class InvariantReport:
                 f"modular invariants: kappa = {q(self.modular[0])}, "
                 f"delta = {q(self.modular[1])}, chi = {q(self.modular[2])}"
             )
-        for c in self.fibration_checks:
-            tag = "skip" if c.passed is None else ("pass" if c.passed else "FAIL")
-            detail = f"  ({c.detail})" if c.detail else ""
-            lines.append(f"[{tag}] {c.name}{detail}")
+        lines.extend(check_line(c) for c in self.fibration_checks)
         for failure in self.expectation_failures:
             lines.append(f"expectation mismatch: {failure}")
         for w in self.warnings:

@@ -21,17 +21,10 @@ HIRZEBRUCH = "hirzebruch"
 
 
 @dataclass(frozen=True)
-class BlowupStep:
-    """Records the basis index of the exceptional class a blow-up creates."""
-
-    index: int
-
-
-@dataclass(frozen=True)
 class SurfaceModel:
     base: str
     hirzebruch_e: int = 0
-    blowups: Tuple[BlowupStep, ...] = ()
+    blowups: int = 0  # length of the tower; exceptional classes follow the base
 
     def __post_init__(self):
         if self.base not in (P2, HIRZEBRUCH):
@@ -40,18 +33,16 @@ class SurfaceModel:
             raise DomainError("Hirzebruch parameter e must be >= 0")
         if self.base == P2 and self.hirzebruch_e != 0:
             raise DomainError("P2 takes no Hirzebruch parameter")
-        object.__setattr__(self, "blowups", tuple(self.blowups))
-        for k, step in enumerate(self.blowups):
-            if step.index != self.base_rank + k:
-                raise DomainError("blow-up steps must create consecutive basis indices")
+        if self.blowups < 0:
+            raise DomainError("the number of blow-ups must be >= 0")
 
     @classmethod
     def p2(cls, n_blowups: int = 0) -> "SurfaceModel":
-        return cls(P2, 0, tuple(BlowupStep(1 + k) for k in range(n_blowups)))
+        return cls(P2, 0, n_blowups)
 
     @classmethod
     def hirzebruch(cls, e: int, n_blowups: int = 0) -> "SurfaceModel":
-        return cls(HIRZEBRUCH, e, tuple(BlowupStep(2 + k) for k in range(n_blowups)))
+        return cls(HIRZEBRUCH, e, n_blowups)
 
     @property
     def base_rank(self) -> int:
@@ -59,12 +50,12 @@ class SurfaceModel:
 
     @property
     def rank(self) -> int:
-        return self.base_rank + len(self.blowups)
+        return self.base_rank + self.blowups
 
     @property
     def labels(self) -> Tuple[str, ...]:
         base = ("L",) if self.base == P2 else ("C0", "F")
-        return base + tuple(f"E{k + 1}" for k in range(len(self.blowups)))
+        return base + tuple(f"E{k + 1}" for k in range(self.blowups))
 
     def gram(self, i: int, j: int) -> int:
         """Intersection number of the i-th and j-th basis classes."""
@@ -190,14 +181,14 @@ def canonical_class(s: SurfaceModel) -> DivisorClass:
         coeffs = [Fraction(-3)]
     else:
         coeffs = [Fraction(-2), Fraction(-(s.hirzebruch_e + 2))]
-    coeffs.extend([Fraction(1)] * len(s.blowups))
+    coeffs.extend([Fraction(1)] * s.blowups)
     return DivisorClass(s, tuple(coeffs))
 
 
 def chi_top(s: SurfaceModel) -> int:
     """Topological Euler characteristic; +1 per blow-up."""
     base = 3 if s.base == P2 else 4
-    return base + len(s.blowups)
+    return base + s.blowups
 
 
 def chi_structure(s: SurfaceModel) -> int:

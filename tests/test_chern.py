@@ -57,6 +57,23 @@ def test_chern_numbers_slope_example():
     assert (c.c1_sq, c.c2, c.chi) == (2, 12, Fraction(7, 6))
 
 
+def test_non_reduced_scenario_is_refused():
+    # slope_12_7 with m1 made non-reduced (2/3) and m2 non-rational, which
+    # skips the direct-chi cross-check: this used to report ok=True with
+    # c2 = 59/6, slope 144/71 and an Undetermined verdict
+    doc = slope_12_7()
+    kinds = {"m1": {"eigenvalue": "2/3"}, "m2": {"eigenvalue": "nonrational"}}
+    for sing in doc["singularities"]:
+        sing["kind"] = kinds.get(sing["id"], sing["kind"])
+    del doc["expect"]
+    with pytest.raises(DomainError, match="m1"):
+        chern_numbers(scenario_from(doc))
+    report = run_pipeline(parse_document_dict(doc))
+    assert not report.ok
+    assert report.chern is None and report.verdict is None
+    assert "reduced" in report.inconsistency
+
+
 def test_chern_numbers_second_noether_ruled():
     c = chern_numbers(scenario_from(second_noether_ruled(4)))
     assert (c.c1_sq, c.c2, c.chi) == (Fraction(9, 4), 0, Fraction(3, 16))

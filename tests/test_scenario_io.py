@@ -1,12 +1,17 @@
 import copy
 import json
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folsurf.errors import ParseError
 from folsurf.fixtures import bundled_documents, second_noether_ruled, slope_12_7
+from folsurf.foliation import CheckResult, ValidationReport
 from folsurf.scenario_io import (
+    InvariantReport,
     document_to_dict,
     fmt_rational,
     parse_document_dict,
@@ -136,3 +141,205 @@ def test_parallel_invocations_are_byte_identical():
     with ThreadPoolExecutor(max_workers=8) as pool:
         payloads = list(pool.map(lambda _: run_pipeline(doc).to_json(), range(16)))
     assert len(set(payloads)) == 1
+
+
+def test_huge_blowup_count_is_refused_in_bounded_time():
+    doc = second_noether_ruled(3)
+    doc["surface"]["blowups"] = 10**9
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.path == "$.k_foliation"
+    assert "1000000002" in str(err.value)
+
+
+def test_check_status_words():
+    checks = (
+        CheckResult("a", None, "not run"),
+        CheckResult("b", True),
+        CheckResult("c", False, "off by one"),
+    )
+    assert [c.status for c in checks] == ["skip", "pass", "fail"]
+    report = InvariantReport(
+        name="statuses",
+        validation=ValidationReport(checks=checks, warnings=()),
+        fibration_checks=checks,
+    )
+    payload = report.to_json_dict()
+    for block in (payload["validation"]["checks"], payload["fibration_checks"]):
+        assert [c["status"] for c in block] == ["skip", "pass", "fail"]
+    text = report.to_text()
+    assert "  [skip] a  (not run)\n  [pass] b\n  [FAIL] c  (off by one)\n" in text
+    assert "\n[skip] a  (not run)\n[pass] b\n[FAIL] c  (off by one)\n" in text
+
+
+# --------------------------------------------------------------------------
+# Property tests over generated documents that use every field of the format.
+
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def rational_json(draw, values=small_rationals):
+    """A rational in either spelling the format accepts: "p/q" or an integer."""
+    q = draw(values)
+    if q.denominator == 1 and draw(st.booleans()):
+        return q.numerator
+    return fmt_rational(q)
+
+
+def _maybe(draw, obj, key, strategy):
+    if draw(st.booleans()):
+        obj[key] = draw(strategy)
+
+
+names = st.text(alphabet="CEFpq0123_", min_size=1, max_size=4)
+labels = st.text(max_size=6)
+
+
+@st.composite
+def singularities(draw, curve_names):
+    if draw(st.booleans()):
+        multiplicity = draw(st.integers(2, 9))
+        kind = {"saddle_node": multiplicity}
+        _maybe(draw, kind, "bb", rational_json())
+    else:
+        multiplicity = 1
+        kind = {
+            "eigenvalue": draw(
+                st.just("nonrational") | rational_json(small_rationals.filter(bool))
+            )
+        }
+    sing = {"kind": kind}
+    _maybe(draw, sing, "vanishing_order", st.integers(1, isqrt(multiplicity)))
+    if curve_names:
+        _maybe(draw, sing, "on_curves", st.lists(st.sampled_from(curve_names), max_size=2))
+    _maybe(draw, sing, "epsilon", st.sampled_from([0, 1]))
+    return sing
+
+
+@st.composite
+def surface_blocks(draw):
+    base = draw(st.just("P2") | st.builds(lambda e: {"hirzebruch": e}, st.integers(0, 6)))
+    surface = {"base": base}
+    _maybe(draw, surface, "blowups", st.integers(0, 4))
+    rank = (1 if base == "P2" else 2) + surface.get("blowups", 0)
+    classes = st.lists(rational_json(), min_size=rank, max_size=rank)
+    curve_names = draw(st.lists(names, unique=True, max_size=4))
+    curves = []
+    for name in curve_names:
+        curve = {"name": name, "class": draw(classes), "f_invariant": draw(st.booleans())}
+        _maybe(draw, curve, "arithmetic_genus_hint", st.integers(0, 5))
+        curves.append(curve)
+    sings = []
+    for sid in draw(st.lists(names, unique=True, max_size=5)):
+        sings.append({"id": sid, **draw(singularities(curve_names))})
+    metadata = {
+        "k_pseudo_effective": draw(st.booleans()),
+        "relatively_minimal": draw(st.booleans()),
+        "algebraically_integral": draw(st.sampled_from(["yes", "no", "unknown"])),
+    }
+    _maybe(draw, metadata, "kodaira", st.sampled_from(["-inf", "0", "1", "2", "unknown"]))
+    _maybe(draw, metadata, "p_g", st.integers(0, 9))
+    return {
+        "surface": surface,
+        "k_foliation": draw(classes),
+        "curves": curves,
+        "singularities": sings,
+        "metadata": metadata,
+    }
+
+
+@st.composite
+def fibration_blocks(draw):
+    genus = draw(st.integers(1, 4))
+    fibers = []
+    e_f = 0
+    for _ in range(draw(st.integers(0, 3))):
+        node = st.fixed_dictionaries(
+            {"a": st.integers(1, 4), "b": st.integers(1, 4), "in_negative_part": st.booleans()}
+        )
+        fiber = {
+            "pa_reduced": draw(st.integers(0, genus)),
+            "f_red_sq": draw(st.integers(-4, 0)),
+            "nodes": draw(st.lists(node, max_size=3)),
+        }
+        _maybe(draw, fiber, "alpha", st.just(0))
+        e_f += 2 * (genus - fiber["pa_reduced"]) + len(fiber["nodes"])
+        fibers.append(fiber)
+    chi_f = draw(small_rationals)
+    return {
+        "genus": genus,
+        "k_f_sq": draw(rational_json(st.just(12 * chi_f - e_f))),
+        "e_f": draw(rational_json(st.just(Fraction(e_f)))),
+        "chi_f": draw(rational_json(st.just(chi_f))),
+        "fibers": fibers,
+    }
+
+
+@st.composite
+def expect_blocks(draw):
+    expect = {}
+    for key in ("c1_sq", "c2", "chi", "vol", "slope"):
+        _maybe(draw, expect, key, rational_json())
+    for key in ("p_g", "singularity_count", "genus_bound"):
+        _maybe(draw, expect, key, st.integers(-3, 30))
+    for key in ("verdict", "noether_equality"):
+        _maybe(draw, expect, key, labels)
+    _maybe(draw, expect, "negative_part", st.dictionaries(names, rational_json(), max_size=3))
+    _maybe(
+        draw,
+        expect,
+        "modular",
+        st.fixed_dictionaries(
+            {"kappa": rational_json(), "delta": rational_json(), "chi": rational_json()}
+        ),
+    )
+    _maybe(draw, expect, "fired_rules", st.lists(labels, max_size=3))
+    return expect
+
+
+@st.composite
+def documents(draw):
+    doc = {"name": draw(labels)}
+    has_surface = draw(st.booleans())
+    if has_surface:
+        doc.update(draw(surface_blocks()))
+    if not has_surface or draw(st.booleans()):
+        doc["fibration"] = draw(fibration_blocks())
+    _maybe(draw, doc, "expect", expect_blocks())
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(documents())
+def test_parse_serialize_round_trip_property(doc):
+    parsed = parse_document_dict(doc)
+    text = serialize_document(parsed)
+    assert parse_scenario(text) == parsed
+    assert serialize_document(parse_scenario(text)) == text
+
+
+def _objects(value, path="$"):
+    """(path, object) for every JSON object with a fixed key set."""
+    if isinstance(value, dict):
+        if not path.endswith(".negative_part"):
+            yield path, value
+        for key, item in value.items():
+            yield from _objects(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _objects(item, f"{path}[{k}]")
+
+
+@settings(max_examples=80, deadline=None)
+@given(documents(), st.data())
+def test_unknown_key_in_any_object_names_that_object(doc, data):
+    doc = copy.deepcopy(doc)
+    path, obj = data.draw(st.sampled_from(list(_objects(doc))))
+    obj["zz_unknown"] = 1
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert err.value.path == f"{path}.zz_unknown"
+    assert "zz_unknown" in err.value.reason

@@ -3,7 +3,9 @@
 The golden file pins, for every bundled document and fixture file:
 ``serialize_document(parse_document_dict(doc))``, the stdout and exit code
 of ``check``, ``decide``, ``zariski``, ``fibration``, ``invariants`` and
-``invariants --format json``, and the stdout of ``fixtures run``.  A change
+``invariants --format json``, and the stdout of ``fixtures run``.  It pins
+the same six commands on failure paths too: bundled documents with one
+change each that makes the report fail.  A change
 that alters any of these bytes on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
@@ -14,11 +16,18 @@ and says in its description what differs.
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import folsurf
 from folsurf.cli import cli_main
-from folsurf.fixtures import bundled_documents
+from folsurf.fixtures import (
+    bundled_documents,
+    second_noether_ruled,
+    semistable_genus2,
+    slope_12_7,
+    third_noether_double_cover,
+)
 from folsurf.scenario_io import parse_document_dict, serialize_document
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "outputs.json"
@@ -31,6 +40,62 @@ COMMANDS = (
     ("invariants",),
     ("invariants", "--format", "json"),
 )
+
+
+def _changed(doc, change):
+    change(doc)
+    return doc
+
+
+def _every_expect_key_mismatched(doc):
+    doc["expect"] = {
+        "c1_sq": "1/3",
+        "c2": "5",
+        "chi": "1/7",
+        "vol": "7",
+        "slope": "11",
+        "p_g": 5,
+        "singularity_count": 11,
+        "genus_bound": 6,
+        "verdict": "Undetermined",
+        "noether_equality": "first",
+        "negative_part": {"C0": "1/5"},
+        "modular": {"kappa": "1", "delta": "1", "chi": "1/6"},
+        "fired_rules": ["R0-declared-integrability"],
+    }
+
+
+def _non_reduced(doc):
+    kinds = {"m1": {"eigenvalue": "2/3"}, "m2": {"eigenvalue": "nonrational"}}
+    for sing in doc["singularities"]:
+        sing["kind"] = kinds.get(sing["id"], sing["kind"])
+
+
+# Bundled documents with one change each; every one yields a failed report.
+FAILURE_CASES = {
+    "every_expect_key_mismatched": lambda: _changed(
+        second_noether_ruled(4), _every_expect_key_mismatched
+    ),
+    "declared_p_g_9": lambda: _changed(
+        second_noether_ruled(4), lambda d: d["metadata"].update(p_g=9)
+    ),
+    # count.singularities fails while c1_sq, c2 and chi are expected
+    "k_foliation_fails_validation": lambda: _changed(
+        second_noether_ruled(4), lambda d: d.update(k_foliation=["1", "2"])
+    ),
+    "non_reduced_slope_12_7": lambda: _changed(slope_12_7(), _non_reduced),
+    "modular_mismatch": lambda: _changed(
+        semistable_genus2(),
+        lambda d: d["expect"].update(modular={"kappa": "5", "delta": "19", "chi": "2"}),
+    ),
+    "genus_bound_mismatch": lambda: _changed(
+        third_noether_double_cover(3), lambda d: d["expect"].update(genus_bound=4)
+    ),
+    # kodaira 2 declares general type
+    "k_not_pseudo_effective": lambda: _changed(
+        second_noether_ruled(4), lambda d: d["metadata"].update(k_pseudo_effective=False)
+    ),
+}
 
 
 def _run_cli(argv):
@@ -56,10 +121,23 @@ def cli_outputs():
     return out
 
 
+def failure_outputs():
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, build in FAILURE_CASES.items():
+            path = Path(tmp) / f"{case}.json"
+            path.write_text(json.dumps(build()), encoding="utf-8")
+            for command in COMMANDS:
+                argv = (command[0], str(path)) + command[1:]
+                out[" ".join((command[0], case) + command[1:])] = _run_cli(argv)
+    return out
+
+
 def collect():
     return {
         "serialize": serialized_outputs(),
         "cli": cli_outputs(),
+        "failure paths": failure_outputs(),
         "fixtures run": _run_cli(["fixtures", "run"]),
     }
 
@@ -82,6 +160,12 @@ def test_cli_outputs_match_golden():
     golden = _golden()["cli"]
     assert len(golden) == 15 * len(COMMANDS)
     _assert_entries_equal(cli_outputs(), golden)
+
+
+def test_failure_paths_match_golden():
+    golden = _golden()["failure paths"]
+    assert len(golden) == len(FAILURE_CASES) * len(COMMANDS)
+    _assert_entries_equal(failure_outputs(), golden)
 
 
 def test_fixtures_run_matches_golden():

@@ -20,13 +20,11 @@ from .blowup import (
 from .chern import (
     ChernNumbers,
     FiredRule,
-    GenusOneFibrationConstraint,
     Verdict,
     chern_numbers,
     decide,
     genus_bound,
     noether_bounds,
-    nongeneral_type_table,
     slope,
 )
 from .errors import (
@@ -95,7 +93,6 @@ from .zariski import (
     chain_negative_square,
     coefficient_bounds_check,
     decompose_against_curves,
-    detect_chains,
     detect_chains_with_flags,
     volume,
     zariski_decompose,

@@ -51,17 +51,6 @@ class ChernNumbers:
 
 
 @dataclass(frozen=True)
-class GenusOneFibrationConstraint:
-    """Constraint satisfied by a non-isotrivial genus-1 pencil: c1^2 = 0 and
-    c2 = 12 chi is strictly positive (the exact value is not determined by the
-    classification alone)."""
-
-    c1_sq: Fraction = Fraction(0)
-    c2_equals_12_chi: bool = True
-    c2_positive: bool = True
-
-
-@dataclass(frozen=True)
 class FiredRule:
     rule_id: str
     citation: str
@@ -308,28 +297,3 @@ def decide(
         genus_bound=bound,
         sanity_failures=tuple(info),
     )
-
-
-GENUS_ZERO = "genus_zero"
-ISOTRIVIAL = "isotrivial_fibration"
-NON_ISOTRIVIAL_GENUS_ONE = "non_isotrivial_genus_one"
-TRANSCENDENTAL_NON_GENERAL = "transcendental_non_general"
-
-
-def nongeneral_type_table(classification: str, genus: Optional[int] = None):
-    """Chern numbers of foliations off general type, as a lookup.
-
-    Everything vanishes except for a non-isotrivial genus-1 pencil, which
-    instead returns the constraint c1^2 = 0, c2 = 12 chi > 0.
-    """
-    if classification == GENUS_ZERO:
-        return ChernNumbers(Fraction(0), Fraction(0), Fraction(0))
-    if classification == ISOTRIVIAL:
-        if genus is not None and genus < 0:
-            raise DomainError("genus must be >= 0")
-        return ChernNumbers(Fraction(0), Fraction(0), Fraction(0))
-    if classification == NON_ISOTRIVIAL_GENUS_ONE:
-        return GenusOneFibrationConstraint()
-    if classification == TRANSCENDENTAL_NON_GENERAL:
-        return ChernNumbers(Fraction(0), Fraction(0), Fraction(0))
-    raise DomainError(f"unknown classification {classification!r}")

@@ -15,11 +15,15 @@ from typing import Optional
 from .errors import ParseError
 from .fixtures import load_bundled_files
 from .scenario_io import (
+    MODULAR_KEYS,
     ScenarioDocument,
+    chain_line,
     check_line,
     fmt_rational,
+    listing,
     parse_scenario,
     run_pipeline,
+    verdict_lines,
 )
 
 EXIT_OK = 0
@@ -35,8 +39,7 @@ def _load(path_text: str) -> ScenarioDocument:
 
 
 def _cmd_check(args) -> int:
-    doc = _load(args.file)
-    report = run_pipeline(doc)
+    report = run_pipeline(_load(args.file))
     if report.validation is None:
         print("no surface scenario to validate")
         return EXIT_OK if report.ok else EXIT_CHECK_FAILED
@@ -48,8 +51,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    doc = _load(args.file)
-    report = run_pipeline(doc)
+    report = run_pipeline(_load(args.file))
     if args.format == "json":
         sys.stdout.write(report.to_json())
     else:
@@ -58,25 +60,19 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    doc = _load(args.file)
-    report = run_pipeline(doc)
+    report = run_pipeline(_load(args.file))
     if report.inconsistency is not None:
         print(f"inconsistent scenario: {report.inconsistency}")
         return EXIT_CHECK_FAILED
     if report.verdict is None:
         print("no verdict (validation failed or no surface scenario)")
         return EXIT_CHECK_FAILED
-    print(f"verdict: {report.verdict.status}")
-    for r in report.verdict.fired_rules:
-        print(f"  {r.rule_id}: {r.comparison}  [{r.citation}]")
-    if report.verdict.genus_bound is not None:
-        print(f"  genus bound: {report.verdict.genus_bound}")
+    print(*verdict_lines(report.verdict), sep="\n")
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
 def _cmd_zariski(args) -> int:
-    doc = _load(args.file)
-    report = run_pipeline(doc)
+    report = run_pipeline(_load(args.file))
     if report.decomposition is None:
         print(report.inconsistency or "no decomposition (validation failed or K not pseudo-effective)")
         return EXIT_CHECK_FAILED
@@ -87,23 +83,18 @@ def _cmd_zariski(args) -> int:
     else:
         print("N = 0")
     for ch in report.chains:
-        print(f"chain: [{', '.join(ch.curves)}]  e = {list(ch.self_intersections)}")
+        print(chain_line(ch))
     if report.vol is not None:
         print(f"vol = {fmt_rational(report.vol)}")
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
 def _cmd_fibration(args) -> int:
-    doc = _load(args.file)
-    report = run_pipeline(doc)
+    report = run_pipeline(_load(args.file))
     if report.modular is None:
         print(report.inconsistency or "no fibration block in document")
         return EXIT_CHECK_FAILED
-    kappa, delta, chi = report.modular
-    print(
-        f"kappa = {fmt_rational(kappa)}, delta = {fmt_rational(delta)}, "
-        f"chi = {fmt_rational(chi)}"
-    )
+    print(listing(MODULAR_KEYS, report.modular))
     for c in report.fibration_checks:
         print(check_line(c))
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
@@ -119,18 +110,17 @@ def _cmd_fixtures(args) -> int:
             continue
         doc = parse_scenario(raw)
         report = run_pipeline(doc)
-        status = "PASS" if report.ok else "FAIL"
-        if not report.ok:
-            failures += 1
-        print(f"[{status}] {name}: {doc.name}")
-        if not report.ok:
-            if report.inconsistency:
-                print(f"    inconsistency: {report.inconsistency}")
-            for failure in report.expectation_failures:
-                print(f"    {failure}")
-            if report.validation is not None:
-                for c in report.validation.failures:
-                    print(f"    failed check {c.name}: {c.detail}")
+        print(f"[{'PASS' if report.ok else 'FAIL'}] {name}: {doc.name}")
+        if report.ok:
+            continue
+        failures += 1
+        if report.inconsistency:
+            print(f"    inconsistency: {report.inconsistency}")
+        for failure in report.expectation_failures:
+            print(f"    {failure}")
+        if report.validation is not None:
+            for c in report.validation.failures:
+                print(f"    failed check {c.name}: {c.detail}")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 

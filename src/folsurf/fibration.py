@@ -52,12 +52,12 @@ class FiberModel:
             raise DomainError("fiber genus must be >= 1")
         if self.f_red_sq > 0:
             raise DomainError("a fiber's reduced self-intersection is <= 0")
+        if self.alpha != 0:
+            raise DomainError("only normal-crossing fibers (alpha = 0) are supported")
 
 
 def fiber_local_chern(fm: FiberModel) -> Tuple[Fraction, Fraction, Fraction]:
     """(c1^2, c2, chi) corrections of a single normal-crossing fiber."""
-    if fm.alpha != 0:
-        raise DomainError("only normal-crossing fibers (alpha = 0) are supported")
     g = fm.genus_of_fibration
     mu = len(fm.nodes)
     beta_f = sum((n.beta for n in fm.nodes), Fraction(0))
@@ -69,8 +69,6 @@ def fiber_local_chern(fm: FiberModel) -> Tuple[Fraction, Fraction, Fraction]:
 
 def fiber_euler(fm: FiberModel) -> int:
     """e_F = 2 (g - p_a(F_red)) + number of nodes."""
-    if fm.alpha != 0:
-        raise DomainError("only normal-crossing fibers (alpha = 0) are supported")
     return 2 * (fm.genus_of_fibration - fm.pa_reduced) + len(fm.nodes)
 
 

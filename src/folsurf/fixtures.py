@@ -557,16 +557,6 @@ def render_fixture(doc: Dict[str, Any]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def write_bundled(directory) -> None:
-    """Regenerate the shipped fixture files (development helper)."""
-    from pathlib import Path
-
-    target = Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    for stem, doc in bundled_documents().items():
-        (target / f"{stem}.json").write_text(render_fixture(doc), encoding="utf-8")
-
-
 def load_bundled_files() -> List[Tuple[str, str]]:
     """(name, raw text) for every shipped fixture file, sorted by name."""
     out = []

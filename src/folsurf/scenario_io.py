@@ -14,11 +14,13 @@ records it nests) that :func:`decode` and :func:`encode` walk.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+)
 
 from .chern import ChernNumbers, Verdict, chern_numbers, decide, noether_bounds, slope
 from .errors import DomainError, InconsistentScenario, ParseError, ShapeError
@@ -373,12 +375,21 @@ class ScenarioDocument:
 
 
 def _build_document(name, surface, k_foliation, curves, singularities, metadata, fibration, expect):
-    scenario = None
     if surface is not None:
         scenario = _build_scenario(name, surface, k_foliation, curves, singularities, metadata)
-    elif fibration is None:
+        return ScenarioDocument(name, scenario, fibration, expect)
+    # without a surface these keys would be dropped; an empty list holds nothing
+    for key, value in (
+        ("k_foliation", k_foliation),
+        ("curves", curves or None),
+        ("singularities", singularities or None),
+        ("metadata", metadata),
+    ):
+        if value is not None:
+            raise _Reject(f"{key!r} needs a 'surface'", key)
+    if fibration is None:
         raise _Reject("a document needs a surface scenario or a fibration")
-    return ScenarioDocument(name, scenario, fibration, expect)
+    return ScenarioDocument(name, None, fibration, expect)
 
 
 def _document_attrs(doc: ScenarioDocument) -> Dict[str, Any]:
@@ -448,7 +459,8 @@ FIBRATION = Record(
         Field("fibers", list_of(record(FIBER)), attr="singular_fibers"),
     ),
 )
-MODULAR = Record(dict, tuple(Field(k, RATIONAL) for k in ("kappa", "delta", "chi")), attrs=dict)
+MODULAR_KEYS = ("kappa", "delta", "chi")
+MODULAR = Record(dict, tuple(Field(k, RATIONAL) for k in MODULAR_KEYS), attrs=dict)
 EXPECT = Record(
     dict,
     tuple(Field(k, RATIONAL, default=ABSENT) for k in ("c1_sq", "c2", "chi", "vol", "slope"))
@@ -516,7 +528,34 @@ def check_line(c: CheckResult) -> str:
     return f"[{'FAIL' if c.failed else c.status}] {c.name}{detail}"
 
 
-@dataclass
+def chain_line(ch: FChain) -> str:
+    return f"chain: [{', '.join(ch.curves)}]  e = {list(ch.self_intersections)}"
+
+
+def verdict_lines(v: Verdict) -> List[str]:
+    """The verdict, each fired rule with its citation, and the genus bound."""
+    lines = [f"verdict: {v.status}"]
+    lines += [f"  {r.rule_id}: {r.comparison}  [{r.citation}]" for r in v.fired_rules]
+    if v.genus_bound is not None:
+        lines.append(f"  genus bound: {v.genus_bound}")
+    return lines
+
+
+def listing(labels: Tuple[str, ...], values) -> str:
+    """``label = value, ...`` over rationals, with ``-`` for one not computed."""
+    return ", ".join(
+        f"{label} = {'-' if v is None else fmt_rational(v)}" for label, v in zip(labels, values)
+    )
+
+
+def _rationals(keys: Tuple[str, ...], values) -> Dict[str, Optional[str]]:
+    return {k: None if v is None else fmt_rational(v) for k, v in zip(keys, values)}
+
+
+_BOUND_NAMES = ("first", "second", "third")
+
+
+@dataclass(frozen=True)
 class InvariantReport:
     name: str
     validation: Optional[ValidationReport] = None
@@ -546,261 +585,189 @@ class InvariantReport:
             return False
         return not self.expectation_failures
 
-    def to_json_dict(self) -> Dict[str, Any]:
-        def q(v):
-            return None if v is None else fmt_rational(v)
-
-        out: Dict[str, Any] = {"name": self.name, "ok": self.ok}
-        if self.inconsistency is not None:
-            out["inconsistency"] = self.inconsistency
-        if self.validation is not None:
-            out["validation"] = {
-                "passed": self.validation.passed,
-                "checks": [_check_json(c) for c in self.validation.checks],
+    def _sections(self) -> Iterator[Tuple[str, Any, Callable[[], List[str]]]]:
+        """Each section of the report in text order, as its JSON key, its JSON
+        value and a function giving its text lines (which ``to_json`` does not
+        pay for).  A section with no value is left out, except the expectation
+        failures and warnings, which the JSON always lists."""
+        yield "name", self.name, lambda: [f"scenario: {self.name}"]
+        v = self.validation
+        if v is not None:
+            yield "validation", {"passed": v.passed, "checks": list(map(_check_json, v.checks))}, (
+                lambda: [f"validation: {'PASS' if v.passed else 'FAIL'}"]
+                + [f"  {check_line(c)}" for c in v.checks]
+            )
+        why = self.inconsistency
+        if why is not None:
+            yield "inconsistency", why, lambda: [f"inconsistent: {why}"]
+        dec = self.decomposition
+        if dec is not None:
+            value = {
+                "nef_part": [fmt_rational(c) for c in dec.nef_part.coefficients],
+                "negative_part": {name: fmt_rational(c) for name, c in dec.negative_part},
             }
-        if self.decomposition is not None:
-            out["zariski"] = {
-                "nef_part": [fmt_rational(c) for c in self.decomposition.nef_part.coefficients],
-                "negative_part": {
-                    name: fmt_rational(v) for name, v in self.decomposition.negative_part
-                },
-            }
-        if self.chains:
-            out["chains"] = [
-                {"curves": list(ch.curves), "e": list(ch.self_intersections)}
-                for ch in self.chains
-            ]
+            terms = lambda: " + ".join(f"{fmt_rational(c)}*{n}" for n, c in dec.negative_part)
+            yield "zariski", value, lambda: [f"P = {dec.nef_part}", f"N = {terms() or 0}"]
+        chains = self.chains
+        if chains:
+            value = [{"curves": list(c.curves), "e": list(c.self_intersections)} for c in chains]
+            yield "chains", value, lambda: list(map(chain_line, chains))
         if self.chern is not None:
-            out["invariants"] = {
-                "c1_sq": q(self.chern.c1_sq),
-                "c2": q(self.chern.c2),
-                "chi": q(self.chern.chi),
-                "vol": q(self.vol),
-                "slope": q(self.slope_value),
-            }
-        if self.singularity_count is not None:
-            out["singularity_count"] = self.singularity_count
+            c = self.chern
+            values = (c.c1_sq, c.c2, c.chi, self.vol, self.slope_value)
+            yield "invariants", _rationals(("c1_sq", "c2", "chi", "vol", "slope"), values), (
+                lambda: ["invariants: " + listing(("c1^2", "c2", "chi", "vol", "slope"), values)]
+            )
+        n = self.singularity_count
+        if n is not None:
+            yield "singularity_count", n, lambda: [f"singularities (with multiplicity): {n}"]
         if self.p_g is not None:
-            out["p_g"] = self.p_g
-        if self.bounds is not None:
-            out["noether_bounds"] = {
-                "first": q(self.bounds[0]),
-                "second": q(self.bounds[1]),
-                "third": q(self.bounds[2]),
-                "equalities": list(self.bound_equalities),
-            }
-        if self.verdict is not None:
-            out["verdict"] = {
-                "status": self.verdict.status,
+            yield "p_g", self.p_g, lambda: [f"p_g = {self.p_g}"]
+        bounds, equalities = self.bounds, self.bound_equalities
+        if bounds is not None:
+            value = {**_rationals(_BOUND_NAMES, bounds), "equalities": list(equalities)}
+            eq = f"  equality: {', '.join(equalities)}" if equalities else ""
+            yield "noether_bounds", value, lambda: [
+                f"noether bounds: {listing(_BOUND_NAMES, bounds)}{eq}"
+            ]
+        verdict = self.verdict
+        if verdict is not None:
+            value = {
+                "status": verdict.status,
                 "fired_rules": [
                     {"id": r.rule_id, "citation": r.citation, "comparison": r.comparison}
-                    for r in self.verdict.fired_rules
+                    for r in verdict.fired_rules
                 ],
-                "genus_bound": self.verdict.genus_bound,
-                "informational": list(self.verdict.sanity_failures),
+                "genus_bound": verdict.genus_bound,
+                "informational": list(verdict.sanity_failures),
             }
-        if self.modular is not None:
-            out["modular"] = {
-                "kappa": q(self.modular[0]),
-                "delta": q(self.modular[1]),
-                "chi": q(self.modular[2]),
-            }
-        if self.fibration_checks:
-            out["fibration_checks"] = [_check_json(c) for c in self.fibration_checks]
-        out["expectation_failures"] = list(self.expectation_failures)
-        out["warnings"] = list(self.warnings)
-        return out
+            yield "verdict", value, lambda: verdict_lines(verdict) + [
+                f"  note: {note}" for note in verdict.sanity_failures
+            ]
+        modular = self.modular
+        if modular is not None:
+            yield "modular", _rationals(MODULAR_KEYS, modular), lambda: [
+                f"modular invariants: {listing(MODULAR_KEYS, modular)}"
+            ]
+        checks = self.fibration_checks
+        if checks:
+            yield "fibration_checks", list(map(_check_json, checks)), (
+                lambda: list(map(check_line, checks))
+            )
+        failures = self.expectation_failures
+        yield "expectation_failures", list(failures), lambda: [
+            f"expectation mismatch: {f}" for f in failures
+        ]
+        yield "warnings", list(self.warnings), lambda: [f"warning: {w}" for w in self.warnings]
+        ok = self.ok
+        yield "ok", ok, lambda: [f"result: {'ok' if ok else 'FAILED'}"]
+
+    def to_json_dict(self) -> Dict[str, Any]:
+        return {key: value for key, value, _ in self._sections()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
-        def q(v):
-            return "-" if v is None else fmt_rational(v)
+        return "".join(f"{line}\n" for _, _, lines in self._sections() for line in lines())
 
-        lines = [f"scenario: {self.name}"]
-        if self.validation is not None:
-            lines.append(
-                f"validation: {'PASS' if self.validation.passed else 'FAIL'}"
-            )
-            lines.extend(f"  {check_line(c)}" for c in self.validation.checks)
-        if self.inconsistency is not None:
-            lines.append(f"inconsistent: {self.inconsistency}")
-        if self.decomposition is not None:
-            lines.append(f"P = {self.decomposition.nef_part}")
-            if self.decomposition.negative_part:
-                terms = " + ".join(
-                    f"{fmt_rational(v)}*{name}"
-                    for name, v in self.decomposition.negative_part
+
+# The report value each ``expect`` key is compared with, in comparison order;
+# a section that was not computed reads None (or an empty list or map).
+EXPECTED_VALUES: Mapping[str, Callable[[InvariantReport], Any]] = MappingProxyType(
+    {
+        "c1_sq": lambda r: r.chern and r.chern.c1_sq,
+        "c2": lambda r: r.chern and r.chern.c2,
+        "chi": lambda r: r.chern and r.chern.chi,
+        "vol": lambda r: r.vol,
+        "slope": lambda r: r.slope_value,
+        "p_g": lambda r: r.p_g,
+        "verdict": lambda r: r.verdict and r.verdict.status,
+        "genus_bound": lambda r: r.verdict and r.verdict.genus_bound,
+        "fired_rules": lambda r: [x.rule_id for x in r.verdict.fired_rules] if r.verdict else [],
+        "singularity_count": lambda r: r.singularity_count,
+        "negative_part": lambda r: dict(r.decomposition.negative_part) if r.decomposition else {},
+        "modular": lambda r: r.modular and dict(zip(MODULAR_KEYS, r.modular)),
+        "noether_equality": lambda r: ",".join(r.bound_equalities) or None,
+    }
+)
+
+
+def _compare_expectations(report: InvariantReport, expect: Mapping[str, Any]) -> Tuple[str, ...]:
+    failures = []
+    for key, actual_value in EXPECTED_VALUES.items():
+        if key in expect:
+            wanted, actual = expect[key], actual_value(report)
+            if actual != wanted:
+                failures.append(f"{key}: expected {wanted}, got {actual}")
+    return tuple(failures)
+
+
+def _surface_stages(s: FoliatedScenario, genus: Optional[int], out: Dict[str, Any]) -> None:
+    validation = out["validation"] = validate(s)
+    out["warnings"] = validation.warnings
+    out["singularity_count"] = sum(x.multiplicity for x in s.singularities)
+    if not validation.passed:
+        return
+    if s.metadata.k_pseudo_effective:
+        dec = out["decomposition"] = zariski_decompose(s)
+        if s.metadata.relatively_minimal and s.is_reduced:
+            chains, flags = detect_chains_with_flags(s)
+            out["chains"] = tuple(chains)
+            out["warnings"] += tuple(flags)
+            # the negative-part support of a relatively minimal reduced
+            # scenario must split into maximal chains
+            chain_curves = {name for ch in chains for name in ch.curves}
+            stray = sorted(set(dec.support) - chain_curves)
+            if stray:
+                raise InconsistentScenario(
+                    f"negative-part support is not a disjoint union of chains; stray curves {stray}"
                 )
-                lines.append(f"N = {terms}")
-            else:
-                lines.append("N = 0")
-        for ch in self.chains:
-            lines.append(
-                f"chain: [{', '.join(ch.curves)}]  e = {list(ch.self_intersections)}"
-            )
-        if self.chern is not None:
-            lines.append(
-                "invariants: "
-                f"c1^2 = {q(self.chern.c1_sq)}, c2 = {q(self.chern.c2)}, "
-                f"chi = {q(self.chern.chi)}, vol = {q(self.vol)}, "
-                f"slope = {q(self.slope_value)}"
-            )
-        if self.singularity_count is not None:
-            lines.append(f"singularities (with multiplicity): {self.singularity_count}")
-        if self.p_g is not None:
-            lines.append(f"p_g = {self.p_g}")
-        if self.bounds is not None:
-            eq = f"  equality: {', '.join(self.bound_equalities)}" if self.bound_equalities else ""
-            lines.append(
-                f"noether bounds: first = {q(self.bounds[0])}, "
-                f"second = {q(self.bounds[1])}, third = {q(self.bounds[2])}{eq}"
-            )
-        if self.verdict is not None:
-            lines.append(f"verdict: {self.verdict.status}")
-            for r in self.verdict.fired_rules:
-                lines.append(f"  {r.rule_id}: {r.comparison}  [{r.citation}]")
-            if self.verdict.genus_bound is not None:
-                lines.append(f"  genus bound: {self.verdict.genus_bound}")
-            for note in self.verdict.sanity_failures:
-                lines.append(f"  note: {note}")
-        if self.modular is not None:
-            lines.append(
-                f"modular invariants: kappa = {q(self.modular[0])}, "
-                f"delta = {q(self.modular[1])}, chi = {q(self.modular[2])}"
-            )
-        lines.extend(check_line(c) for c in self.fibration_checks)
-        for failure in self.expectation_failures:
-            lines.append(f"expectation mismatch: {failure}")
-        for w in self.warnings:
-            lines.append(f"warning: {w}")
-        lines.append(f"result: {'ok' if self.ok else 'FAILED'}")
-        return "\n".join(lines) + "\n"
+        chern = out["chern"] = chern_numbers(s, dec)
+        vol = out["vol"] = intersect(dec.nef_part, dec.nef_part)
+    else:
+        chern = out["chern"] = chern_numbers(s)
+        vol = out["vol"] = Fraction(0)
+    if chern.chi > 0:
+        out["slope_value"] = slope(chern)
+    declared = s.metadata.p_g
+    p_g = h0_line_bundle(s.surface, s.k_foliation) if s.k_foliation.is_integral else None
+    if p_g is None:
+        p_g = declared
+    elif declared is not None and p_g != declared:
+        raise InconsistentScenario(f"declared p_g = {declared} but sections give {p_g}")
+    out["p_g"] = p_g
+    if p_g is not None and p_g >= 2:
+        bounds = out["bounds"] = noether_bounds(p_g)
+        out["bound_equalities"] = tuple(n for n, b in zip(_BOUND_NAMES, bounds) if vol == b)
+    out["verdict"] = decide(s, chern, vol, genus=genus, p_g=p_g)
 
 
-def _compare_expectations(report: InvariantReport, expect: Mapping[str, Any]) -> List[str]:
-    failures: List[str] = []
-
-    def check(key: str, actual) -> None:
-        if key not in expect:
-            return
-        wanted = expect[key]
-        if actual != wanted:
-            failures.append(f"{key}: expected {wanted}, got {actual}")
-
-    if report.chern is not None:
-        check("c1_sq", report.chern.c1_sq)
-        check("c2", report.chern.c2)
-        check("chi", report.chern.chi)
-    elif any(k in expect for k in ("c1_sq", "c2", "chi")):
-        failures.append("chern numbers expected but not computed")
-    check("vol", report.vol)
-    check("slope", report.slope_value)
-    check("p_g", report.p_g)
-    if "verdict" in expect:
-        check("verdict", None if report.verdict is None else report.verdict.status)
-    if "genus_bound" in expect:
-        check("genus_bound", None if report.verdict is None else report.verdict.genus_bound)
-    if "fired_rules" in expect:
-        actual_rules = (
-            [] if report.verdict is None else [r.rule_id for r in report.verdict.fired_rules]
-        )
-        check("fired_rules", actual_rules)
-    check("singularity_count", report.singularity_count)
-    if "negative_part" in expect:
-        actual = (
-            {}
-            if report.decomposition is None
-            else {name: v for name, v in report.decomposition.negative_part}
-        )
-        check("negative_part", actual)
-    if "modular" in expect:
-        actual_mod = (
-            None
-            if report.modular is None
-            else {
-                "kappa": report.modular[0],
-                "delta": report.modular[1],
-                "chi": report.modular[2],
-            }
-        )
-        check("modular", actual_mod)
-    if "noether_equality" in expect:
-        check("noether_equality", ",".join(report.bound_equalities) or None)
-    return failures
+def _fibration_stage(fb: FibrationModel, chern: Optional[ChernNumbers], out: Dict[str, Any]):
+    kappa, delta, chi_f = out["modular"] = modular_invariants(fb)
+    checks: List[CheckResult] = []
+    if fb.genus >= 2 and chi_f > 0 and kappa > 0:
+        checks.append(slope_inequality_check(fb.genus, kappa, chi_f))
+    if chern is not None:
+        checks.append(crosscheck_with_chern(fb, chern))
+    out["fibration_checks"] = tuple(checks)
 
 
 def run_pipeline(doc: ScenarioDocument) -> InvariantReport:
     """validate -> zariski -> chern -> decide, plus the fibration block.
 
-    Any InconsistentScenario raised along the way is surfaced on the report
-    with the failing check named, never swallowed.
+    An InconsistentScenario or DomainError raised by a stage ends the run: the
+    report stores its message as ``inconsistency``, without naming the stage or
+    check that raised it, and keeps everything computed before it.
     """
-    report = InvariantReport(name=doc.name)
-    s = doc.scenario
-    genus = doc.fibration.genus if doc.fibration is not None else None
+    out: Dict[str, Any] = {}
+    fb = doc.fibration
     try:
-        if s is not None:
-            report.validation = validate(s)
-            report.warnings = report.validation.warnings
-            report.singularity_count = sum(x.multiplicity for x in s.singularities)
-            if report.validation.passed:
-                if s.metadata.k_pseudo_effective:
-                    dec = zariski_decompose(s)
-                    report.decomposition = dec
-                    if s.metadata.relatively_minimal and s.is_reduced:
-                        chains, flags = detect_chains_with_flags(s)
-                        report.chains = tuple(chains)
-                        report.warnings += tuple(flags)
-                        # the negative-part support of a relatively minimal
-                        # reduced scenario must split into maximal chains
-                        chain_curves = {
-                            name for ch in chains for name in ch.curves
-                        }
-                        stray = sorted(set(dec.support) - chain_curves)
-                        if stray:
-                            raise InconsistentScenario(
-                                "negative-part support is not a disjoint union "
-                                f"of chains; stray curves {stray}"
-                            )
-                    report.chern = chern_numbers(s, dec)
-                    report.vol = intersect(dec.nef_part, dec.nef_part)
-                else:
-                    report.chern = chern_numbers(s)
-                    report.vol = Fraction(0)
-                if report.chern.chi > 0:
-                    report.slope_value = slope(report.chern)
-                computed_pg = None
-                if s.k_foliation.is_integral:
-                    computed_pg = h0_line_bundle(s.surface, s.k_foliation)
-                if computed_pg is not None and s.metadata.p_g is not None:
-                    if computed_pg != s.metadata.p_g:
-                        raise InconsistentScenario(
-                            f"declared p_g = {s.metadata.p_g} but sections give {computed_pg}"
-                        )
-                report.p_g = computed_pg if computed_pg is not None else s.metadata.p_g
-                if report.p_g is not None and report.p_g >= 2:
-                    bounds = noether_bounds(report.p_g)
-                    report.bounds = bounds
-                    names = ("first", "second", "third")
-                    report.bound_equalities = tuple(
-                        n for n, b in zip(names, bounds) if report.vol == b
-                    )
-                report.verdict = decide(
-                    s, report.chern, report.vol, genus=genus, p_g=report.p_g
-                )
-        if doc.fibration is not None:
-            fb = doc.fibration
-            kappa, delta, chi_f = modular_invariants(fb)
-            report.modular = (kappa, delta, chi_f)
-            checks: List[CheckResult] = []
-            if fb.genus >= 2 and chi_f > 0 and kappa > 0:
-                checks.append(slope_inequality_check(fb.genus, kappa, chi_f))
-            if report.chern is not None:
-                checks.append(crosscheck_with_chern(fb, report.chern))
-            report.fibration_checks = tuple(checks)
+        if doc.scenario is not None:
+            _surface_stages(doc.scenario, None if fb is None else fb.genus, out)
+        if fb is not None:
+            _fibration_stage(fb, out.get("chern"), out)
     except (InconsistentScenario, DomainError) as exc:
-        report.inconsistency = str(exc)
-    report.expectation_failures += tuple(_compare_expectations(report, doc.expect))
-    return report
+        out["inconsistency"] = str(exc)
+    report = InvariantReport(name=doc.name, **out)
+    return replace(report, expectation_failures=_compare_expectations(report, doc.expect))

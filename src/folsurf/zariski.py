@@ -117,25 +117,18 @@ def coefficient_bounds_check(chain: FChain) -> CheckResult:
     )
 
 
-def detect_chains(f: FoliatedScenario) -> List[FChain]:
-    """All maximal strings of declared invariant rational curves matching the
-    chain pattern: self-intersections <= -2, consecutive curves meeting once,
-    K_F degree -1 on the first curve and 0 on the rest.
-
-    Components failing the pattern are not chains and are omitted.  When a
-    one-curve component leaves the orientation formally free, declaration
-    order fixes it (the coefficients do not depend on the choice).
-    """
-    chains, _ = detect_chains_with_flags(f)
-    return chains
-
-
 def detect_chains_with_flags(f: FoliatedScenario) -> Tuple[List[FChain], List[str]]:
-    """Chain detection that also reports ambiguous components.
+    """All maximal strings of declared invariant rational curves matching the
+    chain pattern, and the flags of ambiguous components.
 
-    A path whose two ends both satisfy the head condition has no unambiguous
-    orientation and violates the interior-degree pattern; such components are
-    flagged by name instead of guessed at.
+    The pattern: self-intersections <= -2, consecutive curves meeting once,
+    K_F degree -1 on the first curve and 0 on the rest.  Components failing
+    the pattern are not chains and are omitted.  When a one-curve component
+    leaves the orientation formally free, declaration order fixes it (the
+    coefficients do not depend on the choice).  A path whose two ends both
+    satisfy the head condition has no unambiguous orientation and violates the
+    interior-degree pattern; such components are flagged by name instead of
+    guessed at.
     """
     kf = f.k_foliation
     candidates = []

@@ -7,12 +7,10 @@ from folsurf.chern import (
     TRANSCENDENTAL,
     UNDETERMINED,
     ChernNumbers,
-    GenusOneFibrationConstraint,
     chern_numbers,
     decide,
     genus_bound,
     noether_bounds,
-    nongeneral_type_table,
     slope,
 )
 from folsurf.errors import DomainError, InconsistentScenario
@@ -224,20 +222,8 @@ def test_sanity_violation_raises():
         decide(bloated, c, c.c1_sq)
 
 
-def test_nongeneral_type_table():
-    zero = ChernNumbers(Fraction(0), Fraction(0), Fraction(0))
-    assert nongeneral_type_table("isotrivial_fibration", genus=5) == zero
-    assert nongeneral_type_table("genus_zero") == zero
-    assert nongeneral_type_table("transcendental_non_general") == zero
-    constraint = nongeneral_type_table("non_isotrivial_genus_one")
-    assert isinstance(constraint, GenusOneFibrationConstraint)
-    assert constraint.c1_sq == 0 and constraint.c2_equals_12_chi and constraint.c2_positive
-    with pytest.raises(DomainError):
-        nongeneral_type_table("mystery")
-
-
 def test_genus_one_constraint_matches_elliptic_pencil():
+    # a non-isotrivial genus-1 pencil has c1^2 = 0 and c2 = 12 chi > 0
     c = chern_numbers(scenario_from(elliptic_pencil()))
-    constraint = nongeneral_type_table("non_isotrivial_genus_one")
-    assert c.c1_sq == constraint.c1_sq
+    assert c.c1_sq == 0
     assert c.c2 == 12 * c.chi and c.c2 > 0

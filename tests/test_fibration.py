@@ -47,9 +47,8 @@ def test_fiber_local_chern_smooth():
 
 
 def test_fiber_local_chern_rejects_non_normal_crossing():
-    fm = FiberModel(genus_of_fibration=1, pa_reduced=0, f_red_sq=-2, nodes=(), alpha=1)
     with pytest.raises(DomainError):
-        fiber_local_chern(fm)
+        FiberModel(genus_of_fibration=1, pa_reduced=0, f_red_sq=-2, nodes=(), alpha=1)
 
 
 def test_fiber_euler():

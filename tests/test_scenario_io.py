@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -8,9 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from folsurf.errors import ParseError
-from folsurf.fixtures import bundled_documents, second_noether_ruled, slope_12_7
+from folsurf.fixtures import (
+    bundled_documents,
+    i0star_elliptic,
+    second_noether_ruled,
+    semistable_genus2,
+    slope_12_7,
+    third_noether_double_cover,
+)
 from folsurf.foliation import CheckResult, ValidationReport
 from folsurf.scenario_io import (
+    EXPECT,
+    EXPECTED_VALUES,
     InvariantReport,
     document_to_dict,
     fmt_rational,
@@ -100,6 +110,69 @@ def test_wrong_class_length_rejected():
 def test_document_requires_content():
     with pytest.raises(ParseError):
         parse_document_dict({"name": "empty"})
+
+
+@pytest.mark.parametrize("key", ["k_foliation", "curves", "singularities", "metadata"])
+def test_surface_keys_without_a_surface_are_refused(key):
+    # they belonged to no scenario, so the document parsed and lost them
+    doc = i0star_elliptic()
+    doc[key] = slope_12_7()[key]
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert err.value.path == f"$.{key}"
+
+
+def test_fibration_only_document_may_declare_empty_lists():
+    doc = i0star_elliptic()
+    doc.update(curves=[], singularities=[])
+    assert parse_document_dict(doc).scenario is None
+
+
+def test_non_normal_crossing_fiber_is_refused_at_that_fiber():
+    doc = semistable_genus2()
+    doc["fibration"]["fibers"][1]["alpha"] = 2
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert err.value.path == "$.fibration.fibers[1]"
+    assert "alpha" in str(err.value)
+
+
+def test_report_is_frozen():
+    report = run_pipeline(parse_document_dict(second_noether_ruled(3)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.vol = Fraction(0)
+
+
+def test_every_expect_key_has_a_report_value():
+    assert set(EXPECTED_VALUES) == {f.key for f in EXPECT.fields}
+
+
+# A wrong value for each ``expect`` key of the third-Noether g = 2 document.
+WRONG_EXPECTATIONS = {
+    "c1_sq": "1",
+    "c2": "5",
+    "chi": "1/2",
+    "vol": "1",
+    "slope": "3",
+    "p_g": 3,
+    "singularity_count": 15,
+    "genus_bound": 3,
+    "verdict": "Transcendental",
+    "noether_equality": "second",
+    "negative_part": {"E1": "1/5"},
+    "modular": {"kappa": "1", "delta": "4", "chi": "5/12"},
+    "fired_rules": ["R4-integrable-slope-bound"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXPECT.keys))
+def test_each_expect_key_is_compared(key):
+    doc = third_noether_double_cover(2)
+    assert run_pipeline(parse_document_dict(doc)).ok
+    doc["expect"] = {key: WRONG_EXPECTATIONS[key]}
+    report = run_pipeline(parse_document_dict(doc))
+    assert not report.ok
+    assert [f.split(":")[0] for f in report.expectation_failures] == [key]
 
 
 def test_report_determinism():

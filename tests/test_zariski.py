@@ -19,7 +19,7 @@ from folsurf.zariski import (
     chain_xi_sequence,
     coefficient_bounds_check,
     decompose_against_curves,
-    detect_chains,
+    detect_chains_with_flags,
     volume,
     zariski_decompose,
 )
@@ -78,14 +78,14 @@ def test_coefficient_bounds(e):
 
 def test_detect_chains_second_noether_ruled():
     s = scenario_from(second_noether_ruled(6))
-    chains = detect_chains(s)
+    chains = detect_chains_with_flags(s)[0]
     assert chains == [FChain(("C0",), (6,))]
 
 
 def test_detect_chains_third_noether_double_cover():
     g = 2
     s = scenario_from(third_noether_double_cover(g))
-    chains = detect_chains(s)
+    chains = detect_chains_with_flags(s)[0]
     by_head = {ch.curves[0]: ch for ch in chains}
     assert set(by_head) == {"E1", "Gamma0", "E12"}
     long = by_head["E1"]
@@ -98,7 +98,7 @@ def test_detect_chains_third_noether_double_cover():
 
 def test_detect_chains_empty_for_nef():
     s = scenario_from(first_noether_ruled(4))
-    assert detect_chains(s) == []
+    assert detect_chains_with_flags(s)[0] == []
 
 
 def test_zariski_second_noether_ruled():
@@ -158,7 +158,7 @@ def test_general_solver_matches_closed_form(chain_scenario):
         assert dec.negative_part == tuple(
             (f"C{j + 1}", b[j]) for j in range(r)
         )
-        assert detect_chains(s) == [
+        assert detect_chains_with_flags(s)[0] == [
             FChain(tuple(f"C{j + 1}" for j in range(r)), tuple(e))
         ]
 

@@ -97,6 +97,8 @@ def _cmd_fibration(args) -> int:
     print(listing(MODULAR_KEYS, report.modular))
     for c in report.fibration_checks:
         print(check_line(c))
+    if report.inconsistency is not None:
+        print(f"inconsistent scenario: {report.inconsistency}")
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 

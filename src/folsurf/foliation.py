@@ -222,6 +222,8 @@ def resolve_camacho_sad(
     has a rational branch pair.  Returns per-curve assignments and a status
     map: "pass", "fail", or "skipped (...)" per invariant curve.  There is no
     heuristic repair: if no branch choice balances, the curves involved fail.
+    A search that runs out of its node budget decides nothing, and the
+    eligible curves are "skipped (search budget exhausted)".
     """
     invariant = [c for c in f.curves if c.f_invariant]
     status: Dict[str, str] = {}
@@ -274,12 +276,15 @@ def resolve_camacho_sad(
             status[c.name] = "fail"
         return {}, status
 
-    budget = [200_000]
+    budget = 200_000
+    exhausted = False
 
     def backtrack(idx: int) -> bool:
-        if budget[0] <= 0:
+        nonlocal budget, exhausted
+        if budget <= 0:
+            exhausted = True
             return False
-        budget[0] -= 1
+        budget -= 1
         if idx == len(variables):
             return True
         s = variables[idx]
@@ -309,8 +314,10 @@ def resolve_camacho_sad(
             else:
                 status[c.name] = "pass"
         return assignment, status
+    # a search cut off by its budget has not shown that no choice balances
+    verdict = "skipped (search budget exhausted)" if exhausted else "fail"
     for c in eligible:
-        status[c.name] = "fail"
+        status[c.name] = verdict
     return {}, status
 
 

@@ -756,18 +756,24 @@ def _fibration_stage(fb: FibrationModel, chern: Optional[ChernNumbers], out: Dic
 def run_pipeline(doc: ScenarioDocument) -> InvariantReport:
     """validate -> zariski -> chern -> decide, plus the fibration block.
 
-    An InconsistentScenario or DomainError raised by a stage ends the run: the
-    report stores its message as ``inconsistency``, without naming the stage or
-    check that raised it, and keeps everything computed before it.
+    An InconsistentScenario or DomainError raised by a surface stage ends the
+    surface stages: the report stores its message as ``inconsistency``,
+    without naming the stage or check that raised it, and keeps everything
+    computed before it.  The fibration block does not depend on the surface
+    and still runs, cross-checked against the Chern numbers only if they
+    were computed; if it raises too, the first message is kept.
     """
     out: Dict[str, Any] = {}
     fb = doc.fibration
     try:
         if doc.scenario is not None:
             _surface_stages(doc.scenario, None if fb is None else fb.genus, out)
+    except (InconsistentScenario, DomainError) as exc:
+        out["inconsistency"] = str(exc)
+    try:
         if fb is not None:
             _fibration_stage(fb, out.get("chern"), out)
     except (InconsistentScenario, DomainError) as exc:
-        out["inconsistency"] = str(exc)
+        out.setdefault("inconsistency", str(exc))
     report = InvariantReport(name=doc.name, **out)
     return replace(report, expectation_failures=_compare_expectations(report, doc.expect))

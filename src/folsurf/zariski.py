@@ -3,23 +3,27 @@ decomposition of the canonical class of a foliation.
 
 The closed-form coefficient recursion for a Hirzebruch-Jung chain and the
 general iterative decomposition are kept as two independent routes; tests
-pin them against each other.  All linear algebra is exact: the support Gram
-matrix is solved by Gaussian elimination over Fractions, and negative
-definiteness is certified by the signs of the elimination pivots (all pivots
-negative iff the leading principal minors alternate in sign starting
-negative).
+pin them against each other.  All linear algebra is exact and runs over
+Python integers: the classes are scaled by one common denominator and paired
+sparsely through shared basis indices, and the support Gram matrix grows by
+one bordered row per violating curve under fraction-free (Bareiss)
+elimination.  Its pivots are the leading principal minors, so negative
+definiteness is certified by their signs alternating starting negative.
+Chain detection reads its pairings from the same kind of table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from math import lcm
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import DomainError, InconsistentScenario
-from .foliation import CheckResult, CurveRecord, FoliatedScenario, adjunction_genus
+from .foliation import CheckResult, CurveRecord, FoliatedScenario
 from .local_invariants import EigenvalueClass
-from .surface import DivisorClass, intersect
+from .surface import DivisorClass, canonical_class, intersect
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,71 @@ def coefficient_bounds_check(chain: FChain) -> CheckResult:
     )
 
 
+class _Pairings(NamedTuple):
+    """Every pairing one call needs, from one pass over shared basis indices.
+
+    All classes are multiplied by the LCM of their denominators, so the
+    entries are integers; the solution of G x = D.C does not change under
+    that common scale.
+    """
+
+    scale: int  # the common denominator; entries are scale**2 times the pairing
+    rows: List[Dict[int, int]]  # scaled curve classes, {basis index: int}
+    class_rows: List[Dict[int, int]]  # the scaled extra classes
+    against: List[List[int]]  # against[c][i] = (extra class c).C_i
+    squares: List[int]  # C_i^2
+    meets: List[Dict[int, int]]  # the nonzero C_i.C_j for j != i
+
+
+def _pairing_table(
+    curves: Sequence[CurveRecord], classes: Sequence[DivisorClass]
+) -> _Pairings:
+    """Pair the curves with each other and with ``classes`` through the basis
+    indices they share.
+
+    Exceptional classes are orthogonal to everything but themselves; the
+    base block pairs as in ``SurfaceModel.gram``.
+    """
+    s = classes[0].surface
+    dense = [c.cls.coefficients for c in curves] + [d.coefficients for d in classes]
+    sparse = [{i: v for i, v in enumerate(coeffs) if v} for coeffs in dense]
+    scale = lcm(*{v.denominator for row in sparse for v in row.values()})
+    scaled = [
+        {i: v.numerator * (scale // v.denominator) for i, v in row.items()}
+        for row in sparse
+    ]
+    rows, class_rows = scaled[: len(curves)], scaled[len(curves) :]
+    holders: Dict[int, List[Tuple[int, int]]] = {}
+    for j, row in enumerate(rows):
+        for a, v in row.items():
+            holders.setdefault(a, []).append((j, v))
+    br = s.base_rank
+    base_partners = [
+        [(b, s.gram(a, b)) for b in range(br) if s.gram(a, b)] for a in range(br)
+    ]
+
+    def pair_with_curves(u: Dict[int, int]) -> Dict[int, int]:
+        acc: Dict[int, int] = {}
+        for a, x in u.items():
+            partners = base_partners[a] if a < br else ((a, -1),)
+            for b, g in partners:
+                for j, v in holders.get(b, ()):
+                    acc[j] = acc.get(j, 0) + g * x * v
+        return acc
+
+    against = []
+    for u in class_rows:
+        acc = pair_with_curves(u)
+        against.append([acc.get(j, 0) for j in range(len(rows))])
+    squares: List[int] = []
+    meets: List[Dict[int, int]] = []
+    for i, row in enumerate(rows):
+        acc = pair_with_curves(row)
+        squares.append(acc.pop(i, 0))
+        meets.append({j: v for j, v in acc.items() if v})
+    return _Pairings(scale, rows, class_rows, against, squares, meets)
+
+
 def detect_chains_with_flags(f: FoliatedScenario) -> Tuple[List[FChain], List[str]]:
     """All maximal strings of declared invariant rational curves matching the
     chain pattern, and the flags of ambiguous components.
@@ -128,38 +197,40 @@ def detect_chains_with_flags(f: FoliatedScenario) -> Tuple[List[FChain], List[st
     coefficients do not depend on the choice).  A path whose two ends both
     satisfy the head condition has no unambiguous orientation and violates the
     interior-degree pattern; such components are flagged by name instead of
-    guessed at.
+    guessed at.  C^2, K_F.C, K_S.C (for the adjunction genus) and C.C' are
+    read from one pairing table.
     """
-    kf = f.k_foliation
-    candidates = []
-    for c in f.curves:
-        if not c.f_invariant:
+    invariant = [c for c in f.curves if c.f_invariant]
+    table = _pairing_table(invariant, [f.k_foliation, canonical_class(f.surface)])
+    unit = table.scale * table.scale
+    kf_pairings, ks_pairings = table.against
+    square: Dict[str, int] = {}
+    degree: Dict[str, int] = {}
+    candidates: Dict[int, str] = {}
+    for i, c in enumerate(invariant):
+        sq, rest = divmod(table.squares[i], unit)
+        deg = kf_pairings[i]
+        if rest or sq > -2 or deg not in (-unit, 0):
             continue
-        sq = intersect(c.cls, c.cls)
-        if sq > -2 or sq.denominator != 1:
-            continue
-        if adjunction_genus(f, c) != 0:
-            continue
-        deg = intersect(kf, c.cls)
-        if deg not in (-1, 0):
-            continue
-        candidates.append((c, int(sq), deg))
+        if table.squares[i] + ks_pairings[i] != -2 * unit:
+            continue  # arithmetic genus (C^2 + K_S.C)/2 + 1 is not 0
+        candidates[i] = c.name
+        square[c.name] = sq
+        degree[c.name] = deg // unit
 
-    index = {c.name: k for k, (c, _, _) in enumerate(candidates)}
-    adjacency: Dict[str, List[str]] = {c.name: [] for c, _, _ in candidates}
+    adjacency: Dict[str, List[str]] = {name: [] for name in candidates.values()}
     names = list(adjacency)
     bad_components = set()
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            ci, cj = candidates[i][0], candidates[j][0]
-            meet = intersect(ci.cls, cj.cls)
-            if meet == 0:
+    for i, name in candidates.items():
+        for j, meet in table.meets[i].items():
+            other = candidates.get(j)
+            if other is None or j < i:
                 continue
-            if meet == 1:
-                adjacency[ci.name].append(cj.name)
-                adjacency[cj.name].append(ci.name)
+            if meet == unit:
+                adjacency[name].append(other)
+                adjacency[other].append(name)
             else:
-                bad_components.update((ci.name, cj.name))
+                bad_components.update((name, other))
 
     seen = set()
     chains: List[FChain] = []
@@ -191,9 +262,7 @@ def detect_chains_with_flags(f: FoliatedScenario) -> Tuple[List[FChain], List[st
         else:
             if len(ends) != 2:
                 continue  # cycle
-            heads = [
-                n for n in ends if candidates[index[n]][2] == -1
-            ]
+            heads = [n for n in ends if degree[n] == -1]
             if len(heads) == 2:
                 flagged.append(
                     "ambiguous orientation: both ends of "
@@ -209,110 +278,93 @@ def detect_chains_with_flags(f: FoliatedScenario) -> Tuple[List[FChain], List[st
                 nxt = [m for m in adjacency[here] if m != prev]
                 prev = here
                 ordered.append(nxt[0])
-        kf_values = [candidates[index[n]][2] for n in ordered]
+        kf_values = [degree[n] for n in ordered]
         if kf_values[0] != -1 or any(v != 0 for v in kf_values[1:]):
             continue
         chains.append(
             FChain(
                 curves=tuple(ordered),
-                self_intersections=tuple(-candidates[index[n]][1] for n in ordered),
+                self_intersections=tuple(-square[n] for n in ordered),
             )
         )
     chains.sort(key=lambda ch: ch.curves)
     return chains, flagged
 
 
-def _solve_negative_definite(
-    gram: List[List[Fraction]], rhs: List[Fraction]
-) -> List[Fraction]:
-    """Solve G x = rhs for a symmetric matrix certified negative definite.
+class _BorderedFactor:
+    """Fraction-free (Bareiss) elimination of a symmetric integer matrix that
+    grows by one bordered row and column at a time.
 
-    Elimination without pivoting; every pivot must be negative, which is
-    equivalent to the leading principal minors alternating in sign starting
-    with a negative 1x1 minor.
+    Row k is kept at level k, the Bareiss stage after k elimination steps:
+    its entries are minors, and its diagonal is the leading principal minor
+    of order k + 1.  A new row is eliminated against the existing pivot rows
+    and nothing already factored is redone; pivot row k receives the new
+    column by symmetry, since at level k the entry in row k, column r equals
+    the entry in row r, column k.  Rows are sparse.  An entry a step leaves
+    untouched is carried at the level it was written at and rescaled on
+    reading, from level t to level k by minors[k] / minors[t], which is exact
+    by Sylvester's identity.
     """
-    k = len(gram)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(gram)]
-    for col in range(k):
-        acol = a[col]
-        pivot = acol[col]
-        if pivot >= 0:
-            raise InconsistentScenario(
-                "support intersection matrix is not negative definite"
-            )
-        for row in range(col + 1, k):
-            arow = a[row]
-            head = arow[col]
-            if not head:
+
+    def __init__(self) -> None:
+        self.minors = [1]  # leading principal minors of order 0, 1, ...
+        self.upper: List[Dict[int, int]] = []  # row k at level k, columns > k
+        self.upper_rhs: List[int] = []  # right-hand side of row k at level k
+
+    def append(self, entries: Dict[int, int], rhs: int) -> None:
+        """Border the matrix with row r = current size: ``entries`` maps each
+        column <= r to its nonzero entry and must hold the diagonal r."""
+        minors, upper = self.minors, self.upper
+        r = len(upper)
+        row = {j: (v, 0) for j, v in entries.items()}  # column -> (value, level)
+        rhs_level = 0
+        pending = [j for j in row if j < r]
+        heapify(pending)
+        while pending:
+            k = heappop(pending)
+            v, t = row.pop(k)
+            h = v if t == k else v * minors[k] // minors[t]
+            if not h:
                 continue
-            factor = head / pivot
-            for c in range(col, k + 1):
-                v = acol[c]
-                if v:
-                    arow[c] -= factor * v
-    x = [Fraction(0)] * k
-    for row in range(k - 1, -1, -1):
-        arow = a[row]
-        acc = arow[k]
-        for c in range(row + 1, k):
-            v = arow[c]
-            if v and x[c]:
-                acc -= v * x[c]
-        x[row] = acc / arow[row]
-    return x
-
-
-def _solve_negative_definite_int(
-    gram: List[List[int]], rhs: List[int]
-) -> List[Fraction]:
-    """Fraction-free elimination for integer data.
-
-    The working pivots are the leading principal minors, so negative
-    definiteness is certified by their signs alternating starting negative;
-    all intermediate divisions are exact.
-    """
-    k = len(gram)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(gram)]
-    prev = 1
-    for col in range(k):
-        acol = a[col]
-        pivot = acol[col]
-        expected_negative = col % 2 == 0
-        if pivot == 0 or (pivot < 0) != expected_negative:
+            pivot_row = upper[k]
+            pivot_row[r] = h
+            dk, dk1 = minors[k], minors[k + 1]
+            for j, u in pivot_row.items():
+                if j in row:
+                    v, t = row[j]
+                    current = v if t == k else v * dk // minors[t]
+                else:
+                    current = 0
+                    if j < r:
+                        heappush(pending, j)  # fill-in
+                row[j] = ((dk1 * current - h * u) // dk, k + 1)
+            if rhs_level != k:
+                rhs = rhs * dk // minors[rhs_level]
+            rhs, rhs_level = (dk1 * rhs - h * self.upper_rhs[k]) // dk, k + 1
+        v, t = row.pop(r)
+        pivot = v if t == r else v * minors[r] // minors[t]
+        if pivot == 0 or (pivot < 0) != (r % 2 == 0):
             raise InconsistentScenario(
                 "support intersection matrix is not negative definite"
             )
-        for row in range(col + 1, k):
-            arow = a[row]
-            head = arow[col]
-            for c in range(col + 1, k + 1):
-                arow[c] = (arow[c] * pivot - head * acol[c]) // prev
-            arow[col] = 0
-        prev = pivot
-    x = [Fraction(0)] * k
-    for row in range(k - 1, -1, -1):
-        arow = a[row]
-        acc = Fraction(arow[k])
-        for c in range(row + 1, k):
-            v = arow[c]
-            if v and x[c]:
-                acc -= v * x[c]
-        x[row] = acc / arow[row]
-    return x
+        if rhs_level != r:
+            rhs = rhs * minors[r] // minors[rhs_level]
+        minors.append(pivot)
+        upper.append({})
+        self.upper_rhs.append(rhs)
 
-
-def _int_pairing(surface, u: List[int], v: List[int]) -> int:
-    if surface.base == "P2":
-        total = u[0] * v[0]
-    else:
-        total = u[0] * v[1] + u[1] * v[0] - surface.hirzebruch_e * u[0] * v[0]
-    for i in range(surface.base_rank, surface.rank):
-        ui = u[i]
-        if ui:
-            vi = v[i]
-            if vi:
-                total -= ui * vi
-    return total
+    def solve(self) -> List[int]:
+        """Integer numerators y of the solution x = y / det by back
+        substitution; every division is exact, y being Cramer's numerators."""
+        minors, upper, rhs = self.minors, self.upper, self.upper_rhs
+        det = minors[-1]
+        y = [0] * len(upper)
+        for k in range(len(upper) - 1, -1, -1):
+            acc = det * rhs[k]
+            for j, u in upper[k].items():
+                acc -= u * y[j]
+            y[k] = acc // minors[k + 1]
+        return y
 
 
 def decompose_against_curves(
@@ -323,77 +375,69 @@ def decompose_against_curves(
     Iteratively collects every curve the current candidate meets negatively,
     solves for the negative part supported there, and repeats until the
     remainder is non-negative against all declared curves.  Only declared
-    curves are visible; this is the documented trust boundary.  Integral
-    input (the usual case) is solved fraction-free over the integers.
+    curves are visible; this is the documented trust boundary.  Each
+    violating curve is bordered once onto a fraction-free factorization of
+    the support Gram matrix, and the violator test runs on the integer
+    numerators of the solution; Fractions are built only for the result.
     """
-    m = len(curves)
-    integral = d.is_integral and all(c.cls.is_integral for c in curves)
-    if integral:
-        rows = [[int(v) for v in c.cls.coefficients] for c in curves]
-        dl = [int(v) for v in d.coefficients]
-        gram = [[0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                v = _int_pairing(d.surface, rows[i], rows[j])
-                gram[i][j] = v
-                gram[j][i] = v
-        dvals = [_int_pairing(d.surface, dl, rows[i]) for i in range(m)]
-        solver = _solve_negative_definite_int
-    else:
-        gram = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                v = intersect(curves[i].cls, curves[j].cls)
-                gram[i][j] = v
-                gram[j][i] = v
-        dvals = [intersect(d, c.cls) for c in curves]
-        solver = _solve_negative_definite
-
+    table = _pairing_table(curves, [d])
+    (d_pairings,), squares, meets = table.against, table.squares, table.meets
+    factor = _BorderedFactor()
+    position: Dict[int, int] = {}  # curve index -> place in the support
     support: List[int] = []
-    coeffs: List[Fraction] = []
+    y: List[int] = []
+    # A curve meeting no support curve pairs with the candidate as with d,
+    # which the first round found non-negative; so after that round only the
+    # curves meeting the support are tested.
+    neighbours = set()
+    tested: Sequence[int] = range(len(curves))
     while True:
-        in_support = set(support)
+        det = factor.minors[-1]
+        sign = 1 if det > 0 else -1
         violators = []
-        for i in range(m):
-            if i in in_support:
-                continue
-            pairing = dvals[i]
-            for k in range(len(support)):
-                g = gram[support[k]][i]
-                if g and coeffs[k]:
-                    pairing -= coeffs[k] * g
-            if pairing < 0:
+        for i in tested:
+            pairing = det * d_pairings[i]
+            for j, g in meets[i].items():
+                k = position.get(j)
+                if k is not None:
+                    pairing -= y[k] * g
+            if pairing * sign < 0:
                 violators.append(i)
         if not violators:
             break
-        support.extend(violators)
-        sub = [[gram[i][j] for j in support] for i in support]
-        coeffs = solver(sub, [dvals[i] for i in support])
+        for i in violators:
+            entries = {position[j]: g for j, g in meets[i].items() if j in position}
+            entries[len(support)] = squares[i]
+            factor.append(entries, d_pairings[i])
+            position[i] = len(support)
+            support.append(i)
+            neighbours.update(meets[i])
+        neighbours.difference_update(position)
+        tested = sorted(neighbours)
+        y = factor.solve()
 
-    if any(c < 0 for c in coeffs):
+    if any(v * sign < 0 for v in y):
         raise InconsistentScenario(
             "negative part received a negative coefficient; the declared data "
             "does not describe a pseudo-effective decomposition"
         )
 
-    rank = d.surface.rank
-    accumulated = [Fraction(0)] * rank
+    nef = {idx: det * v for idx, v in table.class_rows[0].items()}
     parts: List[Tuple[str, Fraction]] = []
-    order = sorted(range(len(support)), key=lambda k: support[k])
-    for k in order:
-        if coeffs[k] == 0:
+    for k in sorted(range(len(support)), key=support.__getitem__):
+        if not y[k]:
             continue
         i = support[k]
-        parts.append((curves[i].name, coeffs[k]))
-        weight = coeffs[k]
-        for idx, v in enumerate(curves[i].cls.coefficients):
-            if v:
-                accumulated[idx] += weight * v
-    nef = DivisorClass(
-        d.surface,
-        tuple(a - b for a, b in zip(d.coefficients, accumulated)),
+        parts.append((curves[i].name, Fraction(y[k], det)))
+        for idx, v in table.rows[i].items():
+            nef[idx] = nef.get(idx, 0) - y[k] * v
+    coefficients = list(d.coefficients)
+    for idx, v in nef.items():
+        coefficients[idx] = Fraction(v, det * table.scale)
+    return ZariskiDecomposition(
+        nef_part=DivisorClass(d.surface, tuple(coefficients)),
+        negative_part=tuple(parts),
     )
-    return ZariskiDecomposition(nef_part=nef, negative_part=tuple(parts))
 
 
 def zariski_decompose(f: FoliatedScenario) -> ZariskiDecomposition:

@@ -198,3 +198,43 @@ def test_tangency_small_formula_check():
         metadata=ScenarioMetadata(True, True),
     )
     assert tangency(s, s.curve("C")) == 2  # K.C = 1, C^2 = 1
+
+
+def _minus_two_points_on_one_curve(count, blowups):
+    """``count`` singularities of eigenvalue -2 on one invariant curve of class
+    L - E1 - ... - E_blowups; each contributes -2 or -1/2 to Camacho-Sad."""
+    s = SurfaceModel.p2(blowups)
+    curve = CurveRecord("C", s.divisor([1] + [-1] * blowups), True)
+    sings = tuple(
+        SingularityRecord(
+            f"p{k}", NonDegenerate(EigenvalueClass.rational(-2)), incident_curves=("C",)
+        )
+        for k in range(count)
+    )
+    return FoliatedScenario(
+        name="minus-two-points",
+        surface=s,
+        k_foliation=s.divisor([0] * (1 + blowups)),
+        curves=(curve,),
+        singularities=sings,
+        metadata=ScenarioMetadata(True, True),
+    )
+
+
+def _camacho_sad(report):
+    return next(c for c in report.checks if c.name == "camacho-sad.C")
+
+
+def test_camacho_sad_budget_exhaustion_is_skipped_not_failed():
+    # C^2 = -9 and all 18 branches at -1/2 balance the curve, but the search
+    # runs out of its node budget before it reaches that assignment
+    check = _camacho_sad(validate(_minus_two_points_on_one_curve(18, 10)))
+    assert check.passed is None
+    assert check.detail == "skipped (search budget exhausted)"
+
+
+def test_camacho_sad_finished_search_without_solution_fails():
+    # C^2 = -3 is none of the sums -4, -5/2, -1 of two branches in {-2, -1/2}
+    check = _camacho_sad(validate(_minus_two_points_on_one_curve(2, 4)))
+    assert check.failed
+    assert check.detail == "no branch assignment balances the curve"

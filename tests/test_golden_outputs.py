@@ -91,6 +91,10 @@ FAILURE_CASES = {
     "genus_bound_mismatch": lambda: _changed(
         third_noether_double_cover(3), lambda d: d["expect"].update(genus_bound=4)
     ),
+    # decide raises on the volume bound; the fibration block must still run
+    "declared_p_g_5_with_fibration": lambda: _changed(
+        third_noether_double_cover(2), lambda d: d["metadata"].update(p_g=5)
+    ),
     # kodaira 2 declares general type
     "k_not_pseudo_effective": lambda: _changed(
         second_noether_ruled(4), lambda d: d["metadata"].update(k_pseudo_effective=False)

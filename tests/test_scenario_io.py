@@ -416,3 +416,27 @@ def test_unknown_key_in_any_object_names_that_object(doc, data):
         parse_document_dict(doc)
     assert err.value.path == f"{path}.zz_unknown"
     assert "zz_unknown" in err.value.reason
+
+
+def test_fibration_block_runs_after_a_surface_stage_raises():
+    doc = third_noether_double_cover(2)
+    doc["metadata"]["p_g"] = 5
+    report = run_pipeline(parse_document_dict(doc))
+    assert report.inconsistency == "vol = 4/5 violates the bound vol >= p_g - 2 = 3"
+    assert report.modular == (Fraction(4, 5), Fraction(4), Fraction(2, 5))
+    assert [c.name for c in report.fibration_checks] == [
+        "fibration.slope-inequality",
+        "fibration.crosscheck",
+    ]
+    assert all(c.passed for c in report.fibration_checks)
+
+
+def test_fibration_block_skips_the_chern_crosscheck_without_chern_numbers():
+    doc = third_noether_double_cover(2)
+    # a non-reduced point on no curve: validation passes, chern_numbers refuses
+    next(s for s in doc["singularities"] if s["id"] == "m1")["kind"] = {"eigenvalue": "2/3"}
+    report = run_pipeline(parse_document_dict(doc))
+    assert report.chern is None
+    assert report.inconsistency == "Chern numbers need a reduced foliation; not reduced: ['m1']"
+    assert report.modular == (Fraction(4, 5), Fraction(4), Fraction(2, 5))
+    assert [c.name for c in report.fibration_checks] == ["fibration.slope-inequality"]

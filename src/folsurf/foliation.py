@@ -5,23 +5,29 @@ named curves, singularities, and metadata.  The identities implemented here
 are all class-level: the tangency count of a non-invariant curve, the total
 Z-index of an invariant curve, the Camacho-Sad balance, and the global
 singularity count.  Per-point indices are never inferred from local
-equations; they are declared or derived by exact branch matching.
+equations; they are declared or derived by exact branch matching.  A
+scenario pairs its curves with each other and with K_F and K_S once, on
+first use (``FoliatedScenario.pairings``), and every curvewise identity
+reads that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import DomainError, InconsistentScenario
 from .local_invariants import SingularityRecord
 from .surface import (
     DivisorClass,
+    Pairings,
     SurfaceModel,
     canonical_class,
     chi_top,
     intersect,
+    pairing_table,
 )
 
 KODAIRA_VALUES = ("-inf", "0", "1", "2")
@@ -79,24 +85,50 @@ class FoliatedScenario:
         if len(set(ids)) != len(ids):
             raise DomainError("singularity ids must be unique")
 
-    def curve(self, name: str) -> CurveRecord:
-        for c in self.curves:
-            if c.name == name:
-                return c
-        raise DomainError(f"no curve named {name!r}")
-
-    def singularity(self, sing_id: str) -> SingularityRecord:
-        for s in self.singularities:
-            if s.id == sing_id:
-                return s
-        raise DomainError(f"no singularity with id {sing_id!r}")
-
-    def singularities_on(self, curve_name: str) -> Tuple[SingularityRecord, ...]:
-        return tuple(
-            s for s in self.singularities if curve_name in s.incident_curves
+    @cached_property
+    def pairings(self) -> Pairings:
+        """The curves paired with each other and with [K_F, K_S], built once."""
+        return pairing_table(
+            [c.cls for c in self.curves], [self.k_foliation, canonical_class(self.surface)]
         )
 
-    @property
+    @cached_property
+    def _positions(self) -> Dict[str, int]:
+        return {c.name: i for i, c in enumerate(self.curves)}
+
+    @cached_property
+    def _incidence(self) -> Dict[str, Tuple[SingularityRecord, ...]]:
+        on: Dict[str, List[SingularityRecord]] = {}
+        for s in self.singularities:
+            for name in dict.fromkeys(s.incident_curves):
+                on.setdefault(name, []).append(s)
+        return {name: tuple(sings) for name, sings in on.items()}
+
+    def curve(self, name: str) -> CurveRecord:
+        if name not in self._positions:
+            raise DomainError(f"no curve named {name!r}")
+        return self.curves[self._positions[name]]
+
+    def singularities_on(self, curve_name: str) -> Tuple[SingularityRecord, ...]:
+        return self._incidence.get(curve_name, ())
+
+    @cached_property
+    def _numbers(self) -> List[Tuple[Fraction, Fraction, Fraction]]:
+        t = self.pairings
+        unit = t.scale * t.scale
+        return [
+            (Fraction(sq, unit), Fraction(kf, unit), Fraction(ks, unit))
+            for sq, kf, ks in zip(t.squares, *t.against)
+        ]
+
+    def curve_numbers(self, c: CurveRecord) -> Tuple[Fraction, Fraction, Fraction]:
+        """C^2, K_F.C and K_S.C of a declared curve, from the pairing table."""
+        i = self._positions.get(c.name)
+        if i is None or self.curves[i] != c:
+            raise DomainError(f"{c.name} is not a curve of this scenario")
+        return self._numbers[i]
+
+    @cached_property
     def is_reduced(self) -> bool:
         return all(s.is_reduced for s in self.singularities)
 
@@ -141,7 +173,8 @@ def tangency(f: FoliatedScenario, c: CurveRecord) -> int:
     """tang = K_F.C + C^2 for a curve that is not invariant; always >= 0."""
     if c.f_invariant:
         raise DomainError(f"{c.name}: tangency is defined for non-invariant curves")
-    value = intersect(f.k_foliation, c.cls) + intersect(c.cls, c.cls)
+    square, kf, _ = f.curve_numbers(c)
+    value = kf + square
     if value.denominator != 1:
         raise InconsistentScenario(f"{c.name}: tangency count {value} is not an integer")
     if value < 0:
@@ -153,12 +186,8 @@ def z_total(f: FoliatedScenario, c: CurveRecord) -> Fraction:
     """Z = K_F.C + chi(C) with chi(C) = -K_S.C - C^2, for an invariant curve."""
     if not c.f_invariant:
         raise DomainError(f"{c.name}: total Z-index is defined for invariant curves")
-    ks = canonical_class(f.surface)
-    return (
-        intersect(f.k_foliation, c.cls)
-        - intersect(ks, c.cls)
-        - intersect(c.cls, c.cls)
-    )
+    square, kf, ks = f.curve_numbers(c)
+    return kf - ks - square
 
 
 def camacho_sad_check(
@@ -180,7 +209,7 @@ def camacho_sad_check(
             detail=f"assignment keys mismatch (missing {missing}, extra {extra})",
         )
     total = sum(cs_assignments.values(), Fraction(0))
-    square = intersect(c.cls, c.cls)
+    square = f.curve_numbers(c)[0]
     residual = total - square
     return CheckResult(
         name=f"camacho-sad.{c.name}",
@@ -236,13 +265,7 @@ def resolve_camacho_sad(
             eligible.append(c)
 
     eligible_names = {c.name for c in eligible}
-    variables: List[SingularityRecord] = []
-    seen = set()
-    for c in eligible:
-        for s in f.singularities_on(c.name):
-            if s.id not in seen:
-                seen.add(s.id)
-                variables.append(s)
+    variables = list({s.id: s for c in eligible for s in f.singularities_on(c.name)}.values())
 
     # choice per singularity: map from touched eligible curve -> index value
     def options(s: SingularityRecord) -> List[Dict[str, Fraction]]:
@@ -257,13 +280,9 @@ def resolve_camacho_sad(
             # incident to >2 declared invariant curves: outside the
             # transverse-crossing model, cannot be resolved here
             return []
-        unique = []
-        for o in opts:
-            if o not in unique:
-                unique.append(o)
-        return unique
+        return opts if opts[0] != opts[1] else opts[:1]
 
-    squares = {c.name: intersect(c.cls, c.cls) for c in eligible}
+    squares = {c.name: f.curve_numbers(c)[0] for c in eligible}
     remaining = {
         c.name: {s.id for s in f.singularities_on(c.name)} for c in eligible
     }
@@ -322,23 +341,15 @@ def resolve_camacho_sad(
 
 
 def adjunction_genus(f: FoliatedScenario, c: CurveRecord) -> Fraction:
-    ks = canonical_class(f.surface)
-    return (intersect(c.cls, c.cls) + intersect(ks, c.cls)) / 2 + 1
+    square, _, ks = f.curve_numbers(c)
+    return (square + ks) / 2 + 1
 
 
 def validate(f: FoliatedScenario) -> ValidationReport:
     """Run every structural and arithmetic consistency check on a scenario."""
     checks: List[CheckResult] = []
 
-    curve_names = {c.name for c in f.curves}
-    dangling = sorted(
-        {
-            name
-            for s in f.singularities
-            for name in s.incident_curves
-            if name not in curve_names
-        }
-    )
+    dangling = sorted(set(f._incidence) - set(f._positions))
     checks.append(
         CheckResult(
             "structure.singularity-references",

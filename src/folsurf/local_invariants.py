@@ -58,10 +58,6 @@ class EigenvalueClass:
         return cls(None)
 
     @property
-    def is_rational(self) -> bool:
-        return self.value is not None
-
-    @property
     def is_positive_rational(self) -> bool:
         return self.value is not None and self.value > 0
 

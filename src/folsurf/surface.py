@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from functools import cached_property
+from math import lcm
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ShapeError
 from .local_invariants import as_rational
@@ -57,16 +59,23 @@ class SurfaceModel:
         base = ("L",) if self.base == P2 else ("C0", "F")
         return base + tuple(f"E{k + 1}" for k in range(self.blowups))
 
+    @cached_property
+    def base_partners(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """The base Gram block, the only place it is written: per base class,
+        its nonzero pairings as (index, value).  L^2 = 1 on P2; C0^2 = -e,
+        C0.F = 1 and F^2 = 0 on Hirzebruch(e).  Exceptional classes meet only
+        themselves, with -1; ``gram``, ``intersect`` and ``pairing_table``
+        read this block."""
+        if self.base == P2:
+            return (((0, 1),),)
+        e = self.hirzebruch_e
+        return (((0, -e), (1, 1)) if e else ((1, 1),), ((0, 1),))
+
     def gram(self, i: int, j: int) -> int:
         """Intersection number of the i-th and j-th basis classes."""
-        br = self.base_rank
-        if i >= br or j >= br:
-            return -1 if i == j else 0
-        if self.base == P2:
-            return 1
-        if i == j:
-            return -self.hirzebruch_e if i == 0 else 0
-        return 1
+        if i < self.base_rank:
+            return dict(self.base_partners[i]).get(j, 0)
+        return -1 if i == j else 0
 
     def divisor(self, coefficients: Iterable[Union[Fraction, int]]) -> "DivisorClass":
         return DivisorClass(self, tuple(as_rational(c) for c in coefficients))
@@ -75,9 +84,6 @@ class SurfaceModel:
         coeffs = [Fraction(0)] * self.rank
         coeffs[index] = Fraction(1)
         return DivisorClass(self, tuple(coeffs))
-
-    def zero_divisor(self) -> "DivisorClass":
-        return DivisorClass(self, (Fraction(0),) * self.rank)
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ class DivisorClass:
         object.__setattr__(self, "coefficients", coeffs)
 
     def _require_same_surface(self, other: "DivisorClass") -> None:
-        if self.surface != other.surface:
+        if self.surface is not other.surface and self.surface != other.surface:
             raise ShapeError("divisor classes live on different surfaces")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -112,9 +118,6 @@ class DivisorClass:
             self.surface,
             tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
         )
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(-a for a in self.coefficients))
 
     def scale(self, factor: Union[Fraction, int]) -> "DivisorClass":
         f = as_rational(factor)
@@ -149,23 +152,17 @@ _ZERO = Fraction(0)
 def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
     """Exact bilinear symmetric pairing under the basis Gram matrix.
 
-    Zero coefficients are skipped; chain scenarios produce very sparse
-    classes and the pairing sits in the solver's inner loop.
+    Zero coefficients are skipped; chain scenarios produce very sparse classes.
     """
     a._require_same_surface(b)
     s = a.surface
     ac, bc = a.coefficients, b.coefficients
     total = _ZERO
-    if s.base == P2:
-        if ac[0] and bc[0]:
-            total = ac[0] * bc[0]
-    else:
-        if ac[0] and bc[1]:
-            total = total + ac[0] * bc[1]
-        if ac[1] and bc[0]:
-            total = total + ac[1] * bc[0]
-        if s.hirzebruch_e and ac[0] and bc[0]:
-            total = total - s.hirzebruch_e * ac[0] * bc[0]
+    for i, partners in enumerate(s.base_partners):
+        if ac[i]:
+            for j, g in partners:
+                if bc[j]:
+                    total = total + g * (ac[i] * bc[j])
     for i in range(s.base_rank, s.rank):
         ai = ac[i]
         if ai:
@@ -173,6 +170,66 @@ def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
             if bi:
                 total = total - ai * bi
     return total
+
+
+class Pairings(NamedTuple):
+    """Every pairing of some curve classes with each other and with a few
+    extra classes, from one pass over shared basis indices.
+
+    All classes are multiplied by the LCM of their denominators, so the
+    entries are integers; the solution of G x = D.C does not change under
+    that common scale.
+    """
+
+    scale: int  # the common denominator; entries are scale**2 times the pairing
+    rows: List[Dict[int, int]]  # scaled curve classes, {basis index: int}
+    class_rows: List[Dict[int, int]]  # the scaled extra classes
+    against: List[List[int]]  # against[c][i] = (extra class c).C_i
+    squares: List[int]  # C_i^2
+    meets: List[Dict[int, int]]  # the nonzero C_i.C_j for j != i
+
+
+def pairing_table(curves: Sequence[DivisorClass], classes: Sequence[DivisorClass]) -> Pairings:
+    """Pair the curve classes with each other and with ``classes`` through
+    the basis indices they share, reading ``SurfaceModel.base_partners``.
+
+    Every class must live on the surface of ``classes[0]``.
+    """
+    s = classes[0].surface
+    everything = (*curves, *classes)
+    for d in everything:
+        d._require_same_surface(classes[0])
+    sparse = [{i: v for i, v in enumerate(d.coefficients) if v} for d in everything]
+    scale = lcm(*{v.denominator for row in sparse for v in row.values()})
+    scaled = [
+        {i: v.numerator * (scale // v.denominator) for i, v in row.items()}
+        for row in sparse
+    ]
+    rows, class_rows = scaled[: len(curves)], scaled[len(curves) :]
+    holders: Dict[int, List[Tuple[int, int]]] = {}
+    for j, row in enumerate(rows):
+        for a, v in row.items():
+            holders.setdefault(a, []).append((j, v))
+    br, base = s.base_rank, s.base_partners
+
+    def pair_with_curves(u: Dict[int, int]) -> Dict[int, int]:
+        acc: Dict[int, int] = {}
+        for a, x in u.items():
+            for b, g in base[a] if a < br else ((a, -1),):
+                for j, v in holders.get(b, ()):
+                    acc[j] = acc.get(j, 0) + g * x * v
+        return acc
+
+    against = [
+        [acc.get(j, 0) for j in range(len(rows))] for acc in map(pair_with_curves, class_rows)
+    ]
+    squares: List[int] = []
+    meets: List[Dict[int, int]] = []
+    for i, row in enumerate(rows):
+        acc = pair_with_curves(row)
+        squares.append(acc.pop(i, 0))
+        meets.append({j: v for j, v in acc.items() if v})
+    return Pairings(scale, rows, class_rows, against, squares, meets)
 
 
 def canonical_class(s: SurfaceModel) -> DivisorClass:
@@ -208,11 +265,12 @@ def h0_line_bundle(s: SurfaceModel, d: DivisorClass) -> Optional[int]:
         raise DomainError("h0 requires integer coefficients")
     if s.blowups:
         return None
-    if s.base == P2:
-        a = int(d.coefficients[0])
-        return (a + 1) * (a + 2) // 2 if a >= 0 else 0
     a = int(d.coefficients[0])
-    b = int(d.coefficients[1])
-    if a < 0:
+    if s.base == P2:
+        return (a + 1) * (a + 2) // 2 if a >= 0 else 0
+    b, e = int(d.coefficients[1]), s.hirzebruch_e
+    if a < 0 or b < 0:
         return 0
-    return sum(max(0, b - k * s.hirzebruch_e + 1) for k in range(a + 1))
+    # sum over k = 0..top of (b - k e + 1), the terms with k > top being <= 0
+    top = a if e == 0 else min(a, b // e)
+    return (top + 1) * (b + 1) - e * top * (top + 1) // 2

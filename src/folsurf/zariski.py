@@ -4,12 +4,13 @@ decomposition of the canonical class of a foliation.
 The closed-form coefficient recursion for a Hirzebruch-Jung chain and the
 general iterative decomposition are kept as two independent routes; tests
 pin them against each other.  All linear algebra is exact and runs over
-Python integers: the classes are scaled by one common denominator and paired
-sparsely through shared basis indices, and the support Gram matrix grows by
-one bordered row per violating curve under fraction-free (Bareiss)
+Python integers: the pairings come from ``surface.pairing_table``, which
+scales the classes by one common denominator, and the support Gram matrix
+grows by one bordered row per violating curve under fraction-free (Bareiss)
 elimination.  Its pivots are the leading principal minors, so negative
 definiteness is certified by their signs alternating starting negative.
-Chain detection reads its pairings from the same kind of table.
+The decomposition pairs the curves against the decomposed class only; chain
+detection reads the scenario's own table (``FoliatedScenario.pairings``).
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, InconsistentScenario
 from .foliation import CheckResult, CurveRecord, FoliatedScenario
 from .local_invariants import EigenvalueClass
-from .surface import DivisorClass, canonical_class, intersect
+from .surface import DivisorClass, intersect, pairing_table
 
 
 @dataclass(frozen=True)
@@ -121,71 +121,6 @@ def coefficient_bounds_check(chain: FChain) -> CheckResult:
     )
 
 
-class _Pairings(NamedTuple):
-    """Every pairing one call needs, from one pass over shared basis indices.
-
-    All classes are multiplied by the LCM of their denominators, so the
-    entries are integers; the solution of G x = D.C does not change under
-    that common scale.
-    """
-
-    scale: int  # the common denominator; entries are scale**2 times the pairing
-    rows: List[Dict[int, int]]  # scaled curve classes, {basis index: int}
-    class_rows: List[Dict[int, int]]  # the scaled extra classes
-    against: List[List[int]]  # against[c][i] = (extra class c).C_i
-    squares: List[int]  # C_i^2
-    meets: List[Dict[int, int]]  # the nonzero C_i.C_j for j != i
-
-
-def _pairing_table(
-    curves: Sequence[CurveRecord], classes: Sequence[DivisorClass]
-) -> _Pairings:
-    """Pair the curves with each other and with ``classes`` through the basis
-    indices they share.
-
-    Exceptional classes are orthogonal to everything but themselves; the
-    base block pairs as in ``SurfaceModel.gram``.
-    """
-    s = classes[0].surface
-    dense = [c.cls.coefficients for c in curves] + [d.coefficients for d in classes]
-    sparse = [{i: v for i, v in enumerate(coeffs) if v} for coeffs in dense]
-    scale = lcm(*{v.denominator for row in sparse for v in row.values()})
-    scaled = [
-        {i: v.numerator * (scale // v.denominator) for i, v in row.items()}
-        for row in sparse
-    ]
-    rows, class_rows = scaled[: len(curves)], scaled[len(curves) :]
-    holders: Dict[int, List[Tuple[int, int]]] = {}
-    for j, row in enumerate(rows):
-        for a, v in row.items():
-            holders.setdefault(a, []).append((j, v))
-    br = s.base_rank
-    base_partners = [
-        [(b, s.gram(a, b)) for b in range(br) if s.gram(a, b)] for a in range(br)
-    ]
-
-    def pair_with_curves(u: Dict[int, int]) -> Dict[int, int]:
-        acc: Dict[int, int] = {}
-        for a, x in u.items():
-            partners = base_partners[a] if a < br else ((a, -1),)
-            for b, g in partners:
-                for j, v in holders.get(b, ()):
-                    acc[j] = acc.get(j, 0) + g * x * v
-        return acc
-
-    against = []
-    for u in class_rows:
-        acc = pair_with_curves(u)
-        against.append([acc.get(j, 0) for j in range(len(rows))])
-    squares: List[int] = []
-    meets: List[Dict[int, int]] = []
-    for i, row in enumerate(rows):
-        acc = pair_with_curves(row)
-        squares.append(acc.pop(i, 0))
-        meets.append({j: v for j, v in acc.items() if v})
-    return _Pairings(scale, rows, class_rows, against, squares, meets)
-
-
 def detect_chains_with_flags(f: FoliatedScenario) -> Tuple[List[FChain], List[str]]:
     """All maximal strings of declared invariant rational curves matching the
     chain pattern, and the flags of ambiguous components.
@@ -198,19 +133,18 @@ def detect_chains_with_flags(f: FoliatedScenario) -> Tuple[List[FChain], List[st
     satisfy the head condition has no unambiguous orientation and violates the
     interior-degree pattern; such components are flagged by name instead of
     guessed at.  C^2, K_F.C, K_S.C (for the adjunction genus) and C.C' are
-    read from one pairing table.
+    read from the scenario's pairing table.
     """
-    invariant = [c for c in f.curves if c.f_invariant]
-    table = _pairing_table(invariant, [f.k_foliation, canonical_class(f.surface)])
+    table = f.pairings
     unit = table.scale * table.scale
     kf_pairings, ks_pairings = table.against
     square: Dict[str, int] = {}
     degree: Dict[str, int] = {}
     candidates: Dict[int, str] = {}
-    for i, c in enumerate(invariant):
+    for i, c in enumerate(f.curves):
         sq, rest = divmod(table.squares[i], unit)
         deg = kf_pairings[i]
-        if rest or sq > -2 or deg not in (-unit, 0):
+        if not c.f_invariant or rest or sq > -2 or deg not in (-unit, 0):
             continue
         if table.squares[i] + ks_pairings[i] != -2 * unit:
             continue  # arithmetic genus (C^2 + K_S.C)/2 + 1 is not 0
@@ -380,7 +314,7 @@ def decompose_against_curves(
     the support Gram matrix, and the violator test runs on the integer
     numerators of the solution; Fractions are built only for the result.
     """
-    table = _pairing_table(curves, [d])
+    table = pairing_table([c.cls for c in curves], [d])
     (d_pairings,), squares, meets = table.against, table.squares, table.meets
     factor = _BorderedFactor()
     position: Dict[int, int] = {}  # curve index -> place in the support

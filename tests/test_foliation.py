@@ -238,3 +238,53 @@ def test_camacho_sad_finished_search_without_solution_fails():
     check = _camacho_sad(validate(_minus_two_points_on_one_curve(2, 4)))
     assert check.failed
     assert check.detail == "no branch assignment balances the curve"
+
+
+def test_scenario_builds_its_pairings_and_incidence_once():
+    p2 = SurfaceModel.p2(1)
+    point = SingularityRecord(
+        "p", NonDegenerate(EigenvalueClass.rational(-1)), incident_curves=("C", "C", "D")
+    )
+    s = FoliatedScenario(
+        name="cached",
+        surface=p2,
+        k_foliation=p2.divisor([1, 0]),
+        curves=(
+            CurveRecord("C", p2.divisor([1, -1]), True),
+            CurveRecord("D", p2.divisor([0, 1]), True),
+        ),
+        singularities=(point,),
+        metadata=ScenarioMetadata(True, True),
+    )
+    assert s.pairings is s.pairings
+    assert s.singularities_on("C") == (point,)  # a repeated incidence counts once
+    assert s.singularities_on("D") == (point,)
+    assert s.singularities_on("E") == ()
+    assert s.curve_numbers(s.curve("C")) == (0, 1, -2)  # C^2, K_F.C, K_S.C
+    with pytest.raises(DomainError):
+        s.curve("E")
+    with pytest.raises(DomainError):
+        s.curve_numbers(CurveRecord("C", p2.divisor([1, 0]), True))  # not the declared C
+
+
+def test_validation_pairs_the_curves_through_one_table(monkeypatch):
+    import folsurf.foliation as foliation
+
+    calls = {"intersect": 0, "canonical_class": 0, "pairing_table": 0}
+
+    def counting(name):
+        original = getattr(foliation, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(foliation, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    s = scenario_from(third_noether_double_cover(16))
+    assert len(s.curves) == 69
+    assert validate(s).passed
+    # one table for all 69 curves; the singularity count pairs N_F with K_F once
+    assert calls == {"intersect": 1, "canonical_class": 2, "pairing_table": 1}

@@ -440,3 +440,27 @@ def test_fibration_block_skips_the_chern_crosscheck_without_chern_numbers():
     assert report.inconsistency == "Chern numbers need a reduced foliation; not reduced: ['m1']"
     assert report.modular == (Fraction(4, 5), Fraction(4), Fraction(2, 5))
     assert [c.name for c in report.fibration_checks] == ["fibration.slope-inequality"]
+
+
+def test_huge_hirzebruch_section_count_finishes_in_bounded_time():
+    # K_F = a(C0 + F) on F_0 with one saddle node carrying the whole count
+    # c2(S) + N.K = 2a^2 + 4a + 4; h0 once looped a + 1 times here
+    a = 10**12
+    text = json.dumps(
+        {
+            "name": "huge-sections",
+            "surface": {"base": {"hirzebruch": 0}},
+            "k_foliation": [str(a), str(a)],
+            "singularities": [{"id": "p", "kind": {"saddle_node": 2 * a * a + 4 * a + 4}}],
+            "metadata": {
+                "k_pseudo_effective": True,
+                "relatively_minimal": True,
+                "algebraically_integral": "unknown",
+            },
+        }
+    )
+    start = time.perf_counter()
+    report = run_pipeline(parse_scenario(text))
+    assert time.perf_counter() - start < 1.0
+    assert report.inconsistency is None
+    assert report.p_g == (a + 1) ** 2

@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 from folsurf.errors import DomainError, ShapeError
+from folsurf.fixtures import bundled_documents
+from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata
+from folsurf.scenario_io import parse_document_dict
 from folsurf.surface import (
     SurfaceModel,
     canonical_class,
@@ -11,6 +14,7 @@ from folsurf.surface import (
     chi_top,
     h0_line_bundle,
     intersect,
+    pairing_table,
 )
 
 
@@ -164,3 +168,121 @@ def test_h0_unavailable_and_errors():
     p2 = SurfaceModel.p2()
     with pytest.raises(DomainError):
         h0_line_bundle(p2, p2.divisor([Fraction(1, 2)]))
+
+
+def test_h0_hirzebruch_closed_form_matches_the_section_sum():
+    # the sum over k = 0..a of max(0, b - k e + 1), which h0 used to loop over
+    for e in range(0, 8):
+        he = SurfaceModel.hirzebruch(e)
+        for a in range(-3, 30):
+            for b in range(-40, 40):
+                want = sum(max(0, b - k * e + 1) for k in range(a + 1)) if a >= 0 else 0
+                assert h0_line_bundle(he, he.divisor([a, b])) == want, (e, a, b)
+
+
+def test_pairing_table_refuses_classes_on_different_surfaces():
+    p2 = SurfaceModel.p2(2).divisor([1, 1, 0])
+    f1 = SurfaceModel.hirzebruch(1, 1).divisor([0, 0, 1])
+    for curves, classes in (([f1], [p2]), ([p2], [p2, f1]), ([], [p2, f1])):
+        with pytest.raises(ShapeError, match="divisor classes live on different surfaces"):
+            pairing_table(curves, classes)
+
+
+# An independent Gram oracle: the matrix written from scratch, diag(1, -1, ...)
+# on P2 and [[-e, 1], [1, 0]] + (-I) on F_e, with the canonical class
+# -3L + sum E_i or -2C0 - (e+2)F + sum E_i.  ``intersect`` and the pairing
+# table share ``SurfaceModel.base_partners``, so neither can check the other.
+
+
+def _oracle_gram(surface):
+    n = surface.rank
+    gram = [[0] * n for _ in range(n)]
+    if surface.base == "P2":
+        gram[0][0], first_exceptional = 1, 1
+    else:
+        gram[0][0], gram[0][1], gram[1][0] = -surface.hirzebruch_e, 1, 1
+        first_exceptional = 2
+    for k in range(first_exceptional, n):
+        gram[k][k] = -1
+    return gram
+
+
+def _oracle_canonical(surface):
+    if surface.base == "P2":
+        base = [-3]
+    else:
+        base = [-2, -(surface.hirzebruch_e + 2)]
+    return [Fraction(c) for c in base + [1] * (surface.rank - len(base))]
+
+
+def _oracle_pair(gram, a, b):
+    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+    return sum(
+        (x * gram[i][j] * y for i, x in enumerate(a) if x for j, y in nonzero_b), Fraction(0)
+    )
+
+
+def _assert_pairings_match_oracle(s):
+    gram = _oracle_gram(s.surface)
+    ks = _oracle_canonical(s.surface)
+    kf = s.k_foliation.coefficients
+    table = s.pairings
+    unit = table.scale * table.scale
+    for i, c in enumerate(s.curves):
+        ci = c.cls.coefficients
+        numbers = tuple(_oracle_pair(gram, x, ci) for x in (ci, kf, ks))
+        assert (
+            Fraction(table.squares[i], unit),
+            Fraction(table.against[0][i], unit),
+            Fraction(table.against[1][i], unit),
+        ) == numbers, (s.name, c.name)
+        assert s.curve_numbers(c) == numbers
+        assert intersect(c.cls, c.cls) == numbers[0]
+        assert intersect(s.k_foliation, c.cls) == numbers[1]
+        assert i not in table.meets[i] and all(table.meets[i].values())
+        for j, other in enumerate(s.curves):
+            if j != i:
+                want = _oracle_pair(gram, ci, other.cls.coefficients)
+                assert Fraction(table.meets[i].get(j, 0), unit) == want, (s.name, i, j)
+                assert intersect(c.cls, other.cls) == want
+    assert intersect(s.k_foliation, s.k_foliation) == _oracle_pair(gram, kf, kf)
+
+
+def test_pairings_of_every_bundled_scenario_match_the_gram_oracle():
+    scenarios = [parse_document_dict(doc).scenario for doc in bundled_documents().values()]
+    scenarios = [s for s in scenarios if s is not None]
+    assert len(scenarios) == 13
+    for s in scenarios:
+        _assert_pairings_match_oracle(s)
+
+
+def test_pairings_of_random_rational_scenarios_match_the_gram_oracle():
+    rng = random.Random(11)
+
+    def rational_class(surface):
+        coeffs = [
+            Fraction(rng.randint(-4, 4), rng.randint(1, 5)) if rng.random() < 0.6 else 0
+            for _ in range(surface.rank)
+        ]
+        return surface.divisor(coeffs)
+
+    for trial in range(120):
+        blowups = rng.randint(0, 6)
+        if trial % 2:
+            surface = SurfaceModel.p2(blowups)
+        else:
+            surface = SurfaceModel.hirzebruch(rng.randint(0, 5), blowups)
+        curves = tuple(
+            CurveRecord(f"C{k}", rational_class(surface), rng.random() < 0.5)
+            for k in range(rng.randint(1, 6))
+        )
+        _assert_pairings_match_oracle(
+            FoliatedScenario(
+                name=f"random-{trial}",
+                surface=surface,
+                k_foliation=rational_class(surface),
+                curves=curves,
+                singularities=(),
+                metadata=ScenarioMetadata(True, True),
+            )
+        )

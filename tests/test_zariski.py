@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from folsurf.errors import DomainError, InconsistentScenario
+from folsurf.errors import DomainError, InconsistentScenario, ShapeError
 from folsurf.fixtures import (
     bundled_documents,
     first_noether_ruled,
@@ -205,6 +205,13 @@ def test_solver_rejects_non_negative_definite_support():
     d = surface.divisor([-1, 0])  # meets B negatively
     with pytest.raises(InconsistentScenario):
         decompose_against_curves(d, [bad])
+
+
+def test_decomposition_refuses_curves_on_another_surface():
+    d = SurfaceModel.p2(2).divisor([1, 1, 0])
+    curve = CurveRecord("C", SurfaceModel.hirzebruch(1, 1).divisor([0, 0, 1]), True)
+    with pytest.raises(ShapeError, match="divisor classes live on different surfaces"):
+        decompose_against_curves(d, [curve])
 
 
 def test_xi_decreasing_and_mu_coprime():

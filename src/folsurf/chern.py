@@ -22,7 +22,7 @@ from math import floor
 from typing import List, Optional, Tuple
 
 from .errors import DomainError, InconsistentScenario
-from .foliation import FoliatedScenario, normal_class
+from .foliation import FoliatedScenario
 from .local_invariants import beta_p, chi_p
 from .surface import chi_structure, intersect
 from .zariski import ZariskiDecomposition, zariski_decompose
@@ -105,7 +105,7 @@ def chern_numbers(
     if all(v is not None for v in locals_):
         direct = (
             Fraction(chi_structure(f.surface))
-            + intersect(f.k_foliation, normal_class(f)) / 4
+            + f.kf_dot_nf / 4
             + sum(locals_, Fraction(0))
         )
         if direct != chi:

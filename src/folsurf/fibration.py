@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Tuple
 
@@ -102,30 +103,36 @@ class FibrationModel:
                 f"sum of fiber Euler numbers {total} != e_f = {self.e_f}"
             )
 
+    @cached_property
+    def modular(self) -> Tuple[Fraction, Fraction, Fraction]:
+        """(kappa, delta, chi), see :func:`modular_invariants`."""
+        kappa = self.k_f_sq
+        delta = self.e_f
+        chi = self.chi_f
+        for fm in self.singular_fibers:
+            c1, c2, ch = fiber_local_chern(fm)
+            kappa -= c1
+            delta -= c2
+            chi -= ch
+        if kappa < 0 or delta < 0 or chi < 0:
+            raise InconsistentScenario(
+                f"modular invariants must be non-negative, got ({kappa}, {delta}, {chi})"
+            )
+        if kappa + delta != 12 * chi:
+            raise InconsistentScenario(
+                f"kappa + delta = {kappa + delta} != 12 chi = {12 * chi}"
+            )
+        return kappa, delta, chi
+
 
 def modular_invariants(fb: FibrationModel) -> Tuple[Fraction, Fraction, Fraction]:
-    """(kappa, delta, chi): the global numbers minus all local corrections.
+    """(kappa, delta, chi): the global numbers minus all local corrections,
+    computed once per fibration (``FibrationModel.modular``).
 
     The result must satisfy kappa + delta = 12 chi and be non-negative;
     violations mean the declared data is inconsistent.
     """
-    kappa = fb.k_f_sq
-    delta = fb.e_f
-    chi = fb.chi_f
-    for fm in fb.singular_fibers:
-        c1, c2, ch = fiber_local_chern(fm)
-        kappa -= c1
-        delta -= c2
-        chi -= ch
-    if kappa < 0 or delta < 0 or chi < 0:
-        raise InconsistentScenario(
-            f"modular invariants must be non-negative, got ({kappa}, {delta}, {chi})"
-        )
-    if kappa + delta != 12 * chi:
-        raise InconsistentScenario(
-            f"kappa + delta = {kappa + delta} != 12 chi = {12 * chi}"
-        )
-    return kappa, delta, chi
+    return fb.modular
 
 
 def crosscheck_with_chern(fb: FibrationModel, c: ChernNumbers) -> CheckResult:

@@ -8,7 +8,7 @@ singularity count.  Per-point indices are never inferred from local
 equations; they are declared or derived by exact branch matching.  A
 scenario pairs its curves with each other and with K_F and K_S once, on
 first use (``FoliatedScenario.pairings``), and every curvewise identity
-reads that table.
+reads that table; K_F.N_F is paired once too (``kf_dot_nf``).
 """
 
 from __future__ import annotations
@@ -91,6 +91,12 @@ class FoliatedScenario:
         return pairing_table(
             [c.cls for c in self.curves], [self.k_foliation, canonical_class(self.surface)]
         )
+
+    @cached_property
+    def kf_dot_nf(self) -> Fraction:
+        """K_F.N_F, paired once; the singularity count and the direct chi
+        formula read it."""
+        return intersect(normal_class(self), self.k_foliation)
 
     @cached_property
     def _positions(self) -> Dict[str, int]:
@@ -222,7 +228,7 @@ def camacho_sad_check(
 def singularity_count_check(f: FoliatedScenario) -> CheckResult:
     """Pass iff sum of multiplicities equals c2(S) + N_F.K_F exactly."""
     declared = sum(s.multiplicity for s in f.singularities)
-    expected = chi_top(f.surface) + intersect(normal_class(f), f.k_foliation)
+    expected = chi_top(f.surface) + f.kf_dot_nf
     residual = Fraction(declared) - expected
     return CheckResult(
         name="count.singularities",
@@ -255,11 +261,16 @@ def resolve_camacho_sad(
     eligible curves are "skipped (search budget exhausted)".
     """
     invariant = [c for c in f.curves if c.f_invariant]
+    # each singularity's {lam, 1/lam} pair, once however many curves it is on
+    branches: Dict[str, Optional[Tuple[Fraction, Fraction]]] = {}
     status: Dict[str, str] = {}
     eligible: List[CurveRecord] = []
     for c in invariant:
         sings = f.singularities_on(c.name)
-        if any(_cs_branches(s) is None for s in sings):
+        for s in sings:
+            if s.id not in branches:
+                branches[s.id] = _cs_branches(s)
+        if any(branches[s.id] is None for s in sings):
             status[c.name] = "skipped (non-rational or saddle-node index present)"
         else:
             eligible.append(c)
@@ -269,7 +280,7 @@ def resolve_camacho_sad(
 
     # choice per singularity: map from touched eligible curve -> index value
     def options(s: SingularityRecord) -> List[Dict[str, Fraction]]:
-        lam, inv = _cs_branches(s)
+        lam, inv = branches[s.id]
         curves_here = [n for n in s.incident_curves if n in eligible_names]
         if len(curves_here) == 1:
             opts = [{curves_here[0]: lam}, {curves_here[0]: inv}]
@@ -282,6 +293,8 @@ def resolve_camacho_sad(
             return []
         return opts if opts[0] != opts[1] else opts[:1]
 
+    # built once, before the search; every node reads its variable's list
+    choices = [options(s) for s in variables]
     squares = {c.name: f.curve_numbers(c)[0] for c in eligible}
     remaining = {
         c.name: {s.id for s in f.singularities_on(c.name)} for c in eligible
@@ -289,8 +302,7 @@ def resolve_camacho_sad(
     sums: Dict[str, Fraction] = {c.name: Fraction(0) for c in eligible}
     assignment: Dict[str, Dict[str, Fraction]] = {c.name: {} for c in eligible}
 
-    overloaded = [s for s in variables if not options(s)]
-    if overloaded:
+    if not all(choices):
         for c in eligible:
             status[c.name] = "fail"
         return {}, status
@@ -307,7 +319,7 @@ def resolve_camacho_sad(
         if idx == len(variables):
             return True
         s = variables[idx]
-        for opt in options(s):
+        for opt in choices[idx]:
             ok = True
             touched = []
             for curve_name, value in opt.items():

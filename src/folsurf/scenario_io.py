@@ -46,7 +46,8 @@ from .local_invariants import (
     SaddleNode,
     SingularityRecord,
 )
-from .surface import P2, DivisorClass, SurfaceModel, h0_line_bundle, intersect
+from .surface import P2, DivisorClass, SurfaceModel, h0_line_bundle
+from .surface import intersect  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .zariski import (
     FChain,
     ZariskiDecomposition,
@@ -73,12 +74,18 @@ class _Reject(Exception):
 
 
 def _rational(text: Any) -> Fraction:
+    """A JSON integer, or a string of an optional "-", ASCII digits, and
+    optionally "/" and ASCII digits; ``int`` alone would also take signs,
+    spaces, underscores and non-ASCII digits."""
     if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
         raise _Reject(f"expected a rational string, got {text!r}")
     num, slash, den = text.partition("/")
-    try:
+    digits = num[1:] if num[:1] == "-" else num
+    if not (text.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
+        raise _Reject(f"malformed rational {text!r}")
+    try:  # int() also refuses more digits than sys.get_int_max_str_digits()
         num, den = int(num), int(den) if slash else 1
     except ValueError:
         raise _Reject(f"malformed rational {text!r}") from None
@@ -161,13 +168,28 @@ def record(spec: "Record") -> Codec:
 RATIONAL = Codec(_rational, fmt_rational)
 BOOL = _typed(bool, "a boolean")
 STRING = _typed(str, "a string")
-# A divisor class decodes to its coefficient tuple: only the enclosing
-# document knows the surface, whose rank the scenario builder checks.
-_COEFFICIENTS = list_of(RATIONAL)
-CLASS = Codec(
-    lambda raw: tuple(_COEFFICIENTS.decode(raw)),
-    lambda cls: _COEFFICIENTS.encode(cls.coefficients),
-)
+
+
+def _decode_class(raw: Any) -> Tuple[int, Tuple[Tuple[int, Fraction], ...]]:
+    """A dense class list decodes to its length and its nonzero (index,
+    coefficient) pairs: only the enclosing document knows the surface, whose
+    rank the scenario builder checks.  A "0" entry builds no Fraction."""
+    if not isinstance(raw, list):
+        raise _Reject("expected a list")
+    terms = []
+    for i, text in enumerate(raw):
+        if text != "0":
+            try:
+                value = _rational(text)
+            except _Reject as exc:
+                exc.where.append(i)
+                raise
+            if value:
+                terms.append((i, value))
+    return len(raw), tuple(terms)
+
+
+CLASS = Codec(_decode_class, lambda cls: list(map(fmt_rational, cls.coefficients)))
 
 REQUIRED = object()  # default of a key that must be present
 ABSENT = object()  # default of a key whose absence leaves its attribute unset
@@ -334,11 +356,13 @@ def _build_fibration(genus, k_f_sq, e_f, chi_f, singular_fibers) -> FibrationMod
     return FibrationModel(genus, k_f_sq, e_f, chi_f, tuple(fibers))
 
 
-def _lattice_class(surface: SurfaceModel, coefficients, *where) -> DivisorClass:
+def _lattice_class(surface: SurfaceModel, decoded, *where) -> DivisorClass:
+    length, terms = decoded
     try:
-        return DivisorClass(surface, coefficients)
-    except ShapeError as exc:  # the class length does not match the surface rank
+        surface.check_length(length)
+    except ShapeError as exc:
         raise _Reject(str(exc), *where) from None
+    return DivisorClass(surface, terms)
 
 
 def _build_scenario(name, surface, k_foliation, curves, singularities, metadata):
@@ -724,7 +748,7 @@ def _surface_stages(s: FoliatedScenario, genus: Optional[int], out: Dict[str, An
                     f"negative-part support is not a disjoint union of chains; stray curves {stray}"
                 )
         chern = out["chern"] = chern_numbers(s, dec)
-        vol = out["vol"] = intersect(dec.nef_part, dec.nef_part)
+        vol = out["vol"] = chern.c1_sq  # chern_numbers checked that it is P^2
     else:
         chern = out["chern"] = chern_numbers(s)
         vol = out["vol"] = Fraction(0)

@@ -5,21 +5,30 @@ ordered tower of blow-ups.  The basis is the total-transform basis: every
 exceptional class is orthogonal to all earlier basis classes, so the Gram
 matrix is block diagonal and blowing up is trivially incremental.  Blow-up
 centers are not geometric points; only the lattice effect is modeled.
+
+A divisor class stores only its nonzero (basis index, coefficient) pairs, in
+increasing index order; a curve class on a large blow-up tower meets a
+handful of basis classes.  Pairing, sums, integrality and printing walk
+those pairs, so their cost follows the support, not the rank.  The dense
+coefficient vector, one entry per basis class, is a derived view; it is the
+form scenario documents are written in.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ShapeError
 from .local_invariants import as_rational
 
 P2 = "P2"
 HIRZEBRUCH = "hirzebruch"
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -54,10 +63,16 @@ class SurfaceModel:
     def rank(self) -> int:
         return self.base_rank + self.blowups
 
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        base = ("L",) if self.base == P2 else ("C0", "F")
-        return base + tuple(f"E{k + 1}" for k in range(self.blowups))
+    def label(self, index: int) -> str:
+        """The name of a basis class: L, or C0 and F, then E1, E2, ..."""
+        if index < self.base_rank:
+            return "L" if self.base == P2 else ("C0", "F")[index]
+        return f"E{index - self.base_rank + 1}"
+
+    def check_length(self, n: int) -> None:
+        """Refuse a dense class of ``n`` coefficients unless n is the rank."""
+        if n != self.rank:
+            raise ShapeError(f"class has {n} coefficients, surface rank is {self.rank}")
 
     @cached_property
     def base_partners(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
@@ -78,67 +93,90 @@ class SurfaceModel:
         return -1 if i == j else 0
 
     def divisor(self, coefficients: Iterable[Union[Fraction, int]]) -> "DivisorClass":
-        return DivisorClass(self, tuple(as_rational(c) for c in coefficients))
+        """The class with the dense coefficient vector ``coefficients``, one
+        entry per basis class in basis order."""
+        dense = tuple(coefficients)
+        self.check_length(len(dense))
+        return DivisorClass(self, tuple(enumerate(dense)))
 
     def basis_divisor(self, index: int) -> "DivisorClass":
-        coeffs = [Fraction(0)] * self.rank
-        coeffs[index] = Fraction(1)
-        return DivisorClass(self, tuple(coeffs))
+        return DivisorClass(self, ((index, Fraction(1)),))
 
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """Coefficient vector over the Picard basis of a surface model."""
+    """A class over the Picard basis of a surface model, held as its nonzero
+    (basis index, coefficient) pairs in increasing index order.
+
+    The constructor puts ``terms`` in that canonical form: it coerces each
+    coefficient to a Fraction and drops zeros, and it refuses an index
+    outside the rank or out of increasing order.  Equal classes therefore
+    have equal ``terms``, equality and hashing read them, and the zero class
+    has none.
+    """
 
     surface: SurfaceModel
-    coefficients: Tuple[Fraction, ...]
+    terms: Tuple[Tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        coeffs = tuple(as_rational(c) for c in self.coefficients)
-        if len(coeffs) != self.surface.rank:
-            raise ShapeError(
-                f"class has {len(coeffs)} coefficients, surface rank is {self.surface.rank}"
-            )
-        object.__setattr__(self, "coefficients", coeffs)
+        rank = self.surface.rank
+        terms = []
+        last = -1
+        for i, c in self.terms:
+            if type(i) is not int or not 0 <= i < rank:
+                raise ShapeError(f"basis index {i!r} is outside the surface rank {rank}")
+            if i <= last:
+                raise ShapeError("class terms must have increasing basis indices")
+            last = i
+            if c.__class__ is not Fraction:
+                c = as_rational(c)
+            if c:
+                terms.append((i, c))
+        object.__setattr__(self, "terms", tuple(terms))
+
+    @property
+    def coefficients(self) -> Tuple[Fraction, ...]:
+        """The dense view: one coefficient per basis class, zeros included."""
+        dense = [_ZERO] * self.surface.rank
+        for i, c in self.terms:
+            dense[i] = c
+        return tuple(dense)
 
     def _require_same_surface(self, other: "DivisorClass") -> None:
         if self.surface is not other.surface and self.surface != other.surface:
             raise ShapeError("divisor classes live on different surfaces")
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+    def _combine(self, other: "DivisorClass", op: Callable[..., Fraction]) -> "DivisorClass":
         self._require_same_surface(other)
-        return DivisorClass(
-            self.surface,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-        )
+        acc = dict(self.terms)
+        for i, c in other.terms:
+            acc[i] = op(acc.get(i, _ZERO), c)
+        return DivisorClass(self.surface, tuple(sorted(acc.items())))
+
+    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._require_same_surface(other)
-        return DivisorClass(
-            self.surface,
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
-        )
+        return self._combine(other, operator.sub)
 
     def scale(self, factor: Union[Fraction, int]) -> "DivisorClass":
         f = as_rational(factor)
-        return DivisorClass(self.surface, tuple(f * a for a in self.coefficients))
+        return DivisorClass(self.surface, tuple((i, f * c) for i, c in self.terms))
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
+        return not self.terms
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coefficients)
+        return all(c.denominator == 1 for _, c in self.terms)
 
     def __str__(self) -> str:
-        labels = self.surface.labels
+        label = self.surface.label
         parts = []
-        for c, label in zip(self.coefficients, labels):
-            if c == 0:
-                continue
+        for i, c in self.terms:
             mag = abs(c)
-            term = label if mag == 1 else f"{mag}*{label}"
+            term = label(i) if mag == 1 else f"{mag}*{label(i)}"
             parts.append(("- " if c < 0 else "+ ") + term)
         if not parts:
             return "0"
@@ -146,29 +184,26 @@ class DivisorClass:
         return " ".join([head] + parts[1:])
 
 
-_ZERO = Fraction(0)
-
-
 def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
-    """Exact bilinear symmetric pairing under the basis Gram matrix.
-
-    Zero coefficients are skipped; chain scenarios produce very sparse classes.
-    """
+    """Exact bilinear symmetric pairing under the basis Gram matrix, walking
+    the terms of the class with fewer of them."""
     a._require_same_surface(b)
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
     s = a.surface
-    ac, bc = a.coefficients, b.coefficients
+    br, base = s.base_rank, s.base_partners
+    other = dict(b.terms)
     total = _ZERO
-    for i, partners in enumerate(s.base_partners):
-        if ac[i]:
-            for j, g in partners:
-                if bc[j]:
-                    total = total + g * (ac[i] * bc[j])
-    for i in range(s.base_rank, s.rank):
-        ai = ac[i]
-        if ai:
-            bi = bc[i]
-            if bi:
-                total = total - ai * bi
+    for i, x in a.terms:
+        if i < br:
+            for j, g in base[i]:
+                y = other.get(j)
+                if y:
+                    total = total + g * (x * y)
+        else:
+            y = other.get(i)
+            if y:
+                total = total - x * y
     return total
 
 
@@ -199,12 +234,8 @@ def pairing_table(curves: Sequence[DivisorClass], classes: Sequence[DivisorClass
     everything = (*curves, *classes)
     for d in everything:
         d._require_same_surface(classes[0])
-    sparse = [{i: v for i, v in enumerate(d.coefficients) if v} for d in everything]
-    scale = lcm(*{v.denominator for row in sparse for v in row.values()})
-    scaled = [
-        {i: v.numerator * (scale // v.denominator) for i, v in row.items()}
-        for row in sparse
-    ]
+    scale = lcm(*{v.denominator for d in everything for _, v in d.terms})
+    scaled = [{i: v.numerator * (scale // v.denominator) for i, v in d.terms} for d in everything]
     rows, class_rows = scaled[: len(curves)], scaled[len(curves) :]
     holders: Dict[int, List[Tuple[int, int]]] = {}
     for j, row in enumerate(rows):
@@ -233,13 +264,14 @@ def pairing_table(curves: Sequence[DivisorClass], classes: Sequence[DivisorClass
 
 
 def canonical_class(s: SurfaceModel) -> DivisorClass:
-    """-3L on P2, -2C0 - (e+2)F on Hirzebruch(e), plus +E_i per blow-up."""
+    """-3L on P2, -2C0 - (e+2)F on Hirzebruch(e), plus +E_i per blow-up: a
+    class meeting every basis class, so it has one term per basis class."""
     if s.base == P2:
-        coeffs = [Fraction(-3)]
+        base = ((0, Fraction(-3)),)
     else:
-        coeffs = [Fraction(-2), Fraction(-(s.hirzebruch_e + 2))]
-    coeffs.extend([Fraction(1)] * s.blowups)
-    return DivisorClass(s, tuple(coeffs))
+        base = ((0, Fraction(-2)), (1, Fraction(-(s.hirzebruch_e + 2))))
+    one = Fraction(1)
+    return DivisorClass(s, base + tuple((i, one) for i in range(s.base_rank, s.rank)))
 
 
 def chi_top(s: SurfaceModel) -> int:

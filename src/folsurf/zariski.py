@@ -11,6 +11,9 @@ elimination.  Its pivots are the leading principal minors, so negative
 definiteness is certified by their signs alternating starting negative.
 The decomposition pairs the curves against the decomposed class only; chain
 detection reads the scenario's own table (``FoliatedScenario.pairings``).
+Classes are sparse end to end: the table's rows hold each class's nonzero
+terms, and the nef part P = D - N is assembled from those integer rows, so
+no step walks the full rank of the surface.
 """
 
 from __future__ import annotations
@@ -365,13 +368,9 @@ def decompose_against_curves(
         parts.append((curves[i].name, Fraction(y[k], det)))
         for idx, v in table.rows[i].items():
             nef[idx] = nef.get(idx, 0) - y[k] * v
-    coefficients = list(d.coefficients)
-    for idx, v in nef.items():
-        coefficients[idx] = Fraction(v, det * table.scale)
-    return ZariskiDecomposition(
-        nef_part=DivisorClass(d.surface, tuple(coefficients)),
-        negative_part=tuple(parts),
-    )
+    unit = det * table.scale
+    nef_terms = tuple((idx, Fraction(v, unit)) for idx, v in sorted(nef.items()))
+    return ZariskiDecomposition(DivisorClass(d.surface, nef_terms), tuple(parts))
 
 
 def zariski_decompose(f: FoliatedScenario) -> ZariskiDecomposition:

@@ -240,6 +240,24 @@ def test_camacho_sad_finished_search_without_solution_fails():
     assert check.detail == "no branch assignment balances the curve"
 
 
+def test_camacho_sad_builds_branch_options_once_per_singularity(monkeypatch):
+    import folsurf.foliation as foliation
+
+    calls = []
+    original = foliation._cs_branches
+
+    def counting(s):
+        calls.append(s.id)
+        return original(s)
+
+    monkeypatch.setattr(foliation, "_cs_branches", counting)
+    # C^2 = -6 is none of the sums -5 - 3k/2 of ten branches in {-2, -1/2}, so
+    # the search visits all 2^11 - 1 nodes before it fails
+    check = _camacho_sad(validate(_minus_two_points_on_one_curve(10, 7)))
+    assert check.detail == "no branch assignment balances the curve"
+    assert sorted(calls) == sorted(f"p{k}" for k in range(10))
+
+
 def test_scenario_builds_its_pairings_and_incidence_once():
     p2 = SurfaceModel.p2(1)
     point = SingularityRecord(

@@ -49,6 +49,56 @@ def test_parse_rational_rejects_floats_and_garbage():
         parse_rational("a/b", "$")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1_000", " 3 ", "+3", "3/ 4", "\u0663", "3/-4", "3/+4", "-", "3/", "/4", "--3", "-+3", ""],
+)
+def test_parse_rational_refuses_what_int_alone_would_take(text):
+    # an optional "-", ASCII digits, and optionally "/" and ASCII digits; int()
+    # also takes underscores, spaces, signs and non-ASCII digits such as U+0663
+    with pytest.raises(ParseError, match="malformed rational"):
+        parse_rational(text, "$")
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000, "-" + "1" * 5000 + "/3"])
+def test_parse_rational_refuses_over_long_digit_strings(text):
+    # CPython's int() raises ValueError past sys.get_int_max_str_digits() (4300)
+    with pytest.raises(ParseError, match="malformed rational"):
+        parse_rational(text, "$")
+
+
+def test_parse_rational_accepts_the_grammar_and_json_integers():
+    for text, want in (("0", 0), ("-0", 0), ("007", 7), ("-12/8", Fraction(-3, 2)), ("5/1", 5)):
+        assert parse_rational(text, "$") == want
+    assert parse_rational(-4, "$") == -4  # JSON integers stay accepted
+
+
+def test_class_decoding_builds_no_fraction_for_a_zero_entry(monkeypatch):
+    import folsurf.scenario_io as sio
+
+    doc = third_noether_double_cover(40)
+    seen = []
+    original = sio._rational
+
+    def counting(text):
+        seen.append(text)
+        return original(text)
+
+    monkeypatch.setattr(sio, "_rational", counting)
+    scenario = parse_document_dict(doc).scenario
+    dense = [doc["k_foliation"]] + [c["class"] for c in doc["curves"]]
+    entries = [x for cls in dense for x in cls]
+    nonzero = [x for x in entries if x != "0"]
+    assert (len(entries), len(nonzero)) == (27556, 334)
+    # the class and eigenvalue codecs look ``_rational`` up when called: one
+    # call per nonzero class entry and one per singularity, none for a "0"
+    assert len(seen) == len(nonzero) + len(doc["singularities"])
+    assert "0" not in seen
+    classes = [scenario.k_foliation] + [c.cls for c in scenario.curves]
+    assert sum(len(c.terms) for c in classes) == len(nonzero)
+    assert [list(map(fmt_rational, c.coefficients)) for c in classes] == dense
+
+
 def test_round_trip_stability():
     for stem, doc in bundled_documents().items():
         parsed = parse_scenario(json.dumps(doc))
@@ -416,6 +466,42 @@ def test_unknown_key_in_any_object_names_that_object(doc, data):
         parse_document_dict(doc)
     assert err.value.path == f"{path}.zz_unknown"
     assert "zz_unknown" in err.value.reason
+
+
+def test_pipeline_pairs_kf_nf_and_p_squared_once_and_corrects_each_fiber_once(monkeypatch):
+    import folsurf.chern as chern
+    import folsurf.fibration as fibration
+    import folsurf.foliation as foliation
+    import folsurf.scenario_io as sio
+
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+        key = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+        calls[key] = 0
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(foliation, "normal_class")
+    counting(chern, "intersect")
+    counting(sio, "intersect")
+    counting(fibration, "fiber_local_chern")
+    doc = parse_document_dict(third_noether_double_cover(16))
+    report = run_pipeline(doc)
+    assert report.ok and report.vol == report.chern.c1_sq
+    # N_F is formed once for K_F.N_F; chern pairs K_F^2 and P^2; the pipeline
+    # reads vol from the checked c1^2; modular invariants are computed once
+    assert calls == {
+        "foliation.normal_class": 1,
+        "chern.intersect": 2,
+        "scenario_io.intersect": 0,
+        "fibration.fiber_local_chern": len(doc.fibration.singular_fibers),
+    }
 
 
 def test_fibration_block_runs_after_a_surface_stage_raises():

@@ -8,6 +8,7 @@ from folsurf.fixtures import bundled_documents
 from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata
 from folsurf.scenario_io import parse_document_dict
 from folsurf.surface import (
+    DivisorClass,
     SurfaceModel,
     canonical_class,
     chi_structure,
@@ -286,3 +287,76 @@ def test_pairings_of_random_rational_scenarios_match_the_gram_oracle():
                 metadata=ScenarioMetadata(True, True),
             )
         )
+
+
+def test_divisor_class_refuses_an_index_outside_the_rank_or_out_of_order():
+    s = SurfaceModel.p2(2)
+    for terms in (((3, 1),), ((-1, 1),), ((0, 1), (5, 2)), ((True, 1),), (("1", 1),)):
+        with pytest.raises(ShapeError, match="outside the surface rank 3"):
+            DivisorClass(s, terms)
+    for terms in (((1, 1), (0, 1)), ((1, 1), (1, 2))):
+        with pytest.raises(ShapeError, match="increasing basis indices"):
+            DivisorClass(s, terms)
+    with pytest.raises(ShapeError, match="outside the surface rank 3"):
+        s.basis_divisor(3)
+    with pytest.raises(ShapeError, match="class has 2 coefficients, surface rank is 3"):
+        s.divisor([1, 0])
+
+
+def _oracle_str(surface, dense):
+    labels = ["L"] if surface.base == "P2" else ["C0", "F"]
+    labels += [f"E{k}" for k in range(1, surface.rank - len(labels) + 1)]
+    out = ""
+    for c, label in zip(dense, labels):
+        if c:
+            term = label if abs(c) == 1 else f"{abs(c)}*{label}"
+            sign = (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+            out += sign + term
+    return out or "0"
+
+
+def test_sparse_classes_match_a_dense_oracle():
+    rng = random.Random(23)
+
+    def dense(surface):
+        return [
+            Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) if rng.random() < 0.4 else 0
+            for _ in range(surface.rank)
+        ]
+
+    for trial in range(300):
+        blowups = rng.randint(0, 9)
+        if trial % 2:
+            surface = SurfaceModel.p2(blowups)
+        else:
+            surface = SurfaceModel.hirzebruch(rng.randint(0, 4), blowups)
+        gram = _oracle_gram(surface)
+        a, b = dense(surface), dense(surface)
+        lam = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        da, db = surface.divisor(a), surface.divisor(b)
+        assert da.coefficients == tuple(map(Fraction, a))
+        assert da.terms == tuple((i, c) for i, c in enumerate(a) if c)
+        assert (da + db).coefficients == tuple(x + y for x, y in zip(a, b))
+        assert (da - db).coefficients == tuple(x - y for x, y in zip(a, b))
+        assert da.scale(lam).coefficients == tuple(lam * x for x in a)
+        assert intersect(da, db) == _oracle_pair(gram, a, b)
+        assert intersect(da, da) == _oracle_pair(gram, a, a)
+        assert da.is_integral == all(Fraction(x).denominator == 1 for x in a)
+        assert da.is_zero == (not any(a))
+        assert str(da) == _oracle_str(surface, a)
+        # equal classes built by different routes are equal, hash equally and
+        # make equal curve records
+        for other in (
+            da + db - db,
+            db + da - db,
+            da.scale(2) - da,
+            DivisorClass(surface, tuple((i, c) for i, c in enumerate(a))),
+            DivisorClass(surface, da.terms),
+        ):
+            assert other == da and hash(other) == hash(da)
+            assert CurveRecord("C", other, True) == CurveRecord("C", da, True)
+        zero = da - da
+        assert zero.is_zero and zero.terms == () and zero.coefficients == (0,) * surface.rank
+        assert zero == surface.divisor([0] * surface.rank) == da.scale(0)
+        assert str(zero) == "0" and intersect(zero, db) == 0
+        assert (da == db) == (a == b)

@@ -12,6 +12,12 @@ is available the direct formula chi(O_S) + K_F.N_F/4 + sum chi_p is evaluated
 as a cross-check and any mismatch is an inconsistency, not a warning.  The
 first Chern number must also coincide with the volume P^2; this too is
 asserted rather than assumed.
+
+Both sums come from one pass over the singularities.  beta_p = -1/(n d) and
+chi_p = -((n + d)^2 + n d + 1)/(12 n d) are closed forms in the canonical
+eigenvalue n/d (see ``local_invariants``); each is evaluated at most once
+per singularity, zero beta terms (saddle-nodes, non-rational eigenvalues)
+are skipped, and the chi_p sum stops at the first chi_p that is unavailable.
 """
 
 from __future__ import annotations
@@ -84,12 +90,17 @@ def chern_numbers(
     support = set(dec.support)
     on_n = Fraction(0)
     off_n = Fraction(0)
+    local_chi: Optional[Fraction] = Fraction(0)
     for s in f.singularities:
         value = beta_p(s)
-        if any(name in support for name in s.incident_curves):
-            on_n += value
-        else:
-            off_n += value
+        if value:
+            if support.isdisjoint(s.incident_curves):
+                off_n += value
+            else:
+                on_n += value
+        if local_chi is not None:
+            chi_s = chi_p(s)
+            local_chi = None if chi_s is None else local_chi + chi_s
     c1 = intersect(f.k_foliation, f.k_foliation) + on_n
     vol = intersect(dec.nef_part, dec.nef_part)
     if c1 != vol:
@@ -101,13 +112,8 @@ def chern_numbers(
     chi = (c1 + c2) / 12
     numbers = ChernNumbers(c1, c2, chi)
 
-    locals_ = [chi_p(s) for s in f.singularities]
-    if all(v is not None for v in locals_):
-        direct = (
-            Fraction(chi_structure(f.surface))
-            + f.kf_dot_nf / 4
-            + sum(locals_, Fraction(0))
-        )
+    if local_chi is not None:
+        direct = Fraction(chi_structure(f.surface)) + f.kf_dot_nf / 4 + local_chi
         if direct != chi:
             raise InconsistentScenario(
                 f"direct chi formula gives {direct}, Noether path gives {chi}"

@@ -35,7 +35,11 @@ def _load(path_text: str) -> ScenarioDocument:
     path = Path(path_text)
     if not path.exists():
         raise ParseError(f"no such file: {path}", "$")
-    return parse_scenario(path.read_text(encoding="utf-8"))
+    try:
+        data = path.read_bytes()
+    except OSError as exc:  # a directory, or a file without read permission
+        raise ParseError(f"cannot read {path}: {exc.strerror}", "$") from None
+    return parse_scenario(data)
 
 
 def _cmd_check(args) -> int:

@@ -2,8 +2,12 @@
 
 Only normal-crossing fibers are supported: alpha_F = 0 and the total Milnor
 number equals the node count, which is what the correction formulas below
-assume.  The global numbers K_f^2, e_f, chi_f are inputs validated against
-the fiber list rather than derived from a surface model.
+assume.  A node where branches of multiplicities a and b meet is the point
+lam = -a/b, so its beta is gcd(a, b)^2 / (a b) (``local_invariants.beta_ratio``);
+``fiber_local_chern`` sums beta_F over all nodes and c_{-1} over the nodes on
+the negative part in one pass.  The global numbers K_f^2, e_f, chi_f are
+inputs validated against the fiber list rather than derived from a surface
+model.
 """
 
 from __future__ import annotations
@@ -11,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Tuple
 
 from .chern import ChernNumbers
 from .errors import DomainError, InconsistentScenario
 from .foliation import CheckResult
-from .local_invariants import as_rational
+from .local_invariants import as_rational, beta_ratio
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,8 @@ class FiberNode:
 
     @property
     def beta(self) -> Fraction:
-        g = gcd(self.a, self.b)
-        return Fraction(g * g, self.a * self.b)
+        """beta_p = beta(a/b) = gcd(a, b)^2 / (a b) at lam = -a/b."""
+        return beta_ratio(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,13 @@ def fiber_local_chern(fm: FiberModel) -> Tuple[Fraction, Fraction, Fraction]:
     """(c1^2, c2, chi) corrections of a single normal-crossing fiber."""
     g = fm.genus_of_fibration
     mu = len(fm.nodes)
-    beta_f = sum((n.beta for n in fm.nodes), Fraction(0))
-    c_minus1 = sum((n.beta for n in fm.nodes if n.in_negative_part), Fraction(0))
+    beta_f = Fraction(0)
+    c_minus1 = Fraction(0)
+    for node in fm.nodes:
+        b = node.beta
+        beta_f += b
+        if node.in_negative_part:
+            c_minus1 += b
     c1 = Fraction(4 * (g - fm.pa_reduced) + fm.f_red_sq) - c_minus1
     c2 = Fraction(2 * (g - fm.pa_reduced) + mu) - beta_f + c_minus1
     return c1, c2, (c1 + c2) / 12

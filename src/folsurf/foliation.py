@@ -99,6 +99,12 @@ class FoliatedScenario:
         return intersect(normal_class(self), self.k_foliation)
 
     @cached_property
+    def singularity_count(self) -> int:
+        """The number of singularities counted with multiplicity, summed once;
+        the count check and the report read it."""
+        return sum(s.multiplicity for s in self.singularities)
+
+    @cached_property
     def _positions(self) -> Dict[str, int]:
         return {c.name: i for i, c in enumerate(self.curves)}
 
@@ -227,7 +233,7 @@ def camacho_sad_check(
 
 def singularity_count_check(f: FoliatedScenario) -> CheckResult:
     """Pass iff sum of multiplicities equals c2(S) + N_F.K_F exactly."""
-    declared = sum(s.multiplicity for s in f.singularities)
+    declared = f.singularity_count
     expected = chi_top(f.surface) + f.kf_dot_nf
     residual = Fraction(declared) - expected
     return CheckResult(

@@ -1,9 +1,18 @@
 """Local invariants of foliation singularities, in exact rational arithmetic.
 
 The two basic functions ``beta`` and ``chi_local`` act on nonzero rationals;
-their singularity-level counterparts ``beta_p`` / ``chi_p`` act on
-:class:`SingularityRecord` values, with saddle-nodes handled by the
-``beta(0) = 0`` convention.  Everything here is a pure function of immutable
+their singularity-level counterparts ``beta_p`` / ``chi_p`` / ``baum_bott``
+act on :class:`SingularityRecord` values.  Each is one integer formula in the
+canonical eigenvalue lam = n/d (|n| >= d):
+
+    beta_p = beta(-lam)          = -1 / (n d),
+    BB_p   = lam + 1/lam + 2     = (n + d)^2 / (n d),
+    chi_p  = -(BB_p + 1 - beta_p) / 12 = -((n + d)^2 + n d + 1) / (12 n d),
+
+with beta(a/b) = gcd(a, b)^2 / (a b) (``beta_ratio``) in any representation.
+A saddle-node has beta_p = 0 and chi_p = -(BB_p + m_p) / 12, unavailable
+when its Baum-Bott index is not declared; a non-rational eigenvalue has
+beta_p = 0 and no chi_p.  Everything here is a pure function of immutable
 data, so values can be shared and evaluated concurrently without coordination.
 """
 
@@ -11,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Tuple, Union
 
 from .errors import DomainError
@@ -59,7 +69,8 @@ class EigenvalueClass:
 
     @property
     def is_positive_rational(self) -> bool:
-        return self.value is not None and self.value > 0
+        # a Fraction carries its sign on the numerator
+        return self.value is not None and self.value.numerator > 0
 
     def negated(self) -> "EigenvalueClass":
         """The class of -lam (equivalently of -1/lam)."""
@@ -131,9 +142,8 @@ class SingularityRecord:
     @property
     def multiplicity(self) -> int:
         # non-degenerate singularities always have m_p = 1
-        if isinstance(self.kind, NonDegenerate):
-            return 1
-        return self.kind.multiplicity
+        kind = self.kind
+        return 1 if type(kind) is NonDegenerate else kind.multiplicity
 
     @property
     def eigenvalue(self) -> Optional[EigenvalueClass]:
@@ -145,26 +155,33 @@ class SingularityRecord:
     @property
     def is_reduced(self) -> bool:
         """Reduced means the eigenvalue ratio is not a positive rational."""
-        if isinstance(self.kind, SaddleNode):
-            return True
-        return not self.kind.eigenvalue.is_positive_rational
+        kind = self.kind
+        return type(kind) is SaddleNode or not kind.eigenvalue.is_positive_rational
+
+
+_ZERO = Fraction(0)
+
+
+def beta_ratio(a: int, b: int) -> Fraction:
+    """gcd(a, b)^2 / (a b): beta(a/b) for nonzero integers a, b, in any
+    representation; ``beta``, ``beta_p`` and ``FiberNode.beta`` all use it."""
+    g = gcd(a, b)
+    return Fraction(g * g, a * b)
 
 
 def beta(u: Union[RationalLike, EigenvalueClass]) -> Fraction:
     """gcd(a, b)^2 / (a b) for u = a/b rational nonzero; 0 otherwise.
 
-    The value does not depend on the chosen representation a/b, so it is
-    evaluated on the lowest-terms form, where the gcd is 1.  Zero and
-    non-rational inputs fall into the defining "otherwise" branch.
+    Zero and non-rational inputs fall into the defining "otherwise" branch.
     """
     if isinstance(u, EigenvalueClass):
         if u.value is None:
-            return Fraction(0)
+            return _ZERO
         u = u.value
     u = as_rational(u)
     if u == 0:
-        return Fraction(0)
-    return Fraction(1, u.numerator * u.denominator)
+        return _ZERO
+    return beta_ratio(u.numerator, u.denominator)
 
 
 def chi_local(u: RationalLike) -> Fraction:
@@ -176,33 +193,51 @@ def chi_local(u: RationalLike) -> Fraction:
 
 
 def beta_p(s: SingularityRecord) -> Fraction:
-    """beta(-lam_p); saddle-nodes carry eigenvalue 0 and contribute 0."""
-    if isinstance(s.kind, SaddleNode):
-        return Fraction(0)
-    return beta(s.kind.eigenvalue.negated())
+    """beta(-lam_p) = -1/(n d) for the canonical eigenvalue lam_p = n/d.
+
+    Saddle-nodes carry eigenvalue 0 and, like non-rational eigenvalues,
+    contribute 0.
+    """
+    kind = s.kind
+    if type(kind) is SaddleNode:
+        return _ZERO
+    lam = kind.eigenvalue.value
+    if lam is None:
+        return _ZERO
+    return beta_ratio(-lam.numerator, lam.denominator)
 
 
 def baum_bott(s: SingularityRecord) -> Optional[Fraction]:
-    """lam + 1/lam + 2 at a non-degenerate rational singularity.
+    """lam + 1/lam + 2 = (n + d)^2 / (n d) at a non-degenerate singularity
+    with rational eigenvalue lam = n/d.
 
     Saddle-nodes return their declared index; returns None ("unavailable")
     when no rational value exists.
     """
-    if isinstance(s.kind, SaddleNode):
-        return s.kind.bb_index
-    lam = s.kind.eigenvalue.value
+    kind = s.kind
+    if type(kind) is SaddleNode:
+        return kind.bb_index
+    lam = kind.eigenvalue.value
     if lam is None:
         return None
-    return lam + 1 / lam + 2
+    n, d = lam.numerator, lam.denominator
+    return Fraction((n + d) ** 2, n * d)
 
 
 def chi_p(s: SingularityRecord) -> Optional[Fraction]:
     """-(1/12) (BB_p + m_p - beta(-lam_p)), or None when BB_p is unavailable.
 
-    For a non-degenerate singularity with rational eigenvalue this equals
-    ``chi_local(-lam_p)``.
+    For a non-degenerate singularity with rational eigenvalue lam = n/d this
+    is -((n + d)^2 + n d + 1) / (12 n d), which equals ``chi_local(-lam)``;
+    for a saddle-node (beta = 0) it is -(BB_p + m_p) / 12.
     """
-    bb = baum_bott(s)
-    if bb is None:
+    kind = s.kind
+    if type(kind) is SaddleNode:
+        bb = kind.bb_index
+        return None if bb is None else -(bb + kind.multiplicity) / 12
+    lam = kind.eigenvalue.value
+    if lam is None:
         return None
-    return -Fraction(bb + s.multiplicity - beta_p(s)) / 12
+    n, d = lam.numerator, lam.denominator
+    nd = n * d
+    return Fraction(-((n + d) ** 2 + nd + 1), 12 * nd)

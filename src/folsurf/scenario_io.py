@@ -522,12 +522,17 @@ def parse_document_dict(data: Any, path: str = "$") -> ScenarioDocument:
 def parse_scenario(data) -> ScenarioDocument:
     """Parse bytes or text into a structured document (strict schema)."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc}", "$") from None
     if isinstance(data, str):
         try:
             obj = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", "$")
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, an integer literal past the int-to-str digit
+            # limit (a bare ValueError), or nesting past the recursion limit
+            raise ParseError(f"invalid JSON: {exc}", "$") from None
     else:
         obj = data
     return parse_document_dict(obj)
@@ -539,7 +544,9 @@ def document_to_dict(doc: ScenarioDocument) -> Dict[str, Any]:
 
 
 def serialize_document(doc: ScenarioDocument) -> str:
-    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+    # a freshly encoded document holds no cycle, so the check is skipped
+    text = json.dumps(document_to_dict(doc), indent=2, sort_keys=True, check_circular=False)
+    return text + "\n"
 
 
 def _check_json(c: CheckResult) -> Dict[str, Any]:
@@ -690,7 +697,9 @@ class InvariantReport:
         return {key: value for key, value, _ in self._sections()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        # the report's dict is built fresh on each call and holds no cycle
+        text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True, check_circular=False)
+        return text + "\n"
 
     def to_text(self) -> str:
         return "".join(f"{line}\n" for _, _, lines in self._sections() for line in lines())
@@ -730,7 +739,7 @@ def _compare_expectations(report: InvariantReport, expect: Mapping[str, Any]) ->
 def _surface_stages(s: FoliatedScenario, genus: Optional[int], out: Dict[str, Any]) -> None:
     validation = out["validation"] = validate(s)
     out["warnings"] = validation.warnings
-    out["singularity_count"] = sum(x.multiplicity for x in s.singularities)
+    out["singularity_count"] = s.singularity_count
     if not validation.passed:
         return
     if s.metadata.k_pseudo_effective:

@@ -227,3 +227,43 @@ def test_genus_one_constraint_matches_elliptic_pencil():
     c = chern_numbers(scenario_from(elliptic_pencil()))
     assert c.c1_sq == 0
     assert c.c2 == 12 * c.chi and c.c2 > 0
+
+
+@pytest.mark.parametrize(
+    "doc", [second_noether_ruled(50), third_noether_double_cover(8)], ids=["ruled50", "cover8"]
+)
+def test_pipeline_evaluates_each_local_invariant_once(doc, monkeypatch):
+    import folsurf.chern as chern
+    import folsurf.local_invariants as loc
+
+    parsed = parse_document_dict(doc)
+    sings = parsed.scenario.singularities
+    # chi_p is collected up to and including the first unavailable one
+    first_missing = next(
+        (k for k, s in enumerate(sings) if loc.chi_p(s) is None), len(sings) - 1
+    )
+    calls = {"beta_p": 0, "chi_p": 0, "EigenvalueClass": 0}
+
+    def counting(name):
+        original = getattr(loc, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        # every name the pipeline could reach the function through
+        monkeypatch.setattr(loc, name, wrapper)
+        monkeypatch.setattr(chern, name, wrapper)
+
+    counting("beta_p")
+    counting("chi_p")
+    post_init = loc.EigenvalueClass.__post_init__
+
+    def counting_post_init(self):
+        calls["EigenvalueClass"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(loc.EigenvalueClass, "__post_init__", counting_post_init)
+    report = run_pipeline(parsed)
+    assert report.ok
+    assert calls == {"beta_p": len(sings), "chi_p": first_missing + 1, "EigenvalueClass": 0}

@@ -59,6 +59,26 @@ def test_parse_error_exit_code(fixture_file, capsys):
     assert cli_main(["invariants", fixture_file(doc)]) == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        ('{"name": "x", "fibration": {"genus": ' + "1" * 5000 + "}}").encode(),
+        b'{"name": "\xff"}',
+    ],
+    ids=["long-integer", "not-utf8"],
+)
+def test_undecodable_file_is_a_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    assert cli_main(["check", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_unreadable_path_is_a_parse_error(tmp_path, capsys):
+    assert cli_main(["check", str(tmp_path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_fixtures_run(capsys):
     assert cli_main(["fixtures", "run"]) == 0
     out = capsys.readouterr().out

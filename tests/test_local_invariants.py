@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from folsurf.errors import DomainError
+from folsurf.fibration import FiberNode
 from folsurf.local_invariants import (
     EigenvalueClass,
     NonDegenerate,
@@ -160,3 +162,67 @@ def test_chi_p_values():
 def test_chi_p_matches_chi_local(lam):
     s = SingularityRecord("p", NonDegenerate(EigenvalueClass.rational(lam)))
     assert chi_p(s) == chi_local(-lam)
+
+
+# Independent oracles for the closed forms of beta_p, chi_p and BB_p: each is
+# written from its definition on a representation a/b that need not be in
+# lowest terms, never from the module under test.
+
+
+def oracle_beta(a: int, b: int) -> Fraction:
+    g = gcd(a, b)
+    return Fraction(g * g) / (a * b)
+
+
+def oracle_chi(u: Fraction, scale: int) -> Fraction:
+    return (u + 1 / u + oracle_beta(scale * u.numerator, scale * u.denominator) - 3) / 12
+
+
+nonzero_ints = st.integers(-(10**30), 10**30).filter(lambda k: k != 0)
+eigenvalues = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    nonzero_rationals,
+    st.builds(Fraction, nonzero_ints, st.integers(1, 10**12)),
+)
+scales = st.integers(1, 10**6)
+
+
+def record(lam: Fraction) -> SingularityRecord:
+    return SingularityRecord("p", NonDegenerate(EigenvalueClass.rational(lam)))
+
+
+@given(eigenvalues, scales)
+def test_closed_forms_match_the_definitions(lam, k):
+    s = record(lam)
+    minus = -lam
+    assert beta_p(s) == oracle_beta(k * minus.numerator, k * minus.denominator)
+    assert chi_p(s) == chi_local(-lam) == oracle_chi(-lam, k)
+    assert baum_bott(s) == lam + 1 / lam + 2
+    # the class forgets the representative: 1/lam gives the same values
+    t = record(1 / lam)
+    assert (beta_p(t), chi_p(t), baum_bott(t)) == (beta_p(s), chi_p(s), baum_bott(s))
+
+
+@given(st.integers(1, 10**12), st.integers(1, 10**12), st.booleans())
+def test_fiber_node_beta_is_beta_p_at_minus_a_over_b(a, b, on_n):
+    assert FiberNode(a, b, on_n).beta == beta_p(record(Fraction(-a, b)))
+    assert FiberNode(a, b, on_n).beta == oracle_beta(a, b)
+
+
+@given(
+    st.integers(2, 10**6),
+    st.one_of(st.none(), st.fractions(max_denominator=10**6)),
+)
+def test_saddle_node_closed_forms(m, bb):
+    s = SingularityRecord("p", SaddleNode(m, bb))
+    assert beta_p(s) == 0
+    assert baum_bott(s) == bb
+    if bb is None:
+        assert chi_p(s) is None
+    else:
+        assert chi_p(s) == -(bb + m) / Fraction(12)
+
+
+def test_nonrational_closed_forms():
+    s = SingularityRecord("p", NonDegenerate(EigenvalueClass.nonrational()))
+    assert (beta_p(s), baum_bott(s), chi_p(s)) == (0, None, None)

@@ -550,3 +550,19 @@ def test_huge_hirzebruch_section_count_finishes_in_bounded_time():
     assert time.perf_counter() - start < 1.0
     assert report.inconsistency is None
     assert report.p_g == (a + 1) ** 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        '{"name": "x", "fibration": {"genus": ' + "1" * 5000 + "}}",
+        b'{"name": "\xff"}',
+        b"\xfe\xff\x00{",
+        '{"name": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ],
+    ids=["long-integer", "latin-1-byte", "utf-16-bom", "deep-nesting"],
+)
+def test_hostile_text_raises_parse_error_at_the_root(data):
+    with pytest.raises(ParseError) as err:
+        parse_scenario(data)
+    assert err.value.path == "$"

@@ -1,34 +1,64 @@
 """Command-line surface.
 
-Subcommands: ``check``, ``invariants``, ``decide``, ``zariski``,
-``fibration``, and ``fixtures run``.  Exit codes: 0 on success, 1 on failed
-checks or expectation mismatches, 2 on parse or usage errors.
+Each report view prints a selection of the sections of one
+``InvariantReport`` through its one text renderer, ``to_text``; the CLI
+formats no report value itself.  ``VIEWS`` gives each view's sections, the
+line it prints when it printed nothing, and its exit rule: ``check`` exits 1
+iff a validation check failed; ``decide``, ``zariski`` and ``fibration``
+exit 0 iff their primary section (verdict, decomposition, modular
+invariants) is present and the report is ok; ``invariants`` exits 0 iff the
+report is ok.  ``fixtures run`` prints a PASS/FAIL line per bundled file
+and, under a FAIL, that report's inconsistency, validation and expectation
+failures, indented.  Exit code 2 is a parse or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .errors import ParseError
 from .fixtures import load_bundled_files
-from .scenario_io import (
-    MODULAR_KEYS,
-    ScenarioDocument,
-    chain_line,
-    check_line,
-    fmt_rational,
-    listing,
-    parse_scenario,
-    run_pipeline,
-    verdict_lines,
-)
+from .scenario_io import InvariantReport, ScenarioDocument, parse_scenario, run_pipeline
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+
+class View(NamedTuple):
+    help: str
+    sections: Optional[Tuple[str, ...]]  # None: every section
+    fallback: str  # printed when the view printed nothing
+    passed: Callable[[InvariantReport], bool]
+
+
+VIEWS = {
+    "check": View(
+        "validation report only", ("validation", "warnings"), "no surface scenario to validate",
+        lambda r: r.validation is None or r.validation.passed,
+    ),
+    "invariants": View("full invariant report", None, "", lambda r: r.ok),
+    "decide": View(
+        "integrability verdict only", ("inconsistency", "verdict"),
+        "no verdict (validation failed or no surface scenario)",
+        lambda r: r.verdict is not None and r.ok,
+    ),
+    "zariski": View(
+        "Zariski decomposition, chains and invariants",
+        ("inconsistency", "zariski", "chains", "invariants"),
+        "no decomposition (validation failed or K not pseudo-effective)",
+        lambda r: r.decomposition is not None and r.ok,
+    ),
+    "fibration": View(
+        "modular invariants of the fibration block",
+        ("inconsistency", "modular", "fibration_checks"), "no fibration block in document",
+        lambda r: r.modular is not None and r.ok,
+    ),
+}
 
 
 def _load(path_text: str) -> ScenarioDocument:
@@ -42,74 +72,17 @@ def _load(path_text: str) -> ScenarioDocument:
     return parse_scenario(data)
 
 
-def _cmd_check(args) -> int:
+def _cmd_view(args) -> int:
+    view = VIEWS[args.command]
     report = run_pipeline(_load(args.file))
-    if report.validation is None:
-        print("no surface scenario to validate")
-        return EXIT_OK if report.ok else EXIT_CHECK_FAILED
-    for c in report.validation.checks:
-        print(check_line(c))
-    for w in report.validation.warnings:
-        print(f"warning: {w}")
-    return EXIT_OK if report.validation.passed else EXIT_CHECK_FAILED
-
-
-def _cmd_invariants(args) -> int:
-    report = run_pipeline(_load(args.file))
-    if args.format == "json":
+    if getattr(args, "format", "text") == "json":
         sys.stdout.write(report.to_json())
     else:
-        sys.stdout.write(report.to_text())
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
-
-
-def _cmd_decide(args) -> int:
-    report = run_pipeline(_load(args.file))
-    if report.inconsistency is not None:
-        print(f"inconsistent scenario: {report.inconsistency}")
-        return EXIT_CHECK_FAILED
-    if report.verdict is None:
-        print("no verdict (validation failed or no surface scenario)")
-        return EXIT_CHECK_FAILED
-    print(*verdict_lines(report.verdict), sep="\n")
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
-
-
-def _cmd_zariski(args) -> int:
-    report = run_pipeline(_load(args.file))
-    if report.decomposition is None:
-        print(report.inconsistency or "no decomposition (validation failed or K not pseudo-effective)")
-        return EXIT_CHECK_FAILED
-    print(f"P = {report.decomposition.nef_part}")
-    if report.decomposition.negative_part:
-        for name, value in report.decomposition.negative_part:
-            print(f"N[{name}] = {fmt_rational(value)}")
-    else:
-        print("N = 0")
-    for ch in report.chains:
-        print(chain_line(ch))
-    if report.vol is not None:
-        print(f"vol = {fmt_rational(report.vol)}")
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
-
-
-def _cmd_fibration(args) -> int:
-    report = run_pipeline(_load(args.file))
-    if report.modular is None:
-        print(report.inconsistency or "no fibration block in document")
-        return EXIT_CHECK_FAILED
-    print(listing(MODULAR_KEYS, report.modular))
-    for c in report.fibration_checks:
-        print(check_line(c))
-    if report.inconsistency is not None:
-        print(f"inconsistent scenario: {report.inconsistency}")
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+        sys.stdout.write(report.to_text(view.sections) or f"{view.fallback}\n")
+    return EXIT_OK if view.passed(report) else EXIT_CHECK_FAILED
 
 
 def _cmd_fixtures(args) -> int:
-    if args.action != "run":
-        print(f"unknown fixtures action {args.action!r}", file=sys.stderr)
-        return EXIT_USAGE
     failures = 0
     for name, raw in load_bundled_files():
         if args.filter and args.filter not in name:
@@ -117,16 +90,10 @@ def _cmd_fixtures(args) -> int:
         doc = parse_scenario(raw)
         report = run_pipeline(doc)
         print(f"[{'PASS' if report.ok else 'FAIL'}] {name}: {doc.name}")
-        if report.ok:
-            continue
-        failures += 1
-        if report.inconsistency:
-            print(f"    inconsistency: {report.inconsistency}")
-        for failure in report.expectation_failures:
-            print(f"    {failure}")
-        if report.validation is not None:
-            for c in report.validation.failures:
-                print(f"    failed check {c.name}: {c.detail}")
+        if not report.ok:
+            failures += 1
+            failed = report.to_text(("inconsistency", "validation", "expectation_failures"))
+            sys.stdout.write(textwrap.indent(failed, "    "))
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
@@ -137,26 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="validate a scenario file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("invariants", help="full invariant report")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("decide", help="integrability verdict only")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_decide)
-
-    p = sub.add_parser("zariski", help="Zariski decomposition and chains")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_zariski)
-
-    p = sub.add_parser("fibration", help="modular invariants of the fibration block")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_fibration)
+    for command, view in VIEWS.items():
+        p = sub.add_parser(command, help=view.help)
+        p.add_argument("file")
+        if command == "invariants":
+            p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=_cmd_view)
 
     p = sub.add_parser("fixtures", help="operate on the bundled fixture corpus")
     p.add_argument("action", choices=("run",))

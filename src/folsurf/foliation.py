@@ -33,6 +33,9 @@ from .surface import (
 KODAIRA_VALUES = ("-inf", "0", "1", "2")
 INTEGRALITY_VALUES = ("yes", "no", "unknown")
 
+# search nodes that ``resolve_camacho_sad`` may visit, over all components
+CAMACHO_SAD_NODE_BUDGET = 200_000
+
 TRUST_BOUNDARY_WARNING = (
     "zariski: only declared curves are visible to the decomposition; an "
     "undeclared obstructing curve cannot be detected"
@@ -171,10 +174,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return not any(c.failed for c in self.checks)
 
-    @property
-    def failures(self) -> Tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if c.failed)
-
 
 def normal_class(f: FoliatedScenario) -> DivisorClass:
     """N_F = K_F - K_S, derived rather than stored."""
@@ -252,6 +251,29 @@ def _cs_branches(s: SingularityRecord) -> Optional[Tuple[Fraction, Fraction]]:
     return (ev.value, 1 / ev.value)
 
 
+def _linked_components(
+    f: FoliatedScenario, curves: List[CurveRecord]
+) -> List[List[CurveRecord]]:
+    """The given curves split into classes linked by shared singularities,
+    each in declaration order and listed in the order of its first curve."""
+    names = {c.name for c in curves}
+    seen = set()
+    components = []
+    for c in curves:
+        if c.name in seen:
+            continue
+        seen.add(c.name)
+        members = [c.name]
+        for name in members:  # grows while it is walked: a breadth-first search
+            for s in f.singularities_on(name):
+                for other in s.incident_curves:
+                    if other in names and other not in seen:
+                        seen.add(other)
+                        members.append(other)
+        components.append([f.curve(n) for n in sorted(members, key=f._positions.__getitem__)])
+    return components
+
+
 def resolve_camacho_sad(
     f: FoliatedScenario,
 ) -> Tuple[Dict[str, Dict[str, Fraction]], Dict[str, str]]:
@@ -260,11 +282,14 @@ def resolve_camacho_sad(
     A singularity on one invariant curve contributes either element of its
     {lam, 1/lam} pair; on two invariant curves it contributes the pair in one
     of the two orders.  A curve is eligible when every incident singularity
-    has a rational branch pair.  Returns per-curve assignments and a status
-    map: "pass", "fail", or "skipped (...)" per invariant curve.  There is no
-    heuristic repair: if no branch choice balances, the curves involved fail.
-    A search that runs out of its node budget decides nothing, and the
-    eligible curves are "skipped (search budget exhausted)".
+    has a rational branch pair.  Eligible curves that share a singularity are
+    linked, and each connected component is searched on its own, so a curve
+    takes the verdict of its component only.  Returns per-curve assignments
+    and a status map: "pass", "fail", or "skipped (...)" per invariant curve.
+    There is no heuristic repair: if no branch choice balances a component,
+    its curves fail.  The components share one node budget: a component whose
+    search it cuts off decides nothing, and its curves are "skipped (search
+    budget exhausted)".
     """
     invariant = [c for c in f.curves if c.f_invariant]
     # each singularity's {lam, 1/lam} pair, once however many curves it is on
@@ -282,7 +307,6 @@ def resolve_camacho_sad(
             eligible.append(c)
 
     eligible_names = {c.name for c in eligible}
-    variables = list({s.id: s for c in eligible for s in f.singularities_on(c.name)}.values())
 
     # choice per singularity: map from touched eligible curve -> index value
     def options(s: SingularityRecord) -> List[Dict[str, Fraction]]:
@@ -299,24 +323,16 @@ def resolve_camacho_sad(
             return []
         return opts if opts[0] != opts[1] else opts[:1]
 
-    # built once, before the search; every node reads its variable's list
-    choices = [options(s) for s in variables]
     squares = {c.name: f.curve_numbers(c)[0] for c in eligible}
     remaining = {
         c.name: {s.id for s in f.singularities_on(c.name)} for c in eligible
     }
     sums: Dict[str, Fraction] = {c.name: Fraction(0) for c in eligible}
     assignment: Dict[str, Dict[str, Fraction]] = {c.name: {} for c in eligible}
+    budget = CAMACHO_SAD_NODE_BUDGET  # shared by the components
+    exhausted = False  # whether the current component's search was cut off
 
-    if not all(choices):
-        for c in eligible:
-            status[c.name] = "fail"
-        return {}, status
-
-    budget = 200_000
-    exhausted = False
-
-    def backtrack(idx: int) -> bool:
+    def backtrack(variables, choices, idx: int) -> bool:
         nonlocal budget, exhausted
         if budget <= 0:
             exhausted = True
@@ -335,7 +351,7 @@ def resolve_camacho_sad(
                 touched.append(curve_name)
                 if not remaining[curve_name] and sums[curve_name] != squares[curve_name]:
                     ok = False
-            if ok and backtrack(idx + 1):
+            if ok and backtrack(variables, choices, idx + 1):
                 return True
             for curve_name in touched:
                 sums[curve_name] -= opt[curve_name]
@@ -343,19 +359,22 @@ def resolve_camacho_sad(
                 del assignment[curve_name][s.id]
         return False
 
-    if backtrack(0):
-        for c in eligible:
-            if not f.singularities_on(c.name):
-                # a singularity-free curve balances only with square zero
-                status[c.name] = "pass" if squares[c.name] == 0 else "fail"
-            else:
+    for component in _linked_components(f, eligible):
+        variables = list({s.id: s for c in component for s in f.singularities_on(c.name)}.values())
+        # built once, before the search; every node reads its variable's list
+        choices = [options(s) for s in variables]
+        exhausted = False
+        found = all(choices) and backtrack(variables, choices, 0)
+        for c in component:
+            if exhausted:
+                # a search cut off by its budget has not shown that no choice balances
+                status[c.name] = "skipped (search budget exhausted)"
+            # a singularity-free curve balances only with square zero
+            elif found and (f.singularities_on(c.name) or squares[c.name] == 0):
                 status[c.name] = "pass"
-        return assignment, status
-    # a search cut off by its budget has not shown that no choice balances
-    verdict = "skipped (search budget exhausted)" if exhausted else "fail"
-    for c in eligible:
-        status[c.name] = verdict
-    return {}, status
+            else:
+                status[c.name] = "fail"
+    return assignment, status
 
 
 def adjunction_genus(f: FoliatedScenario, c: CurveRecord) -> Fraction:

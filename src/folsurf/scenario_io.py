@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+    Any, Callable, Collection, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional,
+    Tuple,
 )
 
 from .chern import ChernNumbers, Verdict, chern_numbers, decide, noether_bounds, slope
@@ -559,19 +560,6 @@ def check_line(c: CheckResult) -> str:
     return f"[{'FAIL' if c.failed else c.status}] {c.name}{detail}"
 
 
-def chain_line(ch: FChain) -> str:
-    return f"chain: [{', '.join(ch.curves)}]  e = {list(ch.self_intersections)}"
-
-
-def verdict_lines(v: Verdict) -> List[str]:
-    """The verdict, each fired rule with its citation, and the genus bound."""
-    lines = [f"verdict: {v.status}"]
-    lines += [f"  {r.rule_id}: {r.comparison}  [{r.citation}]" for r in v.fired_rules]
-    if v.genus_bound is not None:
-        lines.append(f"  genus bound: {v.genus_bound}")
-    return lines
-
-
 def listing(labels: Tuple[str, ...], values) -> str:
     """``label = value, ...`` over rationals, with ``-`` for one not computed."""
     return ", ".join(
@@ -637,12 +625,15 @@ class InvariantReport:
                 "nef_part": [fmt_rational(c) for c in dec.nef_part.coefficients],
                 "negative_part": {name: fmt_rational(c) for name, c in dec.negative_part},
             }
-            terms = lambda: " + ".join(f"{fmt_rational(c)}*{n}" for n, c in dec.negative_part)
-            yield "zariski", value, lambda: [f"P = {dec.nef_part}", f"N = {terms() or 0}"]
+            yield "zariski", value, lambda: [f"P = {dec.nef_part}"] + (
+                [f"N[{n}] = {fmt_rational(c)}" for n, c in dec.negative_part] or ["N = 0"]
+            )
         chains = self.chains
         if chains:
             value = [{"curves": list(c.curves), "e": list(c.self_intersections)} for c in chains]
-            yield "chains", value, lambda: list(map(chain_line, chains))
+            yield "chains", value, lambda: [
+                f"chain: [{', '.join(c.curves)}]  e = {list(c.self_intersections)}" for c in chains
+            ]
         if self.chern is not None:
             c = self.chern
             values = (c.c1_sq, c.c2, c.chi, self.vol, self.slope_value)
@@ -672,8 +663,12 @@ class InvariantReport:
                 "genus_bound": verdict.genus_bound,
                 "informational": list(verdict.sanity_failures),
             }
-            yield "verdict", value, lambda: verdict_lines(verdict) + [
-                f"  note: {note}" for note in verdict.sanity_failures
+            bound = verdict.genus_bound
+            yield "verdict", value, lambda: [
+                f"verdict: {verdict.status}",
+                *(f"  {r.rule_id}: {r.comparison}  [{r.citation}]" for r in verdict.fired_rules),
+                *([] if bound is None else [f"  genus bound: {bound}"]),
+                *(f"  note: {note}" for note in verdict.sanity_failures),
             ]
         modular = self.modular
         if modular is not None:
@@ -701,8 +696,15 @@ class InvariantReport:
         text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True, check_circular=False)
         return text + "\n"
 
-    def to_text(self) -> str:
-        return "".join(f"{line}\n" for _, _, lines in self._sections() for line in lines())
+    def to_text(self, sections: Optional[Collection[str]] = None) -> str:
+        """The text lines of the named sections (all when None), in walk order;
+        a named section the report does not hold prints nothing."""
+        return "".join(
+            f"{line}\n"
+            for key, _, lines in self._sections()
+            if sections is None or key in sections
+            for line in lines()
+        )
 
 
 # The report value each ``expect`` key is compared with, in comparison order;

@@ -54,23 +54,29 @@ class ZariskiDecomposition:
         return tuple(name for name, _ in self.negative_part)
 
 
-def chain_coefficients(e: Sequence[int]) -> Tuple[int, int, List[Fraction]]:
-    """Run the backward recursion xi_{j-1} = e_j xi_j - xi_{j+1}.
-
-    Starting from xi_{r+1} = 0, xi_r = 1 this yields xi_0 = n and xi_1 = q of
-    the cyclic-quotient type A_{n,q}; the negative-part coefficients are
-    b_j = xi_j / n.
-    """
+def _require_chain(e: Sequence[int]) -> None:
     if any(ej <= 1 for ej in e):
         raise DomainError("chain self-intersection data requires every e_j >= 2")
-    r = len(e)
-    xi = [0] * (r + 2)
-    xi[r + 1] = 0
-    xi[r] = 1
-    for j in range(r, 0, -1):
-        xi[j - 1] = e[j - 1] * xi[j] - xi[j + 1]
-    n, q = xi[0], xi[1]
-    return n, q, [Fraction(xi[j], n) for j in range(1, r + 1)]
+
+
+def chain_xi_sequence(e: Sequence[int]) -> List[int]:
+    """The backward recursion xi_{j-1} = e_j xi_j - xi_{j+1} from
+    xi_{r+1} = 0, xi_r = 1: the full xi_0 .. xi_{r+1} sequence (strictly
+    decreasing up to the end)."""
+    _require_chain(e)
+    xi = [0, 1]  # xi_{r+1}, xi_r, ... while it is built
+    for ej in reversed(e):
+        xi.append(ej * xi[-1] - xi[-2])
+    xi.reverse()
+    return xi
+
+
+def chain_coefficients(e: Sequence[int]) -> Tuple[int, int, List[Fraction]]:
+    """xi_0 = n and xi_1 = q of the cyclic-quotient type A_{n,q}, and the
+    negative-part coefficients b_j = xi_j / n, from ``chain_xi_sequence``."""
+    xi = chain_xi_sequence(e)
+    n = xi[0]
+    return n, xi[1], [Fraction(x, n) for x in xi[1:-1]]
 
 
 def chain_negative_square(e: Sequence[int]) -> Fraction:
@@ -80,27 +86,19 @@ def chain_negative_square(e: Sequence[int]) -> Fraction:
 
 
 def chain_eigenvalues(e: Sequence[int]) -> List[EigenvalueClass]:
-    """Eigenvalue classes along a chain via the forward recursion
-    mu_{k+1} = e_k mu_k - mu_{k-1}; the k-th singularity carries
-    -mu_{k+1}/mu_k.  Consecutive mu are coprime."""
-    if any(ej <= 1 for ej in e):
-        raise DomainError("chain self-intersection data requires every e_j >= 2")
-    mu = [0, 1]
-    for ek in e:
-        mu.append(ek * mu[-1] - mu[-2])
+    """Eigenvalue classes along a chain, from ``chain_mu_sequence``: the k-th
+    singularity carries -mu_{k+1}/mu_k.  Consecutive mu are coprime."""
+    _require_chain(e)
+    mu = chain_mu_sequence(e)
     return [
         EigenvalueClass.rational(Fraction(-mu[k + 1], mu[k]))
         for k in range(1, len(e) + 1)
     ]
 
 
-def chain_xi_sequence(e: Sequence[int]) -> List[int]:
-    """The full xi_0 .. xi_{r+1} sequence (strictly decreasing up to the end)."""
-    n, q, b = chain_coefficients(e)
-    return [n] + [int(x * n) for x in b] + [0]
-
-
 def chain_mu_sequence(e: Sequence[int]) -> List[int]:
+    """The forward recursion mu_{k+1} = e_k mu_k - mu_{k-1} from mu_0 = 0,
+    mu_1 = 1."""
     mu = [0, 1]
     for ek in e:
         mu.append(ek * mu[-1] - mu[-2])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -256,6 +257,102 @@ def test_camacho_sad_builds_branch_options_once_per_singularity(monkeypatch):
     check = _camacho_sad(validate(_minus_two_points_on_one_curve(10, 7)))
     assert check.detail == "no branch assignment balances the curve"
     assert sorted(calls) == sorted(f"p{k}" for k in range(10))
+
+
+def _point(sid, lam, *curves):
+    return SingularityRecord(
+        sid, NonDegenerate(EigenvalueClass.rational(lam)), incident_curves=curves
+    )
+
+
+def _camacho_sad_scenario(surface, curves, singularities):
+    return FoliatedScenario(
+        name="camacho-sad",
+        surface=surface,
+        k_foliation=surface.divisor([0] * surface.rank),
+        curves=tuple(curves),
+        singularities=tuple(singularities),
+        metadata=ScenarioMetadata(True, True),
+    )
+
+
+def _camacho_sad_checks(scenario):
+    return {c.name: c for c in validate(scenario).checks if c.name.startswith("camacho-sad.")}
+
+
+@pytest.mark.parametrize("lam_q, e2_status", [(-3, "fail"), (-1, "pass")])
+def test_camacho_sad_verdict_is_per_connected_component(lam_q, e2_status):
+    # E1 and E2 share no singularity: E1 balances with p alone, whatever q does
+    p2 = SurfaceModel.p2(2)
+    s = _camacho_sad_scenario(
+        p2,
+        [CurveRecord("E1", p2.divisor([0, 1, 0]), True),
+         CurveRecord("E2", p2.divisor([0, 0, 1]), True)],
+        [_point("p", -1, "E1"), _point("q", lam_q, "E2")],
+    )
+    checks = _camacho_sad_checks(s)
+    assert checks["camacho-sad.E1"].status == "pass"
+    assert checks["camacho-sad.E2"].status == e2_status
+
+
+def test_camacho_sad_components_share_one_budget(monkeypatch):
+    import folsurf.foliation as foliation
+
+    # A balances before the 18-point curve C spends the budget; D, searched
+    # after C, gets no nodes left and is skipped too
+    monkeypatch.setattr(foliation, "CAMACHO_SAD_NODE_BUDGET", 1000)
+    base = _minus_two_points_on_one_curve(18, 10)
+    surface = base.surface
+    e1 = surface.divisor([0, 1] + [0] * 9)
+    s = _camacho_sad_scenario(
+        surface,
+        [CurveRecord("A", e1, True), *base.curves, CurveRecord("D", e1, True)],
+        [_point("a", -1, "A"), *base.singularities, _point("d", -1, "D")],
+    )
+    checks = _camacho_sad_checks(s)
+    assert checks["camacho-sad.A"].status == "pass"
+    for name in ("C", "D"):
+        assert checks[f"camacho-sad.{name}"].detail == "skipped (search budget exhausted)"
+
+
+def _random_sub_scenario(rng, surface, prefix):
+    """A few invariant curves with random squares, and singularities of random
+    eigenvalue on one or two of them, all named with ``prefix``."""
+    rank = surface.rank
+    palette = [
+        surface.divisor([0, 1] + [0] * (rank - 2)),  # -1
+        surface.divisor([1, -1] + [0] * (rank - 2)),  # 0
+        surface.divisor([1] + [0] * (rank - 1)),  # 1
+        surface.divisor([0, 1, -1] + [0] * (rank - 3)),  # -2
+    ]
+    curves = [
+        CurveRecord(f"{prefix}{k}", rng.choice(palette), True) for k in range(rng.randint(1, 3))
+    ]
+    eigenvalues = [-1, -2, Fraction(-1, 2), -3, Fraction(-2, 3), 2]
+    singularities = []
+    for k in range(rng.randint(0, 4)):
+        on = rng.sample([c.name for c in curves], min(len(curves), rng.randint(1, 2)))
+        singularities.append(_point(f"{prefix}p{k}", rng.choice(eigenvalues), *on))
+    return curves, singularities
+
+
+def test_camacho_sad_status_of_disjoint_parts_is_their_status_alone():
+    rng = random.Random(20261018)
+    surface = SurfaceModel.p2(3)
+    statuses = set()
+    for _ in range(200):
+        a_curves, a_sings = _random_sub_scenario(rng, surface, "A")
+        b_curves, b_sings = _random_sub_scenario(rng, surface, "B")
+        together = _camacho_sad_checks(
+            _camacho_sad_scenario(surface, a_curves + b_curves, a_sings + b_sings)
+        )
+        alone = {
+            **_camacho_sad_checks(_camacho_sad_scenario(surface, a_curves, a_sings)),
+            **_camacho_sad_checks(_camacho_sad_scenario(surface, b_curves, b_sings)),
+        }
+        assert together == alone
+        statuses.update(c.status for c in alone.values())
+    assert statuses == {"pass", "fail"}
 
 
 def test_scenario_builds_its_pairings_and_incidence_once():

@@ -10,7 +10,8 @@ that alters any of these bytes on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-and says in its description what differs.
+which prints each key whose bytes were added, removed or changed before it
+writes the file, and says in its description what differs.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ import tempfile
 from pathlib import Path
 
 import folsurf
-from folsurf.cli import cli_main
+from folsurf.cli import VIEWS, cli_main
 from folsurf.fixtures import (
     bundled_documents,
     second_noether_ruled,
@@ -125,12 +126,20 @@ def cli_outputs():
     return out
 
 
+def _write_failure_cases(tmp):
+    """Each failure case written to a file in ``tmp``, as (case, path)."""
+    cases = []
+    for case, build in FAILURE_CASES.items():
+        path = Path(tmp) / f"{case}.json"
+        path.write_text(json.dumps(build()), encoding="utf-8")
+        cases.append((case, path))
+    return cases
+
+
 def failure_outputs():
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for case, build in FAILURE_CASES.items():
-            path = Path(tmp) / f"{case}.json"
-            path.write_text(json.dumps(build()), encoding="utf-8")
+        for case, path in _write_failure_cases(tmp):
             for command in COMMANDS:
                 argv = (command[0], str(path)) + command[1:]
                 out[" ".join((command[0], case) + command[1:])] = _run_cli(argv)
@@ -176,6 +185,49 @@ def test_fixtures_run_matches_golden():
     assert _run_cli(["fixtures", "run"]) == _golden()["fixtures run"]
 
 
+def test_every_view_prints_lines_of_the_report_text():
+    # each view is a selection of the report's sections, so apart from its
+    # fallback line it prints lines of the full text report, in its order
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = sorted(FIXTURE_DIR.glob("*.json"))
+        paths += [path for _, path in _write_failure_cases(tmp)]
+        for path in paths:
+            report = _run_cli(["invariants", str(path)])["stdout"].splitlines()
+            for command in ("check", "decide", "zariski", "fibration"):
+                lines = _run_cli([command, str(path)])["stdout"].splitlines()
+                remaining = iter(report)
+                assert all(
+                    line in remaining for line in lines if line != VIEWS[command].fallback
+                ), f"{command} {path.name}"
+
+
+def _flatten(outputs):
+    """Each pinned entry as ``section / key`` -> its JSON bytes."""
+    flat = {}
+    for section, entries in outputs.items():
+        if section == "fixtures run":  # one entry, not a map of them
+            flat[section] = json.dumps(entries, sort_keys=True)
+            continue
+        for key, value in entries.items():
+            flat[f"{section} / {key}"] = json.dumps(value, sort_keys=True)
+    return flat
+
+
+def golden_diff(old, new):
+    """The keys added, removed and changed between two golden files."""
+    before, after = _flatten(old), _flatten(new)
+    return (
+        sorted(after.keys() - before.keys()),
+        sorted(before.keys() - after.keys()),
+        sorted(k for k in before.keys() & after.keys() if before[k] != after[k]),
+    )
+
+
 if __name__ == "__main__":
+    outputs = collect()
+    old = _golden() if GOLDEN.exists() else {}
+    for label, keys in zip(("added", "removed", "changed"), golden_diff(old, outputs)):
+        for key in keys:
+            print(f"{label}: {key}")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(collect(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")

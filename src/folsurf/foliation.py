@@ -8,7 +8,9 @@ singularity count.  Per-point indices are never inferred from local
 equations; they are declared or derived by exact branch matching.  A
 scenario pairs its curves with each other and with K_F and K_S once, on
 first use (``FoliatedScenario.pairings``), and every curvewise identity
-reads that table; K_F.N_F is paired once too (``kf_dot_nf``).
+reads that table; K_F.N_F is paired once too (``kf_dot_nf``).  The
+Camacho-Sad balance is decided exactly, by one iterative sweep per connected
+component of the invariant curves, under one work budget for the scenario.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Tuple
+from math import lcm
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import DomainError, InconsistentScenario
 from .local_invariants import SingularityRecord
@@ -33,8 +36,9 @@ from .surface import (
 KODAIRA_VALUES = ("-inf", "0", "1", "2")
 INTEGRALITY_VALUES = ("yes", "no", "unknown")
 
-# search nodes that ``resolve_camacho_sad`` may visit, over all components
-CAMACHO_SAD_NODE_BUDGET = 200_000
+# work that ``resolve_camacho_sad`` may spend over all components: each
+# candidate vector of partial sums costs its length plus one
+CAMACHO_SAD_WORK_BUDGET = 200_000
 
 TRUST_BOUNDARY_WARNING = (
     "zariski: only declared curves are visible to the decomposition; an "
@@ -274,107 +278,111 @@ def _linked_components(
     return components
 
 
-def resolve_camacho_sad(
-    f: FoliatedScenario,
-) -> Tuple[Dict[str, Dict[str, Fraction]], Dict[str, str]]:
-    """Choose index branches so that every eligible invariant curve balances.
+def _component_balances(
+    steps: List[Tuple[Tuple[str, ...], List[Tuple[Fraction, ...]]]],
+    squares: Dict[str, Fraction],
+    budget: int,
+) -> Tuple[bool, Optional[int]]:
+    """Whether one branch choice per step balances every curve of a component,
+    and the work budget left (None when the sweep ran out of it).
+
+    A step is a singularity: the curves it lies on, and its branch choices
+    with one value per curve.  The sweep keeps the distinct vectors of
+    partial sums over the curves met but not yet finished, as integers over
+    one common denominator; after a curve's last singularity it keeps the
+    vectors where that curve balances, without its entry.  Each candidate
+    vector costs its length plus one.
+    """
+    values = [q for _, choices in steps for choice in choices for q in choice]
+    scale = lcm(*{q.denominator for q in values + list(squares.values())})
+    last = {name: k for k, (here, _) in enumerate(steps) for name in here}
+    # a curve without singularities balances only with square zero
+    if any(squares[name] and name not in last for name in squares):
+        return False, budget
+    met: List[str] = []  # the open curves, one vector entry each
+    vectors = {()}
+    for k, (here, choices) in enumerate(steps):
+        for name in here:
+            if name not in met:
+                met.append(name)
+                vectors = {v + (0,) for v in vectors}
+        cost = len(vectors) * len(choices) * (len(met) + 1)
+        if cost > budget:
+            return False, None
+        budget -= cost
+        positions = [met.index(name) for name in here]
+        scaled = [[q.numerator * (scale // q.denominator) for q in c] for c in choices]
+        grown = set()
+        for v in vectors:
+            for choice in scaled:
+                w = list(v)
+                for i, x in zip(positions, choice):
+                    w[i] += x
+                grown.add(tuple(w))
+        vectors = grown
+        for name in here:
+            if last[name] == k:
+                i = met.index(name)
+                del met[i]
+                target = int(squares[name] * scale)
+                vectors = {v[:i] + v[i + 1 :] for v in vectors if v[i] == target}
+        if not vectors:
+            return False, budget
+    return True, budget
+
+
+def resolve_camacho_sad(f: FoliatedScenario) -> Iterator[CheckResult]:
+    """Decide the Camacho-Sad balance of every invariant curve, one check each.
 
     A singularity on one invariant curve contributes either element of its
     {lam, 1/lam} pair; on two invariant curves it contributes the pair in one
     of the two orders.  A curve is eligible when every incident singularity
-    has a rational branch pair.  Eligible curves that share a singularity are
-    linked, and each connected component is searched on its own, so a curve
-    takes the verdict of its component only.  Returns per-curve assignments
-    and a status map: "pass", "fail", or "skipped (...)" per invariant curve.
-    There is no heuristic repair: if no branch choice balances a component,
-    its curves fail.  The components share one node budget: a component whose
-    search it cuts off decides nothing, and its curves are "skipped (search
-    budget exhausted)".
+    has a rational branch pair; the others are skipped.  Eligible curves that
+    share a singularity are linked, and each connected component is decided
+    exactly by one sweep (``_component_balances``), so a curve takes its
+    component's verdict: pass when some branch choice balances every curve
+    of the component, else fail.  There is no heuristic repair.  The
+    components share one work budget, in order: the component it cuts off,
+    and every later one, is "skipped (search budget exhausted)".
     """
-    invariant = [c for c in f.curves if c.f_invariant]
     # each singularity's {lam, 1/lam} pair, once however many curves it is on
     branches: Dict[str, Optional[Tuple[Fraction, Fraction]]] = {}
-    status: Dict[str, str] = {}
     eligible: List[CurveRecord] = []
-    for c in invariant:
+    for c in f.curves:
+        if not c.f_invariant:
+            continue
         sings = f.singularities_on(c.name)
         for s in sings:
             if s.id not in branches:
                 branches[s.id] = _cs_branches(s)
         if any(branches[s.id] is None for s in sings):
-            status[c.name] = "skipped (non-rational or saddle-node index present)"
+            skipped = "skipped (non-rational or saddle-node index present)"
+            yield CheckResult(f"camacho-sad.{c.name}", passed=None, detail=skipped)
         else:
             eligible.append(c)
 
-    eligible_names = {c.name for c in eligible}
-
-    # choice per singularity: map from touched eligible curve -> index value
-    def options(s: SingularityRecord) -> List[Dict[str, Fraction]]:
-        lam, inv = branches[s.id]
-        curves_here = [n for n in s.incident_curves if n in eligible_names]
-        if len(curves_here) == 1:
-            opts = [{curves_here[0]: lam}, {curves_here[0]: inv}]
-        elif len(curves_here) == 2:
-            a, b = curves_here
-            opts = [{a: lam, b: inv}, {a: inv, b: lam}]
-        else:
-            # incident to >2 declared invariant curves: outside the
-            # transverse-crossing model, cannot be resolved here
-            return []
-        return opts if opts[0] != opts[1] else opts[:1]
-
-    squares = {c.name: f.curve_numbers(c)[0] for c in eligible}
-    remaining = {
-        c.name: {s.id for s in f.singularities_on(c.name)} for c in eligible
-    }
-    sums: Dict[str, Fraction] = {c.name: Fraction(0) for c in eligible}
-    assignment: Dict[str, Dict[str, Fraction]] = {c.name: {} for c in eligible}
-    budget = CAMACHO_SAD_NODE_BUDGET  # shared by the components
-    exhausted = False  # whether the current component's search was cut off
-
-    def backtrack(variables, choices, idx: int) -> bool:
-        nonlocal budget, exhausted
-        if budget <= 0:
-            exhausted = True
-            return False
-        budget -= 1
-        if idx == len(variables):
-            return True
-        s = variables[idx]
-        for opt in choices[idx]:
-            ok = True
-            touched = []
-            for curve_name, value in opt.items():
-                sums[curve_name] += value
-                remaining[curve_name].discard(s.id)
-                assignment[curve_name][s.id] = value
-                touched.append(curve_name)
-                if not remaining[curve_name] and sums[curve_name] != squares[curve_name]:
-                    ok = False
-            if ok and backtrack(variables, choices, idx + 1):
-                return True
-            for curve_name in touched:
-                sums[curve_name] -= opt[curve_name]
-                remaining[curve_name].add(s.id)
-                del assignment[curve_name][s.id]
-        return False
-
+    names = {c.name for c in eligible}
+    budget: Optional[int] = CAMACHO_SAD_WORK_BUDGET
     for component in _linked_components(f, eligible):
-        variables = list({s.id: s for c in component for s in f.singularities_on(c.name)}.values())
-        # built once, before the search; every node reads its variable's list
-        choices = [options(s) for s in variables]
-        exhausted = False
-        found = all(choices) and backtrack(variables, choices, 0)
+        squares = {c.name: f.curve_numbers(c)[0] for c in component}
+        if budget is not None:
+            steps = []
+            for s in {s.id: s for c in component for s in f.singularities_on(c.name)}.values():
+                here = tuple(dict.fromkeys(n for n in s.incident_curves if n in names))
+                lam, inv = branches[s.id]
+                orders = [(lam, inv), (inv, lam)] if lam != inv else [(lam, inv)]
+                # on more than two curves the point is outside the
+                # transverse-crossing model, and no choice balances it
+                steps.append((here, [o[: len(here)] for o in orders] if len(here) <= 2 else []))
+            found, budget = _component_balances(steps, squares, budget)
         for c in component:
-            if exhausted:
-                # a search cut off by its budget has not shown that no choice balances
-                status[c.name] = "skipped (search budget exhausted)"
-            # a singularity-free curve balances only with square zero
-            elif found and (f.singularities_on(c.name) or squares[c.name] == 0):
-                status[c.name] = "pass"
+            name, square = f"camacho-sad.{c.name}", squares[c.name]
+            if budget is None:
+                yield CheckResult(name, passed=None, detail="skipped (search budget exhausted)")
+            elif found:
+                yield CheckResult(name, True, f"sum {square} vs C^2 = {square}", Fraction(0))
             else:
-                status[c.name] = "fail"
-    return assignment, status
+                yield CheckResult(name, False, "no branch assignment balances the curve")
 
 
 def adjunction_genus(f: FoliatedScenario, c: CurveRecord) -> Fraction:
@@ -470,21 +478,6 @@ def validate(f: FoliatedScenario) -> ValidationReport:
                 )
             )
 
-    assignments, statuses = resolve_camacho_sad(f)
-    for name in sorted(statuses):
-        st = statuses[name]
-        if st.startswith("skipped"):
-            checks.append(CheckResult(f"camacho-sad.{name}", passed=None, detail=st))
-        elif st == "pass":
-            curve = f.curve(name)
-            checks.append(camacho_sad_check(f, curve, assignments.get(name, {})))
-        else:
-            checks.append(
-                CheckResult(
-                    f"camacho-sad.{name}",
-                    passed=False,
-                    detail="no branch assignment balances the curve",
-                )
-            )
+    checks.extend(sorted(resolve_camacho_sad(f), key=lambda c: c.name))
 
     return ValidationReport(checks=tuple(checks), warnings=(TRUST_BOUNDARY_WARNING,))

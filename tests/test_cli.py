@@ -98,3 +98,30 @@ def test_fixtures_run_deterministic(capsys):
     cli_main(["fixtures", "run"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_check_deep_camacho_sad_component_reports_without_traceback(tmp_path, capsys):
+    # 1 000 points on one invariant line make one Camacho-Sad component as
+    # long as the point count; the check reports it instead of raising
+    doc = {
+        "name": "one-line-many-points",
+        "surface": {"base": "P2", "blowups": 0},
+        "k_foliation": ["0"],
+        "curves": [{"name": "C", "class": ["1"], "f_invariant": True}],
+        "singularities": [
+            {"id": f"p{k}", "kind": {"eigenvalue": "-2"}, "on_curves": ["C"]}
+            for k in range(1000)
+        ],
+        "metadata": {
+            "k_pseudo_effective": True,
+            "relatively_minimal": True,
+            "algebraically_integral": "unknown",
+        },
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["check", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(
+        line.strip().startswith(("[skip] camacho-sad.C", "[FAIL] camacho-sad.C")) for line in lines
+    )

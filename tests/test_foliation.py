@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from folsurf.local_invariants import (
     SingularityRecord,
 )
 from folsurf.scenario_io import parse_document_dict
-from folsurf.surface import SurfaceModel, canonical_class
+from folsurf.surface import SurfaceModel, canonical_class, intersect
 
 
 def scenario_from(builder_doc):
@@ -226,12 +228,28 @@ def _camacho_sad(report):
     return next(c for c in report.checks if c.name == "camacho-sad.C")
 
 
-def test_camacho_sad_budget_exhaustion_is_skipped_not_failed():
-    # C^2 = -9 and all 18 branches at -1/2 balance the curve, but the search
-    # runs out of its node budget before it reaches that assignment
+def test_camacho_sad_budget_exhaustion_is_skipped_not_failed(monkeypatch):
+    import folsurf.foliation as foliation
+
+    # C^2 = -9 and all 18 branches at -1/2 balance the curve; a sweep that
+    # runs out of its work budget first has not shown that no choice does
+    monkeypatch.setattr(foliation, "CAMACHO_SAD_WORK_BUDGET", 100)
     check = _camacho_sad(validate(_minus_two_points_on_one_curve(18, 10)))
     assert check.passed is None
     assert check.detail == "skipped (search budget exhausted)"
+
+
+@pytest.mark.parametrize("count, blowups", [(18, 10), (200, 110)])
+def test_camacho_sad_long_balanced_curve_passes_quickly(count, blowups):
+    # C^2 = 1 - blowups: 18 branches at -1/2 give -9, and six at -2 with 194
+    # at -1/2 give -109; the distinct partial sums number at most count + 1
+    s = _minus_two_points_on_one_curve(count, blowups)
+    start = time.perf_counter()
+    check = _camacho_sad(validate(s))
+    assert time.perf_counter() - start < 0.5
+    assert check.passed
+    assert check.detail == f"sum {1 - blowups} vs C^2 = {1 - blowups}"
+    assert check.residual == 0
 
 
 def test_camacho_sad_finished_search_without_solution_fails():
@@ -298,9 +316,9 @@ def test_camacho_sad_verdict_is_per_connected_component(lam_q, e2_status):
 def test_camacho_sad_components_share_one_budget(monkeypatch):
     import folsurf.foliation as foliation
 
-    # A balances before the 18-point curve C spends the budget; D, searched
-    # after C, gets no nodes left and is skipped too
-    monkeypatch.setattr(foliation, "CAMACHO_SAD_NODE_BUDGET", 1000)
+    # A balances before the 18-point curve C spends the budget; D, swept
+    # after C, gets no work left and is skipped too
+    monkeypatch.setattr(foliation, "CAMACHO_SAD_WORK_BUDGET", 100)
     base = _minus_two_points_on_one_curve(18, 10)
     surface = base.surface
     e1 = surface.divisor([0, 1] + [0] * 9)
@@ -313,6 +331,132 @@ def test_camacho_sad_components_share_one_budget(monkeypatch):
     assert checks["camacho-sad.A"].status == "pass"
     for name in ("C", "D"):
         assert checks[f"camacho-sad.{name}"].detail == "skipped (search budget exhausted)"
+
+
+def test_camacho_sad_counts_a_repeated_curve_once():
+    # p lies on C twice and on D once; like singularities_on, Camacho-Sad
+    # counts it once on C, so each curve balances with the index -1
+    p2 = SurfaceModel.p2(2)
+    curves = [CurveRecord("C", p2.divisor([0, 1, 0]), True),
+              CurveRecord("D", p2.divisor([0, 0, 1]), True)]
+    for on in (("C", "D"), ("C", "C", "D")):
+        checks = _camacho_sad_checks(_camacho_sad_scenario(p2, curves, [_point("p", -1, *on)]))
+        assert [c.status for c in checks.values()] == ["pass", "pass"]
+
+
+def _hub_scenario(spokes):
+    """A hub curve H met by ``spokes`` curves C_i, each through u_i on H and
+    C_i and through v_i on C_i alone; H is declared, and so swept, first."""
+    surface = SurfaceModel.p2(spokes)
+    curves = [CurveRecord("H", surface.basis_divisor(0), True)]
+    curves += [CurveRecord(f"C{i}", surface.basis_divisor(i + 1), True) for i in range(spokes)]
+    points = [_point(f"u{i}", -2, "H", f"C{i}") for i in range(spokes)]
+    points += [_point(f"v{i}", -2, f"C{i}") for i in range(spokes)]
+    return _camacho_sad_scenario(surface, curves, points)
+
+
+def _many_points_scenario(count):
+    p2 = SurfaceModel.p2()
+    points = [_point(f"p{k}", -2, "C") for k in range(count)]
+    return _camacho_sad_scenario(p2, [CurveRecord("C", p2.divisor([1]), True)], points)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _many_points_scenario(10_000), lambda: _hub_scenario(5_000)],
+    ids=["10000-points-on-one-curve", "hub-with-5000-spokes"],
+)
+def test_camacho_sad_hostile_shapes_get_a_verdict_in_bounded_time(build):
+    s = build()
+    start = time.perf_counter()
+    checks = _camacho_sad_checks(s)
+    assert time.perf_counter() - start < 1.0
+    assert len(checks) == len(s.curves)
+    assert all(c.status in ("skip", "fail") for c in checks.values())
+
+
+LAMBDAS = [-1, -2, Fraction(-1, 2), -3, Fraction(-2, 3), Fraction(-3, 2), -4,
+           Fraction(-5, 2), Fraction(1, 3), 2, 5]
+
+
+def _balancing_assignments(scenario):
+    """Each component of the invariant curves, linked by shared points, with
+    one balancing assignment {curve: {point: index}} or None, found by trying
+    every branch choice in turn."""
+    invariant = [c for c in scenario.curves if c.f_invariant]
+    names = {c.name for c in invariant}
+    on = {s.id: sorted(set(s.incident_curves) & names) for s in scenario.singularities}
+    parent = {n: n for n in names}
+
+    def root(n):
+        while parent[n] != n:
+            n = parent[n]
+        return n
+
+    for curves in on.values():
+        for a, b in zip(curves, curves[1:]):
+            parent[root(a)] = root(b)
+    for top in sorted({root(n) for n in names}):
+        component = [c for c in invariant if root(c.name) == top]
+        members = {c.name for c in component}
+        points = [s for s in scenario.singularities if set(on[s.id]) & members]
+        options = []
+        for s in points:
+            lam = s.eigenvalue.value
+            if len(on[s.id]) == 1:
+                options.append([{on[s.id][0]: lam}, {on[s.id][0]: 1 / lam}])
+            elif len(on[s.id]) == 2:
+                a, b = on[s.id]
+                options.append([{a: lam, b: 1 / lam}, {a: 1 / lam, b: lam}])
+            else:
+                options.append([])
+        found = None
+        for picks in itertools.product(*options):
+            sums = {c.name: Fraction(0) for c in component}
+            for s, pick in zip(points, picks):
+                for name, value in pick.items():
+                    sums[name] += value
+            if all(sums[c.name] == intersect(c.cls, c.cls) for c in component):
+                found = {c.name: {} for c in component}
+                for s, pick in zip(points, picks):
+                    for name, value in pick.items():
+                        found[name][s.id] = value
+                break
+        yield component, found
+
+
+def test_camacho_sad_agrees_with_exhaustive_enumeration():
+    rng = random.Random(20261019)
+    surface = SurfaceModel.p2(3)
+    palette = [
+        surface.divisor([0, 1, 0, 0]),  # -1
+        surface.divisor([1, -1, 0, 0]),  # 0
+        surface.divisor([1, 0, 0, 0]),  # 1
+        surface.divisor([0, 1, -1, 0]),  # -2
+        surface.divisor([1, -1, -1, -1]),  # -2
+        surface.divisor([0, 1, -1, -1]),  # -3
+    ]
+    verdicts = set()
+    for _ in range(400):
+        curves = [
+            CurveRecord(f"C{k}", rng.choice(palette), rng.random() < 0.9)
+            for k in range(rng.randint(1, 5))
+        ]
+        points = [
+            _point(f"p{k}", rng.choice(LAMBDAS),
+                   *rng.sample([c.name for c in curves], min(len(curves), rng.randint(1, 3))))
+            for k in range(rng.randint(0, 9))
+        ]
+        s = _camacho_sad_scenario(surface, curves, points)
+        checks = _camacho_sad_checks(s)
+        assert len(checks) == sum(c.f_invariant for c in curves)
+        for component, found in _balancing_assignments(s):
+            for c in component:
+                assert checks[f"camacho-sad.{c.name}"].passed is (found is not None)
+                if found is not None:
+                    assert camacho_sad_check(s, c, found[c.name]).passed
+            verdicts.add(found is not None)
+    assert verdicts == {True, False}
 
 
 def _random_sub_scenario(rng, surface, prefix):

@@ -8,12 +8,11 @@ of representative parameters and a test keeps them in sync with the builders.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from importlib import resources
 from typing import Any, Dict, List, Tuple
 
-from .scenario_io import fmt_rational
+from .scenario_io import fmt_rational, write_json
 
 
 def _q(value) -> str:
@@ -554,7 +553,7 @@ def bundled_documents() -> Dict[str, Dict[str, Any]]:
 
 
 def render_fixture(doc: Dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return write_json(doc) + "\n"
 
 
 def load_bundled_files() -> List[Tuple[str, str]]:

@@ -8,7 +8,10 @@ Reports are deterministic; identical input bytes produce identical report
 bytes.
 
 The format is defined once, by the record table (``DOCUMENT`` and the
-records it nests) that :func:`decode` and :func:`encode` walk.
+records it nests): :func:`encode` walks it, and each record's decoder is
+generated from it on first use.  Equal singularity kinds of one document
+decode to one shared object.  Reports, documents and fixtures are printed by
+one writer, :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from types import MappingProxyType
 from typing import (
     Any, Callable, Collection, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional,
@@ -64,6 +67,74 @@ def fmt_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_escape = json.encoder.encode_basestring_ascii  # the C escaper of json.dumps
+
+
+def write_json(value: Any) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, written directly: the
+    stdlib encoder runs in pure Python whenever ``indent`` is set.  Takes str,
+    int, bool, None, lists and dicts with str keys; anything else, a float
+    included, raises TypeError.  A cycle is not detected."""
+    out: List[str] = []
+    _write(value, "\n", out.append)
+    return "".join(out)
+
+
+def _write(value: Any, newline: str, emit: Callable[[str], None]) -> None:
+    # separators are emitted as pieces, not joined to the keys and values:
+    # the pieces are shared strings, so only the escaped text is allocated
+    t = type(value)
+    if t is str:
+        emit(_escape(value))
+    elif t is dict:
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        emit("{")
+        sep = inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            emit(sep)
+            emit(_escape(key))
+            emit(": ")
+            item = value[key]
+            if type(item) is str:  # the common leaf, written without a call
+                emit(_escape(item))
+            else:
+                _write(item, inner, emit)
+            sep = comma
+        emit(newline)
+        emit("}")
+    elif t is list:
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        emit("[")
+        sep = inner
+        for item in value:
+            emit(sep)
+            if type(item) is str:
+                emit(_escape(item))
+            else:
+                _write(item, inner, emit)
+            sep = comma
+        emit(newline)
+        emit("]")
+    elif t is int:
+        emit(str(value))
+    elif t is bool:
+        emit("true" if value else "false")
+    elif value is None:
+        emit("null")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 class _Reject(Exception):
     """A malformed element.  The walkers add the key or index leading to it as
     it propagates, so a JSON path is only formatted for a failing document."""
@@ -74,10 +145,11 @@ class _Reject(Exception):
         self.where = list(reversed(where))  # innermost segment first
 
 
-def _rational(text: Any) -> Fraction:
+def _rational(text: Any, memo: object = None) -> Fraction:
     """A JSON integer, or a string of an optional "-", ASCII digits, and
     optionally "/" and ASCII digits; ``int`` alone would also take signs,
-    spaces, underscores and non-ASCII digits."""
+    spaces, underscores and non-ASCII digits.  As the decode function of
+    ``RATIONAL`` it is passed the document's memo, which it does not use."""
     if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
@@ -102,10 +174,18 @@ def parse_rational(text: Any, path: str) -> Fraction:
         raise ParseError(exc.reason, path) from None
 
 
-class Codec(NamedTuple):
-    """Converts one JSON value to its domain value and back."""
+Decoder = Callable[[Any, dict], Any]
 
-    decode: Callable[[Any], Any]
+
+class Codec(NamedTuple):
+    """Converts one JSON value to its domain value and back.
+
+    A decode function takes the JSON value and the memo of the document being
+    parsed (see ``_kind_decoder``).  ``make_decoder`` returns it; it is called
+    when the decoder of the enclosing record is built, so a nested record's
+    decoder is built then too, never at import."""
+
+    make_decoder: Callable[[], Decoder]
     encode: Callable[[Any], Any]
 
 
@@ -113,65 +193,81 @@ def _same(value: Any) -> Any:
     return value
 
 
-def _typed(kind: type, expected: str, minimum: Optional[int] = None) -> Codec:
-    def decode(raw):
+def codec(decode: Decoder, encode: Callable[[Any], Any] = _same) -> Codec:
+    """The codec of a decode function that needs nothing built first."""
+    return Codec(lambda: decode, encode)
+
+
+def _typed(kind: type, expected: str, minimum: Optional[int] = None) -> Decoder:
+    def decode(raw, memo):
         if type(raw) is not kind:
             raise _Reject(f"expected {expected}, got {raw!r}")
         if minimum is not None and raw < minimum:
             raise _Reject(f"expected {expected} >= {minimum}, got {raw}")
         return raw
 
-    return Codec(decode, _same)
+    return decode
 
 
 def integer(minimum: Optional[int] = None) -> Codec:
-    return _typed(int, "an integer", minimum)
+    return codec(_typed(int, "an integer", minimum))
 
 
 def list_of(item: Codec) -> Codec:
-    def decode(raw):
-        if not isinstance(raw, list):
-            raise _Reject("expected a list")
-        out = []
-        try:
-            for value in raw:
-                out.append(item.decode(value))
-        except _Reject as exc:
-            exc.where.append(len(out))  # the index of the failing element
-            raise
-        return out
+    def make_decoder():
+        decode_item = item.make_decoder()
 
-    return Codec(decode, lambda values: [item.encode(v) for v in values])
+        def decode(raw, memo):
+            if not isinstance(raw, list):
+                raise _Reject("expected a list")
+            out = []
+            try:
+                for value in raw:
+                    out.append(decode_item(value, memo))
+            except _Reject as exc:
+                exc.where.append(len(out))  # the index of the failing element
+                raise
+            return out
+
+        return decode
+
+    return Codec(make_decoder, lambda values: [item.encode(v) for v in values])
 
 
 def map_of(item: Codec) -> Codec:
     """A JSON object with free keys, such as curve name -> coefficient."""
 
-    def decode(raw):
-        if not isinstance(raw, dict):
-            raise _Reject("expected an object")
-        out = {}
-        try:
-            for key, value in raw.items():
-                out[key] = item.decode(value)
-        except _Reject as exc:
-            exc.where.append(key)
-            raise
-        return out
+    def make_decoder():
+        decode_item = item.make_decoder()
 
-    return Codec(decode, lambda values: {k: item.encode(v) for k, v in values.items()})
+        def decode(raw, memo):
+            if not isinstance(raw, dict):
+                raise _Reject("expected an object")
+            out = {}
+            try:
+                for key, value in raw.items():
+                    out[key] = decode_item(value, memo)
+            except _Reject as exc:
+                exc.where.append(key)
+                raise
+            return out
+
+        return decode
+
+    return Codec(make_decoder, lambda values: {k: item.encode(v) for k, v in values.items()})
 
 
 def record(spec: "Record") -> Codec:
-    return Codec(partial(_decode, spec), partial(encode, spec))
+    return Codec(lambda: spec.decoder, partial(encode, spec))
 
 
-RATIONAL = Codec(_rational, fmt_rational)
-BOOL = _typed(bool, "a boolean")
-STRING = _typed(str, "a string")
+_string = _typed(str, "a string")
+RATIONAL = codec(_rational, fmt_rational)
+BOOL = codec(_typed(bool, "a boolean"))
+STRING = codec(_string)
 
 
-def _decode_class(raw: Any) -> Tuple[int, Tuple[Tuple[int, Fraction], ...]]:
+def _decode_class(raw: Any, memo: dict) -> Tuple[int, Tuple[Tuple[int, Fraction], ...]]:
     """A dense class list decodes to its length and its nonzero (index,
     coefficient) pairs: only the enclosing document knows the surface, whose
     rank the scenario builder checks.  A "0" entry builds no Fraction."""
@@ -190,7 +286,7 @@ def _decode_class(raw: Any) -> Tuple[int, Tuple[Tuple[int, Fraction], ...]]:
     return len(raw), tuple(terms)
 
 
-CLASS = Codec(_decode_class, lambda cls: list(map(fmt_rational, cls.coefficients)))
+CLASS = codec(_decode_class, lambda cls: list(map(fmt_rational, cls.coefficients)))
 
 REQUIRED = object()  # default of a key that must be present
 ABSENT = object()  # default of a key whose absence leaves its attribute unset
@@ -222,45 +318,90 @@ class Record:
 
     def __post_init__(self):
         object.__setattr__(self, "keys", frozenset(f.key for f in self.fields))
-        # unpacked once, so that the walkers' per-element loops do no attribute
-        # lookups; the last entry is the value serializing leaves out
+        # unpacked once, so that the decoder's builder and the encoder's
+        # per-element loop do no attribute lookups; the last entry is the
+        # value serializing leaves out
         plan = tuple(
             (f.key, f.attr or f.key, *f.codec, f.default, ABSENT if f.emit_default else f.default)
             for f in self.fields
         )
         object.__setattr__(self, "plan", plan)
 
+    @cached_property
+    def decoder(self) -> Decoder:
+        """The decode function of this record, built on first use."""
+        return _compile(self)
 
-def _decode(spec: Record, obj: Any) -> Any:
-    if not isinstance(obj, dict):
-        raise _Reject("expected an object")
-    if not spec.keys.issuperset(obj):
-        key = next(k for k in obj if k not in spec.keys)
-        raise _Reject(f"unknown key {key!r}", key)
-    values = {}
-    try:
-        for key, attr, decode_value, _, default, _ in spec.plan:
-            raw = obj.get(key, ABSENT)
-            if raw is not ABSENT:
-                try:
-                    values[attr] = decode_value(raw)
-                except _Reject as exc:
-                    exc.where.append(key)
-                    raise
-            elif default is REQUIRED:
-                raise _Reject(f"missing required key {key!r}")
-            elif default is not ABSENT:
-                values[attr] = default
-        return spec.build(**values)
-    except (DomainError, InconsistentScenario) as exc:
-        raise _Reject(str(exc)) from None
+
+def _unknown_key(obj: dict, keys: FrozenSet[str]) -> _Reject:
+    key = next(k for k in obj if k not in keys)
+    return _Reject(f"unknown key {key!r}", key)
+
+
+def _compile(spec: Record) -> Decoder:
+    """The source of one decode function for ``spec``, a block per field in
+    field order, compiled the way ``dataclasses`` writes ``__init__``.  It
+    looks each key up once and calls the builder with keywords; a builder's
+    DomainError or InconsistentScenario is refused at the object's path."""
+    env: Dict[str, Any] = {
+        "ABSENT": ABSENT,
+        "BUILD_ERRORS": (DomainError, InconsistentScenario),
+        "_Reject": _Reject,
+        "_unknown_key": _unknown_key,
+        "build": spec.build,
+        "keys": spec.keys,
+    }
+    body, arguments = [], []
+    for i, (key, attr, make_decoder, _, default, _) in enumerate(spec.plan):
+        env[f"decode{i}"] = make_decoder()
+        if default is ABSENT:  # an absent key leaves the attribute unset
+            target = f"values[{attr!r}]"
+        else:
+            target = f"v{i}"
+            arguments.append(f"{attr}={target}")
+        body += [
+            f"raw = obj.get({key!r}, ABSENT)",
+            "if raw is not ABSENT:",
+            "    try:",
+            f"        {target} = decode{i}(raw, memo)",
+            "    except _Reject as exc:",
+            f"        exc.where.append({key!r})",
+            "        raise",
+        ]
+        if default is REQUIRED:
+            body += ["else:", f"    raise _Reject({f'missing required key {key!r}'!r})"]
+        elif default is not ABSENT:
+            env[f"default{i}"] = default
+            body += ["else:", f"    {target} = default{i}"]
+    if len(arguments) < len(spec.plan):
+        body.insert(0, "values = {}")
+        arguments.append("**values")
+    body.append(f"return build({', '.join(arguments)})")
+    source = "\n".join(
+        [
+            "def decode(obj, memo):",
+            "    if not isinstance(obj, dict):",
+            "        raise _Reject('expected an object')",
+            "    if not keys.issuperset(obj):",
+            "        raise _unknown_key(obj, keys)",
+            "    try:",
+            *(f"        {line}" for line in body),
+            "    except BUILD_ERRORS as exc:",
+            "        raise _Reject(str(exc)) from None",
+        ]
+    )
+    # the file name tells the decoders apart in tracebacks and profiles
+    name = f"<decoder of {spec.build.__name__}: {spec.fields[0].key}>"
+    exec(compile(source, name, "exec"), env)
+    return env["decode"]
 
 
 def decode(spec: Record, obj: Any, path: str = "$") -> Any:
     """Decode the JSON object ``obj`` against ``spec``; malformed input
-    raises :class:`ParseError` at its JSON path below ``path``."""
+    raises :class:`ParseError` at its JSON path below ``path``.  The memo
+    the decoders share lives for this call only."""
     try:
-        return _decode(spec, obj)
+        return spec.decoder(obj, {})
     except _Reject as exc:
         where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in reversed(exc.where))
         raise ParseError(exc.reason, path + where) from None
@@ -280,7 +421,7 @@ def encode(spec: Record, value: Any) -> Dict[str, Any]:
 # Unions and checks that are not field by field.
 
 
-def _decode_eigenvalue(raw: Any) -> EigenvalueClass:
+def _decode_eigenvalue(raw: Any, memo: dict) -> EigenvalueClass:
     if raw == "nonrational":
         return _NONRATIONAL
     value = _rational(raw)
@@ -290,7 +431,7 @@ def _decode_eigenvalue(raw: Any) -> EigenvalueClass:
 
 
 _NONRATIONAL = EigenvalueClass.nonrational()  # immutable: one instance serves all
-EIGENVALUE = Codec(
+EIGENVALUE = codec(
     _decode_eigenvalue, lambda ev: "nonrational" if ev.value is None else fmt_rational(ev.value)
 )
 NON_DEGENERATE = Record(NonDegenerate, (Field("eigenvalue", EIGENVALUE),))
@@ -304,19 +445,44 @@ SADDLE_NODE = Record(
 _KINDS = {spec.build: spec for spec in (NON_DEGENERATE, SADDLE_NODE)}
 
 
-def _decode_kind(raw: Any):
-    if isinstance(raw, dict):
-        for spec in _KINDS.values():
-            if spec.fields[0].key in raw:
-                return _decode(spec, raw)
-    keys = " or ".join(repr(spec.fields[0].key) for spec in _KINDS.values())
-    raise _Reject(f"kind must declare {keys}")
+def _kind_decoder() -> Decoder:
+    """A kind is told apart by its first key.  One equal to an earlier kind of
+    the same document, key for key with values of the same types, is the
+    object decoded then: equal values of one type decode alike, and the types
+    keep look-alikes such as 1, true and 1.0 apart.  A kind holding a value
+    that cannot be hashed, such as a list, is decoded afresh."""
+    kinds = tuple((spec.fields[0].key, spec.decoder) for spec in _KINDS.values())
+    refusal = "kind must declare " + " or ".join(repr(key) for key, _ in kinds)
+
+    def decode_new(raw, memo):
+        for key, decode_kind in kinds:
+            if key in raw:
+                return decode_kind(raw, memo)
+        raise _Reject(refusal)
+
+    def decode(raw, memo):
+        if not isinstance(raw, dict):
+            raise _Reject(refusal)
+        if len(raw) == 1:  # the common shape, keyed at a third of the cost
+            ((name, value),) = raw.items()
+            key = (name, value, type(value))
+        else:
+            key = (*raw.items(), *map(type, raw.values()))
+        try:
+            kind = memo.get(key)
+        except TypeError:  # unhashable
+            return decode_new(raw, memo)
+        if kind is None:
+            kind = memo[key] = decode_new(raw, memo)
+        return kind
+
+    return decode
 
 
-KIND = Codec(_decode_kind, lambda kind: encode(_KINDS[type(kind)], kind))
+KIND = Codec(_kind_decoder, lambda kind: encode(_KINDS[type(kind)], kind))
 
 
-def _decode_epsilon(raw: Any) -> int:
+def _decode_epsilon(raw: Any, memo: dict) -> int:
     if type(raw) is not int or raw not in (0, 1):
         raise _Reject("epsilon must be 0 or 1")
     return raw
@@ -326,16 +492,21 @@ def _decode_epsilon(raw: Any) -> int:
 _HIRZEBRUCH = Record(dict, (Field("hirzebruch", integer(0), attr="e"),), attrs=dict)
 
 
-def _decode_base(raw: Any) -> Optional[int]:
-    if raw == P2:
-        return None
-    if isinstance(raw, dict):
-        return _decode(_HIRZEBRUCH, raw)["e"]
-    raise _Reject(f"unknown base surface {raw!r}")
+def _base_decoder() -> Decoder:
+    decode_hirzebruch = _HIRZEBRUCH.decoder
+
+    def decode(raw, memo):
+        if raw == P2:
+            return None
+        if isinstance(raw, dict):
+            return decode_hirzebruch(raw, memo)["e"]
+        raise _Reject(f"unknown base surface {raw!r}")
+
+    return decode
 
 
-BASE = Codec(_decode_base, lambda e: P2 if e is None else encode(_HIRZEBRUCH, {"e": e}))
-KODAIRA = Codec(lambda raw: None if STRING.decode(raw) == "unknown" else raw, _same)
+BASE = Codec(_base_decoder, lambda e: P2 if e is None else encode(_HIRZEBRUCH, {"e": e}))
+KODAIRA = codec(lambda raw, memo: None if _string(raw, memo) == "unknown" else raw)
 
 
 def _build_surface(hirzebruch_e: Optional[int], blowups: int) -> SurfaceModel:
@@ -449,7 +620,7 @@ SINGULARITY = Record(
         Field("kind", KIND),
         Field("vanishing_order", integer(1), default=1),
         Field("on_curves", list_of(STRING), default=(), attr="incident_curves"),
-        Field("epsilon", Codec(_decode_epsilon, _same), default=None),
+        Field("epsilon", codec(_decode_epsilon), default=None),
     ),
 )
 METADATA = Record(
@@ -545,9 +716,7 @@ def document_to_dict(doc: ScenarioDocument) -> Dict[str, Any]:
 
 
 def serialize_document(doc: ScenarioDocument) -> str:
-    # a freshly encoded document holds no cycle, so the check is skipped
-    text = json.dumps(document_to_dict(doc), indent=2, sort_keys=True, check_circular=False)
-    return text + "\n"
+    return write_json(document_to_dict(doc)) + "\n"
 
 
 def _check_json(c: CheckResult) -> Dict[str, Any]:
@@ -692,9 +861,7 @@ class InvariantReport:
         return {key: value for key, value, _ in self._sections()}
 
     def to_json(self) -> str:
-        # the report's dict is built fresh on each call and holds no cycle
-        text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True, check_circular=False)
-        return text + "\n"
+        return write_json(self.to_json_dict()) + "\n"
 
     def to_text(self, sections: Optional[Collection[str]] = None) -> str:
         """The text lines of the named sections (all when None), in walk order;

@@ -270,8 +270,8 @@ def test_camacho_sad_builds_branch_options_once_per_singularity(monkeypatch):
         return original(s)
 
     monkeypatch.setattr(foliation, "_cs_branches", counting)
-    # C^2 = -6 is none of the sums -5 - 3k/2 of ten branches in {-2, -1/2}, so
-    # the search visits all 2^11 - 1 nodes before it fails
+    # the sweep decides the curve with the 11 distinct sums -5 - 3k/2 of ten
+    # branches in {-2, -1/2}; C^2 = -6 is none of them, so the curve fails
     check = _camacho_sad(validate(_minus_two_points_on_one_curve(10, 7)))
     assert check.detail == "no branch assignment balances the curve"
     assert sorted(calls) == sorted(f"p{k}" for k in range(10))

@@ -1,13 +1,18 @@
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import folsurf
 from folsurf.errors import ParseError
 from folsurf.fixtures import (
     bundled_documents,
@@ -18,6 +23,7 @@ from folsurf.fixtures import (
     third_noether_double_cover,
 )
 from folsurf.foliation import CheckResult, ValidationReport
+from folsurf.local_invariants import NonDegenerate
 from folsurf.scenario_io import (
     EXPECT,
     EXPECTED_VALUES,
@@ -29,6 +35,7 @@ from folsurf.scenario_io import (
     parse_scenario,
     run_pipeline,
     serialize_document,
+    write_json,
 )
 
 
@@ -91,12 +98,84 @@ def test_class_decoding_builds_no_fraction_for_a_zero_entry(monkeypatch):
     nonzero = [x for x in entries if x != "0"]
     assert (len(entries), len(nonzero)) == (27556, 334)
     # the class and eigenvalue codecs look ``_rational`` up when called: one
-    # call per nonzero class entry and one per singularity, none for a "0"
-    assert len(seen) == len(nonzero) + len(doc["singularities"])
+    # call per nonzero class entry and one per distinct kind, none for a "0"
+    kinds = {tuple(s["kind"].items()) for s in doc["singularities"]}
+    assert len(seen) == len(nonzero) + len(kinds)
     assert "0" not in seen
     classes = [scenario.k_foliation] + [c.cls for c in scenario.curves]
     assert sum(len(c.terms) for c in classes) == len(nonzero)
     assert [list(map(fmt_rational, c.coefficients)) for c in classes] == dense
+
+
+def test_equal_kinds_of_one_document_share_one_object(monkeypatch):
+    built = []
+    original = NonDegenerate.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(NonDegenerate, "__init__", counting)
+    doc = second_noether_ruled(200)
+    scenario = parse_document_dict(doc).scenario
+    # one "-200" and 401 "nonrational" kinds
+    assert len(scenario.singularities) == 402
+    assert len(built) == 2
+    assert len({id(s.kind) for s in scenario.singularities}) == 2
+    # the memo belongs to one call: a second parse builds its own kinds
+    again = parse_document_dict(doc).scenario
+    assert len(built) == 4
+    assert again.singularities[1].kind is not scenario.singularities[1].kind
+
+
+@pytest.mark.parametrize(
+    "accepted, look_alike, where, reason",
+    [
+        ({"eigenvalue": 1}, {"eigenvalue": True}, "eigenvalue", "got True"),
+        ({"eigenvalue": 1}, {"eigenvalue": 1.0}, "eigenvalue", "got 1.0"),
+        ({"eigenvalue": -2}, {"eigenvalue": -2.0}, "eigenvalue", "got -2.0"),
+        ({"eigenvalue": "-2"}, {"eigenvalue": ["-2"]}, "eigenvalue", "got ['-2']"),
+        ({"saddle_node": 2, "bb": 1}, {"saddle_node": 2, "bb": True}, "bb", "got True"),
+    ],
+    ids=["1-true", "1-float", "int-float", "str-list", "bb-1-true"],
+)
+def test_a_look_alike_of_an_accepted_kind_is_refused(accepted, look_alike, where, reason):
+    # the memo of decoded kinds must not take a value that decoding refuses:
+    # 1 == True == 1.0 and -2 == -2.0 with equal hashes
+    doc = second_noether_ruled(3)
+    doc["singularities"][3]["kind"] = accepted
+    parse_document_dict(doc)
+    doc["singularities"][4]["kind"] = look_alike
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert err.value.path == f"$.singularities[4].kind.{where}"
+    assert err.value.reason == f"expected a rational string, {reason}"
+
+
+LAZY_DECODERS = """
+import folsurf
+from folsurf import scenario_io as sio
+
+records = [v for v in vars(sio).values() if isinstance(v, sio.Record)]
+assert len(records) == 13, len(records)
+assert not [r for r in records if "decoder" in vars(r)]
+from folsurf.fixtures import render_fixture, second_noether_ruled
+
+assert not [r for r in records if "decoder" in vars(r)]
+folsurf.parse_scenario(render_fixture(second_noether_ruled(2)))
+assert all("decoder" in vars(r) for r in records)
+"""
+
+
+def test_record_decoders_are_built_on_the_first_parse_not_at_import():
+    # callers that never parse, such as the chain oracle, pay nothing for them
+    env = dict(os.environ)
+    src = str(Path(folsurf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_DECODERS], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_round_trip_stability():
@@ -566,3 +645,34 @@ def test_hostile_text_raises_parse_error_at_the_root(data):
     with pytest.raises(ParseError) as err:
         parse_scenario(data)
     assert err.value.path == "$"
+
+
+# --------------------------------------------------------------------------
+# The one JSON writer behind every rendered report, document and fixture.
+
+json_strings = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té \U0001d11e') | st.characters())
+json_trees = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**30), 10**30)
+    | st.sampled_from([10**29, -(10**30) + 1])
+    | json_strings,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_trees)
+def test_write_json_matches_json_dumps(tree):
+    assert write_json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, Fraction(1, 2), {1: "a"}, {"a": [0.0]}, ("a",)], ids=repr
+)
+def test_write_json_refuses_what_is_not_a_json_tree(value):
+    with pytest.raises(TypeError):
+        write_json(value)

@@ -1,18 +1,18 @@
 """Blow-up transformation rules for singularities and Seidenberg reduction.
 
-``blow_up_singularity`` implements the four one-step transformation cases
-(regular point, non-degenerate eigenvalue distinct from 1, eigenvalue 1 with
-its formal normal-form flag, saddle-node), together with the canonical-class
-bookkeeping exposed by ``transform_canonical``.  ``seidenberg_reduce`` drives
-the one-step rule down the Euclidean descent until every singularity over the
-center is reduced, recording the ending type, the canonical-class correction
-count, and (where the procedure determines it) the Hirzebruch-Jung chain of
-exceptional self-intersections.
+``blow_up_singularity`` is the one-step rule of Seidenberg (1968): its four
+cases are a regular point, a non-degenerate eigenvalue distinct from 1,
+eigenvalue 1 with its formal normal-form flag, and a saddle-node, and
+``transform_canonical`` gives its canonical-class bookkeeping.
+``seidenberg_reduce`` iterates that rule down the Euclidean descent until
+every singularity over the center is reduced, recording the ending type, the
+canonical-class correction count of the last step, and (where the procedure
+determines it) the Hirzebruch-Jung chain of exceptional self-intersections.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -131,61 +131,20 @@ def reduction_step_bound(lam: Fraction) -> int:
     return total
 
 
-class _ChainTracker:
-    """Dual-graph bookkeeping for the exceptional chain of a reduction.
-
-    The configuration stays a linear chain throughout: each blow-up center is
-    the intersection of two adjacent members, and the new curve is inserted
-    between them while both neighbors lose one from their self-intersection.
-    The two original separatrices act as virtual endpoints.
-    """
-
-    SEP_A = "sep-a"  # separatrix tangent to the eigenvalue-lam direction
-    SEP_B = "sep-b"
-
-    def __init__(self) -> None:
-        self.members: List[Tuple[str, Optional[int]]] = [
-            (self.SEP_A, None),
-            (self.SEP_B, None),
-        ]
-        self.count = 0
-        # the current center sits between these two adjacent members
-        self.left = self.SEP_A
-        self.right = self.SEP_B
-
-    def _index(self, name: str) -> int:
-        for k, (n, _) in enumerate(self.members):
-            if n == name:
-                return k
-        raise AssertionError(name)
-
-    def insert(self) -> str:
-        """Blow up the current center; returns the new curve's name."""
-        self.count += 1
-        name = f"X{self.count}"
-        i, j = self._index(self.left), self._index(self.right)
-        assert abs(i - j) == 1
-        for k in (i, j):
-            n, sq = self.members[k]
-            if sq is not None:
-                self.members[k] = (n, sq - 1)
-        self.members.insert(max(i, j), (name, -1))
-        return name
-
-    def move_center(self, new_curve: str, neighbor: str) -> None:
-        self.left, self.right = new_curve, neighbor
-
-    def exceptional_self_intersections(self) -> Tuple[int, ...]:
-        return tuple(sq for _, sq in self.members if sq is not None)
-
-
 def seidenberg_reduce(lam: Fraction, epsilon: int) -> ResolutionResult:
-    """Resolve a non-reduced eigenvalue by iterated blow-up.
+    """Resolve a non-reduced eigenvalue by iterating ``blow_up_singularity``.
 
-    ``lam`` must be a positive rational.  The descent replaces lam by lam - 1
-    (lam > 1) or lam / (1 - lam) normalized (lam < 1), shedding one reduced
-    singularity per step, until the eigenvalue-1 stage, where ``epsilon``
-    selects the dicritical or the saddle-node ending.
+    ``lam`` must be a positive rational.  Each step blows up the one
+    non-reduced point: its reduced child is resolved, and its other child,
+    of eigenvalue lam - 1 or lam / (1 - lam), is the next point, until the
+    eigenvalue-1 stage, where ``epsilon`` selects the dicritical or the
+    saddle-node ending.
+
+    The exceptional chain is a list of self-intersections between two
+    ``None`` ends, the separatrices; the centre lies between ``chain[gap -
+    1]`` (the eigenvalue-lam branch) and ``chain[gap]``.  A blow-up takes one
+    from both and inserts a (-1)-curve between them; the next centre is right
+    of the new curve while the running eigenvalue exceeds 1, left otherwise.
     """
     lam = as_rational(lam)
     if lam <= 0:
@@ -193,61 +152,38 @@ def seidenberg_reduce(lam: Fraction, epsilon: int) -> ResolutionResult:
     if epsilon not in (0, 1):
         raise DomainError("epsilon must be 0 or 1")
 
-    emit_chain = not (lam.denominator == 1 or lam.numerator == 1)
-    tracker = _ChainTracker()
+    point = SingularityRecord("p", NonDegenerate(EigenvalueClass.rational(lam)))
+    above_one = lam > 1  # the running eigenvalue, read along the lam branch, exceeds 1
+    chain: List[Optional[int]] = [None, None]
+    gap = 1
     resolved: List[SingularityRecord] = []
-    steps = 0
-    current = lam
-    # branch bookkeeping: which chain member carries which eigen-direction
-    branch_lam = _ChainTracker.SEP_A
-    branch_one = _ChainTracker.SEP_B
+    while True:
+        outcome = blow_up_singularity(point, epsilon)
+        for k in (gap - 1, gap):
+            if chain[k] is not None:
+                chain[k] -= 1
+        chain.insert(gap, -1)
+        following = None
+        for child in outcome.children:
+            if child.is_reduced:
+                resolved.append(replace(child, id=f"q{len(resolved) + 1}"))
+            else:
+                following = child
+        if following is None:
+            break
+        if above_one:
+            gap += 1
+        # with the class mu of this point, the running eigenvalue is mu or
+        # 1/mu and the next one, alike, mu - 1 or 1/(mu - 1): on the other
+        # side of 1 exactly when mu < 2
+        above_one ^= point.eigenvalue.value < 2
+        point = following
 
-    while current != 1:
-        steps += 1
-        new_curve = tracker.insert()
-        if current > 1:
-            reduced_value = 1 / current - 1
-            resolved.append(
-                SingularityRecord(
-                    id=f"q{len(resolved) + 1}",
-                    kind=NonDegenerate(EigenvalueClass.rational(reduced_value)),
-                )
-            )
-            # non-reduced child sits on E meet the eigen-1 branch
-            tracker.move_center(new_curve, branch_one)
-            branch_lam = new_curve
-            current = current - 1
-        else:
-            reduced_value = current - 1
-            resolved.append(
-                SingularityRecord(
-                    id=f"q{len(resolved) + 1}",
-                    kind=NonDegenerate(EigenvalueClass.rational(reduced_value)),
-                )
-            )
-            tracker.move_center(new_curve, branch_lam)
-            branch_one = new_curve
-            current = current / (1 - current)
-
-    steps += 1
-    tracker.insert()
-    if epsilon == 0:
-        ending = DICRITICAL
-        k_corrections = 1
-    else:
-        ending = SADDLE_NODE_ENDING
-        k_corrections = 0
-        resolved.append(
-            SingularityRecord(
-                id=f"q{len(resolved) + 1}", kind=SaddleNode(2, Fraction(3))
-            )
-        )
-
-    chain = tracker.exceptional_self_intersections() if emit_chain else None
+    emit_chain = not (lam.denominator == 1 or lam.numerator == 1)
     return ResolutionResult(
         resolved=tuple(resolved),
-        steps=steps,
-        k_corrections=k_corrections,
-        ending=ending,
-        chain_self_intersections=chain,
+        steps=len(chain) - 2,  # one exceptional curve per blow-up
+        k_corrections=outcome.k_drop,
+        ending=SADDLE_NODE_ENDING if epsilon else DICRITICAL,
+        chain_self_intersections=tuple(chain[1:-1]) if emit_chain else None,
     )

@@ -47,8 +47,10 @@ from .foliation import (
 from .local_invariants import (
     EigenvalueClass,
     NonDegenerate,
+    RationalLike,
     SaddleNode,
     SingularityRecord,
+    as_rational,
 )
 from .surface import P2, DivisorClass, SurfaceModel, h0_line_bundle
 from .surface import intersect  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -60,8 +62,10 @@ from .zariski import (
 )
 
 
-def fmt_rational(q: Fraction) -> str:
-    q = Fraction(q)
+def fmt_rational(q: RationalLike) -> str:
+    """An int or Fraction as "p/q", or "p" when integral; anything inexact,
+    a float or a bool, raises DomainError."""
+    q = as_rational(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -289,7 +293,7 @@ def _decode_class(raw: Any, memo: dict) -> Tuple[int, Tuple[Tuple[int, Fraction]
 CLASS = codec(_decode_class, lambda cls: list(map(fmt_rational, cls.coefficients)))
 
 REQUIRED = object()  # default of a key that must be present
-ABSENT = object()  # default of a key whose absence leaves its attribute unset
+ABSENT = object()  # a key missing from a JSON object or a mapping of attributes
 
 
 @dataclass(frozen=True)
@@ -354,28 +358,21 @@ def _compile(spec: Record) -> Decoder:
     body, arguments = [], []
     for i, (key, attr, make_decoder, _, default, _) in enumerate(spec.plan):
         env[f"decode{i}"] = make_decoder()
-        if default is ABSENT:  # an absent key leaves the attribute unset
-            target = f"values[{attr!r}]"
-        else:
-            target = f"v{i}"
-            arguments.append(f"{attr}={target}")
+        arguments.append(f"{attr}=v{i}")
         body += [
             f"raw = obj.get({key!r}, ABSENT)",
             "if raw is not ABSENT:",
             "    try:",
-            f"        {target} = decode{i}(raw, memo)",
+            f"        v{i} = decode{i}(raw, memo)",
             "    except _Reject as exc:",
             f"        exc.where.append({key!r})",
             "        raise",
         ]
         if default is REQUIRED:
             body += ["else:", f"    raise _Reject({f'missing required key {key!r}'!r})"]
-        elif default is not ABSENT:
+        else:
             env[f"default{i}"] = default
-            body += ["else:", f"    {target} = default{i}"]
-    if len(arguments) < len(spec.plan):
-        body.insert(0, "values = {}")
-        arguments.append("**values")
+            body += ["else:", f"    v{i} = default{i}"]
     body.append(f"return build({', '.join(arguments)})")
     source = "\n".join(
         [
@@ -657,17 +654,23 @@ FIBRATION = Record(
 )
 MODULAR_KEYS = ("kappa", "delta", "chi")
 MODULAR = Record(dict, tuple(Field(k, RATIONAL) for k in MODULAR_KEYS), attrs=dict)
+
+
+def _given(**values):
+    """The keys of an ``expect`` block that it gives: no codec decodes null,
+    so a value None is a key the block leaves out."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
 EXPECT = Record(
-    dict,
-    tuple(Field(k, RATIONAL, default=ABSENT) for k in ("c1_sq", "c2", "chi", "vol", "slope"))
-    + tuple(
-        Field(k, integer(), default=ABSENT) for k in ("p_g", "singularity_count", "genus_bound")
-    )
-    + tuple(Field(k, STRING, default=ABSENT) for k in ("verdict", "noether_equality"))
+    _given,
+    tuple(Field(k, RATIONAL, default=None) for k in ("c1_sq", "c2", "chi", "vol", "slope"))
+    + tuple(Field(k, integer(), default=None) for k in ("p_g", "singularity_count", "genus_bound"))
+    + tuple(Field(k, STRING, default=None) for k in ("verdict", "noether_equality"))
     + (
-        Field("negative_part", map_of(RATIONAL), default=ABSENT),
-        Field("modular", record(MODULAR), default=ABSENT),
-        Field("fired_rules", list_of(STRING), default=ABSENT),
+        Field("negative_part", map_of(RATIONAL), default=None),
+        Field("modular", record(MODULAR), default=None),
+        Field("fired_rules", list_of(STRING), default=None),
     ),
     attrs=dict,
 )

@@ -195,3 +195,41 @@ def test_seidenberg_exhaustive_small():
                     assert len(saddles) == 1
                     assert saddles[0].kind.multiplicity == 2
                     assert r.k_corrections == 0
+
+
+def _hirzebruch_jung_numerator(entries):
+    """Numerator of e1 - 1/(e2 - 1/(... - 1/ek)), evaluated from the inside."""
+    value = Fraction(entries[-1])
+    for e in reversed(entries[:-1]):
+        value = e - 1 / value
+    return value.numerator
+
+
+def test_seidenberg_chain_arms_are_the_continued_fractions_of_lam():
+    # an independent oracle: the arms left and right of the (-1)-curve
+    # resolve the cyclic quotient points m1 and m2 of the eigenvalue m1/m2
+    pairs = 0
+    for m1 in range(2, 61):
+        for m2 in range(2, 61):
+            if gcd(m1, m2) != 1:
+                continue
+            chain = seidenberg_reduce(Fraction(m1, m2), 0).chain_self_intersections
+            i = chain.index(-1)
+            left, right = [-e for e in chain[:i]], [-e for e in chain[i + 1 :]]
+            assert _hirzebruch_jung_numerator(left) == m1, (m1, m2, chain)
+            assert _hirzebruch_jung_numerator(right) == m2, (m1, m2, chain)
+            pairs += 1
+    assert pairs == 2084
+
+
+def test_seidenberg_steps_equal_the_bound():
+    cases = 0
+    for num in range(1, 61):
+        for den in range(1, 61):
+            if gcd(num, den) != 1:
+                continue
+            lam = Fraction(num, den)
+            for eps in (0, 1):
+                assert seidenberg_reduce(lam, eps).steps == reduction_step_bound(lam), (lam, eps)
+                cases += 1
+    assert cases == 4406

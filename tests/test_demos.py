@@ -1,14 +1,9 @@
-"""Every demo script runs to completion against the package in ``src``."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Every demo script runs to completion against the package in ``src`` and
+prints the bytes pinned in ``tests/golden/outputs.json``."""
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from test_golden_outputs import DEMOS, _golden, run_demo
 
 
 def test_demos_exist():
@@ -17,9 +12,6 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
+    result = run_demo(demo)
     assert result.returncode == 0, result.stderr
+    assert result.stdout == _golden()["demos"][demo.name]

@@ -5,7 +5,8 @@ The golden file pins, for every bundled document and fixture file:
 of ``check``, ``decide``, ``zariski``, ``fibration``, ``invariants`` and
 ``invariants --format json``, and the stdout of ``fixtures run``.  It pins
 the same six commands on failure paths too: bundled documents with one
-change each that makes the report fail.  A change
+change each that makes the report fail.  It pins the stdout of every script
+in ``demos/`` (``tests/test_demos.py`` compares it).  A change
 that alters any of these bytes on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
@@ -17,6 +18,9 @@ writes the file, and says in its description what differs.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -31,7 +35,9 @@ from folsurf.fixtures import (
 )
 from folsurf.scenario_io import parse_document_dict, serialize_document
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "outputs.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "outputs.json"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 FIXTURE_DIR = Path(folsurf.__file__).resolve().parent / "data" / "fixtures"
 COMMANDS = (
     ("check",),
@@ -146,12 +152,31 @@ def failure_outputs():
     return out
 
 
+def run_demo(demo):
+    """Run one demo script against the package in ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def demo_outputs():
+    out = {}
+    for demo in DEMOS:
+        result = run_demo(demo)
+        assert result.returncode == 0, result.stderr
+        out[demo.name] = result.stdout
+    return out
+
+
 def collect():
     return {
         "serialize": serialized_outputs(),
         "cli": cli_outputs(),
         "failure paths": failure_outputs(),
         "fixtures run": _run_cli(["fixtures", "run"]),
+        "demos": demo_outputs(),
     }
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import folsurf
-from folsurf.errors import ParseError
+from folsurf.errors import DomainError, ParseError
 from folsurf.fixtures import (
     bundled_documents,
     i0star_elliptic,
@@ -42,6 +42,19 @@ from folsurf.scenario_io import (
 def test_fmt_and_parse_rational_roundtrip():
     for q in (Fraction(3), Fraction(-7, 2), Fraction(0), Fraction(22, 7)):
         assert parse_rational(fmt_rational(q), "$") == q
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, True, False, "1/2", None], ids=repr)
+def test_fmt_rational_refuses_what_is_not_an_exact_rational(value):
+    # the format has no floating point: a float or a bool is not printed
+    with pytest.raises(DomainError):
+        fmt_rational(value)
+
+
+def test_fmt_rational_prints_ints_and_fractions_as_before():
+    assert [fmt_rational(q) for q in (7, -3, 0, Fraction(22, 7), Fraction(-4, 2))] == [
+        "7", "-3", "0", "22/7", "-2",
+    ]
 
 
 def test_parse_rational_rejects_zero_denominator():

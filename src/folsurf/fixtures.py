@@ -4,6 +4,13 @@ Each builder returns a scenario document as a plain dict in the wire format,
 with an ``expect`` block freezing the golden invariant values.  The builders
 are parametric; the JSON files shipped under ``data/fixtures`` are snapshots
 of representative parameters and a test keeps them in sync with the builders.
+
+Blocks that several builders share are written once: ``_metadata``,
+``_invariant_curve``, ``_on`` (a singularity on named curves), ``_points``
+(numbered singularities off every curve), ``_nodal_fibers`` and
+``_fibration``; ``_ruled`` is the document that both ruled families fill in.
+The ``expect`` values stay closed forms in the parameters, never counts of
+the lists a builder has just made.
 """
 
 from __future__ import annotations
@@ -19,6 +26,50 @@ def _q(value) -> str:
     return fmt_rational(Fraction(value))
 
 
+def _metadata(integral: str = "unknown", kodaira: str = "2", **p_g: int) -> Dict[str, Any]:
+    """The metadata block of a relatively minimal foliation with
+    pseudo-effective canonical class; a declared ``p_g`` comes last."""
+    return {
+        "k_pseudo_effective": True,
+        "relatively_minimal": True,
+        "algebraically_integral": integral,
+        "kodaira": kodaira,
+        **p_g,
+    }
+
+
+def _invariant_curve(name: str, cls: List[str]) -> Dict[str, Any]:
+    return {"name": name, "class": cls, "f_invariant": True}
+
+
+def _on(sing_id: str, eigenvalue: str, *curves: str) -> Dict[str, Any]:
+    """A reduced singularity with the given eigenvalue on the named curves."""
+    return {"id": sing_id, "kind": {"eigenvalue": eigenvalue}, "on_curves": list(curves)}
+
+
+def _points(prefix: str, count: int, eigenvalue: str) -> List[Dict[str, Any]]:
+    """``count`` reduced singularities off every declared curve, numbered
+    from 1 after ``prefix``."""
+    return [{"id": f"{prefix}{i}", "kind": {"eigenvalue": eigenvalue}} for i in range(1, count + 1)]
+
+
+def _nodal_fibers(count: int, pa_reduced: int) -> List[Dict[str, Any]]:
+    """``count`` fibers with a single node each, off the negative part."""
+    return [
+        {
+            "pa_reduced": pa_reduced,
+            "f_red_sq": 0,
+            "alpha": 0,
+            "nodes": [{"a": 1, "b": 1, "in_negative_part": False}],
+        }
+        for _ in range(count)
+    ]
+
+
+def _fibration(genus: int, k_f_sq: str, e_f: str, chi_f: str, fibers) -> Dict[str, Any]:
+    return {"genus": genus, "k_f_sq": k_f_sq, "e_f": e_f, "chi_f": chi_f, "fibers": fibers}
+
+
 def slope_12_7() -> Dict[str, Any]:
     """General-type foliation with nef canonical class, slope 12/7.
 
@@ -27,15 +78,8 @@ def slope_12_7() -> Dict[str, Any]:
     the covered vector field).  The slope lands strictly below 2, so the
     slope rule alone settles transcendence.
     """
-    rank = 10
     k_f = [2, 2, -1, -1, -1, -1, -1, -1, 0, 0]
-    sings: List[Dict[str, Any]] = []
-    for i in range(1, 5):
-        sings.append(
-            {"id": f"t{i}", "kind": {"eigenvalue": "-1"}, "on_curves": ["Dbranch"]}
-        )
-    for i in range(1, 9):
-        sings.append({"id": f"m{i}", "kind": {"eigenvalue": "-1"}})
+    sings = [_on(f"t{i}", "-1", "Dbranch") for i in range(1, 5)] + _points("m", 8, "-1")
     for tag in ("sn0", "sn_inf"):
         sings.append({"id": tag, "kind": {"saddle_node": 2, "bb": "3"}})
     return {
@@ -50,12 +94,7 @@ def slope_12_7() -> Dict[str, Any]:
             }
         ],
         "singularities": sings,
-        "metadata": {
-            "k_pseudo_effective": True,
-            "relatively_minimal": True,
-            "algebraically_integral": "unknown",
-            "kodaira": "2",
-        },
+        "metadata": _metadata(),
         "expect": {
             "c1_sq": "2",
             "c2": "12",
@@ -76,30 +115,21 @@ def degree_two_p2() -> Dict[str, Any]:
     Seven singularities, two invariant lines through one common point; on the
     first Noether line vol = p_g - 2.
     """
-    sings: List[Dict[str, Any]] = [
-        {"id": "s1", "kind": {"eigenvalue": "nonrational"}, "on_curves": ["L0", "Linf"]},
-        {"id": "s2", "kind": {"eigenvalue": "nonrational"}, "on_curves": ["L0"]},
-        {"id": "s3", "kind": {"eigenvalue": "nonrational"}, "on_curves": ["L0"]},
-        {"id": "s4", "kind": {"eigenvalue": "nonrational"}, "on_curves": ["Linf"]},
-        {"id": "s5", "kind": {"eigenvalue": "nonrational"}, "on_curves": ["Linf"]},
-        {"id": "s6", "kind": {"eigenvalue": "nonrational"}},
-        {"id": "s7", "kind": {"eigenvalue": "nonrational"}},
-    ]
     return {
         "name": "degree-2-on-P2",
         "surface": {"base": "P2", "blowups": 0},
         "k_foliation": ["1"],
-        "curves": [
-            {"name": "L0", "class": ["1"], "f_invariant": True},
-            {"name": "Linf", "class": ["1"], "f_invariant": True},
+        "curves": [_invariant_curve("L0", ["1"]), _invariant_curve("Linf", ["1"])],
+        "singularities": [
+            _on("s1", "nonrational", "L0", "Linf"),
+            _on("s2", "nonrational", "L0"),
+            _on("s3", "nonrational", "L0"),
+            _on("s4", "nonrational", "Linf"),
+            _on("s5", "nonrational", "Linf"),
+            {"id": "s6", "kind": {"eigenvalue": "nonrational"}},
+            {"id": "s7", "kind": {"eigenvalue": "nonrational"}},
         ],
-        "singularities": sings,
-        "metadata": {
-            "k_pseudo_effective": True,
-            "relatively_minimal": True,
-            "algebraically_integral": "unknown",
-            "kodaira": "2",
-        },
+        "metadata": _metadata(),
         "expect": {
             "c1_sq": "1",
             "c2": "0",
@@ -116,6 +146,44 @@ def degree_two_p2() -> Dict[str, Any]:
     }
 
 
+def _ruled(
+    line: str,
+    n: int,
+    k_fiber: int,
+    fibers: Tuple[str, ...],
+    sings: List[Dict[str, Any]],
+    vol: Fraction,
+    p_g: int,
+    singularity_count: int,
+    negative_part: Dict[str, str],
+) -> Dict[str, Any]:
+    """A document on the ``line`` Noether line over the n-th Hirzebruch
+    surface: canonical class C0 + k_fiber F, the invariant negative section C0
+    and the named invariant fibers."""
+    return {
+        "name": f"{line}-noether-n{n}",
+        "surface": {"base": {"hirzebruch": n}, "blowups": 0},
+        "k_foliation": ["1", _q(k_fiber)],
+        "curves": [_invariant_curve("C0", ["1", "0"])]
+        + [_invariant_curve(fiber, ["0", "1"]) for fiber in fibers],
+        "singularities": sings,
+        "metadata": _metadata(),
+        "expect": {
+            "c1_sq": _q(vol),
+            "c2": "0",
+            "chi": _q(vol / 12),
+            "vol": _q(vol),
+            "slope": "12",
+            "p_g": p_g,
+            "singularity_count": singularity_count,
+            "negative_part": negative_part,
+            "verdict": "Transcendental",
+            "fired_rules": ["R5-noether-gap"],
+            "noether_equality": line,
+        },
+    }
+
+
 def first_noether_ruled(n: int) -> Dict[str, Any]:
     """Ruled-surface family on the first Noether line: vol = n, p_g = n + 2.
 
@@ -124,46 +192,18 @@ def first_noether_ruled(n: int) -> Dict[str, Any]:
     """
     if n < 1:
         raise ValueError("n >= 1")
-    sings: List[Dict[str, Any]] = [
-        {"id": "a0", "kind": {"eigenvalue": "nonrational"}, "on_curves": ["C0", "F0"]},
-        {"id": "a_inf", "kind": {"eigenvalue": "nonrational"}, "on_curves": ["C0", "Finf"]},
-        {"id": "b1", "kind": {"eigenvalue": "nonrational"}, "on_curves": ["F0"]},
-        {"id": "b2", "kind": {"eigenvalue": "nonrational"}, "on_curves": ["F0"]},
-        {"id": "c1", "kind": {"eigenvalue": "nonrational"}, "on_curves": ["Finf"]},
-        {"id": "c2", "kind": {"eigenvalue": "nonrational"}, "on_curves": ["Finf"]},
-    ]
-    for i in range(1, 2 * n + 1):
-        sings.append({"id": f"d{i}", "kind": {"eigenvalue": "nonrational"}})
-    return {
-        "name": f"first-noether-n{n}",
-        "surface": {"base": {"hirzebruch": n}, "blowups": 0},
-        "k_foliation": ["1", _q(n)],
-        "curves": [
-            {"name": "C0", "class": ["1", "0"], "f_invariant": True},
-            {"name": "F0", "class": ["0", "1"], "f_invariant": True},
-            {"name": "Finf", "class": ["0", "1"], "f_invariant": True},
-        ],
-        "singularities": sings,
-        "metadata": {
-            "k_pseudo_effective": True,
-            "relatively_minimal": True,
-            "algebraically_integral": "unknown",
-            "kodaira": "2",
-        },
-        "expect": {
-            "c1_sq": _q(n),
-            "c2": "0",
-            "chi": _q(Fraction(n, 12)),
-            "vol": _q(n),
-            "slope": "12",
-            "p_g": n + 2,
-            "singularity_count": 2 * n + 6,
-            "negative_part": {},
-            "verdict": "Transcendental",
-            "fired_rules": ["R5-noether-gap"],
-            "noether_equality": "first",
-        },
-    }
+    sings = [
+        _on("a0", "nonrational", "C0", "F0"),
+        _on("a_inf", "nonrational", "C0", "Finf"),
+        _on("b1", "nonrational", "F0"),
+        _on("b2", "nonrational", "F0"),
+        _on("c1", "nonrational", "Finf"),
+        _on("c2", "nonrational", "Finf"),
+    ] + _points("d", 2 * n, "nonrational")
+    return _ruled(
+        "first", n, n, ("F0", "Finf"), sings,
+        vol=Fraction(n), p_g=n + 2, singularity_count=2 * n + 6, negative_part={},
+    )
 
 
 def second_noether_ruled(n: int) -> Dict[str, Any]:
@@ -174,43 +214,16 @@ def second_noether_ruled(n: int) -> Dict[str, Any]:
     """
     if n < 2:
         raise ValueError("n >= 2")
-    sings: List[Dict[str, Any]] = [
-        {"id": "p_neg", "kind": {"eigenvalue": _q(-n)}, "on_curves": ["C0", "Finf"]},
-        {"id": "p2", "kind": {"eigenvalue": "nonrational"}, "on_curves": ["Finf"]},
-        {"id": "p3", "kind": {"eigenvalue": "nonrational"}, "on_curves": ["Finf"]},
-    ]
-    for i in range(1, 2 * n):
-        sings.append({"id": f"u{i}", "kind": {"eigenvalue": "nonrational"}})
-    vol = Fraction(n) - 2 + Fraction(1, n)
-    return {
-        "name": f"second-noether-n{n}",
-        "surface": {"base": {"hirzebruch": n}, "blowups": 0},
-        "k_foliation": ["1", _q(n - 1)],
-        "curves": [
-            {"name": "C0", "class": ["1", "0"], "f_invariant": True},
-            {"name": "Finf", "class": ["0", "1"], "f_invariant": True},
-        ],
-        "singularities": sings,
-        "metadata": {
-            "k_pseudo_effective": True,
-            "relatively_minimal": True,
-            "algebraically_integral": "unknown",
-            "kodaira": "2",
-        },
-        "expect": {
-            "c1_sq": _q(vol),
-            "c2": "0",
-            "chi": _q(vol / 12),
-            "vol": _q(vol),
-            "slope": "12",
-            "p_g": n,
-            "singularity_count": 2 * n + 2,
-            "negative_part": {"C0": _q(Fraction(1, n))},
-            "verdict": "Transcendental",
-            "fired_rules": ["R5-noether-gap"],
-            "noether_equality": "second",
-        },
-    }
+    sings = [
+        _on("p_neg", _q(-n), "C0", "Finf"),
+        _on("p2", "nonrational", "Finf"),
+        _on("p3", "nonrational", "Finf"),
+    ] + _points("u", 2 * n - 1, "nonrational")
+    return _ruled(
+        "second", n, n - 1, ("Finf",), sings,
+        vol=Fraction(n) - 2 + Fraction(1, n), p_g=n, singularity_count=2 * n + 2,
+        negative_part={"C0": _q(Fraction(1, n))},
+    )
 
 
 def third_noether_double_cover(g: int) -> Dict[str, Any]:
@@ -227,83 +240,44 @@ def third_noether_double_cover(g: int) -> Dict[str, Any]:
     rank = 2 + n_exc
 
     def vec(entries: Dict[int, int]) -> List[str]:
-        coeffs = [0] * rank
+        coeffs = ["0"] * rank
         for idx, val in entries.items():
-            coeffs[idx] = val
-        return [_q(c) for c in coeffs]
+            coeffs[idx] = _q(val)
+        return coeffs
 
     def e(k: int) -> int:
         # basis position of the k-th exceptional class (1-based)
         return 1 + k
 
-    curves: List[Dict[str, Any]] = [
-        {"name": "Gamma0", "class": vec({0: 1}), "f_invariant": True},
-        {"name": f"E{4 * g + 3}", "class": vec({1: 1, e(1): -1, e(2): -1}), "f_invariant": True},
-        {"name": f"E{4 * g + 4}", "class": vec({e(1): 1, e(2): -1}), "f_invariant": True},
-        {"name": f"E{4 * g + 2}", "class": vec({e(2): 1, e(3): -1}), "f_invariant": True},
+    classes = [
+        ("Gamma0", {0: 1}),
+        (f"E{4 * g + 3}", {1: 1, e(1): -1, e(2): -1}),
+        (f"E{4 * g + 4}", {e(1): 1, e(2): -1}),
+        (f"E{4 * g + 2}", {e(2): 1, e(3): -1}),
     ]
-    for i in range(1, 4 * g + 2):
-        curves.append(
-            {
-                "name": f"E{i}",
-                "class": vec({e(4 * g + 4 - i): 1, e(4 * g + 5 - i): -1}),
-                "f_invariant": True,
-            }
-        )
+    classes += [(f"E{i}", {e(4 * g + 4 - i): 1, e(4 * g + 5 - i): -1}) for i in range(1, 4 * g + 2)]
+    curves = [_invariant_curve(name, vec(entries)) for name, entries in classes]
 
     k_f = vec({0: 1, 1: g, e(2): -1, e(n_exc): -1})
 
-    # fiber multiplicities: E_i carries i (i <= 4g+2), then 2g+2, 2g+1, and 2
+    # fiber multiplicities: E_i carries i (i <= 4g+2), then 2g+2, 2g+1, and
+    # Gamma0 2; where components of multiplicities a and b cross sits a
+    # singularity of eigenvalue -a/b and a node of the big fiber
+    crossings = [(f"n{i}", i, i + 1, f"E{i}", f"E{i + 1}") for i in range(1, 4 * g + 2)]
+    crossings += [
+        ("n_top", 4 * g + 2, 2 * g + 2, f"E{4 * g + 2}", f"E{4 * g + 3}"),
+        ("n_side", 4 * g + 2, 2 * g + 1, f"E{4 * g + 2}", f"E{4 * g + 4}"),
+        ("n_gamma", 2 * g + 2, 2, f"E{4 * g + 3}", "Gamma0"),
+    ]
     sings: List[Dict[str, Any]] = []
     nodes: List[Dict[str, Any]] = []
-    for i in range(1, 4 * g + 2):
-        sings.append(
-            {
-                "id": f"n{i}",
-                "kind": {"eigenvalue": _q(Fraction(-i, i + 1))},
-                "on_curves": [f"E{i}", f"E{i + 1}"],
-            }
-        )
-        nodes.append({"a": i, "b": i + 1, "in_negative_part": True})
-    sings.append(
-        {
-            "id": "n_top",
-            "kind": {"eigenvalue": _q(Fraction(-(4 * g + 2), 2 * g + 2))},
-            "on_curves": [f"E{4 * g + 2}", f"E{4 * g + 3}"],
-        }
-    )
-    nodes.append({"a": 4 * g + 2, "b": 2 * g + 2, "in_negative_part": True})
-    sings.append(
-        {
-            "id": "n_side",
-            "kind": {"eigenvalue": _q(Fraction(-(4 * g + 2), 2 * g + 1))},
-            "on_curves": [f"E{4 * g + 2}", f"E{4 * g + 4}"],
-        }
-    )
-    nodes.append({"a": 4 * g + 2, "b": 2 * g + 1, "in_negative_part": True})
-    sings.append(
-        {
-            "id": "n_gamma",
-            "kind": {"eigenvalue": _q(-(g + 1))},
-            "on_curves": [f"E{4 * g + 3}", "Gamma0"],
-        }
-    )
-    nodes.append({"a": 2 * g + 2, "b": 2, "in_negative_part": True})
-    for j in range(1, 2 * g + 1):
-        sings.append({"id": f"m{j}", "kind": {"eigenvalue": "-1"}})
+    for sing_id, a, b, *on_curves in crossings:
+        sings.append(_on(sing_id, _q(Fraction(-a, b)), *on_curves))
+        nodes.append({"a": a, "b": b, "in_negative_part": True})
+    sings += _points("m", 2 * g, "-1")
 
-    fibers: List[Dict[str, Any]] = [
-        {"pa_reduced": 0, "f_red_sq": -(g + 1), "alpha": 0, "nodes": nodes}
-    ]
-    for _ in range(2 * g):
-        fibers.append(
-            {
-                "pa_reduced": g,
-                "f_red_sq": 0,
-                "alpha": 0,
-                "nodes": [{"a": 1, "b": 1, "in_negative_part": False}],
-            }
-        )
+    fibers = [{"pa_reduced": 0, "f_red_sq": -(g + 1), "alpha": 0, "nodes": nodes}]
+    fibers += _nodal_fibers(2 * g, g)
 
     vol = Fraction(2 * g * (g - 1), 2 * g + 1)
     chi = Fraction(g * g, 2 * (2 * g + 1))
@@ -320,20 +294,8 @@ def third_noether_double_cover(g: int) -> Dict[str, Any]:
         "k_foliation": k_f,
         "curves": curves,
         "singularities": sings,
-        "metadata": {
-            "k_pseudo_effective": True,
-            "relatively_minimal": True,
-            "algebraically_integral": "yes",
-            "kodaira": "2",
-            "p_g": g,
-        },
-        "fibration": {
-            "genus": g,
-            "k_f_sq": _q(4 * g - 4),
-            "e_f": _q(8 * g + 4),
-            "chi_f": _q(g),
-            "fibers": fibers,
-        },
+        "metadata": _metadata("yes", p_g=g),
+        "fibration": _fibration(g, _q(4 * g - 4), _q(8 * g + 4), _q(g), fibers),
         "expect": {
             "c1_sq": _q(vol),
             "c2": _q(2 * g),
@@ -354,35 +316,14 @@ def third_noether_double_cover(g: int) -> Dict[str, Any]:
 def elliptic_pencil() -> Dict[str, Any]:
     """Non-isotrivial genus-1 pencil: the one case off general type with
     positive Chern numbers (c2 = 12 chi = 12)."""
-    sings = [{"id": f"v{i}", "kind": {"eigenvalue": "-1"}} for i in range(1, 13)]
-    fibers = [
-        {
-            "pa_reduced": 1,
-            "f_red_sq": 0,
-            "alpha": 0,
-            "nodes": [{"a": 1, "b": 1, "in_negative_part": False}],
-        }
-        for _ in range(12)
-    ]
     return {
         "name": "elliptic-pencil-genus1",
         "surface": {"base": "P2", "blowups": 9},
         "k_foliation": ["3"] + ["-1"] * 9,
         "curves": [],
-        "singularities": sings,
-        "metadata": {
-            "k_pseudo_effective": True,
-            "relatively_minimal": True,
-            "algebraically_integral": "yes",
-            "kodaira": "1",
-        },
-        "fibration": {
-            "genus": 1,
-            "k_f_sq": "0",
-            "e_f": "12",
-            "chi_f": "1",
-            "fibers": fibers,
-        },
+        "singularities": _points("v", 12, "-1"),
+        "metadata": _metadata("yes", "1"),
+        "fibration": _fibration(1, "0", "12", "1", _nodal_fibers(12, 1)),
         "expect": {
             "c1_sq": "0",
             "c2": "12",
@@ -405,17 +346,12 @@ def isotrivial_vector_field() -> Dict[str, Any]:
         "name": "isotrivial-vector-field",
         "surface": {"base": {"hirzebruch": 0}, "blowups": 0},
         "k_foliation": ["0", "0"],
-        "curves": [{"name": "F0", "class": ["0", "1"], "f_invariant": True}],
+        "curves": [_invariant_curve("F0", ["0", "1"])],
         "singularities": [
             {"id": "sn0", "kind": {"saddle_node": 2, "bb": "4"}, "on_curves": ["F0"]},
             {"id": "sn_inf", "kind": {"saddle_node": 2, "bb": "4"}, "on_curves": ["F0"]},
         ],
-        "metadata": {
-            "k_pseudo_effective": True,
-            "relatively_minimal": True,
-            "algebraically_integral": "unknown",
-            "kodaira": "0",
-        },
+        "metadata": _metadata(kodaira="0"),
         "expect": {
             "c1_sq": "0",
             "c2": "0",
@@ -433,35 +369,14 @@ def semistable_genus2() -> Dict[str, Any]:
     """Semistable genus-2 pencil of bidegree (2,3) curves: twenty nodal
     fibers, modular invariants equal the plain fibration numbers, slope
     exactly 2."""
-    sings = [{"id": f"v{i}", "kind": {"eigenvalue": "-1"}} for i in range(1, 21)]
-    fibers = [
-        {
-            "pa_reduced": 2,
-            "f_red_sq": 0,
-            "alpha": 0,
-            "nodes": [{"a": 1, "b": 1, "in_negative_part": False}],
-        }
-        for _ in range(20)
-    ]
     return {
         "name": "semistable-genus2",
         "surface": {"base": {"hirzebruch": 0}, "blowups": 12},
         "k_foliation": ["2", "4"] + ["-1"] * 12,
         "curves": [],
-        "singularities": sings,
-        "metadata": {
-            "k_pseudo_effective": True,
-            "relatively_minimal": True,
-            "algebraically_integral": "yes",
-            "kodaira": "2",
-        },
-        "fibration": {
-            "genus": 2,
-            "k_f_sq": "4",
-            "e_f": "20",
-            "chi_f": "2",
-            "fibers": fibers,
-        },
+        "singularities": _points("v", 20, "-1"),
+        "metadata": _metadata("yes"),
+        "fibration": _fibration(2, "4", "20", "2", _nodal_fibers(20, 2)),
         "expect": {
             "c1_sq": "4",
             "c2": "20",
@@ -480,27 +395,12 @@ def semistable_genus2() -> Dict[str, Any]:
 def i0star_elliptic() -> Dict[str, Any]:
     """Isotrivial elliptic fibration whose only degenerate fiber is a star of
     five rational curves; all local corrections cancel the global numbers."""
+    star = [{"a": 2, "b": 1, "in_negative_part": True} for _ in range(4)]
     return {
         "name": "elliptic-i0star",
-        "fibration": {
-            "genus": 1,
-            "k_f_sq": "0",
-            "e_f": "6",
-            "chi_f": "1/2",
-            "fibers": [
-                {
-                    "pa_reduced": 0,
-                    "f_red_sq": -2,
-                    "alpha": 0,
-                    "nodes": [
-                        {"a": 2, "b": 1, "in_negative_part": True},
-                        {"a": 2, "b": 1, "in_negative_part": True},
-                        {"a": 2, "b": 1, "in_negative_part": True},
-                        {"a": 2, "b": 1, "in_negative_part": True},
-                    ],
-                }
-            ],
-        },
+        "fibration": _fibration(
+            1, "0", "6", "1/2", [{"pa_reduced": 0, "f_red_sq": -2, "alpha": 0, "nodes": star}]
+        ),
         "expect": {"modular": {"kappa": "0", "delta": "0", "chi": "0"}},
     }
 
@@ -508,31 +408,16 @@ def i0star_elliptic() -> Dict[str, Any]:
 def genus1_nonisotrivial_fibration() -> Dict[str, Any]:
     """Fibration-only document for a non-isotrivial genus-1 family: twelve
     nodal fibers, no local corrections, delta = 12 chi."""
-    fibers = [
-        {
-            "pa_reduced": 1,
-            "f_red_sq": 0,
-            "alpha": 0,
-            "nodes": [{"a": 1, "b": 1, "in_negative_part": False}],
-        }
-        for _ in range(12)
-    ]
     return {
         "name": "genus1-nonisotrivial-fibration",
-        "fibration": {
-            "genus": 1,
-            "k_f_sq": "0",
-            "e_f": "12",
-            "chi_f": "1",
-            "fibers": fibers,
-        },
+        "fibration": _fibration(1, "0", "12", "1", _nodal_fibers(12, 1)),
         "expect": {"modular": {"kappa": "0", "delta": "12", "chi": "1"}},
     }
 
 
 def bundled_documents() -> Dict[str, Dict[str, Any]]:
     """The fixture corpus shipped with the package, keyed by file stem."""
-    docs = {
+    return {
         "slope_12_7": slope_12_7(),
         "degree2_p2": degree_two_p2(),
         "first_noether_n1": first_noether_ruled(1),
@@ -549,7 +434,6 @@ def bundled_documents() -> Dict[str, Dict[str, Any]]:
         "i0star_elliptic": i0star_elliptic(),
         "genus1_nonisotrivial": genus1_nonisotrivial_fibration(),
     }
-    return docs
 
 
 def render_fixture(doc: Dict[str, Any]) -> str:

@@ -393,15 +393,15 @@ def _compile(spec: Record) -> Decoder:
     return env["decode"]
 
 
-def decode(spec: Record, obj: Any, path: str = "$") -> Any:
+def decode(spec: Record, obj: Any) -> Any:
     """Decode the JSON object ``obj`` against ``spec``; malformed input
-    raises :class:`ParseError` at its JSON path below ``path``.  The memo
-    the decoders share lives for this call only."""
+    raises :class:`ParseError` at its JSON path.  The memo the decoders
+    share lives for this call only."""
     try:
         return spec.decoder(obj, {})
     except _Reject as exc:
         where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in reversed(exc.where))
-        raise ParseError(exc.reason, path + where) from None
+        raise ParseError(exc.reason, "$" + where) from None
 
 
 def encode(spec: Record, value: Any) -> Dict[str, Any]:
@@ -690,8 +690,8 @@ DOCUMENT = Record(
 )
 
 
-def parse_document_dict(data: Any, path: str = "$") -> ScenarioDocument:
-    return decode(DOCUMENT, data, path)
+def parse_document_dict(data: Any) -> ScenarioDocument:
+    return decode(DOCUMENT, data)
 
 
 def parse_scenario(data) -> ScenarioDocument:
@@ -898,13 +898,22 @@ EXPECTED_VALUES: Mapping[str, Callable[[InvariantReport], Any]] = MappingProxyTy
 )
 
 
+_EXPECT_ENCODERS = {f.key: f.codec.encode for f in EXPECT.fields}
+
+
+def _shown(key: str, value: Any) -> Any:
+    """A compared value in the wire format of its ``expect`` field; None
+    stays None."""
+    return value if value is None else _EXPECT_ENCODERS[key](value)
+
+
 def _compare_expectations(report: InvariantReport, expect: Mapping[str, Any]) -> Tuple[str, ...]:
     failures = []
     for key, actual_value in EXPECTED_VALUES.items():
         if key in expect:
             wanted, actual = expect[key], actual_value(report)
             if actual != wanted:
-                failures.append(f"{key}: expected {wanted}, got {actual}")
+                failures.append(f"{key}: expected {_shown(key, wanted)}, got {_shown(key, actual)}")
     return tuple(failures)
 
 

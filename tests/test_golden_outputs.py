@@ -4,6 +4,8 @@ The golden file pins, for every bundled document and fixture file:
 ``serialize_document(parse_document_dict(doc))``, the stdout and exit code
 of ``check``, ``decide``, ``zariski``, ``fibration``, ``invariants`` and
 ``invariants --format json``, and the stdout of ``fixtures run``.  It pins
+each parametric fixture family too, as one sha256 over the concatenated
+``render_fixture`` output of a range of its parameters.  It pins
 the same six commands on failure paths too: bundled documents with one
 change each that makes the report fail.  It pins the stdout of every script
 in ``demos/`` (``tests/test_demos.py`` compares it).  A change
@@ -16,6 +18,7 @@ writes the file, and says in its description what differs.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -28,6 +31,8 @@ import folsurf
 from folsurf.cli import VIEWS, cli_main
 from folsurf.fixtures import (
     bundled_documents,
+    first_noether_ruled,
+    render_fixture,
     second_noether_ruled,
     semistable_genus2,
     slope_12_7,
@@ -109,6 +114,15 @@ FAILURE_CASES = {
 }
 
 
+# Each parametric builder over a range that covers the snapshots and the
+# benchmark decks (ruled n = 50..200, double cover g = 6..16).
+FAMILIES = {
+    "first_noether_ruled": (first_noether_ruled, range(1, 201)),
+    "second_noether_ruled": (second_noether_ruled, range(2, 201)),
+    "third_noether_double_cover": (third_noether_double_cover, range(2, 17)),
+}
+
+
 def _run_cli(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -121,6 +135,16 @@ def serialized_outputs():
         stem: serialize_document(parse_document_dict(doc))
         for stem, doc in bundled_documents().items()
     }
+
+
+def family_digests():
+    out = {}
+    for family, (build, params) in FAMILIES.items():
+        digest = hashlib.sha256()
+        for param in params:
+            digest.update(render_fixture(build(param)).encode("utf-8"))
+        out[family] = digest.hexdigest()
+    return out
 
 
 def cli_outputs():
@@ -173,6 +197,7 @@ def demo_outputs():
 def collect():
     return {
         "serialize": serialized_outputs(),
+        "families": family_digests(),
         "cli": cli_outputs(),
         "failure paths": failure_outputs(),
         "fixtures run": _run_cli(["fixtures", "run"]),
@@ -192,6 +217,10 @@ def _assert_entries_equal(actual, expected):
 
 def test_serialized_documents_match_golden():
     _assert_entries_equal(serialized_outputs(), _golden()["serialize"])
+
+
+def test_fixture_families_match_golden():
+    _assert_entries_equal(family_digests(), _golden()["families"])
 
 
 def test_cli_outputs_match_golden():

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from math import gcd
@@ -175,30 +176,40 @@ def test_chain_is_a_contractible_blowup_tower():
             assert r.chain_self_intersections.count(-1) == 1
 
 
-def test_seidenberg_exhaustive_small():
-    # one sweep of every coprime eigenvalue m1/m2 <= 60 with both epsilons;
-    # the step count is exactly the bound the docstring states
-    cases = 0
+@functools.cache
+def _small_sweep():
+    """Reduce every coprime eigenvalue m1/m2 <= 60 with both epsilons, once."""
+    sweep = []
     for num in range(1, 61):
         for den in range(1, 61):
             if gcd(num, den) != 1:
                 continue
             lam = Fraction(num, den)
             for eps in (0, 1):
-                r = seidenberg_reduce(lam, eps)
-                assert r.steps == reduction_step_bound(lam), (lam, eps)
-                assert all(s.is_reduced for s in r.resolved)
-                if r.ending == DICRITICAL:
-                    assert r.k_corrections == 1
-                    assert sum(beta_p(s) for s in r.resolved) == beta(-lam) + 1
-                else:
-                    saddles = [
-                        s for s in r.resolved if isinstance(s.kind, SaddleNode)
-                    ]
-                    assert len(saddles) == 1
-                    assert saddles[0].kind.multiplicity == 2
-                    assert r.k_corrections == 0
-                cases += 1
+                sweep.append((lam, eps, seidenberg_reduce(lam, eps)))
+    return tuple(sweep)
+
+
+def test_seidenberg_exhaustive_small():
+    for lam, eps, r in _small_sweep():
+        assert r.steps <= reduction_step_bound(lam)
+        assert all(s.is_reduced for s in r.resolved)
+        if r.ending == DICRITICAL:
+            assert r.k_corrections == 1
+            assert sum(beta_p(s) for s in r.resolved) == beta(-lam) + 1
+        else:
+            saddles = [s for s in r.resolved if isinstance(s.kind, SaddleNode)]
+            assert len(saddles) == 1
+            assert saddles[0].kind.multiplicity == 2
+            assert r.k_corrections == 0
+
+
+def test_seidenberg_steps_equal_the_bound():
+    # the step count is exactly the bound the docstring states
+    cases = 0
+    for lam, eps, r in _small_sweep():
+        assert r.steps == reduction_step_bound(lam), (lam, eps)
+        cases += 1
     assert cases == 4406
 
 

@@ -9,7 +9,8 @@ exit 0 iff their primary section (verdict, decomposition, modular
 invariants) is present and the report is ok; ``invariants`` exits 0 iff the
 report is ok.  ``fixtures run`` prints a PASS/FAIL line per bundled file
 and, under a FAIL, that report's inconsistency, validation and expectation
-failures, indented.  Exit code 2 is a parse or usage error.
+failures, indented.  Exit code 2 is a parse or usage error, among them a
+``--filter`` that matches no bundled file.
 """
 
 from __future__ import annotations
@@ -83,10 +84,16 @@ def _cmd_view(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    files = [
+        (name, raw)
+        for name, raw in load_bundled_files()
+        if not args.filter or args.filter in name
+    ]
+    if not files:
+        print(f"no bundled fixture matches {args.filter!r}", file=sys.stderr)
+        return EXIT_USAGE
     failures = 0
-    for name, raw in load_bundled_files():
-        if args.filter and args.filter not in name:
-            continue
+    for name, raw in files:
         doc = parse_scenario(raw)
         report = run_pipeline(doc)
         print(f"[{'PASS' if report.ok else 'FAIL'}] {name}: {doc.name}")

@@ -43,12 +43,6 @@ class ZariskiDecomposition:
     nef_part: DivisorClass
     negative_part: Tuple[Tuple[str, Fraction], ...]
 
-    def coefficient(self, curve_name: str) -> Fraction:
-        for name, value in self.negative_part:
-            if name == curve_name:
-                return value
-        return Fraction(0)
-
     @property
     def support(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.negative_part)
@@ -127,14 +121,15 @@ def detect_chains_with_flags(f: FoliatedScenario) -> Tuple[List[FChain], List[st
     chain pattern, and the flags of ambiguous components.
 
     The pattern: self-intersections <= -2, consecutive curves meeting once,
-    K_F degree -1 on the first curve and 0 on the rest.  Components failing
-    the pattern are not chains and are omitted.  When a one-curve component
-    leaves the orientation formally free, declaration order fixes it (the
-    coefficients do not depend on the choice).  A path whose two ends both
-    satisfy the head condition has no unambiguous orientation and violates the
-    interior-degree pattern; such components are flagged by name instead of
-    guessed at.  C^2, K_F.C, K_S.C (for the adjunction genus) and C.C' are
-    read from the scenario's pairing table.
+    K_F degree -1 on the first curve and 0 on the rest.  One rule reads every
+    component of candidates, one curve or many.  It is omitted if a curve has
+    three or more neighbours or two curves meet other than once.  Its heads
+    are its ends (curves with at most one neighbour) of K_F degree -1, so a
+    cycle has none.  With no head it is omitted; with one, the walk from the
+    head is a chain when every later curve has K_F degree 0; with two, the
+    orientation is ambiguous, so it is flagged by name instead of guessed at.
+    C^2, K_F.C, K_S.C (for the adjunction genus) and C.C' are read from the
+    scenario's pairing table.
     """
     table = f.pairings
     unit = table.scale * table.scale
@@ -154,7 +149,6 @@ def detect_chains_with_flags(f: FoliatedScenario) -> Tuple[List[FChain], List[st
         degree[c.name] = deg // unit
 
     adjacency: Dict[str, List[str]] = {name: [] for name in candidates.values()}
-    names = list(adjacency)
     bad_components = set()
     for i, name in candidates.items():
         for j, meet in table.meets[i].items():
@@ -170,58 +164,36 @@ def detect_chains_with_flags(f: FoliatedScenario) -> Tuple[List[FChain], List[st
     seen = set()
     chains: List[FChain] = []
     flagged: List[str] = []
-    for start in names:
+    for start in adjacency:
         if start in seen:
             continue
-        # breadth-first collection of the component
-        component = [start]
         seen.add(start)
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for n in frontier:
-                for m in adjacency[n]:
-                    if m not in seen:
-                        seen.add(m)
-                        component.append(m)
-                        nxt.append(m)
-            frontier = nxt
-        if bad_components.intersection(component):
-            continue
-        degrees = {n: len(adjacency[n]) for n in component}
-        if any(d > 2 for d in degrees.values()):
-            continue
-        ends = [n for n in component if degrees[n] <= 1]
-        if len(component) == 1:
-            ordered = component
-        else:
-            if len(ends) != 2:
-                continue  # cycle
-            heads = [n for n in ends if degree[n] == -1]
-            if len(heads) == 2:
-                flagged.append(
-                    "ambiguous orientation: both ends of "
-                    f"[{', '.join(sorted(component))}] satisfy the head condition"
-                )
-                continue
-            if len(heads) != 1:
-                continue  # no -1 end: not a chain of the required shape
-            ordered = [heads[0]]
-            prev = None
-            while len(ordered) < len(component):
-                here = ordered[-1]
-                nxt = [m for m in adjacency[here] if m != prev]
-                prev = here
-                ordered.append(nxt[0])
-        kf_values = [degree[n] for n in ordered]
-        if kf_values[0] != -1 or any(v != 0 for v in kf_values[1:]):
-            continue
-        chains.append(
-            FChain(
-                curves=tuple(ordered),
-                self_intersections=tuple(-square[n] for n in ordered),
+        component = [start]
+        for n in component:  # grows while it is walked: a breadth-first search
+            for m in adjacency[n]:
+                if m not in seen:
+                    seen.add(m)
+                    component.append(m)
+        branched = any(len(adjacency[n]) > 2 for n in component)
+        if branched or bad_components.intersection(component):
+            continue  # a branch point, or two curves meeting other than once
+        # a head is an end (at most one neighbour): a cycle has none
+        heads = [n for n in component if len(adjacency[n]) <= 1 and degree[n] == -1]
+        if len(heads) == 2:
+            flagged.append(
+                "ambiguous orientation: both ends of "
+                f"[{', '.join(sorted(component))}] satisfy the head condition"
             )
-        )
+        if len(heads) != 1:
+            continue
+        ordered, prev = heads, None
+        while len(ordered) < len(component):
+            here = ordered[-1]
+            ordered.append(next(m for m in adjacency[here] if m != prev))
+            prev = here
+        if not any(degree[n] for n in ordered[1:]):
+            e = tuple(-square[n] for n in ordered)
+            chains.append(FChain(curves=tuple(ordered), self_intersections=e))
     chains.sort(key=lambda ch: ch.curves)
     return chains, flagged
 

@@ -92,6 +92,13 @@ def test_fixtures_run_filter(capsys):
     assert "slope_12_7" not in out
 
 
+def test_fixtures_run_filter_matching_nothing_is_usage_error(capsys):
+    assert cli_main(["fixtures", "run", "--filter", "nosuchfixture"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no bundled fixture matches 'nosuchfixture'\n"
+
+
 def test_fixtures_run_deterministic(capsys):
     cli_main(["fixtures", "run"])
     first = capsys.readouterr().out

@@ -268,8 +268,79 @@ def test_ambiguous_orientation_is_flagged():
     assert flags and "ambiguous orientation" in flags[0]
 
 
-# Chains found on each bundled document by the detection that paired every
-# two candidate curves with ``intersect``.
+def _e(i, j):
+    """E_i - E_j on a blow-up of P^2: a smooth rational (-2)-curve class."""
+    return {i: 1, j: -1}
+
+
+@pytest.mark.parametrize(
+    "n,curves,k_f,expected",
+    [
+        # a cycle of three (-2)-curves
+        (3, [_e(1, 2), _e(2, 3), _e(3, 1)], {}, []),
+        # E1 - E2 meets the three others once; E_i - E_j classes give it at
+        # most two neighbours that miss each other, so the last two are
+        # H - E_a - E_b - E_c; the end E2 - E3 has K_F degree -1
+        (7, [_e(1, 2), _e(2, 3), {0: 1, 1: -1, 4: -1, 5: -1}, {0: 1, 1: -1, 6: -1, 7: -1}], {3: -1}, []),
+        # two candidates meeting twice, H - E1 - E2 - E3 with K_F degree -1
+        # and 2H - E4 - ... - E9 with 0 (no two E_i - E_j meet twice)
+        (9, [{0: 1, 1: -1, 2: -1, 3: -1}, {0: 2, **{i: -1 for i in range(4, 10)}}], {1: -1}, []),
+        # a path whose interior curve has K_F degree -1 (degrees -1, -1, 0)
+        (4, [_e(1, 2), _e(2, 3), _e(3, 4)], {2: -1, 3: -2, 4: -2}, []),
+        # a path with no head
+        (3, [_e(1, 2), _e(2, 3)], {}, []),
+        # one curve of K_F degree 0
+        (2, [_e(1, 2)], {}, []),
+        # one curve of K_F degree -1: a one-curve chain
+        (2, [_e(1, 2)], {2: -1}, [(("C0",), (2,))]),
+        # never candidates, each with K_F degree -1: a non-invariant curve,
+        # a (-1)-curve, and a (-2)-curve of arithmetic genus 1
+        (2, [(_e(1, 2), False)], {2: -1}, []),
+        (1, [{1: 1}], {1: 1}, []),
+        (11, [{0: 3, **{i: -1 for i in range(1, 12)}}], {1: -1}, []),
+    ],
+    ids=[
+        "cycle",
+        "branch-point",
+        "double-meet",
+        "interior-head",
+        "no-head",
+        "one-curve-degree-0",
+        "one-curve-chain",
+        "non-invariant",
+        "minus-one-curve",
+        "genus-one",
+    ],
+)
+def test_detect_chains_on_small_shapes(n, curves, k_f, expected):
+    from folsurf.foliation import FoliatedScenario, ScenarioMetadata
+
+    surface = SurfaceModel.p2(n)
+
+    def cls(terms):
+        return surface.divisor([terms.get(i, 0) for i in range(n + 1)])
+
+    records = []
+    for k, spec in enumerate(curves):
+        terms, invariant = spec if isinstance(spec, tuple) else (spec, True)
+        records.append(CurveRecord(f"C{k}", cls(terms), invariant))
+    scenario = FoliatedScenario(
+        name="shape",
+        surface=surface,
+        k_foliation=cls(k_f),
+        curves=tuple(records),
+        singularities=(),
+        metadata=ScenarioMetadata(
+            k_pseudo_effective=True, relatively_minimal=False
+        ),
+    )
+    chains, flags = detect_chains_with_flags(scenario)
+    assert [(ch.curves, ch.self_intersections) for ch in chains] == expected
+    assert flags == []
+
+
+# Chains found on each bundled document, read from the scenario's pairing
+# table (``FoliatedScenario.pairings``).
 BUNDLED_CHAINS = {
     "slope_12_7": [],
     "degree2_p2": [],

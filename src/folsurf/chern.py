@@ -11,7 +11,11 @@ rational even when individual eigenvalues are not; whenever every local chi_p
 is available the direct formula chi(O_S) + K_F.N_F/4 + sum chi_p is evaluated
 as a cross-check and any mismatch is an inconsistency, not a warning.  The
 first Chern number must also coincide with the volume P^2; this too is
-asserted rather than assumed.
+asserted rather than assumed.  K_F^2 and K_F.N_F come from the scenario's
+pairing table, and the volume comes from the Zariski solve of K_F = P + N as
+P^2 = K_F^2 - K_F.N.  That is exact, not an approximation: the solve makes
+P.C = 0 on every curve C in the support of N, so P.N = 0 and
+P^2 = P.K_F = K_F^2 - K_F.N.
 
 Both sums come from one pass over the singularities.  beta_p = -1/(n d) and
 chi_p = -((n + d)^2 + n d + 1)/(12 n d) are closed forms in the canonical
@@ -30,7 +34,7 @@ from typing import List, Optional, Tuple
 from .errors import DomainError, InconsistentScenario
 from .foliation import FoliatedScenario
 from .local_invariants import beta_p, chi_p
-from .surface import chi_structure, intersect
+from .surface import chi_structure
 from .zariski import ZariskiDecomposition, zariski_decompose
 
 TRANSCENDENTAL = "Transcendental"
@@ -101,8 +105,8 @@ def chern_numbers(
         if local_chi is not None:
             chi_s = chi_p(s)
             local_chi = None if chi_s is None else local_chi + chi_s
-    c1 = intersect(f.k_foliation, f.k_foliation) + on_n
-    vol = intersect(dec.nef_part, dec.nef_part)
+    c1 = f.kf_square + on_n
+    vol = dec.nef_square
     if c1 != vol:
         raise InconsistentScenario(
             f"c1^2 = {c1} disagrees with the volume P^2 = {vol}; the declared "

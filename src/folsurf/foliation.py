@@ -6,9 +6,10 @@ are all class-level: the tangency count of a non-invariant curve, the total
 Z-index of an invariant curve, the Camacho-Sad balance, and the global
 singularity count.  Per-point indices are never inferred from local
 equations; they are declared or derived by exact branch matching.  A
-scenario pairs its curves with each other and with K_F and K_S once, on
-first use (``FoliatedScenario.pairings``), and every curvewise identity
-reads that table; K_F.N_F is paired once too (``kf_dot_nf``).  The
+scenario pairs its curves with each other and with K_F and K_S, and K_F
+with itself and K_S, once, on first use (``FoliatedScenario.pairings``).
+Every curvewise identity, K_F.N_F = K_F^2 - K_F.K_S (``kf_dot_nf``), K_F^2
+for the Chern numbers and the Zariski solve read that one table.  The
 Camacho-Sad balance is decided exactly, by one iterative sweep per connected
 component of the invariant curves, under one work budget for the scenario.
 """
@@ -29,7 +30,6 @@ from .surface import (
     SurfaceModel,
     canonical_class,
     chi_top,
-    intersect,
     pairing_table,
 )
 
@@ -94,16 +94,23 @@ class FoliatedScenario:
 
     @cached_property
     def pairings(self) -> Pairings:
-        """The curves paired with each other and with [K_F, K_S], built once."""
-        return pairing_table(
-            [c.cls for c in self.curves], [self.k_foliation, canonical_class(self.surface)]
-        )
+        """The curves paired with each other and with [K_F, K_S], and K_F
+        with [K_F, K_S], built once."""
+        return pairing_table([c.cls for c in self.curves], [self.k_foliation])
+
+    @property
+    def kf_square(self) -> Fraction:
+        """K_F^2, from the pairing table; the first Chern number reads it."""
+        t = self.pairings
+        return Fraction(t.among[0][0], t.scale * t.scale)
 
     @cached_property
     def kf_dot_nf(self) -> Fraction:
-        """K_F.N_F, paired once; the singularity count and the direct chi
-        formula read it."""
-        return intersect(normal_class(self), self.k_foliation)
+        """K_F.N_F = K_F^2 - K_F.K_S, from the pairing table; the singularity
+        count and the direct chi formula read it."""
+        t = self.pairings
+        kf_kf, kf_ks = t.among[0]
+        return Fraction(kf_kf - kf_ks, t.scale * t.scale)
 
     @cached_property
     def singularity_count(self) -> int:
@@ -435,7 +442,7 @@ def validate(f: FoliatedScenario) -> ValidationReport:
         if ev is None or ev.value is None or ev.value <= 0:
             continue
         lam = ev.value
-        needs_eps = lam.denominator == 1 or lam.numerator == 1
+        needs_eps = lam.denominator == 1
         if needs_eps and s.epsilon is None:
             eps_problems.append(f"{s.id}: epsilon required for eigenvalue {lam}")
         if f.metadata.algebraically_integral == "yes" and s.epsilon == 1:

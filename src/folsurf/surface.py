@@ -86,6 +86,26 @@ class SurfaceModel:
         e = self.hirzebruch_e
         return (((0, -e), (1, 1)) if e else ((1, 1),), ((0, 1),))
 
+    @property
+    def canonical_base(self) -> Tuple[Tuple[int, int], ...]:
+        """K_S on the base, the only place it is written, as (index,
+        coefficient): -3L on P2, -2C0 - (e+2)F on Hirzebruch(e).  Each blow-up
+        adds its exceptional class with coefficient 1.  ``canonical_class``
+        and ``canonical_degrees`` read it."""
+        if self.base == P2:
+            return ((0, -3),)
+        return ((0, -2), (1, -(self.hirzebruch_e + 2)))
+
+    @property
+    def canonical_degrees(self) -> Tuple[int, ...]:
+        """K_S.B for each base class B, from ``canonical_base`` and the base
+        Gram block: -3 on L; e - 2 on C0 and -2 on F.  An exceptional class
+        meets only its own term of K_S, so K_S.E_i = 1 * E_i^2 = -1."""
+        coefficient = dict(self.canonical_base)
+        return tuple(
+            sum(g * coefficient.get(j, 0) for j, g in partners) for partners in self.base_partners
+        )
+
     def gram(self, i: int, j: int) -> int:
         """Intersection number of the i-th and j-th basis classes."""
         if i < self.base_rank:
@@ -209,7 +229,11 @@ def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
 
 class Pairings(NamedTuple):
     """Every pairing of some curve classes with each other and with a few
-    extra classes, from one pass over shared basis indices.
+    extra classes, and of the given extra classes with each other, from one
+    pass over shared basis indices.  The canonical class K_S is always the
+    last extra class; it enters by its degree on each basis class
+    (``SurfaceModel.canonical_degrees``), never as a dense class, and has no
+    row of ``class_rows`` or ``among``.
 
     All classes are multiplied by the LCM of their denominators, so the
     entries are integers; the solution of G x = D.C does not change under
@@ -218,15 +242,17 @@ class Pairings(NamedTuple):
 
     scale: int  # the common denominator; entries are scale**2 times the pairing
     rows: List[Dict[int, int]]  # scaled curve classes, {basis index: int}
-    class_rows: List[Dict[int, int]]  # the scaled extra classes
-    against: List[List[int]]  # against[c][i] = (extra class c).C_i
+    class_rows: List[Dict[int, int]]  # the scaled extra classes, K_S excluded
+    against: List[List[int]]  # against[c][i] = (extra class c).C_i, K_S last
+    among: List[List[int]]  # among[c][c'] = (extra class c).(extra class c'), K_S last
     squares: List[int]  # C_i^2
     meets: List[Dict[int, int]]  # the nonzero C_i.C_j for j != i
 
 
 def pairing_table(curves: Sequence[DivisorClass], classes: Sequence[DivisorClass]) -> Pairings:
-    """Pair the curve classes with each other and with ``classes`` through
-    the basis indices they share, reading ``SurfaceModel.base_partners``.
+    """Pair the curve classes with each other, with ``classes`` and with K_S
+    through the basis indices they share, reading
+    ``SurfaceModel.base_partners`` and ``SurfaceModel.canonical_degrees``.
 
     Every class must live on the surface of ``classes[0]``.
     """
@@ -241,18 +267,45 @@ def pairing_table(curves: Sequence[DivisorClass], classes: Sequence[DivisorClass
     for j, row in enumerate(rows):
         for a, v in row.items():
             holders.setdefault(a, []).append((j, v))
-    br, base = s.base_rank, s.base_partners
+    br, base, degrees = s.base_rank, s.base_partners, s.canonical_degrees
 
     def pair_with_curves(u: Dict[int, int]) -> Dict[int, int]:
         acc: Dict[int, int] = {}
         for a, x in u.items():
-            for b, g in base[a] if a < br else ((a, -1),):
-                for j, v in holders.get(b, ()):
-                    acc[j] = acc.get(j, 0) + g * x * v
+            if a < br:
+                for b, g in base[a]:
+                    for j, v in holders.get(b, ()):
+                        acc[j] = acc.get(j, 0) + g * x * v
+            else:  # an exceptional class meets only itself, with -1
+                for j, v in holders.get(a, ()):
+                    acc[j] = acc.get(j, 0) - x * v
         return acc
+
+    def pair(u: Dict[int, int], w: Dict[int, int]) -> int:
+        total = 0
+        for a, x in u.items():
+            for b, g in base[a] if a < br else ((a, -1),):
+                total += g * x * w.get(b, 0)
+        return total
+
+    # K_S.u for the curves, then for the extra classes: K_S has degree -1 on
+    # every exceptional class, so K_S.u is -sum(u) plus (degree + 1) times
+    # each base term; K_S is integral, so it takes one factor of the scale
+    canonical: List[int] = []
+    for u in scaled:
+        total = -sum(u.values())
+        for a, degree in enumerate(degrees):
+            x = u.get(a)
+            if x:
+                total += (degree + 1) * x
+        canonical.append(scale * total)
 
     against = [
         [acc.get(j, 0) for j in range(len(rows))] for acc in map(pair_with_curves, class_rows)
+    ]
+    against.append(canonical[: len(rows)])
+    among = [
+        [pair(u, w) for w in class_rows] + [k_s] for u, k_s in zip(class_rows, canonical[len(rows) :])
     ]
     squares: List[int] = []
     meets: List[Dict[int, int]] = []
@@ -260,18 +313,16 @@ def pairing_table(curves: Sequence[DivisorClass], classes: Sequence[DivisorClass
         acc = pair_with_curves(row)
         squares.append(acc.pop(i, 0))
         meets.append({j: v for j, v in acc.items() if v})
-    return Pairings(scale, rows, class_rows, against, squares, meets)
+    return Pairings(scale, rows, class_rows, against, among, squares, meets)
 
 
 def canonical_class(s: SurfaceModel) -> DivisorClass:
-    """-3L on P2, -2C0 - (e+2)F on Hirzebruch(e), plus +E_i per blow-up: a
-    class meeting every basis class, so it has one term per basis class."""
-    if s.base == P2:
-        base = ((0, Fraction(-3)),)
-    else:
-        base = ((0, Fraction(-2)), (1, Fraction(-(s.hirzebruch_e + 2))))
+    """K_S as a class, from ``SurfaceModel.canonical_base`` plus +E_i per
+    blow-up: it meets every basis class, so it has one term per basis class."""
     one = Fraction(1)
-    return DivisorClass(s, base + tuple((i, one) for i in range(s.base_rank, s.rank)))
+    return DivisorClass(
+        s, s.canonical_base + tuple((i, one) for i in range(s.base_rank, s.rank))
+    )
 
 
 def chi_top(s: SurfaceModel) -> int:

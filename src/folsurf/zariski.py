@@ -9,8 +9,10 @@ scales the classes by one common denominator, and the support Gram matrix
 grows by one bordered row per violating curve under fraction-free (Bareiss)
 elimination.  Its pivots are the leading principal minors, so negative
 definiteness is certified by their signs alternating starting negative.
-The decomposition pairs the curves against the decomposed class only; chain
-detection reads the scenario's own table (``FoliatedScenario.pairings``).
+A scenario's decomposition and its chain detection both read the scenario's
+own table (``FoliatedScenario.pairings``); ``decompose_against_curves``
+builds a table for its class and curves and runs the same solve.  The solve
+also returns P^2 = D^2 - D.N, exact because P.C = 0 on every support curve.
 Classes are sparse end to end: the table's rows hold each class's nonzero
 terms, and the nef part P = D - N is assembled from those integer rows, so
 no step walks the full rank of the surface.
@@ -26,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import DomainError, InconsistentScenario
 from .foliation import CheckResult, CurveRecord, FoliatedScenario
 from .local_invariants import EigenvalueClass
-from .surface import DivisorClass, intersect, pairing_table
+from .surface import DivisorClass, Pairings, pairing_table
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,7 @@ class FChain:
 class ZariskiDecomposition:
     nef_part: DivisorClass
     negative_part: Tuple[Tuple[str, Fraction], ...]
+    nef_square: Fraction  # P^2, the volume of the decomposed class
 
     @property
     def support(self) -> Tuple[str, ...]:
@@ -287,8 +290,15 @@ def decompose_against_curves(
     the support Gram matrix, and the violator test runs on the integer
     numerators of the solution; Fractions are built only for the result.
     """
-    table = pairing_table([c.cls for c in curves], [d])
-    (d_pairings,), squares, meets = table.against, table.squares, table.meets
+    return _decompose(d, curves, pairing_table([c.cls for c in curves], [d]))
+
+
+def _decompose(
+    d: DivisorClass, curves: Sequence[CurveRecord], table: Pairings
+) -> ZariskiDecomposition:
+    """The solve of ``decompose_against_curves`` on ``table``, which pairs
+    ``curves`` with each other and with ``d`` as its first extra class."""
+    d_pairings, squares, meets = table.against[0], table.squares, table.meets
     factor = _BorderedFactor()
     position: Dict[int, int] = {}  # curve index -> place in the support
     support: List[int] = []
@@ -330,17 +340,22 @@ def decompose_against_curves(
         )
 
     nef = {idx: det * v for idx, v in table.class_rows[0].items()}
+    # P.C = 0 on the support, so P^2 = P.D = D^2 - D.N; det * scale^2 * D.N
+    # is the sum of y_k times the scaled D.C_k
+    d_dot_n = 0
     parts: List[Tuple[str, Fraction]] = []
     for k in sorted(range(len(support)), key=support.__getitem__):
         if not y[k]:
             continue
         i = support[k]
         parts.append((curves[i].name, Fraction(y[k], det)))
+        d_dot_n += y[k] * d_pairings[i]
         for idx, v in table.rows[i].items():
             nef[idx] = nef.get(idx, 0) - y[k] * v
     unit = det * table.scale
     nef_terms = tuple((idx, Fraction(v, unit)) for idx, v in sorted(nef.items()))
-    return ZariskiDecomposition(DivisorClass(d.surface, nef_terms), tuple(parts))
+    nef_square = Fraction(det * table.among[0][0] - d_dot_n, unit * table.scale)
+    return ZariskiDecomposition(DivisorClass(d.surface, nef_terms), tuple(parts), nef_square)
 
 
 def zariski_decompose(f: FoliatedScenario) -> ZariskiDecomposition:
@@ -355,7 +370,7 @@ def zariski_decompose(f: FoliatedScenario) -> ZariskiDecomposition:
             "the canonical class is declared non-pseudo-effective; "
             "no Zariski decomposition exists"
         )
-    dec = decompose_against_curves(f.k_foliation, f.curves)
+    dec = _decompose(f.k_foliation, f.curves, f.pairings)
     if f.metadata.relatively_minimal and f.is_reduced:
         for name, value in dec.negative_part:
             if value >= 1:
@@ -367,6 +382,8 @@ def zariski_decompose(f: FoliatedScenario) -> ZariskiDecomposition:
 
 
 def volume(f: FoliatedScenario) -> Fraction:
-    """vol = P^2; positive exactly for foliations of general type."""
-    dec = zariski_decompose(f)
-    return intersect(dec.nef_part, dec.nef_part)
+    """vol = P^2; positive exactly for foliations of general type, and 0 when
+    the canonical class is not pseudo-effective, as the pipeline reports."""
+    if not f.metadata.k_pseudo_effective:
+        return Fraction(0)
+    return zariski_decompose(f).nef_square

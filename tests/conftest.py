@@ -89,3 +89,21 @@ def build_chain_scenario(e_list, nef_multiple=0, extra_singularities=(), name="c
 @pytest.fixture
 def chain_scenario():
     return build_chain_scenario
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls to each function in ``names`` through every folsurf
+    module that binds it, so a call counts wherever it is made from."""
+    calls = dict.fromkeys(names, 0)
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "folsurf"]
+    for name in names:
+        holders = [m for m in modules if hasattr(m, name)]
+        assert holders, f"no folsurf module binds {name}"
+        for module in holders:
+
+            def wrapper(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+    return calls

@@ -22,7 +22,7 @@ from folsurf.fixtures import (
     semistable_genus2,
     slope_12_7,
 )
-from folsurf.foliation import FoliatedScenario, ScenarioMetadata
+from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata
 from folsurf.scenario_io import parse_document_dict, run_pipeline
 from folsurf.surface import SurfaceModel
 
@@ -97,6 +97,43 @@ def test_chern_numbers_not_pseudo_effective():
     verdict = decide(s, c, Fraction(0))
     assert verdict.status == ALGEBRAICALLY_INTEGRAL
     assert verdict.fired_rules[0].rule_id == "R1-rational-pencil"
+
+
+def test_chern_numbers_refuse_c1_squared_off_the_volume():
+    # K_F = L + E1 meets E1 with degree -1, so N = E1 and P = L, P^2 = 1; but
+    # K_F^2 = 0 and no singularity on E1 carries the missing beta
+    surface = SurfaceModel.p2(1)
+    s = FoliatedScenario(
+        name="no-beta-on-n",
+        surface=surface,
+        k_foliation=surface.divisor([1, 1]),
+        curves=(CurveRecord("E1", surface.divisor([0, 1]), True),),
+        singularities=(),
+        metadata=ScenarioMetadata(k_pseudo_effective=True, relatively_minimal=False),
+    )
+    with pytest.raises(InconsistentScenario) as err:
+        chern_numbers(s)
+    assert str(err.value) == (
+        "c1^2 = 0 disagrees with the volume P^2 = 1; the declared "
+        "negative-part singularities do not match the decomposition"
+    )
+
+
+def test_chern_numbers_refuse_a_direct_chi_off_the_noether_path():
+    # K_F = L with no singularities: chi = 1/12 by Noether, but the direct
+    # formula reads chi(O) + K_F.N_F / 4 = 1 + 4/4
+    p2 = SurfaceModel.p2()
+    s = FoliatedScenario(
+        name="no-singularities",
+        surface=p2,
+        k_foliation=p2.divisor([1]),
+        curves=(),
+        singularities=(),
+        metadata=ScenarioMetadata(k_pseudo_effective=True, relatively_minimal=True),
+    )
+    with pytest.raises(InconsistentScenario) as err:
+        chern_numbers(s)
+    assert str(err.value) == "direct chi formula gives 2, Noether path gives 1/12"
 
 
 def test_chern_ctor_enforces_noether_and_positivity():

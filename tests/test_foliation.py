@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import count_calls
 from folsurf.errors import DomainError
 from folsurf.fixtures import second_noether_ruled, third_noether_double_cover, slope_12_7
 from folsurf.foliation import (
@@ -527,23 +528,10 @@ def test_scenario_builds_its_pairings_and_incidence_once():
 
 
 def test_validation_pairs_the_curves_through_one_table(monkeypatch):
-    import folsurf.foliation as foliation
-
-    calls = {"intersect": 0, "canonical_class": 0, "pairing_table": 0}
-
-    def counting(name):
-        original = getattr(foliation, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(foliation, name, wrapper)
-
-    for name in calls:
-        counting(name)
+    calls = count_calls(monkeypatch, ["intersect", "canonical_class", "pairing_table"])
     s = scenario_from(third_noether_double_cover(16))
     assert len(s.curves) == 69
     assert validate(s).passed
-    # one table for all 69 curves; the singularity count pairs N_F with K_F once
-    assert calls == {"intersect": 1, "canonical_class": 2, "pairing_table": 1}
+    # one table for all 69 curves and K_F; the singularity count reads K_F.N_F
+    # from it, and K_S enters it by degree, not as a class
+    assert calls == {"intersect": 0, "canonical_class": 0, "pairing_table": 1}

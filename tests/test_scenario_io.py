@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import folsurf
+from conftest import count_calls
 from folsurf.errors import DomainError, ParseError
 from folsurf.fixtures import (
     bundled_documents,
@@ -561,38 +562,20 @@ def test_unknown_key_in_any_object_names_that_object(doc, data):
 
 
 def test_pipeline_pairs_kf_nf_and_p_squared_once_and_corrects_each_fiber_once(monkeypatch):
-    import folsurf.chern as chern
-    import folsurf.fibration as fibration
-    import folsurf.foliation as foliation
-    import folsurf.scenario_io as sio
-
-    calls = {}
-
-    def counting(module, name):
-        original = getattr(module, name)
-        key = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
-        calls[key] = 0
-
-        def wrapper(*args):
-            calls[key] += 1
-            return original(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(foliation, "normal_class")
-    counting(chern, "intersect")
-    counting(sio, "intersect")
-    counting(fibration, "fiber_local_chern")
+    names = ["pairing_table", "intersect", "normal_class", "canonical_class", "fiber_local_chern"]
+    calls = count_calls(monkeypatch, names)
     doc = parse_document_dict(third_noether_double_cover(16))
     report = run_pipeline(doc)
     assert report.ok and report.vol == report.chern.c1_sq
-    # N_F is formed once for K_F.N_F; chern pairs K_F^2 and P^2; the pipeline
-    # reads vol from the checked c1^2; modular invariants are computed once
+    # validation, the Zariski solve and chern read one pairing table: K_F.N_F
+    # and K_F^2 come from it, P^2 from the solve; the pipeline reads vol from
+    # the checked c1^2; modular invariants are computed once
     assert calls == {
-        "foliation.normal_class": 1,
-        "chern.intersect": 2,
-        "scenario_io.intersect": 0,
-        "fibration.fiber_local_chern": len(doc.fibration.singular_fibers),
+        "pairing_table": 1,
+        "intersect": 0,
+        "normal_class": 0,
+        "canonical_class": 0,
+        "fiber_local_chern": len(doc.fibration.singular_fibers),
     }
 
 

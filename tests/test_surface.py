@@ -247,6 +247,15 @@ def _assert_pairings_match_oracle(s):
                 assert Fraction(table.meets[i].get(j, 0), unit) == want, (s.name, i, j)
                 assert intersect(c.cls, other.cls) == want
     assert intersect(s.k_foliation, s.k_foliation) == _oracle_pair(gram, kf, kf)
+    among = [[Fraction(x, unit) for x in row] for row in table.among]
+    assert among == [[_oracle_pair(gram, kf, b) for b in (kf, ks)]], s.name
+    assert s.kf_square == _oracle_pair(gram, kf, kf)
+    assert s.kf_dot_nf == _oracle_pair(gram, kf, [k - c for k, c in zip(kf, ks)])
+    basis = [[int(a == b) for b in range(s.surface.rank)] for a in range(s.surface.rank)]
+    degrees = [_oracle_pair(gram, ks, e) for e in basis]
+    base_rank = s.surface.base_rank
+    assert list(s.surface.canonical_degrees) == degrees[:base_rank]
+    assert degrees[base_rank:] == [-1] * s.surface.blowups
 
 
 def test_pairings_of_every_bundled_scenario_match_the_gram_oracle():

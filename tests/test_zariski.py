@@ -11,9 +11,9 @@ from folsurf.fixtures import (
     second_noether_ruled,
     third_noether_double_cover,
 )
-from folsurf.foliation import CurveRecord
-from folsurf.local_invariants import beta
-from folsurf.scenario_io import parse_document_dict
+from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata, validate
+from folsurf.local_invariants import EigenvalueClass, NonDegenerate, SingularityRecord, beta
+from folsurf.scenario_io import ScenarioDocument, parse_document_dict, run_pipeline
 from folsurf.surface import SurfaceModel, intersect
 from folsurf.zariski import (
     FChain,
@@ -131,6 +131,24 @@ def test_zariski_requires_pseudo_effective():
     s = scenario_from(doc)
     with pytest.raises(DomainError):
         zariski_decompose(s)
+
+
+def test_volume_is_zero_where_the_pipeline_reports_zero():
+    # K_F = -L on P2: N_F = 2L, so c2 + N_F.K_F = 3 - 2 asks for one point
+    p2 = SurfaceModel.p2()
+    point = SingularityRecord("p", NonDegenerate(EigenvalueClass.rational(-1)))
+    s = FoliatedScenario(
+        name="rational-pencil",
+        surface=p2,
+        k_foliation=p2.divisor([-1]),
+        curves=(),
+        singularities=(point,),
+        metadata=ScenarioMetadata(k_pseudo_effective=False, relatively_minimal=True),
+    )
+    assert validate(s).passed
+    report = run_pipeline(ScenarioDocument(s.name, s, None))
+    assert report.ok and report.vol == 0
+    assert volume(s) == report.vol
 
 
 def _assert_double_cover_closed_forms(g):
@@ -499,6 +517,7 @@ def test_solver_matches_sympy_oracle_on_random_sparse_supports():
         expected = _outcome(_sympy_decompose, d, curves)
         got = _outcome(decompose_against_curves, d, curves)
         if isinstance(got, ZariskiDecomposition):
+            assert got.nef_square == intersect(got.nef_part, got.nef_part), (d, curves)
             got = (got.negative_part, got.nef_part.coefficients)
         assert got == expected, (d, curves)
         if isinstance(expected, str):

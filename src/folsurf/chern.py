@@ -17,11 +17,14 @@ P^2 = K_F^2 - K_F.N.  That is exact, not an approximation: the solve makes
 P.C = 0 on every curve C in the support of N, so P.N = 0 and
 P^2 = P.K_F = K_F^2 - K_F.N.
 
-Both sums come from one pass over the singularities.  beta_p = -1/(n d) and
+Both sums come from one pass over the scenario's singularities grouped by
+kind (``FoliatedScenario.by_kind``).  beta_p = -1/(n d) and
 chi_p = -((n + d)^2 + n d + 1)/(12 n d) are closed forms in the canonical
-eigenvalue n/d (see ``local_invariants``); each is evaluated at most once
-per singularity, zero beta terms (saddle-nodes, non-rational eigenvalues)
-are skipped, and the chi_p sum stops at the first chi_p that is unavailable.
+eigenvalue n/d (see ``local_invariants``), so each is evaluated at most once
+per kind.  Only a kind with nonzero beta (not a saddle-node, not a
+non-rational eigenvalue) has its points split between on and off the
+negative part; the chi_p sum adds each kind's chi_p once per point, in one
+product, and stops at the first kind whose chi_p is unavailable.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ def chern_numbers(
     support of N.  Non-reduced scenarios raise :class:`DomainError`.
     """
     if not f.is_reduced:
-        ids = [s.id for s in f.singularities if not s.is_reduced]
+        ids = [s.id for s in f.non_reduced]
         raise DomainError(f"Chern numbers need a reduced foliation; not reduced: {ids}")
     if not f.metadata.k_pseudo_effective:
         return ChernNumbers(Fraction(0), Fraction(0), Fraction(0))
@@ -95,16 +98,20 @@ def chern_numbers(
     on_n = Fraction(0)
     off_n = Fraction(0)
     local_chi: Optional[Fraction] = Fraction(0)
-    for s in f.singularities:
-        value = beta_p(s)
+    for group in f.by_kind:
+        value = beta_p(group[0])
         if value:
-            if support.isdisjoint(s.incident_curves):
-                off_n += value
-            else:
-                on_n += value
+            for s in group:
+                if support.isdisjoint(s.incident_curves):
+                    off_n += value
+                else:
+                    on_n += value
         if local_chi is not None:
-            chi_s = chi_p(s)
-            local_chi = None if chi_s is None else local_chi + chi_s
+            chi_s = chi_p(group[0])
+            if chi_s is None:
+                local_chi = None
+            else:  # a group of one needs no product
+                local_chi += chi_s if len(group) == 1 else len(group) * chi_s
     c1 = f.kf_square + on_n
     vol = dec.nef_square
     if c1 != vol:

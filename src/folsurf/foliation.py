@@ -12,6 +12,8 @@ Every curvewise identity, K_F.N_F = K_F^2 - K_F.K_S (``kf_dot_nf``), K_F^2
 for the Chern numbers and the Zariski solve read that one table.  The
 Camacho-Sad balance is decided exactly, by one iterative sweep per connected
 component of the invariant curves, under one work budget for the scenario.
+Facts of a singularity's kind (multiplicity, reducedness, the local Chern
+terms) are read once per kind object, through ``FoliatedScenario.by_kind``.
 """
 
 from __future__ import annotations
@@ -92,6 +94,18 @@ class FoliatedScenario:
         if len(set(ids)) != len(ids):
             raise DomainError("singularity ids must be unique")
 
+    @classmethod
+    def trusted(cls, name, surface, k_foliation, curves, singularities, metadata):
+        """A scenario whose curve names and singularity ids the scenario
+        decoder has found unique, refusing each repeat at its own path; the
+        public constructor checks them itself."""
+        f = object.__new__(cls)
+        vars(f).update(
+            name=name, surface=surface, k_foliation=k_foliation, curves=tuple(curves),
+            singularities=tuple(singularities), metadata=metadata,
+        )
+        return f
+
     @cached_property
     def pairings(self) -> Pairings:
         """The curves paired with each other and with [K_F, K_S], and K_F
@@ -113,10 +127,29 @@ class FoliatedScenario:
         return Fraction(kf_kf - kf_ks, t.scale * t.scale)
 
     @cached_property
+    def by_kind(self) -> Tuple[Tuple[SingularityRecord, ...], ...]:
+        """The singularities grouped by kind object, each group in declared
+        order and the groups in the order of their first members.
+
+        A local fact that depends only on the kind, such as the multiplicity
+        or beta_p, is read once per group.  Equal kinds of one parsed
+        document are one object; a kind built per singularity makes a group of
+        one, which changes no sum.  Groups go by identity, not equality:
+        hashing a kind that holds Fractions costs more than it saves."""
+        groups: Dict[int, List[SingularityRecord]] = {}
+        for s in self.singularities:
+            group = groups.get(id(s.kind))
+            if group is None:
+                groups[id(s.kind)] = [s]
+            else:
+                group.append(s)
+        return tuple(map(tuple, groups.values()))
+
+    @cached_property
     def singularity_count(self) -> int:
         """The number of singularities counted with multiplicity, summed once;
         the count check and the report read it."""
-        return sum(s.multiplicity for s in self.singularities)
+        return sum(group[0].multiplicity * len(group) for group in self.by_kind)
 
     @cached_property
     def _positions(self) -> Dict[str, int]:
@@ -156,7 +189,13 @@ class FoliatedScenario:
 
     @cached_property
     def is_reduced(self) -> bool:
-        return all(s.is_reduced for s in self.singularities)
+        return all(group[0].is_reduced for group in self.by_kind)
+
+    @property
+    def non_reduced(self) -> Tuple[SingularityRecord, ...]:
+        """The singularities that are not reduced, in declared order."""
+        kinds = {id(group[0].kind) for group in self.by_kind if not group[0].is_reduced}
+        return tuple(s for s in self.singularities if id(s.kind) in kinds) if kinds else ()
 
 
 @dataclass(frozen=True)
@@ -436,12 +475,11 @@ def validate(f: FoliatedScenario) -> ValidationReport:
         )
     )
 
+    # epsilon matters only at a positive rational eigenvalue: a point that is
+    # not reduced
     eps_problems = []
-    for s in f.singularities:
-        ev = s.eigenvalue
-        if ev is None or ev.value is None or ev.value <= 0:
-            continue
-        lam = ev.value
+    for s in f.non_reduced:
+        lam = s.kind.eigenvalue.value
         needs_eps = lam.denominator == 1
         if needs_eps and s.epsilon is None:
             eps_problems.append(f"{s.id}: epsilon required for eigenvalue {lam}")

@@ -14,6 +14,13 @@ A saddle-node has beta_p = 0 and chi_p = -(BB_p + m_p) / 12, unavailable
 when its Baum-Bott index is not declared; a non-rational eigenvalue has
 beta_p = 0 and no chi_p.  Everything here is a pure function of immutable
 data, so values can be shared and evaluated concurrently without coordination.
+
+``beta_p``, ``chi_p``, ``baum_bott``, ``multiplicity`` and ``is_reduced``
+read only a record's kind, so one evaluation serves every point of that
+kind object; ``FoliatedScenario.by_kind`` groups the points for that.  A
+record built by its constructor checks every field; one built by
+``SingularityRecord.trusted``, from fields a decoder has checked one by
+one, checks only the bound m_p >= vanishing_order^2 that spans two fields.
 """
 
 from __future__ import annotations
@@ -131,13 +138,33 @@ class SingularityRecord:
         object.__setattr__(self, "incident_curves", tuple(self.incident_curves))
         if self.vanishing_order < 1:
             raise DomainError(f"{self.id}: vanishing order must be >= 1")
+        self._check_multiplicity()
+        if self.epsilon is not None and self.epsilon not in (0, 1):
+            raise DomainError(f"{self.id}: epsilon must be 0 or 1")
+
+    @classmethod
+    def trusted(cls, id, kind, vanishing_order, incident_curves, epsilon) -> "SingularityRecord":
+        """A record from fields the scenario decoder has checked one by one.
+        Only the bound m_p >= vanishing_order^2, which spans two fields and
+        holds at vanishing order 1, is checked again; the public constructor
+        checks every field."""
+        s = object.__new__(cls)
+        fields = s.__dict__  # filled directly: item stores beat keyword packing
+        fields["id"] = id
+        fields["kind"] = kind
+        fields["vanishing_order"] = vanishing_order
+        fields["incident_curves"] = tuple(incident_curves)
+        fields["epsilon"] = epsilon
+        if vanishing_order > 1:
+            s._check_multiplicity()
+        return s
+
+    def _check_multiplicity(self) -> None:
         if self.multiplicity < self.vanishing_order**2:
             raise DomainError(
                 f"{self.id}: multiplicity {self.multiplicity} is below "
                 f"vanishing_order^2 = {self.vanishing_order ** 2}"
             )
-        if self.epsilon is not None and self.epsilon not in (0, 1):
-            raise DomainError(f"{self.id}: epsilon must be 0 or 1")
 
     @property
     def multiplicity(self) -> int:

@@ -10,8 +10,9 @@ bytes.
 The format is defined once, by the record table (``DOCUMENT`` and the
 records it nests): :func:`encode` walks it, and each record's decoder is
 generated from it on first use.  Equal singularity kinds of one document
-decode to one shared object.  Reports, documents and fixtures are printed by
-one writer, :func:`write_json`.
+decode to one shared object, and a decoded singularity or scenario is built
+by its ``trusted`` constructor, which does not repeat the decoder's checks.
+Reports, documents and fixtures are printed by one writer, :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -388,7 +389,7 @@ def _compile(spec: Record) -> Decoder:
         ]
     )
     # the file name tells the decoders apart in tracebacks and profiles
-    name = f"<decoder of {spec.build.__name__}: {spec.fields[0].key}>"
+    name = f"<decoder of {spec.build.__qualname__}: {spec.fields[0].key}>"
     exec(compile(source, name, "exec"), env)
     return env["decode"]
 
@@ -556,7 +557,7 @@ def _build_scenario(name, surface, k_foliation, curves, singularities, metadata)
             if cn not in curve_names:
                 reason = f"singularity references undeclared curve {cn!r}"
                 raise _Reject(reason, "singularities", k, "on_curves")
-    return FoliatedScenario(name, surface, k_foliation, records, singularities, metadata)
+    return FoliatedScenario.trusted(name, surface, k_foliation, records, singularities, metadata)
 
 
 @dataclass(frozen=True)
@@ -611,7 +612,7 @@ CURVE = Record(
     ),
 )
 SINGULARITY = Record(
-    SingularityRecord,
+    SingularityRecord.trusted,
     (
         Field("id", STRING),
         Field("kind", KIND),

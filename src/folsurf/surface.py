@@ -154,6 +154,17 @@ class DivisorClass:
                 terms.append((i, c))
         object.__setattr__(self, "terms", tuple(terms))
 
+    @classmethod
+    def trusted(
+        cls, surface: SurfaceModel, terms: Tuple[Tuple[int, Fraction], ...]
+    ) -> "DivisorClass":
+        """The class of ``terms`` already in canonical form: nonzero Fractions
+        at increasing basis indices below the rank, as a solve writes them.
+        The public constructor brings any terms to that form."""
+        d = object.__new__(cls)
+        vars(d).update(surface=surface, terms=terms)
+        return d
+
     @property
     def coefficients(self) -> Tuple[Fraction, ...]:
         """The dense view: one coefficient per basis class, zeros included."""

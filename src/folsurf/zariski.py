@@ -15,7 +15,8 @@ builds a table for its class and curves and runs the same solve.  The solve
 also returns P^2 = D^2 - D.N, exact because P.C = 0 on every support curve.
 Classes are sparse end to end: the table's rows hold each class's nonzero
 terms, and the nef part P = D - N is assembled from those integer rows, so
-no step walks the full rank of the surface.
+no step walks the full rank of the surface.  The solve writes P's terms in
+canonical form, so the class is built without re-checking them.
 """
 
 from __future__ import annotations
@@ -353,9 +354,11 @@ def _decompose(
         for idx, v in table.rows[i].items():
             nef[idx] = nef.get(idx, 0) - y[k] * v
     unit = det * table.scale
-    nef_terms = tuple((idx, Fraction(v, unit)) for idx, v in sorted(nef.items()))
+    # canonical form, written here: increasing indices, zero terms dropped
+    nef_terms = tuple((idx, Fraction(v, unit)) for idx, v in sorted(nef.items()) if v)
     nef_square = Fraction(det * table.among[0][0] - d_dot_n, unit * table.scale)
-    return ZariskiDecomposition(DivisorClass(d.surface, nef_terms), tuple(parts), nef_square)
+    nef_part = DivisorClass.trusted(d.surface, nef_terms)
+    return ZariskiDecomposition(nef_part, tuple(parts), nef_square)
 
 
 def zariski_decompose(f: FoliatedScenario) -> ZariskiDecomposition:

@@ -12,8 +12,10 @@ from folsurf.local_invariants import (
     NonDegenerate,
     SingularityRecord,
 )
-from folsurf.surface import SurfaceModel
+from folsurf.surface import DivisorClass, SurfaceModel
 from folsurf.zariski import chain_mu_sequence
+
+ONE, MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 def build_chain_scenario(e_list, nef_multiple=0, extra_singularities=(), name="chain"):
@@ -27,13 +29,10 @@ def build_chain_scenario(e_list, nef_multiple=0, extra_singularities=(), name="c
     """
     total_exc = 1 + sum(ej - 1 for ej in e_list)
     surface = SurfaceModel.p2(total_exc)
-    rank = surface.rank
 
     def vector(entries):
-        coeffs = [Fraction(0)] * rank
-        for idx, val in entries.items():
-            coeffs[idx] = Fraction(val)
-        return surface.divisor(coeffs)
+        # sparse terms in increasing index order, never the dense vector
+        return DivisorClass(surface, tuple(sorted(entries.items())))
 
     curves = []
     head = 1  # exceptional basis positions start at 1 (0 is L)
@@ -42,18 +41,18 @@ def build_chain_scenario(e_list, nef_multiple=0, extra_singularities=(), name="c
     for j, ej in enumerate(e_list):
         tail = list(range(next_free, next_free + ej - 1))
         next_free += ej - 1
-        entries = {head: 1}
+        entries = {head: ONE}
         for idx in tail:
-            entries[idx] = -1
+            entries[idx] = MINUS_ONE
         curves.append(
             CurveRecord(name=f"C{j + 1}", cls=vector(entries), f_invariant=True)
         )
         heads.append(head)
         head = tail[0] if tail else None
 
-    k_entries = {heads[0]: 1}
+    k_entries = {heads[0]: ONE}
     if nef_multiple:
-        k_entries[0] = nef_multiple
+        k_entries[0] = Fraction(nef_multiple)
     k_foliation = vector(k_entries)
 
     mu = chain_mu_sequence(e_list)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from folsurf.fixtures import (
     slope_12_7,
 )
 from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata
+from folsurf.local_invariants import SingularityRecord
 from folsurf.scenario_io import parse_document_dict, run_pipeline
 from folsurf.surface import SurfaceModel
 
@@ -274,10 +276,13 @@ def test_pipeline_evaluates_each_local_invariant_once(doc, monkeypatch):
     import folsurf.local_invariants as loc
 
     parsed = parse_document_dict(doc)
-    sings = parsed.scenario.singularities
+    firsts = {}  # the first point of each kind object, in declared order
+    for s in parsed.scenario.singularities:
+        firsts.setdefault(id(s.kind), s)
+    kinds = list(firsts.values())
     # chi_p is collected up to and including the first unavailable one
     first_missing = next(
-        (k for k, s in enumerate(sings) if loc.chi_p(s) is None), len(sings) - 1
+        (k for k, s in enumerate(kinds) if loc.chi_p(s) is None), len(kinds) - 1
     )
     calls = {"beta_p": 0, "chi_p": 0, "EigenvalueClass": 0}
 
@@ -303,4 +308,45 @@ def test_pipeline_evaluates_each_local_invariant_once(doc, monkeypatch):
     monkeypatch.setattr(loc.EigenvalueClass, "__post_init__", counting_post_init)
     report = run_pipeline(parsed)
     assert report.ok
-    assert calls == {"beta_p": len(sings), "chi_p": first_missing + 1, "EigenvalueClass": 0}
+    assert calls == {"beta_p": len(kinds), "chi_p": first_missing + 1, "EigenvalueClass": 0}
+    if doc["name"] == "second-noether-n50":  # 102 points of two kinds
+        assert calls["beta_p"] == calls["chi_p"] == 2
+
+
+def _ruled_with_interleaved_kinds(sign):
+    """second_noether_ruled(4) with its off-curve points u1, u2, u3, u6, u7
+    given eigenvalues 2, 3, 2, 3, 2 times ``sign``, u4 made a saddle-node
+    without a Baum-Bott index (so chi_p is unavailable) and u5 dropped to
+    keep the count.  The ``expect`` block, written for the fixture, is left
+    out."""
+    doc = second_noether_ruled(4)
+    del doc["expect"]
+    points = {s["id"]: s for s in doc["singularities"]}
+    for name, eigenvalue in zip(["u1", "u2", "u3", "u6", "u7"], [2, 3, 2, 3, 2]):
+        points[name]["kind"] = {"eigenvalue": str(sign * eigenvalue)}
+    points["u4"]["kind"] = {"saddle_node": 2}
+    doc["singularities"].remove(points["u5"])
+    return doc
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["non-reduced", "reduced"])
+def test_sharing_kind_objects_cannot_change_the_report(sign):
+    # the parsed document shares one object per equal kind; the same scenario
+    # built through the public constructors has a fresh kind per point
+    parsed = parse_document_dict(_ruled_with_interleaved_kinds(sign))
+    s = parsed.scenario
+    fresh = tuple(
+        SingularityRecord(p.id, dataclasses.replace(p.kind), p.vanishing_order, p.incident_curves)
+        for p in s.singularities
+    )
+    rebuilt = FoliatedScenario(s.name, s.surface, s.k_foliation, s.curves, fresh, s.metadata)
+    assert len(s.by_kind) == 5 and len(rebuilt.by_kind) == len(fresh) == 9
+    shared = run_pipeline(parsed)
+    alone = run_pipeline(dataclasses.replace(parsed, scenario=rebuilt))
+    assert alone.to_json() == shared.to_json()
+    assert alone.to_text() == shared.to_text()
+    if sign > 0:  # every point of a positive integer eigenvalue, in declared order
+        detail = next(c.detail for c in shared.validation.checks if "epsilon" in c.name)
+        assert [part.split(":")[0] for part in detail.split("; ")] == ["u1", "u2", "u3", "u6", "u7"]
+    else:  # chi_p is unavailable, and c2 counts every point of each kind
+        assert shared.ok and shared.chern.c2 == 3 * Fraction(1, 2) + 2 * Fraction(1, 3)

@@ -236,6 +236,50 @@ def test_duplicate_names_rejected():
         parse_document_dict(doc2)
 
 
+# Each refusal of a singularity, as a change to the second point ("p2", on
+# Finf) of second_noether_ruled(3) or to its third, and the path and reason.
+SINGULARITY_REFUSALS = {
+    "order-2-at-multiplicity-1": (
+        1, {"vanishing_order": 2},
+        "$.singularities[1]", "p2: multiplicity 1 is below vanishing_order^2 = 4",
+    ),
+    "order-2-at-multiplicity-3": (
+        1, {"kind": {"saddle_node": 3}, "vanishing_order": 2},
+        "$.singularities[1]", "p2: multiplicity 3 is below vanishing_order^2 = 4",
+    ),
+    "on-curves-not-a-list": (
+        1, {"on_curves": "Finf"}, "$.singularities[1].on_curves", "expected a list",
+    ),
+    "curve-name-not-a-string": (
+        1, {"on_curves": ["Finf", 7]},
+        "$.singularities[1].on_curves[1]", "expected a string, got 7",
+    ),
+    "epsilon-2": (1, {"epsilon": 2}, "$.singularities[1].epsilon", "epsilon must be 0 or 1"),
+    "vanishing-order-0": (
+        1, {"vanishing_order": 0},
+        "$.singularities[1].vanishing_order", "expected an integer >= 1, got 0",
+    ),
+    "duplicate-id": (2, {"id": "p2"}, "$.singularities[2]", "duplicate singularity id 'p2'"),
+}
+
+
+@pytest.mark.parametrize("case", list(SINGULARITY_REFUSALS))
+def test_each_singularity_refusal_names_its_path_and_reason(case):
+    index, change, path, reason = SINGULARITY_REFUSALS[case]
+    doc = second_noether_ruled(3)
+    doc["singularities"][index].update(change)
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert (err.value.path, err.value.reason) == (path, reason)
+
+
+def test_a_vanishing_order_within_the_multiplicity_bound_parses():
+    doc = second_noether_ruled(3)
+    doc["singularities"][1].update(kind={"saddle_node": 4}, vanishing_order=2)
+    s = parse_document_dict(doc).scenario.singularities[1]
+    assert (s.multiplicity, s.vanishing_order, s.incident_curves) == (4, 2, ("Finf",))
+
+
 def test_zero_eigenvalue_rejected():
     doc = second_noether_ruled(3)
     doc["singularities"][0]["kind"] = {"eigenvalue": "0"}

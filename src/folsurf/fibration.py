@@ -33,8 +33,8 @@ class FiberNode:
     in_negative_part: bool
 
     def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise DomainError("node branch multiplicities must be >= 1")
+        if type(self.a) is not int or type(self.b) is not int or self.a < 1 or self.b < 1:
+            raise DomainError("node branch multiplicities must be integers >= 1")
 
     @property
     def beta(self) -> Fraction:

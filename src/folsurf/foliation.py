@@ -7,9 +7,9 @@ Z-index of an invariant curve, the Camacho-Sad balance, and the global
 singularity count.  Per-point indices are never inferred from local
 equations; they are declared or derived by exact branch matching.  A
 scenario pairs its curves with each other and with K_F and K_S, and K_F
-with itself and K_S, once, on first use (``FoliatedScenario.pairings``).
-Every curvewise identity, K_F.N_F = K_F^2 - K_F.K_S (``kf_dot_nf``), K_F^2
-for the Chern numbers and the Zariski solve read that one table.  The
+with itself and K_S, once (``FoliatedScenario.pairings``, whose class D is
+K_F).  Curvewise identities read its ``squares``, ``d_dot`` and ``ks_dot``;
+K_F^2 and K_F.N_F = K_F^2 - K_F.K_S read ``d_square`` and ``d_dot_ks``.  The
 Camacho-Sad balance is decided exactly, by one iterative sweep per connected
 component of the invariant curves, under one work budget for the scenario.
 Facts of a singularity's kind (multiplicity, reducedness, the local Chern
@@ -71,8 +71,8 @@ class ScenarioMetadata:
             )
         if self.kodaira is not None and self.kodaira not in KODAIRA_VALUES:
             raise DomainError(f"kodaira must be one of {KODAIRA_VALUES} or unknown")
-        if self.p_g is not None and self.p_g < 0:
-            raise DomainError("p_g must be >= 0")
+        if self.p_g is not None and (type(self.p_g) is not int or self.p_g < 0):
+            raise DomainError("p_g must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -108,23 +108,22 @@ class FoliatedScenario:
 
     @cached_property
     def pairings(self) -> Pairings:
-        """The curves paired with each other and with [K_F, K_S], and K_F
-        with [K_F, K_S], built once."""
-        return pairing_table([c.cls for c in self.curves], [self.k_foliation])
+        """The curves paired with each other, K_F and K_S, and K_F with itself
+        and K_S, built once: the table's class D is K_F."""
+        return pairing_table([c.cls for c in self.curves], self.k_foliation)
 
     @property
     def kf_square(self) -> Fraction:
-        """K_F^2, from the pairing table; the first Chern number reads it."""
+        """K_F^2, the table's ``d_square``; the first Chern number reads it."""
         t = self.pairings
-        return Fraction(t.among[0][0], t.scale * t.scale)
+        return Fraction(t.d_square, t.scale * t.scale)
 
     @cached_property
     def kf_dot_nf(self) -> Fraction:
-        """K_F.N_F = K_F^2 - K_F.K_S, from the pairing table; the singularity
-        count and the direct chi formula read it."""
+        """K_F.N_F = K_F^2 - K_F.K_S, the table's ``d_square - d_dot_ks``; the
+        singularity count and the direct chi formula read it."""
         t = self.pairings
-        kf_kf, kf_ks = t.among[0]
-        return Fraction(kf_kf - kf_ks, t.scale * t.scale)
+        return Fraction(t.d_square - t.d_dot_ks, t.scale * t.scale)
 
     @cached_property
     def by_kind(self) -> Tuple[Tuple[SingularityRecord, ...], ...]:
@@ -177,7 +176,7 @@ class FoliatedScenario:
         unit = t.scale * t.scale
         return [
             (Fraction(sq, unit), Fraction(kf, unit), Fraction(ks, unit))
-            for sq, kf, ks in zip(t.squares, *t.against)
+            for sq, kf, ks in zip(t.squares, t.d_dot, t.ks_dot)
         ]
 
     def curve_numbers(self, c: CurveRecord) -> Tuple[Fraction, Fraction, Fraction]:

@@ -109,8 +109,8 @@ class SaddleNode:
     bb_index: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.multiplicity < 2:
-            raise DomainError("saddle-node multiplicity must be >= 2")
+        if type(self.multiplicity) is not int or self.multiplicity < 2:
+            raise DomainError("saddle-node multiplicity must be an integer >= 2")
         if self.bb_index is not None:
             object.__setattr__(self, "bb_index", as_rational(self.bb_index))
 
@@ -136,10 +136,11 @@ class SingularityRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "incident_curves", tuple(self.incident_curves))
-        if self.vanishing_order < 1:
-            raise DomainError(f"{self.id}: vanishing order must be >= 1")
+        if type(self.vanishing_order) is not int or self.vanishing_order < 1:
+            raise DomainError(f"{self.id}: vanishing order must be an integer >= 1")
         self._check_multiplicity()
-        if self.epsilon is not None and self.epsilon not in (0, 1):
+        epsilon = self.epsilon
+        if epsilon is not None and (type(epsilon) is not int or epsilon not in (0, 1)):
             raise DomainError(f"{self.id}: epsilon must be 0 or 1")
 
     @classmethod

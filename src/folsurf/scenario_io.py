@@ -924,6 +924,7 @@ def _surface_stages(s: FoliatedScenario, genus: Optional[int], out: Dict[str, An
     out["singularity_count"] = s.singularity_count
     if not validation.passed:
         return
+    dec = None  # no decomposition when K_F is not pseudo-effective
     if s.metadata.k_pseudo_effective:
         dec = out["decomposition"] = zariski_decompose(s)
         if s.metadata.relatively_minimal and s.is_reduced:
@@ -938,11 +939,9 @@ def _surface_stages(s: FoliatedScenario, genus: Optional[int], out: Dict[str, An
                 raise InconsistentScenario(
                     f"negative-part support is not a disjoint union of chains; stray curves {stray}"
                 )
-        chern = out["chern"] = chern_numbers(s, dec)
-        vol = out["vol"] = chern.c1_sq  # chern_numbers checked that it is P^2
-    else:
-        chern = out["chern"] = chern_numbers(s)
-        vol = out["vol"] = Fraction(0)
+    # chern_numbers checked that c1^2 is P^2, and it is 0 without a decomposition
+    chern = out["chern"] = chern_numbers(s, dec)
+    vol = out["vol"] = chern.c1_sq
     if chern.chi > 0:
         out["slope_value"] = slope(chern)
     declared = s.metadata.p_g

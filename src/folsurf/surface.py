@@ -12,6 +12,9 @@ handful of basis classes.  Pairing, sums, integrality and printing walk
 those pairs, so their cost follows the support, not the rank.  The dense
 coefficient vector, one entry per basis class, is a derived view; it is the
 form scenario documents are written in.
+Two classes are paired by one walk, ``_pair``, which ``intersect`` and a
+pairing table's D^2 use; the table pairs many curves with one class D at
+once, into the named fields of ``Pairings``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ShapeError
 from .local_invariants import as_rational
@@ -29,6 +32,7 @@ from .local_invariants import as_rational
 P2 = "P2"
 HIRZEBRUCH = "hirzebruch"
 _ZERO = Fraction(0)
+_EXACT = (int, Fraction)
 
 
 @dataclass(frozen=True)
@@ -40,12 +44,13 @@ class SurfaceModel:
     def __post_init__(self):
         if self.base not in (P2, HIRZEBRUCH):
             raise DomainError(f"unknown base surface {self.base!r}")
-        if self.base == HIRZEBRUCH and self.hirzebruch_e < 0:
-            raise DomainError("Hirzebruch parameter e must be >= 0")
-        if self.base == P2 and self.hirzebruch_e != 0:
+        e = self.hirzebruch_e
+        if type(e) is not int or (self.base == HIRZEBRUCH and e < 0):
+            raise DomainError("Hirzebruch parameter e must be an integer >= 0")
+        if self.base == P2 and e != 0:
             raise DomainError("P2 takes no Hirzebruch parameter")
-        if self.blowups < 0:
-            raise DomainError("the number of blow-ups must be >= 0")
+        if type(self.blowups) is not int or self.blowups < 0:
+            raise DomainError("the number of blow-ups must be an integer >= 0")
 
     @classmethod
     def p2(cls, n_blowups: int = 0) -> "SurfaceModel":
@@ -79,8 +84,8 @@ class SurfaceModel:
         """The base Gram block, the only place it is written: per base class,
         its nonzero pairings as (index, value).  L^2 = 1 on P2; C0^2 = -e,
         C0.F = 1 and F^2 = 0 on Hirzebruch(e).  Exceptional classes meet only
-        themselves, with -1; ``gram``, ``intersect`` and ``pairing_table``
-        read this block."""
+        themselves, with -1.  Two walks read this block: ``_pair``, one class
+        against another, and the table's batched ``pair_with_curves``."""
         if self.base == P2:
             return (((0, 1),),)
         e = self.hirzebruch_e
@@ -106,18 +111,16 @@ class SurfaceModel:
             sum(g * coefficient.get(j, 0) for j, g in partners) for partners in self.base_partners
         )
 
-    def gram(self, i: int, j: int) -> int:
-        """Intersection number of the i-th and j-th basis classes."""
-        if i < self.base_rank:
-            return dict(self.base_partners[i]).get(j, 0)
-        return -1 if i == j else 0
-
     def divisor(self, coefficients: Iterable[Union[Fraction, int]]) -> "DivisorClass":
         """The class with the dense coefficient vector ``coefficients``, one
         entry per basis class in basis order."""
         dense = tuple(coefficients)
         self.check_length(len(dense))
-        return DivisorClass(self, tuple(enumerate(dense)))
+        # an exact zero (an int or Fraction equal to 0) is no term; any other
+        # entry, a float or bool zero included, reaches the per-entry checks
+        return DivisorClass(
+            self, tuple((i, c) for i, c in enumerate(dense) if c or c.__class__ not in _EXACT)
+        )
 
     def basis_divisor(self, index: int) -> "DivisorClass":
         return DivisorClass(self, ((index, Fraction(1)),))
@@ -215,36 +218,41 @@ class DivisorClass:
         return " ".join([head] + parts[1:])
 
 
-def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
-    """Exact bilinear symmetric pairing under the basis Gram matrix, walking
-    the terms of the class with fewer of them."""
-    a._require_same_surface(b)
-    if len(a.terms) > len(b.terms):
-        a, b = b, a
-    s = a.surface
+def _pair(s: SurfaceModel, terms: Iterable[Tuple[int, Any]], other: Dict[int, Any]) -> Any:
+    """The one walk of the Gram rule for two classes: ``terms`` as (basis
+    index, coefficient) pairs against ``other`` as {basis index:
+    coefficient}.  A base class meets its ``SurfaceModel.base_partners``; an
+    exceptional class meets only itself, with -1.  Exact for Fractions and
+    for the table's scaled integers alike; 0 when no term meets."""
     br, base = s.base_rank, s.base_partners
-    other = dict(b.terms)
-    total = _ZERO
-    for i, x in a.terms:
+    total = 0
+    for i, x in terms:
         if i < br:
             for j, g in base[i]:
                 y = other.get(j)
                 if y:
-                    total = total + g * (x * y)
+                    total += g * (x * y)
         else:
             y = other.get(i)
             if y:
-                total = total - x * y
+                total -= x * y
     return total
 
 
+def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
+    """Exact bilinear symmetric pairing by ``_pair``, walking the terms of the
+    class with fewer of them; a Fraction, zero included."""
+    a._require_same_surface(b)
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    return _pair(a.surface, a.terms, dict(b.terms)) or _ZERO
+
+
 class Pairings(NamedTuple):
-    """Every pairing of some curve classes with each other and with a few
-    extra classes, and of the given extra classes with each other, from one
-    pass over shared basis indices.  The canonical class K_S is always the
-    last extra class; it enters by its degree on each basis class
-    (``SurfaceModel.canonical_degrees``), never as a dense class, and has no
-    row of ``class_rows`` or ``among``.
+    """Every pairing of some curve classes C_i with each other, with one
+    class D and with K_S, and of D with itself and K_S, from one pass over
+    shared basis indices.  K_S enters by its degree on each basis class
+    (``SurfaceModel.canonical_degrees``), never as a dense class.
 
     All classes are multiplied by the LCM of their denominators, so the
     entries are integers; the solution of G x = D.C does not change under
@@ -253,27 +261,28 @@ class Pairings(NamedTuple):
 
     scale: int  # the common denominator; entries are scale**2 times the pairing
     rows: List[Dict[int, int]]  # scaled curve classes, {basis index: int}
-    class_rows: List[Dict[int, int]]  # the scaled extra classes, K_S excluded
-    against: List[List[int]]  # against[c][i] = (extra class c).C_i, K_S last
-    among: List[List[int]]  # among[c][c'] = (extra class c).(extra class c'), K_S last
+    d_row: Dict[int, int]  # the scaled class D
+    d_dot: List[int]  # D.C_i
+    ks_dot: List[int]  # K_S.C_i
+    d_square: int  # D^2
+    d_dot_ks: int  # D.K_S
     squares: List[int]  # C_i^2
     meets: List[Dict[int, int]]  # the nonzero C_i.C_j for j != i
 
 
-def pairing_table(curves: Sequence[DivisorClass], classes: Sequence[DivisorClass]) -> Pairings:
-    """Pair the curve classes with each other, with ``classes`` and with K_S
-    through the basis indices they share, reading
+def pairing_table(curves: Sequence[DivisorClass], d: DivisorClass) -> Pairings:
+    """Pair the curve classes with each other, with ``d`` and with K_S, and
+    ``d`` with itself and K_S, through the basis indices they share, reading
     ``SurfaceModel.base_partners`` and ``SurfaceModel.canonical_degrees``.
 
-    Every class must live on the surface of ``classes[0]``.
+    Every curve must live on the surface of ``d``.
     """
-    s = classes[0].surface
-    everything = (*curves, *classes)
-    for d in everything:
-        d._require_same_surface(classes[0])
-    scale = lcm(*{v.denominator for d in everything for _, v in d.terms})
-    scaled = [{i: v.numerator * (scale // v.denominator) for i, v in d.terms} for d in everything]
-    rows, class_rows = scaled[: len(curves)], scaled[len(curves) :]
+    s = d.surface
+    for c in curves:
+        c._require_same_surface(d)
+    scale = lcm(*{v.denominator for c in (*curves, d) for _, v in c.terms})
+    rows = [{i: v.numerator * (scale // v.denominator) for i, v in c.terms} for c in curves]
+    d_row = {i: v.numerator * (scale // v.denominator) for i, v in d.terms}
     holders: Dict[int, List[Tuple[int, int]]] = {}
     for j, row in enumerate(rows):
         for a, v in row.items():
@@ -292,39 +301,30 @@ def pairing_table(curves: Sequence[DivisorClass], classes: Sequence[DivisorClass
                     acc[j] = acc.get(j, 0) - x * v
         return acc
 
-    def pair(u: Dict[int, int], w: Dict[int, int]) -> int:
-        total = 0
-        for a, x in u.items():
-            for b, g in base[a] if a < br else ((a, -1),):
-                total += g * x * w.get(b, 0)
-        return total
-
-    # K_S.u for the curves, then for the extra classes: K_S has degree -1 on
-    # every exceptional class, so K_S.u is -sum(u) plus (degree + 1) times
-    # each base term; K_S is integral, so it takes one factor of the scale
-    canonical: List[int] = []
-    for u in scaled:
+    def canonical(u: Dict[int, int]) -> int:
+        # K_S has degree -1 on every exceptional class, so K_S.u is -sum(u)
+        # plus (degree + 1) times each base term; K_S is integral, so it
+        # takes one factor of the scale
         total = -sum(u.values())
         for a, degree in enumerate(degrees):
             x = u.get(a)
             if x:
                 total += (degree + 1) * x
-        canonical.append(scale * total)
+        return scale * total
 
-    against = [
-        [acc.get(j, 0) for j in range(len(rows))] for acc in map(pair_with_curves, class_rows)
-    ]
-    against.append(canonical[: len(rows)])
-    among = [
-        [pair(u, w) for w in class_rows] + [k_s] for u, k_s in zip(class_rows, canonical[len(rows) :])
-    ]
+    d_acc = pair_with_curves(d_row)
+    d_dot = [d_acc.get(j, 0) for j in range(len(rows))]
     squares: List[int] = []
     meets: List[Dict[int, int]] = []
     for i, row in enumerate(rows):
         acc = pair_with_curves(row)
         squares.append(acc.pop(i, 0))
         meets.append({j: v for j, v in acc.items() if v})
-    return Pairings(scale, rows, class_rows, against, among, squares, meets)
+    d_square = _pair(s, d_row.items(), d_row)
+    return Pairings(
+        scale, rows, d_row, d_dot, list(map(canonical, rows)), d_square, canonical(d_row),
+        squares, meets,
+    )
 
 
 def canonical_class(s: SurfaceModel) -> DivisorClass:

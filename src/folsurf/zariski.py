@@ -10,7 +10,9 @@ grows by one bordered row per violating curve under fraction-free (Bareiss)
 elimination.  Its pivots are the leading principal minors, so negative
 definiteness is certified by their signs alternating starting negative.
 A scenario's decomposition and its chain detection both read the scenario's
-own table (``FoliatedScenario.pairings``); ``decompose_against_curves``
+own table (``FoliatedScenario.pairings``, whose class D is K_F): the solve
+reads ``d_dot``, ``squares``, ``meets``, ``d_row`` and ``d_square``, and
+chain detection ``d_dot`` and ``ks_dot``.  ``decompose_against_curves``
 builds a table for its class and curves and runs the same solve.  The solve
 also returns P^2 = D^2 - D.N, exact because P.C = 0 on every support curve.
 Classes are sparse end to end: the table's rows hold each class's nonzero
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DomainError, InconsistentScenario
 from .foliation import CheckResult, CurveRecord, FoliatedScenario
@@ -60,13 +62,10 @@ def _require_chain(e: Sequence[int]) -> None:
 def chain_xi_sequence(e: Sequence[int]) -> List[int]:
     """The backward recursion xi_{j-1} = e_j xi_j - xi_{j+1} from
     xi_{r+1} = 0, xi_r = 1: the full xi_0 .. xi_{r+1} sequence (strictly
-    decreasing up to the end)."""
+    decreasing up to the end).  It is ``chain_mu_sequence`` of the reversed
+    chain, read backwards."""
     _require_chain(e)
-    xi = [0, 1]  # xi_{r+1}, xi_r, ... while it is built
-    for ej in reversed(e):
-        xi.append(ej * xi[-1] - xi[-2])
-    xi.reverse()
-    return xi
+    return chain_mu_sequence(reversed(e))[::-1]
 
 
 def chain_coefficients(e: Sequence[int]) -> Tuple[int, int, List[Fraction]]:
@@ -94,7 +93,7 @@ def chain_eigenvalues(e: Sequence[int]) -> List[EigenvalueClass]:
     ]
 
 
-def chain_mu_sequence(e: Sequence[int]) -> List[int]:
+def chain_mu_sequence(e: Iterable[int]) -> List[int]:
     """The forward recursion mu_{k+1} = e_k mu_k - mu_{k-1} from mu_0 = 0,
     mu_1 = 1."""
     mu = [0, 1]
@@ -133,11 +132,11 @@ def detect_chains_with_flags(f: FoliatedScenario) -> Tuple[List[FChain], List[st
     head is a chain when every later curve has K_F degree 0; with two, the
     orientation is ambiguous, so it is flagged by name instead of guessed at.
     C^2, K_F.C, K_S.C (for the adjunction genus) and C.C' are read from the
-    scenario's pairing table.
+    scenario's pairing table: ``squares``, ``d_dot``, ``ks_dot``, ``meets``.
     """
     table = f.pairings
     unit = table.scale * table.scale
-    kf_pairings, ks_pairings = table.against
+    kf_pairings, ks_pairings = table.d_dot, table.ks_dot
     square: Dict[str, int] = {}
     degree: Dict[str, int] = {}
     candidates: Dict[int, str] = {}
@@ -291,15 +290,15 @@ def decompose_against_curves(
     the support Gram matrix, and the violator test runs on the integer
     numerators of the solution; Fractions are built only for the result.
     """
-    return _decompose(d, curves, pairing_table([c.cls for c in curves], [d]))
+    return _decompose(d, curves, pairing_table([c.cls for c in curves], d))
 
 
 def _decompose(
     d: DivisorClass, curves: Sequence[CurveRecord], table: Pairings
 ) -> ZariskiDecomposition:
     """The solve of ``decompose_against_curves`` on ``table``, which pairs
-    ``curves`` with each other and with ``d`` as its first extra class."""
-    d_pairings, squares, meets = table.against[0], table.squares, table.meets
+    ``curves`` with each other and with ``d`` as its class D."""
+    d_pairings, squares, meets = table.d_dot, table.squares, table.meets
     factor = _BorderedFactor()
     position: Dict[int, int] = {}  # curve index -> place in the support
     support: List[int] = []
@@ -340,7 +339,7 @@ def _decompose(
             "does not describe a pseudo-effective decomposition"
         )
 
-    nef = {idx: det * v for idx, v in table.class_rows[0].items()}
+    nef = {idx: det * v for idx, v in table.d_row.items()}
     # P.C = 0 on the support, so P^2 = P.D = D^2 - D.N; det * scale^2 * D.N
     # is the sum of y_k times the scaled D.C_k
     d_dot_n = 0
@@ -356,7 +355,7 @@ def _decompose(
     unit = det * table.scale
     # canonical form, written here: increasing indices, zero terms dropped
     nef_terms = tuple((idx, Fraction(v, unit)) for idx, v in sorted(nef.items()) if v)
-    nef_square = Fraction(det * table.among[0][0] - d_dot_n, unit * table.scale)
+    nef_square = Fraction(det * table.d_square - d_dot_n, unit * table.scale)
     nef_part = DivisorClass.trusted(d.surface, nef_terms)
     return ZariskiDecomposition(nef_part, tuple(parts), nef_square)
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import count_calls
 from folsurf.errors import DomainError
+from folsurf.fibration import FiberNode
 from folsurf.fixtures import second_noether_ruled, third_noether_double_cover, slope_12_7
 from folsurf.foliation import (
     CurveRecord,
@@ -22,6 +23,7 @@ from folsurf.foliation import (
 from folsurf.local_invariants import (
     EigenvalueClass,
     NonDegenerate,
+    SaddleNode,
     SingularityRecord,
 )
 from folsurf.scenario_io import parse_document_dict
@@ -56,6 +58,36 @@ def test_normal_class_examples():
         metadata=ScenarioMetadata(True, True),
     )
     assert normal_class(trivial).is_zero
+
+
+def _node_record(**fields):
+    return SingularityRecord("q", NonDegenerate(EigenvalueClass.rational(-1)), **fields)
+
+
+# each integer field of a public constructor: a build from one value, a value
+# it accepts, and inexact values equal to or near accepted ones, which would
+# otherwise leak out (Hirzebruch(1.5) gives canonical degrees (-0.5, -2), a
+# saddle-node of multiplicity 2.5 a float chi_p, and epsilon=True serializes
+# as ``true``, which the parser refuses)
+INTEGER_FIELDS = {
+    "hirzebruch_e": (SurfaceModel.hirzebruch, 1, (1.5, 1.0, True)),
+    "blowups": (SurfaceModel.p2, 2, (1.5, 2.0, True)),
+    "saddle_node_multiplicity": (SaddleNode, 3, (2.5, 3.0)),
+    "vanishing_order": (lambda v: _node_record(vanishing_order=v), 1, (1.0, True)),
+    "epsilon": (lambda v: _node_record(epsilon=v), 1, (1.0, True, 0.0, False)),
+    "fiber_node_a": (lambda v: FiberNode(v, 1, False), 2, (2.0, True)),
+    "fiber_node_b": (lambda v: FiberNode(1, v, False), 2, (2.0, True)),
+    "p_g": (lambda v: ScenarioMetadata(True, True, p_g=v), 2, (2.0, True, 0.0)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_public_constructors_refuse_floats_and_bools_in_integer_fields(field):
+    build, accepted, refused = INTEGER_FIELDS[field]
+    build(accepted)
+    for value in refused:
+        with pytest.raises(DomainError, match="must be"):
+            build(value)
 
 
 def test_tangency_on_branch_curve():

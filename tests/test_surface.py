@@ -106,7 +106,8 @@ def test_unimodular_determinant_and_rank_increment():
     # |det Gram| = 1 with sign (-1)^(rank-1), as befits signature (1, rank-1)
     def det(surface):
         n = surface.rank
-        m = [[Fraction(surface.gram(i, j)) for j in range(n)] for i in range(n)]
+        basis = [surface.basis_divisor(i) for i in range(n)]
+        m = [[intersect(a, b) for b in basis] for a in basis]
         result = Fraction(1)
         for col in range(n):
             pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
@@ -163,6 +164,14 @@ def test_h0_line_bundle_closed_forms():
                 assert h0_line_bundle(he, he.divisor([a, b])) == _h0_oracle_hirzebruch(e, a, b)
 
 
+def test_divisor_drops_exact_zeros_and_checks_every_other_entry():
+    assert SurfaceModel.p2(2).divisor([0, Fraction(0), 2]).terms == ((2, Fraction(2)),)
+    s = SurfaceModel.p2(1)
+    for dense in ([0.0, 1], [False, 1], [True, 0], [0, 1.5], ["0", 1], ["", 1], [None, 1]):
+        with pytest.raises(DomainError, match="expected an exact rational"):
+            s.divisor(dense)
+
+
 def test_h0_unavailable_and_errors():
     blown = SurfaceModel.p2(1)
     assert h0_line_bundle(blown, blown.divisor([1, 0])) is None
@@ -184,15 +193,18 @@ def test_h0_hirzebruch_closed_form_matches_the_section_sum():
 def test_pairing_table_refuses_classes_on_different_surfaces():
     p2 = SurfaceModel.p2(2).divisor([1, 1, 0])
     f1 = SurfaceModel.hirzebruch(1, 1).divisor([0, 0, 1])
-    for curves, classes in (([f1], [p2]), ([p2], [p2, f1]), ([], [p2, f1])):
+    for curves, d in (([f1], p2), ([p2, f1], p2), ([p2], f1)):
         with pytest.raises(ShapeError, match="divisor classes live on different surfaces"):
-            pairing_table(curves, classes)
+            pairing_table(curves, d)
 
 
 # An independent Gram oracle: the matrix written from scratch, diag(1, -1, ...)
 # on P2 and [[-e, 1], [1, 0]] + (-I) on F_e, with the canonical class
-# -3L + sum E_i or -2C0 - (e+2)F + sum E_i.  ``intersect`` and the pairing
-# table share ``SurfaceModel.base_partners``, so neither can check the other.
+# -3L + sum E_i or -2C0 - (e+2)F + sum E_i.  ``intersect`` and the table's
+# D^2 pair two classes by one walk (``surface._pair``), and the table's other
+# fields come from its batched ``pair_with_curves`` over the same
+# ``SurfaceModel.base_partners``, so neither can check the other: this oracle
+# is the independent check of every field of ``Pairings``.
 
 
 def _oracle_gram(surface):
@@ -234,8 +246,8 @@ def _assert_pairings_match_oracle(s):
         numbers = tuple(_oracle_pair(gram, x, ci) for x in (ci, kf, ks))
         assert (
             Fraction(table.squares[i], unit),
-            Fraction(table.against[0][i], unit),
-            Fraction(table.against[1][i], unit),
+            Fraction(table.d_dot[i], unit),
+            Fraction(table.ks_dot[i], unit),
         ) == numbers, (s.name, c.name)
         assert s.curve_numbers(c) == numbers
         assert intersect(c.cls, c.cls) == numbers[0]
@@ -247,8 +259,9 @@ def _assert_pairings_match_oracle(s):
                 assert Fraction(table.meets[i].get(j, 0), unit) == want, (s.name, i, j)
                 assert intersect(c.cls, other.cls) == want
     assert intersect(s.k_foliation, s.k_foliation) == _oracle_pair(gram, kf, kf)
-    among = [[Fraction(x, unit) for x in row] for row in table.among]
-    assert among == [[_oracle_pair(gram, kf, b) for b in (kf, ks)]], s.name
+    kf_numbers = (Fraction(table.d_square, unit), Fraction(table.d_dot_ks, unit))
+    assert kf_numbers == tuple(_oracle_pair(gram, kf, b) for b in (kf, ks)), s.name
+    assert table.d_row == {i: int(c * table.scale) for i, c in s.k_foliation.terms}
     assert s.kf_square == _oracle_pair(gram, kf, kf)
     assert s.kf_dot_nf == _oracle_pair(gram, kf, [k - c for k, c in zip(kf, ks)])
     basis = [[int(a == b) for b in range(s.surface.rank)] for a in range(s.surface.rank)]

@@ -52,12 +52,17 @@ class FiberModel:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        if self.genus_of_fibration < 1:
-            raise DomainError("fiber genus must be >= 1")
-        if self.f_red_sq > 0:
-            raise DomainError("a fiber's reduced self-intersection is <= 0")
-        if self.alpha != 0:
-            raise DomainError("only normal-crossing fibers (alpha = 0) are supported")
+        if type(self.genus_of_fibration) is not int or self.genus_of_fibration < 1:
+            raise DomainError("fiber genus must be an integer >= 1")
+        # a connected reduced fiber has p_a >= 0
+        if type(self.pa_reduced) is not int or self.pa_reduced < 0:
+            raise DomainError("a fiber's p_a(F_red) must be an integer >= 0")
+        if type(self.f_red_sq) is not int or self.f_red_sq > 0:
+            raise DomainError("a fiber's reduced self-intersection must be an integer <= 0")
+        if type(self.alpha) is not int or self.alpha != 0:
+            raise DomainError(
+                "alpha must be the integer 0: only normal-crossing fibers are supported"
+            )
 
 
 def fiber_local_chern(fm: FiberModel) -> Tuple[Fraction, Fraction, Fraction]:
@@ -94,8 +99,8 @@ class FibrationModel:
         object.__setattr__(self, "e_f", as_rational(self.e_f))
         object.__setattr__(self, "chi_f", as_rational(self.chi_f))
         object.__setattr__(self, "singular_fibers", tuple(self.singular_fibers))
-        if self.genus < 1:
-            raise DomainError("fibration genus must be >= 1")
+        if type(self.genus) is not int or self.genus < 1:
+            raise DomainError("fibration genus must be an integer >= 1")
         if self.k_f_sq + self.e_f != 12 * self.chi_f:
             raise InconsistentScenario(
                 f"K_f^2 + e_f = {self.k_f_sq + self.e_f} != 12 chi_f = {12 * self.chi_f}"

@@ -8,12 +8,16 @@ singularity count.  Per-point indices are never inferred from local
 equations; they are declared or derived by exact branch matching.  A
 scenario pairs its curves with each other and with K_F and K_S, and K_F
 with itself and K_S, once (``FoliatedScenario.pairings``, whose class D is
-K_F).  Curvewise identities read its ``squares``, ``d_dot`` and ``ks_dot``;
-K_F^2 and K_F.N_F = K_F^2 - K_F.K_S read ``d_square`` and ``d_dot_ks``.  The
-Camacho-Sad balance is decided exactly, by one iterative sweep per connected
+K_F).  Validation works on the table's integers, which are ``scale**2``
+times the pairings: the curvewise checks read its ``squares``, ``d_dot`` and
+``ks_dot``, the singularity count its ``d_square`` and ``d_dot_ks``, and a
+passing check builds no Fraction; a detail string prints a quotient of two
+integers as the Fraction would (``_fraction_text``).  The Camacho-Sad balance
+is decided exactly, in integers, by one iterative sweep per connected
 component of the invariant curves, under one work budget for the scenario.
-Facts of a singularity's kind (multiplicity, reducedness, the local Chern
-terms) are read once per kind object, through ``FoliatedScenario.by_kind``.
+Facts of a singularity's kind (multiplicity, reducedness, the {lam, 1/lam}
+branch pair, the local Chern terms) are read once per kind object, through
+``FoliatedScenario.by_kind``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import DomainError, InconsistentScenario
@@ -37,6 +41,8 @@ from .surface import (
 
 KODAIRA_VALUES = ("-inf", "0", "1", "2")
 INTEGRALITY_VALUES = ("yes", "no", "unknown")
+
+_ZERO = Fraction(0)
 
 # work that ``resolve_camacho_sad`` may spend over all components: each
 # candidate vector of partial sums costs its length plus one
@@ -170,21 +176,19 @@ class FoliatedScenario:
     def singularities_on(self, curve_name: str) -> Tuple[SingularityRecord, ...]:
         return self._incidence.get(curve_name, ())
 
-    @cached_property
-    def _numbers(self) -> List[Tuple[Fraction, Fraction, Fraction]]:
-        t = self.pairings
-        unit = t.scale * t.scale
-        return [
-            (Fraction(sq, unit), Fraction(kf, unit), Fraction(ks, unit))
-            for sq, kf, ks in zip(t.squares, t.d_dot, t.ks_dot)
-        ]
-
-    def curve_numbers(self, c: CurveRecord) -> Tuple[Fraction, Fraction, Fraction]:
-        """C^2, K_F.C and K_S.C of a declared curve, from the pairing table."""
+    def _index(self, c: CurveRecord) -> int:
+        """The position of a declared curve, its row in the pairing table."""
         i = self._positions.get(c.name)
         if i is None or self.curves[i] != c:
             raise DomainError(f"{c.name} is not a curve of this scenario")
-        return self._numbers[i]
+        return i
+
+    def curve_numbers(self, c: CurveRecord) -> Tuple[Fraction, Fraction, Fraction]:
+        """C^2, K_F.C and K_S.C of a declared curve, from the pairing table."""
+        i = self._index(c)
+        t = self.pairings
+        unit = t.scale * t.scale
+        return Fraction(t.squares[i], unit), Fraction(t.d_dot[i], unit), Fraction(t.ks_dot[i], unit)
 
     @cached_property
     def is_reduced(self) -> bool:
@@ -229,17 +233,30 @@ def normal_class(f: FoliatedScenario) -> DivisorClass:
     return f.k_foliation - canonical_class(f.surface)
 
 
+def _fraction_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def tangency(f: FoliatedScenario, c: CurveRecord) -> int:
     """tang = K_F.C + C^2 for a curve that is not invariant; always >= 0."""
     if c.f_invariant:
         raise DomainError(f"{c.name}: tangency is defined for non-invariant curves")
-    square, kf, _ = f.curve_numbers(c)
-    value = kf + square
-    if value.denominator != 1:
-        raise InconsistentScenario(f"{c.name}: tangency count {value} is not an integer")
+    return _tangency_count(f.pairings, f._index(c), c.name)
+
+
+def _tangency_count(t: Pairings, i: int, name: str) -> int:
+    """K_F.C + C^2 of the table's curve ``i``, refused unless an integer >= 0."""
+    unit = t.scale * t.scale
+    total = t.d_dot[i] + t.squares[i]
+    value, rest = divmod(total, unit)
+    if rest:
+        text = _fraction_text(total, unit)
+        raise InconsistentScenario(f"{name}: tangency count {text} is not an integer")
     if value < 0:
-        raise InconsistentScenario(f"{c.name}: tangency count {value} is negative")
-    return int(value)
+        raise InconsistentScenario(f"{name}: tangency count {value} is negative")
+    return value
 
 
 def z_total(f: FoliatedScenario, c: CurveRecord) -> Fraction:
@@ -280,24 +297,19 @@ def camacho_sad_check(
 
 
 def singularity_count_check(f: FoliatedScenario) -> CheckResult:
-    """Pass iff sum of multiplicities equals c2(S) + N_F.K_F exactly."""
+    """Pass iff sum of multiplicities equals c2(S) + N_F.K_F exactly, with
+    N_F.K_F = K_F^2 - K_F.K_S read from the pairing table."""
     declared = f.singularity_count
-    expected = chi_top(f.surface) + f.kf_dot_nf
-    residual = Fraction(declared) - expected
+    t = f.pairings
+    unit = t.scale * t.scale
+    expected = chi_top(f.surface) * unit + t.d_square - t.d_dot_ks
+    residual = declared * unit - expected
     return CheckResult(
         name="count.singularities",
-        passed=residual == 0,
-        detail=f"declared {declared} vs c2(S) + N.K = {expected}",
-        residual=residual,
+        passed=not residual,
+        detail=f"declared {declared} vs c2(S) + N.K = {_fraction_text(expected, unit)}",
+        residual=Fraction(residual, unit) if residual else _ZERO,
     )
-
-
-def _cs_branches(s: SingularityRecord) -> Optional[Tuple[Fraction, Fraction]]:
-    """The {lam, 1/lam} index pair at a non-degenerate rational singularity."""
-    ev = s.eigenvalue
-    if ev is None or ev.value is None:
-        return None
-    return (ev.value, 1 / ev.value)
 
 
 def _linked_components(
@@ -324,25 +336,24 @@ def _linked_components(
 
 
 def _component_balances(
-    steps: List[Tuple[Tuple[str, ...], List[Tuple[Fraction, ...]]]],
-    squares: Dict[str, Fraction],
+    steps: List[Tuple[Tuple[str, ...], List[Tuple[int, ...]]]],
+    targets: Dict[str, int],
     budget: int,
 ) -> Tuple[bool, Optional[int]]:
     """Whether one branch choice per step balances every curve of a component,
     and the work budget left (None when the sweep ran out of it).
 
     A step is a singularity: the curves it lies on, and its branch choices
-    with one value per curve.  The sweep keeps the distinct vectors of
-    partial sums over the curves met but not yet finished, as integers over
-    one common denominator; after a curve's last singularity it keeps the
-    vectors where that curve balances, without its entry.  Each candidate
-    vector costs its length plus one.
+    with one value per curve.  The values and each curve's target, its
+    square, are integers over one common denominator.  The sweep keeps the
+    distinct vectors of partial sums over the curves met but not yet
+    finished; after a curve's last singularity it keeps the vectors where
+    that curve meets its target, without its entry.  Each candidate vector
+    costs its length plus one.
     """
-    values = [q for _, choices in steps for choice in choices for q in choice]
-    scale = lcm(*{q.denominator for q in values + list(squares.values())})
     last = {name: k for k, (here, _) in enumerate(steps) for name in here}
     # a curve without singularities balances only with square zero
-    if any(squares[name] and name not in last for name in squares):
+    if any(targets[name] and name not in last for name in targets):
         return False, budget
     met: List[str] = []  # the open curves, one vector entry each
     vectors = {()}
@@ -356,10 +367,9 @@ def _component_balances(
             return False, None
         budget -= cost
         positions = [met.index(name) for name in here]
-        scaled = [[q.numerator * (scale // q.denominator) for q in c] for c in choices]
         grown = set()
         for v in vectors:
-            for choice in scaled:
+            for choice in choices:
                 w = list(v)
                 for i, x in zip(positions, choice):
                     w[i] += x
@@ -369,7 +379,7 @@ def _component_balances(
             if last[name] == k:
                 i = met.index(name)
                 del met[i]
-                target = int(squares[name] * scale)
+                target = targets[name]
                 vectors = {v[:i] + v[i + 1 :] for v in vectors if v[i] == target}
         if not vectors:
             return False, budget
@@ -389,50 +399,59 @@ def resolve_camacho_sad(f: FoliatedScenario) -> Iterator[CheckResult]:
     of the component, else fail.  There is no heuristic repair.  The
     components share one work budget, in order: the component it cuts off,
     and every later one, is "skipped (search budget exhausted)".
+
+    All of it is integer work.  Each kind's pair is read once, as (numerator,
+    denominator) pairs; a component's branches and squares are scaled once,
+    by the lcm of the table's ``scale**2`` and the branch denominators.
     """
-    # each singularity's {lam, 1/lam} pair, once however many curves it is on
-    branches: Dict[str, Optional[Tuple[Fraction, Fraction]]] = {}
+    pairs: Dict[int, Optional[Tuple[Tuple[int, int], Tuple[int, int]]]] = {}
+    for group in f.by_kind:
+        ev = group[0].eigenvalue
+        lam = None if ev is None else ev.value
+        pair = None
+        if lam is not None:
+            n, d = lam.numerator, lam.denominator
+            pair = ((n, d), (d, n) if n > 0 else (-d, -n))
+        pairs[id(group[0].kind)] = pair
     eligible: List[CurveRecord] = []
     for c in f.curves:
         if not c.f_invariant:
             continue
-        sings = f.singularities_on(c.name)
-        for s in sings:
-            if s.id not in branches:
-                branches[s.id] = _cs_branches(s)
-        if any(branches[s.id] is None for s in sings):
+        if any(pairs[id(s.kind)] is None for s in f.singularities_on(c.name)):
             skipped = "skipped (non-rational or saddle-node index present)"
             yield CheckResult(f"camacho-sad.{c.name}", passed=None, detail=skipped)
         else:
             eligible.append(c)
 
+    t = f.pairings
+    unit = t.scale * t.scale
     names = {c.name for c in eligible}
     budget: Optional[int] = CAMACHO_SAD_WORK_BUDGET
     for component in _linked_components(f, eligible):
-        squares = {c.name: f.curve_numbers(c)[0] for c in component}
+        squares = {c.name: t.squares[f._positions[c.name]] for c in component}
         if budget is not None:
+            points = {s.id: s for c in component for s in f.singularities_on(c.name)}.values()
+            branches = [pairs[id(s.kind)] for s in points]
+            scale = lcm(unit, *(d for pair in branches for _, d in pair))
             steps = []
-            for s in {s.id: s for c in component for s in f.singularities_on(c.name)}.values():
-                here = tuple(dict.fromkeys(n for n in s.incident_curves if n in names))
-                lam, inv = branches[s.id]
+            for s, ((n, d), (m, e)) in zip(points, branches):
+                here = tuple(dict.fromkeys(x for x in s.incident_curves if x in names))
+                lam, inv = n * (scale // d), m * (scale // e)
                 orders = [(lam, inv), (inv, lam)] if lam != inv else [(lam, inv)]
                 # on more than two curves the point is outside the
                 # transverse-crossing model, and no choice balances it
                 steps.append((here, [o[: len(here)] for o in orders] if len(here) <= 2 else []))
-            found, budget = _component_balances(steps, squares, budget)
+            targets = {name: sq * (scale // unit) for name, sq in squares.items()}
+            found, budget = _component_balances(steps, targets, budget)
         for c in component:
-            name, square = f"camacho-sad.{c.name}", squares[c.name]
+            name = f"camacho-sad.{c.name}"
             if budget is None:
                 yield CheckResult(name, passed=None, detail="skipped (search budget exhausted)")
             elif found:
-                yield CheckResult(name, True, f"sum {square} vs C^2 = {square}", Fraction(0))
+                square = _fraction_text(squares[c.name], unit)
+                yield CheckResult(name, True, f"sum {square} vs C^2 = {square}", _ZERO)
             else:
                 yield CheckResult(name, False, "no branch assignment balances the curve")
-
-
-def adjunction_genus(f: FoliatedScenario, c: CurveRecord) -> Fraction:
-    square, _, ks = f.curve_numbers(c)
-    return (square + ks) / 2 + 1
 
 
 def validate(f: FoliatedScenario) -> ValidationReport:
@@ -457,11 +476,14 @@ def validate(f: FoliatedScenario) -> ValidationReport:
         )
     )
 
+    t = f.pairings
+    unit = t.scale * t.scale
     bad_genus = []
-    for c in f.curves:
-        pa = adjunction_genus(f, c)
-        if pa.denominator != 1 or pa < 0:
-            bad_genus.append(f"{c.name}: p_a = {pa}")
+    for c, square, ks in zip(f.curves, t.squares, t.ks_dot):
+        twice = square + ks + 2 * unit  # p_a = (C^2 + K_S.C)/2 + 1, times 2 unit
+        pa, rest = divmod(twice, 2 * unit)
+        if rest or pa < 0:
+            bad_genus.append(f"{c.name}: p_a = {_fraction_text(twice, 2 * unit)}")
         elif c.arithmetic_genus_hint is not None and pa != c.arithmetic_genus_hint:
             bad_genus.append(
                 f"{c.name}: p_a = {pa} but hint says {c.arithmetic_genus_hint}"
@@ -497,28 +519,28 @@ def validate(f: FoliatedScenario) -> ValidationReport:
 
     checks.append(singularity_count_check(f))
 
-    for c in f.curves:
+    for i, c in enumerate(f.curves):
         if c.f_invariant:
             continue
         try:
-            t = tangency(f, c)
+            tang = _tangency_count(t, i, c.name)
             checks.append(
-                CheckResult(f"tangency.{c.name}", passed=True, detail=f"tang = {t}")
+                CheckResult(f"tangency.{c.name}", passed=True, detail=f"tang = {tang}")
             )
         except InconsistentScenario as exc:
             checks.append(CheckResult(f"tangency.{c.name}", passed=False, detail=str(exc)))
 
     if f.is_reduced:
-        for c in f.curves:
+        for c, square, kf, ks in zip(f.curves, t.squares, t.d_dot, t.ks_dot):
             if not c.f_invariant:
                 continue
-            z = z_total(f, c)
+            z = kf - ks - square  # unit * z_total
             checks.append(
                 CheckResult(
                     f"z-index.{c.name}",
                     passed=z >= 0,
-                    detail=f"Z = {z}",
-                    residual=None if z >= 0 else z,
+                    detail=f"Z = {_fraction_text(z, unit)}",
+                    residual=None if z >= 0 else Fraction(z, unit),
                 )
             )
 

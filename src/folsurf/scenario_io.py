@@ -637,7 +637,7 @@ FIBER_NODE = Record(
 FIBER = Record(
     dict,
     (
-        Field("pa_reduced", integer()),
+        Field("pa_reduced", integer(0)),
         Field("f_red_sq", integer()),
         Field("alpha", integer(), default=0, emit_default=True),
         Field("nodes", list_of(record(FIBER_NODE))),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ShapeError
 from .local_invariants import as_rational
@@ -218,12 +218,12 @@ class DivisorClass:
         return " ".join([head] + parts[1:])
 
 
-def _pair(s: SurfaceModel, terms: Iterable[Tuple[int, Any]], other: Dict[int, Any]) -> Any:
+def _pair(s: SurfaceModel, terms: Iterable[Tuple[int, int]], other: Dict[int, int]) -> int:
     """The one walk of the Gram rule for two classes: ``terms`` as (basis
     index, coefficient) pairs against ``other`` as {basis index:
     coefficient}.  A base class meets its ``SurfaceModel.base_partners``; an
-    exceptional class meets only itself, with -1.  Exact for Fractions and
-    for the table's scaled integers alike; 0 when no term meets."""
+    exceptional class meets only itself, with -1.  Its callers pass classes
+    scaled to integers over one common denominator; 0 when no term meets."""
     br, base = s.base_rank, s.base_partners
     total = 0
     for i, x in terms:
@@ -241,11 +241,19 @@ def _pair(s: SurfaceModel, terms: Iterable[Tuple[int, Any]], other: Dict[int, An
 
 def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
     """Exact bilinear symmetric pairing by ``_pair``, walking the terms of the
-    class with fewer of them; a Fraction, zero included."""
+    class with fewer of them; a Fraction, zero included.  Both classes are
+    scaled to one common denominator, so the walk pairs integers and one
+    Fraction is built at the end."""
     a._require_same_surface(b)
     if len(a.terms) > len(b.terms):
         a, b = b, a
-    return _pair(a.surface, a.terms, dict(b.terms)) or _ZERO
+    scale = lcm(*{c.denominator for _, c in a.terms}, *{c.denominator for _, c in b.terms})
+    total = _pair(
+        a.surface,
+        [(i, c.numerator * (scale // c.denominator)) for i, c in a.terms],
+        {i: c.numerator * (scale // c.denominator) for i, c in b.terms},
+    )
+    return Fraction(total, scale * scale) if total else _ZERO
 
 
 class Pairings(NamedTuple):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import count_calls
 from folsurf.errors import DomainError
-from folsurf.fibration import FiberNode
+from folsurf.fibration import FiberModel, FiberNode, FibrationModel
 from folsurf.fixtures import second_noether_ruled, third_noether_double_cover, slope_12_7
 from folsurf.foliation import (
     CurveRecord,
@@ -78,6 +79,13 @@ INTEGER_FIELDS = {
     "fiber_node_a": (lambda v: FiberNode(v, 1, False), 2, (2.0, True)),
     "fiber_node_b": (lambda v: FiberNode(1, v, False), 2, (2.0, True)),
     "p_g": (lambda v: ScenarioMetadata(True, True, p_g=v), 2, (2.0, True, 0.0)),
+    # a fiber of genus 2.5 would have the float Euler number 5.0, and p_a or
+    # F_red^2 of 0.5 a fractional c1 correction
+    "fiber_genus": (lambda v: FiberModel(v, 0, -1, ()), 2, (2.5, 2.0, True)),
+    "fiber_pa_reduced": (lambda v: FiberModel(2, v, -1, ()), 0, (0.5, 0.0, False, -1, -3)),
+    "fiber_f_red_sq": (lambda v: FiberModel(2, 0, v, ()), -1, (-1.5, -1.0, False)),
+    "fiber_alpha": (lambda v: FiberModel(2, 0, -1, (), alpha=v), 0, (0.0, False)),
+    "fibration_genus": (lambda v: FibrationModel(v, 0, 0, 0, ()), 2, (2.0, True)),
 }
 
 
@@ -292,22 +300,28 @@ def test_camacho_sad_finished_search_without_solution_fails():
     assert check.detail == "no branch assignment balances the curve"
 
 
-def test_camacho_sad_builds_branch_options_once_per_singularity(monkeypatch):
-    import folsurf.foliation as foliation
-
-    calls = []
-    original = foliation._cs_branches
+def test_camacho_sad_reads_each_branch_pair_once_per_kind(monkeypatch):
+    reads = []
+    eigenvalue = SingularityRecord.eigenvalue
 
     def counting(s):
-        calls.append(s.id)
-        return original(s)
+        reads.append(s.id)
+        return eigenvalue.fget(s)
 
-    monkeypatch.setattr(foliation, "_cs_branches", counting)
-    # the sweep decides the curve with the 11 distinct sums -5 - 3k/2 of ten
-    # branches in {-2, -1/2}; C^2 = -6 is none of them, so the curve fails
-    check = _camacho_sad(validate(_minus_two_points_on_one_curve(10, 7)))
+    monkeypatch.setattr(SingularityRecord, "eigenvalue", property(counting))
+    # ten points of eigenvalue -2 on C, p0..p4 sharing one kind object and
+    # p5..p9 another: the sweep decides the curve with the 11 distinct sums
+    # -5 - 3k/2 of ten branches in {-2, -1/2}; C^2 = -6 is none of them
+    s = _minus_two_points_on_one_curve(10, 7)
+    first, second = (NonDegenerate(EigenvalueClass.rational(-2)) for _ in range(2))
+    shared = tuple(
+        dataclasses.replace(p, kind=first if k < 5 else second)
+        for k, p in enumerate(s.singularities)
+    )
+    s = dataclasses.replace(s, singularities=shared)
+    check = _camacho_sad(validate(s))
     assert check.detail == "no branch assignment balances the curve"
-    assert sorted(calls) == sorted(f"p{k}" for k in range(10))
+    assert reads == ["p0", "p5"]
 
 
 def _point(sid, lam, *curves):
@@ -316,11 +330,11 @@ def _point(sid, lam, *curves):
     )
 
 
-def _camacho_sad_scenario(surface, curves, singularities):
+def _camacho_sad_scenario(surface, curves, singularities, k_foliation=None):
     return FoliatedScenario(
         name="camacho-sad",
         surface=surface,
-        k_foliation=surface.divisor([0] * surface.rank),
+        k_foliation=k_foliation or surface.divisor([0] * surface.rank),
         curves=tuple(curves),
         singularities=tuple(singularities),
         metadata=ScenarioMetadata(True, True),
@@ -458,9 +472,21 @@ def _balancing_assignments(scenario):
         yield component, found
 
 
-def test_camacho_sad_agrees_with_exhaustive_enumeration():
+@pytest.mark.parametrize(
+    "k_foliation, scale",
+    [
+        ([0, 0, 0, 0], 1),
+        ([Fraction(1, 2), 0, 0, 0], 2),
+        ([0, Fraction(1, 3), 0, Fraction(-2, 3)], 3),
+    ],
+    ids=["kf-zero", "kf-halves", "kf-thirds"],
+)
+def test_camacho_sad_agrees_with_exhaustive_enumeration(k_foliation, scale):
+    # a fractional K_F puts the curves' squares over the table's scale^2 > 1,
+    # and LAMBDAS holds positive eigenvalues as well as negative ones
     rng = random.Random(20261019)
     surface = SurfaceModel.p2(3)
+    kf = surface.divisor(k_foliation)
     palette = [
         surface.divisor([0, 1, 0, 0]),  # -1
         surface.divisor([1, -1, 0, 0]),  # 0
@@ -480,7 +506,8 @@ def test_camacho_sad_agrees_with_exhaustive_enumeration():
                    *rng.sample([c.name for c in curves], min(len(curves), rng.randint(1, 3))))
             for k in range(rng.randint(0, 9))
         ]
-        s = _camacho_sad_scenario(surface, curves, points)
+        s = _camacho_sad_scenario(surface, curves, points, kf)
+        assert s.pairings.scale == scale
         checks = _camacho_sad_checks(s)
         assert len(checks) == sum(c.f_invariant for c in curves)
         for component, found in _balancing_assignments(s):
@@ -557,6 +584,56 @@ def test_scenario_builds_its_pairings_and_incidence_once():
         s.curve("E")
     with pytest.raises(DomainError):
         s.curve_numbers(CurveRecord("C", p2.divisor([1, 0]), True))  # not the declared C
+
+
+def _checks_by_name(scenario):
+    return {c.name: c for c in validate(scenario).checks}
+
+
+def test_details_of_non_integral_curves_print_exact_quotients():
+    # C = D = L/2 on P2(1) with K_F = L: C^2 = 1/4, K_S.C = -3/2, K_F.C = 1/2;
+    # D balances with the branch 1/4 of its one point of eigenvalue 4
+    p2 = SurfaceModel.p2(1)
+    half = p2.divisor([Fraction(1, 2), 0])
+    point = SingularityRecord(
+        "q", NonDegenerate(EigenvalueClass.rational(4)), incident_curves=("D",), epsilon=0
+    )
+    s = FoliatedScenario(
+        name="halves",
+        surface=p2,
+        k_foliation=p2.divisor([1, 0]),
+        curves=(CurveRecord("C", half, False), CurveRecord("D", half, True)),
+        singularities=(point,),
+        metadata=ScenarioMetadata(True, True),
+    )
+    checks = _checks_by_name(s)
+    assert checks["structure.adjunction"].detail == "C: p_a = 3/8; D: p_a = 3/8"
+    assert checks["tangency.C"].detail == "C: tangency count 3/4 is not an integer"
+    assert checks["count.singularities"].detail == "declared 1 vs c2(S) + N.K = 8"
+    assert checks["count.singularities"].residual == Fraction(-7)
+    cs = checks["camacho-sad.D"]
+    assert (cs.status, cs.detail, cs.residual) == ("pass", "sum 1/4 vs C^2 = 1/4", 0)
+    assert type(cs.residual) is Fraction
+
+
+def test_details_under_a_fractional_foliation_canonical_class():
+    # K_F = (5/2) E1: Z(E1) = K_F.E1 - K_S.E1 - E1^2 = -5/2 + 1 + 1
+    p2 = SurfaceModel.p2(1)
+    s = FoliatedScenario(
+        name="fractional-kf",
+        surface=p2,
+        k_foliation=p2.divisor([0, Fraction(5, 2)]),
+        curves=(CurveRecord("E1", p2.divisor([0, 1]), True, arithmetic_genus_hint=1),),
+        singularities=(),
+        metadata=ScenarioMetadata(True, True),
+    )
+    checks = _checks_by_name(s)
+    z = checks["z-index.E1"]
+    assert (z.status, z.detail, z.residual) == ("fail", "Z = -1/2", Fraction(-1, 2))
+    assert type(z.residual) is Fraction
+    assert checks["structure.adjunction"].detail == "E1: p_a = 0 but hint says 1"
+    count = checks["count.singularities"]
+    assert (count.detail, count.residual) == ("declared 0 vs c2(S) + N.K = 1/4", Fraction(-1, 4))
 
 
 def test_validation_pairs_the_curves_through_one_table(monkeypatch):

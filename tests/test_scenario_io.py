@@ -324,6 +324,15 @@ def test_non_normal_crossing_fiber_is_refused_at_that_fiber():
     assert "alpha" in str(err.value)
 
 
+def test_negative_fiber_arithmetic_genus_is_refused_at_its_field():
+    # a connected reduced fiber has p_a >= 0
+    doc = semistable_genus2()
+    doc["fibration"]["fibers"][1]["pa_reduced"] = -1
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert err.value.path == "$.fibration.fibers[1].pa_reduced"
+
+
 def test_report_is_frozen():
     report = run_pipeline(parse_document_dict(second_noether_ruled(3)))
     with pytest.raises(dataclasses.FrozenInstanceError):

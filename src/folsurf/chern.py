@@ -167,19 +167,19 @@ _R1 = FiredRule(
 def decide(
     f: FoliatedScenario,
     c: ChernNumbers,
-    vol: Fraction,
     genus: Optional[int] = None,
     p_g: Optional[int] = None,
 ) -> Verdict:
     """Apply the decision rules and return a rule-cited verdict.
 
+    The volume is ``c.c1_sq``, which ``chern_numbers`` takes from P^2.
     ``genus`` is the fibration genus when one is known; ``p_g`` overrides the
     metadata value when the geometric genus was computed rather than declared.
     Contradictory firings, metadata conflicting with a fired rule, and hard
     sanity violations all raise InconsistentScenario instead of producing a
     verdict.  The slope >= 1 guess is reported as an informational flag only.
     """
-    meta = f.metadata
+    meta, vol = f.metadata, c.c1_sq
     effective_pg = p_g if p_g is not None else meta.p_g
     fired: List[FiredRule] = []
     statuses = set()

@@ -54,9 +54,9 @@ class FiberModel:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if type(self.genus_of_fibration) is not int or self.genus_of_fibration < 1:
             raise DomainError("fiber genus must be an integer >= 1")
-        # a connected reduced fiber has p_a >= 0
-        if type(self.pa_reduced) is not int or self.pa_reduced < 0:
-            raise DomainError("a fiber's p_a(F_red) must be an integer >= 0")
+        # a connected reduced fiber of a genus-g fibration has 0 <= p_a <= g
+        if type(self.pa_reduced) is not int or not 0 <= self.pa_reduced <= self.genus_of_fibration:
+            raise DomainError("a fiber's p_a(F_red) must be an integer from 0 to the fiber genus")
         if type(self.f_red_sq) is not int or self.f_red_sq > 0:
             raise DomainError("a fiber's reduced self-intersection must be an integer <= 0")
         if type(self.alpha) is not int or self.alpha != 0:
@@ -67,8 +67,6 @@ class FiberModel:
 
 def fiber_local_chern(fm: FiberModel) -> Tuple[Fraction, Fraction, Fraction]:
     """(c1^2, c2, chi) corrections of a single normal-crossing fiber."""
-    g = fm.genus_of_fibration
-    mu = len(fm.nodes)
     beta_f = Fraction(0)
     c_minus1 = Fraction(0)
     for node in fm.nodes:
@@ -76,8 +74,8 @@ def fiber_local_chern(fm: FiberModel) -> Tuple[Fraction, Fraction, Fraction]:
         beta_f += b
         if node.in_negative_part:
             c_minus1 += b
-    c1 = Fraction(4 * (g - fm.pa_reduced) + fm.f_red_sq) - c_minus1
-    c2 = Fraction(2 * (g - fm.pa_reduced) + mu) - beta_f + c_minus1
+    c1 = Fraction(4 * (fm.genus_of_fibration - fm.pa_reduced) + fm.f_red_sq) - c_minus1
+    c2 = fiber_euler(fm) - beta_f + c_minus1
     return c1, c2, (c1 + c2) / 12
 
 

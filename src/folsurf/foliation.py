@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import DomainError, InconsistentScenario
 from .local_invariants import SingularityRecord
@@ -312,26 +312,24 @@ def singularity_count_check(f: FoliatedScenario) -> CheckResult:
     )
 
 
-def _linked_components(
-    f: FoliatedScenario, curves: List[CurveRecord]
-) -> List[List[CurveRecord]]:
-    """The given curves split into classes linked by shared singularities,
-    each in declaration order and listed in the order of its first curve."""
-    names = {c.name for c in curves}
+def connected_components(adjacency: Mapping[str, Iterable[str]]) -> List[List[str]]:
+    """The components of a graph by breadth-first search, given each node's
+    neighbours: listed in the order of their first node in ``adjacency``,
+    each with its nodes in the order reached.  Camacho-Sad and chain
+    detection both split their curves with it."""
     seen = set()
     components = []
-    for c in curves:
-        if c.name in seen:
+    for start in adjacency:
+        if start in seen:
             continue
-        seen.add(c.name)
-        members = [c.name]
-        for name in members:  # grows while it is walked: a breadth-first search
-            for s in f.singularities_on(name):
-                for other in s.incident_curves:
-                    if other in names and other not in seen:
-                        seen.add(other)
-                        members.append(other)
-        components.append([f.curve(n) for n in sorted(members, key=f._positions.__getitem__)])
+        seen.add(start)
+        component = [start]
+        for node in component:  # grows while it is walked
+            for other in adjacency[node]:
+                if other not in seen:
+                    seen.add(other)
+                    component.append(other)
+        components.append(component)
     return components
 
 
@@ -427,7 +425,12 @@ def resolve_camacho_sad(f: FoliatedScenario) -> Iterator[CheckResult]:
     unit = t.scale * t.scale
     names = {c.name for c in eligible}
     budget: Optional[int] = CAMACHO_SAD_WORK_BUDGET
-    for component in _linked_components(f, eligible):
+    linked = {
+        c.name: [x for s in f.singularities_on(c.name) for x in s.incident_curves if x in names]
+        for c in eligible
+    }
+    for members in connected_components(linked):
+        component = [f.curve(n) for n in sorted(members, key=f._positions.__getitem__)]
         squares = {c.name: t.squares[f._positions[c.name]] for c in component}
         if budget is not None:
             points = {s.id: s for c in component for s in f.singularities_on(c.name)}.values()

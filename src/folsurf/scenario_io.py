@@ -954,7 +954,7 @@ def _surface_stages(s: FoliatedScenario, genus: Optional[int], out: Dict[str, An
     if p_g is not None and p_g >= 2:
         bounds = out["bounds"] = noether_bounds(p_g)
         out["bound_equalities"] = tuple(n for n, b in zip(_BOUND_NAMES, bounds) if vol == b)
-    out["verdict"] = decide(s, chern, vol, genus=genus, p_g=p_g)
+    out["verdict"] = decide(s, chern, genus=genus, p_g=p_g)
 
 
 def _fibration_stage(fb: FibrationModel, chern: Optional[ChernNumbers], out: Dict[str, Any]):

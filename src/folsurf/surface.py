@@ -13,8 +13,10 @@ those pairs, so their cost follows the support, not the rank.  The dense
 coefficient vector, one entry per basis class, is a derived view; it is the
 form scenario documents are written in.
 Two classes are paired by one walk, ``_pair``, which ``intersect`` and a
-pairing table's D^2 use; the table pairs many curves with one class D at
-once, into the named fields of ``Pairings``.
+pairing table's D^2 and K_S pairings use; the table pairs many curves with
+each other and with one class D at once, into the named fields of
+``Pairings``.  K_S is a class like any other, written once as
+``SurfaceModel.canonical_terms``.
 """
 
 from __future__ import annotations
@@ -85,31 +87,24 @@ class SurfaceModel:
         its nonzero pairings as (index, value).  L^2 = 1 on P2; C0^2 = -e,
         C0.F = 1 and F^2 = 0 on Hirzebruch(e).  Exceptional classes meet only
         themselves, with -1.  Two walks read this block: ``_pair``, one class
-        against another, and the table's batched ``pair_with_curves``."""
+        against another (K_S included), and the table's batched
+        ``pair_with_curves``, many curves against one class."""
         if self.base == P2:
             return (((0, 1),),)
         e = self.hirzebruch_e
         return (((0, -e), (1, 1)) if e else ((1, 1),), ((0, 1),))
 
     @property
-    def canonical_base(self) -> Tuple[Tuple[int, int], ...]:
-        """K_S on the base, the only place it is written, as (index,
-        coefficient): -3L on P2, -2C0 - (e+2)F on Hirzebruch(e).  Each blow-up
-        adds its exceptional class with coefficient 1.  ``canonical_class``
-        and ``canonical_degrees`` read it."""
+    def canonical_terms(self) -> Tuple[Tuple[int, int], ...]:
+        """K_S as (basis index, coefficient), the only place it is written:
+        -3L on P2, -2C0 - (e+2)F on Hirzebruch(e), and +E_i for every
+        blow-up, so it has one term per basis class.  ``canonical_class`` and
+        the pairing table read it."""
         if self.base == P2:
-            return ((0, -3),)
-        return ((0, -2), (1, -(self.hirzebruch_e + 2)))
-
-    @property
-    def canonical_degrees(self) -> Tuple[int, ...]:
-        """K_S.B for each base class B, from ``canonical_base`` and the base
-        Gram block: -3 on L; e - 2 on C0 and -2 on F.  An exceptional class
-        meets only its own term of K_S, so K_S.E_i = 1 * E_i^2 = -1."""
-        coefficient = dict(self.canonical_base)
-        return tuple(
-            sum(g * coefficient.get(j, 0) for j, g in partners) for partners in self.base_partners
-        )
+            base = ((0, -3),)
+        else:
+            base = ((0, -2), (1, -(self.hirzebruch_e + 2)))
+        return base + tuple((i, 1) for i in range(self.base_rank, self.rank))
 
     def divisor(self, coefficients: Iterable[Union[Fraction, int]]) -> "DivisorClass":
         """The class with the dense coefficient vector ``coefficients``, one
@@ -240,13 +235,10 @@ def _pair(s: SurfaceModel, terms: Iterable[Tuple[int, int]], other: Dict[int, in
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
-    """Exact bilinear symmetric pairing by ``_pair``, walking the terms of the
-    class with fewer of them; a Fraction, zero included.  Both classes are
-    scaled to one common denominator, so the walk pairs integers and one
-    Fraction is built at the end."""
+    """Exact bilinear symmetric pairing by ``_pair``; a Fraction, zero
+    included.  Both classes are scaled to one common denominator, so the walk
+    pairs integers and one Fraction is built at the end."""
     a._require_same_surface(b)
-    if len(a.terms) > len(b.terms):
-        a, b = b, a
     scale = lcm(*{c.denominator for _, c in a.terms}, *{c.denominator for _, c in b.terms})
     total = _pair(
         a.surface,
@@ -258,9 +250,10 @@ def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
 
 class Pairings(NamedTuple):
     """Every pairing of some curve classes C_i with each other, with one
-    class D and with K_S, and of D with itself and K_S, from one pass over
-    shared basis indices.  K_S enters by its degree on each basis class
-    (``SurfaceModel.canonical_degrees``), never as a dense class.
+    class D and with K_S, and of D with itself and K_S, from two walks: the
+    batched walk pairs the curves with each other and with D through their
+    shared basis indices, and ``_pair`` makes every pairing with a single
+    class, K_S (``SurfaceModel.canonical_terms``) or D itself.
 
     All classes are multiplied by the LCM of their denominators, so the
     entries are integers; the solution of G x = D.C does not change under
@@ -280,8 +273,8 @@ class Pairings(NamedTuple):
 
 def pairing_table(curves: Sequence[DivisorClass], d: DivisorClass) -> Pairings:
     """Pair the curve classes with each other, with ``d`` and with K_S, and
-    ``d`` with itself and K_S, through the basis indices they share, reading
-    ``SurfaceModel.base_partners`` and ``SurfaceModel.canonical_degrees``.
+    ``d`` with itself and K_S, reading ``SurfaceModel.base_partners`` and
+    ``SurfaceModel.canonical_terms``.
 
     Every curve must live on the surface of ``d``.
     """
@@ -295,7 +288,7 @@ def pairing_table(curves: Sequence[DivisorClass], d: DivisorClass) -> Pairings:
     for j, row in enumerate(rows):
         for a, v in row.items():
             holders.setdefault(a, []).append((j, v))
-    br, base, degrees = s.base_rank, s.base_partners, s.canonical_degrees
+    br, base = s.base_rank, s.base_partners
 
     def pair_with_curves(u: Dict[int, int]) -> Dict[int, int]:
         acc: Dict[int, int] = {}
@@ -309,17 +302,6 @@ def pairing_table(curves: Sequence[DivisorClass], d: DivisorClass) -> Pairings:
                     acc[j] = acc.get(j, 0) - x * v
         return acc
 
-    def canonical(u: Dict[int, int]) -> int:
-        # K_S has degree -1 on every exceptional class, so K_S.u is -sum(u)
-        # plus (degree + 1) times each base term; K_S is integral, so it
-        # takes one factor of the scale
-        total = -sum(u.values())
-        for a, degree in enumerate(degrees):
-            x = u.get(a)
-            if x:
-                total += (degree + 1) * x
-        return scale * total
-
     d_acc = pair_with_curves(d_row)
     d_dot = [d_acc.get(j, 0) for j in range(len(rows))]
     squares: List[int] = []
@@ -328,20 +310,16 @@ def pairing_table(curves: Sequence[DivisorClass], d: DivisorClass) -> Pairings:
         acc = pair_with_curves(row)
         squares.append(acc.pop(i, 0))
         meets.append({j: v for j, v in acc.items() if v})
+    ks_row = {i: scale * k for i, k in s.canonical_terms}  # K_S is integral
+    ks_dot = [_pair(s, row.items(), ks_row) for row in rows]
     d_square = _pair(s, d_row.items(), d_row)
-    return Pairings(
-        scale, rows, d_row, d_dot, list(map(canonical, rows)), d_square, canonical(d_row),
-        squares, meets,
-    )
+    d_dot_ks = _pair(s, d_row.items(), ks_row)
+    return Pairings(scale, rows, d_row, d_dot, ks_dot, d_square, d_dot_ks, squares, meets)
 
 
 def canonical_class(s: SurfaceModel) -> DivisorClass:
-    """K_S as a class, from ``SurfaceModel.canonical_base`` plus +E_i per
-    blow-up: it meets every basis class, so it has one term per basis class."""
-    one = Fraction(1)
-    return DivisorClass(
-        s, s.canonical_base + tuple((i, one) for i in range(s.base_rank, s.rank))
-    )
+    """K_S as a class, from ``SurfaceModel.canonical_terms``."""
+    return DivisorClass(s, s.canonical_terms)
 
 
 def chi_top(s: SurfaceModel) -> int:

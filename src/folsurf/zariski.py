@@ -29,7 +29,7 @@ from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DomainError, InconsistentScenario
-from .foliation import CheckResult, CurveRecord, FoliatedScenario
+from .foliation import CheckResult, CurveRecord, FoliatedScenario, connected_components
 from .local_invariants import EigenvalueClass
 from .surface import DivisorClass, Pairings, pairing_table
 
@@ -164,19 +164,9 @@ def detect_chains_with_flags(f: FoliatedScenario) -> Tuple[List[FChain], List[st
             else:
                 bad_components.update((name, other))
 
-    seen = set()
     chains: List[FChain] = []
     flagged: List[str] = []
-    for start in adjacency:
-        if start in seen:
-            continue
-        seen.add(start)
-        component = [start]
-        for n in component:  # grows while it is walked: a breadth-first search
-            for m in adjacency[n]:
-                if m not in seen:
-                    seen.add(m)
-                    component.append(m)
+    for component in connected_components(adjacency):
         branched = any(len(adjacency[n]) > 2 for n in component)
         if branched or bad_components.intersection(component):
             continue  # a branch point, or two curves meeting other than once

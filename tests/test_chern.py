@@ -96,7 +96,7 @@ def test_chern_numbers_not_pseudo_effective():
     )
     c = chern_numbers(s)
     assert (c.c1_sq, c.c2, c.chi) == (0, 0, 0)
-    verdict = decide(s, c, Fraction(0))
+    verdict = decide(s, c)
     assert verdict.status == ALGEBRAICALLY_INTEGRAL
     assert verdict.fired_rules[0].rule_id == "R1-rational-pencil"
 
@@ -224,9 +224,9 @@ def test_verdict_monotonicity():
     s = scenario_from(third_noether_double_cover(2))
     undeclared = with_metadata(s, algebraically_integral="unknown")
     c = chern_numbers(undeclared)
-    base = decide(undeclared, c, c.c1_sq)
+    base = decide(undeclared, c)
     assert base.status == UNDETERMINED
-    declared = decide(s, chern_numbers(s), c.c1_sq, genus=2)
+    declared = decide(s, chern_numbers(s), genus=2)
     assert declared.status == ALGEBRAICALLY_INTEGRAL
 
 
@@ -234,7 +234,7 @@ def test_transcendence_verdict_survives_extra_metadata():
     s = scenario_from(slope_12_7())
     tagged = with_metadata(s, algebraically_integral="no")
     c = chern_numbers(tagged)
-    assert decide(tagged, c, c.c1_sq).status == TRANSCENDENTAL
+    assert decide(tagged, c).status == TRANSCENDENTAL
 
 
 def test_contradiction_raises():
@@ -242,7 +242,7 @@ def test_contradiction_raises():
     contradictory = with_metadata(s, algebraically_integral="yes")
     c = chern_numbers(contradictory)
     with pytest.raises(InconsistentScenario):
-        decide(contradictory, c, c.c1_sq)
+        decide(contradictory, c)
 
 
 def test_kodaira_conflict_raises():
@@ -250,7 +250,7 @@ def test_kodaira_conflict_raises():
     conflicted = with_metadata(s, kodaira="1")
     c = chern_numbers(conflicted)
     with pytest.raises(InconsistentScenario):
-        decide(conflicted, c, c.c1_sq)
+        decide(conflicted, c)
 
 
 def test_sanity_violation_raises():
@@ -258,7 +258,7 @@ def test_sanity_violation_raises():
     bloated = with_metadata(s, p_g=60)
     c = chern_numbers(bloated)
     with pytest.raises(InconsistentScenario):
-        decide(bloated, c, c.c1_sq)
+        decide(bloated, c)
 
 
 def test_genus_one_constraint_matches_elliptic_pencil():

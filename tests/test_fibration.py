@@ -51,6 +51,14 @@ def test_fiber_local_chern_rejects_non_normal_crossing():
         FiberModel(genus_of_fibration=1, pa_reduced=0, f_red_sq=-2, nodes=(), alpha=1)
 
 
+def test_fiber_arithmetic_genus_above_the_fibration_genus_is_refused():
+    # p_a(F_red) <= g: FiberModel(2, 5, 0, ()) would have e_F = -6
+    assert fiber_euler(FiberModel(2, 2, 0, ())) == 0
+    for pa in (3, 5):
+        with pytest.raises(DomainError, match="from 0 to the fiber genus"):
+            FiberModel(2, pa, 0, ())
+
+
 def test_fiber_euler():
     assert fiber_euler(semistable_fiber(2)) == 1
     assert fiber_euler(I0STAR) == 6

@@ -333,6 +333,16 @@ def test_negative_fiber_arithmetic_genus_is_refused_at_its_field():
     assert err.value.path == "$.fibration.fibers[1].pa_reduced"
 
 
+def test_fiber_arithmetic_genus_above_the_fibration_genus_is_refused_at_its_fiber():
+    # p_a(F_red) <= g; the genus-2 fiber would have a negative Euler number
+    doc = semistable_genus2()
+    doc["fibration"]["fibers"][1]["pa_reduced"] = 3
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert err.value.path == "$.fibration.fibers[1]"
+    assert "p_a(F_red) must be an integer from 0 to the fiber genus" in str(err.value)
+
+
 def test_report_is_frozen():
     report = run_pipeline(parse_document_dict(second_noether_ruled(3)))
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -201,10 +201,11 @@ def test_pairing_table_refuses_classes_on_different_surfaces():
 # An independent Gram oracle: the matrix written from scratch, diag(1, -1, ...)
 # on P2 and [[-e, 1], [1, 0]] + (-I) on F_e, with the canonical class
 # -3L + sum E_i or -2C0 - (e+2)F + sum E_i.  ``intersect`` and the table's
-# D^2 pair two classes by one walk (``surface._pair``), and the table's other
-# fields come from its batched ``pair_with_curves`` over the same
-# ``SurfaceModel.base_partners``, so neither can check the other: this oracle
-# is the independent check of every field of ``Pairings``.
+# pairings with one class (D^2, K_S.C and D.K_S) pair by one walk
+# (``surface._pair``), and the table's other fields come from its batched
+# ``pair_with_curves`` over the same ``SurfaceModel.base_partners``, so
+# neither can check the other: this oracle is the independent check of every
+# field of ``Pairings`` and of the one K_S, ``SurfaceModel.canonical_terms``.
 
 
 def _oracle_gram(surface):
@@ -264,11 +265,7 @@ def _assert_pairings_match_oracle(s):
     assert table.d_row == {i: int(c * table.scale) for i, c in s.k_foliation.terms}
     assert s.kf_square == _oracle_pair(gram, kf, kf)
     assert s.kf_dot_nf == _oracle_pair(gram, kf, [k - c for k, c in zip(kf, ks)])
-    basis = [[int(a == b) for b in range(s.surface.rank)] for a in range(s.surface.rank)]
-    degrees = [_oracle_pair(gram, ks, e) for e in basis]
-    base_rank = s.surface.base_rank
-    assert list(s.surface.canonical_degrees) == degrees[:base_rank]
-    assert degrees[base_rank:] == [-1] * s.surface.blowups
+    assert canonical_class(s.surface).coefficients == tuple(_oracle_canonical(s.surface))
 
 
 def test_pairings_of_every_bundled_scenario_match_the_gram_oracle():

@@ -22,16 +22,23 @@ kind (``FoliatedScenario.by_kind``).  beta_p = -1/(n d) and
 chi_p = -((n + d)^2 + n d + 1)/(12 n d) are closed forms in the canonical
 eigenvalue n/d (see ``local_invariants``), so each is evaluated at most once
 per kind.  Only a kind with nonzero beta (not a saddle-node, not a
-non-rational eigenvalue) has its points split between on and off the
-negative part; the chi_p sum adds each kind's chi_p once per point, in one
-product, and stops at the first kind whose chi_p is unavailable.
+non-rational eigenvalue) has its points counted on and off the negative
+part; the chi_p sum takes each kind's chi_p times its number of points and
+stops at the first kind whose chi_p is unavailable.
+
+The sums are exact and kept in integers: ``_ExactSum`` holds c1^2, c2 and
+12 times the direct chi as numerators over one common denominator, the lcm
+of the denominators added so far, and each kind adds its numerator times its
+count of points.  The direct-chi cross-check compares numerators, and a
+Fraction is built once per reported number (``fibration`` sums its modular
+invariants the same way).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 from typing import List, Optional, Tuple
 
 from .errors import DomainError, InconsistentScenario
@@ -61,6 +68,33 @@ class ChernNumbers:
             raise InconsistentScenario(
                 f"Noether equality violated: {self.c1_sq} + {self.c2} != 12*{self.chi}"
             )
+
+
+class _ExactSum:
+    """Exact rational sums kept as integer numerators over one common
+    denominator, the lcm of every denominator added so far."""
+
+    __slots__ = ("numerators", "denominator")
+
+    def __init__(self, size: int) -> None:
+        self.numerators = [0] * size
+        self.denominator = 1
+
+    def add(self, slot: int, numerator: int, denominator: int, count: int = 1) -> None:
+        """Add count * numerator / denominator (denominator >= 1) to sum ``slot``."""
+        common = self.denominator
+        g = gcd(common, denominator)
+        if g != denominator:  # the common denominator grows by denominator / g
+            scale = denominator // g
+            self.numerators = [x * scale for x in self.numerators]
+            self.denominator = common * scale
+        self.numerators[slot] += count * numerator * (common // g)
+
+    def fraction(self, slot: int) -> Fraction:
+        return Fraction(self.numerators[slot], self.denominator)
+
+
+_C1, _C2, _CHI12 = range(3)  # the slots of chern_numbers' sum
 
 
 @dataclass(frozen=True)
@@ -95,40 +129,49 @@ def chern_numbers(
         return ChernNumbers(Fraction(0), Fraction(0), Fraction(0))
     dec = decomposition if decomposition is not None else zariski_decompose(f)
     support = set(dec.support)
-    on_n = Fraction(0)
-    off_n = Fraction(0)
-    local_chi: Optional[Fraction] = Fraction(0)
+    sums = _ExactSum(3)
+    add = sums.add
+    kf2 = f.kf_square
+    add(_C1, kf2.numerator, kf2.denominator)
+    # 12 chi = 12 chi(O_S) + 3 K_F.N_F + 12 sum chi_p on the direct path
+    kn = f.kf_dot_nf
+    add(_CHI12, 12 * chi_structure(f.surface), 1)
+    add(_CHI12, 3 * kn.numerator, kn.denominator)
+    chi_available = True
     for group in f.by_kind:
         value = beta_p(group[0])
         if value:
+            on = 0
             for s in group:
-                if support.isdisjoint(s.incident_curves):
-                    off_n += value
-                else:
-                    on_n += value
-        if local_chi is not None:
+                if not support.isdisjoint(s.incident_curves):
+                    on += 1
+            if on:
+                add(_C1, value.numerator, value.denominator, on)
+            if on < len(group):
+                add(_C2, value.numerator, value.denominator, len(group) - on)
+        if chi_available:
             chi_s = chi_p(group[0])
             if chi_s is None:
-                local_chi = None
-            else:  # a group of one needs no product
-                local_chi += chi_s if len(group) == 1 else len(group) * chi_s
-    c1 = f.kf_square + on_n
+                chi_available = False
+            else:
+                add(_CHI12, 12 * chi_s.numerator, chi_s.denominator, len(group))
+    c1 = sums.fraction(_C1)
     vol = dec.nef_square
     if c1 != vol:
         raise InconsistentScenario(
             f"c1^2 = {c1} disagrees with the volume P^2 = {vol}; the declared "
             "negative-part singularities do not match the decomposition"
         )
-    c2 = off_n
+    c2 = sums.fraction(_C2)
     chi = (c1 + c2) / 12
     numbers = ChernNumbers(c1, c2, chi)
 
-    if local_chi is not None:
-        direct = Fraction(chi_structure(f.surface)) + f.kf_dot_nf / 4 + local_chi
-        if direct != chi:
-            raise InconsistentScenario(
-                f"direct chi formula gives {direct}, Noether path gives {chi}"
-            )
+    num = sums.numerators
+    if chi_available and num[_CHI12] != num[_C1] + num[_C2]:
+        direct = Fraction(num[_CHI12], 12 * sums.denominator)
+        raise InconsistentScenario(
+            f"direct chi formula gives {direct}, Noether path gives {chi}"
+        )
     return numbers
 
 

@@ -3,11 +3,18 @@
 Only normal-crossing fibers are supported: alpha_F = 0 and the total Milnor
 number equals the node count, which is what the correction formulas below
 assume.  A node where branches of multiplicities a and b meet is the point
-lam = -a/b, so its beta is gcd(a, b)^2 / (a b) (``local_invariants.beta_ratio``);
-``fiber_local_chern`` sums beta_F over all nodes and c_{-1} over the nodes on
-the negative part in one pass.  The global numbers K_f^2, e_f, chi_f are
-inputs validated against the fiber list rather than derived from a surface
-model.
+lam = -a/b, so its beta is gcd(a, b)^2 / (a b) (``local_invariants.beta_ratio``).
+A fiber's corrections are c1^2 = 4(g - p_a(F_red)) + F_red^2 - c_{-1} and
+c2 = e_F - beta_F + c_{-1}, where beta_F sums beta over all nodes and c_{-1}
+over the nodes on the negative part.  ``_fiber_terms`` is that formula,
+written once: it returns the integer parts and adds each node's beta to an
+exact sum (``chern._ExactSum``), kept apart for nodes off and on the negative
+part, so beta_F is both sums and c_{-1} the second.  ``fiber_local_chern``
+reads one fiber through it, and ``FibrationModel.modular`` every fiber into
+one sum, so the node terms of a whole fibration meet over one common
+denominator and become Fractions once.  The global numbers K_f^2, e_f,
+chi_f are inputs validated against the fiber list rather than derived from a
+surface model.
 """
 
 from __future__ import annotations
@@ -15,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Tuple
 
-from .chern import ChernNumbers
+from .chern import ChernNumbers, _ExactSum
 from .errors import DomainError, InconsistentScenario
 from .foliation import CheckResult
 from .local_invariants import as_rational, beta_ratio
@@ -65,17 +73,26 @@ class FiberModel:
             )
 
 
+def _fiber_terms(fm: FiberModel, betas: _ExactSum) -> Tuple[int, int]:
+    """The integer parts (4(g - p_a(F_red)) + F_red^2, e_F) of a fiber's
+    c1^2 and c2 corrections.  Each node's beta, ``beta_ratio(a, b)`` as an
+    integer numerator and denominator, is added to ``betas``: slot 1 for a
+    node on the negative part, slot 0 for one off it.  The corrections are
+    c1^2 = first - slot 1 and c2 = e_F - slot 0."""
+    add = betas.add
+    for node in fm.nodes:
+        a, b = node.a, node.b
+        g = gcd(a, b)
+        add(node.in_negative_part, g * g, a * b)
+    return 4 * (fm.genus_of_fibration - fm.pa_reduced) + fm.f_red_sq, fiber_euler(fm)
+
+
 def fiber_local_chern(fm: FiberModel) -> Tuple[Fraction, Fraction, Fraction]:
     """(c1^2, c2, chi) corrections of a single normal-crossing fiber."""
-    beta_f = Fraction(0)
-    c_minus1 = Fraction(0)
-    for node in fm.nodes:
-        b = node.beta
-        beta_f += b
-        if node.in_negative_part:
-            c_minus1 += b
-    c1 = Fraction(4 * (fm.genus_of_fibration - fm.pa_reduced) + fm.f_red_sq) - c_minus1
-    c2 = fiber_euler(fm) - beta_f + c_minus1
+    betas = _ExactSum(2)
+    first, euler = _fiber_terms(fm, betas)
+    c1 = first - betas.fraction(1)
+    c2 = euler - betas.fraction(0)
     return c1, c2, (c1 + c2) / 12
 
 
@@ -117,14 +134,17 @@ class FibrationModel:
     @cached_property
     def modular(self) -> Tuple[Fraction, Fraction, Fraction]:
         """(kappa, delta, chi), see :func:`modular_invariants`."""
-        kappa = self.k_f_sq
-        delta = self.e_f
-        chi = self.chi_f
+        betas = _ExactSum(2)
+        first = euler = 0
         for fm in self.singular_fibers:
-            c1, c2, ch = fiber_local_chern(fm)
-            kappa -= c1
-            delta -= c2
-            chi -= ch
+            f1, e = _fiber_terms(fm, betas)
+            first += f1
+            euler += e
+        off_n, on_n = betas.fraction(0), betas.fraction(1)
+        kappa = self.k_f_sq - first + on_n
+        delta = self.e_f - euler + off_n
+        # the sum over fibers of (c1^2 + c2) / 12
+        chi = self.chi_f - (first + euler - off_n - on_n) / 12
         if kappa < 0 or delta < 0 or chi < 0:
             raise InconsistentScenario(
                 f"modular invariants must be non-negative, got ({kappa}, {delta}, {chi})"

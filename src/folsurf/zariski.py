@@ -104,14 +104,19 @@ def chain_mu_sequence(e: Iterable[int]) -> List[int]:
 
 def coefficient_bounds_check(chain: FChain) -> CheckResult:
     """Strict upper bounds on the negative-part coefficients:
-    b_1 < 1/(e_1 - 1) and b_j < 1/(2 e_j - 3) for j >= 2."""
+    b_1 < 1/(e_1 - 1) and b_j < 1/(2 e_j - 3) for j >= 2.
+
+    With b_j = xi_j / n these are the integer tests xi_1 (e_1 - 1) < n and
+    xi_j (2 e_j - 3) < n on ``chain_xi_sequence``; a Fraction is built only
+    for the text of a violation."""
     e = chain.self_intersections
-    _, _, b = chain_coefficients(e)
+    xi = chain_xi_sequence(e)
+    n = xi[0]
     violations = []
-    for j, (bj, ej) in enumerate(zip(b, e), start=1):
-        bound = Fraction(1, ej - 1) if j == 1 else Fraction(1, 2 * ej - 3)
-        if not bj < bound:
-            violations.append(f"b_{j} = {bj} !< {bound}")
+    for j, ej in enumerate(e, start=1):
+        width = ej - 1 if j == 1 else 2 * ej - 3
+        if xi[j] * width >= n:
+            violations.append(f"b_{j} = {Fraction(xi[j], n)} !< {Fraction(1, width)}")
     return CheckResult(
         name="chain.coefficient-bounds",
         passed=not violations,

@@ -2,6 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folsurf.chern import (
     ALGEBRAICALLY_INTEGRAL,
@@ -16,6 +17,7 @@ from folsurf.chern import (
 )
 from folsurf.errors import DomainError, InconsistentScenario
 from folsurf.fixtures import (
+    bundled_documents,
     elliptic_pencil,
     second_noether_ruled,
     third_noether_double_cover,
@@ -24,9 +26,10 @@ from folsurf.fixtures import (
     slope_12_7,
 )
 from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata
-from folsurf.local_invariants import SingularityRecord
+from folsurf.local_invariants import SingularityRecord, beta_p, chi_p
 from folsurf.scenario_io import parse_document_dict, run_pipeline
-from folsurf.surface import SurfaceModel
+from folsurf.surface import SurfaceModel, chi_structure
+from folsurf.zariski import zariski_decompose
 
 
 def scenario_from(doc):
@@ -136,6 +139,94 @@ def test_chern_numbers_refuse_a_direct_chi_off_the_noether_path():
     with pytest.raises(InconsistentScenario) as err:
         chern_numbers(s)
     assert str(err.value) == "direct chi formula gives 2, Noether path gives 1/12"
+
+
+def reference_chern_numbers(f):
+    """The Chern numbers of a reduced, pseudo-effective scenario summed point
+    by point as Fractions, or the message that refuses them."""
+    dec = zariski_decompose(f)
+    support = set(dec.support)
+    on_n, off_n, local_chi = Fraction(0), Fraction(0), Fraction(0)
+    for s in f.singularities:
+        if support.isdisjoint(s.incident_curves):
+            off_n += beta_p(s)
+        else:
+            on_n += beta_p(s)
+        chi_s = chi_p(s)
+        local_chi = None if local_chi is None or chi_s is None else local_chi + chi_s
+    c1 = f.kf_square + on_n
+    if c1 != dec.nef_square:
+        return (
+            f"c1^2 = {c1} disagrees with the volume P^2 = {dec.nef_square}; the "
+            "declared negative-part singularities do not match the decomposition"
+        )
+    chi = (c1 + off_n) / 12
+    if local_chi is not None:
+        direct = chi_structure(f.surface) + f.kf_dot_nf / 4 + local_chi
+        if direct != chi:
+            return f"direct chi formula gives {direct}, Noether path gives {chi}"
+    return ChernNumbers(c1, off_n, chi)
+
+
+def _chern_or_message(f):
+    try:
+        return chern_numbers(f)
+    except InconsistentScenario as err:
+        return str(err)
+
+
+@pytest.mark.parametrize(
+    "stem", sorted(stem for stem, doc in bundled_documents().items() if "surface" in doc)
+)
+def test_chern_numbers_match_the_fraction_sum_on_every_bundled_scenario(stem):
+    f = scenario_from(bundled_documents()[stem])
+    assert f.is_reduced and f.metadata.k_pseudo_effective
+    assert _chern_or_message(f) == reference_chern_numbers(f)
+
+
+_KINDS = (
+    {"eigenvalue": "nonrational"},
+    {"eigenvalue": "-4"},  # the kind of p_neg on C0
+    {"eigenvalue": "-1"},
+    {"eigenvalue": "-3"},
+    {"eigenvalue": "-5/2"},
+    {"eigenvalue": "-7/3"},
+    {"saddle_node": 2},
+    {"saddle_node": 3},
+    {"saddle_node": 2, "bb": "3"},
+    {"saddle_node": 3, "bb": "-7/2"},
+)
+
+
+@st.composite
+def ruled_variants(draw):
+    """second_noether_ruled(4) with its points other than p_neg drawn kinds
+    from a drawn palette of ``_KINDS`` (equal kinds share one object once
+    parsed), and some of the points off every curve moved onto C0, the
+    negative part."""
+    doc = second_noether_ruled(4)
+    del doc["expect"]
+    palette = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4, unique_by=str))
+    for point in doc["singularities"][1:]:
+        point["kind"] = dict(draw(st.sampled_from(palette)))
+        if "on_curves" not in point and draw(st.integers(0, 3)) == 0:
+            point["on_curves"] = ["C0"]
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(ruled_variants())
+def test_chern_numbers_match_the_fraction_sum_on_ruled_variants(doc):
+    f = scenario_from(doc)
+    expected = reference_chern_numbers(f)
+    assert _chern_or_message(f) == expected
+    # the same points with a fresh kind object each: no group has two points
+    fresh = tuple(
+        SingularityRecord(p.id, dataclasses.replace(p.kind), p.vanishing_order, p.incident_curves)
+        for p in f.singularities
+    )
+    alone = FoliatedScenario(f.name, f.surface, f.k_foliation, f.curves, fresh, f.metadata)
+    assert _chern_or_message(alone) == expected
 
 
 def test_chern_ctor_enforces_noether_and_positivity():

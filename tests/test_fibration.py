@@ -1,6 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folsurf.chern import ChernNumbers
 from folsurf.errors import DomainError, InconsistentScenario
@@ -159,3 +161,102 @@ def test_fiber_node_beta():
     assert FiberNode(4, 6, False).beta == Fraction(4, 24)
     with pytest.raises(DomainError):
         FiberNode(0, 1, False)
+
+
+def reference_fiber_local_chern(fm):
+    """The per-fiber corrections summed node by node as Fractions."""
+    beta_f = Fraction(0)
+    c_minus1 = Fraction(0)
+    for node in fm.nodes:
+        beta_f += node.beta
+        if node.in_negative_part:
+            c_minus1 += node.beta
+    c1 = 4 * (fm.genus_of_fibration - fm.pa_reduced) + fm.f_red_sq - c_minus1
+    c2 = fiber_euler(fm) - beta_f + c_minus1
+    return c1, c2, (c1 + c2) / 12
+
+
+def reference_modular(genus, k_f_sq, e_f, chi_f, fibers):
+    """(kappa, delta, chi) as the global numbers minus the reference
+    corrections, or the message that refuses them."""
+    kappa, delta, chi = k_f_sq, e_f, chi_f
+    for fm in fibers:
+        c1, c2, ch = reference_fiber_local_chern(fm)
+        kappa, delta, chi = kappa - c1, delta - c2, chi - ch
+    if kappa < 0 or delta < 0 or chi < 0:
+        return f"modular invariants must be non-negative, got ({kappa}, {delta}, {chi})"
+    return kappa, delta, chi
+
+
+def _modular_or_message(fb):
+    try:
+        return fb.modular
+    except InconsistentScenario as err:
+        return str(err)
+
+
+# small multiplicities share denominators; large ones are mostly coprime
+_multiplicities = st.one_of(st.integers(1, 6), st.integers(10**9, 10**15))
+_nodes = st.builds(FiberNode, _multiplicities, _multiplicities, st.booleans())
+
+
+@st.composite
+def fibrations(draw):
+    genus = draw(st.integers(1, 4))
+    fibers = draw(
+        st.lists(
+            st.builds(
+                FiberModel,
+                st.just(genus),
+                st.integers(0, genus),
+                st.integers(-5, 0),
+                st.lists(_nodes, max_size=8).map(tuple),
+            ),
+            max_size=5,
+        )
+    )
+    e_f = sum(fiber_euler(fm) for fm in fibers)
+    corrections = sum((reference_fiber_local_chern(fm)[0] for fm in fibers), Fraction(0))
+    # kappa = K_f^2 - sum of c1 corrections; a negative kappa is refused
+    kappa = draw(st.fractions(-3, 10, max_denominator=50))
+    k_f_sq = corrections + kappa
+    return genus, k_f_sq, Fraction(e_f), (k_f_sq + e_f) / 12, tuple(fibers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fibrations())
+def test_modular_matches_the_fraction_sum_over_fibers(args):
+    fb = FibrationModel(*args)
+    for fm in fb.singular_fibers:
+        assert fiber_local_chern(fm) == reference_fiber_local_chern(fm)
+    assert _modular_or_message(fb) == reference_modular(*args)
+
+
+def _primes(count):
+    sieve = bytearray([1]) * 70000
+    sieve[:2] = b"\x00\x00"
+    for k in range(2, int(len(sieve) ** 0.5) + 1):
+        if sieve[k]:
+            sieve[k * k :: k] = bytes(len(range(k * k, len(sieve), k)))
+    primes = [k for k, flag in enumerate(sieve) if flag]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+def test_thousands_of_pairwise_coprime_nodes_sum_in_bounded_time():
+    # node k meets branches of the k-th pair of distinct primes, so every
+    # a*b is coprime to every other and the common denominator is their product
+    count = 3000
+    primes = _primes(2 * count)
+    nodes = [FiberNode(primes[2 * k], primes[2 * k + 1], k % 3 == 0) for k in range(count)]
+    fibers = tuple(FiberModel(3, 1, -2, tuple(nodes[i::3])) for i in range(3))
+    e_f = Fraction(sum(fiber_euler(fm) for fm in fibers))
+    k_f_sq = sum((reference_fiber_local_chern(fm)[0] for fm in fibers), Fraction(1))
+    args = (3, k_f_sq, e_f, (k_f_sq + e_f) / 12, fibers)
+    fb = FibrationModel(*args)
+    start = time.perf_counter()
+    modular = fb.modular
+    elapsed = time.perf_counter() - start
+    assert modular == reference_modular(*args)
+    assert modular[0] == 1 and modular[1].denominator.bit_length() > 50000
+    assert elapsed < 5.0

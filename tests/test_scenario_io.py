@@ -625,20 +625,21 @@ def test_unknown_key_in_any_object_names_that_object(doc, data):
 
 
 def test_pipeline_pairs_kf_nf_and_p_squared_once_and_corrects_each_fiber_once(monkeypatch):
-    names = ["pairing_table", "intersect", "normal_class", "canonical_class", "fiber_local_chern"]
+    names = ["pairing_table", "intersect", "normal_class", "canonical_class", "_fiber_terms"]
     calls = count_calls(monkeypatch, names)
     doc = parse_document_dict(third_noether_double_cover(16))
     report = run_pipeline(doc)
     assert report.ok and report.vol == report.chern.c1_sq
     # validation, the Zariski solve and chern read one pairing table: K_F.N_F
     # and K_F^2 come from it, P^2 from the solve; the pipeline reads vol from
-    # the checked c1^2; modular invariants are computed once
+    # the checked c1^2; modular invariants are computed once, reading each
+    # fiber's terms once
     assert calls == {
         "pairing_table": 1,
         "intersect": 0,
         "normal_class": 0,
         "canonical_class": 0,
-        "fiber_local_chern": len(doc.fibration.singular_fibers),
+        "_fiber_terms": len(doc.fibration.singular_fibers),
     }
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -15,6 +16,7 @@ from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata, v
 from folsurf.local_invariants import EigenvalueClass, NonDegenerate, SingularityRecord, beta
 from folsurf.scenario_io import ScenarioDocument, parse_document_dict, run_pipeline
 from folsurf.surface import SurfaceModel, intersect
+import folsurf.zariski as zariski
 from folsurf.zariski import (
     FChain,
     ZariskiDecomposition,
@@ -80,6 +82,50 @@ def test_chain_beta_sum_matches_negative_square():
 def test_coefficient_bounds(e):
     chain = FChain(tuple(f"C{i}" for i in range(len(e))), tuple(e))
     assert coefficient_bounds_check(chain).passed
+
+
+def reference_bounds_detail(e, xi):
+    """The violations of b_1 < 1/(e_1 - 1) and b_j < 1/(2 e_j - 3), compared
+    as Fractions b_j = xi_j / xi_0."""
+    violations = []
+    for j, ej in enumerate(e, start=1):
+        bj = Fraction(xi[j], xi[0])
+        bound = Fraction(1, ej - 1) if j == 1 else Fraction(1, 2 * ej - 3)
+        if not bj < bound:
+            violations.append(f"b_{j} = {bj} !< {bound}")
+    return "; ".join(violations)
+
+
+def _chains(max_length, entries):
+    for r in range(1, max_length + 1):
+        for e in product(entries, repeat=r):
+            yield FChain(tuple(f"C{i}" for i in range(r)), e)
+
+
+def test_coefficient_bounds_match_the_fraction_formula_on_every_small_chain():
+    count = 0
+    for chain in _chains(5, range(2, 8)):
+        e = chain.self_intersections
+        check = coefficient_bounds_check(chain)
+        detail = reference_bounds_detail(e, chain_xi_sequence(e))
+        assert (check.passed, check.detail) == (detail == "", detail)
+        count += 1
+    assert count == sum(6**r for r in range(1, 6))
+
+
+def test_coefficient_bounds_violations_read_as_the_fraction_formula(monkeypatch):
+    # every real chain passes, so a shrunken xi_0 stands in for one that fails
+    failures = 0
+    for chain in _chains(3, range(2, 6)):
+        xi = chain_xi_sequence(chain.self_intersections)
+        for n in range(1, xi[0] + 1):
+            shrunk = [n] + xi[1:]
+            monkeypatch.setattr(zariski, "chain_xi_sequence", lambda e, _xi=shrunk: _xi)
+            check = coefficient_bounds_check(chain)
+            detail = reference_bounds_detail(chain.self_intersections, shrunk)
+            assert (check.passed, check.detail) == (detail == "", detail)
+            failures += not check.passed
+    assert failures > 100
 
 
 def test_detect_chains_second_noether_ruled():

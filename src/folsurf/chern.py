@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, InconsistentScenario
 from .foliation import FoliatedScenario
@@ -70,28 +70,64 @@ class ChernNumbers:
             )
 
 
+# Real sums stay far below this: the pipeline's largest common denominator,
+# that of the double cover at g = 160, has 931 bits.  Only denominators that
+# keep adding new factors pass it, and those are grouped rather than rescaled.
+_RESCALE_BITS = 4096
+
+
 class _ExactSum:
     """Exact rational sums kept as integer numerators over one common
-    denominator, the lcm of every denominator added so far."""
+    denominator, the lcm of every denominator added.
 
-    __slots__ = ("numerators", "denominator")
+    A term whose denominator the common one does not divide rescales the
+    numerators to the new lcm.  Real terms share their factors, so the lcm
+    soon stops growing and most terms only add.  But k pairwise-coprime
+    denominators would rescale numerators that grow with every one of them,
+    a cost quadratic in k; so once the common denominator has more than
+    ``_RESCALE_BITS`` bits, such terms are grouped by denominator instead,
+    and ``total`` merges the groups and the running sum pairwise in a
+    balanced tree, about log k rounds of products."""
+
+    __slots__ = ("numerators", "denominator", "groups")
 
     def __init__(self, size: int) -> None:
         self.numerators = [0] * size
         self.denominator = 1
+        self.groups: Dict[int, List[int]] = {}  # denominator -> numerators
 
     def add(self, slot: int, numerator: int, denominator: int, count: int = 1) -> None:
         """Add count * numerator / denominator (denominator >= 1) to sum ``slot``."""
         common = self.denominator
-        g = gcd(common, denominator)
-        if g != denominator:  # the common denominator grows by denominator / g
-            scale = denominator // g
+        if common % denominator:  # the common denominator grows
+            if common.bit_length() > _RESCALE_BITS:
+                group = self.groups.get(denominator)
+                if group is None:
+                    group = self.groups[denominator] = [0] * len(self.numerators)
+                group[slot] += count * numerator
+                return
+            scale = denominator // gcd(common, denominator)
             self.numerators = [x * scale for x in self.numerators]
-            self.denominator = common * scale
-        self.numerators[slot] += count * numerator * (common // g)
+            common = self.denominator = common * scale
+        self.numerators[slot] += count * numerator * (common // denominator)
 
-    def fraction(self, slot: int) -> Fraction:
-        return Fraction(self.numerators[slot], self.denominator)
+    def total(self) -> Tuple[List[int], int]:
+        """The numerators of every sum over one common denominator, the lcm
+        of every denominator added, and that denominator."""
+        if not self.groups:
+            return self.numerators, self.denominator
+        level = [(self.denominator, self.numerators), *self.groups.items()]
+        while len(level) > 1:
+            merged = []
+            for (d1, n1), (d2, n2) in zip(level[::2], level[1::2]):
+                g = gcd(d1, d2)
+                s1, s2 = d2 // g, d1 // g
+                merged.append((d1 * s1, [a * s1 + b * s2 for a, b in zip(n1, n2)]))
+            if len(level) % 2:
+                merged.append(level[-1])
+            level = merged
+        denominator, numerators = level[0]
+        return numerators, denominator
 
 
 _C1, _C2, _CHI12 = range(3)  # the slots of chern_numbers' sum
@@ -155,20 +191,20 @@ def chern_numbers(
                 chi_available = False
             else:
                 add(_CHI12, 12 * chi_s.numerator, chi_s.denominator, len(group))
-    c1 = sums.fraction(_C1)
+    num, den = sums.total()
+    c1 = Fraction(num[_C1], den)
     vol = dec.nef_square
     if c1 != vol:
         raise InconsistentScenario(
             f"c1^2 = {c1} disagrees with the volume P^2 = {vol}; the declared "
             "negative-part singularities do not match the decomposition"
         )
-    c2 = sums.fraction(_C2)
+    c2 = Fraction(num[_C2], den)
     chi = (c1 + c2) / 12
     numbers = ChernNumbers(c1, c2, chi)
 
-    num = sums.numerators
     if chi_available and num[_CHI12] != num[_C1] + num[_C2]:
-        direct = Fraction(num[_CHI12], 12 * sums.denominator)
+        direct = Fraction(num[_CHI12], 12 * den)
         raise InconsistentScenario(
             f"direct chi formula gives {direct}, Noether path gives {chi}"
         )

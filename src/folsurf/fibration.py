@@ -12,7 +12,8 @@ exact sum (``chern._ExactSum``), kept apart for nodes off and on the negative
 part, so beta_F is both sums and c_{-1} the second.  ``fiber_local_chern``
 reads one fiber through it, and ``FibrationModel.modular`` every fiber into
 one sum, so the node terms of a whole fibration meet over one common
-denominator and become Fractions once.  The global numbers K_f^2, e_f,
+denominator; the summed corrections become three Fractions, each taken
+once from its declared global number.  The global numbers K_f^2, e_f,
 chi_f are inputs validated against the fiber list rather than derived from a
 surface model.
 """
@@ -91,8 +92,9 @@ def fiber_local_chern(fm: FiberModel) -> Tuple[Fraction, Fraction, Fraction]:
     """(c1^2, c2, chi) corrections of a single normal-crossing fiber."""
     betas = _ExactSum(2)
     first, euler = _fiber_terms(fm, betas)
-    c1 = first - betas.fraction(1)
-    c2 = euler - betas.fraction(0)
+    (off_n, on_n), den = betas.total()
+    c1 = first - Fraction(on_n, den)
+    c2 = euler - Fraction(off_n, den)
     return c1, c2, (c1 + c2) / 12
 
 
@@ -140,11 +142,11 @@ class FibrationModel:
             f1, e = _fiber_terms(fm, betas)
             first += f1
             euler += e
-        off_n, on_n = betas.fraction(0), betas.fraction(1)
-        kappa = self.k_f_sq - first + on_n
-        delta = self.e_f - euler + off_n
-        # the sum over fibers of (c1^2 + c2) / 12
-        chi = self.chi_f - (first + euler - off_n - on_n) / 12
+        (off_n, on_n), den = betas.total()
+        # the corrections summed over fibers, c1^2 and c2, and their sum / 12
+        kappa = self.k_f_sq - Fraction(first * den - on_n, den)
+        delta = self.e_f - Fraction(euler * den - off_n, den)
+        chi = self.chi_f - Fraction((first + euler) * den - off_n - on_n, 12 * den)
         if kappa < 0 or delta < 0 or chi < 0:
             raise InconsistentScenario(
                 f"modular invariants must be non-negative, got ({kappa}, {delta}, {chi})"

@@ -2,13 +2,23 @@
 decomposition of the canonical class of a foliation.
 
 The closed-form coefficient recursion for a Hirzebruch-Jung chain and the
-general iterative decomposition are kept as two independent routes; tests
-pin them against each other.  All linear algebra is exact and runs over
-Python integers: the pairings come from ``surface.pairing_table``, which
-scales the classes by one common denominator, and the support Gram matrix
-grows by one bordered row per violating curve under fraction-free (Bareiss)
-elimination.  Its pivots are the leading principal minors, so negative
-definiteness is certified by their signs alternating starting negative.
+general decomposition are kept as two independent routes; tests pin them
+against each other.  All linear algebra is exact and runs over Python
+integers: the pairings come from ``surface.pairing_table``, which scales the
+classes by one common denominator, and a support Gram matrix grows by one
+bordered row per curve under fraction-free (Bareiss) elimination.  Its
+pivots are the leading principal minors, so negative definiteness is
+certified by their signs alternating starting negative, and a curve that
+would break it is refused with the factor left as it was.
+The decomposition is solved as a certified active set: border a guessed
+support, solve once, and accept only if no coefficient is negative and the
+nef part meets every other declared curve non-negatively; a guess that fails
+is corrected, at most three guesses in all.  Otherwise, or when two distinct
+curves meet negatively, the round-by-round violator loop gives the answer or
+the refusal.  When distinct curves meet non-negatively the decomposition is
+unique, so both routes agree wherever the guess is certified; on the bundled
+corpus and the double-cover family the first guess is, and the solve is one
+factorization and one back substitution.
 A scenario's decomposition and its chain detection both read the scenario's
 own table (``FoliatedScenario.pairings``, whose class D is K_F): the solve
 reads ``d_dot``, ``squares``, ``meets``, ``d_row`` and ``d_square``, and
@@ -26,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InconsistentScenario
 from .foliation import CheckResult, CurveRecord, FoliatedScenario, connected_components
@@ -216,12 +226,18 @@ class _BorderedFactor:
         self.upper: List[Dict[int, int]] = []  # row k at level k, columns > k
         self.upper_rhs: List[int] = []  # right-hand side of row k at level k
 
-    def append(self, entries: Dict[int, int], rhs: int) -> None:
+    def append(self, entries: Dict[int, int], rhs: int) -> bool:
         """Border the matrix with row r = current size: ``entries`` maps each
-        column <= r to its nonzero entry and must hold the diagonal r."""
+        column <= r to its nonzero entry and must hold the diagonal r.
+
+        Returns False, and leaves the factor as it was, when the bordered
+        matrix is not negative definite: the new column reaches the pivot
+        rows only once the new pivot has the sign negative definiteness
+        asks for."""
         minors, upper = self.minors, self.upper
         r = len(upper)
         row = {j: (v, 0) for j, v in entries.items()}  # column -> (value, level)
+        column: List[Tuple[int, int]] = []  # (k, entry of pivot row k in column r)
         rhs_level = 0
         pending = [j for j in row if j < r]
         heapify(pending)
@@ -231,10 +247,9 @@ class _BorderedFactor:
             h = v if t == k else v * minors[k] // minors[t]
             if not h:
                 continue
-            pivot_row = upper[k]
-            pivot_row[r] = h
+            column.append((k, h))
             dk, dk1 = minors[k], minors[k + 1]
-            for j, u in pivot_row.items():
+            for j, u in upper[k].items():
                 if j in row:
                     v, t = row[j]
                     current = v if t == k else v * dk // minors[t]
@@ -243,20 +258,24 @@ class _BorderedFactor:
                     if j < r:
                         heappush(pending, j)  # fill-in
                 row[j] = ((dk1 * current - h * u) // dk, k + 1)
+            v, t = row[r]  # the diagonal, against h in column r of pivot row k
+            current = v if t == k else v * dk // minors[t]
+            row[r] = ((dk1 * current - h * h) // dk, k + 1)
             if rhs_level != k:
                 rhs = rhs * dk // minors[rhs_level]
             rhs, rhs_level = (dk1 * rhs - h * self.upper_rhs[k]) // dk, k + 1
         v, t = row.pop(r)
         pivot = v if t == r else v * minors[r] // minors[t]
         if pivot == 0 or (pivot < 0) != (r % 2 == 0):
-            raise InconsistentScenario(
-                "support intersection matrix is not negative definite"
-            )
+            return False
+        for k, h in column:
+            upper[k][r] = h
         if rhs_level != r:
             rhs = rhs * minors[r] // minors[rhs_level]
         minors.append(pivot)
         upper.append({})
         self.upper_rhs.append(rhs)
+        return True
 
     def solve(self) -> List[int]:
         """Integer numerators y of the solution x = y / det by back
@@ -277,63 +296,135 @@ def decompose_against_curves(
 ) -> ZariskiDecomposition:
     """Exact Zariski decomposition of ``d`` against the declared curves.
 
-    Iteratively collects every curve the current candidate meets negatively,
-    solves for the negative part supported there, and repeats until the
-    remainder is non-negative against all declared curves.  Only declared
-    curves are visible; this is the documented trust boundary.  Each
-    violating curve is bordered once onto a fraction-free factorization of
-    the support Gram matrix, and the violator test runs on the integer
-    numerators of the solution; Fractions are built only for the result.
+    The negative part N is supported on a negative definite set of curves,
+    and P = d - N meets every declared curve non-negatively and every
+    support curve in 0.  Only declared curves are visible; this is the
+    documented trust boundary.  The solve first guesses the support and
+    accepts the guess only with that certificate (``_certified_active_set``);
+    otherwise it collects the curves the candidate meets negatively, round by
+    round (``_violator_loop``), whose refusals name what the data lacks.
+    Each support curve is bordered once onto a fraction-free factorization of
+    the support Gram matrix, every test runs on the integer numerators of
+    the solution, and Fractions are built only for the result.
     """
     return _decompose(d, curves, pairing_table([c.cls for c in curves], d))
+
+
+_Solved = Tuple[List[int], List[int], int]  # support curves, numerators y, det
+
+
+def _border(
+    factor: _BorderedFactor, table: Pairings, i: int, position: Dict[int, int]
+) -> bool:
+    """Border curve ``i`` onto ``factor``, whose rows are the curves of
+    ``position`` (curve index -> row); False, with nothing changed, if the
+    support would no longer be negative definite."""
+    entries = {position[j]: g for j, g in table.meets[i].items() if j in position}
+    r = len(position)
+    entries[r] = table.squares[i]
+    if not factor.append(entries, table.d_dot[i]):
+        return False
+    position[i] = r
+    return True
+
+
+def _violators(
+    table: Pairings, tested: Iterable[int], position: Dict[int, int], y: List[int], det: int
+) -> List[int]:
+    """The curves of ``tested`` that P = D - N meets negatively, N having the
+    numerators ``y`` over ``det`` on the rows of ``position``."""
+    d_dot, meets = table.d_dot, table.meets
+    sign = 1 if det > 0 else -1
+    violators = []
+    for i in tested:
+        pairing = det * d_dot[i]
+        for j, g in meets[i].items():
+            k = position.get(j)
+            if k is not None:
+                pairing -= y[k] * g
+        if pairing * sign < 0:
+            violators.append(i)
+    return violators
+
+
+def _certified_active_set(table: Pairings) -> Optional[_Solved]:
+    """The Zariski decomposition from a guessed support, or None.
+
+    The guess borders, in declared order, every curve C with C^2 < 0 and
+    D.C <= 0, skipping a curve that would break negative definiteness.  One
+    solve is accepted only with a certificate: no negative coefficient, and
+    P.C >= 0 on every curve outside the factor (P.C = 0 on the factor by
+    construction).  Otherwise the next guess is the factor less its negative
+    coefficients, plus the violators, for at most three guesses.
+    A certified answer is the Zariski decomposition; when distinct curves
+    meet non-negatively it is unique (Zariski 1962; Bauer 2009), so it is
+    also what ``_violator_loop`` returns, which then never refuses.  With a
+    negative meet that argument fails, so no guess is made at all.
+    """
+    d_dot, squares, meets = table.d_dot, table.squares, table.meets
+    if any(g < 0 for row in meets for g in row.values()):
+        return None
+    guess = [i for i, sq in enumerate(squares) if sq < 0 and d_dot[i] <= 0]
+    for _ in range(3):
+        factor = _BorderedFactor()
+        position: Dict[int, int] = {}
+        for i in guess:
+            _border(factor, table, i, position)
+        y = factor.solve()
+        det = factor.minors[-1]
+        negative = {i for i, k in position.items() if y[k] * det < 0}
+        outside = (i for i in range(len(squares)) if i not in position)
+        violators = _violators(table, outside, position, y, det)
+        if not negative and not violators:
+            return list(position), y, det
+        guess = sorted(position.keys() - negative | set(violators))
+    return None
+
+
+def _violator_loop(table: Pairings) -> _Solved:
+    """The decomposition by rounds: border every curve the candidate meets
+    negatively, re-solve, and repeat until no curve is met negatively.
+    Raises ``InconsistentScenario`` if a bordered curve breaks negative
+    definiteness or a coefficient comes out negative."""
+    factor = _BorderedFactor()
+    position: Dict[int, int] = {}  # curve index -> place in the support
+    y: List[int] = []
+    # A curve meeting no support curve pairs with the candidate as with d,
+    # which the first round found non-negative; so after that round only the
+    # curves meeting the support are tested.
+    neighbours = set()
+    tested: Iterable[int] = range(len(table.squares))
+    while True:
+        det = factor.minors[-1]
+        violators = _violators(table, tested, position, y, det)
+        if not violators:
+            break
+        for i in violators:
+            if not _border(factor, table, i, position):
+                raise InconsistentScenario(
+                    "support intersection matrix is not negative definite"
+                )
+            neighbours.update(table.meets[i])
+        neighbours.difference_update(position)
+        tested = sorted(neighbours)
+        y = factor.solve()
+
+    if any(v * det < 0 for v in y):
+        raise InconsistentScenario(
+            "negative part received a negative coefficient; the declared data "
+            "does not describe a pseudo-effective decomposition"
+        )
+    return list(position), y, det
 
 
 def _decompose(
     d: DivisorClass, curves: Sequence[CurveRecord], table: Pairings
 ) -> ZariskiDecomposition:
     """The solve of ``decompose_against_curves`` on ``table``, which pairs
-    ``curves`` with each other and with ``d`` as its class D."""
-    d_pairings, squares, meets = table.d_dot, table.squares, table.meets
-    factor = _BorderedFactor()
-    position: Dict[int, int] = {}  # curve index -> place in the support
-    support: List[int] = []
-    y: List[int] = []
-    # A curve meeting no support curve pairs with the candidate as with d,
-    # which the first round found non-negative; so after that round only the
-    # curves meeting the support are tested.
-    neighbours = set()
-    tested: Sequence[int] = range(len(curves))
-    while True:
-        det = factor.minors[-1]
-        sign = 1 if det > 0 else -1
-        violators = []
-        for i in tested:
-            pairing = det * d_pairings[i]
-            for j, g in meets[i].items():
-                k = position.get(j)
-                if k is not None:
-                    pairing -= y[k] * g
-            if pairing * sign < 0:
-                violators.append(i)
-        if not violators:
-            break
-        for i in violators:
-            entries = {position[j]: g for j, g in meets[i].items() if j in position}
-            entries[len(support)] = squares[i]
-            factor.append(entries, d_pairings[i])
-            position[i] = len(support)
-            support.append(i)
-            neighbours.update(meets[i])
-        neighbours.difference_update(position)
-        tested = sorted(neighbours)
-        y = factor.solve()
-
-    if any(v * sign < 0 for v in y):
-        raise InconsistentScenario(
-            "negative part received a negative coefficient; the declared data "
-            "does not describe a pseudo-effective decomposition"
-        )
-
+    ``curves`` with each other and with ``d`` as its class D: the certified
+    active set, with the violator loop as its fallback."""
+    support, y, det = _certified_active_set(table) or _violator_loop(table)
+    d_pairings = table.d_dot
     nef = {idx: det * v for idx, v in table.d_row.items()}
     # P.C = 0 on the support, so P^2 = P.D = D^2 - D.N; det * scale^2 * D.N
     # is the sum of y_k times the scaled D.C_k

@@ -1,9 +1,12 @@
 import dataclasses
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import folsurf.chern as chern
 from folsurf.chern import (
     ALGEBRAICALLY_INTEGRAL,
     TRANSCENDENTAL,
@@ -441,3 +444,51 @@ def test_sharing_kind_objects_cannot_change_the_report(sign):
         assert [part.split(":")[0] for part in detail.split("; ")] == ["u1", "u2", "u3", "u6", "u7"]
     else:  # chi_p is unavailable, and c2 counts every point of each kind
         assert shared.ok and shared.chern.c2 == 3 * Fraction(1, 2) + 2 * Fraction(1, 3)
+
+
+_terms = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.integers(-10**6, 10**6),
+        st.one_of(st.integers(1, 30), st.integers(1, 10**12)),
+        st.integers(1, 5),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms)
+def test_exact_sum_totals_over_the_lcm_of_its_denominators(terms):
+    sums = chern._ExactSum(3)
+    expected = [Fraction(0)] * 3
+    for slot, numerator, denominator, count in terms:
+        sums.add(slot, numerator, denominator, count)
+        expected[slot] += count * Fraction(numerator, denominator)
+    numerators, denominator = sums.total()
+    assert denominator == math.lcm(1, *(t[2] for t in terms))
+    assert [Fraction(n, denominator) for n in numerators] == expected
+
+
+@pytest.mark.parametrize("terms", [3, 4, 200])
+def test_exact_sum_groups_denominators_past_the_rescale_size(terms):
+    # random odd 3 000-bit denominators are almost surely coprime: the first
+    # two rescale the running sum past the rescale size, and every later new
+    # denominator is grouped (one group for 3 terms) and merged at the end
+    rng = random.Random(terms)
+    sums = chern._ExactSum(2)
+    expected = [Fraction(0)] * 2
+    denominators = []
+    for k in range(terms):
+        slot, numerator, count = rng.randrange(2), rng.randint(-10**9, 10**9), rng.randint(1, 5)
+        if k > 3 and rng.random() < 0.2:
+            denominator = rng.choice(denominators[2:])
+        else:
+            denominator = rng.getrandbits(3000) | 1
+        denominators.append(denominator)
+        sums.add(slot, numerator, denominator, count)
+        expected[slot] += count * Fraction(numerator, denominator)
+    assert len(sums.groups) == len(set(denominators[2:]))
+    numerators, denominator = sums.total()
+    assert denominator == math.lcm(*denominators)
+    assert [Fraction(n, denominator) for n in numerators] == expected

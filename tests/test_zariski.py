@@ -15,7 +15,7 @@ from folsurf.fixtures import (
 from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata, validate
 from folsurf.local_invariants import EigenvalueClass, NonDegenerate, SingularityRecord, beta
 from folsurf.scenario_io import ScenarioDocument, parse_document_dict, run_pipeline
-from folsurf.surface import SurfaceModel, intersect
+from folsurf.surface import SurfaceModel, intersect, pairing_table
 import folsurf.zariski as zariski
 from folsurf.zariski import (
     FChain,
@@ -573,3 +573,209 @@ def test_solver_matches_sympy_oracle_on_random_sparse_supports():
             seen["cycle"] += cycle
             seen["rational"] += not all(c.cls.is_integral for c in curves) or not d.is_integral
     assert all(count >= 5 for count in seen.values()), seen
+
+
+def _fraction_negative_definite(matrix):
+    """Negative definiteness by Gaussian elimination over Fractions: every
+    pivot of -matrix is positive."""
+    a = [[Fraction(-v) for v in row] for row in matrix]
+    n = len(a)
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            ratio = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= ratio * a[k][j]
+    return True
+
+
+def _fraction_solve(matrix, rhs):
+    n = len(matrix)
+    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for k in range(n):
+        for i in range(k + 1, n):
+            ratio = a[i][k] / a[k][k]
+            for j in range(k, n + 1):
+                a[i][j] -= ratio * a[k][j]
+    x = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        x[k] = (a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))) / a[k][k]
+    return x
+
+
+def _factor_state(factor):
+    return factor.minors, factor.upper, factor.upper_rhs
+
+
+def test_bordered_factor_refusal_leaves_the_factor_intact():
+    # every candidate row is offered to one factor; a second factor, built
+    # fresh, receives only the rows the first accepted, and the two must
+    # agree after every step: a refused row leaves no trace
+    rng = random.Random(7)
+    refused = accepted_after_refusal = 0
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = -rng.randint(1, 4)
+            for j in range(i):
+                if rng.random() < 0.5:
+                    gram[i][j] = gram[j][i] = rng.choice([-2, -1, 1, 1, 2, 3])
+        rhs = [rng.randint(-3, 3) for _ in range(n)]
+        factor, kept, after_refusal = zariski._BorderedFactor(), [], False
+        for i in range(n):
+            entries = {k: gram[i][j] for k, j in enumerate(kept) if gram[i][j]}
+            entries[len(kept)] = gram[i][i]
+            fresh = zariski._BorderedFactor()
+            for r, j in enumerate(kept):
+                row = {k: gram[j][m] for k, m in enumerate(kept[: r + 1]) if gram[j][m]}
+                assert fresh.append(row, rhs[j])
+            rows = kept + [i]
+            expected = _fraction_negative_definite([[gram[a][b] for b in rows] for a in rows])
+            assert factor.append(entries, rhs[i]) == expected
+            if expected:
+                assert fresh.append(entries, rhs[i])
+                kept.append(i)
+                accepted_after_refusal += after_refusal
+            else:
+                refused += 1
+                after_refusal = True
+            assert _factor_state(factor) == _factor_state(fresh)
+            y, det = factor.solve(), factor.minors[-1]
+            assert y == fresh.solve()
+            x = _fraction_solve([[gram[a][b] for b in kept] for a in kept], [rhs[a] for a in kept])
+            assert [Fraction(v, det) for v in y] == x
+    assert refused >= 50 and accepted_after_refusal >= 20, (refused, accepted_after_refusal)
+
+
+def _chain_or_tree_case(rng, tree):
+    """Curves E_h - E_t1 - ... on a blown-up plane, each curve's head one of
+    an earlier curve's tails, so each meets its parent once: a chain, or a
+    tree whose parent is drawn from every curve with a free tail.  Now and
+    then two lines L - E_a - E_b on fresh classes join them: they meet once,
+    so both together are not negative definite.  D is a multiple of L plus
+    positive multiples of some curves, now and then minus a curve, and a few
+    signed exceptional classes, so D.C takes both signs and some cases
+    refuse."""
+    r = rng.randint(1, 9)
+    tails_of = [rng.randint(1, 3) for _ in range(r)]
+    surface = SurfaceModel.p2(5 + sum(tails_of))
+    free, classes, next_index = [], [], 2  # free[k]: the unused tails of curve k
+    for k in range(r):
+        if k == 0:
+            head = 1
+        elif tree:
+            tails = rng.choice([t for t in free if t])
+            head = tails.pop(rng.randrange(len(tails)))
+        else:
+            head = free[k - 1].pop(0)
+        free.append(list(range(next_index, next_index + tails_of[k])))
+        next_index += tails_of[k]
+        coeffs = [0] * surface.rank
+        coeffs[head] = 1
+        for t in free[k]:
+            coeffs[t] = -1
+        classes.append(coeffs)
+    lines = rng.random() < 0.3
+    for a in (next_index, next_index + 2) if lines else ():
+        coeffs = [0] * surface.rank
+        coeffs[0] = 1
+        coeffs[a] = coeffs[a + 1] = -1
+        classes.append(coeffs)
+    curves = [CurveRecord(f"C{k}", surface.divisor(c), True) for k, c in enumerate(classes)]
+    d = surface.divisor([rng.randint(0, 2)] + [0] * (surface.rank - 1))
+    for c in curves:
+        if rng.random() < 0.7:
+            d = d + c.cls.scale(Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+        elif rng.random() < 0.2:
+            d = d - c.cls  # D is then seldom effective
+    for _ in range(rng.randint(0, 2)):
+        coeffs = [0] * surface.rank
+        coeffs[rng.randrange(1, surface.rank)] = rng.choice([-1, 1, 2])
+        d = d + surface.divisor(coeffs)
+    if lines and rng.random() < 0.7:  # D may meet both lines negatively
+        coeffs = [0] * surface.rank
+        coeffs[next_index] = coeffs[next_index + 2] = -1
+        d = d + surface.divisor(coeffs)
+    return d, curves
+
+
+def _coefficients(solved):
+    support, y, det = solved
+    return {i: Fraction(v, det) for i, v in zip(support, y) if v}
+
+
+def _count_factor_work(monkeypatch):
+    """Swap ``zariski._BorderedFactor`` for a subclass that counts the
+    factorizations it starts and the solves it runs."""
+    counts = {"factorizations": 0, "solves": 0}
+
+    class Counting(zariski._BorderedFactor):
+        def __init__(self):
+            counts["factorizations"] += 1
+            super().__init__()
+
+        def solve(self):
+            counts["solves"] += 1
+            return super().solve()
+
+    monkeypatch.setattr(zariski, "_BorderedFactor", Counting)
+    return counts
+
+
+def test_certified_active_set_matches_the_violator_loop(monkeypatch):
+    # Random sparse supports: chains, trees, cycles and the oracle's mixed
+    # classes (with negative meets), each also shuffled.  A certified answer
+    # must be the loop's answer and the loop must not refuse it; a negative
+    # meet must stop the active set before it guesses.
+    counts = _count_factor_work(monkeypatch)
+    rng = random.Random(20)
+    seen = dict.fromkeys(
+        ["certified", "first guess", "later guess", "fallback, refused",
+         "fallback, solved", "negative meet"],
+        0,
+    )
+    for trial in range(1200):
+        kind = trial % 4
+        if kind == 0:
+            d, curves = _cycle_case(rng)
+        elif kind == 3:
+            d, curves = _random_case(rng)
+        else:
+            d, curves = _chain_or_tree_case(rng, tree=kind == 2)
+        if rng.random() < 0.5:
+            curves = rng.sample(curves, len(curves))
+        table = pairing_table([c.cls for c in curves], d)
+        try:
+            loop = _coefficients(zariski._violator_loop(table))
+        except InconsistentScenario as exc:
+            loop = str(exc)
+        counts["factorizations"] = 0
+        active = zariski._certified_active_set(table)
+        guesses = counts["factorizations"]
+        assert guesses <= 3
+        if any(g < 0 for row in table.meets for g in row.values()):
+            seen["negative meet"] += 1
+            assert active is None and not guesses
+        elif active is not None:
+            assert _coefficients(active) == loop, (d, curves)
+            seen["certified"] += 1
+            seen["first guess" if guesses == 1 else "later guess"] += 1
+        else:
+            seen["fallback, refused" if isinstance(loop, str) else "fallback, solved"] += 1
+        got = _outcome(decompose_against_curves, d, curves)
+        if isinstance(loop, str):
+            assert got == loop
+        else:
+            assert dict(got.negative_part) == {curves[i].name: v for i, v in loop.items()}
+    assert all(count >= 5 for count in seen.values()), seen
+
+
+def test_double_cover_decomposes_in_a_few_solves(monkeypatch):
+    # the violator loop solved once per round: 321 solves at g = 80
+    s = scenario_from(third_noether_double_cover(80))
+    counts = _count_factor_work(monkeypatch)
+    dec = zariski_decompose(s)
+    assert len(dec.negative_part) == 4 * 80 + 4
+    assert counts["factorizations"] <= 3 and counts["solves"] <= 3, counts

@@ -12,8 +12,10 @@ exact sum (``chern._ExactSum``), kept apart for nodes off and on the negative
 part, so beta_F is both sums and c_{-1} the second.  ``fiber_local_chern``
 reads one fiber through it, and ``FibrationModel.modular`` every fiber into
 one sum, so the node terms of a whole fibration meet over one common
-denominator; the summed corrections become three Fractions, each taken
-once from its declared global number.  The global numbers K_f^2, e_f,
+denominator.  Each modular invariant is then one Fraction: its declared
+global number less the summed correction, written as one integer numerator
+over the two denominators, and the checks on the invariants read those
+numerators.  The global numbers K_f^2, e_f,
 chi_f are inputs validated against the fiber list rather than derived from a
 surface model.
 """
@@ -143,15 +145,26 @@ class FibrationModel:
             first += f1
             euler += e
         (off_n, on_n), den = betas.total()
+
+        def less(declared: Fraction, correction: int, scale: int = 1) -> Tuple[int, int]:
+            """declared - correction / (scale den) as a numerator n over
+            scale r den, r the part of the declared denominator den lacks"""
+            q = declared.denominator
+            g = gcd(q, den)
+            r = q // g
+            return declared.numerator * scale * (den // g) - r * correction, r
+
         # the corrections summed over fibers, c1^2 and c2, and their sum / 12
-        kappa = self.k_f_sq - Fraction(first * den - on_n, den)
-        delta = self.e_f - Fraction(euler * den - off_n, den)
-        chi = self.chi_f - Fraction((first + euler) * den - off_n - on_n, 12 * den)
-        if kappa < 0 or delta < 0 or chi < 0:
+        k, kr = less(self.k_f_sq, first * den - on_n)
+        d, dr = less(self.e_f, euler * den - off_n)
+        c, cr = less(self.chi_f, (first + euler) * den - off_n - on_n, 12)
+        kappa, delta, chi = Fraction(k, kr * den), Fraction(d, dr * den), Fraction(c, 12 * cr * den)
+        if k < 0 or d < 0 or c < 0:
             raise InconsistentScenario(
                 f"modular invariants must be non-negative, got ({kappa}, {delta}, {chi})"
             )
-        if kappa + delta != 12 * chi:
+        # kappa + delta = 12 chi, times den kr dr cr
+        if (k * dr + d * kr) * cr != c * kr * dr:
             raise InconsistentScenario(
                 f"kappa + delta = {kappa + delta} != 12 chi = {12 * chi}"
             )

@@ -100,18 +100,6 @@ class FoliatedScenario:
         if len(set(ids)) != len(ids):
             raise DomainError("singularity ids must be unique")
 
-    @classmethod
-    def trusted(cls, name, surface, k_foliation, curves, singularities, metadata):
-        """A scenario whose curve names and singularity ids the scenario
-        decoder has found unique, refusing each repeat at its own path; the
-        public constructor checks them itself."""
-        f = object.__new__(cls)
-        vars(f).update(
-            name=name, surface=surface, k_foliation=k_foliation, curves=tuple(curves),
-            singularities=tuple(singularities), metadata=metadata,
-        )
-        return f
-
     @cached_property
     def pairings(self) -> Pairings:
         """The curves paired with each other, K_F and K_S, and K_F with itself

@@ -9,9 +9,13 @@ bytes.
 
 The format is defined once, by the record table (``DOCUMENT`` and the
 records it nests): :func:`encode` walks it, and each record's decoder is
-generated from it on first use.  Equal singularity kinds of one document
-decode to one shared object, and a decoded singularity or scenario is built
-by its ``trusted`` constructor, which does not repeat the decoder's checks.
+generated from it on first use.  The decoders of one document share one
+memo: a rational text maps to the Fraction built where it first appears,
+and a singularity kind to the object decoded then.  A check a decoder has
+made is not made again: an eigenvalue decodes straight to its canonical
+form, class terms go to ``DivisorClass.trusted``, a singularity is built by
+``SingularityRecord.trusted``, and eigenvalue classes, fiber nodes, curves
+and the scenario by ``_trusted``; only checks that span fields run.
 Reports, documents and fixtures are printed by one writer, :func:`write_json`.
 """
 
@@ -150,14 +154,21 @@ class _Reject(Exception):
         self.where = list(reversed(where))  # innermost segment first
 
 
-def _rational(text: Any, memo: object = None) -> Fraction:
+def _rational(text: Any, memo: dict) -> Fraction:
     """A JSON integer, or a string of an optional "-", ASCII digits, and
     optionally "/" and ASCII digits; ``int`` alone would also take signs,
     spaces, underscores and non-ASCII digits.  As the decode function of
-    ``RATIONAL`` it is passed the document's memo, which it does not use."""
-    if type(text) is int:
+    ``RATIONAL`` it is passed the document's memo, where each string that
+    decodes is kept with its Fraction: a text repeated in one document builds
+    one Fraction.  Only strings are kept, so a look-alike such as 1, true or
+    1.0 never reads a string's entry."""
+    if type(text) is str:
+        value = memo.get(text)
+        if value is not None:
+            return value
+    elif type(text) is int:
         return Fraction(text)
-    if not isinstance(text, str):
+    elif not isinstance(text, str):
         raise _Reject(f"expected a rational string, got {text!r}")
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
@@ -169,12 +180,13 @@ def _rational(text: Any, memo: object = None) -> Fraction:
         raise _Reject(f"malformed rational {text!r}") from None
     if den == 0:
         raise _Reject("rational with denominator 0")
-    return Fraction(num, den)
+    value = memo[text] = Fraction(num, den) if slash else Fraction(num)
+    return value
 
 
 def parse_rational(text: Any, path: str) -> Fraction:
     try:
-        return _rational(text)
+        return _rational(text, {})
     except _Reject as exc:
         raise ParseError(exc.reason, path) from None
 
@@ -204,6 +216,10 @@ def codec(decode: Decoder, encode: Callable[[Any], Any] = _same) -> Codec:
 
 
 def _typed(kind: type, expected: str, minimum: Optional[int] = None) -> Decoder:
+    """A decoder that passes a value of exactly type ``kind``, at least
+    ``minimum`` if one is given.  Its ``accepts`` attribute lets a generated
+    record decoder make the same test inline, calling it only to refuse."""
+
     def decode(raw, memo):
         if type(raw) is not kind:
             raise _Reject(f"expected {expected}, got {raw!r}")
@@ -211,6 +227,7 @@ def _typed(kind: type, expected: str, minimum: Optional[int] = None) -> Decoder:
             raise _Reject(f"expected {expected} >= {minimum}, got {raw}")
         return raw
 
+    decode.accepts = (kind, minimum)
     return decode
 
 
@@ -275,19 +292,27 @@ STRING = codec(_string)
 def _decode_class(raw: Any, memo: dict) -> Tuple[int, Tuple[Tuple[int, Fraction], ...]]:
     """A dense class list decodes to its length and its nonzero (index,
     coefficient) pairs: only the enclosing document knows the surface, whose
-    rank the scenario builder checks.  A "0" entry builds no Fraction."""
+    rank the scenario builder checks.  A "0" entry builds no Fraction.  The
+    entries other than "0" are counted at C speed first, and the scan stops
+    after the last of them, so an all-"0" list and a tail of "0"s cost no
+    Python-level step."""
     if not isinstance(raw, list):
         raise _Reject("expected a list")
     terms = []
-    for i, text in enumerate(raw):
-        if text != "0":
-            try:
-                value = _rational(text)
-            except _Reject as exc:
-                exc.where.append(i)
-                raise
-            if value:
-                terms.append((i, value))
+    left = len(raw) - raw.count("0")
+    if left:
+        for i, text in enumerate(raw):
+            if text != "0":
+                try:
+                    value = _rational(text, memo)
+                except _Reject as exc:
+                    exc.where.append(i)
+                    raise
+                if value:
+                    terms.append((i, value))
+                left -= 1
+                if not left:
+                    break
     return len(raw), tuple(terms)
 
 
@@ -344,10 +369,13 @@ def _unknown_key(obj: dict, keys: FrozenSet[str]) -> _Reject:
 
 
 def _compile(spec: Record) -> Decoder:
-    """The source of one decode function for ``spec``, a block per field in
-    field order, compiled the way ``dataclasses`` writes ``__init__``.  It
-    looks each key up once and calls the builder with keywords; a builder's
-    DomainError or InconsistentScenario is refused at the object's path."""
+    """The source of one decode function for ``spec``, compiled the way
+    ``dataclasses`` writes ``__init__``.  Required keys are read by index;
+    optional keys are looked up only when the object holds more keys than
+    the required ones, or lacks one of them, and otherwise take their
+    defaults.  The fields decode in field order, so the first bad field is
+    the one refused.  The builder is called with keywords; its DomainError
+    or InconsistentScenario is refused at the object's path."""
     env: Dict[str, Any] = {
         "ABSENT": ABSENT,
         "BUILD_ERRORS": (DomainError, InconsistentScenario),
@@ -356,32 +384,51 @@ def _compile(spec: Record) -> Decoder:
         "build": spec.build,
         "keys": spec.keys,
     }
+    required = [(i, f.key) for i, f in enumerate(spec.fields) if f.default is REQUIRED]
+    reads = [f"raw{i} = obj[{key!r}]" for i, key in required]
+    gets = [f"raw{i} = obj.get({key!r}, ABSENT)" for i, key in required]
+    if len(required) < len(spec.plan):
+        reads.append(f"optional = len(obj) > {len(required)}")
+        gets.append("optional = True")
+    head = reads
+    if required:  # a missing key is refused at its field, after those before it
+        head = ["try:", *(f"    {line}" for line in reads), "except KeyError:"]
+        head += [f"    {line}" for line in gets]
     body, arguments = [], []
     for i, (key, attr, make_decoder, _, default, _) in enumerate(spec.plan):
-        env[f"decode{i}"] = make_decoder()
+        decode_field = env[f"decode{i}"] = make_decoder()
         arguments.append(f"{attr}=v{i}")
+        if default is REQUIRED:
+            missing = f"raise _Reject({f'missing required key {key!r}'!r})"
+        else:
+            env[f"default{i}"] = default
+            missing = f"v{i} = default{i}"
+            body.append(f"raw{i} = obj.get({key!r}, ABSENT) if optional else ABSENT")
+        body += [f"if raw{i} is ABSENT:", f"    {missing}"]
+        accepts = getattr(decode_field, "accepts", None)
+        if accepts is not None:  # a value that passes is its own decoding
+            env[f"kind{i}"], minimum = accepts
+            bound = "" if minimum is None else f" and raw{i} >= {minimum}"
+            body += [f"elif type(raw{i}) is kind{i}{bound}:", f"    v{i} = raw{i}"]
         body += [
-            f"raw = obj.get({key!r}, ABSENT)",
-            "if raw is not ABSENT:",
+            "else:",
             "    try:",
-            f"        v{i} = decode{i}(raw, memo)",
+            f"        v{i} = decode{i}(raw{i}, memo)",
             "    except _Reject as exc:",
             f"        exc.where.append({key!r})",
             "        raise",
         ]
-        if default is REQUIRED:
-            body += ["else:", f"    raise _Reject({f'missing required key {key!r}'!r})"]
-        else:
-            env[f"default{i}"] = default
-            body += ["else:", f"    v{i} = default{i}"]
     body.append(f"return build({', '.join(arguments)})")
     source = "\n".join(
         [
             "def decode(obj, memo):",
-            "    if not isinstance(obj, dict):",
-            "        raise _Reject('expected an object')",
+            "    if type(obj) is not dict:",
+            "        if not isinstance(obj, dict):",
+            "            raise _Reject('expected an object')",
+            "        obj = dict(obj)  # read as a plain dict, whose misses call no __missing__",
             "    if not keys.issuperset(obj):",
             "        raise _unknown_key(obj, keys)",
+            *(f"    {line}" for line in head),
             "    try:",
             *(f"        {line}" for line in body),
             "    except BUILD_ERRORS as exc:",
@@ -419,13 +466,29 @@ def encode(spec: Record, value: Any) -> Dict[str, Any]:
 # Unions and checks that are not field by field.
 
 
+def _trusted(kind: type, fields: Dict[str, Any]) -> Any:
+    """An instance of the frozen dataclass ``kind`` whose attributes are the
+    new dict ``fields``, built without ``__init__`` or ``__post_init__``: the
+    decoders' one way to build a value whose fields they have checked one by
+    one.  Checks that span fields stay with the caller."""
+    obj = object.__new__(kind)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
 def _decode_eigenvalue(raw: Any, memo: dict) -> EigenvalueClass:
+    """The class of a nonzero rational, decoded straight to its canonical
+    representative n/d with |n| >= d: the reciprocal of a value with
+    |n| < d is the one further Fraction built."""
     if raw == "nonrational":
         return _NONRATIONAL
-    value = _rational(raw)
-    if value == 0:
+    value = _rational(raw, memo)
+    n, d = value.numerator, value.denominator
+    if not n:
         raise _Reject("eigenvalue must be nonzero")
-    return EigenvalueClass.rational(value)
+    if abs(n) < d:
+        value = Fraction(d, n)
+    return _trusted(EigenvalueClass, {"value": value})
 
 
 _NONRATIONAL = EigenvalueClass.nonrational()  # immutable: one instance serves all
@@ -519,6 +582,8 @@ def _surface_attrs(s: SurfaceModel) -> Dict[str, Any]:
 def _build_fibration(genus, k_f_sq, e_f, chi_f, singular_fibers) -> FibrationModel:
     fibers = []
     for k, attrs in enumerate(singular_fibers):
+        # each node field was checked by the node decoder; no node check spans fields
+        attrs["nodes"] = [_trusted(FiberNode, node) for node in attrs["nodes"]]
         try:
             fibers.append(FiberModel(genus_of_fibration=genus, **attrs))
         except DomainError as exc:
@@ -527,12 +592,14 @@ def _build_fibration(genus, k_f_sq, e_f, chi_f, singular_fibers) -> FibrationMod
 
 
 def _lattice_class(surface: SurfaceModel, decoded, *where) -> DivisorClass:
+    """The class of a decoded dense list, whose terms ``_decode_class`` wrote
+    in canonical form, once its length is the surface rank."""
     length, terms = decoded
     try:
         surface.check_length(length)
     except ShapeError as exc:
         raise _Reject(str(exc), *where) from None
-    return DivisorClass(surface, terms)
+    return DivisorClass.trusted(surface, terms)
 
 
 def _build_scenario(name, surface, k_foliation, curves, singularities, metadata):
@@ -546,8 +613,8 @@ def _build_scenario(name, surface, k_foliation, curves, singularities, metadata)
         if attrs["name"] in curve_names:
             raise _Reject(f"duplicate curve name {attrs['name']!r}", "curves", k)
         curve_names.add(attrs["name"])
-        cls = _lattice_class(surface, attrs.pop("cls"), "curves", k, "class")
-        records.append(CurveRecord(cls=cls, **attrs))
+        attrs["cls"] = _lattice_class(surface, attrs["cls"], "curves", k, "class")
+        records.append(_trusted(CurveRecord, attrs))
     sing_ids = set()
     for k, sing in enumerate(singularities):
         if sing.id in sing_ids:
@@ -557,7 +624,11 @@ def _build_scenario(name, surface, k_foliation, curves, singularities, metadata)
             if cn not in curve_names:
                 reason = f"singularity references undeclared curve {cn!r}"
                 raise _Reject(reason, "singularities", k, "on_curves")
-    return FoliatedScenario.trusted(name, surface, k_foliation, records, singularities, metadata)
+    # curve names and singularity ids are unique, each repeat refused above
+    return _trusted(FoliatedScenario, {
+        "name": name, "surface": surface, "k_foliation": k_foliation,
+        "curves": tuple(records), "singularities": tuple(singularities), "metadata": metadata,
+    })
 
 
 @dataclass(frozen=True)
@@ -632,7 +703,7 @@ METADATA = Record(
     ),
 )
 FIBER_NODE = Record(
-    FiberNode, (Field("a", integer(1)), Field("b", integer(1)), Field("in_negative_part", BOOL))
+    dict, (Field("a", integer(1)), Field("b", integer(1)), Field("in_negative_part", BOOL))
 )
 FIBER = Record(
     dict,

@@ -66,7 +66,7 @@ class SurfaceModel:
     def base_rank(self) -> int:
         return 1 if self.base == P2 else 2
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return self.base_rank + self.blowups
 
@@ -160,7 +160,7 @@ class DivisorClass:
         at increasing basis indices below the rank, as a solve writes them.
         The public constructor brings any terms to that form."""
         d = object.__new__(cls)
-        vars(d).update(surface=surface, terms=terms)
+        object.__setattr__(d, "__dict__", {"surface": surface, "terms": terms})
         return d
 
     @property

@@ -1,0 +1,227 @@
+"""A seeded differential harness: mutated and hostile scenario documents.
+
+Every bundled document and a few members of each parametric family are
+mutated, one change per document, by a fixed-seed generator:
+
+- a rational string replaced by another rational or by a malformed value;
+- an integer replaced by a neighbour, a boundary value or a look-alike;
+- a key deleted from an object, or an item deleted from a list;
+- a singularity's ``on_curves`` re-linked to other curves, or to none;
+- a singularity given a new kind;
+- a fiber node given new branch multiplicities.
+
+A few hostile shapes follow: deep nesting, a literal past the int-to-str
+digit limit, bytes that are not UTF-8, and an enormous blow-up count.  The
+outcome of a document is the path and reason of its ``ParseError``, or the
+JSON report ``run_pipeline(...).to_json()``; ``outcomes`` lists them in
+order, and ``digest`` is one sha256 over them, which
+``tests/golden/outputs.json`` pins (``tests/test_golden_outputs.py``).
+
+Run ``PYTHONPATH=src python tests/mutations.py`` to print the digest and
+the document count.
+"""
+
+import hashlib
+import json
+import random
+import re
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+from folsurf.errors import ParseError
+from folsurf.fixtures import (
+    bundled_documents,
+    first_noether_ruled,
+    second_noether_ruled,
+    third_noether_double_cover,
+)
+from folsurf.scenario_io import parse_document_dict, parse_scenario, run_pipeline
+
+SEED = 20261019
+MUTATIONS_PER_DOCUMENT = 300
+
+Path = Tuple[Any, ...]
+
+_RATIONAL_TEXT = re.compile(r"-?\d+(/\d+)?")
+
+# malformed or look-alike stand-ins for a rational string
+BAD_RATIONALS = (
+    "1/0", "-0/3", "+1", "1.5", " 1", "1 ", "x", "", "1/", "/2", "--1", "1/-2", "١",
+    "1_0", 1, 0, -3, True, None, 1.5, [], {},
+)
+# stand-ins for an integer, beside its neighbours
+BAD_INTEGERS = (-1, 0, 1, 2, 3, 10**9, True, False, "1", 1.0, None, [1])
+
+
+def sources() -> List[Dict[str, Any]]:
+    """The documents that are mutated: the bundled ones and family members."""
+    docs = list(bundled_documents().values())
+    docs += [third_noether_double_cover(g) for g in (2, 4, 6)]
+    docs += [second_noether_ruled(n) for n in (2, 3, 7)]
+    docs += [first_noether_ruled(n) for n in (1, 2, 5)]
+    return docs
+
+
+def _walk(value: Any, path: Path = ()) -> Iterator[Tuple[Path, Any]]:
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _walk(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _walk(item, path + (i,))
+
+
+def _at(doc: Any, path: Path) -> Any:
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _set(doc: Any, path: Path, value: Any) -> None:
+    _at(doc, path[:-1])[path[-1]] = value
+
+
+def _rational(rng: random.Random) -> Any:
+    if rng.random() < 0.4:
+        return rng.choice(BAD_RATIONALS)
+    num, den = rng.randint(-7, 7), rng.choice((1, 1, 2, 3, 5))
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _integer(rng: random.Random, value: int) -> Any:
+    if rng.random() < 0.5:
+        return value + rng.choice((-1, 1))
+    return rng.choice(BAD_INTEGERS)
+
+
+def _new_kind(rng: random.Random) -> Any:
+    return rng.choice(
+        (
+            lambda: {"eigenvalue": _rational(rng)},
+            lambda: {"eigenvalue": "nonrational"},
+            lambda: {"saddle_node": _integer(rng, 2)},
+            lambda: {"saddle_node": rng.randint(2, 4), "bb": _rational(rng)},
+            lambda: {"saddle_node": 2, "eigenvalue": "1"},
+            lambda: {"eigenvalue": "-1", "extra": 1},
+            lambda: {},
+            lambda: "nonrational",
+        )
+    )()
+
+
+class _Shape:
+    """The paths of one source document, grouped by what a mutation takes."""
+
+    def __init__(self, doc: Dict[str, Any]) -> None:
+        items = list(_walk(doc))
+        self.rationals = [
+            p for p, v in items if isinstance(v, str) and _RATIONAL_TEXT.fullmatch(v)
+        ]
+        self.integers = [p for p, v in items if type(v) is int]
+        self.objects = [p for p, v in items if isinstance(v, dict) and v]
+        self.lists = [p for p, v in items if isinstance(v, list) and v]
+        sings = doc.get("singularities", ())
+        self.singularities = [("singularities", i) for i in range(len(sings))]
+        self.curves = [c["name"] for c in doc.get("curves", ())]
+        # ("fibration", "fibers", k, "nodes", j)
+        self.nodes = [p for p, _ in items if len(p) == 5 and p[3] == "nodes"]
+
+
+def _mutators(shape: _Shape) -> List[Tuple[List[Path], Callable[..., None]]]:
+    """(the paths a mutation picks from, the mutation) for each kind of
+    mutation, in a fixed order."""
+
+    def rational(doc, path, rng):
+        _set(doc, path, _rational(rng))
+
+    def integer(doc, path, rng):
+        _set(doc, path, _integer(rng, _at(doc, path)))
+
+    def delete_key(doc, path, rng):
+        obj = _at(doc, path)
+        del obj[rng.choice(sorted(obj))]
+
+    def delete_item(doc, path, rng):
+        del _at(doc, path)[rng.randrange(len(_at(doc, path)))]
+
+    def relink(doc, path, rng):
+        sing = _at(doc, path)
+        names = shape.curves + ["undeclared"]
+        sing["on_curves"] = rng.sample(names, rng.randint(0, min(3, len(names))))
+        if sing["on_curves"] and rng.random() < 0.2:
+            sing["on_curves"].append(sing["on_curves"][0])
+
+    def new_kind(doc, path, rng):
+        _at(doc, path)["kind"] = _new_kind(rng)
+
+    def node(doc, path, rng):
+        obj = _at(doc, path)
+        key = rng.choice(("a", "b"))
+        obj[key] = rng.choice((rng.randint(1, 9), obj[key] + 1, *BAD_INTEGERS))
+
+    return [
+        (shape.rationals, rational),
+        (shape.integers, integer),
+        (shape.objects, delete_key),
+        (shape.lists, delete_item),
+        (shape.singularities, relink),
+        (shape.singularities, new_kind),
+        (shape.nodes, node),
+    ]
+
+
+def mutated_documents(seed: int = SEED) -> Iterator[Dict[str, Any]]:
+    """``MUTATIONS_PER_DOCUMENT`` mutated copies of each source, each with
+    one change; a kind of mutation with nothing to act on is passed over."""
+    rng = random.Random(seed)
+    for source in sources():
+        text = json.dumps(source)
+        mutators = [(paths, m) for paths, m in _mutators(_Shape(source)) if paths]
+        for k in range(MUTATIONS_PER_DOCUMENT):
+            paths, mutate = mutators[k % len(mutators)]
+            doc = json.loads(text)
+            mutate(doc, rng.choice(paths), rng)
+            yield doc
+
+
+def hostile_inputs() -> List[Any]:
+    """Texts, bytes and objects that a parser must refuse in bounded time."""
+    huge = third_noether_double_cover(2)
+    huge["surface"]["blowups"] = 10**9
+    return [
+        "[" * 100_000 + "]" * 100_000,
+        '{"name": "long", "surface": {"base": "P2", "blowups": ' + "9" * 4301 + "}}",
+        b'{"name": "\xff\xfe"}',
+        json.dumps(huge),
+        huge,
+    ]
+
+
+def outcome(document: Any) -> str:
+    """The ParseError path and reason of a document, or its JSON report."""
+    try:
+        if isinstance(document, dict):
+            doc = parse_document_dict(document)
+        else:
+            doc = parse_scenario(document)
+    except ParseError as exc:
+        return f"ParseError {exc.path} {exc.reason}"
+    return run_pipeline(doc).to_json()
+
+
+def outcomes(seed: int = SEED) -> List[str]:
+    docs: List[Any] = list(mutated_documents(seed))
+    return [outcome(doc) for doc in docs + hostile_inputs()]
+
+
+def digest(results: Optional[List[str]] = None) -> Dict[str, Any]:
+    """The pinned form of the outcomes: their count and one sha256."""
+    results = outcomes() if results is None else results
+    h = hashlib.sha256()
+    for i, result in enumerate(results):
+        h.update(f"{i}\t{result}\n".encode("utf-8"))
+    return {"documents": len(results), "sha256": h.hexdigest()}
+
+
+if __name__ == "__main__":
+    print(json.dumps(digest(), indent=1))

@@ -5,7 +5,9 @@ The golden file pins, for every bundled document and fixture file:
 of ``check``, ``decide``, ``zariski``, ``fibration``, ``invariants`` and
 ``invariants --format json``, and the stdout of ``fixtures run``.  It pins
 each parametric fixture family too, as one sha256 over the concatenated
-``render_fixture`` output of a range of its parameters.  It pins
+``render_fixture`` output of a range of its parameters.  It pins the count
+and one sha256 of the outcomes of the seeded mutated and hostile documents
+of ``tests/mutations.py``.  It pins
 the same six commands on failure paths too: bundled documents with one
 change each that makes the report fail.  It pins the stdout of every script
 in ``demos/`` (``tests/test_demos.py`` compares it).  A change
@@ -28,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 import folsurf
+import mutations
 from folsurf.cli import VIEWS, cli_main
 from folsurf.fixtures import (
     bundled_documents,
@@ -198,6 +201,7 @@ def collect():
     return {
         "serialize": serialized_outputs(),
         "families": family_digests(),
+        "mutations": mutations.digest(),
         "cli": cli_outputs(),
         "failure paths": failure_outputs(),
         "fixtures run": _run_cli(["fixtures", "run"]),
@@ -221,6 +225,11 @@ def test_serialized_documents_match_golden():
 
 def test_fixture_families_match_golden():
     _assert_entries_equal(family_digests(), _golden()["families"])
+
+
+def test_mutated_documents_match_golden():
+    # each mutated document's ParseError path and reason, or its JSON report
+    assert mutations.digest() == _golden()["mutations"]
 
 
 def test_cli_outputs_match_golden():

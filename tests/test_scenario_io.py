@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import folsurf
 from conftest import count_calls
 from folsurf.errors import DomainError, ParseError
+from folsurf.fibration import FiberNode
 from folsurf.fixtures import (
     bundled_documents,
     i0star_elliptic,
@@ -24,7 +25,7 @@ from folsurf.fixtures import (
     third_noether_double_cover,
 )
 from folsurf.foliation import CheckResult, ValidationReport
-from folsurf.local_invariants import NonDegenerate
+from folsurf.local_invariants import EigenvalueClass, NonDegenerate
 from folsurf.scenario_io import (
     EXPECT,
     EXPECTED_VALUES,
@@ -101,9 +102,9 @@ def test_class_decoding_builds_no_fraction_for_a_zero_entry(monkeypatch):
     seen = []
     original = sio._rational
 
-    def counting(text):
+    def counting(text, memo):
         seen.append(text)
-        return original(text)
+        return original(text, memo)
 
     monkeypatch.setattr(sio, "_rational", counting)
     scenario = parse_document_dict(doc).scenario
@@ -119,6 +120,42 @@ def test_class_decoding_builds_no_fraction_for_a_zero_entry(monkeypatch):
     classes = [scenario.k_foliation] + [c.cls for c in scenario.curves]
     assert sum(len(c.terms) for c in classes) == len(nonzero)
     assert [list(map(fmt_rational, c.coefficients)) for c in classes] == dense
+
+
+def test_parsing_builds_one_fraction_per_distinct_text_and_reruns_no_field_check(monkeypatch):
+    doc = third_noether_double_cover(8)
+    counts = {"Fraction": 0, "FiberNode": 0, "EigenvalueClass": 0}
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for kind in (FiberNode, EigenvalueClass):
+        post_init = kind.__post_init__
+
+        def counting_post_init(self, _name=kind.__name__, _post_init=post_init):
+            counts[_name] += 1
+            _post_init(self)
+
+        monkeypatch.setattr(kind, "__post_init__", counting_post_init)
+    parse_document_dict(doc)
+    monkeypatch.undo()
+    fibration, expect = doc["fibration"], doc["expect"]
+    eigenvalues = [s["kind"]["eigenvalue"] for s in doc["singularities"]]
+    texts = set(doc["k_foliation"]).union(*(c["class"] for c in doc["curves"]), eigenvalues)
+    texts |= {fibration[k] for k in ("k_f_sq", "e_f", "chi_f")}
+    texts |= {expect[k] for k in ("c1_sq", "c2", "chi", "vol", "slope")}
+    texts |= set(expect["negative_part"].values()) | set(expect["modular"].values())
+    texts.discard("0")  # a "0" class entry builds no Fraction
+    flipped = {t for t in eigenvalues if abs(Fraction(t)) < 1}
+    assert (len(texts), len(flipped)) == (78, 33)
+    # one Fraction per distinct text, one more per eigenvalue brought to its
+    # canonical form n/d, |n| >= d, and two for FibrationModel's own check
+    # K_f^2 + e_f = 12 chi_f
+    fractions = len(texts) + len(flipped) + 2
+    assert counts == {"Fraction": fractions, "FiberNode": 0, "EigenvalueClass": 0}
 
 
 def test_equal_kinds_of_one_document_share_one_object(monkeypatch):
@@ -322,6 +359,19 @@ def test_non_normal_crossing_fiber_is_refused_at_that_fiber():
         parse_document_dict(doc)
     assert err.value.path == "$.fibration.fibers[1]"
     assert "alpha" in str(err.value)
+
+
+def test_the_first_bad_field_in_field_order_is_the_one_refused():
+    # "alpha" is optional and declared before the required "nodes": a
+    # decoder that read required keys first would report ".nodes"
+    doc = third_noether_double_cover(2)
+    fiber = doc["fibration"]["fibers"][0]
+    fiber.update(alpha="x", nodes="x")
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert (err.value.path, err.value.reason) == (
+        "$.fibration.fibers[0].alpha", "expected an integer, got 'x'"
+    )
 
 
 def test_negative_fiber_arithmetic_genus_is_refused_at_its_field():

@@ -17,7 +17,10 @@ is decided exactly, in integers, by one iterative sweep per connected
 component of the invariant curves, under one work budget for the scenario.
 Facts of a singularity's kind (multiplicity, reducedness, the {lam, 1/lam}
 branch pair, the local Chern terms) are read once per kind object, through
-``FoliatedScenario.by_kind``.
+``FoliatedScenario.by_kind``.  One walk over the singularities
+(``index_singularities``) groups them by kind and by curve: the parser makes
+it while it checks the singularities, and a scenario built otherwise makes
+it on first use.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Container, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InconsistentScenario
 from .local_invariants import SingularityRecord
@@ -81,6 +84,66 @@ class ScenarioMetadata:
             raise DomainError("p_g must be an integer >= 0")
 
 
+class SingularityIndex(NamedTuple):
+    """The singularities grouped by kind object, the groups in the order of
+    their first members; and each curve name some point gives, with its
+    points, each listed once.  Both keep declared order."""
+
+    by_kind: Tuple[Tuple[SingularityRecord, ...], ...]
+    incidence: Dict[str, Tuple[SingularityRecord, ...]]
+
+
+class SingularityRefused(DomainError):
+    """A singularity that ``index_singularities`` refuses.  ``where`` is its
+    position in the list, followed by "on_curves" when a curve it names is at
+    fault."""
+
+    def __init__(self, reason: str, *where):
+        super().__init__(reason)
+        self.where = where
+
+
+def index_singularities(
+    singularities: Iterable[SingularityRecord], curve_names: Optional[Container[str]] = None
+) -> SingularityIndex:
+    """Group the singularities by kind object and by curve in one walk.
+
+    The walk refuses the first bad singularity in list order, and checks each
+    one's id for a repeat before its curves; a curve outside ``curve_names``,
+    when that is given, is refused too.  Without it every name is indexed,
+    and ``validate`` reports the names no curve declares.  Groups go by
+    identity, not equality: hashing a kind that holds Fractions costs more
+    than it saves.
+    """
+    groups: Dict[int, List[SingularityRecord]] = {}
+    on: Dict[str, List[SingularityRecord]] = {}
+    ids = set()
+    kind = group = None
+    for k, s in enumerate(singularities):
+        sid = s.id
+        if sid in ids:
+            raise SingularityRefused(f"duplicate singularity id {sid!r}", k)
+        ids.add(sid)
+        if s.kind is not kind:  # points of one kind often come in a row
+            kind = s.kind
+            group = groups.get(id(kind))
+            if group is None:
+                group = groups[id(kind)] = []
+        group.append(s)
+        for name in s.incident_curves:
+            points = on.get(name)
+            if points is None:  # a name met for the first time is checked once
+                if curve_names is not None and name not in curve_names:
+                    reason = f"singularity references undeclared curve {name!r}"
+                    raise SingularityRefused(reason, k, "on_curves")
+                on[name] = [s]
+            elif points[-1] is not s:  # a name the point repeats counts once
+                points.append(s)
+    return SingularityIndex(
+        tuple(map(tuple, groups.values())), {name: tuple(points) for name, points in on.items()}
+    )
+
+
 @dataclass(frozen=True)
 class FoliatedScenario:
     name: str
@@ -120,23 +183,21 @@ class FoliatedScenario:
         return Fraction(t.d_square - t.d_dot_ks, t.scale * t.scale)
 
     @cached_property
+    def singularity_index(self) -> SingularityIndex:
+        """The singularities grouped by kind and by curve.  A parsed scenario
+        is handed the index its parse built in the walk that checked the
+        singularities; any other scenario makes that walk on first use."""
+        return index_singularities(self.singularities)
+
+    @property
     def by_kind(self) -> Tuple[Tuple[SingularityRecord, ...], ...]:
-        """The singularities grouped by kind object, each group in declared
-        order and the groups in the order of their first members.
+        """The singularities grouped by kind object (``SingularityIndex``).
 
         A local fact that depends only on the kind, such as the multiplicity
         or beta_p, is read once per group.  Equal kinds of one parsed
         document are one object; a kind built per singularity makes a group of
-        one, which changes no sum.  Groups go by identity, not equality:
-        hashing a kind that holds Fractions costs more than it saves."""
-        groups: Dict[int, List[SingularityRecord]] = {}
-        for s in self.singularities:
-            group = groups.get(id(s.kind))
-            if group is None:
-                groups[id(s.kind)] = [s]
-            else:
-                group.append(s)
-        return tuple(map(tuple, groups.values()))
+        one, which changes no sum."""
+        return self.singularity_index.by_kind
 
     @cached_property
     def singularity_count(self) -> int:
@@ -148,21 +209,13 @@ class FoliatedScenario:
     def _positions(self) -> Dict[str, int]:
         return {c.name: i for i, c in enumerate(self.curves)}
 
-    @cached_property
-    def _incidence(self) -> Dict[str, Tuple[SingularityRecord, ...]]:
-        on: Dict[str, List[SingularityRecord]] = {}
-        for s in self.singularities:
-            for name in dict.fromkeys(s.incident_curves):
-                on.setdefault(name, []).append(s)
-        return {name: tuple(sings) for name, sings in on.items()}
-
     def curve(self, name: str) -> CurveRecord:
         if name not in self._positions:
             raise DomainError(f"no curve named {name!r}")
         return self.curves[self._positions[name]]
 
     def singularities_on(self, curve_name: str) -> Tuple[SingularityRecord, ...]:
-        return self._incidence.get(curve_name, ())
+        return self.singularity_index.incidence.get(curve_name, ())
 
     def _index(self, c: CurveRecord) -> int:
         """The position of a declared curve, its row in the pairing table."""
@@ -449,7 +502,7 @@ def validate(f: FoliatedScenario) -> ValidationReport:
     """Run every structural and arithmetic consistency check on a scenario."""
     checks: List[CheckResult] = []
 
-    dangling = sorted(set(f._incidence) - set(f._positions))
+    dangling = sorted(set(f.singularity_index.incidence) - set(f._positions))
     checks.append(
         CheckResult(
             "structure.singularity-references",

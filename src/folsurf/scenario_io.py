@@ -15,8 +15,11 @@ and a singularity kind to the object decoded then.  A check a decoder has
 made is not made again: an eigenvalue decodes straight to its canonical
 form, class terms go to ``DivisorClass.trusted``, a singularity is built by
 ``SingularityRecord.trusted``, and eigenvalue classes, fiber nodes, curves
-and the scenario by ``_trusted``; only checks that span fields run.
-Reports, documents and fixtures are printed by one writer, :func:`write_json`.
+and the scenario by ``_trusted``; only checks that span fields run.  The
+walk that checks the singularities' ids and curves also groups them by kind
+and by curve (``index_singularities``), and the scenario is handed that
+index.  Reports, documents and fixtures are printed by one writer,
+:func:`write_json`.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ from .foliation import (
     CurveRecord,
     FoliatedScenario,
     ScenarioMetadata,
+    SingularityRefused,
     ValidationReport,
+    index_singularities,
     validate,
 )
 from .local_invariants import (
@@ -370,12 +375,14 @@ def _unknown_key(obj: dict, keys: FrozenSet[str]) -> _Reject:
 
 def _compile(spec: Record) -> Decoder:
     """The source of one decode function for ``spec``, compiled the way
-    ``dataclasses`` writes ``__init__``.  Required keys are read by index;
-    optional keys are looked up only when the object holds more keys than
-    the required ones, or lacks one of them, and otherwise take their
-    defaults.  The fields decode in field order, so the first bad field is
-    the one refused.  The builder is called with keywords; its DomainError
-    or InconsistentScenario is refused at the object's path."""
+    ``dataclasses`` writes ``__init__``.  Required keys are read by index.
+    An optional key is looked up and decoded only under ``if optional:``,
+    which holds when the object has more keys than the required ones, or
+    lacks one of them; otherwise its field takes the default.  The fields
+    decode in field order, so the first bad field is the one refused.  A
+    record built by ``dict`` returns a dict display; any other builder is
+    called with keywords, and its DomainError or InconsistentScenario is
+    refused at the object's path."""
     env: Dict[str, Any] = {
         "ABSENT": ABSENT,
         "BUILD_ERRORS": (DomainError, InconsistentScenario),
@@ -394,23 +401,22 @@ def _compile(spec: Record) -> Decoder:
     if required:  # a missing key is refused at its field, after those before it
         head = ["try:", *(f"    {line}" for line in reads), "except KeyError:"]
         head += [f"    {line}" for line in gets]
-    body, arguments = [], []
+    body: List[str] = []
     for i, (key, attr, make_decoder, _, default, _) in enumerate(spec.plan):
         decode_field = env[f"decode{i}"] = make_decoder()
-        arguments.append(f"{attr}=v{i}")
         if default is REQUIRED:
             missing = f"raise _Reject({f'missing required key {key!r}'!r})"
+            lines = [f"if raw{i} is ABSENT:", f"    {missing}"]
         else:
             env[f"default{i}"] = default
-            missing = f"v{i} = default{i}"
-            body.append(f"raw{i} = obj.get({key!r}, ABSENT) if optional else ABSENT")
-        body += [f"if raw{i} is ABSENT:", f"    {missing}"]
+            lines = [f"raw{i} = obj.get({key!r}, ABSENT)", f"if raw{i} is ABSENT:"]
+            lines.append(f"    v{i} = default{i}")
         accepts = getattr(decode_field, "accepts", None)
         if accepts is not None:  # a value that passes is its own decoding
             env[f"kind{i}"], minimum = accepts
             bound = "" if minimum is None else f" and raw{i} >= {minimum}"
-            body += [f"elif type(raw{i}) is kind{i}{bound}:", f"    v{i} = raw{i}"]
-        body += [
+            lines += [f"elif type(raw{i}) is kind{i}{bound}:", f"    v{i} = raw{i}"]
+        lines += [
             "else:",
             "    try:",
             f"        v{i} = decode{i}(raw{i}, memo)",
@@ -418,7 +424,16 @@ def _compile(spec: Record) -> Decoder:
             f"        exc.where.append({key!r})",
             "        raise",
         ]
-    body.append(f"return build({', '.join(arguments)})")
+        if default is not REQUIRED:
+            lines = ["if optional:", *(f"    {line}" for line in lines), "else:"]
+            lines.append(f"    v{i} = default{i}")
+        body += lines
+    attrs = [attr for _, attr, *_ in spec.plan]
+    if spec.build is dict:
+        items = ", ".join(f"{attr!r}: v{i}" for i, attr in enumerate(attrs))
+        body.append(f"return {{{items}}}")
+    else:
+        body.append(f"return build({', '.join(f'{attr}=v{i}' for i, attr in enumerate(attrs))})")
     source = "\n".join(
         [
             "def decode(obj, memo):",
@@ -603,6 +618,12 @@ def _lattice_class(surface: SurfaceModel, decoded, *where) -> DivisorClass:
 
 
 def _build_scenario(name, surface, k_foliation, curves, singularities, metadata):
+    """The scenario of a document with a surface.  Curve names must be unique,
+    each repeat refused at its curve.  One walk over the singularities
+    (``index_singularities``) refuses the first bad one, a repeated id at
+    the point and then an undeclared curve at its ``on_curves``, and builds
+    the kind groups and curve incidence that the scenario is handed, so that
+    validation and the Chern numbers never walk the list again."""
     for key, value in (("k_foliation", k_foliation), ("metadata", metadata)):
         if value is None:
             raise _Reject(f"missing required key {key!r} for a surface scenario")
@@ -615,19 +636,15 @@ def _build_scenario(name, surface, k_foliation, curves, singularities, metadata)
         curve_names.add(attrs["name"])
         attrs["cls"] = _lattice_class(surface, attrs["cls"], "curves", k, "class")
         records.append(_trusted(CurveRecord, attrs))
-    sing_ids = set()
-    for k, sing in enumerate(singularities):
-        if sing.id in sing_ids:
-            raise _Reject(f"duplicate singularity id {sing.id!r}", "singularities", k)
-        sing_ids.add(sing.id)
-        for cn in sing.incident_curves:
-            if cn not in curve_names:
-                reason = f"singularity references undeclared curve {cn!r}"
-                raise _Reject(reason, "singularities", k, "on_curves")
+    try:
+        index = index_singularities(singularities, curve_names)
+    except SingularityRefused as exc:
+        raise _Reject(str(exc), "singularities", *exc.where) from None
     # curve names and singularity ids are unique, each repeat refused above
     return _trusted(FoliatedScenario, {
         "name": name, "surface": surface, "k_foliation": k_foliation,
         "curves": tuple(records), "singularities": tuple(singularities), "metadata": metadata,
+        "singularity_index": index,
     })
 
 

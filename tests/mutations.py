@@ -13,31 +13,40 @@ mutated, one change per document, by a fixed-seed generator:
 A few hostile shapes follow: deep nesting, a literal past the int-to-str
 digit limit, bytes that are not UTF-8, and an enormous blow-up count.  The
 outcome of a document is the path and reason of its ``ParseError``, or the
-JSON report ``run_pipeline(...).to_json()``; ``outcomes`` lists them in
-order, and ``digest`` is one sha256 over them, which
-``tests/golden/outputs.json`` pins (``tests/test_golden_outputs.py``).
+JSON report ``run_pipeline(...).to_json()``.  ``digest`` is one sha256 over
+the outcomes in order, and refuses any document whose parse and pipeline
+take over ``DOCUMENT_SECONDS``.  ``validation_digest`` is one sha256 over
+the ``validate`` rows of each mutated document that parses to a scenario,
+residuals included, which the JSON report leaves out.
+``tests/golden/outputs.json`` pins both (``tests/test_golden_outputs.py``).
 
-Run ``PYTHONPATH=src python tests/mutations.py`` to print the digest and
-the document count.
+Run ``PYTHONPATH=src python tests/mutations.py`` to print both digests and
+their document counts.
 """
 
 import hashlib
 import json
 import random
 import re
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+import time
+from itertools import chain
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
-from folsurf.errors import ParseError
+from folsurf.errors import DomainError, InconsistentScenario, ParseError
 from folsurf.fixtures import (
     bundled_documents,
     first_noether_ruled,
     second_noether_ruled,
     third_noether_double_cover,
 )
+from folsurf.foliation import FoliatedScenario, validate
 from folsurf.scenario_io import parse_document_dict, parse_scenario, run_pipeline
 
 SEED = 20261019
 MUTATIONS_PER_DOCUMENT = 300
+# the bound on one document's parse and pipeline; the whole set of about
+# 7 200 takes a few seconds
+DOCUMENT_SECONDS = 2.0
 
 Path = Tuple[Any, ...]
 
@@ -209,19 +218,57 @@ def outcome(document: Any) -> str:
     return run_pipeline(doc).to_json()
 
 
-def outcomes(seed: int = SEED) -> List[str]:
-    docs: List[Any] = list(mutated_documents(seed))
-    return [outcome(doc) for doc in docs + hostile_inputs()]
+class SlowDocument(Exception):
+    """A document whose parse and pipeline took over ``DOCUMENT_SECONDS``."""
 
 
-def digest(results: Optional[List[str]] = None) -> Dict[str, Any]:
-    """The pinned form of the outcomes: their count and one sha256."""
-    results = outcomes() if results is None else results
+def digest(seed: int = SEED) -> Dict[str, Any]:
+    """The pinned form of the outcomes: their count and one sha256.  Each
+    document is timed, and one over ``DOCUMENT_SECONDS`` raises SlowDocument."""
     h = hashlib.sha256()
-    for i, result in enumerate(results):
+    count = 0
+    for i, document in enumerate(chain(mutated_documents(seed), hostile_inputs())):
+        start = time.perf_counter()
+        result = outcome(document)
+        seconds = time.perf_counter() - start
+        if seconds > DOCUMENT_SECONDS:
+            raise SlowDocument(f"document {i} took {seconds:.2f} s, over {DOCUMENT_SECONDS} s")
         h.update(f"{i}\t{result}\n".encode("utf-8"))
-    return {"documents": len(results), "sha256": h.hexdigest()}
+        count += 1
+    return {"documents": count, "sha256": h.hexdigest()}
+
+
+def parsed_scenarios(seed: int = SEED) -> Iterator[Tuple[int, FoliatedScenario]]:
+    """The position and scenario of each mutated document that parses to one."""
+    for i, document in enumerate(mutated_documents(seed)):
+        try:
+            scenario = parse_document_dict(document).scenario
+        except ParseError:
+            continue
+        if scenario is not None:
+            yield i, scenario
+
+
+def validation_rows(scenario: FoliatedScenario) -> str:
+    """Each ``validate`` check as name, status, detail and residual, one line
+    each, or the error that ``validate`` raised."""
+    try:
+        checks = validate(scenario).checks
+    except (DomainError, InconsistentScenario) as exc:
+        return f"{type(exc).__name__} {exc}"
+    return "\n".join(f"{c.name}\t{c.status}\t{c.detail}\t{c.residual}" for c in checks)
+
+
+def validation_digest(seed: int = SEED) -> Dict[str, Any]:
+    """The count of mutated documents that parse to a scenario, and one
+    sha256 over their ``validation_rows``, each under its position."""
+    h = hashlib.sha256()
+    count = 0
+    for i, scenario in parsed_scenarios(seed):
+        h.update(f"{i}\t{validation_rows(scenario)}\n".encode("utf-8"))
+        count += 1
+    return {"documents": count, "sha256": h.hexdigest()}
 
 
 if __name__ == "__main__":
-    print(json.dumps(digest(), indent=1))
+    print(json.dumps({"outcomes": digest(), "validation": validation_digest()}, indent=1))

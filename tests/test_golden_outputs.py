@@ -7,7 +7,8 @@ of ``check``, ``decide``, ``zariski``, ``fibration``, ``invariants`` and
 each parametric fixture family too, as one sha256 over the concatenated
 ``render_fixture`` output of a range of its parameters.  It pins the count
 and one sha256 of the outcomes of the seeded mutated and hostile documents
-of ``tests/mutations.py``.  It pins
+of ``tests/mutations.py``, and of the ``validate`` rows of the mutated
+documents that parse to a scenario.  It pins
 the same six commands on failure paths too: bundled documents with one
 change each that makes the report fail.  It pins the stdout of every script
 in ``demos/`` (``tests/test_demos.py`` compares it).  A change
@@ -28,6 +29,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 import folsurf
 import mutations
@@ -206,6 +209,7 @@ def collect():
         "failure paths": failure_outputs(),
         "fixtures run": _run_cli(["fixtures", "run"]),
         "demos": demo_outputs(),
+        "validation": mutations.validation_digest(),
     }
 
 
@@ -230,6 +234,17 @@ def test_fixture_families_match_golden():
 def test_mutated_documents_match_golden():
     # each mutated document's ParseError path and reason, or its JSON report
     assert mutations.digest() == _golden()["mutations"]
+
+
+def test_validation_rows_of_mutated_documents_match_golden():
+    # every check's name, status, detail and residual; the report omits residuals
+    assert mutations.validation_digest() == _golden()["validation"]
+
+
+def test_a_document_over_the_time_bound_fails_the_mutation_harness(monkeypatch):
+    monkeypatch.setattr(mutations, "DOCUMENT_SECONDS", 0.0)
+    with pytest.raises(mutations.SlowDocument, match="document 0 took"):
+        mutations.digest()
 
 
 def test_cli_outputs_match_golden():

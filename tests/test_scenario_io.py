@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import folsurf
+import mutations
 from conftest import count_calls
 from folsurf.errors import DomainError, ParseError
 from folsurf.fibration import FiberNode
@@ -24,7 +25,7 @@ from folsurf.fixtures import (
     slope_12_7,
     third_noether_double_cover,
 )
-from folsurf.foliation import CheckResult, ValidationReport
+from folsurf.foliation import CheckResult, FoliatedScenario, ValidationReport
 from folsurf.local_invariants import EigenvalueClass, NonDegenerate
 from folsurf.scenario_io import (
     EXPECT,
@@ -308,6 +309,73 @@ def test_each_singularity_refusal_names_its_path_and_reason(case):
     with pytest.raises(ParseError) as err:
         parse_document_dict(doc)
     assert (err.value.path, err.value.reason) == (path, reason)
+
+
+# Changes to the singularities of second_noether_ruled(4) (p_neg, p2, p3, then
+# u1 to u7; a key set to None is deleted), and the one refusal: the first bad
+# singularity in list order, its id checked before the curves it names.
+REFUSAL_ORDER = {
+    "kind-missing": (
+        {3: {"id": "x", "kind": None, "on_curves": ["C0"]}},
+        "$.singularities[3]", "missing required key 'kind'",
+    ),
+    "vanishing-order-0-on-a-bare-point": (
+        {3: {"vanishing_order": 0}},
+        "$.singularities[3].vanishing_order", "expected an integer >= 1, got 0",
+    ),
+    "undeclared-curve-before-a-duplicate-id": (
+        {2: {"on_curves": ["Ghost"]}, 4: {"id": "p_neg"}},
+        "$.singularities[2].on_curves", "singularity references undeclared curve 'Ghost'",
+    ),
+    "duplicate-id-before-an-undeclared-curve": (
+        {3: {"id": "p3"}, 5: {"on_curves": ["Ghost"]}},
+        "$.singularities[3]", "duplicate singularity id 'p3'",
+    ),
+    "duplicate-id-and-undeclared-curve-on-one-point": (
+        {3: {"id": "p3", "on_curves": ["Finf", "Ghost"]}},
+        "$.singularities[3]", "duplicate singularity id 'p3'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSAL_ORDER))
+def test_the_first_bad_singularity_is_the_one_refused(case):
+    changes, path, reason = REFUSAL_ORDER[case]
+    doc = second_noether_ruled(4)
+    for index, change in changes.items():
+        point = doc["singularities"][index]
+        point.update(change)
+        for key in [k for k, v in change.items() if v is None]:
+            del point[key]
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert (err.value.path, err.value.reason) == (path, reason)
+
+
+def _index_views(s):
+    return (
+        s.by_kind,
+        [s.singularities_on(c.name) for c in s.curves],
+        s.singularity_count,
+        s.is_reduced,
+        s.non_reduced,
+    )
+
+
+def test_the_parse_built_index_equals_the_one_a_public_scenario_builds():
+    # bundled documents, the harness's family members and every mutated
+    # document that parses: the index handed over by the parse walk reads
+    # as the one a scenario built through the public constructor makes
+    scenarios = [parse_document_dict(doc).scenario for doc in mutations.sources()]
+    scenarios = [s for s in scenarios if s is not None]
+    assert len(scenarios) == 22  # two bundled documents hold only a fibration
+    scenarios += [s for _, s in mutations.parsed_scenarios()]
+    for s in scenarios:
+        assert "singularity_index" in vars(s)
+        rebuilt = FoliatedScenario(**{f.name: getattr(s, f.name) for f in dataclasses.fields(s)})
+        assert "singularity_index" not in vars(rebuilt)
+        assert _index_views(rebuilt) == _index_views(s), s.name
+        assert rebuilt.singularity_index == s.singularity_index, s.name
 
 
 def test_a_vanishing_order_within_the_multiplicity_bound_parses():

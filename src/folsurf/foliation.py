@@ -12,9 +12,10 @@ K_F).  Validation works on the table's integers, which are ``scale**2``
 times the pairings: the curvewise checks read its ``squares``, ``d_dot`` and
 ``ks_dot``, the singularity count its ``d_square`` and ``d_dot_ks``, and a
 passing check builds no Fraction; a detail string prints a quotient of two
-integers as the Fraction would (``_fraction_text``).  The Camacho-Sad balance
-is decided exactly, in integers, by one iterative sweep per connected
-component of the invariant curves, under one work budget for the scenario.
+integers as the Fraction would (``surface.fraction_text``).  The
+Camacho-Sad balance is decided exactly, in integers, by one iterative sweep
+per connected component of the invariant curves, under one work budget for
+the scenario.
 Facts of a singularity's kind (multiplicity, reducedness, the {lam, 1/lam}
 branch pair, the local Chern terms) are read once per kind object, through
 ``FoliatedScenario.by_kind``.  One walk over the singularities
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from typing import Container, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InconsistentScenario
@@ -39,6 +40,7 @@ from .surface import (
     SurfaceModel,
     canonical_class,
     chi_top,
+    fraction_text,
     pairing_table,
 )
 
@@ -233,13 +235,23 @@ class FoliatedScenario:
 
     @cached_property
     def is_reduced(self) -> bool:
-        return all(group[0].is_reduced for group in self.by_kind)
+        """Whether every singularity is reduced.  A scenario that holds its
+        ``singularity_index`` already (a parsed one is handed it) reads one
+        point per kind group; any other reads its points' kinds and builds
+        no index, so a decomposition that asks only this pays for no id set
+        or curve incidence."""
+        index = self.__dict__.get("singularity_index")
+        if index is None:
+            return all(s.is_reduced for s in self.singularities)
+        return all(group[0].is_reduced for group in index.by_kind)
 
     @property
     def non_reduced(self) -> Tuple[SingularityRecord, ...]:
         """The singularities that are not reduced, in declared order."""
+        if self.is_reduced:
+            return ()
         kinds = {id(group[0].kind) for group in self.by_kind if not group[0].is_reduced}
-        return tuple(s for s in self.singularities if id(s.kind) in kinds) if kinds else ()
+        return tuple(s for s in self.singularities if id(s.kind) in kinds)
 
 
 @dataclass(frozen=True)
@@ -274,12 +286,6 @@ def normal_class(f: FoliatedScenario) -> DivisorClass:
     return f.k_foliation - canonical_class(f.surface)
 
 
-def _fraction_text(n: int, d: int) -> str:
-    """``str(Fraction(n, d))`` for d > 0, without building the Fraction."""
-    g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
-
-
 def tangency(f: FoliatedScenario, c: CurveRecord) -> int:
     """tang = K_F.C + C^2 for a curve that is not invariant; always >= 0."""
     if c.f_invariant:
@@ -293,7 +299,7 @@ def _tangency_count(t: Pairings, i: int, name: str) -> int:
     total = t.d_dot[i] + t.squares[i]
     value, rest = divmod(total, unit)
     if rest:
-        text = _fraction_text(total, unit)
+        text = fraction_text(total, unit)
         raise InconsistentScenario(f"{name}: tangency count {text} is not an integer")
     if value < 0:
         raise InconsistentScenario(f"{name}: tangency count {value} is negative")
@@ -348,7 +354,7 @@ def singularity_count_check(f: FoliatedScenario) -> CheckResult:
     return CheckResult(
         name="count.singularities",
         passed=not residual,
-        detail=f"declared {declared} vs c2(S) + N.K = {_fraction_text(expected, unit)}",
+        detail=f"declared {declared} vs c2(S) + N.K = {fraction_text(expected, unit)}",
         residual=Fraction(residual, unit) if residual else _ZERO,
     )
 
@@ -492,7 +498,7 @@ def resolve_camacho_sad(f: FoliatedScenario) -> Iterator[CheckResult]:
             if budget is None:
                 yield CheckResult(name, passed=None, detail="skipped (search budget exhausted)")
             elif found:
-                square = _fraction_text(squares[c.name], unit)
+                square = fraction_text(squares[c.name], unit)
                 yield CheckResult(name, True, f"sum {square} vs C^2 = {square}", _ZERO)
             else:
                 yield CheckResult(name, False, "no branch assignment balances the curve")
@@ -527,7 +533,7 @@ def validate(f: FoliatedScenario) -> ValidationReport:
         twice = square + ks + 2 * unit  # p_a = (C^2 + K_S.C)/2 + 1, times 2 unit
         pa, rest = divmod(twice, 2 * unit)
         if rest or pa < 0:
-            bad_genus.append(f"{c.name}: p_a = {_fraction_text(twice, 2 * unit)}")
+            bad_genus.append(f"{c.name}: p_a = {fraction_text(twice, 2 * unit)}")
         elif c.arithmetic_genus_hint is not None and pa != c.arithmetic_genus_hint:
             bad_genus.append(
                 f"{c.name}: p_a = {pa} but hint says {c.arithmetic_genus_hint}"
@@ -583,7 +589,7 @@ def validate(f: FoliatedScenario) -> ValidationReport:
                 CheckResult(
                     f"z-index.{c.name}",
                     passed=z >= 0,
-                    detail=f"Z = {_fraction_text(z, unit)}",
+                    detail=f"Z = {fraction_text(z, unit)}",
                     residual=None if z >= 0 else Fraction(z, unit),
                 )
             )

@@ -13,7 +13,8 @@ generated from it on first use.  The decoders of one document share one
 memo: a rational text maps to the Fraction built where it first appears,
 and a singularity kind to the object decoded then.  A check a decoder has
 made is not made again: an eigenvalue decodes straight to its canonical
-form, class terms go to ``DivisorClass.trusted``, a singularity is built by
+form, a class list to the integer numerators that ``DivisorClass.trusted``
+stores (and a class is printed from them), a singularity is built by
 ``SingularityRecord.trusted``, and eigenvalue classes, fiber nodes, curves
 and the scenario by ``_trusted``; only checks that span fields run.  The
 walk that checks the singularities' ids and curves also groups them by kind
@@ -62,7 +63,9 @@ from .local_invariants import (
     SingularityRecord,
     as_rational,
 )
-from .surface import P2, DivisorClass, SurfaceModel, h0_line_bundle
+from .surface import (
+    P2, DivisorClass, SurfaceModel, common_denominator, fraction_text, h0_line_bundle,
+)
 from .surface import intersect  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .zariski import (
     FChain,
@@ -294,16 +297,17 @@ BOOL = codec(_typed(bool, "a boolean"))
 STRING = codec(_string)
 
 
-def _decode_class(raw: Any, memo: dict) -> Tuple[int, Tuple[Tuple[int, Fraction], ...]]:
-    """A dense class list decodes to its length and its nonzero (index,
-    coefficient) pairs: only the enclosing document knows the surface, whose
-    rank the scenario builder checks.  A "0" entry builds no Fraction.  The
-    entries other than "0" are counted at C speed first, and the scan stops
-    after the last of them, so an all-"0" list and a tail of "0"s cost no
-    Python-level step."""
+def _decode_class(raw: Any, memo: dict) -> Tuple[int, Dict[int, int], int]:
+    """A dense class list decodes to its length and the integer numerators
+    and denominator that ``DivisorClass`` stores: only the enclosing document
+    knows the surface, whose rank the scenario builder checks.  A "0" entry
+    builds no Fraction.  The entries other than "0" are counted at C speed
+    first, and the scan stops after the last of them, so an all-"0" list and
+    a tail of "0"s cost no Python-level step."""
     if not isinstance(raw, list):
         raise _Reject("expected a list")
-    terms = []
+    values: Dict[int, Any] = {}
+    fractional = False
     left = len(raw) - raw.count("0")
     if left:
         for i, text in enumerate(raw):
@@ -313,15 +317,30 @@ def _decode_class(raw: Any, memo: dict) -> Tuple[int, Tuple[Tuple[int, Fraction]
                 except _Reject as exc:
                     exc.where.append(i)
                     raise
-                if value:
-                    terms.append((i, value))
+                numerator = value.numerator
+                if value.denominator != 1:
+                    values[i] = value
+                    fractional = True
+                elif numerator:
+                    values[i] = numerator
                 left -= 1
                 if not left:
                     break
-    return len(raw), tuple(terms)
+    if fractional:
+        return (len(raw), *common_denominator(values))
+    return len(raw), values, 1
 
 
-CLASS = codec(_decode_class, lambda cls: list(map(fmt_rational, cls.coefficients)))
+def _class_texts(cls: DivisorClass) -> List[str]:
+    """The dense list of a class, each entry as ``fmt_rational`` writes it,
+    formatted from the class's numerators."""
+    out = ["0"] * cls.surface.rank
+    for i, v in cls.numerators.items():
+        out[i] = fraction_text(v, cls.denominator)
+    return out
+
+
+CLASS = codec(_decode_class, _class_texts)
 
 REQUIRED = object()  # default of a key that must be present
 ABSENT = object()  # a key missing from a JSON object or a mapping of attributes
@@ -607,14 +626,15 @@ def _build_fibration(genus, k_f_sq, e_f, chi_f, singular_fibers) -> FibrationMod
 
 
 def _lattice_class(surface: SurfaceModel, decoded, *where) -> DivisorClass:
-    """The class of a decoded dense list, whose terms ``_decode_class`` wrote
-    in canonical form, once its length is the surface rank."""
-    length, terms = decoded
+    """The class of a decoded dense list, whose numerators and denominator
+    ``_decode_class`` wrote in stored form, once its length is the surface
+    rank."""
+    length, numerators, denominator = decoded
     try:
         surface.check_length(length)
     except ShapeError as exc:
         raise _Reject(str(exc), *where) from None
-    return DivisorClass.trusted(surface, terms)
+    return DivisorClass.trusted(surface, numerators, denominator)
 
 
 def _build_scenario(name, surface, k_foliation, curves, singularities, metadata):
@@ -883,7 +903,7 @@ class InvariantReport:
         dec = self.decomposition
         if dec is not None:
             value = {
-                "nef_part": [fmt_rational(c) for c in dec.nef_part.coefficients],
+                "nef_part": _class_texts(dec.nef_part),
                 "negative_part": {name: fmt_rational(c) for name, c in dec.negative_part},
             }
             yield "zariski", value, lambda: [f"P = {dec.nef_part}"] + (

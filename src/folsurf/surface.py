@@ -6,27 +6,31 @@ exceptional class is orthogonal to all earlier basis classes, so the Gram
 matrix is block diagonal and blowing up is trivially incremental.  Blow-up
 centers are not geometric points; only the lattice effect is modeled.
 
-A divisor class stores only its nonzero (basis index, coefficient) pairs, in
-increasing index order; a curve class on a large blow-up tower meets a
-handful of basis classes.  Pairing, sums, integrality and printing walk
-those pairs, so their cost follows the support, not the rank.  The dense
-coefficient vector, one entry per basis class, is a derived view; it is the
-form scenario documents are written in.
-Two classes are paired by one walk, ``_pair``, which ``intersect`` and a
-pairing table's D^2 and K_S pairings use; the table pairs many curves with
-each other and with one class D at once, into the named fields of
-``Pairings``.  K_S is a class like any other, written once as
-``SurfaceModel.canonical_terms``.
+A divisor class is stored as integer numerators over one positive
+denominator, in lowest terms: ``numerators`` maps each basis index whose
+coefficient is nonzero to that coefficient times ``denominator``, in
+increasing index order.  That is its only stored form, and equality and
+hashing read it.  A curve class on a large blow-up tower meets a handful of
+basis classes, so sums, scaling, integrality and pairing walk a few
+integers, and their cost follows the support, not the rank.  The
+(basis index, Fraction) ``terms`` and the dense ``coefficients`` (one entry
+per basis class, the form scenario documents are written in) are views,
+built when first read; the printed form is formatted from the integers.
+Two classes are paired by one walk, ``_pair``, over their numerators, which
+``intersect`` and a pairing table's D^2 and K_S pairings use; the table
+pairs many curves with each other and with one class D at once, into the
+named fields of ``Pairings``, over the classes' common denominator.  K_S is
+a class like any other, written once as ``SurfaceModel.canonical_terms``.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import compress
+from math import gcd, lcm
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ShapeError
 from .local_invariants import as_rational
@@ -34,7 +38,46 @@ from .local_invariants import as_rational
 P2 = "P2"
 HIRZEBRUCH = "hirzebruch"
 _ZERO = Fraction(0)
-_EXACT = (int, Fraction)
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def fraction_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _integer_form(
+    pairs: Iterable[Tuple[int, Union[int, Fraction]]]
+) -> Tuple[Dict[int, int], int]:
+    """(basis index, value) pairs in increasing index order, as the stored
+    form of their class: the integer numerators of the nonzero values over
+    one denominator (``common_denominator``).  A value that is not an int or
+    a Fraction is refused (``as_rational``)."""
+    values: Dict[int, Union[int, Fraction]] = {}
+    fractional = False
+    for i, c in pairs:
+        if c.__class__ is not int:
+            if c.__class__ is not Fraction:
+                c = as_rational(c)
+            if c.denominator == 1:
+                c = c.numerator
+            else:
+                fractional = True
+        if c:
+            values[i] = c
+    return common_denominator(values) if fractional else (values, 1)
+
+
+def common_denominator(
+    values: Dict[int, Union[int, Fraction]]
+) -> Tuple[Dict[int, int], int]:
+    """Nonzero ints and Fractions, keyed by basis index, as integer
+    numerators over the lcm of their denominators, and that lcm.  That is in
+    lowest terms: for each prime power dividing the lcm, a value whose
+    denominator holds it keeps a numerator prime to it."""
+    den = lcm(*[c.denominator for c in values.values()])
+    return {i: c.numerator * (den // c.denominator) for i, c in values.items()}, den
 
 
 @dataclass(frozen=True)
@@ -108,62 +151,103 @@ class SurfaceModel:
 
     def divisor(self, coefficients: Iterable[Union[Fraction, int]]) -> "DivisorClass":
         """The class with the dense coefficient vector ``coefficients``, one
-        entry per basis class in basis order."""
+        entry per basis class in basis order, checked and converted in one
+        walk."""
         dense = tuple(coefficients)
         self.check_length(len(dense))
-        # an exact zero (an int or Fraction equal to 0) is no term; any other
-        # entry, a float or bool zero included, reaches the per-entry checks
-        return DivisorClass(
-            self, tuple((i, c) for i, c in enumerate(dense) if c or c.__class__ not in _EXACT)
-        )
+        pairs = enumerate(dense)
+        # when every entry is an int or a Fraction, the walk visits only the
+        # nonzero ones, picked at C speed; otherwise it visits every entry,
+        # so the first inexact one (a float or bool zero included) is refused
+        if _EXACT_TYPES.issuperset(map(type, dense)):
+            pairs = compress(pairs, dense)
+        return DivisorClass.trusted(self, *_integer_form(pairs))
 
     def basis_divisor(self, index: int) -> "DivisorClass":
-        return DivisorClass(self, ((index, Fraction(1)),))
+        return DivisorClass(self, ((index, 1),))
 
 
-@dataclass(frozen=True)
 class DivisorClass:
-    """A class over the Picard basis of a surface model, held as its nonzero
-    (basis index, coefficient) pairs in increasing index order.
+    """A class over the Picard basis of a surface model, held as integer
+    numerators over one positive denominator in lowest terms.
 
-    The constructor puts ``terms`` in that canonical form: it coerces each
-    coefficient to a Fraction and drops zeros, and it refuses an index
-    outside the rank or out of increasing order.  Equal classes therefore
-    have equal ``terms``, equality and hashing read them, and the zero class
-    has none.
+    ``numerators`` maps each basis index with a nonzero coefficient to the
+    coefficient times ``denominator``, in increasing index order; the zero
+    class has none, over 1.  The constructor takes (basis index,
+    coefficient) pairs, ints or Fractions, in increasing index order: it
+    refuses an index outside the rank or out of order and an inexact
+    coefficient, and drops zeros.  Equal classes therefore have equal
+    numerators and denominators, which equality and hashing read.  A class
+    is immutable, and ``numerators`` is lent, never copied, so no reader may
+    change it.
     """
 
     surface: SurfaceModel
-    terms: Tuple[Tuple[int, Fraction], ...]
+    numerators: Dict[int, int]
+    denominator: int
 
-    def __post_init__(self):
-        rank = self.surface.rank
-        terms = []
-        last = -1
-        for i, c in self.terms:
-            if type(i) is not int or not 0 <= i < rank:
-                raise ShapeError(f"basis index {i!r} is outside the surface rank {rank}")
-            if i <= last:
-                raise ShapeError("class terms must have increasing basis indices")
-            last = i
-            if c.__class__ is not Fraction:
-                c = as_rational(c)
-            if c:
-                terms.append((i, c))
-        object.__setattr__(self, "terms", tuple(terms))
+    def __init__(
+        self, surface: SurfaceModel, terms: Iterable[Tuple[int, Union[Fraction, int]]]
+    ) -> None:
+        _store(self, surface, *_integer_form(_checked_indices(terms, surface.rank)))
 
     @classmethod
     def trusted(
-        cls, surface: SurfaceModel, terms: Tuple[Tuple[int, Fraction], ...]
+        cls, surface: SurfaceModel, numerators: Dict[int, int], denominator: int
     ) -> "DivisorClass":
-        """The class of ``terms`` already in canonical form: nonzero Fractions
-        at increasing basis indices below the rank, as a solve writes them.
-        The public constructor brings any terms to that form."""
+        """The class already in its stored form: nonzero int numerators at
+        increasing basis indices below the rank, over a positive denominator
+        that shares no factor with all of them."""
         d = object.__new__(cls)
-        object.__setattr__(d, "__dict__", {"surface": surface, "terms": terms})
+        _store(d, surface, numerators, denominator)
         return d
 
-    @property
+    @classmethod
+    def from_numerators(
+        cls, surface: SurfaceModel, numerators: Dict[int, int], denominator: int
+    ) -> "DivisorClass":
+        """The class whose coefficient at basis index i is numerators[i] /
+        denominator, for int numerators at indices below the rank in any
+        order, zeros allowed, over a nonzero denominator of either sign.
+        One sort of the indices and one gcd bring it to the stored form."""
+        nums = {i: numerators[i] for i in sorted(numerators) if numerators[i]}
+        g = gcd(denominator, *nums.values())
+        if denominator < 0:
+            g = -g
+        if g != 1:
+            nums = {i: v // g for i, v in nums.items()}
+            denominator //= g
+        return cls.trusted(surface, nums, denominator)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.denominator == other.denominator
+            and self.numerators == other.numerators
+            and (self.surface is other.surface or self.surface == other.surface)
+        )
+
+    def __hash__(self):
+        return hash((self.surface, self.denominator, tuple(self.numerators.items())))
+
+    def __repr__(self):
+        return f"DivisorClass(surface={self.surface!r}, terms={self.terms!r})"
+
+    @cached_property
+    def terms(self) -> Tuple[Tuple[int, Fraction], ...]:
+        """The nonzero (basis index, coefficient) pairs in increasing index
+        order, each coefficient a Fraction."""
+        den = self.denominator
+        return tuple((i, Fraction(v, den)) for i, v in self.numerators.items())
+
+    @cached_property
     def coefficients(self) -> Tuple[Fraction, ...]:
         """The dense view: one coefficient per basis class, zeros included."""
         dense = [_ZERO] * self.surface.rank
@@ -175,50 +259,81 @@ class DivisorClass:
         if self.surface is not other.surface and self.surface != other.surface:
             raise ShapeError("divisor classes live on different surfaces")
 
-    def _combine(self, other: "DivisorClass", op: Callable[..., Fraction]) -> "DivisorClass":
+    def _combine(self, other: "DivisorClass", sign: int) -> "DivisorClass":
+        """self + sign * other, on the numerators over the lcm of the two
+        denominators."""
         self._require_same_surface(other)
-        acc = dict(self.terms)
-        for i, c in other.terms:
-            acc[i] = op(acc.get(i, _ZERO), c)
-        return DivisorClass(self.surface, tuple(sorted(acc.items())))
+        da, db = self.denominator, other.denominator
+        den = da if da == db else lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        acc = dict(self.numerators) if fa == 1 else {i: v * fa for i, v in self.numerators.items()}
+        for i, v in other.numerators.items():
+            acc[i] = acc.get(i, 0) + v * fb
+        return DivisorClass.from_numerators(self.surface, acc, den)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return self._combine(other, operator.add)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self._combine(other, operator.sub)
+        return self._combine(other, -1)
 
     def scale(self, factor: Union[Fraction, int]) -> "DivisorClass":
-        f = as_rational(factor)
-        return DivisorClass(self.surface, tuple((i, f * c) for i, c in self.terms))
+        if factor.__class__ is not int:
+            factor = as_rational(factor)
+        p, q = factor.numerator, factor.denominator
+        nums = {i: v * p for i, v in self.numerators.items()}
+        return DivisorClass.from_numerators(self.surface, nums, self.denominator * q)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for _, c in self.terms)
+        return self.denominator == 1
 
     def __str__(self) -> str:
-        label = self.surface.label
+        label, den = self.surface.label, self.denominator
         parts = []
-        for i, c in self.terms:
-            mag = abs(c)
-            term = label(i) if mag == 1 else f"{mag}*{label(i)}"
-            parts.append(("- " if c < 0 else "+ ") + term)
+        for i, v in self.numerators.items():
+            mag = fraction_text(abs(v), den)
+            term = label(i) if mag == "1" else f"{mag}*{label(i)}"
+            parts.append(("- " if v < 0 else "+ ") + term)
         if not parts:
             return "0"
         head = parts[0][2:] if parts[0].startswith("+ ") else "-" + parts[0][2:]
         return " ".join([head] + parts[1:])
 
 
+def _checked_indices(
+    terms: Iterable[Tuple[int, Union[Fraction, int]]], rank: int
+) -> Iterator[Tuple[int, Union[Fraction, int]]]:
+    """The pairs of ``terms``, each passed on once its index is an int below
+    ``rank`` and above the one before, so the first bad term is refused,
+    whether its index or its value is at fault."""
+    last = -1
+    for i, c in terms:
+        if type(i) is not int or not 0 <= i < rank:
+            raise ShapeError(f"basis index {i!r} is outside the surface rank {rank}")
+        if i <= last:
+            raise ShapeError("class terms must have increasing basis indices")
+        last = i
+        yield i, c
+
+
+def _store(d: DivisorClass, surface: SurfaceModel, numerators: Dict[int, int], denominator: int):
+    object.__setattr__(d, "__dict__", {
+        "surface": surface, "numerators": numerators, "denominator": denominator,
+    })
+
+
 def _pair(s: SurfaceModel, terms: Iterable[Tuple[int, int]], other: Dict[int, int]) -> int:
     """The one walk of the Gram rule for two classes: ``terms`` as (basis
-    index, coefficient) pairs against ``other`` as {basis index:
-    coefficient}.  A base class meets its ``SurfaceModel.base_partners``; an
-    exceptional class meets only itself, with -1.  Its callers pass classes
-    scaled to integers over one common denominator; 0 when no term meets."""
+    index, numerator) pairs against ``other`` as {basis index: numerator}.
+    A base class meets its ``SurfaceModel.base_partners``; an exceptional
+    class meets only itself, with -1.  Its callers pass integer numerators,
+    so the result is the pairing times the product of the two denominators;
+    0 when no term meets."""
     br, base = s.base_rank, s.base_partners
     total = 0
     for i, x in terms:
@@ -235,17 +350,12 @@ def _pair(s: SurfaceModel, terms: Iterable[Tuple[int, int]], other: Dict[int, in
 
 
 def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
-    """Exact bilinear symmetric pairing by ``_pair``; a Fraction, zero
-    included.  Both classes are scaled to one common denominator, so the walk
-    pairs integers and one Fraction is built at the end."""
+    """Exact bilinear symmetric pairing by ``_pair`` on the two classes'
+    numerators, over the product of their denominators; a Fraction, zero
+    included, and the only one built."""
     a._require_same_surface(b)
-    scale = lcm(*{c.denominator for _, c in a.terms}, *{c.denominator for _, c in b.terms})
-    total = _pair(
-        a.surface,
-        [(i, c.numerator * (scale // c.denominator)) for i, c in a.terms],
-        {i: c.numerator * (scale // c.denominator) for i, c in b.terms},
-    )
-    return Fraction(total, scale * scale) if total else _ZERO
+    total = _pair(a.surface, a.numerators.items(), b.numerators)
+    return Fraction(total, a.denominator * b.denominator) if total else _ZERO
 
 
 class Pairings(NamedTuple):
@@ -255,9 +365,10 @@ class Pairings(NamedTuple):
     shared basis indices, and ``_pair`` makes every pairing with a single
     class, K_S (``SurfaceModel.canonical_terms``) or D itself.
 
-    All classes are multiplied by the LCM of their denominators, so the
-    entries are integers; the solution of G x = D.C does not change under
-    that common scale.
+    All classes are written over ``scale``, the LCM of their denominators,
+    so the entries are integers; the solution of G x = D.C does not change
+    under that common scale.  A class whose denominator is ``scale`` lends
+    its own numerators as its row, so the rows are read, never changed.
     """
 
     scale: int  # the common denominator; entries are scale**2 times the pairing
@@ -281,9 +392,14 @@ def pairing_table(curves: Sequence[DivisorClass], d: DivisorClass) -> Pairings:
     s = d.surface
     for c in curves:
         c._require_same_surface(d)
-    scale = lcm(*{v.denominator for c in (*curves, d) for _, v in c.terms})
-    rows = [{i: v.numerator * (scale // v.denominator) for i, v in c.terms} for c in curves]
-    d_row = {i: v.numerator * (scale // v.denominator) for i, v in d.terms}
+    scale = lcm(*{c.denominator for c in curves}, d.denominator)
+
+    def over_scale(c: DivisorClass) -> Dict[int, int]:
+        f = scale // c.denominator
+        return c.numerators if f == 1 else {i: v * f for i, v in c.numerators.items()}
+
+    rows = [over_scale(c) for c in curves]
+    d_row = over_scale(d)
     holders: Dict[int, List[Tuple[int, int]]] = {}
     for j, row in enumerate(rows):
         for a, v in row.items():
@@ -319,7 +435,7 @@ def pairing_table(curves: Sequence[DivisorClass], d: DivisorClass) -> Pairings:
 
 def canonical_class(s: SurfaceModel) -> DivisorClass:
     """K_S as a class, from ``SurfaceModel.canonical_terms``."""
-    return DivisorClass(s, s.canonical_terms)
+    return DivisorClass.trusted(s, dict(s.canonical_terms), 1)
 
 
 def chi_top(s: SurfaceModel) -> int:
@@ -345,10 +461,10 @@ def h0_line_bundle(s: SurfaceModel, d: DivisorClass) -> Optional[int]:
         raise DomainError("h0 requires integer coefficients")
     if s.blowups:
         return None
-    a = int(d.coefficients[0])
+    a = d.numerators.get(0, 0)
     if s.base == P2:
         return (a + 1) * (a + 2) // 2 if a >= 0 else 0
-    b, e = int(d.coefficients[1]), s.hirzebruch_e
+    b, e = d.numerators.get(1, 0), s.hirzebruch_e
     if a < 0 or b < 0:
         return 0
     # sum over k = 0..top of (b - k e + 1), the terms with k > top being <= 0

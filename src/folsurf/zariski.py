@@ -4,12 +4,12 @@ decomposition of the canonical class of a foliation.
 The closed-form coefficient recursion for a Hirzebruch-Jung chain and the
 general decomposition are kept as two independent routes; tests pin them
 against each other.  All linear algebra is exact and runs over Python
-integers: the pairings come from ``surface.pairing_table``, which scales the
-classes by one common denominator, and a support Gram matrix grows by one
-bordered row per curve under fraction-free (Bareiss) elimination.  Its
-pivots are the leading principal minors, so negative definiteness is
-certified by their signs alternating starting negative, and a curve that
-would break it is refused with the factor left as it was.
+integers: the pairings come from ``surface.pairing_table``, which reads the
+classes' numerators over their common denominator, and a support Gram
+matrix grows by one bordered row per curve under fraction-free (Bareiss)
+elimination.  Its pivots are the leading principal minors, so negative
+definiteness is certified by their signs alternating starting negative, and
+a curve that would break it is refused with the factor left as it was.
 The decomposition is solved as a certified active set: border a guessed
 support, solve once, and accept only if no coefficient is negative and the
 nef part meets every other declared curve non-negatively; a guess that fails
@@ -25,10 +25,11 @@ reads ``d_dot``, ``squares``, ``meets``, ``d_row`` and ``d_square``, and
 chain detection ``d_dot`` and ``ks_dot``.  ``decompose_against_curves``
 builds a table for its class and curves and runs the same solve.  The solve
 also returns P^2 = D^2 - D.N, exact because P.C = 0 on every support curve.
-Classes are sparse end to end: the table's rows hold each class's nonzero
-terms, and the nef part P = D - N is assembled from those integer rows, so
-no step walks the full rank of the surface.  The solve writes P's terms in
-canonical form, so the class is built without re-checking them.
+Classes are sparse end to end: the table's rows are each class's integer
+numerators over the table's common denominator, and the nef part P = D - N
+is assembled from those rows as numerators over det * scale, so no step
+walks the full rank of the surface.  P is stored in that integer form,
+reduced to lowest terms by one gcd; no Fraction is built for its terms.
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ def chain_coefficients(e: Sequence[int]) -> Tuple[int, int, List[Fraction]]:
 
 
 def chain_negative_square(e: Sequence[int]) -> Fraction:
-    """N_Q^2 = -q/n for the chain contracted to an A_{n,q} point."""
-    n, q, _ = chain_coefficients(e)
-    return Fraction(-q, n)
+    """N_Q^2 = -q/n = -xi_1/xi_0 for the chain contracted to an A_{n,q}
+    point, from ``chain_xi_sequence``."""
+    xi = chain_xi_sequence(e)
+    return Fraction(-xi[1], xi[0])
 
 
 def chain_eigenvalues(e: Sequence[int]) -> List[EigenvalueClass]:
@@ -439,10 +441,9 @@ def _decompose(
         for idx, v in table.rows[i].items():
             nef[idx] = nef.get(idx, 0) - y[k] * v
     unit = det * table.scale
-    # canonical form, written here: increasing indices, zero terms dropped
-    nef_terms = tuple((idx, Fraction(v, unit)) for idx, v in sorted(nef.items()) if v)
     nef_square = Fraction(det * table.d_square - d_dot_n, unit * table.scale)
-    nef_part = DivisorClass.trusted(d.surface, nef_terms)
+    # P's numerators over det * scale, brought to lowest terms by one gcd
+    nef_part = DivisorClass.from_numerators(d.surface, nef, unit)
     return ZariskiDecomposition(nef_part, tuple(parts), nef_square)
 
 

@@ -19,9 +19,12 @@ take over ``DOCUMENT_SECONDS``.  ``validation_digest`` is one sha256 over
 the ``validate`` rows of each mutated document that parses to a scenario,
 residuals included, which the JSON report leaves out.
 ``tests/golden/outputs.json`` pins both (``tests/test_golden_outputs.py``).
+``memory_peaks`` traces the allocations of each source document's and
+hostile input's outcome and refuses one whose peak passes
+``DOCUMENT_BYTES``.
 
 Run ``PYTHONPATH=src python tests/mutations.py`` to print both digests and
-their document counts.
+their document counts, and the largest memory peak.
 """
 
 import hashlib
@@ -29,6 +32,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
@@ -47,6 +51,10 @@ MUTATIONS_PER_DOCUMENT = 300
 # the bound on one document's parse and pipeline; the whole set of about
 # 7 200 takes a few seconds
 DOCUMENT_SECONDS = 2.0
+# the bound on the memory one source or hostile document's parse and
+# pipeline hold at their peak; the largest peak is about 0.6 MB, and a path
+# that allocated per basis class of ``"blowups": 10**9`` would pass it
+DOCUMENT_BYTES = 16 * 2**20
 
 Path = Tuple[Any, ...]
 
@@ -238,6 +246,34 @@ def digest(seed: int = SEED) -> Dict[str, Any]:
     return {"documents": count, "sha256": h.hexdigest()}
 
 
+class LargeDocument(Exception):
+    """A document whose parse and pipeline held over ``DOCUMENT_BYTES``."""
+
+
+def memory_peaks() -> List[int]:
+    """The peak bytes that each source document's and hostile input's
+    outcome allocates (``tracemalloc``), in order; one over
+    ``DOCUMENT_BYTES`` raises LargeDocument.  The mutated documents are left
+    out: traced, they take about five times as long."""
+    peaks = []
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for i, document in enumerate(chain(sources(), hostile_inputs())):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            outcome(document)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            if peak > DOCUMENT_BYTES:
+                raise LargeDocument(f"document {i} held {peak} bytes, over {DOCUMENT_BYTES}")
+            peaks.append(peak)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peaks
+
+
 def parsed_scenarios(seed: int = SEED) -> Iterator[Tuple[int, FoliatedScenario]]:
     """The position and scenario of each mutated document that parses to one."""
     for i, document in enumerate(mutated_documents(seed)):
@@ -271,4 +307,8 @@ def validation_digest(seed: int = SEED) -> Dict[str, Any]:
 
 
 if __name__ == "__main__":
-    print(json.dumps({"outcomes": digest(), "validation": validation_digest()}, indent=1))
+    print(json.dumps({
+        "outcomes": digest(),
+        "validation": validation_digest(),
+        "largest_memory_peak": max(memory_peaks()),
+    }, indent=1))

@@ -247,6 +247,19 @@ def test_a_document_over_the_time_bound_fails_the_mutation_harness(monkeypatch):
         mutations.digest()
 
 
+def test_each_source_and_hostile_document_stays_under_the_memory_bound():
+    # the 24 source documents and the 5 hostile inputs, one traced peak each
+    peaks = mutations.memory_peaks()
+    assert len(peaks) == 29
+    assert max(peaks) <= mutations.DOCUMENT_BYTES
+
+
+def test_a_document_over_the_memory_bound_fails_the_mutation_harness(monkeypatch):
+    monkeypatch.setattr(mutations, "DOCUMENT_BYTES", 0)
+    with pytest.raises(mutations.LargeDocument, match="document 0 held"):
+        mutations.memory_peaks()
+
+
 def test_cli_outputs_match_golden():
     golden = _golden()["cli"]
     assert len(golden) == 15 * len(COMMANDS)

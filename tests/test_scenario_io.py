@@ -378,6 +378,40 @@ def test_the_parse_built_index_equals_the_one_a_public_scenario_builds():
         assert rebuilt.singularity_index == s.singularity_index, s.name
 
 
+def test_a_public_scenario_reads_is_reduced_from_its_points_without_an_index():
+    # the harness's 24 source documents, as parsed and with their first and
+    # last points given one non-reduced kind: a publicly built scenario
+    # answers is_reduced from its points' kinds and builds no index, and its
+    # answers agree with the ones its index gives
+    non_reduced_kind = NonDegenerate(EigenvalueClass.rational(Fraction(3, 2)))
+    sides = {True: 0, False: 0}
+    for doc in mutations.sources():
+        parsed = parse_document_dict(doc).scenario
+        if parsed is None:
+            continue
+        fields = {f.name: getattr(parsed, f.name) for f in dataclasses.fields(parsed)}
+        points = parsed.singularities
+        ends = {0, len(points) - 1}
+        changed = tuple(
+            dataclasses.replace(p, kind=non_reduced_kind, vanishing_order=1) if k in ends else p
+            for k, p in enumerate(points)
+        )
+        for singularities in (points, changed):
+            public = FoliatedScenario(**{**fields, "singularities": singularities})
+            reduced, non_reduced = public.is_reduced, public.non_reduced
+            if reduced:
+                assert "singularity_index" not in vars(public)
+            groups = public.singularity_index.by_kind
+            assert reduced == all(group[0].is_reduced for group in groups)
+            bad = {id(p) for group in groups if not group[0].is_reduced for p in group}
+            assert non_reduced == tuple(p for p in singularities if id(p) in bad)
+            assert len(non_reduced) == (0 if singularities is points else len(ends))
+            sides[reduced] += 1
+        # a parsed scenario reads the index its parse handed it
+        assert parsed.is_reduced and parsed.non_reduced == ()
+    assert sides == {True: 22, False: 22}
+
+
 def test_a_vanishing_order_within_the_multiplicity_bound_parses():
     doc = second_noether_ruled(3)
     doc["singularities"][1].update(kind={"saddle_node": 4}, vanishing_order=2)

@@ -1,7 +1,10 @@
 import random
+import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folsurf.errors import DomainError, ShapeError
 from folsurf.fixtures import bundled_documents
@@ -17,6 +20,7 @@ from folsurf.surface import (
     intersect,
     pairing_table,
 )
+from folsurf.zariski import zariski_decompose
 
 
 def test_basic_intersections():
@@ -379,3 +383,121 @@ def test_sparse_classes_match_a_dense_oracle():
         assert zero == surface.divisor([0] * surface.rank) == da.scale(0)
         assert str(zero) == "0" and intersect(zero, db) == 0
         assert (da == db) == (a == b)
+
+
+# The stored integer form against a Fraction reference kept in this test:
+# classes on P2 and F_e with 0-6 blow-ups, each coefficient an int or a
+# Fraction (integral Fractions included), about half of them zero.
+_coefficient = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+)
+_factor = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+
+
+@st.composite
+def _classes_on_a_surface(draw):
+    blowups = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        surface = SurfaceModel.p2(blowups)
+    else:
+        surface = SurfaceModel.hirzebruch(draw(st.integers(0, 4)), blowups)
+    dense = st.lists(_coefficient, min_size=surface.rank, max_size=surface.rank)
+    return surface, draw(dense), draw(dense), draw(_factor)
+
+
+def _nef_reference(surface, dense):
+    # against the disjoint (-1)-curves E_i alone, N takes the positive part
+    # of each E_i coefficient: (D - c E_i).E_i = -c + c = 0
+    return [min(c, 0) if k >= surface.base_rank else c for k, c in enumerate(dense)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_classes_on_a_surface())
+def test_the_integer_form_matches_a_fraction_reference(drawn):
+    surface, a, b, lam = drawn
+    fa, fb = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    gram = _oracle_gram(surface)
+    da, db = surface.divisor(a), surface.divisor(b)
+    den = lcm(*(x.denominator for x in fa))
+    assert da.denominator == den
+    assert da.numerators == {i: int(x * den) for i, x in enumerate(fa) if x}
+    assert list(da.numerators) == sorted(da.numerators)
+    assert da.coefficients == tuple(fa)
+    assert da.terms == tuple((i, x) for i, x in enumerate(fa) if x)
+    assert (da + db).coefficients == tuple(x + y for x, y in zip(fa, fb))
+    assert (da - db).coefficients == tuple(x - y for x, y in zip(fa, fb))
+    assert da.scale(lam).coefficients == tuple(lam * x for x in fa)
+    assert intersect(da, db) == _oracle_pair(gram, fa, fb)
+    assert intersect(da, da) == _oracle_pair(gram, fa, fa)
+    assert da.is_integral == all(x.denominator == 1 for x in fa)
+    assert da.is_zero == (not any(fa))
+    assert str(da) == _oracle_str(surface, fa)
+    assert (da == db) == (fa == fb)
+
+    # equal values compare equal and hash alike, whichever route built them
+    scenario = FoliatedScenario(
+        name="nef",
+        surface=surface,
+        k_foliation=da,
+        curves=tuple(
+            CurveRecord(surface.label(k), surface.basis_divisor(k), True)
+            for k in range(surface.base_rank, surface.rank)
+        ),
+        singularities=(),
+        metadata=ScenarioMetadata(True, False),
+    )
+    nef = zariski_decompose(scenario).nef_part
+    want = _nef_reference(surface, fa)
+    assert nef.coefficients == tuple(want)
+    for built, other in (
+        (da, DivisorClass(surface, list(enumerate(a)))),
+        (da, DivisorClass(surface, da.terms)),
+        (da, surface.divisor(fa)),
+        (da, da + db - db),
+        (da, db + (da - db)),
+        (da, da.scale(2) - da),
+        (da, da.scale(lam).scale(1 / Fraction(lam)) if lam else da),
+        (nef, DivisorClass(surface, nef.terms)),
+        (nef, surface.divisor(want)),
+        (nef, da - (da - nef)),
+    ):
+        assert other == built and hash(other) == hash(built)
+        assert (other.numerators, other.denominator) == (built.numerators, built.denominator)
+
+
+_INEXACT = (0.0, 1.5, float("nan"), True, False, "1", "", None, [1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_the_class_refusals_keep_their_messages(blowups, data):
+    surface = SurfaceModel.p2(blowups)
+    rank = surface.rank
+    k = data.draw(st.integers(0, rank - 1))
+    good = [(i, data.draw(_coefficient)) for i in range(k)]
+
+    value = data.draw(st.sampled_from(_INEXACT))
+    inexact = re.escape(f"expected an exact rational, got {value!r}")
+    with pytest.raises(DomainError, match=inexact):
+        DivisorClass(surface, good + [(k, value)])
+    dense = [c for _, c in good] + [value] + [0] * (rank - k - 1)
+    with pytest.raises(DomainError, match=inexact):
+        surface.divisor(dense)
+    with pytest.raises(DomainError, match=inexact):
+        surface.basis_divisor(0).scale(value)
+
+    index = data.draw(st.sampled_from((rank, rank + 3, -1, True, "0", 1.0, None)))
+    with pytest.raises(ShapeError, match=re.escape(
+        f"basis index {index!r} is outside the surface rank {rank}"
+    )):
+        DivisorClass(surface, good + [(index, 1)])
+    if k:
+        repeated = data.draw(st.integers(0, k - 1))
+        with pytest.raises(ShapeError, match="class terms must have increasing basis indices"):
+            DivisorClass(surface, good + [(repeated, 1)])
+    wrong_length = f"class has {rank + 1} coefficients, surface rank is {rank}"
+    with pytest.raises(ShapeError, match=wrong_length):
+        surface.divisor([0] * (rank + 1))

@@ -526,8 +526,23 @@ def validate(f: FoliatedScenario) -> ValidationReport:
         )
     )
 
+    # two distinct irreducible curves meet in a non-negative number of points
     t = f.pairings
     unit = t.scale * t.scale
+    negative_meets = [
+        f"{f.curves[i].name}.{f.curves[j].name} = {fraction_text(g, unit)}"
+        for i, row in enumerate(t.meets)
+        for j, g in sorted(row.items())
+        if g < 0 and j > i
+    ]
+    checks.append(
+        CheckResult(
+            "structure.curve-meets",
+            passed=not negative_meets,
+            detail="; ".join(negative_meets),
+        )
+    )
+
     bad_genus = []
     for c, square, ks in zip(f.curves, t.squares, t.ks_dot):
         twice = square + ks + 2 * unit  # p_a = (C^2 + K_S.C)/2 + 1, times 2 unit

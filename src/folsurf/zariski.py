@@ -10,15 +10,14 @@ matrix grows by one bordered row per curve under fraction-free (Bareiss)
 elimination.  Its pivots are the leading principal minors, so negative
 definiteness is certified by their signs alternating starting negative, and
 a curve that would break it is refused with the factor left as it was.
-The decomposition is solved as a certified active set: border a guessed
-support, solve once, and accept only if no coefficient is negative and the
-nef part meets every other declared curve non-negatively; a guess that fails
-is corrected, at most three guesses in all.  Otherwise, or when two distinct
-curves meet negatively, the round-by-round violator loop gives the answer or
-the refusal.  When distinct curves meet non-negatively the decomposition is
-unique, so both routes agree wherever the guess is certified; on the bundled
-corpus and the double-cover family the first guess is, and the solve is one
-factorization and one back substitution.
+The decomposition is one violator loop (Bauer 2009) started from a guessed
+support: border every curve C with C^2 < 0 and D.C <= 0, solve once, then
+border the curves the candidate meets negatively, round by round, until no
+curve is met negatively.  When distinct curves meet non-negatively the
+loop only adds curves and its coefficients only grow, so the seed changes
+no answer and no refusal, only the number of rounds; on the bundled corpus
+and the double-cover family the first round is the last, one factorization
+and one back substitution.  A negative meet seeds nothing.
 A scenario's decomposition and its chain detection both read the scenario's
 own table (``FoliatedScenario.pairings``, whose class D is K_F): the solve
 reads ``d_dot``, ``squares``, ``meets``, ``d_row`` and ``d_square``, and
@@ -37,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import DomainError, InconsistentScenario
 from .foliation import CheckResult, CurveRecord, FoliatedScenario, connected_components
@@ -301,10 +300,9 @@ def decompose_against_curves(
     The negative part N is supported on a negative definite set of curves,
     and P = d - N meets every declared curve non-negatively and every
     support curve in 0.  Only declared curves are visible; this is the
-    documented trust boundary.  The solve first guesses the support and
-    accepts the guess only with that certificate (``_certified_active_set``);
-    otherwise it collects the curves the candidate meets negatively, round by
-    round (``_violator_loop``), whose refusals name what the data lacks.
+    documented trust boundary.  The solve borders a guessed support, then
+    collects the curves the candidate meets negatively, round by round
+    (``_solve``), whose refusals name what the data lacks.
     Each support curve is bordered once onto a fraction-free factorization of
     the support Gram matrix, every test runs on the integer numerators of
     the solution, and Fractions are built only for the result.
@@ -349,58 +347,47 @@ def _violators(
     return violators
 
 
-def _certified_active_set(table: Pairings) -> Optional[_Solved]:
-    """The Zariski decomposition from a guessed support, or None.
+def _guess(table: Pairings) -> Sequence[int]:
+    """The seed of ``_solve``: every curve C with C^2 < 0 and D.C <= 0, in
+    declared order."""
+    # A negative meet seeds nothing on purpose: the argument that the seeded
+    # loop refuses and answers as the unseeded one does needs distinct curves
+    # to meet non-negatively, so such a table keeps the unseeded loop's
+    # answers and messages.
+    if any(g < 0 for row in table.meets for g in row.values()):
+        return ()
+    d_dot = table.d_dot
+    return [i for i, sq in enumerate(table.squares) if sq < 0 and d_dot[i] <= 0]
 
-    The guess borders, in declared order, every curve C with C^2 < 0 and
-    D.C <= 0, skipping a curve that would break negative definiteness.  One
-    solve is accepted only with a certificate: no negative coefficient, and
-    P.C >= 0 on every curve outside the factor (P.C = 0 on the factor by
-    construction).  Otherwise the next guess is the factor less its negative
-    coefficients, plus the violators, for at most three guesses.
-    A certified answer is the Zariski decomposition; when distinct curves
-    meet non-negatively it is unique (Zariski 1962; Bauer 2009), so it is
-    also what ``_violator_loop`` returns, which then never refuses.  With a
-    negative meet that argument fails, so no guess is made at all.
+
+def _solve(table: Pairings, seed: Iterable[int]) -> _Solved:
+    """The decomposition by rounds from a seeded support.
+
+    The seed curves are bordered first, each skipped if it would break
+    negative definiteness, and the first solve tests every curve outside the
+    factor.  Each round then borders every curve the candidate meets
+    negatively and re-solves, until no curve is met negatively.  Raises
+    ``InconsistentScenario`` if a bordered violator breaks negative
+    definiteness or a coefficient comes out negative.
     """
-    d_dot, squares, meets = table.d_dot, table.squares, table.meets
-    if any(g < 0 for row in meets for g in row.values()):
-        return None
-    guess = [i for i, sq in enumerate(squares) if sq < 0 and d_dot[i] <= 0]
-    for _ in range(3):
-        factor = _BorderedFactor()
-        position: Dict[int, int] = {}
-        for i in guess:
-            _border(factor, table, i, position)
-        y = factor.solve()
-        det = factor.minors[-1]
-        negative = {i for i, k in position.items() if y[k] * det < 0}
-        outside = (i for i in range(len(squares)) if i not in position)
-        violators = _violators(table, outside, position, y, det)
-        if not negative and not violators:
-            return list(position), y, det
-        guess = sorted(position.keys() - negative | set(violators))
-    return None
-
-
-def _violator_loop(table: Pairings) -> _Solved:
-    """The decomposition by rounds: border every curve the candidate meets
-    negatively, re-solve, and repeat until no curve is met negatively.
-    Raises ``InconsistentScenario`` if a bordered curve breaks negative
-    definiteness or a coefficient comes out negative."""
     factor = _BorderedFactor()
     position: Dict[int, int] = {}  # curve index -> place in the support
-    y: List[int] = []
+    for i in seed:
+        _border(factor, table, i, position)
+    y = factor.solve()
     # A curve meeting no support curve pairs with the candidate as with d,
     # which the first round found non-negative; so after that round only the
-    # curves meeting the support are tested.
-    neighbours = set()
-    tested: Iterable[int] = range(len(table.squares))
+    # curves meeting the support are tested.  The set is built only once a
+    # round finds violators, so a one-round solve never pays for it.
+    neighbours: Optional[Set[int]] = None
+    tested: Iterable[int] = (i for i in range(len(table.squares)) if i not in position)
     while True:
         det = factor.minors[-1]
         violators = _violators(table, tested, position, y, det)
         if not violators:
             break
+        if neighbours is None:
+            neighbours = {j for i in position for j in table.meets[i]}
         for i in violators:
             if not _border(factor, table, i, position):
                 raise InconsistentScenario(
@@ -423,9 +410,9 @@ def _decompose(
     d: DivisorClass, curves: Sequence[CurveRecord], table: Pairings
 ) -> ZariskiDecomposition:
     """The solve of ``decompose_against_curves`` on ``table``, which pairs
-    ``curves`` with each other and with ``d`` as its class D: the certified
-    active set, with the violator loop as its fallback."""
-    support, y, det = _certified_active_set(table) or _violator_loop(table)
+    ``curves`` with each other and with ``d`` as its class D: one
+    ``_solve`` from the ``_guess`` seed."""
+    support, y, det = _solve(table, _guess(table))
     d_pairings = table.d_dot
     nef = {idx: det * v for idx, v in table.d_row.items()}
     # P.C = 0 on the support, so P^2 = P.D = D^2 - D.N; det * scale^2 * D.N

@@ -644,3 +644,26 @@ def test_validation_pairs_the_curves_through_one_table(monkeypatch):
     # one table for all 69 curves and K_F; the singularity count reads K_F.N_F
     # from it, and K_S enters it by degree, not as a class
     assert calls == {"intersect": 0, "canonical_class": 0, "pairing_table": 1}
+
+
+def test_distinct_curves_meeting_negatively_fail_the_curve_meets_check():
+    # C = E1 - E2 and E = E1 on P2(2) meet in E1^2 = -1, which two distinct
+    # irreducible curves cannot; every other structural check passes
+    p2 = SurfaceModel.p2(2)
+    s = FoliatedScenario(
+        name="negative-meet",
+        surface=p2,
+        k_foliation=p2.divisor([1, 0, 0]),
+        curves=(
+            CurveRecord("C", p2.divisor([0, 1, -1]), True),
+            CurveRecord("E", p2.divisor([0, 1, 0]), True),
+        ),
+        singularities=(),
+        metadata=ScenarioMetadata(True, True),
+    )
+    checks = _checks_by_name(s)
+    meets = checks["structure.curve-meets"]
+    assert (meets.status, meets.detail) == ("fail", "C.E = -1")
+    others = [c for name, c in checks.items() if name.startswith("structure.") and c is not meets]
+    assert len(others) == 4 and all(c.passed for c in others)
+    assert not validate(s).passed

@@ -741,18 +741,22 @@ def _count_factor_work(monkeypatch):
     return counts
 
 
-def test_certified_active_set_matches_the_violator_loop(monkeypatch):
+def _solved(table, seed):
+    """``zariski._solve``'s coefficients by curve index, or its refusal."""
+    try:
+        return _coefficients(zariski._solve(table, seed))
+    except InconsistentScenario as exc:
+        return str(exc)
+
+
+def test_seeded_solve_matches_the_unseeded_loop(monkeypatch):
     # Random sparse supports: chains, trees, cycles and the oracle's mixed
-    # classes (with negative meets), each also shuffled.  A certified answer
-    # must be the loop's answer and the loop must not refuse it; a negative
-    # meet must stop the active set before it guesses.
+    # classes (with negative meets), each also shuffled.  The loop from the
+    # guessed support must give the unseeded loop's answer or message; with
+    # non-negative meets it never refuses for a negative coefficient.
     counts = _count_factor_work(monkeypatch)
     rng = random.Random(20)
-    seen = dict.fromkeys(
-        ["certified", "first guess", "later guess", "fallback, refused",
-         "fallback, solved", "negative meet"],
-        0,
-    )
+    seen = dict.fromkeys(["one round", "several rounds", "refused", "negative meet"], 0)
     for trial in range(1200):
         kind = trial % 4
         if kind == 0:
@@ -764,35 +768,29 @@ def test_certified_active_set_matches_the_violator_loop(monkeypatch):
         if rng.random() < 0.5:
             curves = rng.sample(curves, len(curves))
         table = pairing_table([c.cls for c in curves], d)
-        try:
-            loop = _coefficients(zariski._violator_loop(table))
-        except InconsistentScenario as exc:
-            loop = str(exc)
-        counts["factorizations"] = 0
-        active = zariski._certified_active_set(table)
-        guesses = counts["factorizations"]
-        assert guesses <= 3
+        unseeded = _solved(table, ())
+        counts["solves"] = 0
+        seeded = _solved(table, zariski._guess(table))
+        assert seeded == unseeded, (d, curves)
         if any(g < 0 for row in table.meets for g in row.values()):
             seen["negative meet"] += 1
-            assert active is None and not guesses
-        elif active is not None:
-            assert _coefficients(active) == loop, (d, curves)
-            seen["certified"] += 1
-            seen["first guess" if guesses == 1 else "later guess"] += 1
+        elif isinstance(seeded, str):
+            assert seeded != NEGATIVE_COEFFICIENT, (d, curves)
+            seen["refused"] += 1
         else:
-            seen["fallback, refused" if isinstance(loop, str) else "fallback, solved"] += 1
+            seen["one round" if counts["solves"] == 1 else "several rounds"] += 1
         got = _outcome(decompose_against_curves, d, curves)
-        if isinstance(loop, str):
-            assert got == loop
+        if isinstance(seeded, str):
+            assert got == seeded
         else:
-            assert dict(got.negative_part) == {curves[i].name: v for i, v in loop.items()}
+            assert dict(got.negative_part) == {curves[i].name: v for i, v in seeded.items()}
     assert all(count >= 5 for count in seen.values()), seen
 
 
-def test_double_cover_decomposes_in_a_few_solves(monkeypatch):
-    # the violator loop solved once per round: 321 solves at g = 80
+def test_double_cover_decomposes_in_one_solve(monkeypatch):
+    # the unseeded loop solves once per round: 321 solves at g = 80
     s = scenario_from(third_noether_double_cover(80))
     counts = _count_factor_work(monkeypatch)
     dec = zariski_decompose(s)
     assert len(dec.negative_part) == 4 * 80 + 4
-    assert counts["factorizations"] <= 3 and counts["solves"] <= 3, counts
+    assert counts == {"factorizations": 1, "solves": 1}, counts

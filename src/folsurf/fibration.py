@@ -9,15 +9,17 @@ c2 = e_F - beta_F + c_{-1}, where beta_F sums beta over all nodes and c_{-1}
 over the nodes on the negative part.  ``_fiber_terms`` is that formula,
 written once: it returns the integer parts and adds each node's beta to an
 exact sum (``chern._ExactSum``), kept apart for nodes off and on the negative
-part, so beta_F is both sums and c_{-1} the second.  ``fiber_local_chern``
-reads one fiber through it, and ``FibrationModel.modular`` every fiber into
-one sum, so the node terms of a whole fibration meet over one common
-denominator.  Each modular invariant is then one Fraction: its declared
-global number less the summed correction, written as one integer numerator
-over the two denominators, and the checks on the invariants read those
-numerators.  The global numbers K_f^2, e_f,
-chi_f are inputs validated against the fiber list rather than derived from a
-surface model.
+part, so beta_F is both sums and c_{-1} the second.  ``_corrections`` is the
+one place the sum is run and read: ``fiber_local_chern`` passes it one
+fiber, and ``FibrationModel.modular`` every fiber, so the node terms of a
+whole fibration meet over one common denominator.  Each modular invariant is
+then one Fraction: its declared global number less the summed correction,
+written as one integer numerator over the two denominators, and the
+non-negativity check reads those numerators.  That kappa + delta equals
+12 chi needs no check: the constructor refuses K_f^2 + e_f != 12 chi_f,
+and the chi correction is the sum of the other two over 12.  The global
+numbers K_f^2, e_f, chi_f are inputs validated against the fiber list
+rather than derived from a surface model.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Tuple
+from typing import Iterable, Tuple
 
 from .chern import ChernNumbers, _ExactSum
 from .errors import DomainError, InconsistentScenario
@@ -80,8 +82,7 @@ def _fiber_terms(fm: FiberModel, betas: _ExactSum) -> Tuple[int, int]:
     """The integer parts (4(g - p_a(F_red)) + F_red^2, e_F) of a fiber's
     c1^2 and c2 corrections.  Each node's beta, ``beta_ratio(a, b)`` as an
     integer numerator and denominator, is added to ``betas``: slot 1 for a
-    node on the negative part, slot 0 for one off it.  The corrections are
-    c1^2 = first - slot 1 and c2 = e_F - slot 0."""
+    node on the negative part, slot 0 for one off it."""
     add = betas.add
     for node in fm.nodes:
         a, b = node.a, node.b
@@ -90,13 +91,26 @@ def _fiber_terms(fm: FiberModel, betas: _ExactSum) -> Tuple[int, int]:
     return 4 * (fm.genus_of_fibration - fm.pa_reduced) + fm.f_red_sq, fiber_euler(fm)
 
 
+def _corrections(fibers: Iterable[FiberModel]) -> Tuple[int, int, int, int, int]:
+    """The corrections of ``fibers`` summed, as (first, euler, off, on, den):
+    ``_fiber_terms`` of every fiber, its integer parts added up and its node
+    betas into one exact sum over the common denominator den.  The summed
+    c1^2 correction is first - on / den, and the c2 one euler - off / den."""
+    betas = _ExactSum(2)
+    first = euler = 0
+    for fm in fibers:
+        f1, e = _fiber_terms(fm, betas)
+        first += f1
+        euler += e
+    (off, on), den = betas.total()
+    return first, euler, off, on, den
+
+
 def fiber_local_chern(fm: FiberModel) -> Tuple[Fraction, Fraction, Fraction]:
     """(c1^2, c2, chi) corrections of a single normal-crossing fiber."""
-    betas = _ExactSum(2)
-    first, euler = _fiber_terms(fm, betas)
-    (off_n, on_n), den = betas.total()
-    c1 = first - Fraction(on_n, den)
-    c2 = euler - Fraction(off_n, den)
+    first, euler, off, on, den = _corrections((fm,))
+    c1 = first - Fraction(on, den)
+    c2 = euler - Fraction(off, den)
     return c1, c2, (c1 + c2) / 12
 
 
@@ -138,13 +152,7 @@ class FibrationModel:
     @cached_property
     def modular(self) -> Tuple[Fraction, Fraction, Fraction]:
         """(kappa, delta, chi), see :func:`modular_invariants`."""
-        betas = _ExactSum(2)
-        first = euler = 0
-        for fm in self.singular_fibers:
-            f1, e = _fiber_terms(fm, betas)
-            first += f1
-            euler += e
-        (off_n, on_n), den = betas.total()
+        first, euler, off, on, den = _corrections(self.singular_fibers)
 
         def less(declared: Fraction, correction: int, scale: int = 1) -> Tuple[int, int]:
             """declared - correction / (scale den) as a numerator n over
@@ -155,18 +163,13 @@ class FibrationModel:
             return declared.numerator * scale * (den // g) - r * correction, r
 
         # the corrections summed over fibers, c1^2 and c2, and their sum / 12
-        k, kr = less(self.k_f_sq, first * den - on_n)
-        d, dr = less(self.e_f, euler * den - off_n)
-        c, cr = less(self.chi_f, (first + euler) * den - off_n - on_n, 12)
+        k, kr = less(self.k_f_sq, first * den - on)
+        d, dr = less(self.e_f, euler * den - off)
+        c, cr = less(self.chi_f, (first + euler) * den - off - on, 12)
         kappa, delta, chi = Fraction(k, kr * den), Fraction(d, dr * den), Fraction(c, 12 * cr * den)
         if k < 0 or d < 0 or c < 0:
             raise InconsistentScenario(
                 f"modular invariants must be non-negative, got ({kappa}, {delta}, {chi})"
-            )
-        # kappa + delta = 12 chi, times den kr dr cr
-        if (k * dr + d * kr) * cr != c * kr * dr:
-            raise InconsistentScenario(
-                f"kappa + delta = {kappa + delta} != 12 chi = {12 * chi}"
             )
         return kappa, delta, chi
 
@@ -175,8 +178,8 @@ def modular_invariants(fb: FibrationModel) -> Tuple[Fraction, Fraction, Fraction
     """(kappa, delta, chi): the global numbers minus all local corrections,
     computed once per fibration (``FibrationModel.modular``).
 
-    The result must satisfy kappa + delta = 12 chi and be non-negative;
-    violations mean the declared data is inconsistent.
+    The result has kappa + delta equal to 12 chi by construction and must be
+    non-negative; a negative one means the declared data is inconsistent.
     """
     return fb.modular
 

@@ -3,7 +3,8 @@
 The two basic functions ``beta`` and ``chi_local`` act on nonzero rationals;
 their singularity-level counterparts ``beta_p`` / ``chi_p`` / ``baum_bott``
 act on :class:`SingularityRecord` values.  Each is one integer formula in the
-canonical eigenvalue lam = n/d (|n| >= d):
+canonical eigenvalue lam = n/d (|n| >= d), which one function chooses,
+``canonical_eigenvalue``, for the class constructor and the scenario decoder:
 
     beta_p = beta(-lam)          = -1 / (n d),
     BB_p   = lam + 1/lam + 2     = (n + d)^2 / (n d),
@@ -44,15 +45,21 @@ def as_rational(value: RationalLike) -> Fraction:
     raise DomainError(f"expected an exact rational, got {value!r}")
 
 
+def canonical_eigenvalue(q: Fraction) -> Fraction:
+    """The representative n/d of {q, 1/q} with |n| >= d, for a nonzero
+    Fraction q: q itself, or its reciprocal when |n| < d.  The +-1 ties are
+    self-inverse, so each class has exactly one representative."""
+    n, d = q.numerator, q.denominator
+    return Fraction(d, n) if abs(n) < d else q
+
+
 @dataclass(frozen=True)
 class EigenvalueClass:
     """The unordered pair {lam, 1/lam} of a nonzero eigenvalue ratio.
 
-    ``value`` stores the canonical representative (the one with
-    |numerator| >= denominator; positive preferred on the +-1 tie, which is
-    automatic since both ties are self-inverse).  ``value is None`` encodes a
-    ratio known not to be a rational number.  Two classes are equal iff their
-    canonical representatives are equal.
+    ``value`` stores the canonical representative (``canonical_eigenvalue``).
+    ``value is None`` encodes a ratio known not to be a rational number.  Two
+    classes are equal iff their canonical representatives are equal.
     """
 
     value: Optional[Fraction]
@@ -62,12 +69,11 @@ class EigenvalueClass:
             q = as_rational(self.value)
             if q == 0:
                 raise DomainError("eigenvalue ratio must be nonzero")
-            if abs(q.numerator) < q.denominator:
-                q = 1 / q
-            object.__setattr__(self, "value", q)
+            object.__setattr__(self, "value", canonical_eigenvalue(q))
 
     @classmethod
     def rational(cls, value: RationalLike) -> "EigenvalueClass":
+        # coerced here too, so that None is refused, not read as nonrational
         return cls(as_rational(value))
 
     @classmethod

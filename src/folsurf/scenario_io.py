@@ -12,15 +12,16 @@ records it nests): :func:`encode` walks it, and each record's decoder is
 generated from it on first use.  The decoders of one document share one
 memo: a rational text maps to the Fraction built where it first appears,
 and a singularity kind to the object decoded then.  A check a decoder has
-made is not made again: an eigenvalue decodes straight to its canonical
-form, a class list to the integer numerators that ``DivisorClass.trusted``
-stores (and a class is printed from them), a singularity is built by
-``SingularityRecord.trusted``, and eigenvalue classes, fiber nodes, curves
-and the scenario by ``_trusted``; only checks that span fields run.  The
-walk that checks the singularities' ids and curves also groups them by kind
-and by curve (``index_singularities``), and the scenario is handed that
-index.  Reports, documents and fixtures are printed by one writer,
-:func:`write_json`.
+made is not made again, and no rule is copied here: an eigenvalue decodes
+straight to its canonical form (``canonical_eigenvalue``), a class list to
+the integer numerators that ``DivisorClass.trusted`` stores
+(``surface._integer_form``; a class is printed from them), a singularity is
+built by ``SingularityRecord.trusted``, and eigenvalue classes, fiber
+nodes, curves and the scenario by ``_trusted``; only checks that span
+fields run.  The walk that checks the singularities' ids and curves also
+groups them by kind and by curve (``index_singularities``), and the
+scenario is handed that index.  Reports, documents and fixtures are
+printed by one writer, :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ from .local_invariants import (
     SaddleNode,
     SingularityRecord,
     as_rational,
+    canonical_eigenvalue,
 )
 from .surface import (
-    P2, DivisorClass, SurfaceModel, common_denominator, fraction_text, h0_line_bundle,
+    P2, DivisorClass, SurfaceModel, _integer_form, fraction_text, h0_line_bundle,
 )
 from .surface import intersect  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .zariski import (
@@ -299,36 +301,28 @@ STRING = codec(_string)
 
 def _decode_class(raw: Any, memo: dict) -> Tuple[int, Dict[int, int], int]:
     """A dense class list decodes to its length and the integer numerators
-    and denominator that ``DivisorClass`` stores: only the enclosing document
-    knows the surface, whose rank the scenario builder checks.  A "0" entry
-    builds no Fraction.  The entries other than "0" are counted at C speed
-    first, and the scan stops after the last of them, so an all-"0" list and
-    a tail of "0"s cost no Python-level step."""
+    and denominator that ``DivisorClass`` stores, converted by the surface's
+    one rule (``_integer_form``): only the enclosing document knows the
+    surface, whose rank the scenario builder checks.  A "0" entry builds no
+    Fraction.  The entries other than "0" are counted at C speed first, and
+    the scan stops after the last of them, so an all-"0" list and a tail of
+    "0"s cost no Python-level step."""
     if not isinstance(raw, list):
         raise _Reject("expected a list")
-    values: Dict[int, Any] = {}
-    fractional = False
+    values: Dict[int, Fraction] = {}
     left = len(raw) - raw.count("0")
     if left:
         for i, text in enumerate(raw):
             if text != "0":
                 try:
-                    value = _rational(text, memo)
+                    values[i] = _rational(text, memo)
                 except _Reject as exc:
                     exc.where.append(i)
                     raise
-                numerator = value.numerator
-                if value.denominator != 1:
-                    values[i] = value
-                    fractional = True
-                elif numerator:
-                    values[i] = numerator
                 left -= 1
                 if not left:
                     break
-    if fractional:
-        return (len(raw), *common_denominator(values))
-    return len(raw), values, 1
+    return (len(raw), *_integer_form(values.items()))
 
 
 def _class_texts(cls: DivisorClass) -> List[str]:
@@ -512,17 +506,13 @@ def _trusted(kind: type, fields: Dict[str, Any]) -> Any:
 
 def _decode_eigenvalue(raw: Any, memo: dict) -> EigenvalueClass:
     """The class of a nonzero rational, decoded straight to its canonical
-    representative n/d with |n| >= d: the reciprocal of a value with
-    |n| < d is the one further Fraction built."""
+    representative (``canonical_eigenvalue``)."""
     if raw == "nonrational":
         return _NONRATIONAL
     value = _rational(raw, memo)
-    n, d = value.numerator, value.denominator
-    if not n:
+    if not value:
         raise _Reject("eigenvalue must be nonzero")
-    if abs(n) < d:
-        value = Fraction(d, n)
-    return _trusted(EigenvalueClass, {"value": value})
+    return _trusted(EigenvalueClass, {"value": canonical_eigenvalue(value)})
 
 
 _NONRATIONAL = EigenvalueClass.nonrational()  # immutable: one instance serves all

@@ -10,7 +10,11 @@ A divisor class is stored as integer numerators over one positive
 denominator, in lowest terms: ``numerators`` maps each basis index whose
 coefficient is nonzero to that coefficient times ``denominator``, in
 increasing index order.  That is its only stored form, and equality and
-hashing read it.  A curve class on a large blow-up tower meets a handful of
+hashing read it.  One function, ``_integer_form``, turns (basis index,
+coefficient) pairs into it: the constructor, ``SurfaceModel.divisor`` and
+the scenario decoder all call it.  ``DivisorClass`` is a frozen dataclass
+with its hash written by hand, as ``numerators`` is a dict.
+A curve class on a large blow-up tower meets a handful of
 basis classes, so sums, scaling, integrality and pairing walk a few
 integers, and their cost follows the support, not the rank.  The
 (basis index, Fraction) ``terms`` and the dense ``coefficients`` (one entry
@@ -25,7 +29,7 @@ a class like any other, written once as ``SurfaceModel.canonical_terms``.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -167,6 +171,7 @@ class SurfaceModel:
         return DivisorClass(self, ((index, 1),))
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class DivisorClass:
     """A class over the Picard basis of a surface model, held as integer
     numerators over one positive denominator in lowest terms.
@@ -219,22 +224,7 @@ class DivisorClass:
             denominator //= g
         return cls.trusted(surface, nums, denominator)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.denominator == other.denominator
-            and self.numerators == other.numerators
-            and (self.surface is other.surface or self.surface == other.surface)
-        )
-
-    def __hash__(self):
+    def __hash__(self):  # kept by the decorator: ``numerators`` is a dict
         return hash((self.surface, self.denominator, tuple(self.numerators.items())))
 
     def __repr__(self):

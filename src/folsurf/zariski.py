@@ -99,7 +99,7 @@ def chain_eigenvalues(e: Sequence[int]) -> List[EigenvalueClass]:
     _require_chain(e)
     mu = chain_mu_sequence(e)
     return [
-        EigenvalueClass.rational(Fraction(-mu[k + 1], mu[k]))
+        EigenvalueClass(Fraction(-mu[k + 1], mu[k]))
         for k in range(1, len(e) + 1)
     ]
 
@@ -119,7 +119,15 @@ def coefficient_bounds_check(chain: FChain) -> CheckResult:
 
     With b_j = xi_j / n these are the integer tests xi_1 (e_1 - 1) < n and
     xi_j (2 e_j - 3) < n on ``chain_xi_sequence``; a Fraction is built only
-    for the text of a violation."""
+    for the text of a violation.
+
+    No chain that ``_require_chain`` accepts (every e_j >= 2) fails it.  xi
+    strictly decreases: xi_{j-1} - xi_j = (e_j - 2) xi_j + (xi_j - xi_{j+1})
+    and xi_r - xi_{r+1} = 1.  So n - (e_1 - 1) xi_1 = xi_1 - xi_2 > 0, and
+    for j >= 2, as e_{j-1} >= 2, n >= xi_{j-2} >= 2 xi_{j-1} - xi_j =
+    (2 e_j - 3) xi_j + 2 (xi_j - xi_{j+1}) > (2 e_j - 3) xi_j.  It stays a
+    public check that the chain oracles run on every chain they build; only
+    a forged xi reaches its violation text."""
     e = chain.self_intersections
     xi = chain_xi_sequence(e)
     n = xi[0]

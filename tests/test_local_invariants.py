@@ -18,6 +18,7 @@ from folsurf.local_invariants import (
     chi_local,
     chi_p,
 )
+from folsurf.scenario_io import NON_DEGENERATE, decode
 
 nonzero_rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=40
@@ -91,6 +92,14 @@ def test_shift_identity_bulk():
 @given(nonzero_rationals)
 def test_eigenvalue_class_canonicalization(q):
     assert EigenvalueClass.rational(q) == EigenvalueClass.rational(1 / q)
+    # the constructor, ``rational`` and the scenario decoder all choose the
+    # one representative n/d with |n| >= d, from either member of the class
+    want = q if abs(q.numerator) >= q.denominator else 1 / q
+    for u in (q, 1 / q):
+        parsed = decode(NON_DEGENERATE, {"eigenvalue": str(u)}).eigenvalue
+        for ev in (EigenvalueClass(u), EigenvalueClass.rational(u), parsed):
+            assert type(ev.value) is Fraction and ev.value == want
+            assert ev == EigenvalueClass(want) and hash(ev) == hash(EigenvalueClass(want))
 
 
 def test_eigenvalue_class_rejects_zero():

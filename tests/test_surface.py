@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import lcm
 
@@ -501,3 +502,60 @@ def test_the_class_refusals_keep_their_messages(blowups, data):
     wrong_length = f"class has {rank + 1} coefficients, surface rank is {rank}"
     with pytest.raises(ShapeError, match=wrong_length):
         surface.divisor([0] * (rank + 1))
+
+
+@pytest.mark.parametrize("name", ["surface", "numerators", "denominator", "other"])
+def test_a_class_refuses_to_assign_or_delete_a_field(name):
+    d = SurfaceModel.p2(1).divisor([1, Fraction(1, 2)])
+    with pytest.raises(FrozenInstanceError, match=re.escape(f"cannot assign to field {name!r}")):
+        setattr(d, name, None)
+    with pytest.raises(FrozenInstanceError, match=re.escape(f"cannot delete field {name!r}")):
+        delattr(d, name)
+    assert (d.numerators, d.denominator) == ({0: 2, 1: 1}, 2)
+
+
+def test_a_class_is_unequal_to_what_is_not_a_class():
+    zero = SurfaceModel.p2().divisor([0])
+    one = SurfaceModel.p2().divisor([1])
+    for other in (0, Fraction(0), None, "0", (), {}, zero.numerators, SurfaceModel.p2()):
+        assert (zero == other) is False and (zero != other) is True
+    assert (one == Fraction(1)) is False and (one == [Fraction(1)]) is False
+
+
+# the entries a document writes: "0", ints (0 included) and fractions over
+# denominators that need a common one
+_entry_text = st.one_of(
+    st.just("0"),
+    st.integers(-6, 6).map(str),
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([2, 3, 4, 6, 9])).map(str),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_entry_text, max_size=7), st.integers(0, 3), st.lists(_entry_text, max_size=7))
+def test_a_parsed_class_equals_the_class_of_its_entries(head, zeros, other):
+    texts = head + ["0"] * zeros  # trailing zeros end the decoder's scan early
+    rank = max(len(texts), len(other), 1)
+    texts += ["0"] * (rank - len(texts))
+    other += ["0"] * (rank - len(other))
+    surface = SurfaceModel.p2(rank - 1)
+    doc = {
+        "name": "entries",
+        "surface": {"base": "P2", "blowups": rank - 1},
+        "k_foliation": texts,
+        "curves": [{"name": "C", "class": other, "f_invariant": True}],
+        "singularities": [],
+        "metadata": {
+            "k_pseudo_effective": True,
+            "relatively_minimal": True,
+            "algebraically_integral": "unknown",
+            "kodaira": "unknown",
+        },
+    }
+    s = parse_document_dict(doc).scenario
+    for parsed, entries in ((s.k_foliation, texts), (s.curves[0].cls, other)):
+        values = [Fraction(t) if "/" in t else int(t) for t in entries]
+        built = surface.divisor(values)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert (parsed.numerators, parsed.denominator) == (built.numerators, built.denominator)
+        assert list(parsed.numerators) == sorted(parsed.numerators)

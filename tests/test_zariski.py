@@ -130,6 +130,21 @@ def test_coefficient_bounds_match_the_fraction_formula_on_every_small_chain():
     assert count == sum(6**r for r in range(1, 6))
 
 
+def test_chain_eigenvalues_match_the_public_constructor_on_every_small_chain():
+    # -mu_{k+1}/mu_k is canonical as built: mu strictly increases from mu_1 = 1
+    count = 0
+    for chain in _chains(5, range(2, 8)):
+        e = chain.self_intersections
+        mu = chain_mu_sequence(e)
+        for k, ev in enumerate(chain_eigenvalues(e), start=1):
+            q = Fraction(-mu[k + 1], mu[k])
+            ref = EigenvalueClass(1 / q)  # built from the other representative
+            assert ev.value == ref.value == q
+            assert ev == ref and hash(ev) == hash(ref)
+        count += 1
+    assert count == 9330
+
+
 def test_coefficient_bounds_violations_read_as_the_fraction_formula(monkeypatch):
     # every real chain passes, so a shrunken xi_0 stands in for one that fails
     failures = 0

@@ -50,12 +50,8 @@ from .foliation import (
     FoliatedScenario,
     ScenarioMetadata,
     ValidationReport,
-    camacho_sad_check,
-    normal_class,
     singularity_count_check,
-    tangency,
     validate,
-    z_total,
 )
 from .local_invariants import (
     EigenvalueClass,

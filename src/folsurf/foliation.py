@@ -1,21 +1,22 @@
 """The foliated-scenario aggregate and its pointwise/curvewise identities.
 
 A scenario bundles a surface model, the canonical class of a foliation,
-named curves, singularities, and metadata.  The identities implemented here
-are all class-level: the tangency count of a non-invariant curve, the total
-Z-index of an invariant curve, the Camacho-Sad balance, and the global
-singularity count.  Per-point indices are never inferred from local
-equations; they are declared or derived by exact branch matching.  A
-scenario pairs its curves with each other and with K_F and K_S, and K_F
-with itself and K_S, once (``FoliatedScenario.pairings``, whose class D is
-K_F).  Validation works on the table's integers, which are ``scale**2``
-times the pairings: the curvewise checks read its ``squares``, ``d_dot`` and
-``ks_dot``, the singularity count its ``d_square`` and ``d_dot_ks``, and a
-passing check builds no Fraction; a detail string prints a quotient of two
-integers as the Fraction would (``surface.fraction_text``).  The
-Camacho-Sad balance is decided exactly, in integers, by one iterative sweep
-per connected component of the invariant curves, under one work budget for
-the scenario.
+named curves, singularities, and metadata.  The identities checked here are
+all class-level, and the rows of ``validate`` are their one definition:
+``tangency.*`` (the tangency count of a non-invariant curve), ``z-index.*``
+(the total Z-index of an invariant curve), ``camacho-sad.*`` (the
+Camacho-Sad balance) and ``count.singularities`` (the global singularity
+count).  Per-point indices are never inferred from local equations; they are
+declared or derived by exact branch matching.  A scenario pairs its curves
+with each other and with K_F and K_S, and K_F with itself and K_S, once
+(``FoliatedScenario.pairings``, whose class D is K_F).  Validation works on
+the table's integers, which are ``scale**2`` times the pairings: the
+curvewise checks read its ``squares``, ``d_dot`` and ``ks_dot``, the
+singularity count its ``d_square`` and ``d_dot_ks``, and a passing check
+builds no Fraction; a detail string prints a quotient of two integers as the
+Fraction would (``surface.fraction_text``).  The Camacho-Sad balance is
+decided exactly, in integers, by one iterative sweep per connected component
+of the invariant curves, under one work budget for the scenario.
 Facts of a singularity's kind (multiplicity, reducedness, the {lam, 1/lam}
 branch pair, the local Chern terms) are read once per kind object, through
 ``FoliatedScenario.by_kind``.  One walk over the singularities
@@ -32,13 +33,12 @@ from functools import cached_property
 from math import lcm
 from typing import Container, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-from .errors import DomainError, InconsistentScenario
+from .errors import DomainError
 from .local_invariants import SingularityRecord
 from .surface import (
     DivisorClass,
     Pairings,
     SurfaceModel,
-    canonical_class,
     chi_top,
     fraction_text,
     pairing_table,
@@ -219,20 +219,6 @@ class FoliatedScenario:
     def singularities_on(self, curve_name: str) -> Tuple[SingularityRecord, ...]:
         return self.singularity_index.incidence.get(curve_name, ())
 
-    def _index(self, c: CurveRecord) -> int:
-        """The position of a declared curve, its row in the pairing table."""
-        i = self._positions.get(c.name)
-        if i is None or self.curves[i] != c:
-            raise DomainError(f"{c.name} is not a curve of this scenario")
-        return i
-
-    def curve_numbers(self, c: CurveRecord) -> Tuple[Fraction, Fraction, Fraction]:
-        """C^2, K_F.C and K_S.C of a declared curve, from the pairing table."""
-        i = self._index(c)
-        t = self.pairings
-        unit = t.scale * t.scale
-        return Fraction(t.squares[i], unit), Fraction(t.d_dot[i], unit), Fraction(t.ks_dot[i], unit)
-
     @cached_property
     def is_reduced(self) -> bool:
         """Whether every singularity is reduced.  A scenario that holds its
@@ -279,68 +265,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return not any(c.failed for c in self.checks)
-
-
-def normal_class(f: FoliatedScenario) -> DivisorClass:
-    """N_F = K_F - K_S, derived rather than stored."""
-    return f.k_foliation - canonical_class(f.surface)
-
-
-def tangency(f: FoliatedScenario, c: CurveRecord) -> int:
-    """tang = K_F.C + C^2 for a curve that is not invariant; always >= 0."""
-    if c.f_invariant:
-        raise DomainError(f"{c.name}: tangency is defined for non-invariant curves")
-    return _tangency_count(f.pairings, f._index(c), c.name)
-
-
-def _tangency_count(t: Pairings, i: int, name: str) -> int:
-    """K_F.C + C^2 of the table's curve ``i``, refused unless an integer >= 0."""
-    unit = t.scale * t.scale
-    total = t.d_dot[i] + t.squares[i]
-    value, rest = divmod(total, unit)
-    if rest:
-        text = fraction_text(total, unit)
-        raise InconsistentScenario(f"{name}: tangency count {text} is not an integer")
-    if value < 0:
-        raise InconsistentScenario(f"{name}: tangency count {value} is negative")
-    return value
-
-
-def z_total(f: FoliatedScenario, c: CurveRecord) -> Fraction:
-    """Z = K_F.C + chi(C) with chi(C) = -K_S.C - C^2, for an invariant curve."""
-    if not c.f_invariant:
-        raise DomainError(f"{c.name}: total Z-index is defined for invariant curves")
-    square, kf, ks = f.curve_numbers(c)
-    return kf - ks - square
-
-
-def camacho_sad_check(
-    f: FoliatedScenario,
-    c: CurveRecord,
-    cs_assignments: Mapping[str, Fraction],
-) -> CheckResult:
-    """Pass iff the assigned indices cover exactly the incident singularities
-    and sum to C^2."""
-    if not c.f_invariant:
-        raise DomainError(f"{c.name}: Camacho-Sad applies to invariant curves")
-    incident = {s.id for s in f.singularities_on(c.name)}
-    if set(cs_assignments) != incident:
-        missing = sorted(incident - set(cs_assignments))
-        extra = sorted(set(cs_assignments) - incident)
-        return CheckResult(
-            name=f"camacho-sad.{c.name}",
-            passed=False,
-            detail=f"assignment keys mismatch (missing {missing}, extra {extra})",
-        )
-    total = sum(cs_assignments.values(), Fraction(0))
-    square = f.curve_numbers(c)[0]
-    residual = total - square
-    return CheckResult(
-        name=f"camacho-sad.{c.name}",
-        passed=residual == 0,
-        detail=f"sum {total} vs C^2 = {square}",
-        residual=residual,
-    )
 
 
 def singularity_count_check(f: FoliatedScenario) -> CheckResult:
@@ -505,26 +429,26 @@ def resolve_camacho_sad(f: FoliatedScenario) -> Iterator[CheckResult]:
 
 
 def validate(f: FoliatedScenario) -> ValidationReport:
-    """Run every structural and arithmetic consistency check on a scenario."""
+    """Run every structural and arithmetic consistency check on a scenario.
+
+    The rows are the one definition of each class-level identity:
+    ``tangency.C`` of each curve C that is not invariant, ``z-index.C`` of
+    each invariant one when every point is reduced, ``camacho-sad.C`` of
+    each invariant one (``resolve_camacho_sad``) and ``count.singularities``
+    (``singularity_count_check``).  Five ``structure.*`` rows come first.
+    """
     checks: List[CheckResult] = []
 
-    dangling = sorted(set(f.singularity_index.incidence) - set(f._positions))
-    checks.append(
-        CheckResult(
-            "structure.singularity-references",
-            passed=not dangling,
-            detail="" if not dangling else f"unknown curves {dangling}",
-        )
-    )
+    def structure(name: str, problems: List[str], label: str = "") -> None:
+        """A row that passes iff ``problems`` is empty; its detail is the
+        list after ``label`` when one is given, else the problems joined."""
+        detail = f"{label} {problems}" if label and problems else "; ".join(problems)
+        checks.append(CheckResult(f"structure.{name}", passed=not problems, detail=detail))
 
+    dangling = sorted(set(f.singularity_index.incidence) - set(f._positions))
+    structure("singularity-references", dangling, "unknown curves")
     nonintegral = [c.name for c in f.curves if not c.cls.is_integral]
-    checks.append(
-        CheckResult(
-            "structure.curve-classes",
-            passed=not nonintegral,
-            detail="" if not nonintegral else f"non-integral classes {nonintegral}",
-        )
-    )
+    structure("curve-classes", nonintegral, "non-integral classes")
 
     # two distinct irreducible curves meet in a non-negative number of points
     t = f.pairings
@@ -535,13 +459,7 @@ def validate(f: FoliatedScenario) -> ValidationReport:
         for j, g in sorted(row.items())
         if g < 0 and j > i
     ]
-    checks.append(
-        CheckResult(
-            "structure.curve-meets",
-            passed=not negative_meets,
-            detail="; ".join(negative_meets),
-        )
-    )
+    structure("curve-meets", negative_meets)
 
     bad_genus = []
     for c, square, ks in zip(f.curves, t.squares, t.ks_dot):
@@ -553,13 +471,7 @@ def validate(f: FoliatedScenario) -> ValidationReport:
             bad_genus.append(
                 f"{c.name}: p_a = {pa} but hint says {c.arithmetic_genus_hint}"
             )
-    checks.append(
-        CheckResult(
-            "structure.adjunction",
-            passed=not bad_genus,
-            detail="; ".join(bad_genus),
-        )
-    )
+    structure("adjunction", bad_genus)
 
     # epsilon matters only at a positive rational eigenvalue: a point that is
     # not reduced
@@ -574,32 +486,31 @@ def validate(f: FoliatedScenario) -> ValidationReport:
                 f"{s.id}: epsilon=1 creates a saddle-node, impossible for an "
                 "algebraically integral foliation"
             )
-    checks.append(
-        CheckResult(
-            "structure.epsilon-declarations",
-            passed=not eps_problems,
-            detail="; ".join(eps_problems),
-        )
-    )
+    structure("epsilon-declarations", eps_problems)
 
     checks.append(singularity_count_check(f))
 
-    for i, c in enumerate(f.curves):
+    # tang = K_F.C + C^2, an integer >= 0 for a curve that is not invariant
+    for c, square, kf in zip(f.curves, t.squares, t.d_dot):
         if c.f_invariant:
             continue
-        try:
-            tang = _tangency_count(t, i, c.name)
-            checks.append(
-                CheckResult(f"tangency.{c.name}", passed=True, detail=f"tang = {tang}")
-            )
-        except InconsistentScenario as exc:
-            checks.append(CheckResult(f"tangency.{c.name}", passed=False, detail=str(exc)))
+        total = kf + square
+        tang, rest = divmod(total, unit)
+        if rest:
+            detail = f"{c.name}: tangency count {fraction_text(total, unit)} is not an integer"
+        elif tang < 0:
+            detail = f"{c.name}: tangency count {tang} is negative"
+        else:
+            detail = f"tang = {tang}"
+        checks.append(CheckResult(f"tangency.{c.name}", not rest and tang >= 0, detail))
 
+    # Z = K_F.C + chi(C) with chi(C) = -K_S.C - C^2, >= 0 for an invariant
+    # curve of a reduced foliation
     if f.is_reduced:
         for c, square, kf, ks in zip(f.curves, t.squares, t.d_dot, t.ks_dot):
             if not c.f_invariant:
                 continue
-            z = kf - ks - square  # unit * z_total
+            z = kf - ks - square  # unit * Z
             checks.append(
                 CheckResult(
                     f"z-index.{c.name}",

@@ -7,19 +7,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import count_calls
-from folsurf.errors import DomainError
+from folsurf.errors import DomainError, ParseError
 from folsurf.fibration import FiberModel, FiberNode, FibrationModel
 from folsurf.fixtures import second_noether_ruled, third_noether_double_cover, slope_12_7
 from folsurf.foliation import (
+    CheckResult,
     CurveRecord,
     FoliatedScenario,
     ScenarioMetadata,
-    camacho_sad_check,
-    normal_class,
     singularity_count_check,
-    tangency,
     validate,
-    z_total,
 )
 from folsurf.local_invariants import (
     EigenvalueClass,
@@ -27,7 +24,7 @@ from folsurf.local_invariants import (
     SaddleNode,
     SingularityRecord,
 )
-from folsurf.scenario_io import parse_document_dict
+from folsurf.scenario_io import ScenarioDocument, document_to_dict, parse_document_dict
 from folsurf.surface import SurfaceModel, canonical_class, intersect
 
 
@@ -35,7 +32,12 @@ def scenario_from(builder_doc):
     return parse_document_dict(builder_doc).scenario
 
 
-def test_normal_class_examples():
+def _checks_by_name(scenario):
+    return {c.name: c for c in validate(scenario).checks}
+
+
+def test_kf_dot_nf_examples():
+    # N_F = K_F - K_S; the scenario reads K_F.N_F = K_F^2 - K_F.K_S off its table
     p2 = SurfaceModel.p2()
     degree2 = FoliatedScenario(
         name="deg2",
@@ -45,10 +47,10 @@ def test_normal_class_examples():
         singularities=(),
         metadata=ScenarioMetadata(True, True),
     )
-    assert normal_class(degree2).coefficients == (Fraction(4),)
+    assert degree2.kf_dot_nf == 4  # N_F = 4L
 
     s = scenario_from(second_noether_ruled(4))
-    assert normal_class(s).coefficients == (Fraction(3), Fraction(9))  # 3C0 + (2n+1)F
+    assert s.kf_dot_nf == 6  # K_F = C0 + 3F, N_F = 3C0 + 9F on F_4
 
     trivial = FoliatedScenario(
         name="kf-equals-ks",
@@ -58,7 +60,7 @@ def test_normal_class_examples():
         singularities=(),
         metadata=ScenarioMetadata(True, True),
     )
-    assert normal_class(trivial).is_zero
+    assert trivial.kf_dot_nf == 0
 
 
 def _node_record(**fields):
@@ -99,27 +101,52 @@ def test_public_constructors_refuse_floats_and_bools_in_integer_fields(field):
 
 
 def test_tangency_on_branch_curve():
-    s = scenario_from(slope_12_7())
-    curve = s.curve("Dbranch")
-    assert tangency(s, curve) == 4
-    with pytest.raises(DomainError):
-        z_total(s, curve)
+    checks = _checks_by_name(scenario_from(slope_12_7()))
+    tang = checks["tangency.Dbranch"]
+    assert (tang.status, tang.detail, tang.residual) == ("pass", "tang = 4", None)
+    assert "z-index.Dbranch" not in checks  # Z is defined for invariant curves
 
 
 def test_tangency_rejects_invariant_curve():
-    s = scenario_from(second_noether_ruled(3))
-    with pytest.raises(DomainError):
-        tangency(s, s.curve("C0"))
+    checks = _checks_by_name(scenario_from(second_noether_ruled(3)))
+    assert "tangency.C0" not in checks
+    assert checks["z-index.C0"].passed
 
 
 def test_z_total_examples():
-    s = scenario_from(second_noether_ruled(5))
-    assert z_total(s, s.curve("C0")) == 1
-    assert z_total(s, s.curve("Finf")) == 3
+    for scenario, expected in [
+        (second_noether_ruled(5), {"C0": "Z = 1", "Finf": "Z = 3"}),
+        (third_noether_double_cover(2), {"E1": "Z = 1", "E5": "Z = 2"}),
+    ]:
+        checks = _checks_by_name(scenario_from(scenario))
+        for name, detail in expected.items():
+            z = checks[f"z-index.{name}"]
+            assert (z.status, z.detail, z.residual) == ("pass", detail, None)
 
-    chain = scenario_from(third_noether_double_cover(2))
-    assert z_total(chain, chain.curve("E1")) == 1
-    assert z_total(chain, chain.curve("E5")) == 2
+
+def camacho_sad_check(f, c, cs_assignments):
+    """The reference Camacho-Sad rule the sweep is compared against: pass iff
+    the assigned indices cover exactly the points on the invariant curve ``c``
+    and sum to C^2."""
+    assert c.f_invariant
+    incident = {s.id for s in f.singularities if c.name in s.incident_curves}
+    if set(cs_assignments) != incident:
+        missing = sorted(incident - set(cs_assignments))
+        extra = sorted(set(cs_assignments) - incident)
+        return CheckResult(
+            name=f"camacho-sad.{c.name}",
+            passed=False,
+            detail=f"assignment keys mismatch (missing {missing}, extra {extra})",
+        )
+    total = sum(cs_assignments.values(), Fraction(0))
+    square = intersect(c.cls, c.cls)
+    residual = total - square
+    return CheckResult(
+        name=f"camacho-sad.{c.name}",
+        passed=residual == 0,
+        detail=f"sum {total} vs C^2 = {square}",
+        residual=residual,
+    )
 
 
 def test_camacho_sad_check_direct():
@@ -217,7 +244,7 @@ def test_validate_epsilon_rules():
 
 def test_duplicate_names_rejected():
     p2 = SurfaceModel.p2()
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="curve names must be unique"):
         FoliatedScenario(
             name="dup",
             surface=p2,
@@ -229,19 +256,52 @@ def test_duplicate_names_rejected():
             singularities=(),
             metadata=ScenarioMetadata(True, True),
         )
+    with pytest.raises(DomainError, match="singularity ids must be unique"):
+        FoliatedScenario(
+            name="dup",
+            surface=p2,
+            k_foliation=p2.divisor([0]),
+            curves=(),
+            singularities=(_node_record(), _node_record()),
+            metadata=ScenarioMetadata(True, True),
+        )
+
+
+def test_a_point_on_an_undeclared_curve_fails_the_references_row():
+    # validate reports a public scenario's dangling name; a parse refuses it
+    p2 = SurfaceModel.p2()
+    s = FoliatedScenario(
+        name="ghost",
+        surface=p2,
+        k_foliation=p2.divisor([1]),
+        curves=(CurveRecord("C", p2.divisor([1]), True),),
+        singularities=(_node_record(incident_curves=("C", "Ghost")),),
+        metadata=ScenarioMetadata(True, True),
+    )
+    references = _checks_by_name(s)["structure.singularity-references"]
+    assert (references.status, references.detail) == ("fail", "unknown curves ['Ghost']")
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(document_to_dict(ScenarioDocument(s.name, s, None)))
+    assert err.value.path == "$.singularities[0].on_curves"
 
 
 def test_tangency_small_formula_check():
+    # C = L on P2, so K_F.C + C^2 = K_F.C + 1
     p2 = SurfaceModel.p2()
-    s = FoliatedScenario(
-        name="tang",
-        surface=p2,
-        k_foliation=p2.divisor([1]),
-        curves=(CurveRecord("C", p2.divisor([1]), False),),
-        singularities=(),
-        metadata=ScenarioMetadata(True, True),
-    )
-    assert tangency(s, s.curve("C")) == 2  # K.C = 1, C^2 = 1
+    for kf, status, detail in [
+        (1, "pass", "tang = 2"),
+        (-2, "fail", "C: tangency count -1 is negative"),
+    ]:
+        s = FoliatedScenario(
+            name="tang",
+            surface=p2,
+            k_foliation=p2.divisor([kf]),
+            curves=(CurveRecord("C", p2.divisor([1]), False),),
+            singularities=(),
+            metadata=ScenarioMetadata(True, True),
+        )
+        tang = _checks_by_name(s)["tangency.C"]
+        assert (tang.status, tang.detail, tang.residual) == (status, detail, None)
 
 
 def _minus_two_points_on_one_curve(count, blowups):
@@ -579,15 +639,8 @@ def test_scenario_builds_its_pairings_and_incidence_once():
     assert s.singularities_on("C") == (point,)  # a repeated incidence counts once
     assert s.singularities_on("D") == (point,)
     assert s.singularities_on("E") == ()
-    assert s.curve_numbers(s.curve("C")) == (0, 1, -2)  # C^2, K_F.C, K_S.C
     with pytest.raises(DomainError):
         s.curve("E")
-    with pytest.raises(DomainError):
-        s.curve_numbers(CurveRecord("C", p2.divisor([1, 0]), True))  # not the declared C
-
-
-def _checks_by_name(scenario):
-    return {c.name: c for c in validate(scenario).checks}
 
 
 def test_details_of_non_integral_curves_print_exact_quotients():

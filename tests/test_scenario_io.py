@@ -777,7 +777,7 @@ def test_unknown_key_in_any_object_names_that_object(doc, data):
 
 
 def test_pipeline_pairs_kf_nf_and_p_squared_once_and_corrects_each_fiber_once(monkeypatch):
-    names = ["pairing_table", "intersect", "normal_class", "canonical_class", "_fiber_terms"]
+    names = ["pairing_table", "intersect", "canonical_class", "_fiber_terms"]
     calls = count_calls(monkeypatch, names)
     doc = parse_document_dict(third_noether_double_cover(16))
     report = run_pipeline(doc)
@@ -789,7 +789,6 @@ def test_pipeline_pairs_kf_nf_and_p_squared_once_and_corrects_each_fiber_once(mo
     assert calls == {
         "pairing_table": 1,
         "intersect": 0,
-        "normal_class": 0,
         "canonical_class": 0,
         "_fiber_terms": len(doc.fibration.singular_fibers),
     }

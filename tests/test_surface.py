@@ -255,7 +255,6 @@ def _assert_pairings_match_oracle(s):
             Fraction(table.d_dot[i], unit),
             Fraction(table.ks_dot[i], unit),
         ) == numbers, (s.name, c.name)
-        assert s.curve_numbers(c) == numbers
         assert intersect(c.cls, c.cls) == numbers[0]
         assert intersect(s.k_foliation, c.cls) == numbers[1]
         assert i not in table.meets[i] and all(table.meets[i].values())

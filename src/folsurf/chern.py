@@ -32,6 +32,9 @@ of the denominators added so far, and each kind adds its numerator times its
 count of points.  The direct-chi cross-check compares numerators, and a
 Fraction is built once per reported number (``fibration`` sums its modular
 invariants the same way).
+
+``_RULES`` is the one place a decision rule's status and citation are
+written; ``decide`` fires each rule by its id.
 """
 
 from __future__ import annotations
@@ -235,12 +238,45 @@ def genus_bound(lam: Fraction) -> int:
     return floor(Fraction(4) / (4 - lam))
 
 
-_R1 = FiredRule(
-    "R1-rational-pencil",
-    "Miyaoka's criterion: a non-pseudo-effective canonical class forces a "
-    "pencil of rational curves",
-    "K_F not pseudo-effective",
-)
+# The one place each rule's status and citation are written: rule id ->
+# (the status the rule implies, None if it implies none; its citation).
+_RULES: Dict[str, Tuple[Optional[str], str]] = {
+    "R1-rational-pencil": (
+        ALGEBRAICALLY_INTEGRAL,
+        "Miyaoka's criterion: a non-pseudo-effective canonical class forces a "
+        "pencil of rational curves",
+    ),
+    "R2-nongeneral-positive-chern": (
+        ALGEBRAICALLY_INTEGRAL,
+        "off general type, positive c2 or chi occurs only for non-isotrivial genus-1 pencils",
+    ),
+    "R3-slope-below-two": (
+        TRANSCENDENTAL, "integrable foliations of general type have slope at least 2"
+    ),
+    "R4-integrable-slope-bound": (
+        None, "an integrable general-type foliation of genus g has slope at least 4(g-1)/g"
+    ),
+    "R5-noether-gap": (
+        TRANSCENDENTAL,
+        "volume below the integrable Noether bound "
+        "p_g - 3/2 + 3/(2(2 p_g + 1)) forces transcendence",
+    ),
+    "R0-declared-integrability": (ALGEBRAICALLY_INTEGRAL, "declared metadata"),
+    "R0-declared-transcendence": (TRANSCENDENTAL, "declared metadata"),
+}
+
+# The declared algebraically_integral value -> its R0 rule, and the refusal
+# when a rule of the other status has fired.
+_DECLARED = {
+    "yes": (
+        "R0-declared-integrability",
+        "a transcendence rule fired on a scenario declared integrable",
+    ),
+    "no": (
+        "R0-declared-transcendence",
+        "an integrability rule fired on a scenario declared transcendental",
+    ),
+}
 
 
 def decide(
@@ -254,142 +290,76 @@ def decide(
     The volume is ``c.c1_sq``, which ``chern_numbers`` takes from P^2.
     ``genus`` is the fibration genus when one is known; ``p_g`` overrides the
     metadata value when the geometric genus was computed rather than declared.
-    Contradictory firings, metadata conflicting with a fired rule, and hard
-    sanity violations all raise InconsistentScenario instead of producing a
+    Metadata conflicting with the volume or with a fired rule, and hard
+    sanity violations, raise InconsistentScenario instead of producing a
     verdict.  The slope >= 1 guess is reported as an informational flag only.
+
+    The status is the one status among the fired rules, or Undetermined.
+    Fired rules never disagree: R1 and R2 fire only off general type (K_F
+    not pseudo-effective, or vol = 0), R3 and R5 only in general type
+    (vol > 0), so before R0 all have one status, and R0 refuses the other.
+    Nor is p_g > 12 chi + 2 checked: it needs p_g >= 3, and then
+    vol >= p_g - 2 > 12 chi = vol + c2 would make c2 negative.
     """
     meta, vol = f.metadata, c.c1_sq
     effective_pg = p_g if p_g is not None else meta.p_g
     fired: List[FiredRule] = []
-    statuses = set()
     info: List[str] = []
     bound: Optional[int] = None
 
-    pe = meta.k_pseudo_effective
-    general = pe and vol > 0
+    def fire(rule_id: str, comparison: str) -> None:
+        fired.append(FiredRule(rule_id, _RULES[rule_id][1], comparison))
+
+    general = meta.k_pseudo_effective and vol > 0
     if meta.kodaira == "2" and not general:
-        raise InconsistentScenario(
-            "metadata says general type but the volume vanishes"
-        )
+        raise InconsistentScenario("metadata says general type but the volume vanishes")
     if meta.kodaira in ("-inf", "0", "1") and general:
         raise InconsistentScenario(
             f"metadata says kodaira {meta.kodaira} but the volume is positive"
         )
 
-    if not pe:
-        fired.append(_R1)
-        statuses.add(ALGEBRAICALLY_INTEGRAL)
+    if not meta.k_pseudo_effective:
+        fire("R1-rational-pencil", "K_F not pseudo-effective")
+    elif not general and (c.c2 > 0 or c.chi > 0):
+        fire("R2-nongeneral-positive-chern", f"c2 = {c.c2}, chi = {c.chi}")
 
-    if pe and not general and (c.c2 > 0 or c.chi > 0):
-        fired.append(
-            FiredRule(
-                "R2-nongeneral-positive-chern",
-                "off general type, positive c2 or chi occurs only for "
-                "non-isotrivial genus-1 pencils",
-                f"c2 = {c.c2}, chi = {c.chi}",
-            )
-        )
-        statuses.add(ALGEBRAICALLY_INTEGRAL)
-
-    lam: Optional[Fraction] = None
     if general:
         lam = slope(c)
         if lam < 2:
-            fired.append(
-                FiredRule(
-                    "R3-slope-below-two",
-                    "integrable foliations of general type have slope at least 2",
-                    f"slope = {lam} < 2",
-                )
-            )
-            statuses.add(TRANSCENDENTAL)
+            fire("R3-slope-below-two", f"slope = {lam} < 2")
         if lam < 1:
             info.append(f"slope {lam} < 1 violates the expected lower bound (guess)")
-
-    if general and meta.algebraically_integral == "yes":
-        if genus is not None and genus >= 2:
-            required = Fraction(4 * (genus - 1), genus)
-            if lam < required:
+        if meta.algebraically_integral == "yes":
+            if genus is not None and genus >= 2:
+                required = Fraction(4 * (genus - 1), genus)
+                if lam < required:
+                    raise InconsistentScenario(
+                        f"declared integrable of genus {genus} but slope {lam} < "
+                        f"4(g-1)/g = {required}"
+                    )
+                fire("R4-integrable-slope-bound", f"slope = {lam} >= {required} at g = {genus}")
+            if lam < 4:
+                bound = genus_bound(lam)
+        if effective_pg is not None and effective_pg >= 2:
+            first, _, third = noether_bounds(effective_pg)
+            if vol < third:
+                fire("R5-noether-gap", f"vol = {vol} < {third}")
+            if vol < first:
                 raise InconsistentScenario(
-                    f"declared integrable of genus {genus} but slope {lam} < "
-                    f"4(g-1)/g = {required}"
+                    f"vol = {vol} violates the bound vol >= p_g - 2 = {first}"
                 )
-            fired.append(
-                FiredRule(
-                    "R4-integrable-slope-bound",
-                    "an integrable general-type foliation of genus g has slope "
-                    "at least 4(g-1)/g",
-                    f"slope = {lam} >= {required} at g = {genus}",
+            if vol < Fraction(1, 2):
+                raise InconsistentScenario(
+                    f"vol = {vol} violates the universal bound vol >= 1/2 at p_g >= 2"
                 )
-            )
-        if lam < 4:
-            bound = genus_bound(lam)
 
-    if general and effective_pg is not None and effective_pg >= 2:
-        first, _, third = noether_bounds(effective_pg)
-        if vol < third:
-            fired.append(
-                FiredRule(
-                    "R5-noether-gap",
-                    "volume below the integrable Noether bound "
-                    "p_g - 3/2 + 3/(2(2 p_g + 1)) forces transcendence",
-                    f"vol = {vol} < {third}",
-                )
-            )
-            statuses.add(TRANSCENDENTAL)
-        if vol < first:
-            raise InconsistentScenario(
-                f"vol = {vol} violates the bound vol >= p_g - 2 = {first}"
-            )
-        if vol < Fraction(1, 2):
-            raise InconsistentScenario(
-                f"vol = {vol} violates the universal bound vol >= 1/2 at p_g >= 2"
-            )
-    if general and effective_pg is not None and effective_pg > 12 * c.chi + 2:
-        raise InconsistentScenario(
-            f"p_g = {effective_pg} exceeds 12*chi + 2 = {12 * c.chi + 2}"
-        )
-
-    if meta.algebraically_integral == "yes":
-        if TRANSCENDENTAL in statuses:
-            raise InconsistentScenario(
-                "a transcendence rule fired on a scenario declared integrable"
-            )
-        fired.append(
-            FiredRule(
-                "R0-declared-integrability",
-                "declared metadata",
-                "algebraically_integral = yes",
-            )
-        )
-        statuses.add(ALGEBRAICALLY_INTEGRAL)
-    if meta.algebraically_integral == "no":
-        if ALGEBRAICALLY_INTEGRAL in statuses:
-            raise InconsistentScenario(
-                "an integrability rule fired on a scenario declared transcendental"
-            )
-        fired.append(
-            FiredRule(
-                "R0-declared-transcendence",
-                "declared metadata",
-                "algebraically_integral = no",
-            )
-        )
-        statuses.add(TRANSCENDENTAL)
-
-    if TRANSCENDENTAL in statuses and ALGEBRAICALLY_INTEGRAL in statuses:
-        raise InconsistentScenario(
-            "contradictory rule firings: both transcendence and integrability"
-        )
-    if TRANSCENDENTAL in statuses:
-        status = TRANSCENDENTAL
-    elif ALGEBRAICALLY_INTEGRAL in statuses:
-        status = ALGEBRAICALLY_INTEGRAL
-    else:
-        status = UNDETERMINED
-    return Verdict(
-        status=status,
-        fired_rules=tuple(fired),
-        genus_bound=bound,
-        sanity_failures=tuple(info),
-    )
+    implied = {_RULES[r.rule_id][0] for r in fired} - {None}  # at most one status
+    status = implied.pop() if implied else UNDETERMINED
+    if meta.algebraically_integral in _DECLARED:
+        rule_id, refusal = _DECLARED[meta.algebraically_integral]
+        declared = _RULES[rule_id][0]
+        if status not in (UNDETERMINED, declared):
+            raise InconsistentScenario(refusal)
+        fire(rule_id, f"algebraically_integral = {meta.algebraically_integral}")
+        status = declared
+    return Verdict(status, tuple(fired), bound, tuple(info))

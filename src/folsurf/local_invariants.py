@@ -22,6 +22,8 @@ kind object; ``FoliatedScenario.by_kind`` groups the points for that.  A
 record built by its constructor checks every field; one built by
 ``SingularityRecord.trusted``, from fields a decoder has checked one by
 one, checks only the bound m_p >= vanishing_order^2 that spans two fields.
+``_trusted`` builds other frozen values whose fields are known good: the
+decoder's eigenvalue classes and ``zariski.chain_eigenvalues``'s classes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from .errors import DomainError
 
@@ -43,6 +45,16 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise DomainError(f"expected an exact rational, got {value!r}")
+
+
+def _trusted(kind: type, fields: Dict[str, Any]) -> Any:
+    """An instance of the frozen dataclass ``kind`` whose attributes are the
+    new dict ``fields``, built without ``__init__`` or ``__post_init__``: the
+    one way to build a value whose fields the caller has checked, or built
+    canonical.  Checks that span fields stay with the caller."""
+    obj = object.__new__(kind)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
 
 
 def canonical_eigenvalue(q: Fraction) -> Fraction:

@@ -62,6 +62,7 @@ from .local_invariants import (
     RationalLike,
     SaddleNode,
     SingularityRecord,
+    _trusted,
     as_rational,
     canonical_eigenvalue,
 )
@@ -494,16 +495,6 @@ def encode(spec: Record, value: Any) -> Dict[str, Any]:
 # Unions and checks that are not field by field.
 
 
-def _trusted(kind: type, fields: Dict[str, Any]) -> Any:
-    """An instance of the frozen dataclass ``kind`` whose attributes are the
-    new dict ``fields``, built without ``__init__`` or ``__post_init__``: the
-    decoders' one way to build a value whose fields they have checked one by
-    one.  Checks that span fields stay with the caller."""
-    obj = object.__new__(kind)
-    object.__setattr__(obj, "__dict__", fields)
-    return obj
-
-
 def _decode_eigenvalue(raw: Any, memo: dict) -> EigenvalueClass:
     """The class of a nonzero rational, decoded straight to its canonical
     representative (``canonical_eigenvalue``)."""
@@ -761,18 +752,33 @@ def _given(**values):
     return {k: v for k, v in values.items() if v is not None}
 
 
-EXPECT = Record(
-    _given,
-    tuple(Field(k, RATIONAL, default=None) for k in ("c1_sq", "c2", "chi", "vol", "slope"))
-    + tuple(Field(k, integer(), default=None) for k in ("p_g", "singularity_count", "genus_bound"))
-    + tuple(Field(k, STRING, default=None) for k in ("verdict", "noether_equality"))
-    + (
-        Field("negative_part", map_of(RATIONAL), default=None),
-        Field("modular", record(MODULAR), default=None),
-        Field("fired_rules", list_of(STRING), default=None),
+# Each ``expect`` key in comparison order: its codec, and the report value
+# it is compared with (an ``InvariantReport`` section that was not computed
+# reads None, or an empty list or map).
+EXPECTATIONS: Tuple[Tuple[str, Codec, Callable[[Any], Any]], ...] = (
+    ("c1_sq", RATIONAL, lambda r: r.chern and r.chern.c1_sq),
+    ("c2", RATIONAL, lambda r: r.chern and r.chern.c2),
+    ("chi", RATIONAL, lambda r: r.chern and r.chern.chi),
+    ("vol", RATIONAL, lambda r: r.vol),
+    ("slope", RATIONAL, lambda r: r.slope_value),
+    ("p_g", integer(), lambda r: r.p_g),
+    ("verdict", STRING, lambda r: r.verdict and r.verdict.status),
+    ("genus_bound", integer(), lambda r: r.verdict and r.verdict.genus_bound),
+    (
+        "fired_rules",
+        list_of(STRING),
+        lambda r: [x.rule_id for x in r.verdict.fired_rules] if r.verdict else [],
     ),
-    attrs=dict,
+    ("singularity_count", integer(), lambda r: r.singularity_count),
+    (
+        "negative_part",
+        map_of(RATIONAL),
+        lambda r: dict(r.decomposition.negative_part) if r.decomposition else {},
+    ),
+    ("modular", record(MODULAR), lambda r: r.modular and dict(zip(MODULAR_KEYS, r.modular))),
+    ("noether_equality", STRING, lambda r: ",".join(r.bound_equalities) or None),
 )
+EXPECT = Record(_given, tuple(Field(k, c, default=None) for k, c, _ in EXPECTATIONS), attrs=dict)
 DOCUMENT = Record(
     _build_document,
     (
@@ -976,43 +982,15 @@ class InvariantReport:
         )
 
 
-# The report value each ``expect`` key is compared with, in comparison order;
-# a section that was not computed reads None (or an empty list or map).
-EXPECTED_VALUES: Mapping[str, Callable[[InvariantReport], Any]] = MappingProxyType(
-    {
-        "c1_sq": lambda r: r.chern and r.chern.c1_sq,
-        "c2": lambda r: r.chern and r.chern.c2,
-        "chi": lambda r: r.chern and r.chern.chi,
-        "vol": lambda r: r.vol,
-        "slope": lambda r: r.slope_value,
-        "p_g": lambda r: r.p_g,
-        "verdict": lambda r: r.verdict and r.verdict.status,
-        "genus_bound": lambda r: r.verdict and r.verdict.genus_bound,
-        "fired_rules": lambda r: [x.rule_id for x in r.verdict.fired_rules] if r.verdict else [],
-        "singularity_count": lambda r: r.singularity_count,
-        "negative_part": lambda r: dict(r.decomposition.negative_part) if r.decomposition else {},
-        "modular": lambda r: r.modular and dict(zip(MODULAR_KEYS, r.modular)),
-        "noether_equality": lambda r: ",".join(r.bound_equalities) or None,
-    }
-)
-
-
-_EXPECT_ENCODERS = {f.key: f.codec.encode for f in EXPECT.fields}
-
-
-def _shown(key: str, value: Any) -> Any:
-    """A compared value in the wire format of its ``expect`` field; None
-    stays None."""
-    return value if value is None else _EXPECT_ENCODERS[key](value)
-
-
 def _compare_expectations(report: InvariantReport, expect: Mapping[str, Any]) -> Tuple[str, ...]:
+    """One line per differing ``expect`` key, both values in its wire format."""
     failures = []
-    for key, actual_value in EXPECTED_VALUES.items():
+    for key, (_, encode), actual_value in EXPECTATIONS:
         if key in expect:
             wanted, actual = expect[key], actual_value(report)
             if actual != wanted:
-                failures.append(f"{key}: expected {_shown(key, wanted)}, got {_shown(key, actual)}")
+                shown = None if actual is None else encode(actual)
+                failures.append(f"{key}: expected {encode(wanted)}, got {shown}")
     return tuple(failures)
 
 

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import DomainError, InconsistentScenario
 from .foliation import CheckResult, CurveRecord, FoliatedScenario, connected_components
-from .local_invariants import EigenvalueClass
+from .local_invariants import EigenvalueClass, _trusted
 from .surface import DivisorClass, Pairings, pairing_table
 
 
@@ -95,13 +95,11 @@ def chain_negative_square(e: Sequence[int]) -> Fraction:
 
 def chain_eigenvalues(e: Sequence[int]) -> List[EigenvalueClass]:
     """Eigenvalue classes along a chain, from ``chain_mu_sequence``: the k-th
-    singularity carries -mu_{k+1}/mu_k.  Consecutive mu are coprime."""
+    singularity carries -mu_{k+1}/mu_k.  Consecutive mu are coprime and
+    0 < mu_k < mu_{k+1}: the value is canonical, so no constructor checks it."""
     _require_chain(e)
     mu = chain_mu_sequence(e)
-    return [
-        EigenvalueClass(Fraction(-mu[k + 1], mu[k]))
-        for k in range(1, len(e) + 1)
-    ]
+    return [_trusted(EigenvalueClass, {"value": Fraction(-b, a)}) for a, b in zip(mu[1:], mu[2:])]
 
 
 def chain_mu_sequence(e: Iterable[int]) -> List[int]:

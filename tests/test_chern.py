@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
+from typing import List, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,8 @@ from folsurf.chern import (
     TRANSCENDENTAL,
     UNDETERMINED,
     ChernNumbers,
+    FiredRule,
+    Verdict,
     chern_numbers,
     decide,
     genus_bound,
@@ -492,3 +497,244 @@ def test_exact_sum_groups_denominators_past_the_rescale_size(terms):
     numerators, denominator = sums.total()
     assert denominator == math.lcm(*denominators)
     assert [Fraction(n, denominator) for n in numerators] == expected
+
+
+# ``decide`` compared with its earlier form, kept here as the reference.
+
+_REFERENCE_R1 = FiredRule(
+    "R1-rational-pencil",
+    "Miyaoka's criterion: a non-pseudo-effective canonical class forces a "
+    "pencil of rational curves",
+    "K_F not pseudo-effective",
+)
+
+
+def reference_decide(
+    f: FoliatedScenario,
+    c: ChernNumbers,
+    genus: Optional[int] = None,
+    p_g: Optional[int] = None,
+) -> Verdict:
+    """``chern.decide`` as it was before its rule table: seven inline rules,
+    a set of the statuses fired, and a final check that they agree.
+
+    The volume is ``c.c1_sq``, which ``chern_numbers`` takes from P^2.
+    ``genus`` is the fibration genus when one is known; ``p_g`` overrides the
+    metadata value when the geometric genus was computed rather than declared.
+    Contradictory firings, metadata conflicting with a fired rule, and hard
+    sanity violations all raise InconsistentScenario instead of producing a
+    verdict.  The slope >= 1 guess is reported as an informational flag only.
+    """
+    meta, vol = f.metadata, c.c1_sq
+    effective_pg = p_g if p_g is not None else meta.p_g
+    fired: List[FiredRule] = []
+    statuses = set()
+    info: List[str] = []
+    bound: Optional[int] = None
+
+    pe = meta.k_pseudo_effective
+    general = pe and vol > 0
+    if meta.kodaira == "2" and not general:
+        raise InconsistentScenario(
+            "metadata says general type but the volume vanishes"
+        )
+    if meta.kodaira in ("-inf", "0", "1") and general:
+        raise InconsistentScenario(
+            f"metadata says kodaira {meta.kodaira} but the volume is positive"
+        )
+
+    if not pe:
+        fired.append(_REFERENCE_R1)
+        statuses.add(ALGEBRAICALLY_INTEGRAL)
+
+    if pe and not general and (c.c2 > 0 or c.chi > 0):
+        fired.append(
+            FiredRule(
+                "R2-nongeneral-positive-chern",
+                "off general type, positive c2 or chi occurs only for "
+                "non-isotrivial genus-1 pencils",
+                f"c2 = {c.c2}, chi = {c.chi}",
+            )
+        )
+        statuses.add(ALGEBRAICALLY_INTEGRAL)
+
+    lam: Optional[Fraction] = None
+    if general:
+        lam = slope(c)
+        if lam < 2:
+            fired.append(
+                FiredRule(
+                    "R3-slope-below-two",
+                    "integrable foliations of general type have slope at least 2",
+                    f"slope = {lam} < 2",
+                )
+            )
+            statuses.add(TRANSCENDENTAL)
+        if lam < 1:
+            info.append(f"slope {lam} < 1 violates the expected lower bound (guess)")
+
+    if general and meta.algebraically_integral == "yes":
+        if genus is not None and genus >= 2:
+            required = Fraction(4 * (genus - 1), genus)
+            if lam < required:
+                raise InconsistentScenario(
+                    f"declared integrable of genus {genus} but slope {lam} < "
+                    f"4(g-1)/g = {required}"
+                )
+            fired.append(
+                FiredRule(
+                    "R4-integrable-slope-bound",
+                    "an integrable general-type foliation of genus g has slope "
+                    "at least 4(g-1)/g",
+                    f"slope = {lam} >= {required} at g = {genus}",
+                )
+            )
+        if lam < 4:
+            bound = genus_bound(lam)
+
+    if general and effective_pg is not None and effective_pg >= 2:
+        first, _, third = noether_bounds(effective_pg)
+        if vol < third:
+            fired.append(
+                FiredRule(
+                    "R5-noether-gap",
+                    "volume below the integrable Noether bound "
+                    "p_g - 3/2 + 3/(2(2 p_g + 1)) forces transcendence",
+                    f"vol = {vol} < {third}",
+                )
+            )
+            statuses.add(TRANSCENDENTAL)
+        if vol < first:
+            raise InconsistentScenario(
+                f"vol = {vol} violates the bound vol >= p_g - 2 = {first}"
+            )
+        if vol < Fraction(1, 2):
+            raise InconsistentScenario(
+                f"vol = {vol} violates the universal bound vol >= 1/2 at p_g >= 2"
+            )
+    if general and effective_pg is not None and effective_pg > 12 * c.chi + 2:
+        raise InconsistentScenario(
+            f"p_g = {effective_pg} exceeds 12*chi + 2 = {12 * c.chi + 2}"
+        )
+
+    if meta.algebraically_integral == "yes":
+        if TRANSCENDENTAL in statuses:
+            raise InconsistentScenario(
+                "a transcendence rule fired on a scenario declared integrable"
+            )
+        fired.append(
+            FiredRule(
+                "R0-declared-integrability",
+                "declared metadata",
+                "algebraically_integral = yes",
+            )
+        )
+        statuses.add(ALGEBRAICALLY_INTEGRAL)
+    if meta.algebraically_integral == "no":
+        if ALGEBRAICALLY_INTEGRAL in statuses:
+            raise InconsistentScenario(
+                "an integrability rule fired on a scenario declared transcendental"
+            )
+        fired.append(
+            FiredRule(
+                "R0-declared-transcendence",
+                "declared metadata",
+                "algebraically_integral = no",
+            )
+        )
+        statuses.add(TRANSCENDENTAL)
+
+    if TRANSCENDENTAL in statuses and ALGEBRAICALLY_INTEGRAL in statuses:
+        raise InconsistentScenario(
+            "contradictory rule firings: both transcendence and integrability"
+        )
+    if TRANSCENDENTAL in statuses:
+        status = TRANSCENDENTAL
+    elif ALGEBRAICALLY_INTEGRAL in statuses:
+        status = ALGEBRAICALLY_INTEGRAL
+    else:
+        status = UNDETERMINED
+    return Verdict(
+        status=status,
+        fired_rules=tuple(fired),
+        genus_bound=bound,
+        sanity_failures=tuple(info),
+    )
+
+
+# Each refusal ``reference_decide`` can reach; its last two checks (p_g
+# against 12 chi + 2, and contradictory firings) are never reached.
+REFUSALS = (
+    "metadata says general type but the volume vanishes",
+    "metadata says kodaira ",
+    "declared integrable of genus ",
+    "violates the bound vol >= p_g - 2",
+    "violates the universal bound vol >= 1/2",
+    "a transcendence rule fired on a scenario declared integrable",
+    "an integrability rule fired on a scenario declared transcendental",
+)
+REFERENCE_STATUS = {  # the status each rule implies, as the reference assigns them
+    "R0-declared-integrability": ALGEBRAICALLY_INTEGRAL,
+    "R0-declared-transcendence": TRANSCENDENTAL,
+    "R1-rational-pencil": ALGEBRAICALLY_INTEGRAL,
+    "R2-nongeneral-positive-chern": ALGEBRAICALLY_INTEGRAL,
+    "R3-slope-below-two": TRANSCENDENTAL,
+    "R4-integrable-slope-bound": None,
+    "R5-noether-gap": TRANSCENDENTAL,
+}
+# (c1^2, c2): vol = 0 with and without c2, then chi = 1 at slopes 1/4, 3/2,
+# 2, 3, 4 and 9/2
+GRID_CHERN = [
+    ChernNumbers(Fraction(c1), Fraction(c2), (Fraction(c1) + Fraction(c2)) / 12)
+    for c1, c2 in [
+        (0, 0), (0, 12), ("1/4", "47/4"), ("3/2", "21/2"), (2, 10), (3, 9), (4, 8), ("9/2", "15/2"),
+    ]
+]
+
+
+def _verdict_or_message(rule, *args):
+    try:
+        return rule(*args)
+    except (InconsistentScenario, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_decide_matches_the_reference_on_a_grid():
+    base = scenario_from(elliptic_pencil())
+    scenarios = [
+        with_metadata(
+            base, k_pseudo_effective=pe, algebraically_integral=integral, kodaira=kodaira, p_g=p_g
+        )
+        for pe, integral, kodaira, p_g in itertools.product(
+            (True, False), ("yes", "no", "unknown"), (None, "-inf", "0", "1", "2"), (None, 0, 2, 5)
+        )
+    ]
+    cases = list(itertools.product(scenarios, GRID_CHERN, (None, 1, 2, 3), (None, 1, 3, 20)))
+    fired, refused = set(), set()
+    for f, c, genus, p_g in cases:
+        got = _verdict_or_message(decide, f, c, genus, p_g)
+        assert got == _verdict_or_message(reference_decide, f, c, genus, p_g)
+        if isinstance(got, Verdict):
+            ids = [r.rule_id for r in got.fired_rules]
+            fired.update(ids)
+            statuses = {REFERENCE_STATUS[i] for i in ids} - {None}
+            assert statuses == (set() if got.status == UNDETERMINED else {got.status})
+        else:
+            assert got[0] == "InconsistentScenario"
+            found = [r for r in REFUSALS if r in got[1]]
+            assert len(found) == 1, got
+            refused.update(found)
+    assert len(cases) == 120 * 8 * 4 * 4
+    assert fired == set(REFERENCE_STATUS) == set(chern._RULES)
+    assert refused == set(REFUSALS)
+
+
+def test_readme_rule_table_lists_every_rule_with_its_status():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    rows = [
+        [cell.strip().strip("`") for cell in line.split("|")[1:3]]
+        for line in readme.read_text(encoding="utf-8").splitlines()
+        if line.startswith("| `R")
+    ]
+    listed = [(rule, None if status == "none" else status) for rule, status in rows]
+    assert listed == [(rule, status) for rule, (status, _) in chern._RULES.items()]

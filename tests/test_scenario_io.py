@@ -29,7 +29,6 @@ from folsurf.foliation import CheckResult, FoliatedScenario, ValidationReport
 from folsurf.local_invariants import EigenvalueClass, NonDegenerate
 from folsurf.scenario_io import (
     EXPECT,
-    EXPECTED_VALUES,
     InvariantReport,
     document_to_dict,
     fmt_rational,
@@ -499,10 +498,6 @@ def test_report_is_frozen():
     report = run_pipeline(parse_document_dict(second_noether_ruled(3)))
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.vol = Fraction(0)
-
-
-def test_every_expect_key_has_a_report_value():
-    assert set(EXPECTED_VALUES) == {f.key for f in EXPECT.fields}
 
 
 # A wrong value for each ``expect`` key of the third-Noether g = 2 document.

@@ -7,8 +7,8 @@ one-line summary per fixture plus the fired rules.
 """
 
 from folsurf import parse_scenario, run_pipeline
+from folsurf.document import fmt_rational
 from folsurf.fixtures import load_bundled_files
-from folsurf.scenario_io import fmt_rational
 
 
 def q(value):

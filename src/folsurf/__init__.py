@@ -27,6 +27,7 @@ from .chern import (
     noether_bounds,
     slope,
 )
+from .document import ScenarioDocument, fmt_rational, parse_scenario, serialize_document
 from .errors import (
     DomainError,
     FolsurfError,
@@ -64,14 +65,7 @@ from .local_invariants import (
     chi_local,
     chi_p,
 )
-from .scenario_io import (
-    InvariantReport,
-    ScenarioDocument,
-    fmt_rational,
-    parse_scenario,
-    run_pipeline,
-    serialize_document,
-)
+from .scenario_io import InvariantReport, run_pipeline
 from .surface import (
     DivisorClass,
     SurfaceModel,

@@ -21,9 +21,10 @@ import textwrap
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Tuple
 
+from .document import ScenarioDocument, parse_scenario
 from .errors import ParseError
 from .fixtures import load_bundled_files
-from .scenario_io import InvariantReport, ScenarioDocument, parse_scenario, run_pipeline
+from .scenario_io import InvariantReport, run_pipeline
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

@@ -19,7 +19,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Any, Dict, List, Tuple
 
-from .scenario_io import fmt_rational, write_json
+from .document import fmt_rational, write_json
 
 
 def _q(value) -> str:

@@ -36,6 +36,7 @@ import tracemalloc
 from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
+from folsurf.document import parse_document_dict, parse_scenario
 from folsurf.errors import DomainError, InconsistentScenario, ParseError
 from folsurf.fixtures import (
     bundled_documents,
@@ -44,7 +45,7 @@ from folsurf.fixtures import (
     third_noether_double_cover,
 )
 from folsurf.foliation import FoliatedScenario, validate
-from folsurf.scenario_io import parse_document_dict, parse_scenario, run_pipeline
+from folsurf.scenario_io import run_pipeline
 
 SEED = 20261019
 MUTATIONS_PER_DOCUMENT = 300

@@ -12,6 +12,7 @@ from math import gcd
 from folsurf.blowup import DICRITICAL, reduction_step_bound, seidenberg_reduce
 from folsurf.chern import chern_numbers
 from folsurf.cli import cli_main
+from folsurf.document import parse_document_dict
 from folsurf.fixtures import (
     bundled_documents,
     degree_two_p2,
@@ -31,7 +32,7 @@ from folsurf.local_invariants import (
     chi_p,
 )
 from folsurf.blowup import blow_up_singularity
-from folsurf.scenario_io import parse_document_dict, run_pipeline
+from folsurf.scenario_io import run_pipeline
 from folsurf.surface import intersect
 from folsurf.zariski import (
     chain_coefficients,

@@ -23,6 +23,7 @@ from folsurf.chern import (
     noether_bounds,
     slope,
 )
+from folsurf.document import parse_document_dict
 from folsurf.errors import DomainError, InconsistentScenario
 from folsurf.fixtures import (
     bundled_documents,
@@ -35,7 +36,7 @@ from folsurf.fixtures import (
 )
 from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata
 from folsurf.local_invariants import SingularityRecord, beta_p, chi_p
-from folsurf.scenario_io import parse_document_dict, run_pipeline
+from folsurf.scenario_io import run_pipeline
 from folsurf.surface import SurfaceModel, chi_structure
 from folsurf.zariski import zariski_decompose
 

@@ -1,5 +1,6 @@
 import pytest
 
+from folsurf.document import parse_document_dict, parse_scenario
 from folsurf.fixtures import (
     bundled_documents,
     first_noether_ruled,
@@ -8,7 +9,7 @@ from folsurf.fixtures import (
     load_bundled_files,
     render_fixture,
 )
-from folsurf.scenario_io import parse_document_dict, parse_scenario, run_pipeline
+from folsurf.scenario_io import run_pipeline
 
 
 def test_bundled_files_match_builders():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import count_calls
+from folsurf.document import ScenarioDocument, document_to_dict, parse_document_dict
 from folsurf.errors import DomainError, ParseError
 from folsurf.fibration import FiberModel, FiberNode, FibrationModel
 from folsurf.fixtures import second_noether_ruled, third_noether_double_cover, slope_12_7
@@ -24,7 +25,6 @@ from folsurf.local_invariants import (
     SaddleNode,
     SingularityRecord,
 )
-from folsurf.scenario_io import ScenarioDocument, document_to_dict, parse_document_dict
 from folsurf.surface import SurfaceModel, canonical_class, intersect
 
 

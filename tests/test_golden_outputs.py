@@ -35,6 +35,7 @@ import pytest
 import folsurf
 import mutations
 from folsurf.cli import VIEWS, cli_main
+from folsurf.document import parse_document_dict, serialize_document
 from folsurf.fixtures import (
     bundled_documents,
     first_noether_ruled,
@@ -44,7 +45,6 @@ from folsurf.fixtures import (
     slope_12_7,
     third_noether_double_cover,
 )
-from folsurf.scenario_io import parse_document_dict, serialize_document
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "outputs.json"

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from folsurf.document import NON_DEGENERATE, decode
 from folsurf.errors import DomainError
 from folsurf.fibration import FiberNode
 from folsurf.local_invariants import (
@@ -18,7 +19,6 @@ from folsurf.local_invariants import (
     chi_local,
     chi_p,
 )
-from folsurf.scenario_io import NON_DEGENERATE, decode
 
 nonzero_rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=40

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,13 +14,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import folsurf
+import folsurf.document as document
+import folsurf.scenario_io as sio
 import mutations
 from conftest import count_calls
+from folsurf.document import (
+    EXPECT,
+    document_to_dict,
+    fmt_rational,
+    parse_document_dict,
+    parse_rational,
+    parse_scenario,
+    serialize_document,
+    write_json,
+)
 from folsurf.errors import DomainError, ParseError
 from folsurf.fibration import FiberNode
 from folsurf.fixtures import (
     bundled_documents,
     i0star_elliptic,
+    load_bundled_files,
     second_noether_ruled,
     semistable_genus2,
     slope_12_7,
@@ -27,18 +41,7 @@ from folsurf.fixtures import (
 )
 from folsurf.foliation import CheckResult, FoliatedScenario, ValidationReport
 from folsurf.local_invariants import EigenvalueClass, NonDegenerate
-from folsurf.scenario_io import (
-    EXPECT,
-    InvariantReport,
-    document_to_dict,
-    fmt_rational,
-    parse_document_dict,
-    parse_rational,
-    parse_scenario,
-    run_pipeline,
-    serialize_document,
-    write_json,
-)
+from folsurf.scenario_io import InvariantReport, run_pipeline
 
 
 def test_fmt_and_parse_rational_roundtrip():
@@ -96,17 +99,15 @@ def test_parse_rational_accepts_the_grammar_and_json_integers():
 
 
 def test_class_decoding_builds_no_fraction_for_a_zero_entry(monkeypatch):
-    import folsurf.scenario_io as sio
-
     doc = third_noether_double_cover(40)
     seen = []
-    original = sio._rational
+    original = document._rational
 
     def counting(text, memo):
         seen.append(text)
         return original(text, memo)
 
-    monkeypatch.setattr(sio, "_rational", counting)
+    monkeypatch.setattr(document, "_rational", counting)
     scenario = parse_document_dict(doc).scenario
     dense = [doc["k_foliation"]] + [c["class"] for c in doc["curves"]]
     entries = [x for cls in dense for x in cls]
@@ -205,9 +206,9 @@ def test_a_look_alike_of_an_accepted_kind_is_refused(accepted, look_alike, where
 
 LAZY_DECODERS = """
 import folsurf
-from folsurf import scenario_io as sio
+from folsurf import document
 
-records = [v for v in vars(sio).values() if isinstance(v, sio.Record)]
+records = [v for v in vars(document).values() if isinstance(v, document.Record)]
 assert len(records) == 13, len(records)
 assert not [r for r in records if "decoder" in vars(r)]
 from folsurf.fixtures import render_fixture, second_noether_ruled
@@ -787,6 +788,44 @@ def test_pipeline_pairs_kf_nf_and_p_squared_once_and_corrects_each_fiber_once(mo
         "canonical_class": 0,
         "_fiber_terms": len(doc.fibration.singular_fibers),
     }
+
+
+def _tracing_targets():
+    """``MODULE_TARGETS`` and ``CLASS_TARGETS`` of the benchmark's tracer."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.MODULE_TARGETS, tracing.CLASS_TARGETS
+
+
+def test_every_name_the_tracer_wraps_on_scenario_io_is_called_there(monkeypatch):
+    # the tracer times a layer by rebinding its name on scenario_io; a stage
+    # that reached it another way would read 0 for that layer's metric
+    assert sio.intersect is folsurf.surface.intersect
+    assert sio.parse_scenario is document.parse_scenario
+    module_targets, class_targets = _tracing_targets()
+    targets = [(sio, attr) for module, attr, _ in module_targets if module == "scenario_io"]
+    targets += [
+        (getattr(sio, cls), attr)
+        for module, cls, attr, _ in class_targets
+        if module == "scenario_io"
+    ]
+    assert targets
+    calls = {}
+    for owner, attr in targets:
+        calls[attr] = 0
+
+        def counting(*args, _attr=attr, _original=getattr(owner, attr), **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+    files = load_bundled_files()
+    assert len(files) == 15
+    for _, raw in files:
+        sio.run_pipeline(sio.parse_scenario(raw)).to_json()
+    assert [attr for attr, n in calls.items() if not n] == ["intersect"]
 
 
 def test_fibration_block_runs_after_a_surface_stage_raises():

@@ -7,10 +7,10 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from folsurf.document import parse_document_dict
 from folsurf.errors import DomainError, ShapeError
 from folsurf.fixtures import bundled_documents
 from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata
-from folsurf.scenario_io import parse_document_dict
 from folsurf.surface import (
     DivisorClass,
     SurfaceModel,

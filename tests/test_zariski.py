@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from folsurf.document import ScenarioDocument, parse_document_dict
 from folsurf.errors import DomainError, InconsistentScenario, ShapeError
 from folsurf.fixtures import (
     bundled_documents,
@@ -14,7 +15,7 @@ from folsurf.fixtures import (
 )
 from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata, validate
 from folsurf.local_invariants import EigenvalueClass, NonDegenerate, SingularityRecord, beta
-from folsurf.scenario_io import ScenarioDocument, parse_document_dict, run_pipeline
+from folsurf.scenario_io import run_pipeline
 from folsurf.surface import SurfaceModel, intersect, pairing_table
 import folsurf.zariski as zariski
 from folsurf.zariski import (

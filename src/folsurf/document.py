@@ -15,10 +15,10 @@ straight to its canonical form (``canonical_eigenvalue``), a class list to
 the integer numerators that ``DivisorClass.trusted`` stores
 (``surface._integer_form``; a class is printed from them), a singularity is
 built by ``SingularityRecord.trusted``, and eigenvalue classes, fiber
-nodes, curves and the scenario by ``_trusted``; only checks that span
-fields run.  The walk that checks the singularities' ids and curves also
-groups them by kind and by curve (``index_singularities``), and the
-scenario is handed that index.  Reports, documents and fixtures are
+nodes and curves by ``_trusted``; only checks that span fields run.  The
+scenario is built by its constructor, as every other scenario is: it checks
+the curve names, singularity ids and curve references, and its refusal's
+path becomes the ``ParseError`` path.  Reports, documents and fixtures are
 printed by one writer, :func:`write_json`, so identical input bytes
 produce identical output bytes.
 """
@@ -40,8 +40,7 @@ from .foliation import (
     CurveRecord,
     FoliatedScenario,
     ScenarioMetadata,
-    SingularityRefused,
-    index_singularities,
+    ScenarioRefused,
 )
 from .local_invariants import (
     EigenvalueClass,
@@ -594,34 +593,21 @@ def _lattice_class(surface: SurfaceModel, decoded, *where) -> DivisorClass:
 
 
 def _build_scenario(name, surface, k_foliation, curves, singularities, metadata):
-    """The scenario of a document with a surface.  Curve names must be unique,
-    each repeat refused at its curve.  One walk over the singularities
-    (``index_singularities``) refuses the first bad one, a repeated id at
-    the point and then an undeclared curve at its ``on_curves``, and builds
-    the kind groups and curve incidence that the scenario is handed, so that
-    validation and the Chern numbers never walk the list again."""
+    """The scenario of a document with a surface, once every class has the
+    surface rank.  Its constructor refuses a repeated curve name, a repeated
+    singularity id or an undeclared curve, at the offender's path."""
     for key, value in (("k_foliation", k_foliation), ("metadata", metadata)):
         if value is None:
             raise _Reject(f"missing required key {key!r} for a surface scenario")
     k_foliation = _lattice_class(surface, k_foliation, "k_foliation")
     records = []
-    curve_names = set()
     for k, attrs in enumerate(curves):
-        if attrs["name"] in curve_names:
-            raise _Reject(f"duplicate curve name {attrs['name']!r}", "curves", k)
-        curve_names.add(attrs["name"])
         attrs["cls"] = _lattice_class(surface, attrs["cls"], "curves", k, "class")
         records.append(_trusted(CurveRecord, attrs))
     try:
-        index = index_singularities(singularities, curve_names)
-    except SingularityRefused as exc:
-        raise _Reject(str(exc), "singularities", *exc.where) from None
-    # curve names and singularity ids are unique, each repeat refused above
-    return _trusted(FoliatedScenario, {
-        "name": name, "surface": surface, "k_foliation": k_foliation,
-        "curves": tuple(records), "singularities": tuple(singularities), "metadata": metadata,
-        "singularity_index": index,
-    })
+        return FoliatedScenario(name, surface, k_foliation, records, singularities, metadata)
+    except ScenarioRefused as exc:
+        raise _Reject(str(exc), *exc.where) from None
 
 
 @dataclass(frozen=True)

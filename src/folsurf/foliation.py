@@ -19,15 +19,16 @@ decided exactly, in integers, by one iterative sweep per connected component
 of the invariant curves, under one work budget for the scenario.
 Facts of a singularity's kind (multiplicity, reducedness, the {lam, 1/lam}
 branch pair, the local Chern terms) are read once per kind object, through
-``FoliatedScenario.by_kind``.  One walk over the singularities
-(``index_singularities``) groups them by kind and by curve: the parser makes
-it while it checks the singularities, and a scenario built otherwise makes
-it on first use.
+``FoliatedScenario.by_kind``.  A scenario has one construction path, its
+constructor, which the parser calls too: it refuses a repeated curve name,
+and one walk over the singularities (``index_singularities``) refuses a
+repeated id or a point on an undeclared curve while it groups them by kind
+and by curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -95,10 +96,11 @@ class SingularityIndex(NamedTuple):
     incidence: Dict[str, Tuple[SingularityRecord, ...]]
 
 
-class SingularityRefused(DomainError):
-    """A singularity that ``index_singularities`` refuses.  ``where`` is its
-    position in the list, followed by "on_curves" when a curve it names is at
-    fault."""
+class ScenarioRefused(DomainError):
+    """A scenario that ``FoliatedScenario`` refuses.  ``where`` is the path of
+    the offender: ("curves", k) for a repeated curve name, or
+    ("singularities", k), followed by "on_curves" when a curve the point
+    names is at fault."""
 
     def __init__(self, reason: str, *where):
         super().__init__(reason)
@@ -106,16 +108,14 @@ class SingularityRefused(DomainError):
 
 
 def index_singularities(
-    singularities: Iterable[SingularityRecord], curve_names: Optional[Container[str]] = None
+    singularities: Iterable[SingularityRecord], curve_names: Container[str]
 ) -> SingularityIndex:
     """Group the singularities by kind object and by curve in one walk.
 
     The walk refuses the first bad singularity in list order, and checks each
-    one's id for a repeat before its curves; a curve outside ``curve_names``,
-    when that is given, is refused too.  Without it every name is indexed,
-    and ``validate`` reports the names no curve declares.  Groups go by
-    identity, not equality: hashing a kind that holds Fractions costs more
-    than it saves.
+    one's id for a repeat before its curves, each of which must be in
+    ``curve_names``.  Groups go by identity, not equality: hashing a kind
+    that holds Fractions costs more than it saves.
     """
     groups: Dict[int, List[SingularityRecord]] = {}
     on: Dict[str, List[SingularityRecord]] = {}
@@ -124,7 +124,7 @@ def index_singularities(
     for k, s in enumerate(singularities):
         sid = s.id
         if sid in ids:
-            raise SingularityRefused(f"duplicate singularity id {sid!r}", k)
+            raise ScenarioRefused(f"duplicate singularity id {sid!r}", "singularities", k)
         ids.add(sid)
         if s.kind is not kind:  # points of one kind often come in a row
             kind = s.kind
@@ -135,9 +135,9 @@ def index_singularities(
         for name in s.incident_curves:
             points = on.get(name)
             if points is None:  # a name met for the first time is checked once
-                if curve_names is not None and name not in curve_names:
+                if name not in curve_names:
                     reason = f"singularity references undeclared curve {name!r}"
-                    raise SingularityRefused(reason, k, "on_curves")
+                    raise ScenarioRefused(reason, "singularities", k, "on_curves")
                 on[name] = [s]
             elif points[-1] is not s:  # a name the point repeats counts once
                 points.append(s)
@@ -148,22 +148,29 @@ def index_singularities(
 
 @dataclass(frozen=True)
 class FoliatedScenario:
+    """A scenario, checked and indexed once by its constructor, the one way to
+    build it: curve names and singularity ids are unique, and every curve a
+    point names is declared (``ScenarioRefused`` names the first offender)."""
+
     name: str
     surface: SurfaceModel
     k_foliation: DivisorClass
     curves: Tuple[CurveRecord, ...]
     singularities: Tuple[SingularityRecord, ...]
     metadata: ScenarioMetadata
+    _positions: Dict[str, int] = field(init=False, repr=False, compare=False)
+    singularity_index: SingularityIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "curves", tuple(self.curves))
         object.__setattr__(self, "singularities", tuple(self.singularities))
-        names = [c.name for c in self.curves]
-        if len(set(names)) != len(names):
-            raise DomainError("curve names must be unique")
-        ids = [s.id for s in self.singularities]
-        if len(set(ids)) != len(ids):
-            raise DomainError("singularity ids must be unique")
+        positions: Dict[str, int] = {}
+        for k, c in enumerate(self.curves):
+            if positions.setdefault(c.name, k) != k:
+                raise ScenarioRefused(f"duplicate curve name {c.name!r}", "curves", k)
+        object.__setattr__(self, "_positions", positions)
+        index = index_singularities(self.singularities, positions)
+        object.__setattr__(self, "singularity_index", index)
 
     @cached_property
     def pairings(self) -> Pairings:
@@ -184,13 +191,6 @@ class FoliatedScenario:
         t = self.pairings
         return Fraction(t.d_square - t.d_dot_ks, t.scale * t.scale)
 
-    @cached_property
-    def singularity_index(self) -> SingularityIndex:
-        """The singularities grouped by kind and by curve.  A parsed scenario
-        is handed the index its parse built in the walk that checked the
-        singularities; any other scenario makes that walk on first use."""
-        return index_singularities(self.singularities)
-
     @property
     def by_kind(self) -> Tuple[Tuple[SingularityRecord, ...], ...]:
         """The singularities grouped by kind object (``SingularityIndex``).
@@ -207,10 +207,6 @@ class FoliatedScenario:
         the count check and the report read it."""
         return sum(group[0].multiplicity * len(group) for group in self.by_kind)
 
-    @cached_property
-    def _positions(self) -> Dict[str, int]:
-        return {c.name: i for i, c in enumerate(self.curves)}
-
     def curve(self, name: str) -> CurveRecord:
         if name not in self._positions:
             raise DomainError(f"no curve named {name!r}")
@@ -221,15 +217,9 @@ class FoliatedScenario:
 
     @cached_property
     def is_reduced(self) -> bool:
-        """Whether every singularity is reduced.  A scenario that holds its
-        ``singularity_index`` already (a parsed one is handed it) reads one
-        point per kind group; any other reads its points' kinds and builds
-        no index, so a decomposition that asks only this pays for no id set
-        or curve incidence."""
-        index = self.__dict__.get("singularity_index")
-        if index is None:
-            return all(s.is_reduced for s in self.singularities)
-        return all(group[0].is_reduced for group in index.by_kind)
+        """Whether every singularity is reduced, read from one point per kind
+        group."""
+        return all(group[0].is_reduced for group in self.by_kind)
 
     @property
     def non_reduced(self) -> Tuple[SingularityRecord, ...]:
@@ -445,9 +435,11 @@ def validate(f: FoliatedScenario) -> ValidationReport:
         detail = f"{label} {problems}" if label and problems else "; ".join(problems)
         checks.append(CheckResult(f"structure.{name}", passed=not problems, detail=detail))
 
-    dangling = sorted(set(f.singularity_index.incidence) - set(f._positions))
-    structure("singularity-references", dangling, "unknown curves")
-    nonintegral = [c.name for c in f.curves if not c.cls.is_integral]
+    # the constructor refuses a point on an undeclared curve, so this row passes
+    structure("singularity-references", [])
+    # K_F is the class of a line bundle, as every curve's is
+    nonintegral = [] if f.k_foliation.is_integral else ["K_F"]
+    nonintegral += [c.name for c in f.curves if not c.cls.is_integral]
     structure("curve-classes", nonintegral, "non-integral classes")
 
     # two distinct irreducible curves meet in a non-negative number of points

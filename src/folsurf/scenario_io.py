@@ -234,7 +234,7 @@ def _surface_stages(s: FoliatedScenario, genus: Optional[int], out: Dict[str, An
     if chern.chi > 0:
         out["slope_value"] = slope(chern)
     declared = s.metadata.p_g
-    p_g = h0_line_bundle(s.surface, s.k_foliation) if s.k_foliation.is_integral else None
+    p_g = h0_line_bundle(s.surface, s.k_foliation)
     if p_g is None:
         p_g = declared
     elif declared is not None and p_g != declared:

@@ -24,13 +24,17 @@ hostile input's outcome and refuses one whose peak passes
 ``DOCUMENT_BYTES``.
 
 Run ``PYTHONPATH=src python tests/mutations.py`` to print both digests and
-their document counts, and the largest memory peak.
+their document counts, and the largest memory peak, or
+``PYTHONPATH=src python tests/mutations.py OUT`` to write each outcome to
+the file OUT, one JSON line per document (``write_outcomes``): ``diff``
+between the files of two checkouts names each changed document.
 """
 
 import hashlib
 import json
 import random
 import re
+import sys
 import time
 import tracemalloc
 from itertools import chain
@@ -231,20 +235,36 @@ class SlowDocument(Exception):
     """A document whose parse and pipeline took over ``DOCUMENT_SECONDS``."""
 
 
-def digest(seed: int = SEED) -> Dict[str, Any]:
-    """The pinned form of the outcomes: their count and one sha256.  Each
-    document is timed, and one over ``DOCUMENT_SECONDS`` raises SlowDocument."""
-    h = hashlib.sha256()
-    count = 0
+def outcomes(seed: int = SEED) -> Iterator[Tuple[int, str]]:
+    """Each mutated and hostile document's position and outcome, in order.
+    Each document is timed, and one over ``DOCUMENT_SECONDS`` raises
+    SlowDocument."""
     for i, document in enumerate(chain(mutated_documents(seed), hostile_inputs())):
         start = time.perf_counter()
         result = outcome(document)
         seconds = time.perf_counter() - start
         if seconds > DOCUMENT_SECONDS:
             raise SlowDocument(f"document {i} took {seconds:.2f} s, over {DOCUMENT_SECONDS} s")
+        yield i, result
+
+
+def digest(seed: int = SEED) -> Dict[str, Any]:
+    """The pinned form of the outcomes: their count and one sha256."""
+    h = hashlib.sha256()
+    count = 0
+    for i, result in outcomes(seed):
         h.update(f"{i}\t{result}\n".encode("utf-8"))
         count += 1
     return {"documents": count, "sha256": h.hexdigest()}
+
+
+def write_outcomes(path: str, seed: int = SEED) -> None:
+    """Each outcome as one JSON line, ``{"document": i, "outcome": ...}``, so
+    that ``diff`` between the files of two checkouts names each document
+    whose outcome differs, which the sha256 alone does not."""
+    with open(path, "w", encoding="utf-8") as out:
+        for i, result in outcomes(seed):
+            out.write(json.dumps({"document": i, "outcome": result}) + "\n")
 
 
 class LargeDocument(Exception):
@@ -308,6 +328,9 @@ def validation_digest(seed: int = SEED) -> Dict[str, Any]:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) > 1:
+        write_outcomes(sys.argv[1])
+        sys.exit()
     print(json.dumps({
         "outcomes": digest(),
         "validation": validation_digest(),

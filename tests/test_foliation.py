@@ -16,6 +16,7 @@ from folsurf.foliation import (
     CurveRecord,
     FoliatedScenario,
     ScenarioMetadata,
+    ScenarioRefused,
     singularity_count_check,
     validate,
 )
@@ -241,10 +242,22 @@ def test_validate_epsilon_rules():
     eps2 = next(c for c in report2.checks if c.name == "structure.epsilon-declarations")
     assert eps2.failed  # epsilon = 1 contradicts integrability
 
+    # the first and last points of a parsed scenario given one non-reduced
+    # kind, which needs no epsilon: those two, in declared order
+    parsed = scenario_from(second_noether_ruled(3))
+    points = list(parsed.singularities)
+    three_halves = NonDegenerate(EigenvalueClass.rational(Fraction(3, 2)))
+    for k in (0, -1):
+        points[k] = dataclasses.replace(points[k], kind=three_halves)
+    s3 = dataclasses.replace(parsed, singularities=points)
+    assert parsed.is_reduced and parsed.non_reduced == ()
+    assert not s3.is_reduced and s3.non_reduced == (points[0], points[-1])
+    assert not _checks_by_name(s3)["structure.epsilon-declarations"].failed
+
 
 def test_duplicate_names_rejected():
     p2 = SurfaceModel.p2()
-    with pytest.raises(DomainError, match="curve names must be unique"):
+    with pytest.raises(ScenarioRefused, match="duplicate curve name 'C'") as err:
         FoliatedScenario(
             name="dup",
             surface=p2,
@@ -256,7 +269,8 @@ def test_duplicate_names_rejected():
             singularities=(),
             metadata=ScenarioMetadata(True, True),
         )
-    with pytest.raises(DomainError, match="singularity ids must be unique"):
+    assert err.value.where == ("curves", 1)
+    with pytest.raises(ScenarioRefused, match="duplicate singularity id 'q'") as err:
         FoliatedScenario(
             name="dup",
             surface=p2,
@@ -265,23 +279,28 @@ def test_duplicate_names_rejected():
             singularities=(_node_record(), _node_record()),
             metadata=ScenarioMetadata(True, True),
         )
+    assert err.value.where == ("singularities", 1)
 
 
-def test_a_point_on_an_undeclared_curve_fails_the_references_row():
-    # validate reports a public scenario's dangling name; a parse refuses it
+def test_a_point_on_an_undeclared_curve_is_refused():
+    # the constructor refuses it, and a parse at the same path
     p2 = SurfaceModel.p2()
-    s = FoliatedScenario(
+    fields = dict(
         name="ghost",
         surface=p2,
         k_foliation=p2.divisor([1]),
         curves=(CurveRecord("C", p2.divisor([1]), True),),
-        singularities=(_node_record(incident_curves=("C", "Ghost")),),
         metadata=ScenarioMetadata(True, True),
     )
-    references = _checks_by_name(s)["structure.singularity-references"]
-    assert (references.status, references.detail) == ("fail", "unknown curves ['Ghost']")
+    ghost = _node_record(incident_curves=("C", "Ghost"))
+    with pytest.raises(ScenarioRefused, match="undeclared curve 'Ghost'") as err:
+        FoliatedScenario(singularities=(ghost,), **fields)
+    assert err.value.where == ("singularities", 0, "on_curves")
+    s = FoliatedScenario(singularities=(_node_record(incident_curves=("C",)),), **fields)
+    doc = document_to_dict(ScenarioDocument(s.name, s, None))
+    doc["singularities"][0]["on_curves"].append("Ghost")
     with pytest.raises(ParseError) as err:
-        parse_document_dict(document_to_dict(ScenarioDocument(s.name, s, None)))
+        parse_document_dict(doc)
     assert err.value.path == "$.singularities[0].on_curves"
 
 

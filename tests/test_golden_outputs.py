@@ -45,6 +45,7 @@ from folsurf.fixtures import (
     slope_12_7,
     third_noether_double_cover,
 )
+from folsurf.scenario_io import run_pipeline
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "outputs.json"
@@ -89,6 +90,16 @@ def _non_reduced(doc):
         sing["kind"] = kinds.get(sing["id"], sing["kind"])
 
 
+def _non_integral_k_foliation(doc):
+    # K_F = C0 + 7/2 F on F_3, two more points off every curve balancing the
+    # count: every other row passes, Z(C0) = 5/2 included
+    doc["k_foliation"] = ["1", "7/2"]
+    doc["singularities"] += [
+        {"id": f"e{k}", "kind": {"eigenvalue": "nonrational"}} for k in (1, 2)
+    ]
+    del doc["expect"]
+
+
 # Bundled documents with one change each; every one yields a failed report.
 FAILURE_CASES = {
     "every_expect_key_mismatched": lambda: _changed(
@@ -102,6 +113,9 @@ FAILURE_CASES = {
         second_noether_ruled(4), lambda d: d.update(k_foliation=["1", "2"])
     ),
     "non_reduced_slope_12_7": lambda: _changed(slope_12_7(), _non_reduced),
+    "non_integral_k_foliation": lambda: _changed(
+        first_noether_ruled(3), _non_integral_k_foliation
+    ),
     "modular_mismatch": lambda: _changed(
         semistable_genus2(),
         lambda d: d["expect"].update(modular={"kappa": "5", "delta": "19", "chi": "2"}),
@@ -270,6 +284,29 @@ def test_failure_paths_match_golden():
     golden = _golden()["failure paths"]
     assert len(golden) == len(FAILURE_CASES) * len(COMMANDS)
     _assert_entries_equal(failure_outputs(), golden)
+
+
+def test_a_non_integral_k_foliation_fails_only_the_curve_classes_row():
+    # a foliation's canonical class is a line bundle's, so it is integral
+    report = run_pipeline(parse_document_dict(FAILURE_CASES["non_integral_k_foliation"]()))
+    failed = [c for c in report.validation.checks if c.failed]
+    assert [(c.name, c.detail) for c in failed] == [
+        ("structure.curve-classes", "non-integral classes ['K_F']")
+    ]
+    assert not report.ok and (report.chern, report.p_g, report.verdict) == (None, None, None)
+
+
+def test_mutation_outcomes_are_written_one_line_per_document(monkeypatch, tmp_path):
+    # the lines name each document's outcome, and hash to its digest
+    monkeypatch.setattr(mutations, "MUTATIONS_PER_DOCUMENT", 2)
+    out = tmp_path / "outcomes.jsonl"
+    mutations.write_outcomes(str(out))
+    lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    h = hashlib.sha256()
+    for k, line in enumerate(lines):
+        assert line["document"] == k
+        h.update(f"{k}\t{line['outcome']}\n".encode("utf-8"))
+    assert mutations.digest() == {"documents": 24 * 2 + 5, "sha256": h.hexdigest()}
 
 
 def test_fixtures_run_matches_golden():

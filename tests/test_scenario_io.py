@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 import folsurf
 import folsurf.document as document
 import folsurf.scenario_io as sio
-import mutations
 from conftest import count_calls
 from folsurf.document import (
     EXPECT,
@@ -39,7 +38,7 @@ from folsurf.fixtures import (
     slope_12_7,
     third_noether_double_cover,
 )
-from folsurf.foliation import CheckResult, FoliatedScenario, ValidationReport
+from folsurf.foliation import CheckResult, ScenarioRefused, ValidationReport
 from folsurf.local_invariants import EigenvalueClass, NonDegenerate
 from folsurf.scenario_io import InvariantReport, run_pipeline
 
@@ -266,12 +265,16 @@ def test_dangling_curve_reference_names_the_curve():
 def test_duplicate_names_rejected():
     doc = second_noether_ruled(3)
     doc["curves"].append(copy.deepcopy(doc["curves"][0]))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_document_dict(doc)
+    assert (err.value.path, err.value.reason) == ("$.curves[2]", "duplicate curve name 'C0'")
     doc2 = second_noether_ruled(3)
     doc2["singularities"].append(copy.deepcopy(doc2["singularities"][0]))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_document_dict(doc2)
+    assert (err.value.path, err.value.reason) == (
+        "$.singularities[8]", "duplicate singularity id 'p_neg'",
+    )
 
 
 # Each refusal of a singularity, as a change to the second point ("p2", on
@@ -311,105 +314,72 @@ def test_each_singularity_refusal_names_its_path_and_reason(case):
     assert (err.value.path, err.value.reason) == (path, reason)
 
 
-# Changes to the singularities of second_noether_ruled(4) (p_neg, p2, p3, then
-# u1 to u7; a key set to None is deleted), and the one refusal: the first bad
-# singularity in list order, its id checked before the curves it names.
+# Changes to the curves (C0, Finf) and singularities (p_neg, p2, p3, then u1
+# to u7) of second_noether_ruled(4), a key set to None deleted, and the one
+# refusal: the first bad singularity in list order, its id checked before
+# the curves it names, after a repeated curve name, which is refused once
+# every curve's class has been checked.
 REFUSAL_ORDER = {
     "kind-missing": (
-        {3: {"id": "x", "kind": None, "on_curves": ["C0"]}},
+        {("singularities", 3): {"id": "x", "kind": None, "on_curves": ["C0"]}},
         "$.singularities[3]", "missing required key 'kind'",
     ),
     "vanishing-order-0-on-a-bare-point": (
-        {3: {"vanishing_order": 0}},
+        {("singularities", 3): {"vanishing_order": 0}},
         "$.singularities[3].vanishing_order", "expected an integer >= 1, got 0",
     ),
     "undeclared-curve-before-a-duplicate-id": (
-        {2: {"on_curves": ["Ghost"]}, 4: {"id": "p_neg"}},
+        {("singularities", 2): {"on_curves": ["Ghost"]}, ("singularities", 4): {"id": "p_neg"}},
         "$.singularities[2].on_curves", "singularity references undeclared curve 'Ghost'",
     ),
     "duplicate-id-before-an-undeclared-curve": (
-        {3: {"id": "p3"}, 5: {"on_curves": ["Ghost"]}},
+        {("singularities", 3): {"id": "p3"}, ("singularities", 5): {"on_curves": ["Ghost"]}},
         "$.singularities[3]", "duplicate singularity id 'p3'",
     ),
     "duplicate-id-and-undeclared-curve-on-one-point": (
-        {3: {"id": "p3", "on_curves": ["Finf", "Ghost"]}},
+        {("singularities", 3): {"id": "p3", "on_curves": ["Finf", "Ghost"]}},
         "$.singularities[3]", "duplicate singularity id 'p3'",
     ),
+    "duplicate-curve-name-before-a-duplicate-id": (
+        {("curves", 1): {"name": "C0"}, ("singularities", 3): {"id": "p3"}},
+        "$.curves[1]", "duplicate curve name 'C0'",
+    ),
+    "curve-class-before-a-duplicate-curve-name": (
+        {("curves", 0): {"name": "Finf"}, ("curves", 1): {"class": ["1"]}},
+        "$.curves[1].class", "class has 1 coefficients, surface rank is 2",
+    ),
 }
+
+# the record attribute of each key whose refusal is the scenario constructor's
+CONSTRUCTOR_ATTRS = {"name": "name", "id": "id", "on_curves": "incident_curves"}
 
 
 @pytest.mark.parametrize("case", list(REFUSAL_ORDER))
 def test_the_first_bad_singularity_is_the_one_refused(case):
     changes, path, reason = REFUSAL_ORDER[case]
     doc = second_noether_ruled(4)
-    for index, change in changes.items():
-        point = doc["singularities"][index]
-        point.update(change)
+    for where, change in changes.items():
+        item = doc[where[0]][where[1]]
+        item.update(change)
         for key in [k for k, v in change.items() if v is None]:
-            del point[key]
+            del item[key]
     with pytest.raises(ParseError) as err:
         parse_document_dict(doc)
     assert (err.value.path, err.value.reason) == (path, reason)
-
-
-def _index_views(s):
-    return (
-        s.by_kind,
-        [s.singularities_on(c.name) for c in s.curves],
-        s.singularity_count,
-        s.is_reduced,
-        s.non_reduced,
+    if any(key not in CONSTRUCTOR_ATTRS for change in changes.values() for key in change):
+        return  # a refusal of the decoder's, before any scenario is built
+    # the public constructor, given the same changes, refuses at the same path
+    s = parse_document_dict(second_noether_ruled(4)).scenario
+    parts = {"curves": list(s.curves), "singularities": list(s.singularities)}
+    for (part, k), change in changes.items():
+        attrs = {CONSTRUCTOR_ATTRS[key]: value for key, value in change.items()}
+        parts[part][k] = dataclasses.replace(parts[part][k], **attrs)
+    with pytest.raises(ScenarioRefused) as refused:
+        dataclasses.replace(s, **parts)
+    part, k, *rest = refused.value.where
+    assert (f"$.{part}[{k}]" + "".join(f".{r}" for r in rest), str(refused.value)) == (
+        path, reason,
     )
-
-
-def test_the_parse_built_index_equals_the_one_a_public_scenario_builds():
-    # bundled documents, the harness's family members and every mutated
-    # document that parses: the index handed over by the parse walk reads
-    # as the one a scenario built through the public constructor makes
-    scenarios = [parse_document_dict(doc).scenario for doc in mutations.sources()]
-    scenarios = [s for s in scenarios if s is not None]
-    assert len(scenarios) == 22  # two bundled documents hold only a fibration
-    scenarios += [s for _, s in mutations.parsed_scenarios()]
-    for s in scenarios:
-        assert "singularity_index" in vars(s)
-        rebuilt = FoliatedScenario(**{f.name: getattr(s, f.name) for f in dataclasses.fields(s)})
-        assert "singularity_index" not in vars(rebuilt)
-        assert _index_views(rebuilt) == _index_views(s), s.name
-        assert rebuilt.singularity_index == s.singularity_index, s.name
-
-
-def test_a_public_scenario_reads_is_reduced_from_its_points_without_an_index():
-    # the harness's 24 source documents, as parsed and with their first and
-    # last points given one non-reduced kind: a publicly built scenario
-    # answers is_reduced from its points' kinds and builds no index, and its
-    # answers agree with the ones its index gives
-    non_reduced_kind = NonDegenerate(EigenvalueClass.rational(Fraction(3, 2)))
-    sides = {True: 0, False: 0}
-    for doc in mutations.sources():
-        parsed = parse_document_dict(doc).scenario
-        if parsed is None:
-            continue
-        fields = {f.name: getattr(parsed, f.name) for f in dataclasses.fields(parsed)}
-        points = parsed.singularities
-        ends = {0, len(points) - 1}
-        changed = tuple(
-            dataclasses.replace(p, kind=non_reduced_kind, vanishing_order=1) if k in ends else p
-            for k, p in enumerate(points)
-        )
-        for singularities in (points, changed):
-            public = FoliatedScenario(**{**fields, "singularities": singularities})
-            reduced, non_reduced = public.is_reduced, public.non_reduced
-            if reduced:
-                assert "singularity_index" not in vars(public)
-            groups = public.singularity_index.by_kind
-            assert reduced == all(group[0].is_reduced for group in groups)
-            bad = {id(p) for group in groups if not group[0].is_reduced for p in group}
-            assert non_reduced == tuple(p for p in singularities if id(p) in bad)
-            assert len(non_reduced) == (0 if singularities is points else len(ends))
-            sides[reduced] += 1
-        # a parsed scenario reads the index its parse handed it
-        assert parsed.is_reduced and parsed.non_reduced == ()
-    assert sides == {True: 22, False: 22}
 
 
 def test_a_vanishing_order_within_the_multiplicity_bound_parses():

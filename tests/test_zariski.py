@@ -70,16 +70,6 @@ def test_chain_negative_square_is_minus_q_over_n_on_every_small_chain():
             assert chain_negative_square(e) == Fraction(-q, n)
 
 
-def test_decomposing_a_chain_scenario_builds_no_singularity_index(chain_scenario):
-    # zariski_decompose reads only is_reduced, which a publicly built
-    # scenario answers from its points' kinds
-    for e, nef_multiple in (((2,), 0), ((5, 2, 4), 0), ((3, 2, 2, 7), 2)):
-        s = chain_scenario(e, nef_multiple=nef_multiple)
-        dec = zariski_decompose(s)
-        assert "singularity_index" not in vars(s)
-        assert [c for _, c in dec.negative_part] == chain_coefficients(e)[2]
-
-
 def test_chain_eigenvalues_examples():
     assert [ev.value for ev in chain_eigenvalues([2])] == [Fraction(-2)]
     assert [ev.value for ev in chain_eigenvalues([2, 2])] == [

@@ -24,7 +24,10 @@ eigenvalue n/d (see ``local_invariants``), so each is evaluated at most once
 per kind.  Only a kind with nonzero beta (not a saddle-node, not a
 non-rational eigenvalue) has its points counted on and off the negative
 part; the chi_p sum takes each kind's chi_p times its number of points and
-stops at the first kind whose chi_p is unavailable.
+stops at the first kind whose chi_p is unavailable.  A kind's number of
+points is its records' counts summed (``FoliatedScenario.points_by_kind``).
+The split walks a group's records, not its points: only a record on curves
+can lie on N, and it is one point.
 
 The sums are exact and kept in integers: ``_ExactSum`` holds c1^2, c2 and
 12 times the direct chi as numerators over one common denominator, the lcm
@@ -45,7 +48,7 @@ from math import floor, gcd
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, InconsistentScenario
-from .foliation import FoliatedScenario
+from .foliation import FoliatedScenario, point_label
 from .local_invariants import beta_p, chi_p
 from .surface import chi_structure
 from .zariski import ZariskiDecomposition, zariski_decompose
@@ -162,8 +165,8 @@ def chern_numbers(
     support of N.  Non-reduced scenarios raise :class:`DomainError`.
     """
     if not f.is_reduced:
-        ids = [s.id for s in f.non_reduced]
-        raise DomainError(f"Chern numbers need a reduced foliation; not reduced: {ids}")
+        ids = ", ".join(point_label(s, repr) for s in f.non_reduced)
+        raise DomainError(f"Chern numbers need a reduced foliation; not reduced: [{ids}]")
     if not f.metadata.k_pseudo_effective:
         return ChernNumbers(Fraction(0), Fraction(0), Fraction(0))
     dec = decomposition if decomposition is not None else zariski_decompose(f)
@@ -177,23 +180,23 @@ def chern_numbers(
     add(_CHI12, 12 * chi_structure(f.surface), 1)
     add(_CHI12, 3 * kn.numerator, kn.denominator)
     chi_available = True
-    for group in f.by_kind:
+    for group, points in zip(f.by_kind, f.points_by_kind):
         value = beta_p(group[0])
         if value:
-            on = 0
+            on = 0  # a record on curves stands for one point
             for s in group:
                 if not support.isdisjoint(s.incident_curves):
                     on += 1
             if on:
                 add(_C1, value.numerator, value.denominator, on)
-            if on < len(group):
-                add(_C2, value.numerator, value.denominator, len(group) - on)
+            if on < points:
+                add(_C2, value.numerator, value.denominator, points - on)
         if chi_available:
             chi_s = chi_p(group[0])
             if chi_s is None:
                 chi_available = False
             else:
-                add(_CHI12, 12 * chi_s.numerator, chi_s.denominator, len(group))
+                add(_CHI12, 12 * chi_s.numerator, chi_s.denominator, points)
     num, den = sums.total()
     c1 = Fraction(num[_C1], den)
     vol = dec.nef_square

@@ -364,13 +364,13 @@ def _unknown_key(obj: dict, keys: FrozenSet[str]) -> _Reject:
 def _compile(spec: Record) -> Decoder:
     """The source of one decode function for ``spec``, compiled the way
     ``dataclasses`` writes ``__init__``.  Required keys are read by index.
-    An optional key is looked up and decoded only under ``if optional:``,
-    which holds when the object has more keys than the required ones, or
-    lacks one of them; otherwise its field takes the default.  The fields
-    decode in field order, so the first bad field is the one refused.  A
-    record built by ``dict`` returns a dict display; any other builder is
-    called with keywords, and its DomainError or InconsistentScenario is
-    refused at the object's path."""
+    A run of optional keys is looked up and decoded only under one
+    ``if optional:``, which holds when the object has more keys than the
+    required ones, or lacks one of them; otherwise each field of the run
+    takes its default.  The fields decode in field order, so the first bad
+    field is the one refused.  A record built by ``dict`` returns a dict
+    display; any other builder is called with keywords, and its DomainError
+    or InconsistentScenario is refused at the object's path."""
     env: Dict[str, Any] = {
         "ABSENT": ABSENT,
         "BUILD_ERRORS": (DomainError, InconsistentScenario),
@@ -390,6 +390,16 @@ def _compile(spec: Record) -> Decoder:
         head = ["try:", *(f"    {line}" for line in reads), "except KeyError:"]
         head += [f"    {line}" for line in gets]
     body: List[str] = []
+    run: List[str] = []  # a run of optional fields, decoded under one test
+    defaults: List[str] = []  # their defaults, taken when the test fails
+
+    def end_run():
+        if run:
+            body.extend(["if optional:", *(f"    {line}" for line in run), "else:"])
+            body.extend(f"    {line}" for line in defaults)
+            run.clear()
+            defaults.clear()
+
     for i, (key, attr, make_decoder, _, default, _) in enumerate(spec.plan):
         decode_field = env[f"decode{i}"] = make_decoder()
         if default is REQUIRED:
@@ -412,10 +422,13 @@ def _compile(spec: Record) -> Decoder:
             f"        exc.where.append({key!r})",
             "        raise",
         ]
-        if default is not REQUIRED:
-            lines = ["if optional:", *(f"    {line}" for line in lines), "else:"]
-            lines.append(f"    v{i} = default{i}")
-        body += lines
+        if default is REQUIRED:
+            end_run()
+            body += lines
+        else:
+            run += lines
+            defaults.append(f"v{i} = default{i}")
+    end_run()
     attrs = [attr for _, attr, *_ in spec.plan]
     if spec.build is dict:
         items = ", ".join(f"{attr!r}: v{i}" for i, attr in enumerate(attrs))
@@ -669,6 +682,7 @@ SINGULARITY = Record(
         Field("vanishing_order", integer(1), default=1),
         Field("on_curves", list_of(STRING), default=(), attr="incident_curves"),
         Field("epsilon", codec(_decode_epsilon), default=None),
+        Field("count", integer(1), default=1),
     ),
 )
 METADATA = Record(

@@ -7,8 +7,9 @@ of representative parameters and a test keeps them in sync with the builders.
 
 Blocks that several builders share are written once: ``_metadata``,
 ``_invariant_curve``, ``_on`` (a singularity on named curves), ``_points``
-(numbered singularities off every curve), ``_nodal_fibers`` and
-``_fibration``; ``_ruled`` is the document that both ruled families fill in.
+(equal singularities off every curve, as one counted entry),
+``_nodal_fibers`` and ``_fibration``; ``_ruled`` is the document that both
+ruled families fill in.
 The ``expect`` values stay closed forms in the parameters, never counts of
 the lists a builder has just made.
 """
@@ -48,9 +49,12 @@ def _on(sing_id: str, eigenvalue: str, *curves: str) -> Dict[str, Any]:
 
 
 def _points(prefix: str, count: int, eigenvalue: str) -> List[Dict[str, Any]]:
-    """``count`` reduced singularities off every declared curve, numbered
-    from 1 after ``prefix``."""
-    return [{"id": f"{prefix}{i}", "kind": {"eigenvalue": eigenvalue}} for i in range(1, count + 1)]
+    """``count`` reduced singularities off every declared curve, written as
+    one entry with id ``prefix`` and that ``count``: such points add to the
+    global sums only by their kind, so the document grows with its distinct
+    data, not with ``count``.  Listed one by one they would be numbered from
+    1 after ``prefix``."""
+    return [{"id": prefix, "kind": {"eigenvalue": eigenvalue}, "count": count}]
 
 
 def _nodal_fibers(count: int, pa_reduced: int) -> List[Dict[str, Any]]:

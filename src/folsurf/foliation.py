@@ -19,11 +19,13 @@ decided exactly, in integers, by one iterative sweep per connected component
 of the invariant curves, under one work budget for the scenario.
 Facts of a singularity's kind (multiplicity, reducedness, the {lam, 1/lam}
 branch pair, the local Chern terms) are read once per kind object, through
-``FoliatedScenario.by_kind``.  A scenario has one construction path, its
-constructor, which the parser calls too: it refuses a repeated curve name,
-and one walk over the singularities (``index_singularities``) refuses a
-repeated id or a point on an undeclared curve while it groups them by kind
-and by curve.
+``FoliatedScenario.by_kind``.  A record off every curve may stand for
+several equal points (its ``count``): the global sums read each group's
+point total, which the index keeps, and a record is never expanded.  A
+scenario has one construction path, its constructor, which the parser calls
+too: it refuses a repeated curve name, and one walk over the singularities
+(``index_singularities``) refuses a repeated id, a count above 1 on curves
+or a point on an undeclared curve while it groups them by kind and by curve.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Container, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Callable, Container, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
+)
 
 from .errors import DomainError
-from .local_invariants import SingularityRecord
+from .local_invariants import COUNTED_ON_CURVES, SingularityRecord
 from .surface import (
     DivisorClass,
     Pairings,
@@ -89,10 +93,12 @@ class ScenarioMetadata:
 
 class SingularityIndex(NamedTuple):
     """The singularities grouped by kind object, the groups in the order of
-    their first members; and each curve name some point gives, with its
-    points, each listed once.  Both keep declared order."""
+    their first members, with the number of points each group stands for
+    (its records' counts summed); and each curve name some point gives, with
+    its points, each listed once.  Both keep declared order."""
 
     by_kind: Tuple[Tuple[SingularityRecord, ...], ...]
+    points: Tuple[int, ...]
     incidence: Dict[str, Tuple[SingularityRecord, ...]]
 
 
@@ -100,7 +106,7 @@ class ScenarioRefused(DomainError):
     """A scenario that ``FoliatedScenario`` refuses.  ``where`` is the path of
     the offender: ("curves", k) for a repeated curve name, or
     ("singularities", k), followed by "on_curves" when a curve the point
-    names is at fault."""
+    names is at fault, or by "count" for a count above 1 on curves."""
 
     def __init__(self, reason: str, *where):
         super().__init__(reason)
@@ -113,11 +119,14 @@ def index_singularities(
     """Group the singularities by kind object and by curve in one walk.
 
     The walk refuses the first bad singularity in list order, and checks each
-    one's id for a repeat before its curves, each of which must be in
-    ``curve_names``.  Groups go by identity, not equality: hashing a kind
-    that holds Fractions costs more than it saves.
+    one's id for a repeat, then a count above 1 on curves, then its curves,
+    each of which must be in ``curve_names``.  Groups go by identity, not
+    equality: hashing a kind that holds Fractions costs more than it saves.
+    A group's point total is its length plus what its counted records add
+    beyond 1 each, so a record of count 1 adds nothing but its read.
     """
     groups: Dict[int, List[SingularityRecord]] = {}
+    extra: Dict[int, int] = {}  # kind id -> points beyond one per record
     on: Dict[str, List[SingularityRecord]] = {}
     ids = set()
     kind = group = None
@@ -132,6 +141,10 @@ def index_singularities(
             if group is None:
                 group = groups[id(kind)] = []
         group.append(s)
+        if s.count != 1:
+            if s.incident_curves:
+                raise ScenarioRefused(COUNTED_ON_CURVES, "singularities", k, "count")
+            extra[id(kind)] = extra.get(id(kind), 0) + s.count - 1
         for name in s.incident_curves:
             points = on.get(name)
             if points is None:  # a name met for the first time is checked once
@@ -142,7 +155,9 @@ def index_singularities(
             elif points[-1] is not s:  # a name the point repeats counts once
                 points.append(s)
     return SingularityIndex(
-        tuple(map(tuple, groups.values())), {name: tuple(points) for name, points in on.items()}
+        tuple(map(tuple, groups.values())),
+        tuple(len(group) + extra.get(key, 0) for key, group in groups.items()),
+        {name: tuple(points) for name, points in on.items()},
     )
 
 
@@ -201,11 +216,21 @@ class FoliatedScenario:
         one, which changes no sum."""
         return self.singularity_index.by_kind
 
+    @property
+    def points_by_kind(self) -> Tuple[int, ...]:
+        """The number of points each group of ``by_kind`` stands for: its
+        records' counts summed.  The global sums read it, never a group's
+        length."""
+        return self.singularity_index.points
+
     @cached_property
     def singularity_count(self) -> int:
         """The number of singularities counted with multiplicity, summed once;
         the count check and the report read it."""
-        return sum(group[0].multiplicity * len(group) for group in self.by_kind)
+        return sum(
+            group[0].multiplicity * points
+            for group, points in zip(self.by_kind, self.points_by_kind)
+        )
 
     def curve(self, name: str) -> CurveRecord:
         if name not in self._positions:
@@ -223,11 +248,20 @@ class FoliatedScenario:
 
     @property
     def non_reduced(self) -> Tuple[SingularityRecord, ...]:
-        """The singularities that are not reduced, in declared order."""
+        """The singularity records that are not reduced, in declared order;
+        a refusal names each by ``point_label``."""
         if self.is_reduced:
             return ()
         kinds = {id(group[0].kind) for group in self.by_kind if not group[0].is_reduced}
         return tuple(s for s in self.singularities if id(s.kind) in kinds)
+
+
+def point_label(s: SingularityRecord, name: Callable[[str], str] = str) -> str:
+    """How a refusal names a record: its id as ``name`` writes it, and for a
+    record that stands for several points, their number after it, as in
+    ``'q' (5 points)``.  A record of count 1 reads as its id alone."""
+    label = name(s.id)
+    return label if s.count == 1 else f"{label} ({s.count} points)"
 
 
 @dataclass(frozen=True)
@@ -472,10 +506,10 @@ def validate(f: FoliatedScenario) -> ValidationReport:
         lam = s.kind.eigenvalue.value
         needs_eps = lam.denominator == 1
         if needs_eps and s.epsilon is None:
-            eps_problems.append(f"{s.id}: epsilon required for eigenvalue {lam}")
+            eps_problems.append(f"{point_label(s)}: epsilon required for eigenvalue {lam}")
         if f.metadata.algebraically_integral == "yes" and s.epsilon == 1:
             eps_problems.append(
-                f"{s.id}: epsilon=1 creates a saddle-node, impossible for an "
+                f"{point_label(s)}: epsilon=1 creates a saddle-node, impossible for an "
                 "algebraically integral foliation"
             )
     structure("epsilon-declarations", eps_problems)

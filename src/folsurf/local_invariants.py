@@ -18,7 +18,8 @@ data, so values can be shared and evaluated concurrently without coordination.
 
 ``beta_p``, ``chi_p``, ``baum_bott``, ``multiplicity`` and ``is_reduced``
 read only a record's kind, so one evaluation serves every point of that
-kind object; ``FoliatedScenario.by_kind`` groups the points for that.  A
+kind object; ``FoliatedScenario.by_kind`` groups the points for that, and
+a record off every curve may stand for several points (``count``).  A
 record built by its constructor checks every field; one built by
 ``SingularityRecord.trusted``, from fields a decoder has checked one by
 one, checks only the bound m_p >= vanishing_order^2 that spans two fields.
@@ -135,6 +136,9 @@ class SaddleNode:
 
 SingularityKind = Union[NonDegenerate, SaddleNode]
 
+# the refusal of a record on curves that stands for several points
+COUNTED_ON_CURVES = "a count above 1 needs a point off every curve"
+
 
 @dataclass(frozen=True)
 class SingularityRecord:
@@ -144,6 +148,12 @@ class SingularityRecord:
     non-reduced singularity whose eigenvalue is a positive integer or unit
     fraction; it is analytic data invisible to the eigenvalue combinatorics
     and must be declared where it matters.
+
+    ``count`` is the number of equal points the record stands for.  A point
+    off every curve adds to the global sums (the singularity count, c2 and
+    chi) only through its kind, so one record may stand for several such
+    points; a record on curves stands for one, since the per-curve rows read
+    each of its incidences.
     """
 
     id: str
@@ -151,6 +161,7 @@ class SingularityRecord:
     vanishing_order: int = 1
     incident_curves: Tuple[str, ...] = ()
     epsilon: Optional[int] = None
+    count: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "incident_curves", tuple(self.incident_curves))
@@ -160,13 +171,21 @@ class SingularityRecord:
         epsilon = self.epsilon
         if epsilon is not None and (type(epsilon) is not int or epsilon not in (0, 1)):
             raise DomainError(f"{self.id}: epsilon must be 0 or 1")
+        count = self.count
+        if type(count) is not int or count < 1:
+            raise DomainError(f"{self.id}: count must be an integer >= 1")
+        if count > 1 and self.incident_curves:
+            raise DomainError(f"{self.id}: {COUNTED_ON_CURVES}")
 
     @classmethod
-    def trusted(cls, id, kind, vanishing_order, incident_curves, epsilon) -> "SingularityRecord":
+    def trusted(
+        cls, id, kind, vanishing_order, incident_curves, epsilon, count
+    ) -> "SingularityRecord":
         """A record from fields the scenario decoder has checked one by one.
         Only the bound m_p >= vanishing_order^2, which spans two fields and
-        holds at vanishing order 1, is checked again; the public constructor
-        checks every field."""
+        holds at vanishing order 1, is checked again; a count above 1 on
+        curves is refused by the scenario's index walk, which reads every
+        count anyway.  The public constructor checks every field."""
         s = object.__new__(cls)
         fields = s.__dict__  # filled directly: item stores beat keyword packing
         fields["id"] = id
@@ -174,6 +193,7 @@ class SingularityRecord:
         fields["vanishing_order"] = vanishing_order
         fields["incident_curves"] = tuple(incident_curves)
         fields["epsilon"] = epsilon
+        fields["count"] = count
         if vanishing_order > 1:
             s._check_multiplicity()
         return s

@@ -1,3 +1,4 @@
+import copy
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -83,6 +84,25 @@ def build_chain_scenario(e_list, nef_multiple=0, extra_singularities=(), name="c
             algebraically_integral="unknown",
         ),
     )
+
+
+def expand_points(doc):
+    """A copy of the document ``doc`` with each counted singularity entry
+    listed point by point: the entry with id q and count n becomes n entries
+    q1, ..., qn, each without ``count``.  Both forms declare one scenario, so
+    a test may change one point of a family whose builder groups them."""
+    out = copy.deepcopy(doc)
+    if "singularities" in out:
+        listed = []
+        for entry in out["singularities"]:
+            if "count" not in entry:
+                listed.append(entry)
+                continue
+            point = {k: v for k, v in entry.items() if k != "count"}
+            for i in range(1, entry["count"] + 1):
+                listed.append({**copy.deepcopy(point), "id": f"{entry['id']}{i}"})
+        out["singularities"] = listed
+    return out
 
 
 @pytest.fixture

@@ -11,9 +11,10 @@ mutated, one change per document, by a fixed-seed generator:
 - a fiber node given new branch multiplicities.
 
 A few hostile shapes follow: deep nesting, a literal past the int-to-str
-digit limit, bytes that are not UTF-8, and an enormous blow-up count.  The
-outcome of a document is the path and reason of its ``ParseError``, or the
-JSON report ``run_pipeline(...).to_json()``.  ``digest`` is one sha256 over
+digit limit, bytes that are not UTF-8, an enormous blow-up count, and one
+singularity entry standing for 10**9 points.  The outcome of a document is
+the path and reason of its ``ParseError``, or the JSON report
+``run_pipeline(...).to_json()``.  ``digest`` is one sha256 over
 the outcomes in order, and refuses any document whose parse and pipeline
 take over ``DOCUMENT_SECONDS``.  ``validation_digest`` is one sha256 over
 the ``validate`` rows of each mutated document that parses to a scenario,
@@ -210,12 +211,18 @@ def hostile_inputs() -> List[Any]:
     """Texts, bytes and objects that a parser must refuse in bounded time."""
     huge = third_noether_double_cover(2)
     huge["surface"]["blowups"] = 10**9
+    # one record standing for 10**9 points: a path that expanded it would
+    # pass both bounds
+    crowded = second_noether_ruled(2)
+    del crowded["expect"]
+    next(s for s in crowded["singularities"] if "count" in s)["count"] = 10**9
     return [
         "[" * 100_000 + "]" * 100_000,
         '{"name": "long", "surface": {"base": "P2", "blowups": ' + "9" * 4301 + "}}",
         b'{"name": "\xff\xfe"}',
         json.dumps(huge),
         huge,
+        crowded,
     ]
 
 

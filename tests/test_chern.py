@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import folsurf.chern as chern
+from conftest import expand_points
 from folsurf.chern import (
     ALGEBRAICALLY_INTEGRAL,
     TRANSCENDENTAL,
@@ -34,7 +35,7 @@ from folsurf.fixtures import (
     semistable_genus2,
     slope_12_7,
 )
-from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata
+from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata, validate
 from folsurf.local_invariants import SingularityRecord, beta_p, chi_p
 from folsurf.scenario_io import run_pipeline
 from folsurf.surface import SurfaceModel, chi_structure
@@ -73,7 +74,7 @@ def test_non_reduced_scenario_is_refused():
     # slope_12_7 with m1 made non-reduced (2/3) and m2 non-rational, which
     # skips the direct-chi cross-check: this used to report ok=True with
     # c2 = 59/6, slope 144/71 and an Undetermined verdict
-    doc = slope_12_7()
+    doc = expand_points(slope_12_7())
     kinds = {"m1": {"eigenvalue": "2/3"}, "m2": {"eigenvalue": "nonrational"}}
     for sing in doc["singularities"]:
         sing["kind"] = kinds.get(sing["id"], sing["kind"])
@@ -84,6 +85,27 @@ def test_non_reduced_scenario_is_refused():
     assert not report.ok
     assert report.chern is None and report.verdict is None
     assert "reduced" in report.inconsistency
+
+
+def test_a_counted_non_reduced_record_is_named_with_its_number_of_points():
+    # slope_12_7's counted entry m stands for 8 points; t1 is one point and
+    # keeps the bare id of a listed point
+    doc = slope_12_7()
+    del doc["expect"]
+    for sing in doc["singularities"]:
+        if sing["id"] in ("t1", "m"):
+            sing["kind"] = {"eigenvalue": "2"}
+    f = scenario_from(doc)
+    assert [(s.id, s.count) for s in f.non_reduced] == [("t1", 1), ("m", 8)]
+    with pytest.raises(DomainError) as err:
+        chern_numbers(f)
+    assert str(err.value) == (
+        "Chern numbers need a reduced foliation; not reduced: ['t1', 'm' (8 points)]"
+    )
+    epsilon = next(c for c in validate(f).checks if c.name == "structure.epsilon-declarations")
+    assert epsilon.detail == (
+        "t1: epsilon required for eigenvalue 2; m (8 points): epsilon required for eigenvalue 2"
+    )
 
 
 def test_chern_numbers_second_noether_ruled():
@@ -188,9 +210,11 @@ def _chern_or_message(f):
     "stem", sorted(stem for stem, doc in bundled_documents().items() if "surface" in doc)
 )
 def test_chern_numbers_match_the_fraction_sum_on_every_bundled_scenario(stem):
-    f = scenario_from(bundled_documents()[stem])
+    # the reference sums the document's points one by one
+    doc = bundled_documents()[stem]
+    f = scenario_from(doc)
     assert f.is_reduced and f.metadata.k_pseudo_effective
-    assert _chern_or_message(f) == reference_chern_numbers(f)
+    assert _chern_or_message(f) == reference_chern_numbers(scenario_from(expand_points(doc)))
 
 
 _KINDS = (
@@ -213,7 +237,7 @@ def ruled_variants(draw):
     from a drawn palette of ``_KINDS`` (equal kinds share one object once
     parsed), and some of the points off every curve moved onto C0, the
     negative part."""
-    doc = second_noether_ruled(4)
+    doc = expand_points(second_noether_ruled(4))
     del doc["expect"]
     palette = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4, unique_by=str))
     for point in doc["singularities"][1:]:
@@ -419,7 +443,7 @@ def _ruled_with_interleaved_kinds(sign):
     without a Baum-Bott index (so chi_p is unavailable) and u5 dropped to
     keep the count.  The ``expect`` block, written for the fixture, is left
     out."""
-    doc = second_noether_ruled(4)
+    doc = expand_points(second_noether_ruled(4))
     del doc["expect"]
     points = {s["id"]: s for s in doc["singularities"]}
     for name, eigenvalue in zip(["u1", "u2", "u3", "u6", "u7"], [2, 3, 2, 3, 2]):

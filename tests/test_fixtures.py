@@ -57,6 +57,15 @@ def test_third_noether_double_cover_family(g):
     assert run_pipeline(parse_document_dict(third_noether_double_cover(g))).ok
 
 
+def test_a_ruled_document_grows_with_its_distinct_data_not_its_points():
+    # 6 399 of the 6 402 points are one kind off every curve: one entry
+    text = render_fixture(second_noether_ruled(3200))
+    assert len(text.encode("utf-8")) < 2000
+    scenario = parse_scenario(text).scenario
+    assert len(scenario.singularities) <= 8
+    assert scenario.singularity_count == 6402
+
+
 def test_mutated_expectation_is_caught():
     doc = second_noether_ruled(5)
     doc["expect"]["negative_part"]["C0"] = "2/5"  # off by 1/n

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import count_calls
+from conftest import count_calls, expand_points
 from folsurf.document import ScenarioDocument, document_to_dict, parse_document_dict
 from folsurf.errors import DomainError, ParseError
 from folsurf.fibration import FiberModel, FiberNode, FibrationModel
@@ -79,6 +79,7 @@ INTEGER_FIELDS = {
     "saddle_node_multiplicity": (SaddleNode, 3, (2.5, 3.0)),
     "vanishing_order": (lambda v: _node_record(vanishing_order=v), 1, (1.0, True)),
     "epsilon": (lambda v: _node_record(epsilon=v), 1, (1.0, True, 0.0, False)),
+    "count": (lambda v: _node_record(count=v), 2, (2.0, True, 1.0)),
     "fiber_node_a": (lambda v: FiberNode(v, 1, False), 2, (2.0, True)),
     "fiber_node_b": (lambda v: FiberNode(1, v, False), 2, (2.0, True)),
     "p_g": (lambda v: ScenarioMetadata(True, True, p_g=v), 2, (2.0, True, 0.0)),
@@ -171,7 +172,7 @@ def test_camacho_sad_transverse_crossing_branch_pair():
 
 
 def test_singularity_count_check_passes_and_fails():
-    s = scenario_from(second_noether_ruled(4))
+    s = scenario_from(expand_points(second_noether_ruled(4)))
     assert singularity_count_check(s).passed
 
     removed = FoliatedScenario(

@@ -34,6 +34,7 @@ import pytest
 
 import folsurf
 import mutations
+from conftest import expand_points
 from folsurf.cli import VIEWS, cli_main
 from folsurf.document import parse_document_dict, serialize_document
 from folsurf.fixtures import (
@@ -85,6 +86,7 @@ def _every_expect_key_mismatched(doc):
 
 
 def _non_reduced(doc):
+    doc.update(expand_points(doc))
     kinds = {"m1": {"eigenvalue": "2/3"}, "m2": {"eigenvalue": "nonrational"}}
     for sing in doc["singularities"]:
         sing["kind"] = kinds.get(sing["id"], sing["kind"])
@@ -141,6 +143,24 @@ FAMILIES = {
     "second_noether_ruled": (second_noether_ruled, range(2, 201)),
     "third_noether_double_cover": (third_noether_double_cover, range(2, 17)),
 }
+
+
+def test_counted_points_give_the_bytes_of_the_points_listed_one_by_one():
+    # every family member of FAMILIES and every bundled document, grouped as
+    # its builder writes it and listed point by point
+    documents = [build(param) for build, params in FAMILIES.values() for param in params]
+    documents += bundled_documents().values()
+    counted = 0
+    for doc in documents:
+        grouped = parse_document_dict(doc)
+        listed = parse_document_dict(expand_points(doc))
+        assert run_pipeline(grouped).to_json() == run_pipeline(listed).to_json(), doc["name"]
+        if grouped.scenario is not None:
+            rows = mutations.validation_rows(grouped.scenario)
+            assert rows == mutations.validation_rows(listed.scenario), doc["name"]
+            counted += len(grouped.scenario.singularities) < len(listed.scenario.singularities)
+    # every family member, and the 11 bundled documents whose builders count points
+    assert counted == sum(len(params) for _, params in FAMILIES.values()) + 11
 
 
 def _run_cli(argv):
@@ -262,9 +282,9 @@ def test_a_document_over_the_time_bound_fails_the_mutation_harness(monkeypatch):
 
 
 def test_each_source_and_hostile_document_stays_under_the_memory_bound():
-    # the 24 source documents and the 5 hostile inputs, one traced peak each
+    # the 24 source documents and the 6 hostile inputs, one traced peak each
     peaks = mutations.memory_peaks()
-    assert len(peaks) == 29
+    assert len(peaks) == 30
     assert max(peaks) <= mutations.DOCUMENT_BYTES
 
 
@@ -306,7 +326,7 @@ def test_mutation_outcomes_are_written_one_line_per_document(monkeypatch, tmp_pa
     for k, line in enumerate(lines):
         assert line["document"] == k
         h.update(f"{k}\t{line['outcome']}\n".encode("utf-8"))
-    assert mutations.digest() == {"documents": 24 * 2 + 5, "sha256": h.hexdigest()}
+    assert mutations.digest() == {"documents": 24 * 2 + 6, "sha256": h.hexdigest()}
 
 
 def test_fixtures_run_matches_golden():

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import folsurf
 import folsurf.document as document
 import folsurf.scenario_io as sio
-from conftest import count_calls
+from conftest import count_calls, expand_points
 from folsurf.document import (
     EXPECT,
     document_to_dict,
@@ -39,7 +39,12 @@ from folsurf.fixtures import (
     third_noether_double_cover,
 )
 from folsurf.foliation import CheckResult, ScenarioRefused, ValidationReport
-from folsurf.local_invariants import EigenvalueClass, NonDegenerate
+from folsurf.local_invariants import (
+    COUNTED_ON_CURVES,
+    EigenvalueClass,
+    NonDegenerate,
+    SingularityRecord,
+)
 from folsurf.scenario_io import InvariantReport, run_pipeline
 
 
@@ -167,7 +172,7 @@ def test_equal_kinds_of_one_document_share_one_object(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(NonDegenerate, "__init__", counting)
-    doc = second_noether_ruled(200)
+    doc = expand_points(second_noether_ruled(200))
     scenario = parse_document_dict(doc).scenario
     # one "-200" and 401 "nonrational" kinds
     assert len(scenario.singularities) == 402
@@ -193,7 +198,7 @@ def test_equal_kinds_of_one_document_share_one_object(monkeypatch):
 def test_a_look_alike_of_an_accepted_kind_is_refused(accepted, look_alike, where, reason):
     # the memo of decoded kinds must not take a value that decoding refuses:
     # 1 == True == 1.0 and -2 == -2.0 with equal hashes
-    doc = second_noether_ruled(3)
+    doc = expand_points(second_noether_ruled(3))
     doc["singularities"][3]["kind"] = accepted
     parse_document_dict(doc)
     doc["singularities"][4]["kind"] = look_alike
@@ -268,7 +273,7 @@ def test_duplicate_names_rejected():
     with pytest.raises(ParseError) as err:
         parse_document_dict(doc)
     assert (err.value.path, err.value.reason) == ("$.curves[2]", "duplicate curve name 'C0'")
-    doc2 = second_noether_ruled(3)
+    doc2 = expand_points(second_noether_ruled(3))
     doc2["singularities"].append(copy.deepcopy(doc2["singularities"][0]))
     with pytest.raises(ParseError) as err:
         parse_document_dict(doc2)
@@ -278,7 +283,8 @@ def test_duplicate_names_rejected():
 
 
 # Each refusal of a singularity, as a change to the second point ("p2", on
-# Finf) of second_noether_ruled(3) or to its third, and the path and reason.
+# Finf) of second_noether_ruled(3), to its third, or to its counted entry
+# ("u", five points off every curve), and the path and reason.
 SINGULARITY_REFUSALS = {
     "order-2-at-multiplicity-1": (
         1, {"vanishing_order": 2},
@@ -301,6 +307,18 @@ SINGULARITY_REFUSALS = {
         "$.singularities[1].vanishing_order", "expected an integer >= 1, got 0",
     ),
     "duplicate-id": (2, {"id": "p2"}, "$.singularities[2]", "duplicate singularity id 'p2'"),
+    "count-0": (3, {"count": 0}, "$.singularities[3].count", "expected an integer >= 1, got 0"),
+    "count-minus-1": (
+        3, {"count": -1}, "$.singularities[3].count", "expected an integer >= 1, got -1",
+    ),
+    "count-true": (3, {"count": True}, "$.singularities[3].count", "expected an integer, got True"),
+    "count-string": (3, {"count": "2"}, "$.singularities[3].count", "expected an integer, got '2'"),
+    "count-float": (3, {"count": 1.5}, "$.singularities[3].count", "expected an integer, got 1.5"),
+    "count-on-a-curve": (1, {"count": 2}, "$.singularities[1].count", COUNTED_ON_CURVES),
+    # the count is checked before the curves it names
+    "count-on-an-undeclared-curve": (
+        3, {"on_curves": ["Ghost"]}, "$.singularities[3].count", COUNTED_ON_CURVES,
+    ),
 }
 
 
@@ -314,8 +332,25 @@ def test_each_singularity_refusal_names_its_path_and_reason(case):
     assert (err.value.path, err.value.reason) == (path, reason)
 
 
+@pytest.mark.parametrize("case", [c for c in SINGULARITY_REFUSALS if c.startswith("count-")])
+def test_the_record_constructor_refuses_each_count_the_parser_refuses(case):
+    index, change, _, reason = SINGULARITY_REFUSALS[case]
+    point = {**second_noether_ruled(3)["singularities"][index], **change}
+    with pytest.raises(DomainError) as err:
+        SingularityRecord(
+            point["id"],
+            NonDegenerate(EigenvalueClass.nonrational()),
+            incident_curves=point.get("on_curves", ()),
+            count=point["count"],
+        )
+    name = point["id"]
+    wanted = reason if reason == COUNTED_ON_CURVES else "count must be an integer >= 1"
+    assert str(err.value) == f"{name}: {wanted}"
+
+
 # Changes to the curves (C0, Finf) and singularities (p_neg, p2, p3, then u1
-# to u7) of second_noether_ruled(4), a key set to None deleted, and the one
+# to u7, listed point by point) of second_noether_ruled(4), a key set to None
+# deleted, and the one
 # refusal: the first bad singularity in list order, its id checked before
 # the curves it names, after a repeated curve name, which is refused once
 # every curve's class has been checked.
@@ -357,7 +392,7 @@ CONSTRUCTOR_ATTRS = {"name": "name", "id": "id", "on_curves": "incident_curves"}
 @pytest.mark.parametrize("case", list(REFUSAL_ORDER))
 def test_the_first_bad_singularity_is_the_one_refused(case):
     changes, path, reason = REFUSAL_ORDER[case]
-    doc = second_noether_ruled(4)
+    doc = expand_points(second_noether_ruled(4))
     for where, change in changes.items():
         item = doc[where[0]][where[1]]
         item.update(change)
@@ -369,7 +404,7 @@ def test_the_first_bad_singularity_is_the_one_refused(case):
     if any(key not in CONSTRUCTOR_ATTRS for change in changes.values() for key in change):
         return  # a refusal of the decoder's, before any scenario is built
     # the public constructor, given the same changes, refuses at the same path
-    s = parse_document_dict(second_noether_ruled(4)).scenario
+    s = parse_document_dict(expand_points(second_noether_ruled(4))).scenario
     parts = {"curves": list(s.curves), "singularities": list(s.singularities)}
     for (part, k), change in changes.items():
         attrs = {CONSTRUCTOR_ATTRS[key]: value for key, value in change.items()}
@@ -613,6 +648,8 @@ def singularities(draw, curve_names):
     if curve_names:
         _maybe(draw, sing, "on_curves", st.lists(st.sampled_from(curve_names), max_size=2))
     _maybe(draw, sing, "epsilon", st.sampled_from([0, 1]))
+    if not sing.get("on_curves"):  # a count above 1 needs a point off every curve
+        _maybe(draw, sing, "count", st.integers(1, 5))
     return sing
 
 
@@ -812,7 +849,7 @@ def test_fibration_block_runs_after_a_surface_stage_raises():
 
 
 def test_fibration_block_skips_the_chern_crosscheck_without_chern_numbers():
-    doc = third_noether_double_cover(2)
+    doc = expand_points(third_noether_double_cover(2))
     # a non-reduced point on no curve: validation passes, chern_numbers refuses
     next(s for s in doc["singularities"] if s["id"] == "m1")["kind"] = {"eigenvalue": "2/3"}
     report = run_pipeline(parse_document_dict(doc))

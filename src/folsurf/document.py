@@ -7,15 +7,20 @@ raises :class:`ParseError` annotated with the JSON path of the offender.
 
 The format is defined once, by the record table (``DOCUMENT`` and the
 records it nests): :func:`encode` walks it, and each record's decoder is
-generated from it on first use.  The decoders of one document share one
-memo: a rational text maps to the Fraction built where it first appears,
-and a singularity kind to the object decoded then.  A check a decoder has
-made is not made again, and no rule is copied here: an eigenvalue decodes
-straight to its canonical form (``canonical_eigenvalue``), a class list to
-the integer numerators that ``DivisorClass.trusted`` stores
-(``surface._integer_form``; a class is printed from them), a singularity is
-built by ``SingularityRecord.trusted``, and eigenvalue classes, fiber
-nodes and curves by ``_trusted``; only checks that span fields run.  The
+generated from it on first use.  A document grows with its distinct data:
+a divisor class is written as an object from basis label to each nonzero
+rational (a dense list, one rational per basis class, still parses), and
+equal points off every curve, or equal fibers, as one entry with a
+``count``.  The decoders of one document share one memo: a rational text
+maps to the Fraction built where it first appears, a basis label to its
+slot, and a singularity kind to the object decoded then.  A check a decoder
+has made is not made again, and no rule is copied here: an eigenvalue
+decodes straight from its text's integers to its canonical form
+(``canonical_ratio``), a class to the integer numerators that
+``DivisorClass.trusted`` stores (``surface._integer_form``; a class is
+printed from them), a singularity is built by ``SingularityRecord.trusted``,
+and eigenvalue classes, fiber nodes and curves by ``_trusted``; only checks
+that span fields run.  The
 scenario is built by its constructor, as every other scenario is: it checks
 the curve names, singularity ids and curve references, and its refusal's
 path becomes the ``ParseError`` path.  Reports, documents and fixtures are
@@ -50,7 +55,7 @@ from .local_invariants import (
     SingularityRecord,
     _trusted,
     as_rational,
-    canonical_eigenvalue,
+    canonical_ratio,
 )
 from .surface import P2, DivisorClass, SurfaceModel, _integer_form, fraction_text
 
@@ -139,21 +144,14 @@ class _Reject(Exception):
         self.where = list(reversed(where))  # innermost segment first
 
 
-def _rational(text: Any, memo: dict) -> Fraction:
-    """A JSON integer, or a string of an optional "-", ASCII digits, and
-    optionally "/" and ASCII digits; ``int`` alone would also take signs,
-    spaces, underscores and non-ASCII digits.  As the decode function of
-    ``RATIONAL`` it is passed the document's memo, where each string that
-    decodes is kept with its Fraction: a text repeated in one document builds
-    one Fraction.  Only strings are kept, so a look-alike such as 1, true or
-    1.0 never reads a string's entry."""
-    if type(text) is str:
-        value = memo.get(text)
-        if value is not None:
-            return value
-    elif type(text) is int:
-        return Fraction(text)
-    elif not isinstance(text, str):
+def _ratio(text: Any) -> Tuple[int, int]:
+    """The integers (n, d), d >= 1, of a rational: a JSON integer, or a
+    string of an optional "-", ASCII digits, and optionally "/" and ASCII
+    digits; ``int`` alone would also take signs, spaces, underscores and
+    non-ASCII digits.  n/d is not reduced."""
+    if type(text) is int:
+        return text, 1
+    if not isinstance(text, str):
         raise _Reject(f"expected a rational string, got {text!r}")
     num, slash, den = text.partition("/")
     digits = num[1:] if num[:1] == "-" else num
@@ -165,8 +163,24 @@ def _rational(text: Any, memo: dict) -> Fraction:
         raise _Reject(f"malformed rational {text!r}") from None
     if den == 0:
         raise _Reject("rational with denominator 0")
-    value = memo[text] = Fraction(num, den) if slash else Fraction(num)
-    return value
+    return num, den
+
+
+def _rational(text: Any, memo: dict) -> Fraction:
+    """The Fraction of a rational (``_ratio``).  As the decode function of
+    ``RATIONAL`` it is passed the document's memo, where each string that
+    decodes is kept with its Fraction: a text repeated in one document builds
+    one Fraction.  Only strings are kept, so a look-alike such as 1, true or
+    1.0 never reads a string's entry."""
+    if type(text) is str:
+        value = memo.get(text)
+        if value is not None:
+            return value
+        num, den = _ratio(text)
+        value = memo[text] = Fraction(num, den) if den != 1 else Fraction(num)
+        return value
+    num, den = _ratio(text)  # a JSON integer, a str subclass, or a refusal
+    return Fraction(num, den)
 
 
 def parse_rational(text: Any, path: str) -> Fraction:
@@ -200,24 +214,29 @@ def codec(decode: Decoder, encode: Callable[[Any], Any] = _same) -> Codec:
     return Codec(lambda: decode, encode)
 
 
-def _typed(kind: type, expected: str, minimum: Optional[int] = None) -> Decoder:
+def _typed(
+    kind: type, expected: str, minimum: Optional[int] = None, maximum: Optional[int] = None
+) -> Decoder:
     """A decoder that passes a value of exactly type ``kind``, at least
-    ``minimum`` if one is given.  Its ``accepts`` attribute lets a generated
-    record decoder make the same test inline, calling it only to refuse."""
+    ``minimum`` and at most ``maximum`` if they are given.  Its ``accepts``
+    attribute lets a generated record decoder make the same test inline,
+    calling it only to refuse."""
 
     def decode(raw, memo):
         if type(raw) is not kind:
             raise _Reject(f"expected {expected}, got {raw!r}")
         if minimum is not None and raw < minimum:
             raise _Reject(f"expected {expected} >= {minimum}, got {raw}")
+        if maximum is not None and raw > maximum:
+            raise _Reject(f"expected {expected} <= {maximum}, got {raw}")
         return raw
 
-    decode.accepts = (kind, minimum)
+    decode.accepts = (kind, minimum, maximum)
     return decode
 
 
-def integer(minimum: Optional[int] = None) -> Codec:
-    return codec(_typed(int, "an integer", minimum))
+def integer(minimum: Optional[int] = None, maximum: Optional[int] = None) -> Codec:
+    return codec(_typed(int, "an integer", minimum, maximum))
 
 
 def list_of(item: Codec) -> Codec:
@@ -274,17 +293,75 @@ BOOL = codec(_typed(bool, "a boolean"))
 STRING = codec(_string)
 
 
-def _decode_class(raw: Any, memo: dict) -> Tuple[int, Dict[int, int], int]:
-    """A dense class list decodes to its length and the integer numerators
-    and denominator that ``DivisorClass`` stores, converted by the surface's
-    one rule (``_integer_form``): only the enclosing document knows the
-    surface, whose rank the scenario builder checks.  A "0" entry builds no
-    Fraction.  The entries other than "0" are counted at C speed first, and
-    the scan stops after the last of them, so an all-"0" list and a tail of
-    "0"s cost no Python-level step."""
+# A basis label's slot, independent of the surface: C0 at 0, F at 1 and
+# E<k> at k + 1, their basis indices on a Hirzebruch surface, and L at -1.
+# On P2, L has index 0 and E<k> index k, one below its slot.
+_BASE_SLOTS = {"L": -1, "C0": 0, "F": 1}
+_BASE_LABELS = {slot: label for label, slot in _BASE_SLOTS.items()}
+_LABELS = object()  # the memo key of the document's label -> slot map
+
+
+def _label_slot(label: Any) -> int:
+    """The slot of a label in canonical spelling: ``L``, ``C0``, ``F``, or
+    ``E`` and a number >= 1 without leading zeros."""
+    slot = _BASE_SLOTS.get(label)
+    if slot is not None:
+        return slot
+    if type(label) is str and label[:1] == "E":
+        digits = label[1:]
+        if digits.isascii() and digits.isdigit() and digits[0] != "0":
+            try:
+                return int(digits) + 1
+            except ValueError:  # past sys.get_int_max_str_digits()
+                pass
+    raise _Reject(
+        f"unknown basis label {label!r}: labels are L, C0, F and E1, E2, ... "
+        "in canonical spelling",
+        label,
+    )
+
+
+def _label_text(slot: int) -> str:
+    return _BASE_LABELS.get(slot) or f"E{slot - 1}"
+
+
+def _decode_class(raw: Any, memo: dict) -> Tuple[Any, Dict[int, int], int]:
+    """A class decodes to its shape and the integer numerators and
+    denominator that ``DivisorClass`` stores, converted by the surface's one
+    rule (``_integer_form``); only the enclosing document knows the surface,
+    which ``_lattice_class`` then checks the shape against.
+
+    A sparse class, an object from basis label to rational, has as its shape
+    its (slot, value) pairs in slot order (``_label_slot``), zero entries
+    included, and its numerators are keyed by slot.  Each label is looked up
+    in the document's label map, kept in the memo, so a label is read once
+    per document, and each text in the memo of rationals.  A dense list,
+    one rational per basis class, has its length as its shape.  A "0" entry
+    of a list builds no Fraction.  The entries other than "0" are counted at
+    C speed first, and the scan stops after the last of them, so an all-"0"
+    list and a tail of "0"s cost no Python-level step."""
+    if isinstance(raw, dict):
+        labels = memo.get(_LABELS)
+        if labels is None:
+            labels = memo[_LABELS] = {}
+        pairs = []
+        for label, text in raw.items():
+            slot = labels.get(label)
+            if slot is None:
+                slot = labels[label] = _label_slot(label)
+            value = memo.get(text) if type(text) is str else None
+            if value is None:  # a text this document has not decoded yet
+                try:
+                    value = _rational(text, memo)
+                except _Reject as exc:
+                    exc.where.append(label)
+                    raise
+            pairs.append((slot, value))
+        pairs.sort()  # the slots differ, as canonical labels do
+        return (pairs, *_integer_form(pairs))
     if not isinstance(raw, list):
-        raise _Reject("expected a list")
-    values: Dict[int, Fraction] = {}
+        raise _Reject("expected an object of basis labels or a list")
+    values = {}
     left = len(raw) - raw.count("0")
     if left:
         for i, text in enumerate(raw):
@@ -300,16 +377,14 @@ def _decode_class(raw: Any, memo: dict) -> Tuple[int, Dict[int, int], int]:
     return (len(raw), *_integer_form(values.items()))
 
 
-def _class_texts(cls: DivisorClass) -> List[str]:
-    """The dense list of a class, each entry as ``fmt_rational`` writes it,
-    formatted from the class's numerators."""
-    out = ["0"] * cls.surface.rank
-    for i, v in cls.numerators.items():
-        out[i] = fraction_text(v, cls.denominator)
-    return out
+def _class_labels(cls: DivisorClass) -> Dict[str, str]:
+    """The sparse form of a class: its basis label -> rational for each
+    nonzero coefficient, formatted from the class's numerators."""
+    label, d = cls.surface.label, cls.denominator
+    return {label(i): fraction_text(v, d) for i, v in cls.numerators.items()}
 
 
-CLASS = codec(_decode_class, _class_texts)
+CLASS = codec(_decode_class, _class_labels)
 
 REQUIRED = object()  # default of a key that must be present
 ABSENT = object()  # a key missing from a JSON object or a mapping of attributes
@@ -411,8 +486,9 @@ def _compile(spec: Record) -> Decoder:
             lines.append(f"    v{i} = default{i}")
         accepts = getattr(decode_field, "accepts", None)
         if accepts is not None:  # a value that passes is its own decoding
-            env[f"kind{i}"], minimum = accepts
+            env[f"kind{i}"], minimum, maximum = accepts
             bound = "" if minimum is None else f" and raw{i} >= {minimum}"
+            bound += "" if maximum is None else f" and raw{i} <= {maximum}"
             lines += [f"elif type(raw{i}) is kind{i}{bound}:", f"    v{i} = raw{i}"]
         lines += [
             "else:",
@@ -483,14 +559,15 @@ def encode(spec: Record, value: Any) -> Dict[str, Any]:
 
 
 def _decode_eigenvalue(raw: Any, memo: dict) -> EigenvalueClass:
-    """The class of a nonzero rational, decoded straight to its canonical
-    representative (``canonical_eigenvalue``)."""
+    """The class of a nonzero rational, decoded straight from the text's
+    integers to its canonical representative (``canonical_ratio``), one
+    Fraction.  The kind memo keeps the class, so the text is not memoized."""
     if raw == "nonrational":
         return _NONRATIONAL
-    value = _rational(raw, memo)
-    if not value:
+    num, den = _ratio(raw)
+    if not num:
         raise _Reject("eigenvalue must be nonzero")
-    return _trusted(EigenvalueClass, {"value": canonical_eigenvalue(value)})
+    return _trusted(EigenvalueClass, {"value": canonical_ratio(num, den)})
 
 
 _NONRATIONAL = EigenvalueClass.nonrational()  # immutable: one instance serves all
@@ -593,15 +670,47 @@ def _build_fibration(genus, k_f_sq, e_f, chi_f, singular_fibers) -> FibrationMod
     return FibrationModel(genus, k_f_sq, e_f, chi_f, tuple(fibers))
 
 
+def _refuse_label(surface: SurfaceModel, pairs: List[Tuple[int, Any]], where: tuple) -> _Reject:
+    """The refusal of a sparse class, given as its (slot, value) pairs in
+    slot order, with a label that names no basis class of ``surface``: the
+    first label of the other base, or else the highest label, which is past
+    the blow-ups."""
+    slots = [slot for slot, _ in pairs]
+    if surface.base == P2:
+        bad = next((slot for slot in slots if 0 <= slot <= 1), None)
+        names = "P2"
+    else:
+        bad = slots[0] if slots[0] < 0 else None
+        names = "a Hirzebruch surface"
+    if bad is not None:
+        label = _label_text(bad)
+        return _Reject(f"basis label {label!r} names no class of {names}", *where, label)
+    label = _label_text(slots[-1])
+    return _Reject(
+        f"basis label {label!r} is past the surface's {surface.blowups} blow-ups", *where, label
+    )
+
+
 def _lattice_class(surface: SurfaceModel, decoded, *where) -> DivisorClass:
-    """The class of a decoded dense list, whose numerators and denominator
-    ``_decode_class`` wrote in stored form, once its length is the surface
-    rank."""
-    length, numerators, denominator = decoded
-    try:
-        surface.check_length(length)
-    except ShapeError as exc:
-        raise _Reject(str(exc), *where) from None
+    """The class of a decoded class, whose numerators and denominator
+    ``_decode_class`` wrote in stored form, once its shape fits the surface:
+    a dense list's length is the rank, and a sparse class's labels name basis
+    classes.  A sparse class's slots are its Hirzebruch indices; on P2 its
+    numerators are keyed anew, L at 0 and E<k> at k."""
+    shape, numerators, denominator = decoded
+    if type(shape) is int:
+        try:
+            surface.check_length(shape)
+        except ShapeError as exc:
+            raise _Reject(str(exc), *where) from None
+    elif shape:  # (slot, value) pairs in slot order
+        low, high = shape[0][0], shape[-1][0]
+        if surface.base == P2:
+            if high > surface.blowups + 1 or any(0 <= slot <= 1 for slot, _ in shape):
+                raise _refuse_label(surface, shape, where)
+            numerators = {max(slot - 1, 0): n for slot, n in numerators.items()}
+        elif low < 0 or high > surface.blowups + 1:
+            raise _refuse_label(surface, shape, where)
     return DivisorClass.trusted(surface, numerators, denominator)
 
 
@@ -657,11 +766,16 @@ def _document_attrs(doc: ScenarioDocument) -> Dict[str, Any]:
 
 # The record table: every key, default and codec of the format.
 
+# The most blow-ups a document may declare.  A sparse class's size does not
+# follow the rank, and K_S has a term per basis class, so this bounds the
+# work and memory of a document that declares a huge tower.
+MAX_BLOWUPS = 10_000
+
 SURFACE = Record(
     _build_surface,
     (
         Field("base", BASE, attr="hirzebruch_e"),
-        Field("blowups", integer(0), default=0, emit_default=True),
+        Field("blowups", integer(0, MAX_BLOWUPS), default=0, emit_default=True),
     ),
     attrs=_surface_attrs,
 )
@@ -705,6 +819,7 @@ FIBER = Record(
         Field("f_red_sq", integer()),
         Field("alpha", integer(), default=0, emit_default=True),
         Field("nodes", list_of(record(FIBER_NODE))),
+        Field("count", integer(1), default=1),
     ),
 )
 FIBRATION = Record(

@@ -2,8 +2,10 @@
 
 Only normal-crossing fibers are supported: alpha_F = 0 and the total Milnor
 number equals the node count, which is what the correction formulas below
-assume.  A node where branches of multiplicities a and b meet is the point
-lam = -a/b, so its beta is gcd(a, b)^2 / (a b) (``local_invariants.beta_ratio``).
+assume.  A ``FiberModel`` may stand for ``count`` equal fibers; it is never
+expanded, and every sum below multiplies its terms by the count.  A node
+where branches of multiplicities a and b meet is the point lam = -a/b, so
+its beta is gcd(a, b)^2 / (a b) (``local_invariants.beta_ratio``).
 A fiber's corrections are c1^2 = 4(g - p_a(F_red)) + F_red^2 - c_{-1} and
 c2 = e_F - beta_F + c_{-1}, where beta_F sums beta over all nodes and c_{-1}
 over the nodes on the negative part.  ``_fiber_terms`` is that formula,
@@ -57,11 +59,16 @@ class FiberNode:
 
 @dataclass(frozen=True)
 class FiberModel:
+    """A normal-crossing singular fiber, or ``count`` equal ones.  A counted
+    fiber is never expanded: its Euler number, node betas and corrections
+    are multiplied by ``count``."""
+
     genus_of_fibration: int
     pa_reduced: int
     f_red_sq: int
     nodes: Tuple[FiberNode, ...]
     alpha: int = 0
+    count: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -76,19 +83,23 @@ class FiberModel:
             raise DomainError(
                 "alpha must be the integer 0: only normal-crossing fibers are supported"
             )
+        if type(self.count) is not int or self.count < 1:
+            raise DomainError("a fiber's count must be an integer >= 1")
 
 
 def _fiber_terms(fm: FiberModel, betas: _ExactSum) -> Tuple[int, int]:
-    """The integer parts (4(g - p_a(F_red)) + F_red^2, e_F) of a fiber's
-    c1^2 and c2 corrections.  Each node's beta, ``beta_ratio(a, b)`` as an
-    integer numerator and denominator, is added to ``betas``: slot 1 for a
-    node on the negative part, slot 0 for one off it."""
-    add = betas.add
+    """The integer parts (4(g - p_a(F_red)) + F_red^2, e_F) of the c1^2 and
+    c2 corrections of a fiber's ``count`` copies.  Each node's beta,
+    ``beta_ratio(a, b)`` as an integer numerator and denominator, is added
+    ``count`` times to ``betas``: slot 1 for a node on the negative part,
+    slot 0 for one off it."""
+    add, count = betas.add, fm.count
     for node in fm.nodes:
         a, b = node.a, node.b
         g = gcd(a, b)
-        add(node.in_negative_part, g * g, a * b)
-    return 4 * (fm.genus_of_fibration - fm.pa_reduced) + fm.f_red_sq, fiber_euler(fm)
+        add(node.in_negative_part, g * g, a * b, count)
+    first = 4 * (fm.genus_of_fibration - fm.pa_reduced) + fm.f_red_sq
+    return count * first, fiber_euler(fm)
 
 
 def _corrections(fibers: Iterable[FiberModel]) -> Tuple[int, int, int, int, int]:
@@ -107,7 +118,8 @@ def _corrections(fibers: Iterable[FiberModel]) -> Tuple[int, int, int, int, int]
 
 
 def fiber_local_chern(fm: FiberModel) -> Tuple[Fraction, Fraction, Fraction]:
-    """(c1^2, c2, chi) corrections of a single normal-crossing fiber."""
+    """(c1^2, c2, chi) corrections of a normal-crossing fiber, summed over
+    its ``count`` copies."""
     first, euler, off, on, den = _corrections((fm,))
     c1 = first - Fraction(on, den)
     c2 = euler - Fraction(off, den)
@@ -115,8 +127,9 @@ def fiber_local_chern(fm: FiberModel) -> Tuple[Fraction, Fraction, Fraction]:
 
 
 def fiber_euler(fm: FiberModel) -> int:
-    """e_F = 2 (g - p_a(F_red)) + number of nodes."""
-    return 2 * (fm.genus_of_fibration - fm.pa_reduced) + len(fm.nodes)
+    """e_F = 2 (g - p_a(F_red)) + number of nodes, summed over the fiber's
+    ``count`` copies."""
+    return fm.count * (2 * (fm.genus_of_fibration - fm.pa_reduced) + len(fm.nodes))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ are parametric; the JSON files shipped under ``data/fixtures`` are snapshots
 of representative parameters and a test keeps them in sync with the builders.
 
 Blocks that several builders share are written once: ``_metadata``,
-``_invariant_curve``, ``_on`` (a singularity on named curves), ``_points``
-(equal singularities off every curve, as one counted entry),
-``_nodal_fibers`` and ``_fibration``; ``_ruled`` is the document that both
+``_cls`` (a divisor class, by basis label), ``_invariant_curve``, ``_on`` (a
+singularity on named curves), ``_points`` (equal singularities off every
+curve, as one counted entry), ``_nodal_fibers`` (equal fibers, as one
+counted entry) and ``_fibration``; ``_ruled`` is the document that both
 ruled families fill in.
 The ``expect`` values stay closed forms in the parameters, never counts of
 the lists a builder has just made.
@@ -24,7 +25,8 @@ from .document import fmt_rational, write_json
 
 
 def _q(value) -> str:
-    return fmt_rational(Fraction(value))
+    # an int is its own text; anything else is brought to a Fraction first
+    return str(value) if type(value) is int else fmt_rational(Fraction(value))
 
 
 def _metadata(integral: str = "unknown", kodaira: str = "2", **p_g: int) -> Dict[str, Any]:
@@ -39,7 +41,13 @@ def _metadata(integral: str = "unknown", kodaira: str = "2", **p_g: int) -> Dict
     }
 
 
-def _invariant_curve(name: str, cls: List[str]) -> Dict[str, Any]:
+def _cls(**terms) -> Dict[str, str]:
+    """A divisor class in its written form: basis label -> rational for each
+    nonzero coefficient, such as ``_cls(C0=1, F=2)``."""
+    return {label: _q(value) for label, value in terms.items() if value}
+
+
+def _invariant_curve(name: str, cls: Dict[str, str]) -> Dict[str, Any]:
     return {"name": name, "class": cls, "f_invariant": True}
 
 
@@ -58,15 +66,16 @@ def _points(prefix: str, count: int, eigenvalue: str) -> List[Dict[str, Any]]:
 
 
 def _nodal_fibers(count: int, pa_reduced: int) -> List[Dict[str, Any]]:
-    """``count`` fibers with a single node each, off the negative part."""
+    """``count`` fibers with a single node each, off the negative part,
+    written as one entry with that ``count``."""
     return [
         {
             "pa_reduced": pa_reduced,
             "f_red_sq": 0,
             "alpha": 0,
             "nodes": [{"a": 1, "b": 1, "in_negative_part": False}],
+            "count": count,
         }
-        for _ in range(count)
     ]
 
 
@@ -82,21 +91,15 @@ def slope_12_7() -> Dict[str, Any]:
     the covered vector field).  The slope lands strictly below 2, so the
     slope rule alone settles transcendence.
     """
-    k_f = [2, 2, -1, -1, -1, -1, -1, -1, 0, 0]
+    k_f = _cls(C0=2, F=2, **{f"E{i}": -1 for i in range(1, 7)})
     sings = [_on(f"t{i}", "-1", "Dbranch") for i in range(1, 5)] + _points("m", 8, "-1")
     for tag in ("sn0", "sn_inf"):
         sings.append({"id": tag, "kind": {"saddle_node": 2, "bb": "3"}})
     return {
         "name": "slope-12-7",
         "surface": {"base": {"hirzebruch": 0}, "blowups": 8},
-        "k_foliation": [_q(c) for c in k_f],
-        "curves": [
-            {
-                "name": "Dbranch",
-                "class": [_q(c) for c in k_f],
-                "f_invariant": False,
-            }
-        ],
+        "k_foliation": k_f,
+        "curves": [{"name": "Dbranch", "class": dict(k_f), "f_invariant": False}],
         "singularities": sings,
         "metadata": _metadata(),
         "expect": {
@@ -122,8 +125,8 @@ def degree_two_p2() -> Dict[str, Any]:
     return {
         "name": "degree-2-on-P2",
         "surface": {"base": "P2", "blowups": 0},
-        "k_foliation": ["1"],
-        "curves": [_invariant_curve("L0", ["1"]), _invariant_curve("Linf", ["1"])],
+        "k_foliation": _cls(L=1),
+        "curves": [_invariant_curve("L0", _cls(L=1)), _invariant_curve("Linf", _cls(L=1))],
         "singularities": [
             _on("s1", "nonrational", "L0", "Linf"),
             _on("s2", "nonrational", "L0"),
@@ -167,9 +170,9 @@ def _ruled(
     return {
         "name": f"{line}-noether-n{n}",
         "surface": {"base": {"hirzebruch": n}, "blowups": 0},
-        "k_foliation": ["1", _q(k_fiber)],
-        "curves": [_invariant_curve("C0", ["1", "0"])]
-        + [_invariant_curve(fiber, ["0", "1"]) for fiber in fibers],
+        "k_foliation": _cls(C0=1, F=k_fiber),
+        "curves": [_invariant_curve("C0", _cls(C0=1))]
+        + [_invariant_curve(fiber, _cls(F=1)) for fiber in fibers],
         "singularities": sings,
         "metadata": _metadata(),
         "expect": {
@@ -241,28 +244,21 @@ def third_noether_double_cover(g: int) -> Dict[str, Any]:
     if g < 2:
         raise ValueError("g >= 2")
     n_exc = 4 * g + 4
-    rank = 2 + n_exc
 
-    def vec(entries: Dict[int, int]) -> List[str]:
-        coeffs = ["0"] * rank
-        for idx, val in entries.items():
-            coeffs[idx] = _q(val)
-        return coeffs
-
-    def e(k: int) -> int:
-        # basis position of the k-th exceptional class (1-based)
-        return 1 + k
+    def e(k: int, j: int) -> Dict[str, str]:
+        # the class of E_k - E_j, basis labels of exceptional classes
+        return _cls(**{f"E{k}": 1, f"E{j}": -1})
 
     classes = [
-        ("Gamma0", {0: 1}),
-        (f"E{4 * g + 3}", {1: 1, e(1): -1, e(2): -1}),
-        (f"E{4 * g + 4}", {e(1): 1, e(2): -1}),
-        (f"E{4 * g + 2}", {e(2): 1, e(3): -1}),
+        ("Gamma0", _cls(C0=1)),
+        (f"E{4 * g + 3}", _cls(F=1, E1=-1, E2=-1)),
+        (f"E{4 * g + 4}", e(1, 2)),
+        (f"E{4 * g + 2}", e(2, 3)),
     ]
-    classes += [(f"E{i}", {e(4 * g + 4 - i): 1, e(4 * g + 5 - i): -1}) for i in range(1, 4 * g + 2)]
-    curves = [_invariant_curve(name, vec(entries)) for name, entries in classes]
+    classes += [(f"E{i}", e(4 * g + 4 - i, 4 * g + 5 - i)) for i in range(1, 4 * g + 2)]
+    curves = [_invariant_curve(name, cls) for name, cls in classes]
 
-    k_f = vec({0: 1, 1: g, e(2): -1, e(n_exc): -1})
+    k_f = _cls(C0=1, F=g, E2=-1, **{f"E{n_exc}": -1})
 
     # fiber multiplicities: E_i carries i (i <= 4g+2), then 2g+2, 2g+1, and
     # Gamma0 2; where components of multiplicities a and b cross sits a
@@ -323,7 +319,7 @@ def elliptic_pencil() -> Dict[str, Any]:
     return {
         "name": "elliptic-pencil-genus1",
         "surface": {"base": "P2", "blowups": 9},
-        "k_foliation": ["3"] + ["-1"] * 9,
+        "k_foliation": _cls(L=3, **{f"E{i}": -1 for i in range(1, 10)}),
         "curves": [],
         "singularities": _points("v", 12, "-1"),
         "metadata": _metadata("yes", "1"),
@@ -349,8 +345,8 @@ def isotrivial_vector_field() -> Dict[str, Any]:
     return {
         "name": "isotrivial-vector-field",
         "surface": {"base": {"hirzebruch": 0}, "blowups": 0},
-        "k_foliation": ["0", "0"],
-        "curves": [_invariant_curve("F0", ["0", "1"])],
+        "k_foliation": _cls(),
+        "curves": [_invariant_curve("F0", _cls(F=1))],
         "singularities": [
             {"id": "sn0", "kind": {"saddle_node": 2, "bb": "4"}, "on_curves": ["F0"]},
             {"id": "sn_inf", "kind": {"saddle_node": 2, "bb": "4"}, "on_curves": ["F0"]},
@@ -376,7 +372,7 @@ def semistable_genus2() -> Dict[str, Any]:
     return {
         "name": "semistable-genus2",
         "surface": {"base": {"hirzebruch": 0}, "blowups": 12},
-        "k_foliation": ["2", "4"] + ["-1"] * 12,
+        "k_foliation": _cls(C0=2, F=4, **{f"E{i}": -1 for i in range(1, 13)}),
         "curves": [],
         "singularities": _points("v", 20, "-1"),
         "metadata": _metadata("yes"),

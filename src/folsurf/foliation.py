@@ -264,8 +264,10 @@ def point_label(s: SingularityRecord, name: Callable[[str], str] = str) -> str:
     return label if s.count == 1 else f"{label} ({s.count} points)"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One check row: a named tuple, since a scenario's validation builds
+    one per curve and per identity."""
+
     name: str
     passed: Optional[bool]  # None means the check was skipped
     detail: str = ""
@@ -286,8 +288,9 @@ class ValidationReport:
     checks: Tuple[CheckResult, ...]
     warnings: Tuple[str, ...]
 
-    @property
+    @cached_property
     def passed(self) -> bool:
+        """No check failed; computed on first read."""
         return not any(c.failed for c in self.checks)
 
 

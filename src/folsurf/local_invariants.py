@@ -4,7 +4,8 @@ The two basic functions ``beta`` and ``chi_local`` act on nonzero rationals;
 their singularity-level counterparts ``beta_p`` / ``chi_p`` / ``baum_bott``
 act on :class:`SingularityRecord` values.  Each is one integer formula in the
 canonical eigenvalue lam = n/d (|n| >= d), which one function chooses,
-``canonical_eigenvalue``, for the class constructor and the scenario decoder:
+``canonical_ratio``, on integers: the class constructor reaches it through
+``canonical_eigenvalue``, and the scenario decoder from a text's integers:
 
     beta_p = beta(-lam)          = -1 / (n d),
     BB_p   = lam + 1/lam + 2     = (n + d)^2 / (n d),
@@ -63,7 +64,17 @@ def canonical_eigenvalue(q: Fraction) -> Fraction:
     Fraction q: q itself, or its reciprocal when |n| < d.  The +-1 ties are
     self-inverse, so each class has exactly one representative."""
     n, d = q.numerator, q.denominator
-    return Fraction(d, n) if abs(n) < d else q
+    return canonical_ratio(n, d) if abs(n) < d else q
+
+
+def canonical_ratio(n: int, d: int) -> Fraction:
+    """``canonical_eigenvalue(Fraction(n, d))`` for integers n != 0 and
+    d >= 1, not necessarily coprime: the swap and the sign fix are made on
+    the integers (|n| < d holds for n/d reduced iff it holds for n, d), and
+    one Fraction is built."""
+    if abs(n) < d:
+        n, d = (d, n) if n > 0 else (-d, -n)
+    return Fraction(n, d)
 
 
 @dataclass(frozen=True)

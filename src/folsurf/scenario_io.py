@@ -19,7 +19,7 @@ from typing import Any, Callable, Collection, Dict, Iterator, List, Mapping, Opt
 
 from .chern import ChernNumbers, Verdict, chern_numbers, decide, noether_bounds, slope
 from .document import (
-    EXPECTATIONS, MODULAR_KEYS, ScenarioDocument, _class_texts, fmt_rational, write_json,
+    EXPECTATIONS, MODULAR_KEYS, ScenarioDocument, fmt_rational, write_json,
 )
 from .document import parse_scenario  # noqa: F401  (perfbench/workloads.py::make_api reads it here)
 from .errors import DomainError, InconsistentScenario
@@ -30,7 +30,7 @@ from .fibration import (
     slope_inequality_check,
 )
 from .foliation import CheckResult, FoliatedScenario, ValidationReport, validate
-from .surface import h0_line_bundle
+from .surface import DivisorClass, fraction_text, h0_line_bundle
 from .surface import intersect  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .zariski import (
     FChain,
@@ -59,6 +59,15 @@ def listing(labels: Tuple[str, ...], values) -> str:
 
 def _rationals(keys: Tuple[str, ...], values) -> Dict[str, Optional[str]]:
     return {k: None if v is None else fmt_rational(v) for k, v in zip(keys, values)}
+
+
+def _class_texts(cls: DivisorClass) -> List[str]:
+    """The dense list of a class, one rational per basis class, as a report
+    writes the nef part, formatted from the class's numerators."""
+    out = ["0"] * cls.surface.rank
+    for i, v in cls.numerators.items():
+        out[i] = fraction_text(v, cls.denominator)
+    return out
 
 
 _BOUND_NAMES = ("first", "second", "third")

@@ -105,6 +105,41 @@ def expand_points(doc):
     return out
 
 
+def dense_form(doc):
+    """A copy of the document ``doc`` in the dense form: each class written
+    as a list of one rational per basis class, and each counted fiber listed
+    one by one, without ``count``.  Both forms declare one scenario and one
+    fibration, so the dense form keeps the refusals of a list's length and
+    of a single fiber within reach."""
+    out = copy.deepcopy(doc)
+    surface = out.get("surface")
+    if isinstance(surface, dict):
+        base_rank = 1 if surface.get("base") == "P2" else 2
+        rank = base_rank + surface.get("blowups", 0)
+        index = {"L": 0, "C0": 0, "F": 1}
+
+        def dense(cls):
+            coefficients = ["0"] * rank
+            for label, value in cls.items():
+                i = index[label] if label in index else base_rank - 1 + int(label[1:])
+                coefficients[i] = value
+            return coefficients
+
+        if isinstance(out.get("k_foliation"), dict):
+            out["k_foliation"] = dense(out["k_foliation"])
+        for curve in out.get("curves", ()):
+            if isinstance(curve.get("class"), dict):
+                curve["class"] = dense(curve["class"])
+    fibration = out.get("fibration")
+    if fibration is not None:
+        listed = []
+        for fiber in fibration["fibers"]:
+            one = {k: v for k, v in fiber.items() if k != "count"}
+            listed += [copy.deepcopy(one) for _ in range(fiber.get("count", 1))]
+        fibration["fibers"] = listed
+    return out
+
+
 @pytest.fixture
 def chain_scenario():
     return build_chain_scenario

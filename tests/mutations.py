@@ -1,18 +1,23 @@
 """A seeded differential harness: mutated and hostile scenario documents.
 
 Every bundled document and a few members of each parametric family are
-mutated, one change per document, by a fixed-seed generator:
+mutated, each in the form its builder writes (sparse classes, counted
+fibers) and in the dense form (``conftest.dense_form``), one change per
+document, by a fixed-seed generator:
 
 - a rational string replaced by another rational or by a malformed value;
 - an integer replaced by a neighbour, a boundary value or a look-alike;
 - a key deleted from an object, or an item deleted from a list;
+- a basis label of a sparse class renamed, to another label of the surface
+  or to one it lacks, such as ``E0``, ``E07``, ``e1`` or one past the rank;
 - a singularity's ``on_curves`` re-linked to other curves, or to none;
 - a singularity given a new kind;
 - a fiber node given new branch multiplicities.
 
 A few hostile shapes follow: deep nesting, a literal past the int-to-str
-digit limit, bytes that are not UTF-8, an enormous blow-up count, and one
-singularity entry standing for 10**9 points.  The outcome of a document is
+digit limit, bytes that are not UTF-8, an enormous blow-up count in the
+dense and in the sparse form, and one singularity entry standing for 10**9
+points.  The outcome of a document is
 the path and reason of its ``ParseError``, or the JSON report
 ``run_pipeline(...).to_json()``.  ``digest`` is one sha256 over
 the outcomes in order, and refuses any document whose parse and pipeline
@@ -41,6 +46,7 @@ import tracemalloc
 from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
+from conftest import dense_form
 from folsurf.document import parse_document_dict, parse_scenario
 from folsurf.errors import DomainError, InconsistentScenario, ParseError
 from folsurf.fixtures import (
@@ -76,12 +82,15 @@ BAD_INTEGERS = (-1, 0, 1, 2, 3, 10**9, True, False, "1", 1.0, None, [1])
 
 
 def sources() -> List[Dict[str, Any]]:
-    """The documents that are mutated: the bundled ones and family members."""
+    """The documents that are mutated: the bundled ones and family members,
+    all in the dense form first, then each as its builder writes it.  The
+    dense forms are the documents as they were written before sparse
+    classes and counted fibers, so their mutations come first, as before."""
     docs = list(bundled_documents().values())
     docs += [third_noether_double_cover(g) for g in (2, 4, 6)]
     docs += [second_noether_ruled(n) for n in (2, 3, 7)]
     docs += [first_noether_ruled(n) for n in (1, 2, 5)]
-    return docs
+    return [dense_form(doc) for doc in docs] + docs
 
 
 def _walk(value: Any, path: Path = ()) -> Iterator[Tuple[Path, Any]]:
@@ -146,6 +155,12 @@ class _Shape:
         sings = doc.get("singularities", ())
         self.singularities = [("singularities", i) for i in range(len(sings))]
         self.curves = [c["name"] for c in doc.get("curves", ())]
+        # each sparse class: ("k_foliation",) or ("curves", k, "class")
+        self.classes = [p for p, v in items if p[-1:] in (("k_foliation",), ("class",))
+                        and isinstance(v, dict) and v]
+        surface = doc.get("surface") or {}
+        self.base_labels = ["L"] if surface.get("base") == "P2" else ["C0", "F"]
+        self.blowups = surface.get("blowups", 0)
         # ("fibration", "fibers", k, "nodes", j)
         self.nodes = [p for p, _ in items if len(p) == 5 and p[3] == "nodes"]
 
@@ -177,6 +192,16 @@ def _mutators(shape: _Shape) -> List[Tuple[List[Path], Callable[..., None]]]:
     def new_kind(doc, path, rng):
         _at(doc, path)["kind"] = _new_kind(rng)
 
+    def relabel(doc, path, rng):
+        cls = _at(doc, path)
+        old = rng.choice(sorted(cls))
+        top = shape.blowups
+        new = rng.choice((
+            *shape.base_labels, f"E{rng.randint(1, top)}" if top else "E1", f"E{top + 1}",
+            "L" if shape.base_labels != ["L"] else "C0", "E0", "E07", "e1", "F1", "",
+        ))
+        cls[new] = cls.pop(old)
+
     def node(doc, path, rng):
         obj = _at(doc, path)
         key = rng.choice(("a", "b"))
@@ -189,6 +214,7 @@ def _mutators(shape: _Shape) -> List[Tuple[List[Path], Callable[..., None]]]:
         (shape.lists, delete_item),
         (shape.singularities, relink),
         (shape.singularities, new_kind),
+        (shape.classes, relabel),
         (shape.nodes, node),
     ]
 
@@ -209,8 +235,11 @@ def mutated_documents(seed: int = SEED) -> Iterator[Dict[str, Any]]:
 
 def hostile_inputs() -> List[Any]:
     """Texts, bytes and objects that a parser must refuse in bounded time."""
-    huge = third_noether_double_cover(2)
+    huge = dense_form(third_noether_double_cover(2))
     huge["surface"]["blowups"] = 10**9
+    # the sparse form: no class length bounds the rank
+    sparse = third_noether_double_cover(2)
+    sparse["surface"]["blowups"] = 10**9
     # one record standing for 10**9 points: a path that expanded it would
     # pass both bounds
     crowded = second_noether_ruled(2)
@@ -222,6 +251,7 @@ def hostile_inputs() -> List[Any]:
         b'{"name": "\xff\xfe"}',
         json.dumps(huge),
         huge,
+        sparse,
         crowded,
     ]
 

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -266,3 +267,39 @@ def test_thousands_of_pairwise_coprime_nodes_sum_in_bounded_time():
     assert modular == reference_modular(*args)
     assert modular[0] == 1 and modular[1].denominator.bit_length() > 50000
     assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("count", [0, -1, True, 1.0, "2", None], ids=repr)
+def test_a_fiber_count_must_be_an_integer_of_at_least_one(count):
+    with pytest.raises(DomainError, match="a fiber's count must be an integer >= 1"):
+        FiberModel(2, 2, 0, (FiberNode(1, 1, False),), count=count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fibrations(),
+    st.lists(st.integers(1, 4), min_size=5, max_size=5),
+    st.fractions(-3, 10, max_denominator=50),
+)
+def test_a_counted_fiber_gives_the_totals_of_its_copies_listed(args, counts, kappa):
+    genus, _, _, _, fibers = args
+    counted = tuple(replace(fm, count=n) for fm, n in zip(fibers, counts))
+    listed = tuple(fm for fm, n in zip(fibers, counts) for _ in range(n))
+    for fm, many in zip(fibers, counted):
+        assert fiber_euler(many) == many.count * fiber_euler(fm)
+        assert fiber_local_chern(many) == tuple(many.count * x for x in fiber_local_chern(fm))
+    e_f = Fraction(sum(fiber_euler(fm) for fm in listed))
+    assert sum(fiber_euler(fm) for fm in counted) == e_f
+    k_f_sq = sum((reference_fiber_local_chern(fm)[0] for fm in listed), kappa)
+    totals = (genus, k_f_sq, e_f, (k_f_sq + e_f) / 12)
+    modular = _modular_or_message(FibrationModel(*totals, counted))
+    assert modular == _modular_or_message(FibrationModel(*totals, listed))
+    assert modular == reference_modular(*totals, listed)
+    # the Euler-sum check reads the counted fibers' total too
+    off = (genus, k_f_sq - 1, e_f + 1, totals[3])
+    messages = []
+    for fibers_ in (counted, listed):
+        with pytest.raises(InconsistentScenario) as err:
+            FibrationModel(*off, fibers_)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == f"sum of fiber Euler numbers {e_f} != e_f = {e_f + 1}"

@@ -72,3 +72,12 @@ def test_mutated_expectation_is_caught():
     report = run_pipeline(parse_document_dict(doc))
     assert not report.ok
     assert any("negative_part" in f for f in report.expectation_failures)
+
+
+def test_a_double_cover_document_grows_linearly_in_g():
+    # sparse classes and one counted entry for the 2g nodal fibers: a dense
+    # class has a rational per basis class, and the document grew as g^2
+    size = {
+        g: len(render_fixture(third_noether_double_cover(g)).encode("utf-8")) for g in (40, 160)
+    }
+    assert size[160] < 5 * size[40]

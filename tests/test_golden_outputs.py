@@ -282,9 +282,10 @@ def test_a_document_over_the_time_bound_fails_the_mutation_harness(monkeypatch):
 
 
 def test_each_source_and_hostile_document_stays_under_the_memory_bound():
-    # the 24 source documents and the 6 hostile inputs, one traced peak each
+    # the 24 source documents in two forms and the 7 hostile inputs, one
+    # traced peak each
     peaks = mutations.memory_peaks()
-    assert len(peaks) == 30
+    assert len(peaks) == 48 + 7
     assert max(peaks) <= mutations.DOCUMENT_BYTES
 
 
@@ -326,7 +327,7 @@ def test_mutation_outcomes_are_written_one_line_per_document(monkeypatch, tmp_pa
     for k, line in enumerate(lines):
         assert line["document"] == k
         h.update(f"{k}\t{line['outcome']}\n".encode("utf-8"))
-    assert mutations.digest() == {"documents": 24 * 2 + 6, "sha256": h.hexdigest()}
+    assert mutations.digest() == {"documents": 48 * 2 + 7, "sha256": h.hexdigest()}
 
 
 def test_fixtures_run_matches_golden():

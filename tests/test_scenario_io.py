@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import folsurf
 import folsurf.document as document
 import folsurf.scenario_io as sio
-from conftest import count_calls, expand_points
+from conftest import count_calls, dense_form, expand_points
 from folsurf.document import (
     EXPECT,
     document_to_dict,
@@ -31,6 +31,8 @@ from folsurf.errors import DomainError, ParseError
 from folsurf.fibration import FiberNode
 from folsurf.fixtures import (
     bundled_documents,
+    degree_two_p2,
+    first_noether_ruled,
     i0star_elliptic,
     load_bundled_files,
     second_noether_ruled,
@@ -103,7 +105,7 @@ def test_parse_rational_accepts_the_grammar_and_json_integers():
 
 
 def test_class_decoding_builds_no_fraction_for_a_zero_entry(monkeypatch):
-    doc = third_noether_double_cover(40)
+    doc = dense_form(third_noether_double_cover(40))
     seen = []
     original = document._rational
 
@@ -117,10 +119,10 @@ def test_class_decoding_builds_no_fraction_for_a_zero_entry(monkeypatch):
     entries = [x for cls in dense for x in cls]
     nonzero = [x for x in entries if x != "0"]
     assert (len(entries), len(nonzero)) == (27556, 334)
-    # the class and eigenvalue codecs look ``_rational`` up when called: one
-    # call per nonzero class entry and one per distinct kind, none for a "0"
-    kinds = {tuple(s["kind"].items()) for s in doc["singularities"]}
-    assert len(seen) == len(nonzero) + len(kinds)
+    # the class codec looks ``_rational`` up when called: one call per
+    # nonzero class entry, none for a "0"; an eigenvalue decodes from its
+    # text's integers without it
+    assert len(seen) == len(nonzero)
     assert "0" not in seen
     classes = [scenario.k_foliation] + [c.cls for c in scenario.curves]
     assert sum(len(c.terms) for c in classes) == len(nonzero)
@@ -148,18 +150,17 @@ def test_parsing_builds_one_fraction_per_distinct_text_and_reruns_no_field_check
     parse_document_dict(doc)
     monkeypatch.undo()
     fibration, expect = doc["fibration"], doc["expect"]
-    eigenvalues = [s["kind"]["eigenvalue"] for s in doc["singularities"]]
-    texts = set(doc["k_foliation"]).union(*(c["class"] for c in doc["curves"]), eigenvalues)
+    classes = [doc["k_foliation"]] + [c["class"] for c in doc["curves"]]
+    texts = set().union(*(cls.values() for cls in classes))
     texts |= {fibration[k] for k in ("k_f_sq", "e_f", "chi_f")}
     texts |= {expect[k] for k in ("c1_sq", "c2", "chi", "vol", "slope")}
     texts |= set(expect["negative_part"].values()) | set(expect["modular"].values())
-    texts.discard("0")  # a "0" class entry builds no Fraction
-    flipped = {t for t in eigenvalues if abs(Fraction(t)) < 1}
-    assert (len(texts), len(flipped)) == (78, 33)
-    # one Fraction per distinct text, one more per eigenvalue brought to its
-    # canonical form n/d, |n| >= d, and two for FibrationModel's own check
-    # K_f^2 + e_f = 12 chi_f
-    fractions = len(texts) + len(flipped) + 2
+    eigenvalues = {s["kind"]["eigenvalue"] for s in doc["singularities"]}
+    assert (len(texts), len(eigenvalues)) == (42, 37)
+    # one Fraction per distinct text, one per distinct eigenvalue, built in
+    # its canonical form n/d, |n| >= d, from the text's integers, and two for
+    # FibrationModel's own check K_f^2 + e_f = 12 chi_f
+    fractions = len(texts) + len(eigenvalues) + 2
     assert counts == {"Fraction": fractions, "FiberNode": 0, "EigenvalueClass": 0}
 
 
@@ -460,7 +461,7 @@ def test_fibration_only_document_may_declare_empty_lists():
 
 
 def test_non_normal_crossing_fiber_is_refused_at_that_fiber():
-    doc = semistable_genus2()
+    doc = dense_form(semistable_genus2())
     doc["fibration"]["fibers"][1]["alpha"] = 2
     with pytest.raises(ParseError) as err:
         parse_document_dict(doc)
@@ -483,7 +484,7 @@ def test_the_first_bad_field_in_field_order_is_the_one_refused():
 
 def test_negative_fiber_arithmetic_genus_is_refused_at_its_field():
     # a connected reduced fiber has p_a >= 0
-    doc = semistable_genus2()
+    doc = dense_form(semistable_genus2())
     doc["fibration"]["fibers"][1]["pa_reduced"] = -1
     with pytest.raises(ParseError) as err:
         parse_document_dict(doc)
@@ -492,7 +493,7 @@ def test_negative_fiber_arithmetic_genus_is_refused_at_its_field():
 
 def test_fiber_arithmetic_genus_above_the_fibration_genus_is_refused_at_its_fiber():
     # p_a(F_red) <= g; the genus-2 fiber would have a negative Euler number
-    doc = semistable_genus2()
+    doc = dense_form(semistable_genus2())
     doc["fibration"]["fibers"][1]["pa_reduced"] = 3
     with pytest.raises(ParseError) as err:
         parse_document_dict(doc)
@@ -575,15 +576,190 @@ def test_parallel_invocations_are_byte_identical():
     assert len(set(payloads)) == 1
 
 
-def test_huge_blowup_count_is_refused_in_bounded_time():
-    doc = second_noether_ruled(3)
+def test_a_counted_fiber_parses_to_one_model():
+    fibration = parse_document_dict(semistable_genus2()).fibration
+    assert [fm.count for fm in fibration.singular_fibers] == [20]
+    listed = parse_document_dict(dense_form(semistable_genus2())).fibration
+    assert len(listed.singular_fibers) == 20
+    assert fibration.modular == listed.modular
+
+
+@pytest.mark.parametrize("count", [0, -2, True, 1.5, "3"], ids=repr)
+def test_a_fiber_count_that_is_not_an_integer_of_at_least_one_is_refused(count):
+    doc = semistable_genus2()
+    doc["fibration"]["fibers"][0]["count"] = count
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert err.value.path == "$.fibration.fibers[0].count"
+    assert err.value.reason.startswith("expected an integer")
+
+
+def _refused_tower(doc):
     doc["surface"]["blowups"] = 10**9
     start = time.perf_counter()
     with pytest.raises(ParseError) as err:
         parse_document_dict(doc)
     assert time.perf_counter() - start < 1.0
-    assert err.value.path == "$.k_foliation"
-    assert "1000000002" in str(err.value)
+    return err.value.path, err.value.reason
+
+
+TOWER_REFUSAL = (
+    "$.surface.blowups", f"expected an integer <= {document.MAX_BLOWUPS}, got 1000000000"
+)
+
+
+def test_huge_blowup_count_is_refused_in_bounded_time():
+    assert _refused_tower(dense_form(second_noether_ruled(3))) == TOWER_REFUSAL
+
+
+def test_a_sparse_document_with_a_huge_blowup_count_is_refused_at_blowups():
+    # a sparse class's size does not follow the rank, so the limit on
+    # blowups, not a class's length, refuses the tower
+    assert _refused_tower(second_noether_ruled(3)) == TOWER_REFUSAL
+
+
+def test_the_blowup_limit_is_inclusive():
+    top = document.MAX_BLOWUPS
+    doc = {
+        "name": "tower",
+        "surface": {"base": "P2", "blowups": top},
+        "k_foliation": {f"E{top}": "1"},
+        "metadata": slope_12_7()["metadata"],
+    }
+    scenario = parse_document_dict(doc).scenario
+    assert scenario.surface.rank == top + 1
+    assert scenario.k_foliation.numerators == {top: 1}
+    doc["surface"]["blowups"] += 1
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert (err.value.path, err.value.reason) == (
+        "$.surface.blowups", f"expected an integer <= {top}, got {top + 1}"
+    )
+
+
+_LABELS_REASON = "labels are L, C0, F and E1, E2, ... in canonical spelling"
+
+# A change to one sparse class of a bundled document (third_noether_g2 on
+# Hirzebruch(3) with 12 blow-ups, or degree2_p2 on P2), and its refusal.
+SPARSE_REFUSALS = {
+    "unknown-label": (
+        third_noether_double_cover, ("curves", 1), {"G": "1"},
+        "$.curves[1].class.G", f"unknown basis label 'G': {_LABELS_REASON}",
+    ),
+    "leading-zero": (
+        third_noether_double_cover, ("curves", 8), {"E07": "1"},
+        "$.curves[8].class.E07", f"unknown basis label 'E07': {_LABELS_REASON}",
+    ),
+    "lower-case": (
+        third_noether_double_cover, ("curves", 8), {"e7": "1"},
+        "$.curves[8].class.e7", f"unknown basis label 'e7': {_LABELS_REASON}",
+    ),
+    "E0": (
+        third_noether_double_cover, ("curves", 8), {"E0": "1"},
+        "$.curves[8].class.E0", f"unknown basis label 'E0': {_LABELS_REASON}",
+    ),
+    "L-on-a-hirzebruch-base": (
+        third_noether_double_cover, (), {"L": "1"},
+        "$.k_foliation.L", "basis label 'L' names no class of a Hirzebruch surface",
+    ),
+    "C0-on-P2": (
+        degree_two_p2, ("curves", 1), {"C0": "1"},
+        "$.curves[1].class.C0", "basis label 'C0' names no class of P2",
+    ),
+    "F-on-P2": (
+        degree_two_p2, (), {"F": "0"},
+        "$.k_foliation.F", "basis label 'F' names no class of P2",
+    ),
+    "past-the-rank": (
+        third_noether_double_cover, ("curves", 8), {"E13": "1"},
+        "$.curves[8].class.E13", "basis label 'E13' is past the surface's 12 blow-ups",
+    ),
+    "a-zero-past-the-rank": (
+        third_noether_double_cover, (), {"E99": "0"},
+        "$.k_foliation.E99", "basis label 'E99' is past the surface's 12 blow-ups",
+    ),
+    "malformed-rational": (
+        third_noether_double_cover, ("curves", 8), {"E7": "x"},
+        "$.curves[8].class.E7", "malformed rational 'x'",
+    ),
+    "neither-form": (
+        third_noether_double_cover, ("curves", 8), None,
+        "$.curves[8].class", "expected an object of basis labels or a list",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SPARSE_REFUSALS))
+def test_a_bad_sparse_class_is_refused_at_its_label(case):
+    build, where, change, path, reason = SPARSE_REFUSALS[case]
+    doc = build(2) if build is third_noether_double_cover else build()
+    if where:
+        curve = doc[where[0]][where[1]]
+        curve["class"] = "1" if change is None else {**curve["class"], **change}
+    else:
+        doc["k_foliation"] = {**doc["k_foliation"], **change}
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert (err.value.path, err.value.reason) == (path, reason)
+
+
+def test_a_sparse_class_reads_as_its_dense_list():
+    # label order, zero entries and JSON integers do not change the class
+    doc = third_noether_double_cover(2)
+    doc["k_foliation"] = {"E12": "-1", "F": 2, "E2": "-1", "E5": "0", "C0": "1"}
+    doc["curves"][4]["class"] = {"E12": "-1", "E11": "1"}
+    sparse = parse_document_dict(doc).scenario
+    dense = parse_document_dict(dense_form(third_noether_double_cover(2))).scenario
+    assert sparse == dense
+    assert sparse.k_foliation.numerators == {0: 1, 1: 2, 3: -1, 13: -1}
+    empty = degree_two_p2()
+    empty["k_foliation"] = {}
+    assert parse_document_dict(empty).scenario.k_foliation.is_zero
+
+
+def test_each_label_is_read_once_per_document(monkeypatch):
+    calls = count_calls(monkeypatch, ["_label_slot"])
+    doc = third_noether_double_cover(16)
+    classes = [doc["k_foliation"]] + [c["class"] for c in doc["curves"]]
+    labels = set().union(*classes)
+    assert len(labels) == 4 * 16 + 6
+    parse_document_dict(doc)
+    assert calls == {"_label_slot": len(labels)}
+    parse_document_dict(doc)  # the memo belongs to one parse
+    assert calls == {"_label_slot": 2 * len(labels)}
+
+
+_family_members = st.one_of(
+    st.sampled_from(sorted(bundled_documents().items())).map(lambda item: item[1]),
+    st.integers(1, 200).map(first_noether_ruled),
+    st.integers(2, 200).map(second_noether_ruled),
+    st.integers(2, 40).map(third_noether_double_cover),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_family_members)
+def test_a_dense_document_serializes_to_the_sparse_form_and_reparses_equal(built):
+    parsed = parse_document_dict(dense_form(built))
+    text = serialize_document(parsed)
+    written = json.loads(text)
+    if parsed.scenario is not None:
+        classes = [written["k_foliation"]] + [c["class"] for c in written["curves"]]
+        assert all(type(cls) is dict and "0" not in cls.values() for cls in classes)
+    assert parse_scenario(text) == parsed
+    # the fibers stay listed as parsed; each declares the scenario and the
+    # modular invariants of the document as built
+    again = parse_document_dict(built)
+    assert parsed.scenario == again.scenario
+    assert run_pipeline(parsed).to_json() == run_pipeline(again).to_json()
+
+
+def test_the_readme_example_document_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    doc = parse_scenario(text)
+    assert doc.scenario.k_foliation.numerators == {0: 1, 1: 2}
+    assert [fm.count for fm in doc.fibration.singular_fibers] == [20]
 
 
 def test_check_status_words():
@@ -658,8 +834,13 @@ def surface_blocks(draw):
     base = draw(st.just("P2") | st.builds(lambda e: {"hirzebruch": e}, st.integers(0, 6)))
     surface = {"base": base}
     _maybe(draw, surface, "blowups", st.integers(0, 4))
-    rank = (1 if base == "P2" else 2) + surface.get("blowups", 0)
-    classes = st.lists(rational_json(), min_size=rank, max_size=rank)
+    blowups = surface.get("blowups", 0)
+    rank = (1 if base == "P2" else 2) + blowups
+    basis = (["L"] if base == "P2" else ["C0", "F"]) + [f"E{i}" for i in range(1, blowups + 1)]
+    # a class in either form: a dense list, or an object keyed by basis label
+    classes = st.lists(rational_json(), min_size=rank, max_size=rank) | st.dictionaries(
+        st.sampled_from(basis), rational_json(), max_size=rank
+    )
     curve_names = draw(st.lists(names, unique=True, max_size=4))
     curves = []
     for name in curve_names:
@@ -700,7 +881,8 @@ def fibration_blocks(draw):
             "nodes": draw(st.lists(node, max_size=3)),
         }
         _maybe(draw, fiber, "alpha", st.just(0))
-        e_f += 2 * (genus - fiber["pa_reduced"]) + len(fiber["nodes"])
+        _maybe(draw, fiber, "count", st.integers(1, 3))
+        e_f += fiber.get("count", 1) * (2 * (genus - fiber["pa_reduced"]) + len(fiber["nodes"]))
         fibers.append(fiber)
     chi_f = draw(small_rationals)
     return {

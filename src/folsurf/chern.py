@@ -225,13 +225,16 @@ def slope(c: ChernNumbers) -> Fraction:
 
 
 def noether_bounds(p_g: int) -> Tuple[Fraction, Fraction, Fraction]:
-    """The three volume lower bounds at geometric genus p_g >= 2."""
+    """The three volume lower bounds at geometric genus p_g >= 2: p_g - 2,
+    p_g - 2 + 1/p_g and p_g - 3/2 + 3/(2(2 p_g + 1)), each built once from
+    its closed form over the integers."""
     if p_g < 2:
         raise DomainError("Noether bounds are stated for p_g >= 2")
-    first = Fraction(p_g - 2)
-    second = first + Fraction(1, p_g)
-    third = Fraction(p_g) - Fraction(3, 2) + Fraction(3, 2 * (2 * p_g + 1))
-    return first, second, third
+    return (
+        Fraction(p_g - 2),
+        Fraction((p_g - 1) ** 2, p_g),
+        Fraction(2 * p_g * (p_g - 1), 2 * p_g + 1),
+    )
 
 
 def genus_bound(lam: Fraction) -> int:

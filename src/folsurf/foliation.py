@@ -15,8 +15,11 @@ curvewise checks read its ``squares``, ``d_dot`` and ``ks_dot``, the
 singularity count its ``d_square`` and ``d_dot_ks``, and a passing check
 builds no Fraction; a detail string prints a quotient of two integers as the
 Fraction would (``surface.fraction_text``).  The Camacho-Sad balance is
-decided exactly, in integers, by one iterative sweep per connected component
-of the invariant curves, under one work budget for the scenario.
+decided exactly, in integers, per connected component of the invariant
+curves, each scaled by its own denominators: first the branches that are
+forced (a curve with one open point left fixes it), which decide a tree of
+crossings outright, then one iterative sweep of the points left open.  Only
+the sweeps spend the scenario's one work budget.
 Facts of a singularity's kind (multiplicity, reducedness, the {lam, 1/lam}
 branch pair, the local Chern terms) are read once per kind object, through
 ``FoliatedScenario.by_kind``.  A record off every curve may stand for
@@ -54,9 +57,14 @@ INTEGRALITY_VALUES = ("yes", "no", "unknown")
 
 _ZERO = Fraction(0)
 
-# work that ``resolve_camacho_sad`` may spend over all components: each
-# candidate vector of partial sums costs its length plus one
+# work that the sweeps of ``resolve_camacho_sad`` may spend over all
+# components: each candidate vector of partial sums costs its length plus
+# one.  The forced branches, decided first, spend none; each component keeps
+# its own scale
 CAMACHO_SAD_WORK_BUDGET = 200_000
+
+# a kind's branches, lam and 1/lam, each as (numerator, denominator)
+_Pair = Tuple[Tuple[int, int], Tuple[int, int]]
 
 TRUST_BOUNDARY_WARNING = (
     "zariski: only declared curves are visible to the decomposition; an "
@@ -332,32 +340,79 @@ def connected_components(adjacency: Mapping[str, Iterable[str]]) -> List[List[st
 
 
 def _component_balances(
-    steps: List[Tuple[Tuple[str, ...], List[Tuple[int, ...]]]],
+    points: List[Tuple[Tuple[str, ...], int, int]],
     targets: Dict[str, int],
     budget: int,
 ) -> Tuple[bool, Optional[int]]:
-    """Whether one branch choice per step balances every curve of a component,
+    """Whether one branch choice per point balances every curve of a component,
     and the work budget left (None when the sweep ran out of it).
 
-    A step is a singularity: the curves it lies on, and its branch choices
-    with one value per curve.  The values and each curve's target, its
-    square, are integers over one common denominator.  The sweep keeps the
-    distinct vectors of partial sums over the curves met but not yet
-    finished; after a curve's last singularity it keeps the vectors where
-    that curve meets its target, without its entry.  Each candidate vector
-    costs its length plus one.
+    A point is the curves it lies on and its two branch values, lam and
+    1/lam: on one curve it gives either, on two it gives one to each, in
+    either order.  The values and each curve's target, its square, are
+    integers over one common denominator.
+
+    First the forced branches, which spend no budget: while some curve has
+    one open point left, that point must give the curve what remains of its
+    target.  If neither branch does, no choice balances the component; else
+    the point is fixed (at lam = +-1 both orders give the same) and its
+    other value is charged to its second curve.  A curve whose last point is
+    fixed must meet its target.  On a tree of crossings every point is
+    forced.  Then the sweep of the points left open, in order, keeps the
+    distinct vectors of partial sums over the curves met but not finished;
+    after a curve's last open point it keeps the vectors where that curve
+    meets what remains of its target, without its entry.  Each candidate
+    vector costs its length plus one.
     """
-    last = {name: k for k, (here, _) in enumerate(steps) for name in here}
+    rest = dict(targets)  # each target less the values fixed on its curve
+    left = dict.fromkeys(targets, 0)  # each curve's open points
+    # the sum of the indices of a curve's open points: the index of its
+    # last one when one is left
+    last = dict.fromkeys(targets, 0)
+    for k, (here, _, _) in enumerate(points):
+        # a point on more than two curves is outside the transverse-crossing
+        # model, and no choice balances it
+        if len(here) > 2:
+            return False, budget
+        for name in here:
+            left[name] += 1
+            last[name] += k
     # a curve without singularities balances only with square zero
-    if any(targets[name] and name not in last for name in targets):
+    if any(rest[name] and not n for name, n in left.items()):
         return False, budget
+    fixed = [False] * len(points)
+    forced = [name for name, n in left.items() if n == 1]
+    while forced:
+        name = forced.pop()
+        if left[name] != 1:  # its last point was fixed from its other curve
+            continue
+        k = last[name]
+        here, lam, inv = points[k]
+        value = rest[name]
+        if value != lam and value != inv:
+            return False, budget
+        fixed[k] = True
+        left[name] = 0  # balanced: its remaining target is met
+        for x in here:
+            if x != name:  # the point's second curve takes the other value
+                rest[x] -= lam + inv - value
+                left[x] -= 1
+                last[x] -= k
+                if left[x] == 1:
+                    forced.append(x)
+                elif not left[x] and rest[x]:
+                    return False, budget
+
     met: List[str] = []  # the open curves, one vector entry each
     vectors = {()}
-    for k, (here, choices) in enumerate(steps):
+    for k, (here, lam, inv) in enumerate(points):
+        if fixed[k]:
+            continue
         for name in here:
             if name not in met:
                 met.append(name)
                 vectors = {v + (0,) for v in vectors}
+        choices = [(lam, inv), (inv, lam)] if lam != inv else [(lam, inv)]
         cost = len(vectors) * len(choices) * (len(met) + 1)
         if cost > budget:
             return False, None
@@ -372,10 +427,11 @@ def _component_balances(
                 grown.add(tuple(w))
         vectors = grown
         for name in here:
-            if last[name] == k:
+            left[name] -= 1
+            if not left[name]:  # the curve's last point is placed: close it
                 i = met.index(name)
                 del met[i]
-                target = targets[name]
+                target = rest[name]
                 vectors = {v[:i] + v[i + 1 :] for v in vectors if v[i] == target}
         if not vectors:
             return False, budget
@@ -390,69 +446,86 @@ def resolve_camacho_sad(f: FoliatedScenario) -> Iterator[CheckResult]:
     of the two orders.  A curve is eligible when every incident singularity
     has a rational branch pair; the others are skipped.  Eligible curves that
     share a singularity are linked, and each connected component is decided
-    exactly by one sweep (``_component_balances``), so a curve takes its
-    component's verdict: pass when some branch choice balances every curve
-    of the component, else fail.  There is no heuristic repair.  The
-    components share one work budget, in order: the component it cuts off,
-    and every later one, is "skipped (search budget exhausted)".
+    exactly (``_component_balances``: the forced branches, then a sweep of
+    the points left open), so a curve takes its component's verdict: pass
+    when some branch choice balances every curve of the component, else
+    fail.  There is no heuristic repair.  The sweeps share one work budget,
+    in component order: the component it cuts off, and every later one, is
+    "skipped (search budget exhausted)".
 
     All of it is integer work.  Each kind's pair is read once, as (numerator,
-    denominator) pairs; a component's branches and squares are scaled once,
-    by the lcm of the table's ``scale**2`` and the branch denominators.
+    denominator) pairs.  A component's branches and squares are scaled once,
+    by the lcm of the table's ``scale**2`` and that component's branch
+    denominators, so one component's denominators never grow another's
+    integers.
     """
-    pairs: Dict[int, Optional[Tuple[Tuple[int, int], Tuple[int, int]]]] = {}
+    pairs: Dict[int, _Pair] = {}
+    irrational = set()  # the curves through a point without a rational pair
     for group in f.by_kind:
         ev = group[0].eigenvalue
         lam = None if ev is None else ev.value
-        pair = None
-        if lam is not None:
+        if lam is None:
+            irrational.update(x for s in group for x in s.incident_curves)
+        else:
             n, d = lam.numerator, lam.denominator
-            pair = ((n, d), (d, n) if n > 0 else (-d, -n))
-        pairs[id(group[0].kind)] = pair
-    eligible: List[CurveRecord] = []
+            pairs[id(group[0].kind)] = ((n, d), (d, n) if n > 0 else (-d, -n))
+    eligible: List[str] = []
     for c in f.curves:
         if not c.f_invariant:
             continue
-        if any(pairs[id(s.kind)] is None for s in f.singularities_on(c.name)):
+        if c.name in irrational:
             skipped = "skipped (non-rational or saddle-node index present)"
             yield CheckResult(f"camacho-sad.{c.name}", passed=None, detail=skipped)
         else:
-            eligible.append(c)
+            eligible.append(c.name)
+
+    # each point on an eligible curve, once, with its eligible curves, each
+    # once, and its branch pair; in the order of the curves, then of each
+    # curve's points
+    names = set(eligible)
+    on: Dict[int, Tuple[Tuple[str, ...], _Pair]] = {}
+    linked: Dict[str, List[str]] = {name: [] for name in eligible}
+    for name in eligible:
+        for s in f.singularities_on(name):
+            if id(s) in on:
+                continue
+            here = s.incident_curves
+            # most points name distinct eligible curves, and keep their tuple
+            if not names.issuperset(here) or len(here) > 1 and len(set(here)) < len(here):
+                here = tuple([x for x in dict.fromkeys(here) if x in names])
+            on[id(s)] = here, pairs[id(s.kind)]
+            for x in here:
+                linked[x] += here
+    components = connected_components(linked)
+    # a point joins the component of its curves, keeping the order of ``on``
+    which = {name: k for k, members in enumerate(components) for name in members}
+    points: List[List[Tuple[Tuple[str, ...], _Pair]]] = [[] for _ in components]
+    for entry in on.values():
+        points[which[entry[0][0]]].append(entry)
 
     t = f.pairings
     unit = t.scale * t.scale
-    names = {c.name for c in eligible}
+    positions = f._positions
     budget: Optional[int] = CAMACHO_SAD_WORK_BUDGET
-    linked = {
-        c.name: [x for s in f.singularities_on(c.name) for x in s.incident_curves if x in names]
-        for c in eligible
-    }
-    for members in connected_components(linked):
-        component = [f.curve(n) for n in sorted(members, key=f._positions.__getitem__)]
-        squares = {c.name: t.squares[f._positions[c.name]] for c in component}
+    for members, branches in zip(components, points):
+        members.sort(key=positions.__getitem__)
         if budget is not None:
-            points = {s.id: s for c in component for s in f.singularities_on(c.name)}.values()
-            branches = [pairs[id(s.kind)] for s in points]
-            scale = lcm(unit, *(d for pair in branches for _, d in pair))
-            steps = []
-            for s, ((n, d), (m, e)) in zip(points, branches):
-                here = tuple(dict.fromkeys(x for x in s.incident_curves if x in names))
-                lam, inv = n * (scale // d), m * (scale // e)
-                orders = [(lam, inv), (inv, lam)] if lam != inv else [(lam, inv)]
-                # on more than two curves the point is outside the
-                # transverse-crossing model, and no choice balances it
-                steps.append((here, [o[: len(here)] for o in orders] if len(here) <= 2 else []))
-            targets = {name: sq * (scale // unit) for name, sq in squares.items()}
-            found, budget = _component_balances(steps, targets, budget)
-        for c in component:
-            name = f"camacho-sad.{c.name}"
+            scale = lcm(unit, *{d for _, pair in branches for _, d in pair})
+            scaled = [
+                (here, n * (scale // d), m * (scale // e)) for here, ((n, d), (m, e)) in branches
+            ]
+            up = scale // unit
+            targets = {name: t.squares[positions[name]] * up for name in members}
+            found, budget = _component_balances(scaled, targets, budget)
+        for name in members:
+            row = f"camacho-sad.{name}"
             if budget is None:
-                yield CheckResult(name, passed=None, detail="skipped (search budget exhausted)")
+                yield CheckResult(row, passed=None, detail="skipped (search budget exhausted)")
             elif found:
-                square = fraction_text(squares[c.name], unit)
-                yield CheckResult(name, True, f"sum {square} vs C^2 = {square}", _ZERO)
+                square = fraction_text(t.squares[positions[name]], unit)
+                yield CheckResult(row, True, f"sum {square} vs C^2 = {square}", _ZERO)
             else:
-                yield CheckResult(name, False, "no branch assignment balances the curve")
+                yield CheckResult(row, False, "no branch assignment balances the curve")
 
 
 def validate(f: FoliatedScenario) -> ValidationReport:
@@ -540,15 +613,11 @@ def validate(f: FoliatedScenario) -> ValidationReport:
             if not c.f_invariant:
                 continue
             z = kf - ks - square  # unit * Z
+            residual = None if z >= 0 else Fraction(z, unit)
             checks.append(
-                CheckResult(
-                    f"z-index.{c.name}",
-                    passed=z >= 0,
-                    detail=f"Z = {fraction_text(z, unit)}",
-                    residual=None if z >= 0 else Fraction(z, unit),
-                )
+                CheckResult(f"z-index.{c.name}", z >= 0, f"Z = {fraction_text(z, unit)}", residual)
             )
 
-    checks.extend(sorted(resolve_camacho_sad(f), key=lambda c: c.name))
+    checks.extend(sorted(resolve_camacho_sad(f)))  # by name: the names are unique
 
     return ValidationReport(checks=tuple(checks), warnings=(TRUST_BOUNDARY_WARNING,))

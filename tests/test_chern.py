@@ -293,6 +293,18 @@ def test_noether_bounds_second_equality_family():
         assert second == Fraction(n) - 2 + Fraction(1, n)
 
 
+def test_noether_bounds_closed_forms_match_their_defining_expressions():
+    # the bounds are built from closed forms; the definitions are
+    # p_g - 2, p_g - 2 + 1/p_g and p_g - 3/2 + 3/(2(2 p_g + 1))
+    for p_g in range(2, 501):
+        first = Fraction(p_g - 2)
+        second = first + Fraction(1, p_g)
+        third = Fraction(p_g) - Fraction(3, 2) + Fraction(3, 2 * (2 * p_g + 1))
+        bounds = noether_bounds(p_g)
+        assert bounds == (first, second, third)
+        assert all(type(b) is Fraction for b in bounds)
+
+
 @pytest.mark.parametrize(
     "lam,expected",
     [(Fraction(2), 2), (Fraction(3), 4), (Fraction(8, 3), 3)],

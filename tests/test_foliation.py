@@ -7,10 +7,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import count_calls, expand_points
-from folsurf.document import ScenarioDocument, document_to_dict, parse_document_dict
+from folsurf.document import ScenarioDocument, document_to_dict, parse_document_dict, parse_scenario
 from folsurf.errors import DomainError, ParseError
 from folsurf.fibration import FiberModel, FiberNode, FibrationModel
-from folsurf.fixtures import second_noether_ruled, third_noether_double_cover, slope_12_7
+from folsurf.fixtures import (
+    load_bundled_files,
+    second_noether_ruled,
+    slope_12_7,
+    third_noether_double_cover,
+)
 from folsurf.foliation import (
     CheckResult,
     CurveRecord,
@@ -471,6 +476,26 @@ def test_camacho_sad_counts_a_repeated_curve_once():
         assert [c.status for c in checks.values()] == ["pass", "pass"]
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        *(third_noether_double_cover(g) for g in (2, 16, 40)),
+        *(raw for name, raw in load_bundled_files() if name.startswith("third_noether_g")),
+    ],
+    ids=["g2", "g16", "g40", "bundled-g2", "bundled-g3"],
+)
+def test_camacho_sad_decides_the_double_cover_family_with_no_budget(doc, monkeypatch):
+    # the family's invariant curves form a tree of crossings: every branch is
+    # forced, and the sweep, the only part that spends budget, has no point
+    import folsurf.foliation as foliation
+
+    monkeypatch.setattr(foliation, "CAMACHO_SAD_WORK_BUDGET", 0)
+    s = parse_scenario(doc).scenario
+    checks = _camacho_sad_checks(s)
+    assert len(checks) == sum(c.f_invariant for c in s.curves) > 0
+    assert all(c.status == "pass" for c in checks.values())
+
+
 def _hub_scenario(spokes):
     """A hub curve H met by ``spokes`` curves C_i, each through u_i on H and
     C_i and through v_i on C_i alone; H is declared, and so swept, first."""
@@ -500,6 +525,38 @@ def test_camacho_sad_hostile_shapes_get_a_verdict_in_bounded_time(build):
     assert time.perf_counter() - start < 1.0
     assert len(checks) == len(s.curves)
     assert all(c.status in ("skip", "fail") for c in checks.values())
+
+
+def _primes(count):
+    """The first ``count`` primes, by a sieve."""
+    limit = 16
+    while True:
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for k in range(2, int(limit**0.5) + 1):
+            if sieve[k]:
+                sieve[k * k :: k] = bytes(len(range(k * k, limit, k)))
+        primes = [k for k in range(limit) if sieve[k]]
+        if len(primes) >= count:
+            return primes[:count]
+        limit *= 2
+
+
+def test_camacho_sad_scales_each_component_by_its_own_denominators():
+    # 10 000 one-curve components E_i, each with one point of eigenvalue
+    # -1/p_i for a distinct prime p_i: one scale for all would be the product
+    # of the primes, a 10^4-digit integer in every sum
+    count = 10_000
+    surface = SurfaceModel.p2(count)
+    curves = [CurveRecord(f"E{i}", surface.basis_divisor(i + 1), True) for i in range(count)]
+    points = [_point(f"p{i}", Fraction(-1, p), f"E{i}") for i, p in enumerate(_primes(count))]
+    s = _camacho_sad_scenario(surface, curves, points)
+    start = time.perf_counter()
+    checks = _camacho_sad_checks(s)
+    assert time.perf_counter() - start < 1.0
+    # E_i^2 = -1 is neither -p_i nor -1/p_i
+    assert len(checks) == count
+    assert all(c.detail == "no branch assignment balances the curve" for c in checks.values())
 
 
 LAMBDAS = [-1, -2, Fraction(-1, 2), -3, Fraction(-2, 3), Fraction(-3, 2), -4,
@@ -552,31 +609,21 @@ def _balancing_assignments(scenario):
         yield component, found
 
 
-@pytest.mark.parametrize(
-    "k_foliation, scale",
-    [
-        ([0, 0, 0, 0], 1),
-        ([Fraction(1, 2), 0, 0, 0], 2),
-        ([0, Fraction(1, 3), 0, Fraction(-2, 3)], 3),
-    ],
-    ids=["kf-zero", "kf-halves", "kf-thirds"],
-)
-def test_camacho_sad_agrees_with_exhaustive_enumeration(k_foliation, scale):
-    # a fractional K_F puts the curves' squares over the table's scale^2 > 1,
-    # and LAMBDAS holds positive eigenvalues as well as negative ones
-    rng = random.Random(20261019)
-    surface = SurfaceModel.p2(3)
-    kf = surface.divisor(k_foliation)
-    palette = [
-        surface.divisor([0, 1, 0, 0]),  # -1
-        surface.divisor([1, -1, 0, 0]),  # 0
-        surface.divisor([1, 0, 0, 0]),  # 1
-        surface.divisor([0, 1, -1, 0]),  # -2
-        surface.divisor([1, -1, -1, -1]),  # -2
-        surface.divisor([0, 1, -1, -1]),  # -3
-    ]
-    verdicts = set()
-    for _ in range(400):
+def _palette_scenario(k_foliation, scale):
+    """A builder of 1-5 curves with squares from a palette, 90% of them
+    invariant, and 0-9 points on 1-3 random curves each; K_F is
+    ``k_foliation``, which puts the squares over the table's ``scale**2``."""
+
+    def build(rng):
+        surface = SurfaceModel.p2(3)
+        palette = [
+            surface.divisor([0, 1, 0, 0]),  # -1
+            surface.divisor([1, -1, 0, 0]),  # 0
+            surface.divisor([1, 0, 0, 0]),  # 1
+            surface.divisor([0, 1, -1, 0]),  # -2
+            surface.divisor([1, -1, -1, -1]),  # -2
+            surface.divisor([0, 1, -1, -1]),  # -3
+        ]
         curves = [
             CurveRecord(f"C{k}", rng.choice(palette), rng.random() < 0.9)
             for k in range(rng.randint(1, 5))
@@ -586,10 +633,81 @@ def test_camacho_sad_agrees_with_exhaustive_enumeration(k_foliation, scale):
                    *rng.sample([c.name for c in curves], min(len(curves), rng.randint(1, 3))))
             for k in range(rng.randint(0, 9))
         ]
-        s = _camacho_sad_scenario(surface, curves, points, kf)
+        s = _camacho_sad_scenario(surface, curves, points, surface.divisor(k_foliation))
         assert s.pairings.scale == scale
+        return s
+
+    return build
+
+
+def _class_with_square(surface, square):
+    """A class a H + b E1 on P2(1) with a^2 - b^2 = ``square``: a - b = 1 and
+    a + b = ``square``."""
+    return surface.divisor([(square + 1) / 2, (square - 1) / 2])
+
+
+def _planted_tree(variant):
+    """A builder of a random tree of 6-10 curves crossing at one point per
+    edge, with the points of ``variant``: "extra" adds one-curve points,
+    "cycle" one more crossing that closes a cycle, "unit" draws eigenvalues
+    +-1 often.  Each curve's square is its sum under one random branch
+    choice, so that choice balances; in half the cases one square is moved
+    off by 1, which most often leaves no balancing choice."""
+
+    def build(rng):
+        surface = SurfaceModel.p2(1)
+        count = rng.randint(6, 10)
+        names = [f"C{k}" for k in range(count)]
+        on = [(names[rng.randrange(k)], names[k]) for k in range(1, count)]
+        if variant == "extra":
+            on += [(rng.choice(names),) for _ in range(rng.randint(1, 2))]
+        elif variant == "cycle":
+            on.append(tuple(rng.sample(names, 2)))
+        rng.shuffle(on)
+        lambdas = LAMBDAS + [1, -1] * 4 if variant == "unit" else LAMBDAS
+        points, sums = [], dict.fromkeys(names, Fraction(0))
+        for k, curves in enumerate(on):
+            lam = Fraction(rng.choice(lambdas))
+            points.append(_point(f"p{k}", lam, *curves))
+            values = (lam, 1 / lam) if rng.random() < 0.5 else (1 / lam, lam)
+            for name, value in zip(curves, values):
+                sums[name] += value
+        if rng.random() < 0.5:
+            sums[rng.choice(names)] += 1
+        curves = [CurveRecord(n, _class_with_square(surface, sums[n]), True) for n in names]
+        return _camacho_sad_scenario(surface, curves, points)
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, cases, budget",
+    [
+        (_palette_scenario([0, 0, 0, 0], 1), 400, None),
+        (_palette_scenario([Fraction(1, 2), 0, 0, 0], 2), 400, None),
+        (_palette_scenario([0, Fraction(1, 3), 0, Fraction(-2, 3)], 3), 400, None),
+        (_planted_tree("tree"), 60, 0),
+        (_planted_tree("extra"), 60, None),
+        (_planted_tree("cycle"), 60, None),
+        (_planted_tree("unit"), 60, 0),
+    ],
+    ids=["kf-zero", "kf-halves", "kf-thirds", "tree", "tree-extra", "tree-cycle", "tree-unit"],
+)
+def test_camacho_sad_agrees_with_exhaustive_enumeration(build, cases, budget, monkeypatch):
+    # LAMBDAS holds positive eigenvalues as well as negative ones.  On a tree
+    # of crossings every branch is forced, so a tree is decided with no
+    # budget at all; an extra point on one curve, or a crossing that closes a
+    # cycle, leaves points to the sweep
+    import folsurf.foliation as foliation
+
+    if budget is not None:
+        monkeypatch.setattr(foliation, "CAMACHO_SAD_WORK_BUDGET", budget)
+    rng = random.Random(20261019)
+    verdicts = set()
+    for _ in range(cases):
+        s = build(rng)
         checks = _camacho_sad_checks(s)
-        assert len(checks) == sum(c.f_invariant for c in curves)
+        assert len(checks) == sum(c.f_invariant for c in s.curves)
         for component, found in _balancing_assignments(s):
             for c in component:
                 assert checks[f"camacho-sad.{c.name}"].passed is (found is not None)

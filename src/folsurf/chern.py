@@ -20,21 +20,23 @@ P^2 = P.K_F = K_F^2 - K_F.N.
 Both sums come from one pass over the scenario's singularities grouped by
 kind (``FoliatedScenario.by_kind``).  beta_p = -1/(n d) and
 chi_p = -((n + d)^2 + n d + 1)/(12 n d) are closed forms in the canonical
-eigenvalue n/d (see ``local_invariants``), so each is evaluated at most once
-per kind.  Only a kind with nonzero beta (not a saddle-node, not a
-non-rational eigenvalue) has its points counted on and off the negative
-part; the chi_p sum takes each kind's chi_p times its number of points and
-stops at the first kind whose chi_p is unavailable.  A kind's number of
-points is its records' counts summed (``FoliatedScenario.points_by_kind``).
-The split walks a group's records, not its points: only a record on curves
-can lie on N, and it is one point.
+eigenvalue n/d, which ``local_invariants.local_terms`` gives once per kind
+as integer numerators over |n d|, so no Fraction is built for a kind.  Only
+a kind with nonzero beta (not a saddle-node, not a non-rational eigenvalue)
+has its points counted on and off the negative part; the chi_p sum takes
+each kind's chi_p times its number of points and stops at the first kind
+whose chi_p is unavailable.  A kind's number of points is its records'
+counts summed (``FoliatedScenario.points_by_kind``).  The split walks a
+group's records, not its points: only a record on curves can lie on N, and
+it is one point.
 
 The sums are exact and kept in integers: ``_ExactSum`` holds c1^2, c2 and
 12 times the direct chi as numerators over one common denominator, the lcm
-of the denominators added so far, and each kind adds its numerator times its
-count of points.  The direct-chi cross-check compares numerators, and a
-Fraction is built once per reported number (``fibration`` sums its modular
-invariants the same way).
+of the denominators added so far, and each kind adds its numerators times
+its count of points.  c1^2 = P^2 and the direct-chi cross-check compare
+numerators; c1^2 is then P^2 itself, and c2 and chi = (c1^2 + c2)/12 are
+built once each (``fibration`` sums its modular invariants the same way).
+``ChernNumbers`` and ``decide`` check signs and compare on numerators too.
 
 ``_RULES`` is the one place a decision rule's status and citation are
 written; ``decide`` fires each rule by its id.
@@ -49,7 +51,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, InconsistentScenario
 from .foliation import FoliatedScenario, point_label
-from .local_invariants import beta_p, chi_p
+from .local_invariants import SaddleNode, chi_p, local_terms
+from .local_invariants import beta_p  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .surface import chi_structure
 from .zariski import ZariskiDecomposition, zariski_decompose
 
@@ -65,12 +68,16 @@ class ChernNumbers:
     chi: Fraction
 
     def __post_init__(self):
-        if self.c1_sq < 0 or self.c2 < 0 or self.chi < 0:
+        # on numerators: an int or a Fraction carries its sign there
+        c1, c2, chi = self.c1_sq, self.c2, self.chi
+        if c1.numerator < 0 or c2.numerator < 0 or chi.numerator < 0:
             raise InconsistentScenario(
                 f"Chern numbers must be non-negative, got "
                 f"({self.c1_sq}, {self.c2}, {self.chi})"
             )
-        if self.c1_sq + self.c2 != 12 * self.chi:
+        # c1^2 + c2 = 12 chi, over the product of the three denominators
+        a, b, c = c1.denominator, c2.denominator, chi.denominator
+        if (c1.numerator * b + c2.numerator * a) * c != 12 * chi.numerator * a * b:
             raise InconsistentScenario(
                 f"Noether equality violated: {self.c1_sq} + {self.c2} != 12*{self.chi}"
             )
@@ -181,35 +188,39 @@ def chern_numbers(
     add(_CHI12, 3 * kn.numerator, kn.denominator)
     chi_available = True
     for group, points in zip(f.by_kind, f.points_by_kind):
-        value = beta_p(group[0])
-        if value:
-            on = 0  # a record on curves stands for one point
-            for s in group:
-                if not support.isdisjoint(s.incident_curves):
-                    on += 1
-            if on:
-                add(_C1, value.numerator, value.denominator, on)
-            if on < points:
-                add(_C2, value.numerator, value.denominator, points - on)
+        kind = group[0].kind
+        terms = local_terms(kind)
+        if terms is None:  # beta_p = 0; chi_p needs a saddle-node's declared index
+            if chi_available:
+                chi_s = chi_p(group[0]) if type(kind) is SaddleNode else None
+                if chi_s is None:
+                    chi_available = False
+                else:
+                    add(_CHI12, 12 * chi_s.numerator, chi_s.denominator, points)
+            continue
+        beta_num, chi12_num, nd = terms
+        on = 0  # a record on curves stands for one point
+        for s in group:
+            if not support.isdisjoint(s.incident_curves):
+                on += 1
+        if on:
+            add(_C1, beta_num, nd, on)
+        if on < points:
+            add(_C2, beta_num, nd, points - on)
         if chi_available:
-            chi_s = chi_p(group[0])
-            if chi_s is None:
-                chi_available = False
-            else:
-                add(_CHI12, 12 * chi_s.numerator, chi_s.denominator, points)
+            add(_CHI12, chi12_num, nd, points)
     num, den = sums.total()
-    c1 = Fraction(num[_C1], den)
+    c1_num, c2_num = num[_C1], num[_C2]
     vol = dec.nef_square
-    if c1 != vol:
+    if c1_num * vol.denominator != vol.numerator * den:
         raise InconsistentScenario(
-            f"c1^2 = {c1} disagrees with the volume P^2 = {vol}; the declared "
-            "negative-part singularities do not match the decomposition"
+            f"c1^2 = {Fraction(c1_num, den)} disagrees with the volume P^2 = {vol}; "
+            "the declared negative-part singularities do not match the decomposition"
         )
-    c2 = Fraction(num[_C2], den)
-    chi = (c1 + c2) / 12
-    numbers = ChernNumbers(c1, c2, chi)
+    chi = Fraction(c1_num + c2_num, 12 * den)
+    numbers = ChernNumbers(vol, Fraction(c2_num, den), chi)
 
-    if chi_available and num[_CHI12] != num[_C1] + num[_C2]:
+    if chi_available and num[_CHI12] != c1_num + c2_num:
         direct = Fraction(num[_CHI12], 12 * den)
         raise InconsistentScenario(
             f"direct chi formula gives {direct}, Noether path gives {chi}"
@@ -285,6 +296,14 @@ _DECLARED = {
 }
 
 
+_HALF = Fraction(1, 2)
+
+
+def _below(x: Fraction, bound: Fraction) -> bool:
+    """x < bound for ints or Fractions, on numerators (denominators are > 0)."""
+    return x.numerator * bound.denominator < bound.numerator * x.denominator
+
+
 def decide(
     f: FoliatedScenario,
     c: ChernNumbers,
@@ -316,7 +335,7 @@ def decide(
     def fire(rule_id: str, comparison: str) -> None:
         fired.append(FiredRule(rule_id, _RULES[rule_id][1], comparison))
 
-    general = meta.k_pseudo_effective and vol > 0
+    general = meta.k_pseudo_effective and vol.numerator > 0
     if meta.kodaira == "2" and not general:
         raise InconsistentScenario("metadata says general type but the volume vanishes")
     if meta.kodaira in ("-inf", "0", "1") and general:
@@ -326,35 +345,35 @@ def decide(
 
     if not meta.k_pseudo_effective:
         fire("R1-rational-pencil", "K_F not pseudo-effective")
-    elif not general and (c.c2 > 0 or c.chi > 0):
+    elif not general and (c.c2.numerator > 0 or c.chi.numerator > 0):
         fire("R2-nongeneral-positive-chern", f"c2 = {c.c2}, chi = {c.chi}")
 
     if general:
         lam = slope(c)
-        if lam < 2:
+        if _below(lam, 2):
             fire("R3-slope-below-two", f"slope = {lam} < 2")
-        if lam < 1:
+        if _below(lam, 1):
             info.append(f"slope {lam} < 1 violates the expected lower bound (guess)")
         if meta.algebraically_integral == "yes":
             if genus is not None and genus >= 2:
                 required = Fraction(4 * (genus - 1), genus)
-                if lam < required:
+                if _below(lam, required):
                     raise InconsistentScenario(
                         f"declared integrable of genus {genus} but slope {lam} < "
                         f"4(g-1)/g = {required}"
                     )
                 fire("R4-integrable-slope-bound", f"slope = {lam} >= {required} at g = {genus}")
-            if lam < 4:
+            if _below(lam, 4):
                 bound = genus_bound(lam)
         if effective_pg is not None and effective_pg >= 2:
             first, _, third = noether_bounds(effective_pg)
-            if vol < third:
+            if _below(vol, third):
                 fire("R5-noether-gap", f"vol = {vol} < {third}")
-            if vol < first:
+            if _below(vol, first):
                 raise InconsistentScenario(
                     f"vol = {vol} violates the bound vol >= p_g - 2 = {first}"
                 )
-            if vol < Fraction(1, 2):
+            if _below(vol, _HALF):
                 raise InconsistentScenario(
                     f"vol = {vol} violates the universal bound vol >= 1/2 at p_g >= 2"
                 )

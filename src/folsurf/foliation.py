@@ -19,16 +19,19 @@ decided exactly, in integers, per connected component of the invariant
 curves, each scaled by its own denominators: first the branches that are
 forced (a curve with one open point left fixes it), which decide a tree of
 crossings outright, then one iterative sweep of the points left open.  Only
-the sweeps spend the scenario's one work budget.
+the sweeps spend the scenario's one work budget.  A point on two eligible
+curves links them by one append each way, with no set built; any other
+point on several curves has its eligible curves collected once each.
 Facts of a singularity's kind (multiplicity, reducedness, the {lam, 1/lam}
-branch pair, the local Chern terms) are read once per kind object, through
-``FoliatedScenario.by_kind``.  A record off every curve may stand for
-several equal points (its ``count``): the global sums read each group's
-point total, which the index keeps, and a record is never expanded.  A
-scenario has one construction path, its constructor, which the parser calls
-too: it refuses a repeated curve name, and one walk over the singularities
-(``index_singularities``) refuses a repeated id, a count above 1 on curves
-or a point on an undeclared curve while it groups them by kind and by curve.
+branch pair, the local Chern terms of ``local_invariants.local_terms``) are
+read once per kind object, through ``FoliatedScenario.by_kind``.  A record
+off every curve may stand for several equal points (its ``count``): the
+global sums read each group's point total, which the index keeps, and a
+record is never expanded.  A scenario has one construction path, its
+constructor, which the parser calls too: it refuses a repeated curve name,
+and one walk over the singularities (``index_singularities``) refuses a
+repeated id, a count above 1 on curves or a point on an undeclared curve
+while it groups them by kind and by curve.
 """
 
 from __future__ import annotations
@@ -490,12 +493,16 @@ def resolve_camacho_sad(f: FoliatedScenario) -> Iterator[CheckResult]:
             if id(s) in on:
                 continue
             here = s.incident_curves
-            # most points name distinct eligible curves, and keep their tuple
-            if not names.issuperset(here) or len(here) > 1 and len(set(here)) < len(here):
+            # most points lie on this curve alone, or on it and one other
+            # eligible curve, and keep their tuple
+            if len(here) == 2 and here[0] != here[1] and here[0] in names and here[1] in names:
+                linked[here[0]].append(here[1])
+                linked[here[1]].append(here[0])
+            elif len(here) > 1:
                 here = tuple([x for x in dict.fromkeys(here) if x in names])
+                for x in here:
+                    linked[x] += here
             on[id(s)] = here, pairs[id(s.kind)]
-            for x in here:
-                linked[x] += here
     components = connected_components(linked)
     # a point joins the component of its curves, keeping the order of ``on``
     which = {name: k for k, members in enumerate(components) for name in members}

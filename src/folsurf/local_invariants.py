@@ -12,6 +12,9 @@ canonical eigenvalue lam = n/d (|n| >= d), which one function chooses,
     chi_p  = -(BB_p + 1 - beta_p) / 12 = -((n + d)^2 + n d + 1) / (12 n d),
 
 with beta(a/b) = gcd(a, b)^2 / (a b) (``beta_ratio``) in any representation.
+``local_terms`` writes beta_p and 12 chi_p once, for a kind, as integer
+numerators over |n d|: ``beta_p`` and ``chi_p`` build one Fraction from
+them, and ``chern.chern_numbers`` adds the integers to its sums directly.
 A saddle-node has beta_p = 0 and chi_p = -(BB_p + m_p) / 12, unavailable
 when its Baum-Bott index is not declared; a non-rational eigenvalue has
 beta_p = 0 and no chi_p.  Everything here is a pure function of immutable
@@ -241,7 +244,7 @@ _ZERO = Fraction(0)
 
 def beta_ratio(a: int, b: int) -> Fraction:
     """gcd(a, b)^2 / (a b): beta(a/b) for nonzero integers a, b, in any
-    representation; ``beta``, ``beta_p`` and ``FiberNode.beta`` all use it."""
+    representation; ``beta`` and ``FiberNode.beta`` use it."""
     g = gcd(a, b)
     return Fraction(g * g, a * b)
 
@@ -269,19 +272,33 @@ def chi_local(u: RationalLike) -> Fraction:
     return (u + 1 / u + beta(u) - 3) / 12
 
 
+def local_terms(kind: SingularityKind) -> Optional[Tuple[int, int, int]]:
+    """beta_p and 12 chi_p of a non-degenerate kind with canonical eigenvalue
+    n/d, as integer numerators over |n d|: (-1, -((n + d)^2 + n d + 1), n d),
+    with both numerators negated when n d < 0 so the denominator is positive.
+    None for a saddle-node or a non-rational eigenvalue, whose beta_p is 0.
+    The one place both closed forms are written; ``beta_p``, ``chi_p`` and
+    ``chern.chern_numbers`` read them here."""
+    if type(kind) is SaddleNode:
+        return None
+    lam = kind.eigenvalue.value
+    if lam is None:
+        return None
+    n, d = lam.numerator, lam.denominator
+    nd = n * d
+    chi12 = -((n + d) ** 2 + nd + 1)
+    return (-1, chi12, nd) if nd > 0 else (1, -chi12, -nd)
+
+
 def beta_p(s: SingularityRecord) -> Fraction:
-    """beta(-lam_p) = -1/(n d) for the canonical eigenvalue lam_p = n/d.
+    """beta(-lam_p) = -1/(n d) for the canonical eigenvalue lam_p = n/d
+    (``local_terms``).
 
     Saddle-nodes carry eigenvalue 0 and, like non-rational eigenvalues,
     contribute 0.
     """
-    kind = s.kind
-    if type(kind) is SaddleNode:
-        return _ZERO
-    lam = kind.eigenvalue.value
-    if lam is None:
-        return _ZERO
-    return beta_ratio(-lam.numerator, lam.denominator)
+    terms = local_terms(s.kind)
+    return _ZERO if terms is None else Fraction(terms[0], terms[2])
 
 
 def baum_bott(s: SingularityRecord) -> Optional[Fraction]:
@@ -305,16 +322,12 @@ def chi_p(s: SingularityRecord) -> Optional[Fraction]:
     """-(1/12) (BB_p + m_p - beta(-lam_p)), or None when BB_p is unavailable.
 
     For a non-degenerate singularity with rational eigenvalue lam = n/d this
-    is -((n + d)^2 + n d + 1) / (12 n d), which equals ``chi_local(-lam)``;
-    for a saddle-node (beta = 0) it is -(BB_p + m_p) / 12.
+    is -((n + d)^2 + n d + 1) / (12 n d) (``local_terms``), which equals
+    ``chi_local(-lam)``; for a saddle-node (beta = 0) it is -(BB_p + m_p) / 12.
     """
     kind = s.kind
     if type(kind) is SaddleNode:
         bb = kind.bb_index
         return None if bb is None else -(bb + kind.multiplicity) / 12
-    lam = kind.eigenvalue.value
-    if lam is None:
-        return None
-    n, d = lam.numerator, lam.denominator
-    nd = n * d
-    return Fraction(-((n + d) ** 2 + nd + 1), 12 * nd)
+    terms = local_terms(kind)
+    return None if terms is None else Fraction(terms[1], 12 * terms[2])

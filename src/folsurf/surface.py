@@ -21,10 +21,15 @@ integers, and their cost follows the support, not the rank.  The
 per basis class, the form scenario documents are written in) are views,
 built when first read; the printed form is formatted from the integers.
 Two classes are paired by one walk, ``_pair``, over their numerators, which
-``intersect`` and a pairing table's D^2 and K_S pairings use; the table
-pairs many curves with each other and with one class D at once, into the
-named fields of ``Pairings``, over the classes' common denominator.  K_S is
-a class like any other, written once as ``SurfaceModel.canonical_terms``.
+``intersect`` and a pairing table's D^2 use; the table pairs many curves
+with each other and with one class D at once, into the named fields of
+``Pairings``, over the classes' common denominator.  K_S has one term per
+basis class, written once as ``SurfaceModel.canonical_terms`` for
+``canonical_class``; the table never writes it out, but pairs it over each
+class's support: a base class by its K_S value
+(``SurfaceModel.canonical_degrees``, from the base terms of K_S and the base
+Gram block), an exceptional entry by -1.  So nothing a table computes for a
+surface walks the rank.
 """
 
 from __future__ import annotations
@@ -134,24 +139,38 @@ class SurfaceModel:
         its nonzero pairings as (index, value).  L^2 = 1 on P2; C0^2 = -e,
         C0.F = 1 and F^2 = 0 on Hirzebruch(e).  Exceptional classes meet only
         themselves, with -1.  Two walks read this block: ``_pair``, one class
-        against another (K_S included), and the table's batched
-        ``pair_with_curves``, many curves against one class."""
+        against another (K_S included, in ``intersect``), and the table's
+        batched ``pair_with_curves``, many curves against one class; and
+        ``canonical_degrees`` reads it once per surface."""
         if self.base == P2:
             return (((0, 1),),)
         e = self.hirzebruch_e
         return (((0, -e), (1, 1)) if e else ((1, 1),), ((0, 1),))
 
     @property
-    def canonical_terms(self) -> Tuple[Tuple[int, int], ...]:
-        """K_S as (basis index, coefficient), the only place it is written:
-        -3L on P2, -2C0 - (e+2)F on Hirzebruch(e), and +E_i for every
-        blow-up, so it has one term per basis class.  ``canonical_class`` and
-        the pairing table read it."""
+    def canonical_base(self) -> Tuple[Tuple[int, int], ...]:
+        """The base terms of K_S as (basis index, coefficient), the only
+        place they are written: -3L on P2, -2C0 - (e+2)F on Hirzebruch(e)."""
         if self.base == P2:
-            base = ((0, -3),)
-        else:
-            base = ((0, -2), (1, -(self.hirzebruch_e + 2)))
-        return base + tuple((i, 1) for i in range(self.base_rank, self.rank))
+            return ((0, -3),)
+        return ((0, -2), (1, -(self.hirzebruch_e + 2)))
+
+    @property
+    def canonical_terms(self) -> Tuple[Tuple[int, int], ...]:
+        """K_S as (basis index, coefficient): its base terms and +E_i for
+        every blow-up, so it has one term per basis class.
+        ``canonical_class`` reads it."""
+        return self.canonical_base + tuple((i, 1) for i in range(self.base_rank, self.rank))
+
+    @cached_property
+    def canonical_degrees(self) -> Tuple[int, ...]:
+        """K_S.B for each base class B, from ``canonical_base`` and
+        ``base_partners``: -3 on P2; e - 2 and -2 on Hirzebruch(e).  Every
+        exceptional class has K_S.E_i = -1, as E_i meets only itself, so the
+        pairing table pairs K_S with a class over the class's support and
+        never walks the rank."""
+        k = dict(self.canonical_base)
+        return tuple(sum(g * k.get(j, 0) for j, g in partners) for partners in self.base_partners)
 
     def divisor(self, coefficients: Iterable[Union[Fraction, int]]) -> "DivisorClass":
         """The class with the dense coefficient vector ``coefficients``, one
@@ -350,10 +369,10 @@ def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
 
 class Pairings(NamedTuple):
     """Every pairing of some curve classes C_i with each other, with one
-    class D and with K_S, and of D with itself and K_S, from two walks: the
-    batched walk pairs the curves with each other and with D through their
-    shared basis indices, and ``_pair`` makes every pairing with a single
-    class, K_S (``SurfaceModel.canonical_terms``) or D itself.
+    class D and with K_S, and of D with itself and K_S: the batched walk
+    pairs the curves with each other and with D through their shared basis
+    indices, ``_pair`` makes D^2, and each class meets K_S over its own
+    support (``SurfaceModel.canonical_degrees``).
 
     All classes are written over ``scale``, the LCM of their denominators,
     so the entries are integers; the solution of G x = D.C does not change
@@ -375,7 +394,7 @@ class Pairings(NamedTuple):
 def pairing_table(curves: Sequence[DivisorClass], d: DivisorClass) -> Pairings:
     """Pair the curve classes with each other, with ``d`` and with K_S, and
     ``d`` with itself and K_S, reading ``SurfaceModel.base_partners`` and
-    ``SurfaceModel.canonical_terms``.
+    ``SurfaceModel.canonical_degrees``.
 
     Every curve must live on the surface of ``d``.
     """
@@ -416,10 +435,19 @@ def pairing_table(curves: Sequence[DivisorClass], d: DivisorClass) -> Pairings:
         acc = pair_with_curves(row)
         squares.append(acc.pop(i, 0))
         meets.append({j: v for j, v in acc.items() if v})
-    ks_row = {i: scale * k for i, k in s.canonical_terms}  # K_S is integral
-    ks_dot = [_pair(s, row.items(), ks_row) for row in rows]
+    degrees = s.canonical_degrees
+
+    def pair_with_ks(u: Dict[int, int]) -> int:
+        # over the support of u: K_S is integral, so a row over ``scale``
+        # pairs with it to ``scale`` times its K_S degrees summed
+        total = 0
+        for a, x in u.items():
+            total += degrees[a] * x if a < br else -x
+        return scale * total
+
+    ks_dot = [pair_with_ks(row) for row in rows]
     d_square = _pair(s, d_row.items(), d_row)
-    d_dot_ks = _pair(s, d_row.items(), ks_row)
+    d_dot_ks = pair_with_ks(d_row)
     return Pairings(scale, rows, d_row, d_dot, ks_dot, d_square, d_dot_ks, squares, meets)
 
 

@@ -269,6 +269,31 @@ def test_chern_ctor_enforces_noether_and_positivity():
         ChernNumbers(Fraction(-12), Fraction(0), Fraction(-1))
 
 
+@pytest.mark.parametrize("make", [int, Fraction], ids=["int", "Fraction"])
+def test_chern_numbers_refuse_a_negative_entry_or_a_noether_mismatch(make):
+    # the checks read numerators and denominators, which ints carry too
+    for fields in ((12, 0, 1), (0, 12, 1), (0, 0, 0), (24, 12, 3)):
+        ChernNumbers(*map(make, fields))
+    for fields in ((-12, 24, 1), (24, -12, 1), (-12, 0, -1), (0, -12, -1)):
+        with pytest.raises(InconsistentScenario, match="must be non-negative"):
+            ChernNumbers(*map(make, fields))
+    for fields in ((1, 1, 1), (12, 0, 2), (0, 12, 0), (24, 12, 2)):
+        with pytest.raises(InconsistentScenario, match="Noether equality violated"):
+            ChernNumbers(*map(make, fields))
+
+
+def test_chern_numbers_checks_hold_on_fractional_fields():
+    half, twelfth = Fraction(1, 2), Fraction(1, 12)
+    ChernNumbers(half, half, twelfth)
+    ChernNumbers(Fraction(7, 3), Fraction(5, 3), Fraction(1, 3))
+    with pytest.raises(InconsistentScenario, match="must be non-negative"):
+        ChernNumbers(-half, Fraction(3, 2), twelfth)
+    with pytest.raises(InconsistentScenario, match="Noether equality violated"):
+        ChernNumbers(half, Fraction(1, 3), twelfth)
+    with pytest.raises(InconsistentScenario, match="Noether equality violated"):
+        ChernNumbers(Fraction(7, 3), Fraction(5, 3), Fraction(1, 4))
+
+
 def test_slope_values():
     assert slope(ChernNumbers(2, 12, Fraction(7, 6))) == Fraction(12, 7)
     assert slope(ChernNumbers(12, 0, 1)) == 12
@@ -412,29 +437,17 @@ def test_pipeline_evaluates_each_local_invariant_once(doc, monkeypatch):
     import folsurf.local_invariants as loc
 
     parsed = parse_document_dict(doc)
-    firsts = {}  # the first point of each kind object, in declared order
-    for s in parsed.scenario.singularities:
-        firsts.setdefault(id(s.kind), s)
-    kinds = list(firsts.values())
-    # chi_p is collected up to and including the first unavailable one
-    first_missing = next(
-        (k for k, s in enumerate(kinds) if loc.chi_p(s) is None), len(kinds) - 1
-    )
-    calls = {"beta_p": 0, "chi_p": 0, "EigenvalueClass": 0}
+    kinds = {id(s.kind) for s in parsed.scenario.singularities}
+    calls = {"local_terms": 0, "EigenvalueClass": 0}
+    original = loc.local_terms
 
-    def counting(name):
-        original = getattr(loc, name)
+    def counting(kind):
+        calls["local_terms"] += 1
+        return original(kind)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        # every name the pipeline could reach the function through
-        monkeypatch.setattr(loc, name, wrapper)
-        monkeypatch.setattr(chern, name, wrapper)
-
-    counting("beta_p")
-    counting("chi_p")
+    # every name the pipeline could reach the function through
+    monkeypatch.setattr(loc, "local_terms", counting)
+    monkeypatch.setattr(chern, "local_terms", counting)
     post_init = loc.EigenvalueClass.__post_init__
 
     def counting_post_init(self):
@@ -444,9 +457,10 @@ def test_pipeline_evaluates_each_local_invariant_once(doc, monkeypatch):
     monkeypatch.setattr(loc.EigenvalueClass, "__post_init__", counting_post_init)
     report = run_pipeline(parsed)
     assert report.ok
-    assert calls == {"beta_p": len(kinds), "chi_p": first_missing + 1, "EigenvalueClass": 0}
+    # beta_p and 12 chi_p of a kind come from one local_terms call
+    assert calls == {"local_terms": len(kinds), "EigenvalueClass": 0}
     if doc["name"] == "second-noether-n50":  # 102 points of two kinds
-        assert calls["beta_p"] == calls["chi_p"] == 2
+        assert calls["local_terms"] == 2
 
 
 def _ruled_with_interleaved_kinds(sign):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from folsurf.document import NON_DEGENERATE, decode
 from folsurf.errors import DomainError
@@ -18,6 +18,7 @@ from folsurf.local_invariants import (
     beta_p,
     chi_local,
     chi_p,
+    local_terms,
 )
 
 nonzero_rationals = st.fractions(
@@ -230,6 +231,37 @@ def test_saddle_node_closed_forms(m, bb):
         assert chi_p(s) is None
     else:
         assert chi_p(s) == -(bb + m) / Fraction(12)
+
+
+kinds = st.one_of(
+    eigenvalues.map(lambda lam: NonDegenerate(EigenvalueClass.rational(lam))),
+    st.builds(
+        SaddleNode,
+        st.integers(2, 10**6),
+        st.one_of(st.none(), st.fractions(max_denominator=10**6)),
+    ),
+    st.just(NonDegenerate(EigenvalueClass.nonrational())),
+)
+
+
+@given(kinds)
+@example(NonDegenerate(EigenvalueClass.rational(1)))
+@example(NonDegenerate(EigenvalueClass.rational(-1)))
+@example(NonDegenerate(EigenvalueClass.rational(Fraction(-(10**40) - 1, 10**39))))
+@example(SaddleNode(2, Fraction(3)))
+def test_local_terms_agree_with_the_fraction_forms(kind):
+    s = SingularityRecord("p", kind)
+    terms = local_terms(kind)
+    lam = kind.eigenvalue.value if type(kind) is NonDegenerate else None
+    if lam is None:  # a saddle-node or a non-rational eigenvalue
+        assert terms is None
+        return
+    beta_num, chi12_num, den = terms
+    assert den == abs(lam.numerator * lam.denominator)
+    assert Fraction(beta_num, den) == beta_p(s) == beta(-lam)
+    assert Fraction(chi12_num, 12 * den) == chi_p(s) == chi_local(-lam)
+    # 12 chi_p = -(BB_p + 1 - beta_p), so the two numerators give BB_p too
+    assert Fraction(beta_num - chi12_num - den, den) == baum_bott(s)
 
 
 def test_nonrational_closed_forms():

@@ -7,9 +7,15 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folsurf.document import parse_document_dict
+from folsurf.document import MAX_BLOWUPS, parse_document_dict
 from folsurf.errors import DomainError, ShapeError
-from folsurf.fixtures import bundled_documents
+from folsurf.fixtures import (
+    bundled_documents,
+    first_noether_ruled,
+    second_noether_ruled,
+    slope_12_7,
+    third_noether_double_cover,
+)
 from folsurf.foliation import CurveRecord, FoliatedScenario, ScenarioMetadata
 from folsurf.surface import (
     DivisorClass,
@@ -278,6 +284,66 @@ def test_pairings_of_every_bundled_scenario_match_the_gram_oracle():
     assert len(scenarios) == 13
     for s in scenarios:
         _assert_pairings_match_oracle(s)
+
+
+def _assert_ks_pairings_match_intersect(s):
+    ks = canonical_class(s.surface)
+    table = s.pairings
+    unit = table.scale * table.scale
+    for c, value in zip(s.curves, table.ks_dot):
+        assert Fraction(value, unit) == intersect(ks, c.cls), (s.name, c.name)
+    assert Fraction(table.d_dot_ks, unit) == intersect(s.k_foliation, ks), s.name
+
+
+_FAMILY_MEMBERS = (
+    [first_noether_ruled(n) for n in (1, 2, 9, 50)]
+    + [second_noether_ruled(n) for n in (2, 3, 9, 50)]
+    + [third_noether_double_cover(g) for g in (2, 3, 7, 16)]
+)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    list(bundled_documents().values()) + _FAMILY_MEMBERS,
+    ids=lambda doc: doc["name"],
+)
+def test_ks_pairings_of_the_table_are_the_pairings_with_canonical_class(doc):
+    # the table pairs K_S over each class's support; canonical_class writes
+    # out every term, so ``intersect`` pairs it independently of the table
+    s = parse_document_dict(doc).scenario
+    if s is not None:
+        _assert_ks_pairings_match_intersect(s)
+
+
+def test_a_pairing_table_on_the_largest_tower_never_reads_every_ks_term(monkeypatch):
+    top = MAX_BLOWUPS
+    doc = {
+        "name": "tower",
+        "surface": {"base": "P2", "blowups": top},
+        "k_foliation": {"L": "3", "E1": "-1", f"E{top}": "1/2"},
+        "curves": [
+            {"name": "A", "class": {"L": "1", "E1": "-1", "E2": "-1"}, "f_invariant": True},
+            {"name": "B", "class": {f"E{top - 1}": "1", f"E{top}": "-1"}, "f_invariant": True},
+            {"name": "C", "class": {"L": "2", "E5000": "-1/3"}, "f_invariant": False},
+        ],
+        "metadata": slope_12_7()["metadata"],
+    }
+    s = parse_document_dict(doc).scenario
+    reads = []
+    terms = SurfaceModel.canonical_terms
+
+    def counting(surface):
+        reads.append(surface)
+        return terms.fget(surface)
+
+    monkeypatch.setattr(SurfaceModel, "canonical_terms", property(counting))
+    table = s.pairings
+    assert reads == []
+    unit = table.scale * table.scale
+    assert [Fraction(v, unit) for v in table.ks_dot] == [-1, 0, -6 + Fraction(1, 3)]
+    assert Fraction(table.d_dot_ks, unit) == -9 + 1 - Fraction(1, 2)
+    _assert_ks_pairings_match_intersect(s)
+    assert len(reads) == 1  # canonical_class, for the check
 
 
 def test_pairings_of_random_rational_scenarios_match_the_gram_oracle():

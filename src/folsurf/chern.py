@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, InconsistentScenario
 from .foliation import FoliatedScenario, point_label
-from .local_invariants import SaddleNode, chi_p, local_terms
+from .local_invariants import SaddleNode, chi_p, fraction, local_terms
 from .local_invariants import beta_p  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .surface import chi_structure
 from .zariski import ZariskiDecomposition, zariski_decompose
@@ -109,20 +109,27 @@ class _ExactSum:
         self.denominator = 1
         self.groups: Dict[int, List[int]] = {}  # denominator -> numerators
 
-    def add(self, slot: int, numerator: int, denominator: int, count: int = 1) -> None:
-        """Add count * numerator / denominator (denominator >= 1) to sum ``slot``."""
+    def over(self, denominator: int) -> Tuple[List[int], int]:
+        """Where terms over ``denominator`` (>= 1) are added: a list of
+        numerators, one per sum, and the factor that brings a numerator over
+        ``denominator`` to that list's denominator.  Several terms over one
+        denominator take one call; the list is valid until the next call."""
         common = self.denominator
         if common % denominator:  # the common denominator grows
             if common.bit_length() > _RESCALE_BITS:
                 group = self.groups.get(denominator)
                 if group is None:
                     group = self.groups[denominator] = [0] * len(self.numerators)
-                group[slot] += count * numerator
-                return
+                return group, 1
             scale = denominator // gcd(common, denominator)
             self.numerators = [x * scale for x in self.numerators]
             common = self.denominator = common * scale
-        self.numerators[slot] += count * numerator * (common // denominator)
+        return self.numerators, common // denominator
+
+    def add(self, slot: int, numerator: int, denominator: int, count: int = 1) -> None:
+        """Add count * numerator / denominator (denominator >= 1) to sum ``slot``."""
+        numerators, factor = self.over(denominator)
+        numerators[slot] += count * numerator * factor
 
     def total(self) -> Tuple[List[int], int]:
         """The numerators of every sum over one common denominator, the lcm
@@ -203,25 +210,26 @@ def chern_numbers(
         for s in group:
             if not support.isdisjoint(s.incident_curves):
                 on += 1
-        if on:
-            add(_C1, beta_num, nd, on)
-        if on < points:
-            add(_C2, beta_num, nd, points - on)
+        # the kind's terms share the denominator nd: one check of it
+        nums, factor = sums.over(nd)
+        beta_num *= factor
+        nums[_C1] += beta_num * on
+        nums[_C2] += beta_num * (points - on)
         if chi_available:
-            add(_CHI12, chi12_num, nd, points)
+            nums[_CHI12] += chi12_num * factor * points
     num, den = sums.total()
     c1_num, c2_num = num[_C1], num[_C2]
     vol = dec.nef_square
     if c1_num * vol.denominator != vol.numerator * den:
         raise InconsistentScenario(
-            f"c1^2 = {Fraction(c1_num, den)} disagrees with the volume P^2 = {vol}; "
+            f"c1^2 = {fraction(c1_num, den)} disagrees with the volume P^2 = {vol}; "
             "the declared negative-part singularities do not match the decomposition"
         )
-    chi = Fraction(c1_num + c2_num, 12 * den)
-    numbers = ChernNumbers(vol, Fraction(c2_num, den), chi)
+    chi = fraction(c1_num + c2_num, 12 * den)
+    numbers = ChernNumbers(vol, fraction(c2_num, den), chi)
 
     if chi_available and num[_CHI12] != c1_num + c2_num:
-        direct = Fraction(num[_CHI12], 12 * den)
+        direct = fraction(num[_CHI12], 12 * den)
         raise InconsistentScenario(
             f"direct chi formula gives {direct}, Noether path gives {chi}"
         )
@@ -230,9 +238,10 @@ def chern_numbers(
 
 def slope(c: ChernNumbers) -> Fraction:
     """c1^2 / chi; defined whenever chi > 0 (always the case in general type)."""
-    if c.chi == 0:
+    c1, chi = c.c1_sq, c.chi
+    if not chi.numerator:
         raise DomainError("slope is undefined when chi = 0")
-    return c.c1_sq / c.chi
+    return fraction(c1.numerator * chi.denominator, c1.denominator * chi.numerator)
 
 
 def noether_bounds(p_g: int) -> Tuple[Fraction, Fraction, Fraction]:
@@ -243,8 +252,8 @@ def noether_bounds(p_g: int) -> Tuple[Fraction, Fraction, Fraction]:
         raise DomainError("Noether bounds are stated for p_g >= 2")
     return (
         Fraction(p_g - 2),
-        Fraction((p_g - 1) ** 2, p_g),
-        Fraction(2 * p_g * (p_g - 1), 2 * p_g + 1),
+        fraction((p_g - 1) ** 2, p_g),
+        fraction(2 * p_g * (p_g - 1), 2 * p_g + 1),
     )
 
 
@@ -296,7 +305,7 @@ _DECLARED = {
 }
 
 
-_HALF = Fraction(1, 2)
+_HALF = fraction(1, 2)
 
 
 def _below(x: Fraction, bound: Fraction) -> bool:
@@ -356,7 +365,7 @@ def decide(
             info.append(f"slope {lam} < 1 violates the expected lower bound (guess)")
         if meta.algebraically_integral == "yes":
             if genus is not None and genus >= 2:
-                required = Fraction(4 * (genus - 1), genus)
+                required = fraction(4 * (genus - 1), genus)
                 if _below(lam, required):
                     raise InconsistentScenario(
                         f"declared integrable of genus {genus} but slope {lam} < "

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from types import MappingProxyType
 from typing import (
     Any, Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple,
@@ -55,7 +55,9 @@ from .local_invariants import (
     SingularityRecord,
     _trusted,
     as_rational,
+    cached,
     canonical_ratio,
+    fraction,
 )
 from .surface import P2, DivisorClass, SurfaceModel, _integer_form, fraction_text
 
@@ -177,10 +179,10 @@ def _rational(text: Any, memo: dict) -> Fraction:
         if value is not None:
             return value
         num, den = _ratio(text)
-        value = memo[text] = Fraction(num, den) if den != 1 else Fraction(num)
+        value = memo[text] = fraction(num, den)
         return value
     num, den = _ratio(text)  # a JSON integer, a str subclass, or a refusal
-    return Fraction(num, den)
+    return fraction(num, den)
 
 
 def parse_rational(text: Any, path: str) -> Fraction:
@@ -425,7 +427,7 @@ class Record:
         )
         object.__setattr__(self, "plan", plan)
 
-    @cached_property
+    @cached
     def decoder(self) -> Decoder:
         """The decode function of this record, built on first use."""
         return _compile(self)

@@ -28,14 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Iterable, Tuple
 
 from .chern import ChernNumbers, _ExactSum
 from .errors import DomainError, InconsistentScenario
 from .foliation import CheckResult
-from .local_invariants import as_rational, beta_ratio
+from .local_invariants import as_rational, beta_ratio, cached, fraction
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,8 @@ def fiber_local_chern(fm: FiberModel) -> Tuple[Fraction, Fraction, Fraction]:
     """(c1^2, c2, chi) corrections of a normal-crossing fiber, summed over
     its ``count`` copies."""
     first, euler, off, on, den = _corrections((fm,))
-    c1 = first - Fraction(on, den)
-    c2 = euler - Fraction(off, den)
+    c1 = first - fraction(on, den)
+    c2 = euler - fraction(off, den)
     return c1, c2, (c1 + c2) / 12
 
 
@@ -162,7 +161,7 @@ class FibrationModel:
                 f"sum of fiber Euler numbers {total} != e_f = {self.e_f}"
             )
 
-    @cached_property
+    @cached
     def modular(self) -> Tuple[Fraction, Fraction, Fraction]:
         """(kappa, delta, chi), see :func:`modular_invariants`."""
         first, euler, off, on, den = _corrections(self.singular_fibers)
@@ -179,7 +178,7 @@ class FibrationModel:
         k, kr = less(self.k_f_sq, first * den - on)
         d, dr = less(self.e_f, euler * den - off)
         c, cr = less(self.chi_f, (first + euler) * den - off - on, 12)
-        kappa, delta, chi = Fraction(k, kr * den), Fraction(d, dr * den), Fraction(c, 12 * cr * den)
+        kappa, delta, chi = fraction(k, kr * den), fraction(d, dr * den), fraction(c, 12 * cr * den)
         if k < 0 or d < 0 or c < 0:
             raise InconsistentScenario(
                 f"modular invariants must be non-negative, got ({kappa}, {delta}, {chi})"
@@ -220,7 +219,7 @@ def slope_inequality_check(g: int, kappa: Fraction, chi: Fraction) -> CheckResul
         raise DomainError("the slope inequality applies to genus >= 2")
     if chi <= 0:
         raise DomainError("the slope inequality requires chi > 0")
-    bound = Fraction(4 * (g - 1), g)
+    bound = fraction(4 * (g - 1), g)
     value = kappa / chi
     return CheckResult(
         name="fibration.slope-inequality",

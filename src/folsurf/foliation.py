@@ -38,14 +38,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import (
     Callable, Container, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
 )
 
 from .errors import DomainError
-from .local_invariants import COUNTED_ON_CURVES, SingularityRecord
+from .local_invariants import COUNTED_ON_CURVES, SingularityRecord, cached, fraction
 from .surface import (
     DivisorClass,
     Pairings,
@@ -198,7 +197,7 @@ class FoliatedScenario:
         index = index_singularities(self.singularities, positions)
         object.__setattr__(self, "singularity_index", index)
 
-    @cached_property
+    @cached
     def pairings(self) -> Pairings:
         """The curves paired with each other, K_F and K_S, and K_F with itself
         and K_S, built once: the table's class D is K_F."""
@@ -208,14 +207,14 @@ class FoliatedScenario:
     def kf_square(self) -> Fraction:
         """K_F^2, the table's ``d_square``; the first Chern number reads it."""
         t = self.pairings
-        return Fraction(t.d_square, t.scale * t.scale)
+        return fraction(t.d_square, t.scale * t.scale)
 
-    @cached_property
+    @cached
     def kf_dot_nf(self) -> Fraction:
         """K_F.N_F = K_F^2 - K_F.K_S, the table's ``d_square - d_dot_ks``; the
         singularity count and the direct chi formula read it."""
         t = self.pairings
-        return Fraction(t.d_square - t.d_dot_ks, t.scale * t.scale)
+        return fraction(t.d_square - t.d_dot_ks, t.scale * t.scale)
 
     @property
     def by_kind(self) -> Tuple[Tuple[SingularityRecord, ...], ...]:
@@ -234,7 +233,7 @@ class FoliatedScenario:
         length."""
         return self.singularity_index.points
 
-    @cached_property
+    @cached
     def singularity_count(self) -> int:
         """The number of singularities counted with multiplicity, summed once;
         the count check and the report read it."""
@@ -251,7 +250,7 @@ class FoliatedScenario:
     def singularities_on(self, curve_name: str) -> Tuple[SingularityRecord, ...]:
         return self.singularity_index.incidence.get(curve_name, ())
 
-    @cached_property
+    @cached
     def is_reduced(self) -> bool:
         """Whether every singularity is reduced, read from one point per kind
         group."""
@@ -299,7 +298,7 @@ class ValidationReport:
     checks: Tuple[CheckResult, ...]
     warnings: Tuple[str, ...]
 
-    @cached_property
+    @cached
     def passed(self) -> bool:
         """No check failed; computed on first read."""
         return not any(c.failed for c in self.checks)
@@ -317,7 +316,7 @@ def singularity_count_check(f: FoliatedScenario) -> CheckResult:
         name="count.singularities",
         passed=not residual,
         detail=f"declared {declared} vs c2(S) + N.K = {fraction_text(expected, unit)}",
-        residual=Fraction(residual, unit) if residual else _ZERO,
+        residual=fraction(residual, unit) if residual else _ZERO,
     )
 
 
@@ -620,7 +619,7 @@ def validate(f: FoliatedScenario) -> ValidationReport:
             if not c.f_invariant:
                 continue
             z = kf - ks - square  # unit * Z
-            residual = None if z >= 0 else Fraction(z, unit)
+            residual = None if z >= 0 else fraction(z, unit)
             checks.append(
                 CheckResult(f"z-index.{c.name}", z >= 0, f"Z = {fraction_text(z, unit)}", residual)
             )

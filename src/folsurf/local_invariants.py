@@ -29,6 +29,12 @@ record built by its constructor checks every field; one built by
 one, checks only the bound m_p >= vanishing_order^2 that spans two fields.
 ``_trusted`` builds other frozen values whose fields are known good: the
 decoder's eigenvalue classes and ``zariski.chain_eigenvalues``'s classes.
+
+Two helpers here serve the whole package.  ``fraction(n, d)`` is the one
+builder of a Fraction from two ints: it sets the slots of a bare Fraction
+after one gcd, where ``Fraction(n, d)`` runs its type tests in Python.
+``cached`` makes a lock-free attribute computed once per instance and kept
+in its ``__dict__``; every value computed once per object is one.
 """
 
 from __future__ import annotations
@@ -36,11 +42,54 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from .errors import DomainError
 
 RationalLike = Union[Fraction, int]
+
+_new = object.__new__
+
+
+def fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for ints n and d != 0: one gcd, the sign moved to
+    the numerator, and the two slots ``_numerator`` and ``_denominator`` of a
+    bare Fraction set, as CPython 3.12's ``Fraction._from_coprime_ints``
+    does (the slots are the same from 3.10 on).  ``Fraction(n, d)`` gives the
+    same value, but runs its type tests in Python; every Fraction built from
+    two ints in this package is built here.  Two readers take the slots
+    back, where the properties and dunders would be Python calls:
+    ``surface._integer_form`` and ``scenario_io._differ``."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n //= g
+        d //= g
+    f = _new(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
+class cached:
+    """A value computed from an instance on first read and stored in its
+    ``__dict__`` under the same name, which later reads find first, as the
+    standard library's ``cached_property`` does, but without its lock: the
+    values cached here are pure, so two threads computing one at once store
+    equal values.  It writes the dict directly, so it works on frozen
+    dataclasses."""
+
+    def __init__(self, func: Callable[[Any], Any]) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -77,7 +126,7 @@ def canonical_ratio(n: int, d: int) -> Fraction:
     one Fraction is built."""
     if abs(n) < d:
         n, d = (d, n) if n > 0 else (-d, -n)
-    return Fraction(n, d)
+    return fraction(n, d)
 
 
 @dataclass(frozen=True)
@@ -94,7 +143,7 @@ class EigenvalueClass:
     def __post_init__(self):
         if self.value is not None:
             q = as_rational(self.value)
-            if q == 0:
+            if not q.numerator:
                 raise DomainError("eigenvalue ratio must be nonzero")
             object.__setattr__(self, "value", canonical_eigenvalue(q))
 
@@ -246,7 +295,7 @@ def beta_ratio(a: int, b: int) -> Fraction:
     """gcd(a, b)^2 / (a b): beta(a/b) for nonzero integers a, b, in any
     representation; ``beta`` and ``FiberNode.beta`` use it."""
     g = gcd(a, b)
-    return Fraction(g * g, a * b)
+    return fraction(g * g, a * b)
 
 
 def beta(u: Union[RationalLike, EigenvalueClass]) -> Fraction:
@@ -259,7 +308,7 @@ def beta(u: Union[RationalLike, EigenvalueClass]) -> Fraction:
             return _ZERO
         u = u.value
     u = as_rational(u)
-    if u == 0:
+    if not u.numerator:
         return _ZERO
     return beta_ratio(u.numerator, u.denominator)
 
@@ -267,7 +316,7 @@ def beta(u: Union[RationalLike, EigenvalueClass]) -> Fraction:
 def chi_local(u: RationalLike) -> Fraction:
     """(1/12) (u + 1/u + beta(u) - 3) for a nonzero rational u."""
     u = as_rational(u)
-    if u == 0:
+    if not u.numerator:
         raise DomainError("chi_local is undefined at 0")
     return (u + 1 / u + beta(u) - 3) / 12
 
@@ -298,7 +347,7 @@ def beta_p(s: SingularityRecord) -> Fraction:
     contribute 0.
     """
     terms = local_terms(s.kind)
-    return _ZERO if terms is None else Fraction(terms[0], terms[2])
+    return _ZERO if terms is None else fraction(terms[0], terms[2])
 
 
 def baum_bott(s: SingularityRecord) -> Optional[Fraction]:
@@ -315,7 +364,7 @@ def baum_bott(s: SingularityRecord) -> Optional[Fraction]:
     if lam is None:
         return None
     n, d = lam.numerator, lam.denominator
-    return Fraction((n + d) ** 2, n * d)
+    return fraction((n + d) ** 2, n * d)
 
 
 def chi_p(s: SingularityRecord) -> Optional[Fraction]:
@@ -330,4 +379,4 @@ def chi_p(s: SingularityRecord) -> Optional[Fraction]:
         bb = kind.bb_index
         return None if bb is None else -(bb + kind.multiplicity) / 12
     terms = local_terms(kind)
-    return None if terms is None else Fraction(terms[1], 12 * terms[2])
+    return None if terms is None else fraction(terms[1], 12 * terms[2])

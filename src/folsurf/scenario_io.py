@@ -213,13 +213,24 @@ class _Fields:
         return getattr(InvariantReport, name)
 
 
+def _differ(a: Any, b: Any) -> bool:
+    """``a != b``, with no Python-level ``Fraction.__eq__``: two Fractions
+    compare by the slots ``local_invariants.fraction`` writes (equal values
+    in lowest terms have equal slots), and two dicts key by key."""
+    if a.__class__ is Fraction and b.__class__ is Fraction:
+        return a._numerator != b._numerator or a._denominator != b._denominator
+    if a.__class__ is dict and b.__class__ is dict:
+        return a.keys() != b.keys() or any(_differ(v, b[k]) for k, v in a.items())
+    return a != b
+
+
 def _compare_expectations(report: _Fields, expect: Mapping[str, Any]) -> Tuple[str, ...]:
     """One line per differing ``expect`` key, both values in its wire format."""
     failures = []
     for key, (_, encode), actual_value in EXPECTATIONS:
         if key in expect:
             wanted, actual = expect[key], actual_value(report)
-            if actual != wanted:
+            if _differ(actual, wanted):
                 shown = None if actual is None else encode(actual)
                 failures.append(f"{key}: expected {encode(wanted)}, got {shown}")
     return tuple(failures)
@@ -249,7 +260,7 @@ def _surface_stages(s: FoliatedScenario, genus: Optional[int], out: Dict[str, An
     # chern_numbers checked that c1^2 is P^2, and it is 0 without a decomposition
     chern = out["chern"] = chern_numbers(s, dec)
     vol = out["vol"] = chern.c1_sq
-    if chern.chi > 0:
+    if chern.chi.numerator > 0:
         out["slope_value"] = slope(chern)
     declared = s.metadata.p_g
     p_g = h0_line_bundle(s.surface, s.k_foliation)
@@ -267,7 +278,7 @@ def _surface_stages(s: FoliatedScenario, genus: Optional[int], out: Dict[str, An
 def _fibration_stage(fb: FibrationModel, chern: Optional[ChernNumbers], out: Dict[str, Any]):
     kappa, delta, chi_f = out["modular"] = modular_invariants(fb)
     checks: List[CheckResult] = []
-    if fb.genus >= 2 and chi_f > 0 and kappa > 0:
+    if fb.genus >= 2 and chi_f.numerator > 0 and kappa.numerator > 0:
         checks.append(slope_inequality_check(fb.genus, kappa, chi_f))
     if chern is not None:
         checks.append(crosscheck_with_chern(fb, chern))

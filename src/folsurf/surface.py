@@ -12,14 +12,19 @@ coefficient is nonzero to that coefficient times ``denominator``, in
 increasing index order.  That is its only stored form, and equality and
 hashing read it.  One function, ``_integer_form``, turns (basis index,
 coefficient) pairs into it: the constructor, ``SurfaceModel.divisor`` and
-the scenario decoder all call it.  ``DivisorClass`` is a frozen dataclass
-with its hash written by hand, as ``numerators`` is a dict.
+the scenario decoder all call it.  It reads a Fraction's numerator and
+denominator from the slots ``local_invariants.fraction`` writes, so
+dropping a zero or splitting a value calls no Python-level Fraction method,
+and every Fraction a class gives back is built by ``fraction``.
+``DivisorClass`` is a frozen dataclass with its hash written by hand, as
+``numerators`` is a dict.
 A curve class on a large blow-up tower meets a handful of
 basis classes, so sums, scaling, integrality and pairing walk a few
 integers, and their cost follows the support, not the rank.  The
 (basis index, Fraction) ``terms`` and the dense ``coefficients`` (one entry
 per basis class, the form scenario documents are written in) are views,
-built when first read; the printed form is formatted from the integers.
+built when first read and kept (``local_invariants.cached``); the printed
+form is formatted from the integers.
 Two classes are paired by one walk, ``_pair``, over their numerators, which
 ``intersect`` and a pairing table's D^2 use; the table pairs many curves
 with each other and with one class D at once, into the named fields of
@@ -36,18 +41,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import compress
 from math import gcd, lcm
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, ShapeError
-from .local_invariants import as_rational
+from .local_invariants import as_rational, cached, fraction
 
 P2 = "P2"
 HIRZEBRUCH = "hirzebruch"
 _ZERO = Fraction(0)
-_EXACT_TYPES = frozenset((int, Fraction))
 
 
 def fraction_text(n: int, d: int) -> str:
@@ -61,32 +63,32 @@ def _integer_form(
 ) -> Tuple[Dict[int, int], int]:
     """(basis index, value) pairs in increasing index order, as the stored
     form of their class: the integer numerators of the nonzero values over
-    one denominator (``common_denominator``).  A value that is not an int or
-    a Fraction is refused (``as_rational``)."""
+    the lcm of their denominators, and that lcm.  That is in lowest terms:
+    for each prime power dividing the lcm, a value whose denominator holds
+    it keeps a numerator prime to it.  A value that is not an int or a
+    Fraction is refused (``as_rational``).  A Fraction is read through the
+    slots ``local_invariants.fraction`` writes, ``_numerator`` and
+    ``_denominator``: its properties and its truth test are Python calls."""
     values: Dict[int, Union[int, Fraction]] = {}
     fractional = False
     for i, c in pairs:
         if c.__class__ is not int:
             if c.__class__ is not Fraction:
                 c = as_rational(c)
-            if c.denominator == 1:
-                c = c.numerator
-            else:
+            if c._denominator != 1:
+                values[i] = c
                 fractional = True
+                continue
+            c = c._numerator
         if c:
             values[i] = c
-    return common_denominator(values) if fractional else (values, 1)
-
-
-def common_denominator(
-    values: Dict[int, Union[int, Fraction]]
-) -> Tuple[Dict[int, int], int]:
-    """Nonzero ints and Fractions, keyed by basis index, as integer
-    numerators over the lcm of their denominators, and that lcm.  That is in
-    lowest terms: for each prime power dividing the lcm, a value whose
-    denominator holds it keeps a numerator prime to it."""
-    den = lcm(*[c.denominator for c in values.values()])
-    return {i: c.numerator * (den // c.denominator) for i, c in values.items()}, den
+    if not fractional:
+        return values, 1
+    den = lcm(*[c._denominator for c in values.values() if c.__class__ is not int])
+    return {
+        i: c * den if c.__class__ is int else c._numerator * (den // c._denominator)
+        for i, c in values.items()
+    }, den
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ class SurfaceModel:
     def base_rank(self) -> int:
         return 1 if self.base == P2 else 2
 
-    @cached_property
+    @cached
     def rank(self) -> int:
         return self.base_rank + self.blowups
 
@@ -133,7 +135,7 @@ class SurfaceModel:
         if n != self.rank:
             raise ShapeError(f"class has {n} coefficients, surface rank is {self.rank}")
 
-    @cached_property
+    @cached
     def base_partners(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
         """The base Gram block, the only place it is written: per base class,
         its nonzero pairings as (index, value).  L^2 = 1 on P2; C0^2 = -e,
@@ -162,7 +164,7 @@ class SurfaceModel:
         ``canonical_class`` reads it."""
         return self.canonical_base + tuple((i, 1) for i in range(self.base_rank, self.rank))
 
-    @cached_property
+    @cached
     def canonical_degrees(self) -> Tuple[int, ...]:
         """K_S.B for each base class B, from ``canonical_base`` and
         ``base_partners``: -3 on P2; e - 2 and -2 on Hirzebruch(e).  Every
@@ -178,13 +180,10 @@ class SurfaceModel:
         walk."""
         dense = tuple(coefficients)
         self.check_length(len(dense))
-        pairs = enumerate(dense)
-        # when every entry is an int or a Fraction, the walk visits only the
-        # nonzero ones, picked at C speed; otherwise it visits every entry,
-        # so the first inexact one (a float or bool zero included) is refused
-        if _EXACT_TYPES.issuperset(map(type, dense)):
-            pairs = compress(pairs, dense)
-        return DivisorClass.trusted(self, *_integer_form(pairs))
+        # every entry is visited, so the first inexact one (a float or bool
+        # zero included) is refused; a zero Fraction is dropped by its
+        # numerator, with no Python-level truth test
+        return DivisorClass.trusted(self, *_integer_form(enumerate(dense)))
 
     def basis_divisor(self, index: int) -> "DivisorClass":
         return DivisorClass(self, ((index, 1),))
@@ -249,14 +248,14 @@ class DivisorClass:
     def __repr__(self):
         return f"DivisorClass(surface={self.surface!r}, terms={self.terms!r})"
 
-    @cached_property
+    @cached
     def terms(self) -> Tuple[Tuple[int, Fraction], ...]:
         """The nonzero (basis index, coefficient) pairs in increasing index
         order, each coefficient a Fraction."""
         den = self.denominator
-        return tuple((i, Fraction(v, den)) for i, v in self.numerators.items())
+        return tuple((i, fraction(v, den)) for i, v in self.numerators.items())
 
-    @cached_property
+    @cached
     def coefficients(self) -> Tuple[Fraction, ...]:
         """The dense view: one coefficient per basis class, zeros included."""
         dense = [_ZERO] * self.surface.rank
@@ -364,7 +363,7 @@ def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
     included, and the only one built."""
     a._require_same_surface(b)
     total = _pair(a.surface, a.numerators.items(), b.numerators)
-    return Fraction(total, a.denominator * b.denominator) if total else _ZERO
+    return fraction(total, a.denominator * b.denominator) if total else _ZERO
 
 
 class Pairings(NamedTuple):

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import DomainError, InconsistentScenario
 from .foliation import CheckResult, CurveRecord, FoliatedScenario, connected_components
-from .local_invariants import EigenvalueClass, _trusted
+from .local_invariants import EigenvalueClass, _trusted, fraction
 from .surface import DivisorClass, Pairings, pairing_table
 
 
@@ -83,14 +83,14 @@ def chain_coefficients(e: Sequence[int]) -> Tuple[int, int, List[Fraction]]:
     negative-part coefficients b_j = xi_j / n, from ``chain_xi_sequence``."""
     xi = chain_xi_sequence(e)
     n = xi[0]
-    return n, xi[1], [Fraction(x, n) for x in xi[1:-1]]
+    return n, xi[1], [fraction(x, n) for x in xi[1:-1]]
 
 
 def chain_negative_square(e: Sequence[int]) -> Fraction:
     """N_Q^2 = -q/n = -xi_1/xi_0 for the chain contracted to an A_{n,q}
     point, from ``chain_xi_sequence``."""
     xi = chain_xi_sequence(e)
-    return Fraction(-xi[1], xi[0])
+    return fraction(-xi[1], xi[0])
 
 
 def chain_eigenvalues(e: Sequence[int]) -> List[EigenvalueClass]:
@@ -99,7 +99,7 @@ def chain_eigenvalues(e: Sequence[int]) -> List[EigenvalueClass]:
     0 < mu_k < mu_{k+1}: the value is canonical, so no constructor checks it."""
     _require_chain(e)
     mu = chain_mu_sequence(e)
-    return [_trusted(EigenvalueClass, {"value": Fraction(-b, a)}) for a, b in zip(mu[1:], mu[2:])]
+    return [_trusted(EigenvalueClass, {"value": fraction(-b, a)}) for a, b in zip(mu[1:], mu[2:])]
 
 
 def chain_mu_sequence(e: Iterable[int]) -> List[int]:
@@ -133,7 +133,7 @@ def coefficient_bounds_check(chain: FChain) -> CheckResult:
     for j, ej in enumerate(e, start=1):
         width = ej - 1 if j == 1 else 2 * ej - 3
         if xi[j] * width >= n:
-            violations.append(f"b_{j} = {Fraction(xi[j], n)} !< {Fraction(1, width)}")
+            violations.append(f"b_{j} = {fraction(xi[j], n)} !< {fraction(1, width)}")
     return CheckResult(
         name="chain.coefficient-bounds",
         passed=not violations,
@@ -429,12 +429,12 @@ def _decompose(
         if not y[k]:
             continue
         i = support[k]
-        parts.append((curves[i].name, Fraction(y[k], det)))
+        parts.append((curves[i].name, fraction(y[k], det)))
         d_dot_n += y[k] * d_pairings[i]
         for idx, v in table.rows[i].items():
             nef[idx] = nef.get(idx, 0) - y[k] * v
     unit = det * table.scale
-    nef_square = Fraction(det * table.d_square - d_dot_n, unit * table.scale)
+    nef_square = fraction(det * table.d_square - d_dot_n, unit * table.scale)
     # P's numerators over det * scale, brought to lowest terms by one gcd
     nef_part = DivisorClass.from_numerators(d.surface, nef, unit)
     return ZariskiDecomposition(nef_part, tuple(parts), nef_square)
@@ -455,7 +455,7 @@ def zariski_decompose(f: FoliatedScenario) -> ZariskiDecomposition:
     dec = _decompose(f.k_foliation, f.curves, f.pairings)
     if f.metadata.relatively_minimal and f.is_reduced:
         for name, value in dec.negative_part:
-            if value >= 1:
+            if value.numerator >= value.denominator:  # value >= 1, on its ints
                 raise InconsistentScenario(
                     f"negative-part coefficient of {name} is {value} >= 1 on a "
                     "relatively minimal scenario"

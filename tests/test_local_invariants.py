@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -16,8 +17,10 @@ from folsurf.local_invariants import (
     baum_bott,
     beta,
     beta_p,
+    cached,
     chi_local,
     chi_p,
+    fraction,
     local_terms,
 )
 
@@ -267,3 +270,56 @@ def test_local_terms_agree_with_the_fraction_forms(kind):
 def test_nonrational_closed_forms():
     s = SingularityRecord("p", NonDegenerate(EigenvalueClass.nonrational()))
     assert (beta_p(s), baum_bott(s), chi_p(s)) == (0, None, None)
+
+
+_ints = st.one_of(st.integers(-60, 60), st.integers(-(2**80), 2**80))
+
+
+@given(_ints, _ints.filter(bool), st.fractions(max_denominator=50))
+@example(0, 7, Fraction(1, 3))
+@example(0, -7, Fraction(1, 3))
+@example(5, 1, Fraction(-2, 3))
+@example(5, -1, Fraction(-2, 3))
+@example(-12, -18, Fraction(0))
+@example(2**64 + 2, -(2**65), Fraction(7, 2))
+@example(-(2**64) * 3, 2**64, Fraction(1))
+def test_fraction_is_the_fraction_of_its_two_ints(n, d, other):
+    got, want = fraction(n, d), Fraction(n, d)
+    assert type(got) is Fraction
+    assert got == want and hash(got) == hash(want)
+    assert (str(got), repr(got)) == (str(want), repr(want))
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert type(got.numerator) is int and type(got.denominator) is int
+    assert (got + other, got - other, got * other, -got, abs(got)) == (
+        want + other, want - other, want * other, -want, abs(want)
+    )
+    assert (got < other, got >= other, bool(got)) == (want < other, want >= other, bool(want))
+    if other:
+        assert got / other == want / other
+    if want:
+        assert other / got == other / want and got**-1 == want**-1
+
+
+def test_cached_computes_once_per_instance_into_its_dict():
+    calls = []
+
+    @dataclass(frozen=True)
+    class Point:
+        x: int
+
+        @cached
+        def double(self) -> int:
+            """Twice x."""
+            calls.append(self.x)
+            return 2 * self.x
+
+    p, q = Point(1), Point(2)
+    assert isinstance(Point.double, cached) and Point.double.__doc__ == "Twice x."
+    assert "double" not in vars(p)
+    assert (p.double, p.double, q.double, p.double) == (2, 2, 4, 2)
+    assert calls == [1, 2]
+    assert vars(p) == {"x": 1, "double": 2}
+    # the cached value is no field: equality, hashing and freezing are the class's
+    assert p == Point(1) and hash(p) == hash(Point(1))
+    with pytest.raises(FrozenInstanceError):
+        p.x = 3

@@ -139,6 +139,17 @@ def test_parsing_builds_one_fraction_per_distinct_text_and_reruns_no_field_check
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
+    built = folsurf.local_invariants.fraction
+
+    def counting_fraction(n, d):
+        counts["Fraction"] += 1
+        return built(n, d)
+
+    # a Fraction built from two ints goes through ``fraction``, which skips
+    # ``Fraction.__new__``: count it in every module that holds the name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("folsurf") and getattr(module, "fraction", None) is built:
+            monkeypatch.setattr(module, "fraction", counting_fraction)
     for kind in (FiberNode, EigenvalueClass):
         post_init = kind.__post_init__
 

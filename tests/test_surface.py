@@ -183,6 +183,28 @@ def test_divisor_drops_exact_zeros_and_checks_every_other_entry():
             s.divisor(dense)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_a_dense_class_of_ints_and_fractions_is_the_class_of_its_terms(blowups, data):
+    s = SurfaceModel.p2(blowups)
+    entry = st.one_of(
+        st.just(0),
+        st.just(Fraction(0)),
+        st.integers(-5, 5),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    )
+    dense = data.draw(st.lists(entry, min_size=s.rank, max_size=s.rank))
+    got, want = s.divisor(dense), DivisorClass(s, list(enumerate(dense)))
+    assert got == want and (got.numerators, got.denominator) == (want.numerators, want.denominator)
+    assert got.coefficients == tuple(Fraction(c) for c in dense)
+    # an inexact entry is refused wherever it stands, a zero included
+    dense[data.draw(st.integers(0, s.rank - 1))] = data.draw(
+        st.sampled_from([0.0, -0.0, False, True, 1.5])
+    )
+    with pytest.raises(DomainError, match="expected an exact rational"):
+        s.divisor(dense)
+
+
 def test_h0_unavailable_and_errors():
     blown = SurfaceModel.p2(1)
     assert h0_line_bundle(blown, blown.divisor([1, 0])) is None

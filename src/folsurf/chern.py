@@ -17,23 +17,20 @@ P^2 = K_F^2 - K_F.N.  That is exact, not an approximation: the solve makes
 P.C = 0 on every curve C in the support of N, so P.N = 0 and
 P^2 = P.K_F = K_F^2 - K_F.N.
 
-Both sums come from one pass over the scenario's singularities grouped by
-kind (``FoliatedScenario.by_kind``).  beta_p = -1/(n d) and
-chi_p = -((n + d)^2 + n d + 1)/(12 n d) are closed forms in the canonical
-eigenvalue n/d, which ``local_invariants.local_terms`` gives once per kind
-as integer numerators over |n d|, so no Fraction is built for a kind.  Only
-a kind with nonzero beta (not a saddle-node, not a non-rational eigenvalue)
-has its points counted on and off the negative part; the chi_p sum takes
-each kind's chi_p times its number of points and stops at the first kind
-whose chi_p is unavailable.  A kind's number of points is its records'
-counts summed (``FoliatedScenario.points_by_kind``).  The split walks a
-group's records, not its points: only a record on curves can lie on N, and
-it is one point.
+Both sums come from one pass over the scenario's singularity records.
+beta_p = -1/(n d) and chi_p = -((n + d)^2 + n d + 1)/(12 n d) are closed
+forms in the canonical eigenvalue n/d, which ``local_invariants.local_terms``
+gives once per record as integer numerators over |n d|, so no Fraction is
+built for a record.  A record stands for its ``count`` points, and only a
+record on curves can lie on N, as one point: a record on a curve of the
+support adds its beta_p to c1^2, any other record adds count times beta_p
+to c2.  The chi_p sum takes each record's chi_p times its count and stops
+at the first record whose chi_p is unavailable.
 
 The sums are exact and kept in integers: ``_ExactSum`` holds c1^2, c2 and
 12 times the direct chi as numerators over one common denominator, the lcm
-of the denominators added so far, and each kind adds its numerators times
-its count of points.  c1^2 = P^2 and the direct-chi cross-check compare
+of the denominators added so far, and each record adds its numerators times
+its count.  c1^2 = P^2 and the direct-chi cross-check compare
 numerators; c1^2 is then P^2 itself, and c2 and chi = (c1^2 + c2)/12 are
 built once each (``fibration`` sums its modular invariants the same way).
 ``ChernNumbers`` and ``decide`` check signs and compare on numerators too.
@@ -194,29 +191,25 @@ def chern_numbers(
     add(_CHI12, 12 * chi_structure(f.surface), 1)
     add(_CHI12, 3 * kn.numerator, kn.denominator)
     chi_available = True
-    for group, points in zip(f.by_kind, f.points_by_kind):
-        kind = group[0].kind
+    for s in f.singularities:
+        kind = s.kind
         terms = local_terms(kind)
         if terms is None:  # beta_p = 0; chi_p needs a saddle-node's declared index
             if chi_available:
-                chi_s = chi_p(group[0]) if type(kind) is SaddleNode else None
+                chi_s = chi_p(s) if type(kind) is SaddleNode else None
                 if chi_s is None:
                     chi_available = False
                 else:
-                    add(_CHI12, 12 * chi_s.numerator, chi_s.denominator, points)
+                    add(_CHI12, 12 * chi_s.numerator, chi_s.denominator, s.count)
             continue
         beta_num, chi12_num, nd = terms
-        on = 0  # a record on curves stands for one point
-        for s in group:
-            if not support.isdisjoint(s.incident_curves):
-                on += 1
-        # the kind's terms share the denominator nd: one check of it
+        # the record's terms share the denominator nd: one check of it
         nums, factor = sums.over(nd)
-        beta_num *= factor
-        nums[_C1] += beta_num * on
-        nums[_C2] += beta_num * (points - on)
+        factor *= s.count
+        # a record on curves stands for one point, on N iff one of its curves is
+        nums[_C2 if support.isdisjoint(s.incident_curves) else _C1] += beta_num * factor
         if chi_available:
-            nums[_CHI12] += chi12_num * factor * points
+            nums[_CHI12] += chi12_num * factor
     num, den = sums.total()
     c1_num, c2_num = num[_C1], num[_C2]
     vol = dec.nef_square

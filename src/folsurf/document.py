@@ -12,15 +12,15 @@ a divisor class is written as an object from basis label to each nonzero
 rational (a dense list, one rational per basis class, still parses), and
 equal points off every curve, or equal fibers, as one entry with a
 ``count``.  The decoders of one document share one memo: a rational text
-maps to the Fraction built where it first appears, a basis label to its
-slot, and a singularity kind to the object decoded then.  A check a decoder
-has made is not made again, and no rule is copied here: an eigenvalue
-decodes straight from its text's integers to its canonical form
-(``canonical_ratio``), a class to the integer numerators that
-``DivisorClass.trusted`` stores (``surface._integer_form``; a class is
-printed from them), a singularity is built by ``SingularityRecord.trusted``,
-and eigenvalue classes, fiber nodes and curves by ``_trusted``; only checks
-that span fields run.  The
+maps to the Fraction built where it first appears, and a basis label to its
+slot.  A singularity kind is decoded where it appears, once per entry, as
+every local fact is read once per record.  A check a decoder has made is not
+made again, and no rule is copied here: an eigenvalue decodes straight from
+its text's integers to its canonical form (``canonical_ratio``), a class to
+the integer numerators that ``DivisorClass.trusted`` stores
+(``surface._integer_form``; a class is printed from them), a singularity is
+built by ``SingularityRecord.trusted``, and eigenvalue classes, fiber nodes
+and curves by ``_trusted``; only checks that span fields run.  The
 scenario is built by its constructor, as every other scenario is: it checks
 the curve names, singularity ids and curve references, and its refusal's
 path becomes the ``ParseError`` path.  Reports, documents and fixtures are
@@ -199,7 +199,7 @@ class Codec(NamedTuple):
     """Converts one JSON value to its domain value and back.
 
     A decode function takes the JSON value and the memo of the document being
-    parsed (see ``_kind_decoder``).  ``make_decoder`` returns it; it is called
+    parsed (see ``_rational``).  ``make_decoder`` returns it; it is called
     when the decoder of the enclosing record is built, so a nested record's
     decoder is built then too, never at import."""
 
@@ -563,7 +563,8 @@ def encode(spec: Record, value: Any) -> Dict[str, Any]:
 def _decode_eigenvalue(raw: Any, memo: dict) -> EigenvalueClass:
     """The class of a nonzero rational, decoded straight from the text's
     integers to its canonical representative (``canonical_ratio``), one
-    Fraction.  The kind memo keeps the class, so the text is not memoized."""
+    Fraction.  The text is not memoized: a document's eigenvalues are
+    mostly distinct."""
     if raw == "nonrational":
         return _NONRATIONAL
     num, den = _ratio(raw)
@@ -588,35 +589,16 @@ _KINDS = {spec.build: spec for spec in (NON_DEGENERATE, SADDLE_NODE)}
 
 
 def _kind_decoder() -> Decoder:
-    """A kind is told apart by its first key.  One equal to an earlier kind of
-    the same document, key for key with values of the same types, is the
-    object decoded then: equal values of one type decode alike, and the types
-    keep look-alikes such as 1, true and 1.0 apart.  A kind holding a value
-    that cannot be hashed, such as a list, is decoded afresh."""
+    """A kind is told apart by its first key."""
     kinds = tuple((spec.fields[0].key, spec.decoder) for spec in _KINDS.values())
     refusal = "kind must declare " + " or ".join(repr(key) for key, _ in kinds)
 
-    def decode_new(raw, memo):
-        for key, decode_kind in kinds:
-            if key in raw:
-                return decode_kind(raw, memo)
-        raise _Reject(refusal)
-
     def decode(raw, memo):
-        if not isinstance(raw, dict):
-            raise _Reject(refusal)
-        if len(raw) == 1:  # the common shape, keyed at a third of the cost
-            ((name, value),) = raw.items()
-            key = (name, value, type(value))
-        else:
-            key = (*raw.items(), *map(type, raw.values()))
-        try:
-            kind = memo.get(key)
-        except TypeError:  # unhashable
-            return decode_new(raw, memo)
-        if kind is None:
-            kind = memo[key] = decode_new(raw, memo)
-        return kind
+        if isinstance(raw, dict):
+            for key, decode_kind in kinds:
+                if key in raw:
+                    return decode_kind(raw, memo)
+        raise _Reject(refusal)
 
     return decode
 

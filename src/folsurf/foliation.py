@@ -24,14 +24,13 @@ curves links them by one append each way, with no set built; any other
 point on several curves has its eligible curves collected once each.
 Facts of a singularity's kind (multiplicity, reducedness, the {lam, 1/lam}
 branch pair, the local Chern terms of ``local_invariants.local_terms``) are
-read once per kind object, through ``FoliatedScenario.by_kind``.  A record
-off every curve may stand for several equal points (its ``count``): the
-global sums read each group's point total, which the index keeps, and a
-record is never expanded.  A scenario has one construction path, its
+read once per record.  A record off every curve may stand for several equal
+points (its ``count``): the global sums take its terms that many times, and
+a record is never expanded.  A scenario has one construction path, its
 constructor, which the parser calls too: it refuses a repeated curve name,
 and one walk over the singularities (``index_singularities``) refuses a
 repeated id, a count above 1 on curves or a point on an undeclared curve
-while it groups them by kind and by curve.
+while it lists the points on each curve.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import (
 )
 
 from .errors import DomainError
-from .local_invariants import COUNTED_ON_CURVES, SingularityRecord, cached, fraction
+from .local_invariants import COUNTED_ON_CURVES, SaddleNode, SingularityRecord, cached, fraction
 from .surface import (
     DivisorClass,
     Pairings,
@@ -101,17 +100,6 @@ class ScenarioMetadata:
             raise DomainError("p_g must be an integer >= 0")
 
 
-class SingularityIndex(NamedTuple):
-    """The singularities grouped by kind object, the groups in the order of
-    their first members, with the number of points each group stands for
-    (its records' counts summed); and each curve name some point gives, with
-    its points, each listed once.  Both keep declared order."""
-
-    by_kind: Tuple[Tuple[SingularityRecord, ...], ...]
-    points: Tuple[int, ...]
-    incidence: Dict[str, Tuple[SingularityRecord, ...]]
-
-
 class ScenarioRefused(DomainError):
     """A scenario that ``FoliatedScenario`` refuses.  ``where`` is the path of
     the offender: ("curves", k) for a repeated curve name, or
@@ -125,37 +113,27 @@ class ScenarioRefused(DomainError):
 
 def index_singularities(
     singularities: Iterable[SingularityRecord], curve_names: Container[str]
-) -> SingularityIndex:
-    """Group the singularities by kind object and by curve in one walk.
+) -> Dict[str, Tuple[SingularityRecord, ...]]:
+    """Each curve name some point gives, with its points, each listed once,
+    in declared order.
 
     The walk refuses the first bad singularity in list order, and checks each
     one's id for a repeat, then a count above 1 on curves, then its curves,
-    each of which must be in ``curve_names``.  Groups go by identity, not
-    equality: hashing a kind that holds Fractions costs more than it saves.
-    A group's point total is its length plus what its counted records add
-    beyond 1 each, so a record of count 1 adds nothing but its read.
+    each of which must be in ``curve_names``.
     """
-    groups: Dict[int, List[SingularityRecord]] = {}
-    extra: Dict[int, int] = {}  # kind id -> points beyond one per record
     on: Dict[str, List[SingularityRecord]] = {}
     ids = set()
-    kind = group = None
     for k, s in enumerate(singularities):
         sid = s.id
         if sid in ids:
             raise ScenarioRefused(f"duplicate singularity id {sid!r}", "singularities", k)
         ids.add(sid)
-        if s.kind is not kind:  # points of one kind often come in a row
-            kind = s.kind
-            group = groups.get(id(kind))
-            if group is None:
-                group = groups[id(kind)] = []
-        group.append(s)
+        curves = s.incident_curves
+        if not curves:
+            continue
         if s.count != 1:
-            if s.incident_curves:
-                raise ScenarioRefused(COUNTED_ON_CURVES, "singularities", k, "count")
-            extra[id(kind)] = extra.get(id(kind), 0) + s.count - 1
-        for name in s.incident_curves:
+            raise ScenarioRefused(COUNTED_ON_CURVES, "singularities", k, "count")
+        for name in curves:
             points = on.get(name)
             if points is None:  # a name met for the first time is checked once
                 if name not in curve_names:
@@ -164,11 +142,7 @@ def index_singularities(
                 on[name] = [s]
             elif points[-1] is not s:  # a name the point repeats counts once
                 points.append(s)
-    return SingularityIndex(
-        tuple(map(tuple, groups.values())),
-        tuple(len(group) + extra.get(key, 0) for key, group in groups.items()),
-        {name: tuple(points) for name, points in on.items()},
-    )
+    return {name: tuple(points) for name, points in on.items()}
 
 
 @dataclass(frozen=True)
@@ -184,7 +158,9 @@ class FoliatedScenario:
     singularities: Tuple[SingularityRecord, ...]
     metadata: ScenarioMetadata
     _positions: Dict[str, int] = field(init=False, repr=False, compare=False)
-    singularity_index: SingularityIndex = field(init=False, repr=False, compare=False)
+    _incidence: Dict[str, Tuple[SingularityRecord, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "curves", tuple(self.curves))
@@ -194,8 +170,8 @@ class FoliatedScenario:
             if positions.setdefault(c.name, k) != k:
                 raise ScenarioRefused(f"duplicate curve name {c.name!r}", "curves", k)
         object.__setattr__(self, "_positions", positions)
-        index = index_singularities(self.singularities, positions)
-        object.__setattr__(self, "singularity_index", index)
+        incidence = index_singularities(self.singularities, positions)
+        object.__setattr__(self, "_incidence", incidence)
 
     @cached
     def pairings(self) -> Pairings:
@@ -216,31 +192,12 @@ class FoliatedScenario:
         t = self.pairings
         return fraction(t.d_square - t.d_dot_ks, t.scale * t.scale)
 
-    @property
-    def by_kind(self) -> Tuple[Tuple[SingularityRecord, ...], ...]:
-        """The singularities grouped by kind object (``SingularityIndex``).
-
-        A local fact that depends only on the kind, such as the multiplicity
-        or beta_p, is read once per group.  Equal kinds of one parsed
-        document are one object; a kind built per singularity makes a group of
-        one, which changes no sum."""
-        return self.singularity_index.by_kind
-
-    @property
-    def points_by_kind(self) -> Tuple[int, ...]:
-        """The number of points each group of ``by_kind`` stands for: its
-        records' counts summed.  The global sums read it, never a group's
-        length."""
-        return self.singularity_index.points
-
     @cached
     def singularity_count(self) -> int:
-        """The number of singularities counted with multiplicity, summed once;
-        the count check and the report read it."""
-        return sum(
-            group[0].multiplicity * points
-            for group, points in zip(self.by_kind, self.points_by_kind)
-        )
+        """The number of singularities counted with multiplicity, summed once
+        over the records, each for its ``count`` points; the count check and
+        the report read it."""
+        return sum(s.multiplicity * s.count for s in self.singularities)
 
     def curve(self, name: str) -> CurveRecord:
         if name not in self._positions:
@@ -248,13 +205,12 @@ class FoliatedScenario:
         return self.curves[self._positions[name]]
 
     def singularities_on(self, curve_name: str) -> Tuple[SingularityRecord, ...]:
-        return self.singularity_index.incidence.get(curve_name, ())
+        return self._incidence.get(curve_name, ())
 
     @cached
     def is_reduced(self) -> bool:
-        """Whether every singularity is reduced, read from one point per kind
-        group."""
-        return all(group[0].is_reduced for group in self.by_kind)
+        """Whether every singularity is reduced."""
+        return all(s.is_reduced for s in self.singularities)
 
     @property
     def non_reduced(self) -> Tuple[SingularityRecord, ...]:
@@ -262,8 +218,7 @@ class FoliatedScenario:
         a refusal names each by ``point_label``."""
         if self.is_reduced:
             return ()
-        kinds = {id(group[0].kind) for group in self.by_kind if not group[0].is_reduced}
-        return tuple(s for s in self.singularities if id(s.kind) in kinds)
+        return tuple(s for s in self.singularities if not s.is_reduced)
 
 
 def point_label(s: SingularityRecord, name: Callable[[str], str] = str) -> str:
@@ -455,22 +410,17 @@ def resolve_camacho_sad(f: FoliatedScenario) -> Iterator[CheckResult]:
     in component order: the component it cuts off, and every later one, is
     "skipped (search budget exhausted)".
 
-    All of it is integer work.  Each kind's pair is read once, as (numerator,
-    denominator) pairs.  A component's branches and squares are scaled once,
-    by the lcm of the table's ``scale**2`` and that component's branch
-    denominators, so one component's denominators never grow another's
-    integers.
+    All of it is integer work.  Each point's pair is read from its kind once,
+    as (numerator, denominator) pairs.  A component's branches and squares
+    are scaled once, by the lcm of the table's ``scale**2`` and that
+    component's branch denominators, so one component's denominators never
+    grow another's integers.
     """
-    pairs: Dict[int, _Pair] = {}
     irrational = set()  # the curves through a point without a rational pair
-    for group in f.by_kind:
-        ev = group[0].eigenvalue
-        lam = None if ev is None else ev.value
-        if lam is None:
-            irrational.update(x for s in group for x in s.incident_curves)
-        else:
-            n, d = lam.numerator, lam.denominator
-            pairs[id(group[0].kind)] = ((n, d), (d, n) if n > 0 else (-d, -n))
+    for s in f.singularities:
+        kind = s.kind
+        if s.incident_curves and (type(kind) is SaddleNode or kind.eigenvalue.value is None):
+            irrational.update(s.incident_curves)
     eligible: List[str] = []
     for c in f.curves:
         if not c.f_invariant:
@@ -501,7 +451,9 @@ def resolve_camacho_sad(f: FoliatedScenario) -> Iterator[CheckResult]:
                 here = tuple([x for x in dict.fromkeys(here) if x in names])
                 for x in here:
                     linked[x] += here
-            on[id(s)] = here, pairs[id(s.kind)]
+            lam = s.kind.eigenvalue.value
+            n, d = lam.numerator, lam.denominator
+            on[id(s)] = here, ((n, d), (d, n) if n > 0 else (-d, -n))
     components = connected_components(linked)
     # a point joins the component of its curves, keeping the order of ``on``
     which = {name: k for k, members in enumerate(components) for name in members}

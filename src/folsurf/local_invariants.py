@@ -21,11 +21,10 @@ beta_p = 0 and no chi_p.  Everything here is a pure function of immutable
 data, so values can be shared and evaluated concurrently without coordination.
 
 ``beta_p``, ``chi_p``, ``baum_bott``, ``multiplicity`` and ``is_reduced``
-read only a record's kind, so one evaluation serves every point of that
-kind object; ``FoliatedScenario.by_kind`` groups the points for that, and
-a record off every curve may stand for several points (``count``).  A
-record built by its constructor checks every field; one built by
-``SingularityRecord.trusted``, from fields a decoder has checked one by
+read only a record's kind, and a record off every curve may stand for
+several equal points (``count``), so one evaluation per record serves all
+of them.  A record built by its constructor checks every field; one built
+by ``SingularityRecord.trusted``, from fields a decoder has checked one by
 one, checks only the bound m_p >= vanishing_order^2 that spans two fields.
 ``_trusted`` builds other frozen values whose fields are known good: the
 decoder's eigenvalue classes and ``zariski.chain_eigenvalues``'s classes.

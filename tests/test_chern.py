@@ -437,7 +437,7 @@ def test_pipeline_evaluates_each_local_invariant_once(doc, monkeypatch):
     import folsurf.local_invariants as loc
 
     parsed = parse_document_dict(doc)
-    kinds = {id(s.kind) for s in parsed.scenario.singularities}
+    records = len(parsed.scenario.singularities)
     calls = {"local_terms": 0, "EigenvalueClass": 0}
     original = loc.local_terms
 
@@ -457,10 +457,10 @@ def test_pipeline_evaluates_each_local_invariant_once(doc, monkeypatch):
     monkeypatch.setattr(loc.EigenvalueClass, "__post_init__", counting_post_init)
     report = run_pipeline(parsed)
     assert report.ok
-    # beta_p and 12 chi_p of a kind come from one local_terms call
-    assert calls == {"local_terms": len(kinds), "EigenvalueClass": 0}
-    if doc["name"] == "second-noether-n50":  # 102 points of two kinds
-        assert calls["local_terms"] == 2
+    # beta_p and 12 chi_p of a record come from one local_terms call
+    assert calls == {"local_terms": records, "EigenvalueClass": 0}
+    if doc["name"] == "second-noether-n50":  # 102 points in four records
+        assert calls["local_terms"] == 4
 
 
 def _ruled_with_interleaved_kinds(sign):
@@ -481,18 +481,21 @@ def _ruled_with_interleaved_kinds(sign):
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["non-reduced", "reduced"])
 def test_sharing_kind_objects_cannot_change_the_report(sign):
-    # the parsed document shares one object per equal kind; the same scenario
-    # built through the public constructors has a fresh kind per point
+    # the parser builds a kind object per point; the same scenario built
+    # through the public constructors shares one object per equal kind
     parsed = parse_document_dict(_ruled_with_interleaved_kinds(sign))
     s = parsed.scenario
-    fresh = tuple(
-        SingularityRecord(p.id, dataclasses.replace(p.kind), p.vanishing_order, p.incident_curves)
+    kinds = {}
+    sharing = tuple(
+        SingularityRecord(
+            p.id, kinds.setdefault(p.kind, p.kind), p.vanishing_order, p.incident_curves
+        )
         for p in s.singularities
     )
-    rebuilt = FoliatedScenario(s.name, s.surface, s.k_foliation, s.curves, fresh, s.metadata)
-    assert len(s.by_kind) == 5 and len(rebuilt.by_kind) == len(fresh) == 9
-    shared = run_pipeline(parsed)
-    alone = run_pipeline(dataclasses.replace(parsed, scenario=rebuilt))
+    assert len({id(p.kind) for p in s.singularities}) == len(sharing) == 9 and len(kinds) == 5
+    rebuilt = FoliatedScenario(s.name, s.surface, s.k_foliation, s.curves, sharing, s.metadata)
+    alone = run_pipeline(parsed)
+    shared = run_pipeline(dataclasses.replace(parsed, scenario=rebuilt))
     assert alone.to_json() == shared.to_json()
     assert alone.to_text() == shared.to_text()
     if sign > 0:  # every point of a positive integer eigenvalue, in declared order

@@ -385,30 +385,6 @@ def test_camacho_sad_finished_search_without_solution_fails():
     assert check.detail == "no branch assignment balances the curve"
 
 
-def test_camacho_sad_reads_each_branch_pair_once_per_kind(monkeypatch):
-    reads = []
-    eigenvalue = SingularityRecord.eigenvalue
-
-    def counting(s):
-        reads.append(s.id)
-        return eigenvalue.fget(s)
-
-    monkeypatch.setattr(SingularityRecord, "eigenvalue", property(counting))
-    # ten points of eigenvalue -2 on C, p0..p4 sharing one kind object and
-    # p5..p9 another: the sweep decides the curve with the 11 distinct sums
-    # -5 - 3k/2 of ten branches in {-2, -1/2}; C^2 = -6 is none of them
-    s = _minus_two_points_on_one_curve(10, 7)
-    first, second = (NonDegenerate(EigenvalueClass.rational(-2)) for _ in range(2))
-    shared = tuple(
-        dataclasses.replace(p, kind=first if k < 5 else second)
-        for k, p in enumerate(s.singularities)
-    )
-    s = dataclasses.replace(s, singularities=shared)
-    check = _camacho_sad(validate(s))
-    assert check.detail == "no branch assignment balances the curve"
-    assert reads == ["p0", "p5"]
-
-
 def _point(sid, lam, *curves):
     return SingularityRecord(
         sid, NonDegenerate(EigenvalueClass.rational(lam)), incident_curves=curves

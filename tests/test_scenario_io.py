@@ -175,25 +175,18 @@ def test_parsing_builds_one_fraction_per_distinct_text_and_reruns_no_field_check
     assert counts == {"Fraction": fractions, "FiberNode": 0, "EigenvalueClass": 0}
 
 
-def test_equal_kinds_of_one_document_share_one_object(monkeypatch):
-    built = []
-    original = NonDegenerate.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(NonDegenerate, "__init__", counting)
-    doc = expand_points(second_noether_ruled(200))
-    scenario = parse_document_dict(doc).scenario
-    # one "-200" and 401 "nonrational" kinds
-    assert len(scenario.singularities) == 402
-    assert len(built) == 2
-    assert len({id(s.kind) for s in scenario.singularities}) == 2
-    # the memo belongs to one call: a second parse builds its own kinds
-    again = parse_document_dict(doc).scenario
-    assert len(built) == 4
-    assert again.singularities[1].kind is not scenario.singularities[1].kind
+def test_points_listed_one_by_one_read_as_the_counted_form_in_linear_time():
+    # 6 402 points, 6 399 of them one kind off every curve, each listed with
+    # its own kind object: every local fact is read once per record, so the
+    # cost grows by one record's work per listed point (about 17 ms in all)
+    counted = second_noether_ruled(3200)
+    listed = expand_points(counted)
+    start = time.perf_counter()
+    parsed = parse_document_dict(listed)
+    report = run_pipeline(parsed)
+    assert time.perf_counter() - start < 1.0
+    assert report.ok and len(parsed.scenario.singularities) == 6402
+    assert report.to_json() == run_pipeline(parse_document_dict(counted)).to_json()
 
 
 @pytest.mark.parametrize(
@@ -208,8 +201,8 @@ def test_equal_kinds_of_one_document_share_one_object(monkeypatch):
     ids=["1-true", "1-float", "int-float", "str-list", "bb-1-true"],
 )
 def test_a_look_alike_of_an_accepted_kind_is_refused(accepted, look_alike, where, reason):
-    # the memo of decoded kinds must not take a value that decoding refuses:
-    # 1 == True == 1.0 and -2 == -2.0 with equal hashes
+    # each kind is decoded on its own, so a value equal to an accepted one
+    # (1 == True == 1.0 and -2 == -2.0) is still refused by its type
     doc = expand_points(second_noether_ruled(3))
     doc["singularities"][3]["kind"] = accepted
     parse_document_dict(doc)

@@ -193,6 +193,35 @@ def test_singularity_count_check_passes_and_fails():
     assert abs(check.residual) == 1
 
 
+def test_singularity_count_weighs_each_record_by_multiplicity_and_count():
+    # a counted record adds m_p once per point it stands for: the counted
+    # scenario and the same points listed one by one count 3*4 + 5 + 2
+    p2 = SurfaceModel.p2()
+    counted = (
+        SingularityRecord("a", SaddleNode(3), count=4),
+        SingularityRecord("b", NonDegenerate(EigenvalueClass.nonrational()), count=5),
+        SingularityRecord("c", SaddleNode(2)),
+    )
+    listed = tuple(
+        dataclasses.replace(s, id=f"{s.id}{k}", count=1)
+        for s in counted
+        for k in range(1, s.count + 1)
+    )
+    counts = []
+    for sings in (counted, listed):
+        f = FoliatedScenario(
+            name="counted-records",
+            surface=p2,
+            k_foliation=p2.divisor([0]),
+            curves=(),
+            singularities=sings,
+            metadata=ScenarioMetadata(True, True),
+        )
+        counts.append(f.singularity_count)
+    assert len(listed) == 10
+    assert counts == [19, 19]
+
+
 def test_degree2_count_example():
     p2 = SurfaceModel.p2()
     sings = tuple(
@@ -383,6 +412,25 @@ def test_camacho_sad_finished_search_without_solution_fails():
     check = _camacho_sad(validate(_minus_two_points_on_one_curve(2, 4)))
     assert check.failed
     assert check.detail == "no branch assignment balances the curve"
+
+
+def test_camacho_sad_verdict_does_not_depend_on_shared_kind_objects():
+    # ten points of eigenvalue -2 on C, each read through its own record:
+    # p0..p4 sharing one kind object and p5..p9 another, or one object for
+    # all ten, give the verdict of a fresh kind per point.  The branch sums
+    # are -5 - 3k/2 for k = 0..10: C^2 = -6 (7 blowups) is none of them and
+    # C^2 = -8 (9 blowups) is k = 2
+    for blowups, passed in ((7, False), (9, True)):
+        s = _minus_two_points_on_one_curve(10, blowups)
+        fresh = _camacho_sad(validate(s))
+        assert fresh.passed is passed
+        first, second = (NonDegenerate(EigenvalueClass.rational(-2)) for _ in range(2))
+        for kinds in ((first,) * 5 + (second,) * 5, (first,) * 10):
+            shared = tuple(
+                dataclasses.replace(p, kind=k) for p, k in zip(s.singularities, kinds)
+            )
+            check = _camacho_sad(validate(dataclasses.replace(s, singularities=shared)))
+            assert check == fresh
 
 
 def _point(sid, lam, *curves):

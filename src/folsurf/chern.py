@@ -344,6 +344,11 @@ def decide(
         raise InconsistentScenario(
             f"metadata says kodaira {meta.kodaira} but the volume is positive"
         )
+    # kodaira >= 0 makes a multiple of K_F effective, so K_F pseudo-effective
+    if meta.kodaira in ("0", "1") and not meta.k_pseudo_effective:
+        raise InconsistentScenario(
+            f"metadata says kodaira {meta.kodaira} but k_pseudo_effective is false"
+        )
 
     if not meta.k_pseudo_effective:
         fire("R1-rational-pencil", "K_F not pseudo-effective")

@@ -23,9 +23,10 @@ built by ``SingularityRecord.trusted``, and eigenvalue classes, fiber nodes
 and curves by ``_trusted``; only checks that span fields run.  The
 scenario is built by its constructor, as every other scenario is: it checks
 the curve names, singularity ids and curve references, and its refusal's
-path becomes the ``ParseError`` path.  Reports, documents and fixtures are
-printed by one writer, :func:`write_json`, so identical input bytes
-produce identical output bytes.
+path becomes the ``ParseError`` path.  Documents and fixtures are printed
+by one writer, :func:`write_json`, so identical input bytes produce
+identical output bytes; a report (``InvariantReport.to_json``) writes its
+sections by the same writer's walk, ``_write``, but for its check rows.
 """
 
 from __future__ import annotations
@@ -64,7 +65,11 @@ from .surface import P2, DivisorClass, SurfaceModel, _integer_form, fraction_tex
 
 def fmt_rational(q: RationalLike) -> str:
     """An int or Fraction as "p/q", or "p" when integral; anything inexact,
-    a float or a bool, raises DomainError."""
+    a float or a bool, raises DomainError.  A Fraction is printed from its
+    slots, as ``Fraction.__str__`` prints them, without that call."""
+    if q.__class__ is Fraction:
+        n, d = q._numerator, q._denominator
+        return str(n) if d == 1 else f"{n}/{d}"
     return str(as_rational(q))
 
 

@@ -395,20 +395,41 @@ def _component_balances(
     return True, budget
 
 
+def _irrational_row(f: FoliatedScenario, name: str) -> CheckResult:
+    """The Camacho-Sad row of a curve through a point without a rational
+    branch pair.  When that point is the curve's only one, has a
+    non-rational eigenvalue and meets the curve once, the curve's sum is its
+    rational part plus lam or 1/lam, which is irrational, and cannot meet
+    the rational C^2: a fail.  Otherwise it is skipped, also when the point
+    meets the curve twice, since lam + 1/lam may be rational."""
+    row = f"camacho-sad.{name}"
+    open_points = [
+        s for s in f.singularities_on(name)
+        if type(s.kind) is SaddleNode or s.kind.eigenvalue.value is None
+    ]
+    if len(open_points) == 1:
+        s = open_points[0]
+        if type(s.kind) is not SaddleNode and s.incident_curves.count(name) == 1:
+            detail = f"the non-rational index at {point_label(s, repr)} cannot balance C^2"
+            return CheckResult(row, False, detail)
+    return CheckResult(row, None, "skipped (non-rational or saddle-node index present)")
+
+
 def resolve_camacho_sad(f: FoliatedScenario) -> Iterator[CheckResult]:
     """Decide the Camacho-Sad balance of every invariant curve, one check each.
 
     A singularity on one invariant curve contributes either element of its
     {lam, 1/lam} pair; on two invariant curves it contributes the pair in one
     of the two orders.  A curve is eligible when every incident singularity
-    has a rational branch pair; the others are skipped.  Eligible curves that
-    share a singularity are linked, and each connected component is decided
-    exactly (``_component_balances``: the forced branches, then a sweep of
-    the points left open), so a curve takes its component's verdict: pass
-    when some branch choice balances every curve of the component, else
-    fail.  There is no heuristic repair.  The sweeps share one work budget,
-    in component order: the component it cuts off, and every later one, is
-    "skipped (search budget exhausted)".
+    has a rational branch pair; the others are skipped, except that a curve
+    with one non-rational index fails (``_irrational_row``).  Eligible curves
+    that share a singularity are linked, and each connected component is
+    decided exactly (``_component_balances``: the forced branches, then a
+    sweep of the points left open), so a curve takes its component's
+    verdict: pass when some branch choice balances every curve of the
+    component, else fail.  There is no heuristic repair.  The sweeps share
+    one work budget, in component order: the component it cuts off, and
+    every later one, is "skipped (search budget exhausted)".
 
     All of it is integer work.  Each point's pair is read from its kind once,
     as (numerator, denominator) pairs.  A component's branches and squares
@@ -426,8 +447,7 @@ def resolve_camacho_sad(f: FoliatedScenario) -> Iterator[CheckResult]:
         if not c.f_invariant:
             continue
         if c.name in irrational:
-            skipped = "skipped (non-rational or saddle-node index present)"
-            yield CheckResult(f"camacho-sad.{c.name}", passed=None, detail=skipped)
+            yield _irrational_row(f, c.name)
         else:
             eligible.append(c.name)
 

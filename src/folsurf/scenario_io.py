@@ -3,7 +3,12 @@
 ``run_pipeline`` takes a parsed document (see :mod:`folsurf.document`)
 through validate -> zariski -> chern -> decide and the fibration block, and
 ``InvariantReport`` renders the result as text or JSON.  Reports are
-deterministic; identical input bytes produce identical report bytes.
+deterministic; identical input bytes produce identical report bytes.  Both
+forms are walks over one table of sections (``InvariantReport._sections``).
+The JSON form has the bytes ``document.write_json`` would give a dict of the
+sections, and is written in one walk, in key order, with no such dict: the
+check rows straight from their tuples, every other section by the
+document writer's generic walk.
 
 The functions each stage calls are imported by name into this module and
 called through its globals: the benchmark's tracer (``perfbench/tracing.py``)
@@ -15,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Callable, Collection, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .chern import ChernNumbers, Verdict, chern_numbers, decide, noether_bounds, slope
-from .document import (
-    EXPECTATIONS, MODULAR_KEYS, ScenarioDocument, fmt_rational, write_json,
-)
+from .document import EXPECTATIONS, MODULAR_KEYS, ScenarioDocument, _escape, _write, fmt_rational
 from .document import parse_scenario  # noqa: F401  (perfbench/workloads.py::make_api reads it here)
 from .errors import DomainError, InconsistentScenario
 from .fibration import (
@@ -38,10 +42,6 @@ from .zariski import (
     detect_chains_with_flags,
     zariski_decompose,
 )
-
-
-def _check_json(c: CheckResult) -> Dict[str, Any]:
-    return {"name": c.name, "status": c.status, "detail": c.detail}
 
 
 def check_line(c: CheckResult) -> str:
@@ -71,6 +71,55 @@ def _class_texts(cls: DivisorClass) -> List[str]:
 
 
 _BOUND_NAMES = ("first", "second", "third")
+
+_Emit = Callable[[str], None]
+
+
+def _rows_writer(indent: str) -> Callable[[Tuple[CheckResult, ...], _Emit], None]:
+    """The writer of a list of check rows, as ``write_json`` would write
+    their ``detail``, ``name`` and ``status`` dicts, for a list whose key
+    sits at ``indent``.  The layout and its constant pieces are fixed here,
+    once, so a row costs its two escapes and one string."""
+    inner = "\n" + indent + "  "
+    field = inner + "  "
+    row = inner + "{" + field + '"detail": '
+    first, then = "[" + row, "," + row
+    name = "," + field + '"name": '
+    skip, passed, failed = (
+        f',{field}"status": "{word}"{inner}}}' for word in ("skip", "pass", "fail")
+    )
+    end = "\n" + indent + "]"
+
+    def write(rows: Tuple[CheckResult, ...], emit: _Emit) -> None:
+        if not rows:
+            emit("[]")
+            return
+        emit(first)
+        emit(then.join([
+            f"{_escape(d)}{name}{_escape(n)}{skip if ok is None else passed if ok else failed}"
+            for n, ok, d, _ in rows
+        ]))
+        emit(end)
+
+    return write
+
+
+_CHECK_ROWS = _rows_writer("    ")
+
+
+def _write_validation(v: ValidationReport, emit: _Emit) -> None:
+    emit('{\n    "checks": ')
+    _CHECK_ROWS(v.checks, emit)
+    emit(',\n    "passed": true\n  }' if v.passed else ',\n    "passed": false\n  }')
+
+
+# the sections whose values ``to_json`` writes by these, from the records
+# themselves; every other value is a JSON value for the generic writer
+_WRITERS: Dict[str, Callable[[Any, _Emit], None]] = {
+    "validation": _write_validation,
+    "fibration_checks": _rows_writer("  "),
+}
+_KEY = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -106,12 +155,14 @@ class InvariantReport:
     def _sections(self) -> Iterator[Tuple[str, Any, Callable[[], List[str]]]]:
         """Each section of the report in text order, as its JSON key, its JSON
         value and a function giving its text lines (which ``to_json`` does not
-        pay for).  A section with no value is left out, except the expectation
-        failures and warnings, which the JSON always lists."""
+        pay for).  The value of a section in ``_WRITERS`` is the record its
+        writer reads: the validation report, or the fibration check rows.  A
+        section with no value is left out, except the expectation failures
+        and warnings, which the JSON always lists."""
         yield "name", self.name, lambda: [f"scenario: {self.name}"]
         v = self.validation
         if v is not None:
-            yield "validation", {"passed": v.passed, "checks": list(map(_check_json, v.checks))}, (
+            yield "validation", v, (
                 lambda: [f"validation: {'PASS' if v.passed else 'FAIL'}"]
                 + [f"  {check_line(c)}" for c in v.checks]
             )
@@ -176,9 +227,7 @@ class InvariantReport:
             ]
         checks = self.fibration_checks
         if checks:
-            yield "fibration_checks", list(map(_check_json, checks)), (
-                lambda: list(map(check_line, checks))
-            )
+            yield "fibration_checks", checks, lambda: list(map(check_line, checks))
         failures = self.expectation_failures
         yield "expectation_failures", list(failures), lambda: [
             f"expectation mismatch: {f}" for f in failures
@@ -187,11 +236,24 @@ class InvariantReport:
         ok = self.ok
         yield "ok", ok, lambda: [f"result: {'ok' if ok else 'FAILED'}"]
 
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {key: value for key, value, _ in self._sections()}
-
     def to_json(self) -> str:
-        return write_json(self.to_json_dict()) + "\n"
+        """The report as ``write_json`` writes a dict of its sections, plus a
+        newline, written in one walk over the sections in key order: a
+        section in ``_WRITERS`` by its writer, any other by the generic
+        writer, and no dict of the whole report is built."""
+        out: List[str] = []
+        emit = out.append
+        sep = "{\n  "
+        for key, value, _ in sorted(self._sections(), key=_KEY):
+            emit(f'{sep}"{key}": ')
+            write = _WRITERS.get(key)
+            if write is None:
+                _write(value, "\n  ", emit)
+            else:
+                write(value, emit)
+            sep = ",\n  "
+        emit("\n}\n")
+        return "".join(out)
 
     def to_text(self, sections: Optional[Collection[str]] = None) -> str:
         """The text lines of the named sections (all when None), in walk order;

@@ -285,11 +285,13 @@ def outcomes(seed: int = SEED) -> Iterator[Tuple[int, str]]:
         yield i, result
 
 
-def digest(seed: int = SEED) -> Dict[str, Any]:
-    """The pinned form of the outcomes: their count and one sha256."""
+def digest(seed: int = SEED, check: Callable[[str], None] = lambda result: None) -> Dict[str, Any]:
+    """The pinned form of the outcomes: their count and one sha256.
+    ``check`` sees each outcome as it is hashed."""
     h = hashlib.sha256()
     count = 0
     for i, result in outcomes(seed):
+        check(result)
         h.update(f"{i}\t{result}\n".encode("utf-8"))
         count += 1
     return {"documents": count, "sha256": h.hexdigest()}

@@ -414,6 +414,22 @@ def test_kodaira_conflict_raises():
         decide(conflicted, c)
 
 
+@pytest.mark.parametrize("kodaira", ["0", "1"])
+def test_finite_kodaira_without_pseudo_effective_k_f_is_refused(kodaira):
+    # kodaira >= 0 makes a multiple of K_F effective: the two declarations
+    # contradict each other, whatever the rules would fire
+    doc = slope_12_7()
+    del doc["expect"]
+    doc["metadata"].update(k_pseudo_effective=False, kodaira=kodaira)
+    report = run_pipeline(parse_document_dict(doc))
+    assert not report.ok and report.verdict is None
+    assert report.inconsistency == (
+        f"metadata says kodaira {kodaira} but k_pseudo_effective is false"
+    )
+    doc["metadata"]["kodaira"] = "-inf"
+    assert run_pipeline(parse_document_dict(doc)).ok
+
+
 def test_sanity_violation_raises():
     s = scenario_from(semistable_genus2())
     bloated = with_metadata(s, p_g=60)
@@ -596,6 +612,10 @@ def reference_decide(
         raise InconsistentScenario(
             f"metadata says kodaira {meta.kodaira} but the volume is positive"
         )
+    if meta.kodaira in ("0", "1") and not pe:
+        raise InconsistentScenario(
+            f"metadata says kodaira {meta.kodaira} but k_pseudo_effective is false"
+        )
 
     if not pe:
         fired.append(_REFERENCE_R1)
@@ -720,7 +740,8 @@ def reference_decide(
 # against 12 chi + 2, and contradictory firings) are never reached.
 REFUSALS = (
     "metadata says general type but the volume vanishes",
-    "metadata says kodaira ",
+    "but the volume is positive",
+    "but k_pseudo_effective is false",
     "declared integrable of genus ",
     "violates the bound vol >= p_g - 2",
     "violates the universal bound vol >= 1/2",

@@ -31,6 +31,7 @@ from folsurf.local_invariants import (
     SaddleNode,
     SingularityRecord,
 )
+from folsurf.scenario_io import run_pipeline
 from folsurf.surface import SurfaceModel, canonical_class, intersect
 
 
@@ -498,6 +499,56 @@ def test_camacho_sad_counts_a_repeated_curve_once():
     for on in (("C", "D"), ("C", "C", "D")):
         checks = _camacho_sad_checks(_camacho_sad_scenario(p2, curves, [_point("p", -1, *on)]))
         assert [c.status for c in checks.values()] == ["pass", "pass"]
+
+
+def _second_noether_with_one_nonrational_point_on_finf(*on_curves):
+    """second_noether_ruled(3) with expect dropped and p3 given the rational
+    eigenvalue -1: Finf keeps one non-rational point, p2, on ``on_curves``."""
+    doc = second_noether_ruled(3)
+    del doc["expect"]
+    for point in doc["singularities"]:
+        if point["id"] == "p3":
+            point["kind"] = {"eigenvalue": "-1"}
+        elif point["id"] == "p2":
+            point["on_curves"] = list(on_curves)
+    return parse_scenario(doc)
+
+
+def test_camacho_sad_fails_a_curve_with_one_nonrational_index():
+    # Finf's sum is -3 + (-1 or -1) + (lam or 1/lam) with lam irrational: it
+    # cannot meet the rational Finf^2 = 0
+    doc = _second_noether_with_one_nonrational_point_on_finf("Finf")
+    checks = _camacho_sad_checks(doc.scenario)
+    assert checks["camacho-sad.C0"].status == "pass"
+    finf = checks["camacho-sad.Finf"]
+    assert finf.status == "fail"
+    assert finf.detail == "the non-rational index at 'p2' cannot balance C^2"
+    assert not run_pipeline(doc).ok
+
+
+def test_camacho_sad_skips_a_nonrational_point_meeting_the_curve_twice():
+    # two branches of Finf at p2 give lam + 1/lam, which may be rational
+    doc = _second_noether_with_one_nonrational_point_on_finf("Finf", "Finf")
+    finf = _camacho_sad_checks(doc.scenario)["camacho-sad.Finf"]
+    assert finf.status == "skip"
+
+
+@pytest.mark.parametrize("extra", ["nonrational", "saddle-node"])
+def test_camacho_sad_skips_a_curve_with_a_second_open_point(extra):
+    # a second non-rational point, or a saddle-node, may balance the first
+    p2 = SurfaceModel.p2(1)
+    c = CurveRecord("C", p2.divisor([0, 1]), True)
+    kind = (
+        SaddleNode(multiplicity=2, bb_index=Fraction(3)) if extra == "saddle-node"
+        else NonDegenerate(EigenvalueClass.nonrational())
+    )
+    points = [
+        SingularityRecord("a", NonDegenerate(EigenvalueClass.nonrational()), incident_curves=("C",)),
+        SingularityRecord("b", kind, incident_curves=("C",)),
+        _point("r", -1, "C"),
+    ]
+    checks = _camacho_sad_checks(_camacho_sad_scenario(p2, [c], points))
+    assert checks["camacho-sad.C"].status == "skip"
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from folsurf.document import (
     serialize_document,
     write_json,
 )
+from folsurf.chern import ChernNumbers, FiredRule, Verdict
 from folsurf.errors import DomainError, ParseError
 from folsurf.fibration import FiberNode
 from folsurf.fixtures import (
@@ -48,6 +49,8 @@ from folsurf.local_invariants import (
     SingularityRecord,
 )
 from folsurf.scenario_io import InvariantReport, run_pipeline
+from folsurf.surface import SurfaceModel
+from folsurf.zariski import FChain, ZariskiDecomposition
 
 
 def test_fmt_and_parse_rational_roundtrip():
@@ -766,6 +769,110 @@ def test_the_readme_example_document_parses():
     assert [fm.count for fm in doc.fibration.singular_fibers] == [20]
 
 
+def json_form(text: str) -> str:
+    """What ``json.dumps`` writes of the JSON ``text``, as a report prints it."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+WRITER_DOCUMENTS = {
+    **{name: raw for name, raw in load_bundled_files()},
+    **{
+        f"{build.__name__}({n})": build(n)
+        for build, sizes in (
+            (first_noether_ruled, (1, 4, 30)),
+            (second_noether_ruled, (2, 5, 40)),
+            (third_noether_double_cover, (2, 6, 16)),
+        )
+        for n in sizes
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_DOCUMENTS))
+def test_report_json_is_what_json_dumps_writes(name):
+    text = run_pipeline(parse_scenario(WRITER_DOCUMENTS[name])).to_json()
+    assert text == json_form(text)
+
+
+# names and details with quotes, backslashes, control characters and text
+# outside ASCII, each of which the writer escapes as json.dumps does
+report_texts = st.text(max_size=8) | st.sampled_from(
+    ["", '"quoted"', "back\\slash", "\x00\x1f\n\t\x7f", "caf\u00e9 \u2603 \U0001f600", "\u2028"]
+)
+report_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=24) | st.integers(-9, 9)
+non_negative = st.fractions(min_value=0, max_value=40, max_denominator=24)
+check_rows = st.lists(
+    st.builds(CheckResult, report_texts, st.sampled_from([None, True, False]), report_texts),
+    max_size=4,
+).map(tuple)
+_P2_2 = SurfaceModel.p2(2)
+
+
+def _tuples(strategy, max_size=3):
+    return st.lists(strategy, max_size=max_size).map(tuple)
+
+
+@st.composite
+def reports(draw):
+    """A hand-built report: each optional section present or absent, rows of
+    every status, and free text wherever the report prints text."""
+
+    def maybe(strategy):
+        return draw(st.none() | strategy)
+
+    three = st.tuples(report_rationals, report_rationals, report_rationals)
+    return InvariantReport(
+        name=draw(report_texts),
+        validation=maybe(st.builds(ValidationReport, check_rows, st.just(()))),
+        inconsistency=maybe(report_texts),
+        decomposition=maybe(st.builds(
+            lambda nef, negative: ZariskiDecomposition(_P2_2.divisor(list(nef)), negative, 0),
+            three,
+            _tuples(st.tuples(report_texts, report_rationals)),
+        )),
+        chains=draw(_tuples(st.builds(FChain, _tuples(report_texts), _tuples(st.integers(2, 9))))),
+        chern=maybe(st.builds(lambda a, b: ChernNumbers(a, b, (a + b) / 12), non_negative, non_negative)),
+        vol=maybe(report_rationals),
+        slope_value=maybe(report_rationals),
+        singularity_count=maybe(st.integers(0, 99)),
+        p_g=maybe(st.integers(0, 9)),
+        bounds=maybe(three),
+        bound_equalities=draw(_tuples(st.sampled_from(["first", "second", "third"]))),
+        verdict=maybe(st.builds(
+            Verdict,
+            report_texts,
+            _tuples(st.builds(FiredRule, report_texts, report_texts, report_texts), 2),
+            st.none() | st.integers(0, 9),
+            _tuples(report_texts, 2),
+        )),
+        modular=maybe(three),
+        fibration_checks=draw(check_rows),
+        expectation_failures=draw(_tuples(report_texts, 2)),
+        warnings=draw(_tuples(report_texts, 2)),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(reports())
+def test_hand_built_report_json_is_what_json_dumps_writes(report):
+    text = report.to_json()
+    assert text == json_form(text)
+    payload = json.loads(text)
+    optional = {
+        "validation": report.validation, "inconsistency": report.inconsistency,
+        "zariski": report.decomposition, "chains": report.chains or None,
+        "invariants": report.chern, "singularity_count": report.singularity_count,
+        "p_g": report.p_g, "noether_bounds": report.bounds, "verdict": report.verdict,
+        "modular": report.modular, "fibration_checks": report.fibration_checks or None,
+    }
+    assert {key for key, value in optional.items() if value is not None} == (
+        payload.keys() - {"name", "expectation_failures", "warnings", "ok"}
+    )
+    rows = [*(report.validation.checks if report.validation else ()), *report.fibration_checks]
+    printed = [*payload.get("validation", {}).get("checks", []), *payload.get("fibration_checks", [])]
+    assert printed == [{"detail": c.detail, "name": c.name, "status": c.status} for c in rows]
+
+
 def test_check_status_words():
     checks = (
         CheckResult("a", None, "not run"),
@@ -778,7 +885,7 @@ def test_check_status_words():
         validation=ValidationReport(checks=checks, warnings=()),
         fibration_checks=checks,
     )
-    payload = report.to_json_dict()
+    payload = json.loads(report.to_json())
     for block in (payload["validation"]["checks"], payload["fibration_checks"]):
         assert [c["status"] for c in block] == ["skip", "pass", "fail"]
     text = report.to_text()

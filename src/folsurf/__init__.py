@@ -9,14 +9,6 @@ verdicts, with every structural identity enforced as an exact consistency
 check.
 """
 
-from .blowup import (
-    BlowupOutcome,
-    ResolutionResult,
-    blow_up_singularity,
-    reduction_step_bound,
-    seidenberg_reduce,
-    transform_canonical,
-)
 from .chern import (
     ChernNumbers,
     FiredRule,
@@ -89,3 +81,22 @@ from .zariski import (
 )
 
 __version__ = "0.1.0"
+
+# no pipeline stage or CLI command blows up a point, so the blow-up module is
+# imported on the first read of one of its names, not with the package
+_BLOWUP_NAMES = frozenset({
+    "BlowupOutcome",
+    "ResolutionResult",
+    "blow_up_singularity",
+    "reduction_step_bound",
+    "seidenberg_reduce",
+    "transform_canonical",
+})
+
+
+def __getattr__(name: str):
+    if name in _BLOWUP_NAMES:
+        from . import blowup
+
+        return getattr(blowup, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,6 +31,9 @@ SADDLE_NODE_ENDING = "saddle_node"
 
 @dataclass(frozen=True)
 class BlowupOutcome:
+    """One blow-up of a singular point: whether the exceptional curve is
+    invariant, the singularities on it, and the drop of the canonical class."""
+
     exceptional_invariant: bool
     children: Tuple[SingularityRecord, ...]
     k_drop: int  # the multiple of E subtracted from the pulled-back canonical class
@@ -38,6 +41,9 @@ class BlowupOutcome:
 
 @dataclass(frozen=True)
 class ResolutionResult:
+    """A Seidenberg reduction: the reduced singularities it ends with, its
+    step count, canonical-class corrections, ending and any exceptional chain."""
+
     resolved: Tuple[SingularityRecord, ...]
     steps: int
     k_corrections: int

@@ -60,6 +60,8 @@ UNDETERMINED = "Undetermined"
 
 @dataclass(frozen=True)
 class ChernNumbers:
+    """The foliation's Chern numbers c1^2, c2 and chi, with c1^2 + c2 = 12 chi."""
+
     c1_sq: Fraction
     c2: Fraction
     chi: Fraction
@@ -152,6 +154,9 @@ _C1, _C2, _CHI12 = range(3)  # the slots of chern_numbers' sum
 
 @dataclass(frozen=True)
 class FiredRule:
+    """A verdict rule that fired: its id, the source it cites, and the
+    comparison that made it fire."""
+
     rule_id: str
     citation: str
     comparison: str
@@ -159,6 +164,9 @@ class FiredRule:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The integrability verdict: its status, the rules that fired, the largest
+    genus of a pencil the slope allows (when computed), and informational notes."""
+
     status: str
     fired_rules: Tuple[FiredRule, ...]
     genus_bound: Optional[int] = None
@@ -327,6 +335,13 @@ def decide(
     (vol > 0), so before R0 all have one status, and R0 refuses the other.
     Nor is p_g > 12 chi + 2 checked: it needs p_g >= 3, and then
     vol >= p_g - 2 > 12 chi = vol + c2 would make c2 negative.
+
+    A Kodaira dimension declared 0 or 1 with ``k_pseudo_effective`` false is
+    refused.  The Kodaira dimension kappa(F) is defined from the growth of
+    h^0(m K_F) (Brunella, *Birational Geometry of Foliations*), so kappa >= 0
+    means some multiple m K_F has a section: m K_F is effective, and K_F is
+    pseudo-effective.  A declared -inf with ``k_pseudo_effective`` false
+    stays accepted.
     """
     meta, vol = f.metadata, c.c1_sq
     effective_pg = p_g if p_g is not None else meta.p_g
@@ -344,7 +359,6 @@ def decide(
         raise InconsistentScenario(
             f"metadata says kodaira {meta.kodaira} but the volume is positive"
         )
-    # kodaira >= 0 makes a multiple of K_F effective, so K_F pseudo-effective
     if meta.kodaira in ("0", "1") and not meta.k_pseudo_effective:
         raise InconsistentScenario(
             f"metadata says kodaira {meta.kodaira} but k_pseudo_effective is false"

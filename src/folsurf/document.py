@@ -25,8 +25,8 @@ scenario is built by its constructor, as every other scenario is: it checks
 the curve names, singularity ids and curve references, and its refusal's
 path becomes the ``ParseError`` path.  Documents and fixtures are printed
 by one writer, :func:`write_json`, so identical input bytes produce
-identical output bytes; a report (``InvariantReport.to_json``) writes its
-sections by the same writer's walk, ``_write``, but for its check rows.
+identical output bytes; a report (``InvariantReport.to_json``) writes the
+same layout by fixed-layout writers of its own sections.
 """
 
 from __future__ import annotations
@@ -723,6 +723,9 @@ def _build_scenario(name, surface, k_foliation, curves, singularities, metadata)
 
 @dataclass(frozen=True)
 class ScenarioDocument:
+    """A parsed document: its name, its scenario and fibration (either may be
+    absent), and the ``expect`` block its report is compared with."""
+
     name: str
     scenario: Optional[FoliatedScenario]
     fibration: Optional[FibrationModel]

@@ -133,6 +133,9 @@ def fiber_euler(fm: FiberModel) -> int:
 
 @dataclass(frozen=True)
 class FibrationModel:
+    """A fibration of genus g: its modular invariants K_f^2, e_f and chi_f,
+    and its singular fibers."""
+
     genus: int
     k_f_sq: Fraction
     e_f: Fraction

@@ -75,6 +75,9 @@ TRUST_BOUNDARY_WARNING = (
 
 @dataclass(frozen=True)
 class CurveRecord:
+    """A named curve: its divisor class, whether the foliation leaves it
+    invariant, and an optional declared arithmetic genus."""
+
     name: str
     cls: DivisorClass
     f_invariant: bool
@@ -83,6 +86,9 @@ class CurveRecord:
 
 @dataclass(frozen=True)
 class ScenarioMetadata:
+    """What a scenario declares rather than computes: pseudo-effectivity of
+    K_F, relative minimality, integrability, Kodaira dimension and p_g."""
+
     k_pseudo_effective: bool
     relatively_minimal: bool
     algebraically_integral: str = "unknown"
@@ -250,6 +256,8 @@ class CheckResult(NamedTuple):
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The validation of a scenario: its check rows and its warnings."""
+
     checks: Tuple[CheckResult, ...]
     warnings: Tuple[str, ...]
 

@@ -4,11 +4,17 @@
 through validate -> zariski -> chern -> decide and the fibration block, and
 ``InvariantReport`` renders the result as text or JSON.  Reports are
 deterministic; identical input bytes produce identical report bytes.  Both
-forms are walks over one table of sections (``InvariantReport._sections``).
-The JSON form has the bytes ``document.write_json`` would give a dict of the
-sections, and is written in one walk, in key order, with no such dict: the
-check rows straight from their tuples, every other section by the
-document writer's generic walk.
+forms are walks over one table of sections, ``_SECTIONS``, in text order:
+each entry holds a section's key, the writer of its JSON value and the
+writer of its text lines, and each form calls only its own writers.  The
+JSON form has the bytes ``document.write_json`` would give a dict of the
+sections.  It walks the table in key order, sorted once at import, and
+builds no such dict: each JSON writer has its section's fixed layout, with
+its key, indent and separator pieces built at import, and formats only the
+report's own values (rationals by ``fmt_rational``, the nef part from its
+numerators by ``fraction_text``, free text by ``_escape``); a map with free
+keys, the negative part, is written sorted by name, as ``sort_keys`` sorts
+it.
 
 The functions each stage calls are imported by name into this module and
 called through its globals: the benchmark's tracer (``perfbench/tracing.py``)
@@ -21,10 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Any, Callable, Collection, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Callable, Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
-from .chern import ChernNumbers, Verdict, chern_numbers, decide, noether_bounds, slope
-from .document import EXPECTATIONS, MODULAR_KEYS, ScenarioDocument, _escape, _write, fmt_rational
+from .chern import ChernNumbers, FiredRule, Verdict, chern_numbers, decide, noether_bounds, slope
+from .document import EXPECTATIONS, MODULAR_KEYS, ScenarioDocument, _escape, fmt_rational
 from .document import parse_scenario  # noqa: F401  (perfbench/workloads.py::make_api reads it here)
 from .errors import DomainError, InconsistentScenario
 from .fibration import (
@@ -34,7 +42,7 @@ from .fibration import (
     slope_inequality_check,
 )
 from .foliation import CheckResult, FoliatedScenario, ValidationReport, validate
-from .surface import DivisorClass, fraction_text, h0_line_bundle
+from .surface import fraction_text, h0_line_bundle
 from .surface import intersect  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .zariski import (
     FChain,
@@ -57,25 +65,31 @@ def listing(labels: Tuple[str, ...], values) -> str:
     )
 
 
-def _rationals(keys: Tuple[str, ...], values) -> Dict[str, Optional[str]]:
-    return {k: None if v is None else fmt_rational(v) for k, v in zip(keys, values)}
-
-
-def _class_texts(cls: DivisorClass) -> List[str]:
-    """The dense list of a class, one rational per basis class, as a report
-    writes the nef part, formatted from the class's numerators."""
-    out = ["0"] * cls.surface.rank
-    for i, v in cls.numerators.items():
-        out[i] = fraction_text(v, cls.denominator)
-    return out
-
-
 _BOUND_NAMES = ("first", "second", "third")
 
-_Emit = Callable[[str], None]
+
+def _quoted(q: Optional[Fraction]) -> str:
+    """A rational as a JSON value: its quoted text, or null for one not computed."""
+    return "null" if q is None else f'"{fmt_rational(q)}"'
 
 
-def _rows_writer(indent: str) -> Callable[[Tuple[CheckResult, ...], _Emit], None]:
+def _list_writer(indent: str) -> Callable[[Sequence[Any], Callable[[Any], str]], str]:
+    """The writer of a JSON list whose key sits at ``indent``, from its items
+    and the function writing each item's JSON text (``_escape`` for free
+    text, ``str`` for an int); the indent and separator pieces are fixed here."""
+    inner = "\n" + indent + "  "
+    first, comma, end = "[" + inner, "," + inner, "\n" + indent + "]"
+
+    def write(items: Sequence[Any], item: Callable[[Any], str]) -> str:
+        return first + comma.join(map(item, items)) + end if items else "[]"
+
+    return write
+
+
+_LIST2, _LIST4, _LIST6 = _list_writer("  "), _list_writer("    "), _list_writer("      ")
+
+
+def _rows_writer(indent: str) -> Callable[[Tuple[CheckResult, ...]], str]:
     """The writer of a list of check rows, as ``write_json`` would write
     their ``detail``, ``name`` and ``status`` dicts, for a list whose key
     sits at ``indent``.  The layout and its constant pieces are fixed here,
@@ -90,40 +104,235 @@ def _rows_writer(indent: str) -> Callable[[Tuple[CheckResult, ...], _Emit], None
     )
     end = "\n" + indent + "]"
 
-    def write(rows: Tuple[CheckResult, ...], emit: _Emit) -> None:
+    def write(rows: Tuple[CheckResult, ...]) -> str:
         if not rows:
-            emit("[]")
-            return
-        emit(first)
-        emit(then.join([
+            return "[]"
+        return first + then.join([
             f"{_escape(d)}{name}{_escape(n)}{skip if ok is None else passed if ok else failed}"
             for n, ok, d, _ in rows
-        ]))
-        emit(end)
+        ]) + end
 
     return write
 
 
-_CHECK_ROWS = _rows_writer("    ")
+_CHECK_ROWS, _FIBRATION_ROWS = _rows_writer("    "), _rows_writer("  ")
+
+# The sections of a report, one writer each for its JSON value and its text
+# lines.  A JSON writer returns None for a section the report does not hold,
+# a text writer no lines; the expectation failures, the warnings, the name
+# and ``ok`` are always held.  Each JSON writer writes its section's value at
+# the report's first level, with its keys in sorted order, as ``write_json``
+# writes a dict of the sections.
 
 
-def _write_validation(v: ValidationReport, emit: _Emit) -> None:
-    emit('{\n    "checks": ')
-    _CHECK_ROWS(v.checks, emit)
-    emit(',\n    "passed": true\n  }' if v.passed else ',\n    "passed": false\n  }')
+def _validation_json(r: InvariantReport) -> Optional[str]:
+    v = r.validation
+    if v is None:
+        return None
+    passed = "true" if v.passed else "false"
+    return f'{{\n    "checks": {_CHECK_ROWS(v.checks)},\n    "passed": {passed}\n  }}'
 
 
-# the sections whose values ``to_json`` writes by these, from the records
-# themselves; every other value is a JSON value for the generic writer
-_WRITERS: Dict[str, Callable[[Any, _Emit], None]] = {
-    "validation": _write_validation,
-    "fibration_checks": _rows_writer("  "),
-}
-_KEY = itemgetter(0)
+def _validation_text(r: InvariantReport) -> List[str]:
+    v = r.validation
+    if v is None:
+        return []
+    head = f"validation: {'PASS' if v.passed else 'FAIL'}"
+    return [head] + [f"  {check_line(c)}" for c in v.checks]
+
+
+def _zariski_json(r: InvariantReport) -> Optional[str]:
+    dec = r.decomposition
+    if dec is None:
+        return None
+    # the dense nef part, one rational per basis class, formatted from the
+    # class's numerators
+    nef, den = dec.nef_part, dec.nef_part.denominator
+    texts = ["0"] * nef.surface.rank
+    for i, v in nef.numerators.items():
+        texts[i] = fraction_text(v, den)
+    dense = '",\n      "'.join(texts)
+    # by name, as sort_keys orders a map; a name given twice keeps its last
+    # coefficient, as a dict of the pairs would
+    negative = ",".join([
+        f'\n      {_escape(name)}: "{fmt_rational(c)}"'
+        for name, c in sorted(dict(dec.negative_part).items())
+    ])
+    negative = f"{{{negative}\n    }}" if negative else "{}"
+    return f'{{\n    "nef_part": [\n      "{dense}"\n    ],\n    "negative_part": {negative}\n  }}'
+
+
+def _zariski_text(r: InvariantReport) -> List[str]:
+    dec = r.decomposition
+    if dec is None:
+        return []
+    return [f"P = {dec.nef_part}"] + (
+        [f"N[{n}] = {fmt_rational(c)}" for n, c in dec.negative_part] or ["N = 0"]
+    )
+
+
+def _chain_json(c: FChain) -> str:
+    return (
+        f'{{\n      "curves": {_LIST6(c.curves, _escape)},'
+        f'\n      "e": {_LIST6(c.self_intersections, str)}\n    }}'
+    )
+
+
+def _invariants_json(r: InvariantReport) -> Optional[str]:
+    c = r.chern
+    if c is None:
+        return None
+    return (
+        f'{{\n    "c1_sq": "{fmt_rational(c.c1_sq)}",\n    "c2": "{fmt_rational(c.c2)}",'
+        f'\n    "chi": "{fmt_rational(c.chi)}",\n    "slope": {_quoted(r.slope_value)},'
+        f'\n    "vol": {_quoted(r.vol)}\n  }}'
+    )
+
+
+def _invariants_text(r: InvariantReport) -> List[str]:
+    c = r.chern
+    if c is None:
+        return []
+    values = (c.c1_sq, c.c2, c.chi, r.vol, r.slope_value)
+    return ["invariants: " + listing(("c1^2", "c2", "chi", "vol", "slope"), values)]
+
+
+def _bounds_json(r: InvariantReport) -> Optional[str]:
+    if r.bounds is None:
+        return None
+    first, second, third = r.bounds
+    return (
+        f'{{\n    "equalities": {_LIST4(r.bound_equalities, _escape)},'
+        f'\n    "first": "{fmt_rational(first)}",\n    "second": "{fmt_rational(second)}",'
+        f'\n    "third": "{fmt_rational(third)}"\n  }}'
+    )
+
+
+def _bounds_text(r: InvariantReport) -> List[str]:
+    if r.bounds is None:
+        return []
+    equalities = r.bound_equalities
+    eq = f"  equality: {', '.join(equalities)}" if equalities else ""
+    return [f"noether bounds: {listing(_BOUND_NAMES, r.bounds)}{eq}"]
+
+
+def _rule_json(rule: FiredRule) -> str:
+    return (
+        f'{{\n        "citation": {_escape(rule.citation)},'
+        f'\n        "comparison": {_escape(rule.comparison)},'
+        f'\n        "id": {_escape(rule.rule_id)}\n      }}'
+    )
+
+
+def _verdict_json(r: InvariantReport) -> Optional[str]:
+    v = r.verdict
+    if v is None:
+        return None
+    bound = "null" if v.genus_bound is None else str(v.genus_bound)
+    return (
+        f'{{\n    "fired_rules": {_LIST4(v.fired_rules, _rule_json)},'
+        f'\n    "genus_bound": {bound},'
+        f'\n    "informational": {_LIST4(v.sanity_failures, _escape)},'
+        f'\n    "status": {_escape(v.status)}\n  }}'
+    )
+
+
+def _verdict_text(r: InvariantReport) -> List[str]:
+    v = r.verdict
+    if v is None:
+        return []
+    return [
+        f"verdict: {v.status}",
+        *(f"  {rule.rule_id}: {rule.comparison}  [{rule.citation}]" for rule in v.fired_rules),
+        *([] if v.genus_bound is None else [f"  genus bound: {v.genus_bound}"]),
+        *(f"  note: {note}" for note in v.sanity_failures),
+    ]
+
+
+def _modular_json(r: InvariantReport) -> Optional[str]:
+    if r.modular is None:
+        return None
+    kappa, delta, chi = r.modular
+    return (
+        f'{{\n    "chi": "{fmt_rational(chi)}",\n    "delta": "{fmt_rational(delta)}",'
+        f'\n    "kappa": "{fmt_rational(kappa)}"\n  }}'
+    )
+
+
+class _Section(NamedTuple):
+    key: str
+    json: Callable[[InvariantReport], Optional[str]]
+    text: Callable[[InvariantReport], List[str]]
+
+
+# in text order
+_SECTIONS: Tuple[_Section, ...] = (
+    _Section("name", lambda r: _escape(r.name), lambda r: [f"scenario: {r.name}"]),
+    _Section("validation", _validation_json, _validation_text),
+    _Section(
+        "inconsistency",
+        lambda r: None if r.inconsistency is None else _escape(r.inconsistency),
+        lambda r: [] if r.inconsistency is None else [f"inconsistent: {r.inconsistency}"],
+    ),
+    _Section("zariski", _zariski_json, _zariski_text),
+    _Section(
+        "chains",
+        lambda r: _LIST2(r.chains, _chain_json) if r.chains else None,
+        lambda r: [
+            f"chain: [{', '.join(c.curves)}]  e = {list(c.self_intersections)}" for c in r.chains
+        ],
+    ),
+    _Section("invariants", _invariants_json, _invariants_text),
+    _Section(
+        "singularity_count",
+        lambda r: None if r.singularity_count is None else str(r.singularity_count),
+        lambda r: [] if r.singularity_count is None else [
+            f"singularities (with multiplicity): {r.singularity_count}"
+        ],
+    ),
+    _Section(
+        "p_g",
+        lambda r: None if r.p_g is None else str(r.p_g),
+        lambda r: [] if r.p_g is None else [f"p_g = {r.p_g}"],
+    ),
+    _Section("noether_bounds", _bounds_json, _bounds_text),
+    _Section("verdict", _verdict_json, _verdict_text),
+    _Section(
+        "modular",
+        _modular_json,
+        lambda r: [] if r.modular is None else [
+            f"modular invariants: {listing(MODULAR_KEYS, r.modular)}"
+        ],
+    ),
+    _Section(
+        "fibration_checks",
+        lambda r: _FIBRATION_ROWS(r.fibration_checks) if r.fibration_checks else None,
+        lambda r: list(map(check_line, r.fibration_checks)),
+    ),
+    _Section(
+        "expectation_failures",
+        lambda r: _LIST2(r.expectation_failures, _escape),
+        lambda r: [f"expectation mismatch: {f}" for f in r.expectation_failures],
+    ),
+    _Section(
+        "warnings",
+        lambda r: _LIST2(r.warnings, _escape),
+        lambda r: [f"warning: {w}" for w in r.warnings],
+    ),
+    _Section(
+        "ok",
+        lambda r: "true" if r.ok else "false",
+        lambda r: [f"result: {'ok' if r.ok else 'FAILED'}"],
+    ),
+)
+# in key order, each JSON writer with its key's piece
+_JSON_ORDER = tuple((f'"{s.key}": ', s.json) for s in sorted(_SECTIONS, key=itemgetter(0)))
 
 
 @dataclass(frozen=True)
 class InvariantReport:
+    """Everything the pipeline computed for one document, and its renderings."""
+
     name: str
     validation: Optional[ValidationReport] = None
     inconsistency: Optional[str] = None
@@ -152,117 +361,22 @@ class InvariantReport:
             return False
         return not self.expectation_failures
 
-    def _sections(self) -> Iterator[Tuple[str, Any, Callable[[], List[str]]]]:
-        """Each section of the report in text order, as its JSON key, its JSON
-        value and a function giving its text lines (which ``to_json`` does not
-        pay for).  The value of a section in ``_WRITERS`` is the record its
-        writer reads: the validation report, or the fibration check rows.  A
-        section with no value is left out, except the expectation failures
-        and warnings, which the JSON always lists."""
-        yield "name", self.name, lambda: [f"scenario: {self.name}"]
-        v = self.validation
-        if v is not None:
-            yield "validation", v, (
-                lambda: [f"validation: {'PASS' if v.passed else 'FAIL'}"]
-                + [f"  {check_line(c)}" for c in v.checks]
-            )
-        why = self.inconsistency
-        if why is not None:
-            yield "inconsistency", why, lambda: [f"inconsistent: {why}"]
-        dec = self.decomposition
-        if dec is not None:
-            value = {
-                "nef_part": _class_texts(dec.nef_part),
-                "negative_part": {name: fmt_rational(c) for name, c in dec.negative_part},
-            }
-            yield "zariski", value, lambda: [f"P = {dec.nef_part}"] + (
-                [f"N[{n}] = {fmt_rational(c)}" for n, c in dec.negative_part] or ["N = 0"]
-            )
-        chains = self.chains
-        if chains:
-            value = [{"curves": list(c.curves), "e": list(c.self_intersections)} for c in chains]
-            yield "chains", value, lambda: [
-                f"chain: [{', '.join(c.curves)}]  e = {list(c.self_intersections)}" for c in chains
-            ]
-        if self.chern is not None:
-            c = self.chern
-            values = (c.c1_sq, c.c2, c.chi, self.vol, self.slope_value)
-            yield "invariants", _rationals(("c1_sq", "c2", "chi", "vol", "slope"), values), (
-                lambda: ["invariants: " + listing(("c1^2", "c2", "chi", "vol", "slope"), values)]
-            )
-        n = self.singularity_count
-        if n is not None:
-            yield "singularity_count", n, lambda: [f"singularities (with multiplicity): {n}"]
-        if self.p_g is not None:
-            yield "p_g", self.p_g, lambda: [f"p_g = {self.p_g}"]
-        bounds, equalities = self.bounds, self.bound_equalities
-        if bounds is not None:
-            value = {**_rationals(_BOUND_NAMES, bounds), "equalities": list(equalities)}
-            eq = f"  equality: {', '.join(equalities)}" if equalities else ""
-            yield "noether_bounds", value, lambda: [
-                f"noether bounds: {listing(_BOUND_NAMES, bounds)}{eq}"
-            ]
-        verdict = self.verdict
-        if verdict is not None:
-            value = {
-                "status": verdict.status,
-                "fired_rules": [
-                    {"id": r.rule_id, "citation": r.citation, "comparison": r.comparison}
-                    for r in verdict.fired_rules
-                ],
-                "genus_bound": verdict.genus_bound,
-                "informational": list(verdict.sanity_failures),
-            }
-            bound = verdict.genus_bound
-            yield "verdict", value, lambda: [
-                f"verdict: {verdict.status}",
-                *(f"  {r.rule_id}: {r.comparison}  [{r.citation}]" for r in verdict.fired_rules),
-                *([] if bound is None else [f"  genus bound: {bound}"]),
-                *(f"  note: {note}" for note in verdict.sanity_failures),
-            ]
-        modular = self.modular
-        if modular is not None:
-            yield "modular", _rationals(MODULAR_KEYS, modular), lambda: [
-                f"modular invariants: {listing(MODULAR_KEYS, modular)}"
-            ]
-        checks = self.fibration_checks
-        if checks:
-            yield "fibration_checks", checks, lambda: list(map(check_line, checks))
-        failures = self.expectation_failures
-        yield "expectation_failures", list(failures), lambda: [
-            f"expectation mismatch: {f}" for f in failures
-        ]
-        yield "warnings", list(self.warnings), lambda: [f"warning: {w}" for w in self.warnings]
-        ok = self.ok
-        yield "ok", ok, lambda: [f"result: {'ok' if ok else 'FAILED'}"]
-
     def to_json(self) -> str:
         """The report as ``write_json`` writes a dict of its sections, plus a
-        newline, written in one walk over the sections in key order: a
-        section in ``_WRITERS`` by its writer, any other by the generic
-        writer, and no dict of the whole report is built."""
-        out: List[str] = []
-        emit = out.append
-        sep = "{\n  "
-        for key, value, _ in sorted(self._sections(), key=_KEY):
-            emit(f'{sep}"{key}": ')
-            write = _WRITERS.get(key)
-            if write is None:
-                _write(value, "\n  ", emit)
-            else:
-                write(value, emit)
-            sep = ",\n  "
-        emit("\n}\n")
-        return "".join(out)
+        newline: the JSON writer of each section the report holds, in key
+        order, joined; no dict of the report or of a section is built."""
+        return "{\n  " + ",\n  ".join([
+            head + value for head, write in _JSON_ORDER if (value := write(self)) is not None
+        ]) + "\n}\n"
 
     def to_text(self, sections: Optional[Collection[str]] = None) -> str:
-        """The text lines of the named sections (all when None), in walk order;
-        a named section the report does not hold prints nothing."""
+        """The text lines of the named sections (all when None), in text
+        order; a named section the report does not hold prints nothing."""
         return "".join(
             f"{line}\n"
-            for key, _, lines in self._sections()
+            for key, _, text in _SECTIONS
             if sections is None or key in sections
-            for line in lines()
+            for line in text(self)
         )
 
 

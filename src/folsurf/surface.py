@@ -93,6 +93,9 @@ def _integer_form(
 
 @dataclass(frozen=True)
 class SurfaceModel:
+    """A rational surface: P2 or a Hirzebruch surface F_e, blown up
+    ``blowups`` times."""
+
     base: str
     hirzebruch_e: int = 0
     blowups: int = 0  # length of the tower; exceptional classes follow the base

@@ -55,6 +55,9 @@ class FChain:
 
 @dataclass(frozen=True)
 class ZariskiDecomposition:
+    """K_F = P + N: the nef part P, the negative part N as (curve, coefficient)
+    pairs, and P^2."""
+
     nef_part: DivisorClass
     negative_part: Tuple[Tuple[str, Fraction], ...]
     nef_square: Fraction  # P^2, the volume of the decomposed class

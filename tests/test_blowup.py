@@ -1,10 +1,15 @@
 import functools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import folsurf
 from folsurf.blowup import (
     DICRITICAL,
     SADDLE_NODE_ENDING,
@@ -23,6 +28,36 @@ from folsurf.local_invariants import (
     beta_p,
     chi_p,
 )
+
+
+LAZY_BLOWUP = """
+import sys
+import folsurf
+
+assert "folsurf.blowup" not in sys.modules
+from folsurf import BlowupOutcome, seidenberg_reduce
+
+assert "folsurf.blowup" in sys.modules
+assert seidenberg_reduce.__module__ == BlowupOutcome.__module__ == "folsurf.blowup"
+try:
+    folsurf.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("folsurf.no_such_name was found")
+"""
+
+
+def test_the_package_imports_blowup_on_first_use():
+    # no pipeline stage or CLI command blows up a point, so importing the
+    # package does not pay for the module
+    env = dict(os.environ)
+    src = str(Path(folsurf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", LAZY_BLOWUP], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize(

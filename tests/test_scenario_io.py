@@ -11,7 +11,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import folsurf
 import folsurf.document as document
@@ -801,6 +801,9 @@ report_texts = st.text(max_size=8) | st.sampled_from(
 )
 report_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=24) | st.integers(-9, 9)
 non_negative = st.fractions(min_value=0, max_value=40, max_denominator=24)
+# curve names as the double-cover family lists them, whose sorted order is
+# not the order a report holds them in: E10 sorts before E2, Gamma0 after E43
+curve_names = st.sampled_from(["E1", "E2", "E10", "Gamma0", "E43"])
 check_rows = st.lists(
     st.builds(CheckResult, report_texts, st.sampled_from([None, True, False]), report_texts),
     max_size=4,
@@ -828,7 +831,7 @@ def reports(draw):
         decomposition=maybe(st.builds(
             lambda nef, negative: ZariskiDecomposition(_P2_2.divisor(list(nef)), negative, 0),
             three,
-            _tuples(st.tuples(report_texts, report_rationals)),
+            _tuples(st.tuples(report_texts | curve_names, report_rationals), 5),
         )),
         chains=draw(_tuples(st.builds(FChain, _tuples(report_texts), _tuples(st.integers(2, 9))))),
         chern=maybe(st.builds(lambda a, b: ChernNumbers(a, b, (a + b) / 12), non_negative, non_negative)),
@@ -871,6 +874,125 @@ def test_hand_built_report_json_is_what_json_dumps_writes(report):
     rows = [*(report.validation.checks if report.validation else ()), *report.fibration_checks]
     printed = [*payload.get("validation", {}).get("checks", []), *payload.get("fibration_checks", [])]
     assert printed == [{"detail": c.detail, "name": c.name, "status": c.status} for c in rows]
+
+
+def reference_sections(report):
+    """The sections of ``report`` in text order, as its JSON key, its JSON
+    value and its text lines: a copy of the report's section walk before each
+    section had a writer of its own, the reference for both forms."""
+
+    def rationals(keys, values):
+        return {k: None if v is None else fmt_rational(v) for k, v in zip(keys, values)}
+
+    def rows(checks):
+        return [{"detail": c.detail, "name": c.name, "status": c.status} for c in checks]
+
+    yield "name", report.name, [f"scenario: {report.name}"]
+    v = report.validation
+    if v is not None:
+        yield "validation", {"checks": rows(v.checks), "passed": v.passed}, (
+            [f"validation: {'PASS' if v.passed else 'FAIL'}"]
+            + [f"  {sio.check_line(c)}" for c in v.checks]
+        )
+    why = report.inconsistency
+    if why is not None:
+        yield "inconsistency", why, [f"inconsistent: {why}"]
+    dec = report.decomposition
+    if dec is not None:
+        value = {
+            "nef_part": [fmt_rational(c) for c in dec.nef_part.coefficients],
+            "negative_part": {name: fmt_rational(c) for name, c in dec.negative_part},
+        }
+        yield "zariski", value, [f"P = {dec.nef_part}"] + (
+            [f"N[{n}] = {fmt_rational(c)}" for n, c in dec.negative_part] or ["N = 0"]
+        )
+    chains = report.chains
+    if chains:
+        value = [{"curves": list(c.curves), "e": list(c.self_intersections)} for c in chains]
+        yield "chains", value, [
+            f"chain: [{', '.join(c.curves)}]  e = {list(c.self_intersections)}" for c in chains
+        ]
+    if report.chern is not None:
+        c = report.chern
+        values = (c.c1_sq, c.c2, c.chi, report.vol, report.slope_value)
+        yield "invariants", rationals(("c1_sq", "c2", "chi", "vol", "slope"), values), [
+            "invariants: " + sio.listing(("c1^2", "c2", "chi", "vol", "slope"), values)
+        ]
+    n = report.singularity_count
+    if n is not None:
+        yield "singularity_count", n, [f"singularities (with multiplicity): {n}"]
+    if report.p_g is not None:
+        yield "p_g", report.p_g, [f"p_g = {report.p_g}"]
+    bounds, equalities = report.bounds, report.bound_equalities
+    names = ("first", "second", "third")
+    if bounds is not None:
+        value = {**rationals(names, bounds), "equalities": list(equalities)}
+        eq = f"  equality: {', '.join(equalities)}" if equalities else ""
+        yield "noether_bounds", value, [f"noether bounds: {sio.listing(names, bounds)}{eq}"]
+    verdict = report.verdict
+    if verdict is not None:
+        value = {
+            "status": verdict.status,
+            "fired_rules": [
+                {"id": r.rule_id, "citation": r.citation, "comparison": r.comparison}
+                for r in verdict.fired_rules
+            ],
+            "genus_bound": verdict.genus_bound,
+            "informational": list(verdict.sanity_failures),
+        }
+        bound = verdict.genus_bound
+        yield "verdict", value, [
+            f"verdict: {verdict.status}",
+            *(f"  {r.rule_id}: {r.comparison}  [{r.citation}]" for r in verdict.fired_rules),
+            *([] if bound is None else [f"  genus bound: {bound}"]),
+            *(f"  note: {note}" for note in verdict.sanity_failures),
+        ]
+    modular = report.modular
+    if modular is not None:
+        keys = ("kappa", "delta", "chi")
+        yield "modular", rationals(keys, modular), [
+            f"modular invariants: {sio.listing(keys, modular)}"
+        ]
+    checks = report.fibration_checks
+    if checks:
+        yield "fibration_checks", rows(checks), list(map(sio.check_line, checks))
+    failures = report.expectation_failures
+    yield "expectation_failures", list(failures), [f"expectation mismatch: {f}" for f in failures]
+    yield "warnings", list(report.warnings), [f"warning: {w}" for w in report.warnings]
+    yield "ok", report.ok, [f"result: {'ok' if report.ok else 'FAILED'}"]
+
+
+# every section, in text order
+SECTION_KEYS = [
+    "name", "validation", "inconsistency", "zariski", "chains", "invariants", "singularity_count",
+    "p_g", "noether_bounds", "verdict", "modular", "fibration_checks", "expectation_failures",
+    "warnings", "ok",
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(reports(), st.none() | st.sets(st.sampled_from(SECTION_KEYS)))
+@example(
+    InvariantReport(
+        name="negative part in double-cover order",
+        decomposition=ZariskiDecomposition(
+            _P2_2.divisor([1, 0, Fraction(-1, 2)]),
+            tuple((n, Fraction(1, i)) for i, n in enumerate(["E1", "E2", "E10", "Gamma0", "E43"], 2)),
+            0,
+        ),
+    ),
+    None,
+)
+def test_hand_built_report_has_the_values_of_the_reference_walk(report, sections):
+    reference = list(reference_sections(report))
+    assert json.loads(report.to_json()) == {key: value for key, value, _ in reference}
+    assert report.to_text() == "".join(f"{line}\n" for _, _, lines in reference for line in lines)
+    assert report.to_text(sections) == "".join(
+        f"{line}\n"
+        for key, _, lines in reference
+        if sections is None or key in sections
+        for line in lines
+    )
 
 
 def test_check_status_words():

@@ -76,7 +76,6 @@ from .zariski import (
     coefficient_bounds_check,
     decompose_against_curves,
     detect_chains_with_flags,
-    volume,
     zariski_decompose,
 )
 

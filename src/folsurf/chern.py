@@ -342,6 +342,14 @@ def decide(
     means some multiple m K_F has a section: m K_F is effective, and K_F is
     pseudo-effective.  A declared -inf with ``k_pseudo_effective`` false
     stays accepted.
+
+    When R2 fires, a Kodaira dimension declared -inf or 0 is refused.  Off
+    general type, c2 or chi is positive only for a foliation induced by a
+    non-isotrivial fibration of genus 1 (the paper's first theorem), and
+    such a foliation has kappa = 1: its K_F is numerically the pull-back of
+    a divisor of positive degree on the base, and Brunella's classification
+    lists non-isotrivial elliptic fibrations among the foliations of Kodaira
+    dimension 1 (*Birational Geometry of Foliations*, ch. 9).
     """
     meta, vol = f.metadata, c.c1_sq
     effective_pg = p_g if p_g is not None else meta.p_g
@@ -367,6 +375,11 @@ def decide(
     if not meta.k_pseudo_effective:
         fire("R1-rational-pencil", "K_F not pseudo-effective")
     elif not general and (c.c2.numerator > 0 or c.chi.numerator > 0):
+        if meta.kodaira in ("-inf", "0"):
+            raise InconsistentScenario(
+                f"metadata says kodaira {meta.kodaira} but c2 = {c.c2}, chi = {c.chi} "
+                "off general type force kodaira 1"
+            )
         fire("R2-nongeneral-positive-chern", f"c2 = {c.c2}, chi = {c.chi}")
 
     if general:

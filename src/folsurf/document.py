@@ -7,11 +7,12 @@ raises :class:`ParseError` annotated with the JSON path of the offender.
 
 The format is defined once, by the record table (``DOCUMENT`` and the
 records it nests): :func:`encode` walks it, and each record's decoder is
-generated from it on first use.  A document grows with its distinct data:
-a divisor class is written as an object from basis label to each nonzero
-rational (a dense list, one rational per basis class, still parses), and
-equal points off every curve, or equal fibers, as one entry with a
-``count``.  The decoders of one document share one memo: a rational text
+generated from it on first use, one plain block per field in field order.
+A document grows with its distinct data: a divisor class is written as an
+object from basis label to each nonzero rational (a dense list, one
+rational per basis class, still parses in one loop that skips its "0"
+entries), and equal points off every curve, or equal fibers, as one entry
+with a ``count``.  The decoders of one document share one memo: a rational text
 maps to the Fraction built where it first appears, and a basis label to its
 slot.  A singularity kind is decoded where it appears, once per entry, as
 every local fact is read once per record.  A check a decoder has made is not
@@ -343,10 +344,8 @@ def _decode_class(raw: Any, memo: dict) -> Tuple[Any, Dict[int, int], int]:
     included, and its numerators are keyed by slot.  Each label is looked up
     in the document's label map, kept in the memo, so a label is read once
     per document, and each text in the memo of rationals.  A dense list,
-    one rational per basis class, has its length as its shape.  A "0" entry
-    of a list builds no Fraction.  The entries other than "0" are counted at
-    C speed first, and the scan stops after the last of them, so an all-"0"
-    list and a tail of "0"s cost no Python-level step."""
+    one rational per basis class, has its length as its shape; one loop
+    decodes its entries other than "0", and a "0" entry builds no Fraction."""
     if isinstance(raw, dict):
         labels = memo.get(_LABELS)
         if labels is None:
@@ -369,18 +368,13 @@ def _decode_class(raw: Any, memo: dict) -> Tuple[Any, Dict[int, int], int]:
     if not isinstance(raw, list):
         raise _Reject("expected an object of basis labels or a list")
     values = {}
-    left = len(raw) - raw.count("0")
-    if left:
-        for i, text in enumerate(raw):
-            if text != "0":
-                try:
-                    values[i] = _rational(text, memo)
-                except _Reject as exc:
-                    exc.where.append(i)
-                    raise
-                left -= 1
-                if not left:
-                    break
+    for i, text in enumerate(raw):
+        if text != "0":
+            try:
+                values[i] = _rational(text, memo)
+            except _Reject as exc:
+                exc.where.append(i)
+                raise
     return (len(raw), *_integer_form(values.items()))
 
 
@@ -445,14 +439,14 @@ def _unknown_key(obj: dict, keys: FrozenSet[str]) -> _Reject:
 
 def _compile(spec: Record) -> Decoder:
     """The source of one decode function for ``spec``, compiled the way
-    ``dataclasses`` writes ``__init__``.  Required keys are read by index.
-    A run of optional keys is looked up and decoded only under one
-    ``if optional:``, which holds when the object has more keys than the
-    required ones, or lacks one of them; otherwise each field of the run
-    takes its default.  The fields decode in field order, so the first bad
-    field is the one refused.  A record built by ``dict`` returns a dict
-    display; any other builder is called with keywords, and its DomainError
-    or InconsistentScenario is refused at the object's path."""
+    ``dataclasses`` writes ``__init__``: one block per field, in field order,
+    so the first bad field is the one refused.  A block refuses a missing
+    required key or takes an optional key's default, passes a value of the
+    field's exact JSON type (``accepts``) as its own decoding, and decodes
+    anything else, adding the key to a refusal's path.  A record built by
+    ``dict`` returns a dict display; any other builder is called with
+    keywords, and its DomainError or InconsistentScenario is refused at the
+    object's path."""
     env: Dict[str, Any] = {
         "ABSENT": ABSENT,
         "BUILD_ERRORS": (DomainError, InconsistentScenario),
@@ -461,43 +455,22 @@ def _compile(spec: Record) -> Decoder:
         "build": spec.build,
         "keys": spec.keys,
     }
-    required = [(i, f.key) for i, f in enumerate(spec.fields) if f.default is REQUIRED]
-    reads = [f"raw{i} = obj[{key!r}]" for i, key in required]
-    gets = [f"raw{i} = obj.get({key!r}, ABSENT)" for i, key in required]
-    if len(required) < len(spec.plan):
-        reads.append(f"optional = len(obj) > {len(required)}")
-        gets.append("optional = True")
-    head = reads
-    if required:  # a missing key is refused at its field, after those before it
-        head = ["try:", *(f"    {line}" for line in reads), "except KeyError:"]
-        head += [f"    {line}" for line in gets]
     body: List[str] = []
-    run: List[str] = []  # a run of optional fields, decoded under one test
-    defaults: List[str] = []  # their defaults, taken when the test fails
-
-    def end_run():
-        if run:
-            body.extend(["if optional:", *(f"    {line}" for line in run), "else:"])
-            body.extend(f"    {line}" for line in defaults)
-            run.clear()
-            defaults.clear()
-
-    for i, (key, attr, make_decoder, _, default, _) in enumerate(spec.plan):
+    for i, (key, _, make_decoder, _, default, _) in enumerate(spec.plan):
         decode_field = env[f"decode{i}"] = make_decoder()
+        body += [f"raw{i} = obj.get({key!r}, ABSENT)", f"if raw{i} is ABSENT:"]
         if default is REQUIRED:
-            missing = f"raise _Reject({f'missing required key {key!r}'!r})"
-            lines = [f"if raw{i} is ABSENT:", f"    {missing}"]
+            body.append(f"    raise _Reject({f'missing required key {key!r}'!r})")
         else:
             env[f"default{i}"] = default
-            lines = [f"raw{i} = obj.get({key!r}, ABSENT)", f"if raw{i} is ABSENT:"]
-            lines.append(f"    v{i} = default{i}")
+            body.append(f"    v{i} = default{i}")
         accepts = getattr(decode_field, "accepts", None)
         if accepts is not None:  # a value that passes is its own decoding
             env[f"kind{i}"], minimum, maximum = accepts
             bound = "" if minimum is None else f" and raw{i} >= {minimum}"
             bound += "" if maximum is None else f" and raw{i} <= {maximum}"
-            lines += [f"elif type(raw{i}) is kind{i}{bound}:", f"    v{i} = raw{i}"]
-        lines += [
+            body += [f"elif type(raw{i}) is kind{i}{bound}:", f"    v{i} = raw{i}"]
+        body += [
             "else:",
             "    try:",
             f"        v{i} = decode{i}(raw{i}, memo)",
@@ -505,13 +478,6 @@ def _compile(spec: Record) -> Decoder:
             f"        exc.where.append({key!r})",
             "        raise",
         ]
-        if default is REQUIRED:
-            end_run()
-            body += lines
-        else:
-            run += lines
-            defaults.append(f"v{i} = default{i}")
-    end_run()
     attrs = [attr for _, attr, *_ in spec.plan]
     if spec.build is dict:
         items = ", ".join(f"{attr!r}: v{i}" for i, attr in enumerate(attrs))
@@ -524,10 +490,9 @@ def _compile(spec: Record) -> Decoder:
             "    if type(obj) is not dict:",
             "        if not isinstance(obj, dict):",
             "            raise _Reject('expected an object')",
-            "        obj = dict(obj)  # read as a plain dict, whose misses call no __missing__",
+            "        obj = dict(obj)  # a plain dict: no subclass's own get is called",
             "    if not keys.issuperset(obj):",
             "        raise _unknown_key(obj, keys)",
-            *(f"    {line}" for line in head),
             "    try:",
             *(f"        {line}" for line in body),
             "    except BUILD_ERRORS as exc:",

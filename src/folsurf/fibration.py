@@ -34,7 +34,7 @@ from typing import Iterable, Tuple
 from .chern import ChernNumbers, _ExactSum
 from .errors import DomainError, InconsistentScenario
 from .foliation import CheckResult
-from .local_invariants import as_rational, beta_ratio, cached, fraction
+from .local_invariants import as_rational, cached, fraction
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,6 @@ class FiberNode:
     def __post_init__(self):
         if type(self.a) is not int or type(self.b) is not int or self.a < 1 or self.b < 1:
             raise DomainError("node branch multiplicities must be integers >= 1")
-
-    @property
-    def beta(self) -> Fraction:
-        """beta_p = beta(a/b) = gcd(a, b)^2 / (a b) at lam = -a/b."""
-        return beta_ratio(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -89,9 +84,9 @@ class FiberModel:
 def _fiber_terms(fm: FiberModel, betas: _ExactSum) -> Tuple[int, int]:
     """The integer parts (4(g - p_a(F_red)) + F_red^2, e_F) of the c1^2 and
     c2 corrections of a fiber's ``count`` copies.  Each node's beta,
-    ``beta_ratio(a, b)`` as an integer numerator and denominator, is added
-    ``count`` times to ``betas``: slot 1 for a node on the negative part,
-    slot 0 for one off it."""
+    ``local_invariants.beta_ratio(a, b)`` as an integer numerator and
+    denominator, is added ``count`` times to ``betas``: slot 1 for a node on
+    the negative part, slot 0 for one off it."""
     add, count = betas.add, fm.count
     for node in fm.nodes:
         a, b = node.a, node.b

@@ -292,7 +292,8 @@ _ZERO = Fraction(0)
 
 def beta_ratio(a: int, b: int) -> Fraction:
     """gcd(a, b)^2 / (a b): beta(a/b) for nonzero integers a, b, in any
-    representation; ``beta`` and ``FiberNode.beta`` use it."""
+    representation; ``beta`` uses it, and a fiber node where branches of
+    multiplicities a and b meet has this beta."""
     g = gcd(a, b)
     return fraction(g * g, a * b)
 

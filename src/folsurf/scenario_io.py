@@ -24,7 +24,7 @@ another way would go untimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import itemgetter
 from typing import (
@@ -152,11 +152,8 @@ def _zariski_json(r: InvariantReport) -> Optional[str]:
     for i, v in nef.numerators.items():
         texts[i] = fraction_text(v, den)
     dense = '",\n      "'.join(texts)
-    # by name, as sort_keys orders a map; a name given twice keeps its last
-    # coefficient, as a dict of the pairs would
     negative = ",".join([
-        f'\n      {_escape(name)}: "{fmt_rational(c)}"'
-        for name, c in sorted(dict(dec.negative_part).items())
+        f'\n      {_escape(name)}: "{fmt_rational(c)}"' for name, c in sorted(dec.negative_part)
     ])
     negative = f"{{{negative}\n    }}" if negative else "{}"
     return f'{{\n    "nef_part": [\n      "{dense}"\n    ],\n    "negative_part": {negative}\n  }}'
@@ -380,15 +377,6 @@ class InvariantReport:
         )
 
 
-class _Fields:
-    """A report's fields as the pipeline computes them, in ``__dict__``.  An
-    attribute reads a field, or the report's default for one not computed,
-    so the ``EXPECTATIONS`` getters read it as they would the report."""
-
-    def __getattr__(self, name: str) -> Any:  # reached only for a field not computed
-        return getattr(InvariantReport, name)
-
-
 def _differ(a: Any, b: Any) -> bool:
     """``a != b``, with no Python-level ``Fraction.__eq__``: two Fractions
     compare by the slots ``local_invariants.fraction`` writes (equal values
@@ -400,7 +388,7 @@ def _differ(a: Any, b: Any) -> bool:
     return a != b
 
 
-def _compare_expectations(report: _Fields, expect: Mapping[str, Any]) -> Tuple[str, ...]:
+def _compare_expectations(report: InvariantReport, expect: Mapping[str, Any]) -> Tuple[str, ...]:
     """One line per differing ``expect`` key, both values in its wire format."""
     failures = []
     for key, (_, encode), actual_value in EXPECTATIONS:
@@ -470,9 +458,11 @@ def run_pipeline(doc: ScenarioDocument) -> InvariantReport:
     computed before it.  The fibration block does not depend on the surface
     and still runs, cross-checked against the Chern numbers only if they
     were computed; if it raises too, the first message is kept.
+
+    The stages fill one dict and the report is built from it once, then
+    compared with ``expect``; only a differing key rebuilds it with the failures.
     """
-    fields = _Fields()
-    out: Dict[str, Any] = fields.__dict__
+    out: Dict[str, Any] = {}
     fb = doc.fibration
     try:
         if doc.scenario is not None:
@@ -484,5 +474,6 @@ def run_pipeline(doc: ScenarioDocument) -> InvariantReport:
             _fibration_stage(fb, out.get("chern"), out)
     except (InconsistentScenario, DomainError) as exc:
         out.setdefault("inconsistency", str(exc))
-    failures = _compare_expectations(fields, doc.expect)
-    return InvariantReport(name=doc.name, expectation_failures=failures, **out)
+    report = InvariantReport(name=doc.name, **out)
+    failures = _compare_expectations(report, doc.expect)
+    return replace(report, expectation_failures=failures) if failures else report

@@ -56,11 +56,17 @@ class FChain:
 @dataclass(frozen=True)
 class ZariskiDecomposition:
     """K_F = P + N: the nef part P, the negative part N as (curve, coefficient)
-    pairs, and P^2."""
+    pairs, and P^2.  A curve named twice in N is refused."""
 
     nef_part: DivisorClass
     negative_part: Tuple[Tuple[str, Fraction], ...]
     nef_square: Fraction  # P^2, the volume of the decomposed class
+
+    def __post_init__(self):
+        if len(dict(self.negative_part)) < len(self.negative_part):
+            names = [name for name, _ in self.negative_part]
+            name = next(n for n in names if names.count(n) > 1)
+            raise DomainError(f"the negative part names curve {name!r} twice")
 
     @property
     def support(self) -> Tuple[str, ...]:
@@ -464,11 +470,3 @@ def zariski_decompose(f: FoliatedScenario) -> ZariskiDecomposition:
                     "relatively minimal scenario"
                 )
     return dec
-
-
-def volume(f: FoliatedScenario) -> Fraction:
-    """vol = P^2; positive exactly for foliations of general type, and 0 when
-    the canonical class is not pseudo-effective, as the pipeline reports."""
-    if not f.metadata.k_pseudo_effective:
-        return Fraction(0)
-    return zariski_decompose(f).nef_square

@@ -430,6 +430,30 @@ def test_finite_kodaira_without_pseudo_effective_k_f_is_refused(kodaira):
     assert run_pipeline(parse_document_dict(doc)).ok
 
 
+@pytest.mark.parametrize("kodaira", ["-inf", "0"])
+def test_kodaira_below_one_is_refused_where_r2_fires(kodaira):
+    # off general type, positive c2 or chi come only from a non-isotrivial
+    # genus-1 fibration, whose foliation has kodaira 1
+    doc = elliptic_pencil()
+    del doc["expect"]
+    doc["metadata"].update(algebraically_integral="unknown", kodaira=kodaira)
+    report = run_pipeline(parse_document_dict(doc))
+    assert not report.ok and report.verdict is None
+    assert report.inconsistency == (
+        f"metadata says kodaira {kodaira} but c2 = 12, chi = 1 off general type force kodaira 1"
+    )
+
+
+@pytest.mark.parametrize("kodaira", ["1", "unknown"])
+def test_kodaira_one_or_unknown_passes_where_r2_fires(kodaira):
+    doc = elliptic_pencil()
+    del doc["expect"]
+    doc["metadata"].update(algebraically_integral="unknown", kodaira=kodaira)
+    report = run_pipeline(parse_document_dict(doc))
+    assert report.ok and report.verdict.status == "AlgebraicallyIntegral"
+    assert [r.rule_id for r in report.verdict.fired_rules] == ["R2-nongeneral-positive-chern"]
+
+
 def test_sanity_violation_raises():
     s = scenario_from(semistable_genus2())
     bloated = with_metadata(s, p_g=60)
@@ -586,7 +610,8 @@ def reference_decide(
     p_g: Optional[int] = None,
 ) -> Verdict:
     """``chern.decide`` as it was before its rule table: seven inline rules,
-    a set of the statuses fired, and a final check that they agree.
+    a set of the statuses fired, and a final check that they agree; the
+    refusal of kodaira -inf or 0 where R2 fires is written in as well.
 
     The volume is ``c.c1_sq``, which ``chern_numbers`` takes from P^2.
     ``genus`` is the fibration genus when one is known; ``p_g`` overrides the
@@ -622,6 +647,11 @@ def reference_decide(
         statuses.add(ALGEBRAICALLY_INTEGRAL)
 
     if pe and not general and (c.c2 > 0 or c.chi > 0):
+        if meta.kodaira in ("-inf", "0"):
+            raise InconsistentScenario(
+                f"metadata says kodaira {meta.kodaira} but c2 = {c.c2}, chi = {c.chi} "
+                "off general type force kodaira 1"
+            )
         fired.append(
             FiredRule(
                 "R2-nongeneral-positive-chern",
@@ -742,6 +772,7 @@ REFUSALS = (
     "metadata says general type but the volume vanishes",
     "but the volume is positive",
     "but k_pseudo_effective is false",
+    "off general type force kodaira 1",
     "declared integrable of genus ",
     "violates the bound vol >= p_g - 2",
     "violates the universal bound vol >= 1/2",

@@ -17,6 +17,7 @@ from folsurf.fibration import (
     modular_invariants,
     slope_inequality_check,
 )
+from folsurf.local_invariants import beta_ratio
 
 
 def semistable_fiber(g, nodes=1):
@@ -158,8 +159,8 @@ def test_slope_inequality_check():
 
 
 def test_fiber_node_beta():
-    assert FiberNode(2, 1, True).beta == Fraction(1, 2)
-    assert FiberNode(4, 6, False).beta == Fraction(4, 24)
+    assert beta_ratio(2, 1) == Fraction(1, 2)
+    assert beta_ratio(4, 6) == Fraction(4, 24)
     with pytest.raises(DomainError):
         FiberNode(0, 1, False)
 
@@ -169,9 +170,9 @@ def reference_fiber_local_chern(fm):
     beta_f = Fraction(0)
     c_minus1 = Fraction(0)
     for node in fm.nodes:
-        beta_f += node.beta
+        beta_f += beta_ratio(node.a, node.b)
         if node.in_negative_part:
-            c_minus1 += node.beta
+            c_minus1 += beta_ratio(node.a, node.b)
     c1 = 4 * (fm.genus_of_fibration - fm.pa_reduced) + fm.f_red_sq - c_minus1
     c2 = fiber_euler(fm) - beta_f + c_minus1
     return c1, c2, (c1 + c2) / 12

@@ -41,7 +41,7 @@ from folsurf.fixtures import (
     slope_12_7,
     third_noether_double_cover,
 )
-from folsurf.foliation import CheckResult, ScenarioRefused, ValidationReport
+from folsurf.foliation import CheckResult, CurveRecord, ScenarioRefused, ValidationReport
 from folsurf.local_invariants import (
     COUNTED_ON_CURVES,
     EigenvalueClass,
@@ -489,6 +489,53 @@ def test_the_first_bad_field_in_field_order_is_the_one_refused():
     )
 
 
+def test_a_curve_decodes_to_the_record_its_public_constructor_builds():
+    # one curve with only its required keys, one with its optional hint
+    doc = {
+        "name": "curves",
+        "surface": {"base": "P2", "blowups": 1},
+        "k_foliation": {"L": "1"},
+        "curves": [
+            {"name": "C", "class": {"L": "1", "E1": "-1"}, "f_invariant": True},
+            {"name": "D", "class": ["0", "1"], "f_invariant": False, "arithmetic_genus_hint": 0},
+        ],
+        "metadata": {
+            "k_pseudo_effective": True, "relatively_minimal": True, "algebraically_integral": "unknown",
+        },
+    }
+    surface = SurfaceModel.p2(1)
+    assert parse_document_dict(doc).scenario.curves == (
+        CurveRecord("C", surface.divisor([1, -1]), True),
+        CurveRecord("D", surface.divisor([0, 1]), False, 0),
+    )
+
+
+def test_a_singularity_with_only_id_and_kind_takes_every_default():
+    record = document.decode(document.SINGULARITY, {"id": "p", "kind": {"eigenvalue": "-1"}})
+    assert record == SingularityRecord("p", NonDegenerate(EigenvalueClass.rational(-1)))
+    assert (record.vanishing_order, record.incident_curves, record.epsilon, record.count) == (
+        1, (), None, 1,
+    )
+
+
+# A singularity entry with a key missing: the first missing or bad field in
+# field order ("id", "kind", then the optional ones) is the one refused.
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        ({"kind": "x"}, "missing required key 'id'"),
+        ({"id": "q", "count": 0}, "missing required key 'kind'"),
+    ],
+    ids=["no-id-and-a-bad-kind", "no-kind-and-a-bad-count"],
+)
+def test_a_missing_required_key_is_refused_before_later_fields(entry, reason):
+    doc = second_noether_ruled(3)
+    doc["singularities"][3] = entry
+    with pytest.raises(ParseError) as err:
+        parse_document_dict(doc)
+    assert (err.value.path, err.value.reason) == ("$.singularities[3]", reason)
+
+
 def test_negative_fiber_arithmetic_genus_is_refused_at_its_field():
     # a connected reduced fiber has p_a >= 0
     doc = dense_form(semistable_genus2())
@@ -831,7 +878,11 @@ def reports(draw):
         decomposition=maybe(st.builds(
             lambda nef, negative: ZariskiDecomposition(_P2_2.divisor(list(nef)), negative, 0),
             three,
-            _tuples(st.tuples(report_texts | curve_names, report_rationals), 5),
+            st.lists(
+                st.tuples(report_texts | curve_names, report_rationals),
+                max_size=5,
+                unique_by=lambda pair: pair[0],
+            ).map(tuple),
         )),
         chains=draw(_tuples(st.builds(FChain, _tuples(report_texts), _tuples(st.integers(2, 9))))),
         chern=maybe(st.builds(lambda a, b: ChernNumbers(a, b, (a + b) / 12), non_negative, non_negative)),

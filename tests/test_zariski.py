@@ -29,7 +29,6 @@ from folsurf.zariski import (
     coefficient_bounds_check,
     decompose_against_curves,
     detect_chains_with_flags,
-    volume,
     zariski_decompose,
 )
 
@@ -182,7 +181,7 @@ def test_zariski_second_noether_ruled():
     assert dec.negative_part == (("C0", Fraction(1, 5)),)
     # P = (n-1)F + ((n-1)/n) C0
     assert dec.nef_part.coefficients == (Fraction(4, 5), Fraction(4))
-    assert volume(s) == Fraction(5) - 2 + Fraction(1, 5)
+    assert dec.nef_square == Fraction(5) - 2 + Fraction(1, 5)
 
 
 def test_zariski_nef_case():
@@ -190,7 +189,7 @@ def test_zariski_nef_case():
     dec = zariski_decompose(s)
     assert dec.negative_part == ()
     assert dec.nef_part.coefficients == s.k_foliation.coefficients
-    assert volume(s) == 3
+    assert dec.nef_square == 3
 
 
 def test_zariski_requires_pseudo_effective():
@@ -217,7 +216,6 @@ def test_volume_is_zero_where_the_pipeline_reports_zero():
     assert validate(s).passed
     report = run_pipeline(ScenarioDocument(s.name, s, None))
     assert report.ok and report.vol == 0
-    assert volume(s) == report.vol
 
 
 def _assert_double_cover_closed_forms(g):
@@ -231,7 +229,7 @@ def _assert_double_cover_closed_forms(g):
     assert coeffs[f"E{4 * g + 3}"] == Fraction(1, 2 * g + 1)
     assert coeffs[f"E{4 * g + 4}"] == Fraction(1, 2)
     assert f"E{4 * g + 2}" not in coeffs
-    assert volume(s) == Fraction(2 * g * (g - 1), 2 * g + 1)
+    assert dec.nef_square == Fraction(2 * g * (g - 1), 2 * g + 1)
     # orthogonality and support contract
     for name, _ in dec.negative_part:
         assert intersect(dec.nef_part, s.curve(name).cls) == 0
@@ -800,3 +798,11 @@ def test_double_cover_decomposes_in_one_solve(monkeypatch):
     dec = zariski_decompose(s)
     assert len(dec.negative_part) == 4 * 80 + 4
     assert counts == {"factorizations": 1, "solves": 1}, counts
+
+
+def test_a_negative_part_naming_a_curve_twice_is_refused():
+    # the JSON report would keep one coefficient and the text print both
+    nef = SurfaceModel.p2(2).divisor([1, 0, 0])
+    parts = (("C", Fraction(1, 2)), ("D", Fraction(1, 3)), ("C", Fraction(1, 4)))
+    with pytest.raises(DomainError, match="the negative part names curve 'C' twice"):
+        ZariskiDecomposition(nef, parts, Fraction(1))
